@@ -65,7 +65,7 @@ must end with the replica at the primary's exact sequence number and an
 identical canonical state digest.
 
 A seventh measurement sweeps **sharding** (``BENCH_sharding.json``):
-the :func:`~repro.workload.sharded.run_sharded` harness drives
+the :func:`~repro.workload.stress.run_stress` harness (``shards=N``) drives
 per-worker **disjoint** counter keys from 8 sessions against a 1-shard
 baseline and a 4-shard store, then a mixed point where a slice of the
 transactions are two-key transfers crossing shards through the
@@ -536,7 +536,7 @@ def _run_concurrency(seed):
 
 
 def _sharding_run(shards, cross_ratio, seed, placement):
-    """One audited :func:`run_sharded` run with the bench workload shape.
+    """One audited sharded :func:`run_stress` run with the bench workload shape.
 
     The GIL-yield think-time hook forces the read and the commit of
     concurrent transactions to actually interleave; without it a ~200us
@@ -545,16 +545,16 @@ def _sharding_run(shards, cross_ratio, seed, placement):
     structure.
     """
     from repro.core import StaticDatabase
-    from repro.workload.sharded import run_sharded
+    from repro.workload.stress import run_stress
 
-    return run_sharded(kind=StaticDatabase, shards=shards,
-                       sessions=SHARDING_SESSIONS,
-                       transactions=SHARDING_OPS,
-                       keys_per_session=SHARDING_KEYS,
-                       cross_ratio=cross_ratio,
-                       placement=placement,
-                       work=lambda: time.sleep(0),
-                       seed=seed)
+    return run_stress(kind=StaticDatabase, shards=shards,
+                      sessions=SHARDING_SESSIONS,
+                      transactions=SHARDING_OPS,
+                      keys=SHARDING_KEYS,
+                      cross_ratio=cross_ratio,
+                      placement=placement,
+                      work=lambda: time.sleep(0),
+                      seed=seed)
 
 
 def _sharding_describe(report, all_ok):
@@ -949,7 +949,6 @@ def _integrity_point(commits, seed):
         return {
             "commits": commits,
             "records_total": audit.records_total,
-            "legacy_frames": audit.legacy_frames,
             "chain_check_us": round(chain_s * 1e6, 4),
             "digest_us": round(digest_s * 1e6, 1),
             "speedup": round(digest_s / chain_s, 1),

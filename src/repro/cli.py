@@ -64,6 +64,9 @@ and drives the concurrent stress harness (see docs/CONCURRENCY.md)::
     repro stress --sessions 16 --ops 100   # heavier contention
     repro stress --faults torn-record      # chaos mode: crash + recovery
     repro stress --json                    # the full report as JSON
+    repro stress --shards 4 --placement scattered --cross 0.3
+                                           # the same harness over a
+                                           # sharded store, 2PC mix
 
 and the replication subsystem (see docs/REPLICATION.md)::
 
@@ -76,9 +79,8 @@ and the replication subsystem (see docs/REPLICATION.md)::
 
 and the sharded store (see docs/SHARDING.md)::
 
-    repro shard-stress                     # 4 shards x 8 sessions, audit
-    repro shard-stress --shards 8 --cross 0.3       # heavier 2PC mix
-    repro shard-stress --faults lost-record --dir DIR   # chaos + recovery
+    repro stress --shards 8 --faults lost-record --dir DIR
+                                           # sharded chaos + recovery
     repro stats --shards 4                 # demo workload on a sharded
                                            # store: per-shard metrics
 
@@ -338,7 +340,7 @@ def build_repro_parser() -> argparse.ArgumentParser:
                             "ordered tree instead of JSON lines")
     trace.add_argument("--input", metavar="PATH", default=None,
                        help="read spans from a JSONL export (e.g. "
-                            "shard-stress --trace-out) instead of running "
+                            "stress --trace-out) instead of running "
                             "a workload")
     trace.add_argument("--events-input", metavar="PATH", default=None,
                        help="also list the transaction's lifecycle events "
@@ -426,8 +428,23 @@ def build_repro_parser() -> argparse.ArgumentParser:
                         help="concurrent worker threads (default: 8)")
     stress.add_argument("--ops", type=int, default=200, metavar="N",
                         help="transactions per session (default: 200)")
+    stress.add_argument("--shards", type=int, default=None, metavar="N",
+                        help="hammer a store sharded N ways instead of a "
+                             "plain database (default: unsharded)")
     stress.add_argument("--keys", type=int, default=8, metavar="N",
-                        help="counter rows contended over (default: 8)")
+                        help="counter rows: contended over by every "
+                             "worker, or owned per worker, per "
+                             "--placement (default: 8)")
+    stress.add_argument("--placement",
+                        choices=["shared", "scattered", "aligned"],
+                        default="shared",
+                        help="key placement: one pool shared by every "
+                             "worker, or disjoint per-worker keys "
+                             "scattered over all shards / aligned "
+                             "worker-per-shard (default: shared)")
+    stress.add_argument("--cross", type=float, default=0.0, metavar="P",
+                        help="two-key transfer probability — cross-shard "
+                             "when the keys hash apart (default: 0)")
     stress.add_argument("--seed", type=int, default=0,
                         help="workload and backoff-jitter seed (default: 0)")
     stress.add_argument("--timeout", type=float, default=None, metavar="S",
@@ -440,14 +457,25 @@ def build_repro_parser() -> argparse.ArgumentParser:
                              "sessions); excess is shed as Overloaded")
     stress.add_argument("--faults", default=None,
                         choices=[point.value for point in _append_points()],
-                        help="chaos mode: kill journal I/O at this crash "
-                             "point, then audit recovery")
+                        help="chaos mode: kill journal/2PC I/O at this "
+                             "crash point, then audit recovery")
     stress.add_argument("--fault-at", type=int, default=50, metavar="N",
-                        help="which journal append dies in chaos mode "
+                        help="which append dies in chaos mode — a journal "
+                             "record, a prepare or the decision "
                              "(default: 50)")
     stress.add_argument("--dir", default=None, metavar="DIR",
-                        help="durability directory for chaos mode "
-                             "(default: a temporary one)")
+                        help="durability directory: durable mode on its "
+                             "own, chaos mode with --faults (chaos "
+                             "default: a temporary one)")
+    stress.add_argument("--replicas", type=int, default=0, metavar="N",
+                        help="with --shards: stream every shard's commits "
+                             "to N sharded replicas and audit their "
+                             "convergence (default: 0)")
+    stress.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="export the run's spans as JSONL (feeds "
+                             "repro trace --txn)")
+    stress.add_argument("--events-out", default=None, metavar="PATH",
+                        help="export the run's lifecycle events as JSONL")
     stress.add_argument("--json", action="store_true",
                         help="emit the full report as JSON")
 
@@ -537,67 +565,6 @@ def build_repro_parser() -> argparse.ArgumentParser:
                                 "(default: never)")
     replicate.add_argument("--json", action="store_true",
                            help="emit the full report as JSON")
-
-    shard_stress = subparsers.add_parser(
-        "shard-stress", help="hammer a sharded store from concurrent "
-                             "sessions and audit the cross-shard "
-                             "invariants")
-    shard_stress.add_argument("--kind", choices=sorted(_KINDS),
-                              default="static",
-                              help="which kind of database to shard "
-                                   "(default: static)")
-    shard_stress.add_argument("--shards", type=int, default=4, metavar="N",
-                              help="shard count (default: 4)")
-    shard_stress.add_argument("--sessions", type=int, default=8, metavar="N",
-                              help="concurrent worker threads (default: 8)")
-    shard_stress.add_argument("--ops", type=int, default=100, metavar="N",
-                              help="transactions per session (default: 100)")
-    shard_stress.add_argument("--keys", type=int, default=16, metavar="N",
-                              help="keys per worker (default: 16)")
-    shard_stress.add_argument("--cross", type=float, default=0.1,
-                              metavar="P",
-                              help="cross-shard transfer probability "
-                                   "(default: 0.1)")
-    shard_stress.add_argument("--placement",
-                              choices=["scattered", "aligned"],
-                              default="scattered",
-                              help="key placement: scattered over all "
-                                   "shards or aligned worker-per-shard "
-                                   "(default: scattered)")
-    shard_stress.add_argument("--seed", type=int, default=0,
-                              help="workload and backoff-jitter seed "
-                                   "(default: 0)")
-    shard_stress.add_argument("--timeout", type=float, default=None,
-                              metavar="S",
-                              help="per-transaction deadline in seconds "
-                                   "(default: none)")
-    shard_stress.add_argument("--faults", default=None,
-                              choices=[point.value
-                                       for point in _append_points()],
-                              help="chaos mode: kill journal/2PC I/O at "
-                                   "this crash point, then audit recovery")
-    shard_stress.add_argument("--fault-at", type=int, default=50,
-                              metavar="N",
-                              help="which append dies in chaos mode — a "
-                                   "shard journal record, a prepare or "
-                                   "the decision (default: 50)")
-    shard_stress.add_argument("--dir", default=None, metavar="DIR",
-                              help="durability directory: durable mode on "
-                                   "its own, chaos mode with --faults "
-                                   "(chaos default: a temporary one)")
-    shard_stress.add_argument("--replicas", type=int, default=0,
-                              metavar="N",
-                              help="stream every shard's commits to N "
-                                   "sharded replicas and audit their "
-                                   "convergence (default: 0)")
-    shard_stress.add_argument("--trace-out", default=None, metavar="PATH",
-                              help="export the run's spans as JSONL "
-                                   "(feeds repro trace --txn)")
-    shard_stress.add_argument("--events-out", default=None, metavar="PATH",
-                              help="export the run's lifecycle events as "
-                                   "JSONL")
-    shard_stress.add_argument("--json", action="store_true",
-                              help="emit the full report as JSON")
 
     promote = subparsers.add_parser(
         "promote", help="promote a durability directory: recover it, "
@@ -794,59 +761,10 @@ def _repro_stress(args) -> int:
 
     def run(directory):
         return run_stress(
-            kind=_KINDS[args.kind], sessions=args.sessions,
-            transactions=args.ops, keys=args.keys, seed=args.seed,
-            admission=admission, timeout=args.timeout,
-            faults=faults, fault_at=args.fault_at, directory=directory)
-
-    if faults is not None and args.dir is None:
-        with tempfile.TemporaryDirectory() as scratch:
-            report = run(scratch)
-    else:
-        report = run(args.dir)
-
-    if args.json:
-        print(json.dumps(report.describe(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    print(f"stress: {report.sessions} sessions x "
-          f"{report.transactions_per_session} transactions on a "
-          f"{args.kind} database ({report.wall_s:.3f}s)")
-    print(f"  committed:          {report.committed} of {report.attempted} "
-          f"attempted")
-    print(f"  conflicts retried:  {report.conflicts} "
-          f"({report.retries} retries)")
-    print(f"  shed (overloaded):  {report.shed}")
-    print(f"  deadline exceeded:  {report.deadline_exceeded}")
-    if faults is not None:
-        print(f"  crashed:            {report.crashed} worker(s) saw the "
-              f"injected crash")
-        print(f"  recovered records:  {report.recovered_records} "
-              f"(durable prefix intact: "
-              f"{report.recovery_is_durable_prefix})")
-    print(f"  lost updates:       {report.lost_updates}")
-    print(f"  commit times:       "
-          f"{'strictly increasing' if report.commit_times_monotone else 'OUT OF ORDER'}")
-    print(f"  serial replay:      "
-          f"{'equivalent' if report.serial_equivalent else 'DIVERGED'}")
-    print(f"  audit: {'ok' if report.ok else 'FAILED'}")
-    return 0 if report.ok else 1
-
-
-def _repro_shard_stress(args) -> int:
-    """The ``repro shard-stress`` verb: run the sharded harness."""
-    import tempfile
-
-    from repro.storage.faults import CrashPoint
-    from repro.workload.sharded import run_sharded
-
-    faults = CrashPoint(args.faults) if args.faults else None
-
-    def run(directory):
-        return run_sharded(
             kind=_KINDS[args.kind], shards=args.shards,
-            sessions=args.sessions, transactions=args.ops,
-            keys_per_session=args.keys, cross_ratio=args.cross,
-            seed=args.seed, placement=args.placement,
+            sessions=args.sessions, transactions=args.ops, keys=args.keys,
+            cross_ratio=args.cross, seed=args.seed,
+            placement=args.placement, admission=admission,
             timeout=args.timeout, faults=faults, fault_at=args.fault_at,
             directory=directory, replicas=args.replicas,
             trace_out=args.trace_out, events_out=args.events_out)
@@ -860,15 +778,20 @@ def _repro_shard_stress(args) -> int:
     if args.json:
         print(json.dumps(report.describe(), indent=2, sort_keys=True))
         return 0 if report.ok else 1
-    print(f"shard-stress: {report.sessions} sessions x "
-          f"{report.transactions_per_session} transactions over "
-          f"{report.shards} shards of a {args.kind} database "
+    store = (f"a {args.kind} database" if report.shards is None else
+             f"{report.shards} shards of a {args.kind} database")
+    print(f"stress: {report.sessions} sessions x "
+          f"{report.transactions_per_session} transactions on {store} "
           f"({report.wall_s:.3f}s, {report.placement} keys)")
     print(f"  committed:          {report.committed} of {report.attempted} "
           f"attempted ({report.tps:.0f} tps)")
-    print(f"  cross-shard:        {report.cross_shard_commits} committed "
-          f"through the two-phase protocol")
-    print(f"  conflicts retried:  {report.conflicts}")
+    if report.shards is not None:
+        print(f"  cross-shard:        {report.cross_shard_commits} "
+              f"committed through the two-phase protocol")
+    print(f"  conflicts retried:  {report.conflicts} "
+          f"({report.retries} retries)")
+    print(f"  shed (overloaded):  {report.shed}")
+    print(f"  deadline exceeded:  {report.deadline_exceeded}")
     print(f"  commit latency:     p50 {report.latency_p50_s * 1e6:.0f}us, "
           f"p95 {report.latency_p95_s * 1e6:.0f}us, "
           f"p99 {report.latency_p99_s * 1e6:.0f}us")
@@ -881,10 +804,13 @@ def _repro_shard_stress(args) -> int:
     if faults is not None:
         print(f"  crashed:            {report.crashed} worker(s) saw the "
               f"injected crash")
-        print(f"  recovery:           {report.recovered_records} records, "
-              f"{report.recovery_reapplied} decided batches re-applied, "
-              f"{report.recovery_in_doubt_aborted} in-doubt rolled back")
-        print(f"  durable prefix:     {report.recovery_is_durable_prefix}")
+        resolved = ("" if report.recovery_reapplied is None else
+                    f", {report.recovery_reapplied} decided batches "
+                    f"re-applied, {report.recovery_in_doubt_aborted} "
+                    f"in-doubt rolled back")
+        print(f"  recovered records:  {report.recovered_records} "
+              f"(durable prefix intact: "
+              f"{report.recovery_is_durable_prefix}){resolved}")
     if report.replicas:
         digest_note = ("" if report.replica_digest_match is None else
                        f", digests "
@@ -929,8 +855,9 @@ def _repro_health(args) -> int:
     """
     from repro import obs
     from repro.obs.slo import Objective, SloPolicy
-    from repro.relational import Domain, Schema
     from repro.sharding.store import ShardedDatabase
+    from repro.workload.stress import (RELATION, define_counters,
+                                       increment_closure, transfer_closure)
 
     policy = SloPolicy({
         "read": Objective(args.read_ms / 1000.0, args.budget),
@@ -939,28 +866,17 @@ def _repro_health(args) -> int:
     })
     store = ShardedDatabase(StaticDatabase, shards=2,
                             clock=SimulatedClock("01/01/77"))
-    store.define("counters", Schema.of(key=["k"], k=Domain.STRING,
-                                       v=Domain.INTEGER))
     keys = [f"k{i}" for i in range(16)]
-    for key in keys:
-        store.insert("counters", {"k": key, "v": 0})
+    define_counters(store, keys)
     by_shard = sorted(keys, key=lambda k: store.shard_of_key(
-        "counters", {"k": k}))
-    cross_a, cross_b = by_shard[0], by_shard[-1]
+        RELATION, {"k": k}))
     layer = store.sessions()
 
     def read_only(session):
-        session.get("counters", {"k": keys[0]})
+        session.get(RELATION, {"k": keys[0]})
 
-    def increment(session):
-        row = session.get("counters", {"k": keys[1]})[0]
-        session.replace("counters", {"k": keys[1]}, {"v": row["v"] + 1})
-
-    def transfer(session):
-        row_a = session.get("counters", {"k": cross_a})[0]
-        row_b = session.get("counters", {"k": cross_b})[0]
-        session.replace("counters", {"k": cross_a}, {"v": row_a["v"] + 1})
-        session.replace("counters", {"k": cross_b}, {"v": row_b["v"] - 1})
+    increment = increment_closure(keys[1])
+    transfer = transfer_closure(by_shard[0], by_shard[-1])
 
     with obs.recording() as instrumentation:
         for _ in range(args.ops):
@@ -1101,8 +1017,7 @@ def _format_audit(report) -> str:
              f"{report.checkpoints_audited} checkpoint(s), "
              f"{report.sidelogs_audited} side log(s)"]
     lines.append(f"  records:         {report.records_total} "
-                 f"({report.chain_verified} chain-verified, "
-                 f"{report.legacy_frames} legacy bare-JSON)")
+                 f"({report.chain_verified} chain-verified)")
     lines.append(f"  verified prefix: {report.verified_prefix} record(s)")
     head = report.chain_head
     lines.append(f"  chain head:      "
@@ -1333,30 +1248,19 @@ def _sharded_demo(shards: int) -> None:
     """
     import tempfile
 
-    from repro.relational import Domain, Schema
     from repro.sharding import ShardedDurabilityManager
+    from repro.workload.stress import define_counters, increment_closure
 
     with tempfile.TemporaryDirectory() as scratch:
         manager = ShardedDurabilityManager(scratch, shards=shards)
         store, _ = manager.recover(StaticDatabase)
         for shard_db in store.shard_databases:
             shard_db.manager.clock.source.set("01/01/77")
-        store.define("counters", Schema.of(key=["k"], k=Domain.STRING,
-                                           v=Domain.INTEGER))
         keys = [f"k{i}" for i in range(8 * shards)]
-        for key in keys:
-            store.insert("counters", {"k": key, "v": 0})
+        define_counters(store, keys)
         layer = store.sessions()
-
-        def bump(key):
-            def closure(session):
-                row = session.get("counters", {"k": key})[0]
-                session.replace("counters", {"k": key},
-                                {"v": row["v"] + 1})
-            return closure
-
         for key in keys:
-            layer.run(bump(key))
+            layer.run(increment_closure(key))
         # one deliberate conflict: validate against a moved footprint
         first, second = layer.begin(), layer.begin()
         first.replace("counters", {"k": keys[0]}, {"v": 100})
@@ -1596,7 +1500,7 @@ def repro_main(argv: Optional[list] = None) -> int:
     args = build_repro_parser().parse_args(argv)
     if args.subcommand in ("recover", "checkpoint", "stress", "digest",
                            "audit", "scrub", "replicate", "promote",
-                           "shard-stress", "health", "bench-diff", "cache",
+                           "health", "bench-diff", "cache",
                            "serve", "loadgen"):
         try:
             handler = {"recover": _repro_recover,
@@ -1607,7 +1511,6 @@ def repro_main(argv: Optional[list] = None) -> int:
                        "scrub": _repro_scrub,
                        "replicate": _repro_replicate,
                        "promote": _repro_promote,
-                       "shard-stress": _repro_shard_stress,
                        "health": _repro_health,
                        "bench-diff": _repro_bench_diff,
                        "cache": _repro_cache,

@@ -1,8 +1,10 @@
 """The session layer: many sessions, one serialized commit order.
 
 A :class:`SessionLayer` lets N threads run transactions against one
-database concurrently while every commit still funnels through the
-single-writer :class:`~repro.txn.manager.TransactionManager` — so
+store concurrently while every commit still funnels through a
+serialized commit pipeline — the single-writer
+:class:`~repro.txn.manager.TransactionManager` of a plain database, or
+the per-shard managers behind a sharded store's coordinator — so
 transaction time stays append-only, system-assigned and strictly
 increasing, exactly the paper's serial-history model ("each transaction
 results in a new static relation being appended to the front of the
@@ -14,13 +16,18 @@ parallel:
 2. each admitted transaction runs in an optimistic
    :class:`~repro.concurrency.session.ConcurrentSession` — no locks held
    while the application computes;
-3. at commit, first-committer-wins validation runs under the manager's
-   serialization lock (the ``validate`` seam of
-   :meth:`TransactionManager.run`), atomically with the apply it guards;
+3. at commit, first-committer-wins validation runs under the locks the
+   store takes for the session's footprint (its ``commit`` / ``certify``
+   seam), atomically with the apply it guards;
 4. a conflict raises a retryable :class:`~repro.errors.ConflictError`
    and the :class:`~repro.concurrency.retry.RetryPolicy` re-runs the
    whole closure — against the *new* committed state — with exponential
    backoff, never past the transaction's deadline.
+
+There is one layer for every store: what a footprint key is, which
+locks a commit takes and what the commit token looks like are the
+store's answers (docs/CONCURRENCY.md, "The store seam"), so the sharded
+store differs from a plain database by policy, not by session code.
 
 Durability composes unchanged: the serialized commit stream is what the
 :class:`~repro.storage.recovery.DurabilityManager` journals (appends
@@ -56,10 +63,11 @@ TransactionClosure = Callable[[ConcurrentSession], Any]
 
 
 class SessionLayer:
-    """Concurrent optimistic sessions over one database.
+    """Concurrent optimistic sessions over one store.
 
-    Construct directly or via :meth:`Database.sessions
-    <repro.core.base.Database.sessions>`.  ``retry`` and ``admission``
+    Construct directly or via ``store.sessions()`` (a
+    :class:`~repro.core.base.Database` of any kind or a
+    :class:`~repro.sharding.store.ShardedDatabase`).  ``retry`` and ``admission``
     default to sensible bounded policies; pass explicitly-seeded ones
     for deterministic tests.  *clock* is the monotonic time source for
     deadlines (injectable).
@@ -95,17 +103,15 @@ class SessionLayer:
                        deadline: Optional[float] = None) -> Optional["Instant"]:
         """Validate and commit *session*; called by ``session.commit()``.
 
-        First-committer-wins: the footprint check runs under the
-        manager's serialization lock, atomically with the apply.  A
-        transaction past its deadline aborts with
+        First-committer-wins: the footprint check runs under the locks
+        the store takes for that footprint, atomically with the apply.
+        A transaction past its deadline aborts with
         :class:`~repro.errors.DeadlineExceeded` instead of committing
         late.  Read-only sessions (no buffered operations) validate via
-        :meth:`TransactionManager.certify
-        <repro.txn.manager.TransactionManager.certify>` — under the same
-        serialization lock as every commit, so the check cannot
-        interleave with an in-flight apply — and return ``None``: no
-        commit record, but the whole read set is certified to have held
-        simultaneously.
+        the store's ``certify`` — under the same locks as every commit
+        to their footprint, so the check cannot interleave with an
+        in-flight apply — and return ``None``: no commit record, but the
+        whole read set is certified to have held simultaneously.
         """
         obs = _obs.current()
         metrics = obs.metrics
@@ -126,13 +132,15 @@ class SessionLayer:
                     f"wins validation: {', '.join(stale)} changed since "
                     f"it began", relations=stale)
 
+        database = self.database
+        footprint = tuple(session._footprint)
         try:
             if not session.operations:
-                self.database.manager.certify(validate)
+                database.certify(footprint, validate)
                 session._status = SessionStatus.COMMITTED
                 # A certified read-only session still gets a token: a
                 # replica at this index has everything the session saw.
-                session._commit_token = len(self.database.log)
+                session._commit_token = database.commit_token()
                 obs.events.emit("txn.commit", txn=session.txn_id,
                                 op_class="read",
                                 token=session._commit_token)
@@ -140,8 +148,8 @@ class SessionLayer:
             with obs.tracer.span("concurrency.commit",
                                  txn=session.txn_id):
                 with metrics.histogram("concurrency.commit_seconds").time():
-                    commit_time = self.database.manager.run(
-                        session.operations, validate=validate)
+                    commit_time = database.commit(
+                        session.operations, footprint, validate)
         except Exception:
             session._status = SessionStatus.ABORTED
             raise
@@ -149,9 +157,9 @@ class SessionLayer:
         session._commit_time = commit_time
         # The read-your-writes token: replicas must apply at least this
         # many records before serving this session's writes.  Read after
-        # the commit lock dropped, so it may over-count (a concurrent
+        # the commit locks dropped, so it may over-count (a concurrent
         # commit landing first) — conservative, never stale.
-        session._commit_token = len(self.database.log)
+        session._commit_token = database.commit_token()
         metrics.counter("concurrency.commits").inc()
         obs.events.emit("txn.commit", txn=session.txn_id,
                         op_class=session.op_class,

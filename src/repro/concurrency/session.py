@@ -1,38 +1,43 @@
 """Optimistic sessions: buffer against a snapshot, validate at commit.
 
-A :class:`ConcurrentSession` is one transaction's view of the database
-under the session layer (:mod:`repro.concurrency.layer`).  It never
-holds a lock while the application thinks: reads go straight to the
-committed state, writes are buffered as plain
+A :class:`ConcurrentSession` is one transaction's view of a store under
+the session layer (:mod:`repro.concurrency.layer`).  It never holds a
+lock while the application thinks: reads go straight to the committed
+state, writes are buffered as plain
 :class:`~repro.txn.transaction.Operation` records, and the session
-tracks its *footprint* — for every relation read or written, the
-relation's version counter at first touch (the same per-relation
-counters the index cache keys on).
+tracks its *footprint* — for every footprint key read or written, the
+key's version counter at first touch.
 
-At commit the layer re-checks the footprint under the manager's
-serialization lock: if any touched relation has a newer version, another
+Which keys an access touches is the **store's** policy, not the
+session's (the seam in docs/CONCURRENCY.md): a
+:class:`~repro.core.base.Database` answers with the relation name, so
+two sessions writing different keys of the same relation still conflict
+(one retries and then succeeds); a
+:class:`~repro.sharding.store.ShardedDatabase` answers with
+``relation@shard`` for the owning shard, so sessions on different
+shards neither conflict nor share a commit lock.  Sharpening to
+``(relation, key)`` granularity is likewise a store-side change.
+
+At commit the layer re-checks the footprint under the locks the store
+takes for it: if any touched key has a newer version, another
 transaction committed first and this one loses — first-committer-wins —
-with a retryable :class:`~repro.errors.ConflictError`.  Validation is at
-**relation granularity**: two sessions writing different keys of the
-same relation still conflict (one retries and then succeeds).  That is
-deliberately coarse — it is sound for any operation mix, needs no
-predicate analysis, and the retry layer absorbs the false sharing; see
-docs/CONCURRENCY.md for the contract and its sharpening path.
+with a retryable :class:`~repro.errors.ConflictError`.
 
 Reads within a session see the latest *committed* state, not the
 session's own buffered writes (no read-your-writes); validation then
 guarantees that everything read still holds at commit time, which makes
-a committed session serializable at relation granularity.
+a committed session serializable at the store's footprint granularity.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple, Union)
 
 from repro.errors import TransactionStateError
 from repro.obs import context as _trace
+from repro.relational.tuple import Tuple as Row
 from repro.time.instant import Instant
 from repro.txn.transaction import Operation
 
@@ -63,10 +68,8 @@ class ConcurrentSession:
         self._id = session_id
         self._status = SessionStatus.ACTIVE
         self._operations: List[Operation] = []
-        #: relation name -> version counter at first touch.
+        #: footprint key -> version counter at first touch.
         self._footprint: Dict[str, int] = {}
-        #: commit-log length when the session began (diagnostic only).
-        self._snapshot_index = len(self._database.log)
         self._commit_time: Optional[Instant] = None
         self._commit_token: Optional[int] = None
         #: the correlation id tying this attempt to its logical
@@ -97,11 +100,13 @@ class ConcurrentSession:
     def op_class(self) -> str:
         """The SLO operation class this session falls into.
 
-        ``read`` while nothing is buffered; ``single_shard_write``
-        otherwise (the unsharded engine is one shard).  The sharded
-        session refines the write classes by footprint.
+        ``read`` while nothing is buffered; otherwise the store's
+        verdict on the buffered batch (``single_shard_write`` or
+        ``cross_shard_write``).
         """
-        return "read" if not self._operations else "single_shard_write"
+        if not self._operations:
+            return "read"
+        return self._database.op_class(self._operations)
 
     @property
     def status(self) -> SessionStatus:
@@ -115,13 +120,8 @@ class ConcurrentSession:
 
     @property
     def footprint(self) -> Dict[str, int]:
-        """A copy of the read/write footprint (relation -> version)."""
+        """A copy of the read/write footprint (footprint key -> version)."""
         return dict(self._footprint)
-
-    @property
-    def snapshot_index(self) -> int:
-        """How many commits the database had when this session began."""
-        return self._snapshot_index
 
     @property
     def commit_time(self) -> Optional[Instant]:
@@ -129,11 +129,12 @@ class ConcurrentSession:
         return self._commit_time
 
     @property
-    def commit_token(self) -> Optional[int]:
+    def commit_token(self) -> Optional[Any]:
         """The read-your-writes token assigned at commit (None before).
 
-        The number of commits in the primary's log once this session's
-        commit landed; a replica must have applied at least this many
+        The store's commit count once this session's commit landed — an
+        integer for a single database, the per-shard vector for a
+        sharded one; a replica must have applied at least this many
         records before it can serve this session's own writes
         (:meth:`Replica.read <repro.replication.replica.Replica.read>`
         raises a retryable :class:`~repro.errors.ReplicaLagging` until
@@ -151,80 +152,95 @@ class ConcurrentSession:
     # -- footprint ---------------------------------------------------------------
 
     def touch(self, name: str) -> None:
-        """Record *name* in the footprint at its current version.
+        """Record a whole-relation dependency on *name*.
 
-        Called automatically by every read and write below; call it
+        Called automatically by every whole-relation read below; call it
         directly to declare a dependency the session reads through some
         other channel.
         """
-        if name not in self._footprint:
-            self._footprint[name] = self._database.relation_version(name)
+        self._touch(self._database.read_footprint(name))
+
+    def _touch(self, keys: Iterable[str]) -> None:
+        """Record each footprint key at its version on first touch."""
+        for key in keys:
+            if key not in self._footprint:
+                self._footprint[key] = self._database.footprint_version(key)
 
     def conflicts(self) -> List[str]:
-        """The touched relations whose version has moved since first touch."""
-        return sorted(name for name, version in self._footprint.items()
-                      if self._database.relation_version(name) != version)
+        """The touched keys whose version has moved since first touch."""
+        return sorted(key for key, version in self._footprint.items()
+                      if self._database.footprint_version(key) != version)
 
     # -- reads --------------------------------------------------------------------
 
-    def _consistent(self, compute: Callable[[], Any]) -> Any:
-        """Run *compute* under the commit serialization lock.
+    def _read(self, name: str, compute: Callable[[], Any]) -> Any:
+        """Touch *name*, then run *compute* under its footprint's locks.
 
         A commit's apply (close the superseded version, open the new
-        one) is atomic only to holders of the manager's lock; a bare
+        one) is atomic only to holders of the commit lock; a bare
         ``database.snapshot`` taken mid-apply can see *neither* version
         of a replaced row.  Every session read goes through here so a
         racing committer's torn intermediate state is never observable
-        — touch first (outside the lock), then snapshot atomically.
+        — touch first (outside the lock), then read atomically.
         """
-        result: List[Any] = []
-        self._database.manager.certify(lambda: result.append(compute()))
-        return result[0]
+        keys = self._database.read_footprint(name)
+        self._touch(keys)
+        return self._database.certify(keys, compute)
 
     def read(self, name: str):
         """The relation's current committed snapshot, footprint-tracked."""
-        self.touch(name)
-        return self._consistent(lambda: self._database.snapshot(name))
+        return self._read(name, lambda: self._database.snapshot(name))
 
     def timeslice(self, name: str, valid_at: InstantLike):
         """Valid-time slice of the committed state, footprint-tracked."""
-        self.touch(name)
-        return self._consistent(
-            lambda: self._database.timeslice(name, valid_at))
+        return self._read(
+            name, lambda: self._database.timeslice(name, valid_at))
 
     def rollback(self, name: str, as_of: InstantLike):
         """Transaction-time rollback of the committed state, tracked."""
-        self.touch(name)
-        return self._consistent(
-            lambda: self._database.rollback(name, as_of))
+        return self._read(
+            name, lambda: self._database.rollback(name, as_of))
+
+    def get(self, name: str, key: Mapping[str, Any]) -> List[Row]:
+        """The current rows of *name* matching *key* — the targeted read.
+
+        Touches only the footprint keys *key* narrows the read to (on a
+        sharded store: the owning shard alone, which is what keeps a
+        single-key transaction off every other shard's pipeline).
+        """
+        self._touch(self._database.read_footprint(name, key))
+        return self._database.get(name, key)
 
     # -- writes --------------------------------------------------------------------
 
     def add(self, operation: Operation) -> None:
-        """Buffer one operation (the database's ``txn=`` recorder seam)."""
+        """Buffer one operation (the database's ``txn=`` recorder seam),
+        touching exactly the footprint keys it lands on."""
         self._require_active()
-        self.touch(operation.relation)
+        self._touch(self._database.write_footprint(operation))
         self._operations.append(operation)
+
+    # The DML methods hand the database the ``txn=`` seam and let
+    # :meth:`add` touch the footprint: pre-touching the whole relation
+    # here would broadcast every keyed write to all of a sharded
+    # store's shards.
 
     def insert(self, name: str, values: Mapping[str, Any],
                **valid_bounds: Any) -> None:
         """Buffer an insert (valid-time keywords per the database kind)."""
         self._require_active()
-        self.touch(name)
         self._database.insert(name, values, txn=self, **valid_bounds)
 
     def delete(self, name: str, match: Optional[Mapping[str, Any]] = None,
                **valid_bounds: Any) -> None:
         """Buffer a delete of every tuple agreeing with *match*."""
         self._require_active()
-        self.touch(name)
         self._database.delete(name, match, txn=self, **valid_bounds)
 
     def replace(self, name: str, match: Mapping[str, Any],
                 updates: Mapping[str, Any], **valid_bounds: Any) -> None:
         """Buffer a replace of every tuple agreeing with *match*."""
         self._require_active()
-        self.touch(name)
         self._database.replace(name, match, updates, txn=self, **valid_bounds)
 
     # -- lifecycle ----------------------------------------------------------------

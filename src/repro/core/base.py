@@ -220,6 +220,14 @@ class Database(abc.ABC):
         time is a single instant per tuple (``valid_at``).  Only database
         kinds with valid time accept it.
         """
+        return self._manager.run(
+            [self.define_operation(name, schema, constraints, event)])
+
+    def define_operation(self, name: str, schema: Schema,
+                         constraints: Sequence[Constraint] = (),
+                         event: bool = False) -> Operation:
+        """The validated ``define`` operation (the sharded store commits
+        it on every shard)."""
         if event:
             self.require_historical("an event relation")
         from repro.core.temporal_constraints import TemporalConstraint
@@ -227,10 +235,9 @@ class Database(abc.ABC):
             self.require_historical("a temporal constraint")
         if name in self._schemas:
             raise DuplicateRelationError(f"relation {name!r} already exists")
-        op = Operation("define", name,
-                       {"schema": schema, "constraints": tuple(constraints),
-                        "event": event})
-        return self._manager.run([op])
+        return Operation("define", name,
+                         {"schema": schema, "constraints": tuple(constraints),
+                          "event": event})
 
     def is_event_relation(self, name: str) -> bool:
         """True if the relation was defined with ``event=True``."""
@@ -265,6 +272,60 @@ class Database(abc.ABC):
         """
         from repro.concurrency import SessionLayer  # avoid cycle
         return SessionLayer(self, retry=retry, admission=admission, **kwargs)
+
+    # -- the session seam (docs/CONCURRENCY.md) ----------------------------------------
+    #
+    # The four questions the one SessionLayer asks of a store: which
+    # footprint keys an access touches, a key's current version, how to
+    # validate-and-commit (or just certify) under the locks that
+    # footprint needs, and what token / SLO class a commit earned.  Here
+    # every answer is relation-granular over one pipeline;
+    # ShardedDatabase answers the same questions per ``relation@shard``.
+
+    def read_footprint(self, name: str,
+                       key: Optional[Mapping[str, Any]] = None,
+                       ) -> PyTuple[str, ...]:
+        """The footprint keys a read of *name* depends on.
+
+        *key* narrows the read to the rows it matches; at relation
+        granularity that changes nothing.
+        """
+        return (name,)
+
+    def write_footprint(self, operation: Operation) -> PyTuple[str, ...]:
+        """The footprint keys buffering *operation* depends on."""
+        return (operation.relation,)
+
+    def footprint_version(self, key: str) -> int:
+        """The current version of one footprint key."""
+        return self._versions.get(key, 0)
+
+    def commit(self, operations: Sequence[Operation],
+               footprint: Sequence[str],
+               validate: Optional[Any] = None) -> Instant:
+        """Run *validate*, then commit *operations*, as one atomic step.
+
+        The single serialization lock covers any *footprint*.
+        """
+        return self._manager.run(operations, validate=validate)
+
+    def certify(self, footprint: Sequence[str], validate: Any) -> Any:
+        """Run *validate* atomically against every commit to *footprint*;
+        returns whatever it returns."""
+        return self._manager.certify(validate)
+
+    def commit_token(self) -> int:
+        """The read-your-writes token: commits logged so far."""
+        return len(self._manager.log)
+
+    def op_class(self, operations: Sequence[Operation]) -> str:
+        """The SLO class of a committed write batch (one pipeline here)."""
+        return "single_shard_write"
+
+    def get(self, name: str, key: Mapping[str, Any]) -> List[Tuple]:
+        """The current rows of *name* agreeing with *key*, read atomically."""
+        rows = self._manager.certify(lambda: self.snapshot(name))
+        return [row for row in rows if self._matches(row, key)]
 
     def _submit(self, op: Operation,
                 txn: Optional[Transaction]) -> Optional[Instant]:

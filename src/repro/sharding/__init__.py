@@ -11,10 +11,11 @@ Single-shard transactions commit fully in parallel; cross-shard
 transactions run a two-phase protocol over the per-shard locks
 (:mod:`repro.sharding.coordinator`), made durable and crash-recoverable
 by per-shard prepare logs plus a coordinator decision log
-(:mod:`repro.sharding.durability`).  Sessions validate optimistically at
-``relation@shard`` granularity (:mod:`repro.sharding.session`), and
-per-shard replication streams compose with a vector commit token
-(:mod:`repro.sharding.replication`).  See docs/SHARDING.md.
+(:mod:`repro.sharding.durability`).  The one session layer
+(:mod:`repro.concurrency`) validates optimistically at
+``relation@shard`` granularity because that is how the store answers
+its seam, and per-shard replication streams compose with a vector
+commit token (:mod:`repro.sharding.replication`).  See docs/SHARDING.md.
 """
 
 from repro.sharding.coordinator import ShardCoordinator
@@ -23,13 +24,11 @@ from repro.sharding.durability import (ShardedDurabilityManager,
 from repro.sharding.partition import SCHEME, Partitioner, stable_hash
 from repro.sharding.replication import (ShardedPrimary, ShardedReplica,
                                         combined_digest, sharded_digest)
-from repro.sharding.session import ShardedSession, ShardedSessionLayer
 from repro.sharding.store import ShardedDatabase, ShardLog
 
 __all__ = [
     "SCHEME", "Partitioner", "stable_hash",
     "ShardCoordinator", "ShardedDatabase", "ShardLog",
-    "ShardedSession", "ShardedSessionLayer",
     "ShardedDurabilityManager", "ShardedRecoveryReport",
     "ShardedPrimary", "ShardedReplica", "combined_digest", "sharded_digest",
 ]

@@ -3,8 +3,9 @@
 One :class:`ShardCoordinator` fronts the N per-shard databases of a
 :class:`~repro.sharding.store.ShardedDatabase`.  It is the sharded
 store's analogue of :class:`~repro.txn.manager.TransactionManager` — the
-session layer talks to it through the same ``run(operations,
-validate=)`` / ``certify(validate)`` seam — but where the single-writer
+same ``run(operations, validate=)`` / ``certify(validate)`` shape, plus
+the shards to lock, which the store derives from a session's footprint
+— but where the single-writer
 manager owns *one* commit lock, the coordinator owns none: every shard
 keeps its own serialization lock, journal stream and transaction clock,
 so transactions whose footprint stays inside one shard commit fully in
@@ -106,21 +107,6 @@ class ShardCoordinator:
 
     # -- accessors ------------------------------------------------------------
 
-    @property
-    def shards(self) -> int:
-        """How many shards this coordinator fronts."""
-        return len(self._shards)
-
-    @property
-    def shard_databases(self) -> List[Any]:
-        """The per-shard databases, in shard order (a copy)."""
-        return list(self._shards)
-
-    @property
-    def two_phase(self) -> Optional[Any]:
-        """The durable 2PC log seam (``None`` for in-memory stores)."""
-        return self._two_phase
-
     def attach_two_phase(self, two_phase: Any) -> None:
         """Bind the durable 2PC log (done by the durability manager)."""
         self._two_phase = two_phase
@@ -134,27 +120,25 @@ class ShardCoordinator:
 
     # -- routing ----------------------------------------------------------------
 
-    def group(self, operations: Sequence[Operation],
-              schema_of: Callable[[str], Any]) -> Dict[int, List[Operation]]:
-        """Partition a batch into per-shard batches, preserving order.
+    def route(self, operation: Operation) -> Optional[int]:
+        """The one shard *operation* lands on, or ``None`` for a
+        broadcast (DDL, partial-key match); schemas are global, so
+        shard 0's catalog answers for all."""
+        if operation.action in ("define", "drop"):
+            return None
+        return self.partitioner.shard_of_operation(
+            self._shards[0].schema(operation.relation).key, operation)
 
-        *schema_of* maps a relation name to its schema (the store's
-        lookup).  A broadcast operation (DDL, partial-key delete) is
-        appended to *every* shard's batch.
-        """
+    def group(self, operations: Sequence[Operation],
+              ) -> Dict[int, List[Operation]]:
+        """Partition a batch into per-shard batches, preserving order;
+        a broadcast operation is appended to *every* shard's batch."""
         grouped: Dict[int, List[Operation]] = {}
         for op in operations:
-            if op.action in ("define", "drop"):
-                key_attrs: Sequence[str] = ()
-                target = None
-            else:
-                key_attrs = schema_of(op.relation).key
-                target = self.partitioner.shard_of_operation(key_attrs, op)
-            if target is None:
-                for sid in range(len(self._shards)):
-                    grouped.setdefault(sid, []).append(op)
-            else:
-                grouped.setdefault(target, []).append(op)
+            target = self.route(op)
+            for sid in (range(len(self._shards)) if target is None
+                        else (target,)):
+                grouped.setdefault(sid, []).append(op)
         return grouped
 
     # -- locking ------------------------------------------------------------------
@@ -287,35 +271,43 @@ class ShardCoordinator:
 
     def run(self, operations: Sequence[Operation],
             validate: Optional[Callable[[], None]] = None,
-            schema_of: Optional[Callable[[str], Any]] = None,
+            lock_shards: Optional[Sequence[int]] = None,
             ) -> Optional["Instant"]:
         """The :meth:`TransactionManager.run`-shaped seam, shard-routed.
 
-        With *validate* given but no explicit shard knowledge, every
-        shard is locked — the caller's validation may read any shard's
-        versions, so the conservative footprint is all of them.  The
-        sharded session layer avoids this by calling :meth:`commit`
-        directly with its exact footprint.  Returns the latest of the
-        assigned commit times (they differ across shards).
+        *lock_shards* names the shards *validate* reads (the session
+        layer passes its footprint's); the written shards are always
+        locked too.  With *validate* given but no shard knowledge every
+        shard is locked — the check may read any shard's versions, so
+        the conservative footprint is all of them.  An empty batch still
+        commits (and ticks) somewhere: shard 0, like everything else
+        without a key.  Returns the latest of the assigned commit times
+        (they differ across shards).
         """
-        if schema_of is None:
-            schema_of = self._shards[0].schema
-        grouped = self.group(operations, schema_of)
-        lock = range(len(self._shards)) if validate is not None else None
-        times = self.commit(grouped, lock_shards=lock, validate=validate)
+        if not operations and validate is None:
+            return self._shards[0].manager.run([])
+        grouped = self.group(operations)
+        if lock_shards is None and validate is not None:
+            lock_shards = range(len(self._shards))
+        times = self.commit(grouped, lock_shards=lock_shards,
+                            validate=validate)
         return max(times.values()) if times else None
 
-    def certify(self, validate: Callable[[], None]) -> None:
-        """Run *validate* atomically against every shard's commits.
+    def certify(self, validate: Callable[[], Any],
+                lock_shards: Optional[Sequence[int]] = None) -> Any:
+        """Run *validate* atomically against commits to *lock_shards*;
+        returns whatever it returns.
 
-        The all-shards analogue of :meth:`TransactionManager.certify
-        <repro.txn.manager.TransactionManager.certify>`: every shard's
-        serialization lock is held, so no commit anywhere — single- or
-        cross-shard — can interleave with the check.
+        The analogue of :meth:`TransactionManager.certify
+        <repro.txn.manager.TransactionManager.certify>`: the named
+        shards' serialization locks are held (every shard's when
+        *lock_shards* is ``None``), so no commit touching them — single-
+        or cross-shard — can interleave with the check.
         """
-        held = self._acquire(range(len(self._shards)))
+        held = self._acquire(range(len(self._shards))
+                             if lock_shards is None else lock_shards)
         try:
-            validate()
+            return validate()
         finally:
             self._release(held)
 

@@ -51,14 +51,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ShardConfigError
 from repro.obs import runtime as _obs
 from repro.sharding.partition import SCHEME, Partitioner
 from repro.sharding.store import ShardedDatabase
-from repro.storage.framing import frame_record
+from repro.storage.framing import frame_record, parse_frame
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import Journal, decode_operation
 from repro.storage.recovery import DurabilityManager, RecoveryReport
@@ -68,44 +67,33 @@ _DECISIONS = "decisions.seg"
 _PREPARES = "2pc.seg"
 
 
-class _SideLog:
+class _SideLog(Journal):
     """An append-only framed log of plain dict records (the 2PC logs).
 
-    Reuses :class:`~repro.storage.journal.Journal` for scanning and
+    A :class:`~repro.storage.journal.Journal` file for scanning and
     torn-tail repair — framing is framing, whatever the record schema —
-    and appends through the same :class:`StorageIO` seam, so the fault
+    but of CRC-only ``r1`` records outside the commit hash chain,
+    appended through the same :class:`StorageIO` seam, so the fault
     harness can tear and kill 2PC appends exactly like journal appends.
     """
 
-    def __init__(self, path: str, fsync: bool, io: StorageIO) -> None:
-        self._path = path
-        self._fsync = fsync
-        self._io = io
-        self._journal = Journal(path, fsync=fsync, io=io)
-        self._lock = threading.Lock()
-
-    @property
-    def path(self) -> str:
-        return self._path
+    _parse_line = staticmethod(parse_frame)
 
     def append(self, entry: Dict[str, Any]) -> None:
         line = frame_record(entry)
-        with self._lock:
+        with self._append_lock:
             self._io.append(self._path, (line + "\n").encode("utf-8"),
                             fsync=self._fsync)
-
-    def read(self, recover: bool = False) -> List[Dict[str, Any]]:
-        return self._journal.read(recover=recover)
 
     def repair(self) -> int:
         """Drop a torn trailing record; returns bytes truncated."""
         if not os.path.exists(self._path):
             return 0
-        return self._journal.truncate_torn_tail()
+        return self.truncate_torn_tail()
 
     def clear(self) -> None:
         """Truncate to empty (compaction; caller guarantees quiescence)."""
-        with self._lock:
+        with self._append_lock:
             with open(self._path, "wb"):
                 pass
 

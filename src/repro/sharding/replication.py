@@ -8,7 +8,7 @@ divergence digests and catch-up, none of which had to change.  What is
 new is the *composition*:
 
 - **Vector tokens.**  Read-your-writes across shards needs one token
-  per shard: a :class:`ShardedSession`'s ``commit_token`` is the tuple
+  per shard: a sharded store session's ``commit_token`` is the tuple
   of per-shard commit-log lengths, and :meth:`ShardedReplica.read`
   gates each shard's read on its component (a single integer could not
   say *which* shard's replica must catch up).

@@ -4,7 +4,8 @@ A :class:`ShardedDatabase` presents the same surface as a single
 :class:`~repro.core.base.Database` of any of the four taxonomy kinds —
 ``define``/``drop``, the kind's DML (valid-time keywords included),
 ``begin()`` transactions, ``snapshot``/``rollback``/``timeslice``/
-``history`` queries, ``sessions()`` — but stores every relation
+``history`` queries, ``sessions()`` and the session seam behind it —
+but stores every relation
 partitioned by primary key across N independent shard databases
 (:mod:`repro.sharding.partition`).  Each shard is a complete database of
 the same kind with its *own* transaction manager, commit lock, clock,
@@ -40,7 +41,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from repro.core.base import Database, InstantLike
 from repro.core.temporal import TemporalDatabase
-from repro.errors import DuplicateRelationError, ShardConfigError
+from repro.errors import ConflictError, ShardConfigError
 from repro.obs import runtime as _obs
 from repro.relational.constraints import Constraint
 from repro.relational.schema import Schema
@@ -49,26 +50,8 @@ from repro.sharding.partition import Partitioner
 from repro.time.clock import Clock
 from repro.time.instant import Instant
 from repro.txn.log import CommitRecord
-from repro.txn.transaction import Operation, Transaction
-
-
-class _OpRecorder:
-    """A ``txn=`` stand-in that captures operations instead of running them.
-
-    The kind databases validate arguments and build the
-    :class:`Operation` inside their DML methods, then hand it to
-    ``txn.add`` when a transaction is given.  Passing a recorder reuses
-    all of that validation while leaving the commit to the sharded
-    router.
-    """
-
-    __slots__ = ("ops",)
-
-    def __init__(self) -> None:
-        self.ops: List[Operation] = []
-
-    def add(self, operation: Operation) -> None:
-        self.ops.append(operation)
+from repro.txn.transaction import (Operation, OperationRecorder,
+                                   Transaction)
 
 
 class ShardLog:
@@ -224,13 +207,9 @@ class ShardedDatabase:
         A single-shard commit bumps exactly one shard's counter, so the
         sum moves iff *some* shard's version moved — the relation-level
         conflict signal.  Per-shard granularity is
-        :meth:`shard_relation_version`.
+        :meth:`footprint_version`.
         """
         return sum(db.relation_version(name) for db in self._shards)
-
-    def shard_relation_version(self, name: str, shard: int) -> int:
-        """Committed batches that touched *name* on one shard."""
-        return self._shards[shard].relation_version(name)
 
     def spread(self, name: str) -> List[int]:
         """Current row count of *name* per shard (balance diagnostics)."""
@@ -243,23 +222,13 @@ class ShardedDatabase:
                constraints: Sequence[Constraint] = (),
                event: bool = False) -> Instant:
         """Create a relation on every shard; one broadcast transaction."""
-        lead = self._shards[0]
-        if event:
-            lead.require_historical("an event relation")
-        from repro.core.temporal_constraints import TemporalConstraint
-        if any(isinstance(c, TemporalConstraint) for c in constraints):
-            lead.require_historical("a temporal constraint")
-        if name in lead:
-            raise DuplicateRelationError(f"relation {name!r} already exists")
-        op = Operation("define", name,
-                       {"schema": schema, "constraints": tuple(constraints),
-                        "event": event})
-        return self._run([op])
+        return self.coordinator.run([self._shards[0].define_operation(
+            name, schema, constraints, event)])
 
     def drop(self, name: str) -> Instant:
         """Remove a relation (and its history) from every shard."""
         self._shards[0].schema(name)  # raises UnknownRelationError
-        return self._run([Operation("drop", name, {})])
+        return self.coordinator.run([Operation("drop", name, {})])
 
     # -- DML (validated by shard 0, routed by the coordinator) -------------------
 
@@ -270,7 +239,7 @@ class ShardedDatabase:
         All argument validation (schema checks, valid-time rules, event
         relations) happens in the kind method exactly as unsharded.
         """
-        recorder = _OpRecorder()
+        recorder = OperationRecorder()
         getattr(self._shards[0], method)(name, *args, txn=recorder, **kwargs)
         return recorder.ops
 
@@ -280,16 +249,7 @@ class ShardedDatabase:
             for op in ops:
                 txn.add(op)
             return None
-        return self._run(ops)
-
-    def _run(self, ops: Sequence[Operation]) -> Instant:
-        if not ops:
-            # An empty transaction still commits (and ticks) somewhere;
-            # pin it to shard 0 like everything else without a key.
-            return self._shards[0].manager.run([])
-        time = self.coordinator.run(ops, schema_of=self.schema)
-        assert time is not None
-        return time
+        return self.coordinator.run(ops)
 
     def insert(self, name: str, values: Mapping[str, Any],
                txn: Optional[Transaction] = None,
@@ -345,41 +305,111 @@ class ShardedDatabase:
         with self._txn_lock:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
-        return Transaction(txn_id, self._commit_transaction)
-
-    def _commit_transaction(self, txn: Transaction) -> Instant:
-        return self._run(list(txn.operations))
+        return Transaction(
+            txn_id, lambda txn: self.coordinator.run(txn.operations))
 
     def sessions(self, retry: Optional[Any] = None,
                  admission: Optional[Any] = None, **kwargs: Any):
-        """A concurrent session layer with shard-granularity validation.
+        """A concurrent session layer over this store.
 
-        The sharded analogue of :meth:`Database.sessions
-        <repro.core.base.Database.sessions>`: sessions validate their
-        footprint per ``relation@shard``, so two sessions writing
-        different shards of the same relation do **not** conflict —
-        the false sharing the unsharded layer documents is cut by a
-        factor of the shard count (docs/SHARDING.md).
+        The same :class:`~repro.concurrency.layer.SessionLayer` as
+        :meth:`Database.sessions <repro.core.base.Database.sessions>`;
+        only the seam's answers below differ: footprints are per
+        ``relation@shard``, so two sessions writing different shards of
+        the same relation do **not** conflict — the false sharing of a
+        single pipeline is cut by a factor of the shard count
+        (docs/SHARDING.md).
         """
-        from repro.sharding.session import ShardedSessionLayer  # no cycle
-        return ShardedSessionLayer(self, retry=retry, admission=admission,
-                                   **kwargs)
+        from repro.concurrency import SessionLayer  # avoid cycle
+        return SessionLayer(self, retry=retry, admission=admission, **kwargs)
+
+    # -- the session seam (docs/CONCURRENCY.md) -----------------------------------
+
+    def _footprint(self, name: str, shard: Optional[int]) -> PyTuple[str, ...]:
+        """``name@shard``, or *name* on every shard when *shard* is None."""
+        shards = range(len(self._shards)) if shard is None else (shard,)
+        return tuple(f"{name}@{sid}" for sid in shards)
+
+    @staticmethod
+    def _footprint_shards(footprint: Sequence[str]) -> List[int]:
+        """Every shard id named by *footprint*, ascending."""
+        return sorted({int(key.rpartition("@")[2]) for key in footprint})
+
+    def read_footprint(self, name: str,
+                       key: Optional[Mapping[str, Any]] = None,
+                       ) -> PyTuple[str, ...]:
+        """The owning shard when *key* pins the full primary key (else
+        :class:`~repro.errors.ShardConfigError`); every shard for a
+        whole-relation read."""
+        return self._footprint(
+            name, None if key is None else self.shard_of_key(name, key))
+
+    def write_footprint(self, operation: Operation) -> PyTuple[str, ...]:
+        """The one shard *operation* routes to; every shard for a
+        broadcast (DDL, partial-key match)."""
+        return self._footprint(operation.relation,
+                               self.coordinator.route(operation))
+
+    def footprint_version(self, key: str) -> int:
+        """Committed batches that touched the relation on that shard."""
+        name, _, shard = key.rpartition("@")
+        return self._shards[int(shard)].relation_version(name)
+
+    def _tallied(self, validate: Callable[[], None]) -> Callable[[], None]:
+        """*validate*, with a lost validation counted per stale shard."""
+        def checked() -> Any:
+            try:
+                return validate()
+            except ConflictError as error:
+                metrics = _obs.current().metrics
+                for key in error.relations:
+                    metrics.counter(
+                        f"shard.{key.rpartition('@')[2]}.conflicts").inc()
+                raise
+        return checked
+
+    def commit(self, operations: Sequence[Operation],
+               footprint: Sequence[str],
+               validate: Callable[[], None]) -> Optional[Instant]:
+        """Validate and commit under the *footprint*'s shard locks only:
+        one shard takes its own pipeline, several run the two-phase
+        protocol (:mod:`repro.sharding.coordinator`)."""
+        return self.coordinator.run(
+            operations, validate=self._tallied(validate),
+            lock_shards=self._footprint_shards(footprint))
+
+    def certify(self, footprint: Sequence[str],
+                validate: Callable[[], Any]) -> Any:
+        """Run *validate* under the *footprint*'s shard locks only."""
+        return self.coordinator.certify(
+            self._tallied(validate),
+            lock_shards=self._footprint_shards(footprint))
+
+    def commit_token(self) -> PyTuple[int, ...]:
+        """The vector token — per-shard commit-log lengths — because a
+        single integer cannot say which shard's replica must catch up."""
+        return self._log.vector()
+
+    def op_class(self, operations: Sequence[Operation]) -> str:
+        """``cross_shard_write`` when the batch lands on more than one
+        shard (any broadcast included), else ``single_shard_write``."""
+        targets = {self.coordinator.route(op) for op in operations}
+        return ("cross_shard_write" if None in targets or len(targets) > 1
+                else "single_shard_write")
+
+    def get(self, name: str, key: Mapping[str, Any]):
+        """The rows of *name* matching *key*, read from their shard only
+        (*key* must pin the full primary key)."""
+        return self._shards[self.shard_of_key(name, key)].get(name, key)
 
     # -- queries (shard-merging, consistent cuts) ---------------------------------
 
     def _read_all(self, per_shard: Callable[[Database], Any]) -> List[Any]:
         """*per_shard* on every shard, atomically per shard, one cut overall."""
 
-        def compute() -> List[Any]:
-            out: List[Any] = []
-            for db in self._shards:
-                holder: List[Any] = []
-                db.manager.certify(
-                    lambda db=db, holder=holder: holder.append(per_shard(db)))
-                out.append(holder[0])
-            return out
-
-        return self.coordinator.consistent_read(compute)
+        return self.coordinator.consistent_read(
+            lambda: [db.manager.certify(lambda db=db: per_shard(db))
+                     for db in self._shards])
 
     def _merged(self, name: str, per_shard: Callable[[Database], Any]):
         """Merge per-shard relation values of the same type into one.

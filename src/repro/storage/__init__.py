@@ -44,9 +44,8 @@ from repro.storage.serializer import (
     loads_database, schema_from_dict, schema_to_dict,
 )
 from repro.storage.framing import (
-    CHAINED_TAG, CHECKPOINT_TAG, JOURNAL_TAG, PROTECTION_CHAINED,
-    PROTECTION_CRC, PROTECTION_LEGACY, FrameDamage, FrameError, frame,
-    frame_record, parse_frame, parse_journal_line,
+    CHAINED_TAG, CHECKPOINT_TAG, JOURNAL_TAG, FrameDamage, FrameError,
+    frame, frame_record, parse_frame, parse_journal_line,
 )
 from repro.storage.chain import (
     GENESIS, ChainVerifier, chain_entry, content_hash, entry_chain,
@@ -90,9 +89,6 @@ __all__ = [
     "JOURNAL_TAG",
     "CHAINED_TAG",
     "CHECKPOINT_TAG",
-    "PROTECTION_CHAINED",
-    "PROTECTION_CRC",
-    "PROTECTION_LEGACY",
     "FrameDamage",
     "FrameError",
     "frame",

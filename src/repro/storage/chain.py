@@ -19,11 +19,13 @@ payload was rewritten *with a recomputed CRC* still fails here: its
 content hash no longer matches what the next record's ``prev_hash``
 committed to.
 
-The chain begins at :data:`GENESIS` (sixty-four zeros).  Records written
-before chaining existed (legacy ``r1`` frames, bare JSON) carry no chain
-fields; a verifier that crosses one forgets the running head (it becomes
-*unknown*) and re-anchors on the next chained record, so old journals
-stay replayable while everything after them is still pairwise-linked.
+The chain begins at :data:`GENESIS` (sixty-four zeros).  Every journal
+record carries chain fields; one that does not — the key dropped, or a
+field missing or mistyped — is a **downgrade**: someone took a record
+out of the chain instead of forging its hashes.  The verifier treats it
+as tampering and stops, rather than forgetting the head and
+re-anchoring on the next record, which would let the rewrite (and a
+recomputed CRC) pass unnoticed.
 
 Hash computation is deliberately independent of storage: primary,
 replica and scrubber all compute heads from entry content alone, so
@@ -84,7 +86,7 @@ def chain_entry(entry: Dict[str, Any], prev_hash: str) -> Dict[str, Any]:
 
 
 def entry_chain(entry: Dict[str, Any]) -> Optional[Dict[str, str]]:
-    """The entry's chain fields, or ``None`` for an unchained record."""
+    """The entry's chain fields, or ``None`` when missing or malformed."""
     chain = entry.get(CHAIN_KEY)
     if not isinstance(chain, dict):
         return None
@@ -100,36 +102,35 @@ class ChainVerifier:
     ``head`` is the running commit hash — :data:`GENESIS` for a history
     verified from its start, a checkpointed head for a tail, or ``None``
     when the head is *unknown* (verification began mid-history without a
-    trusted head, or a legacy record interrupted the chain).  With an
-    unknown head the verifier still checks each record's internal
+    trusted head — operator-pruned prefix segments — or crossed a gap).
+    With an unknown head the verifier still checks each record's internal
     consistency (content hash and commit hash), then re-anchors on it.
 
     Raises :class:`~repro.errors.ChainError` naming the failing record;
-    the three failure modes are distinguished in the message (and by
+    the failure modes are distinguished in the message (and by
     :attr:`ChainError.kind`): a ``prev`` that contradicts the running
     head (**break**), a payload that no longer matches its content hash
-    (**tamper**), and chain fields that don't hash together (**tamper**).
+    (**tamper**), chain fields that don't hash together (**tamper**),
+    and chain fields that are missing or malformed (**tamper** — the
+    downgrade).
     """
 
     def __init__(self, head: Optional[str] = GENESIS) -> None:
         self.head = head
         #: Chained records verified so far.
         self.verified = 0
-        #: Unchained (legacy) records crossed so far.
-        self.legacy = 0
 
-    def take(self, entry: Dict[str, Any], where: str = "") -> Optional[str]:
-        """Verify one record; returns its commit hash (``None`` if legacy).
+    def take(self, entry: Dict[str, Any], where: str = "") -> str:
+        """Verify one record; returns its commit hash.
 
         *where* labels the record in error messages (file / line)."""
         at = f" at {where}" if where else ""
         chain = entry_chain(entry)
         if chain is None:
-            # Pre-chain record: the head is unknown from here until the
-            # next chained record re-anchors it.
-            self.head = None
-            self.legacy += 1
-            return None
+            raise ChainError(
+                f"chain tamper{at}: record carries no well-formed chain "
+                f"fields — it was downgraded out of the hash chain",
+                kind="tamper")
         content = content_hash(entry)
         if chain["content"] != content:
             raise ChainError(
@@ -160,7 +161,7 @@ def head_of(entries: Iterable[Dict[str, Any]],
             head: Optional[str] = GENESIS) -> Optional[str]:
     """The chain head after verifying *entries* in order from *head*.
 
-    ``None`` when the tail of *entries* is unchained (legacy) records.
+    ``None`` only for no entries walked from an unknown *head*.
     Raises :class:`~repro.errors.ChainError` on any bad link."""
     verifier = ChainVerifier(head)
     for entry in entries:

@@ -48,8 +48,8 @@ def checkpoint_bytes(database, commit_index: int,
 
     *chain_head* is the journal's commit-hash chain head at
     *commit_index* (:mod:`repro.storage.chain`); recovery verifies the
-    replayed tail links onto it.  ``None`` (a pre-chain writer, or an
-    unknown head behind legacy records) omits the key — the format
+    replayed tail links onto it.  ``None`` (an unknown head: pruned
+    prefix segments not yet re-anchored) omits the key — the format
     version stays 1 and old checkpoints stay loadable.
     """
     body: Dict[str, Any] = {

@@ -206,19 +206,16 @@ def tamper_record(path: str, line_number: int,
 
     *mutate* edits the decoded entry in place; the default bumps the
     commit's ``sequence`` far out of range."""
-    from repro.storage.framing import frame_record, parse_journal_line
+    from repro.storage.framing import (CHAINED_TAG, frame_record,
+                                       parse_journal_line)
 
     def rewrite(line: str) -> str:
-        entry, _ = parse_journal_line(line)
+        entry = parse_journal_line(line)
         if mutate is not None:
             mutate(entry)
         else:
             entry["sequence"] = entry.get("sequence", 0) + 1_000_000
-        tag = line.split(" ", 1)[0] if not line.startswith("{") else None
-        if tag is None:
-            import json
-            return json.dumps(entry, ensure_ascii=False, sort_keys=True)
-        return frame_record(entry, tag=tag)
+        return frame_record(entry, tag=CHAINED_TAG)
 
     _rewrite_line(path, line_number, rewrite)
 
@@ -233,16 +230,17 @@ def tamper_chain_field(path: str, line_number: int, field: str = "prev",
     together and link to the walked head."""
     from repro.errors import ChainError
     from repro.storage.chain import CHAIN_KEY
-    from repro.storage.framing import frame_record, parse_journal_line
+    from repro.storage.framing import (CHAINED_TAG, frame_record,
+                                       parse_journal_line)
 
     def rewrite(line: str) -> str:
-        entry, _ = parse_journal_line(line)
+        entry = parse_journal_line(line)
         chain = entry.get(CHAIN_KEY)
         if not isinstance(chain, dict) or field not in chain:
             raise ChainError(
                 f"record at {path}:{line_number} carries no chain "
                 f"field {field!r} to tamper with")
         chain[field] = value
-        return frame_record(entry, tag=line.split(" ", 1)[0])
+        return frame_record(entry, tag=CHAINED_TAG)
 
     _rewrite_line(path, line_number, rewrite)

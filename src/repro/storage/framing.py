@@ -5,8 +5,9 @@ built from *framed records*.  A framed record is one line of text::
 
     <tag> <length> <crc32> <payload>\\n
 
-- ``tag`` names the record format (``r1`` for journal records, ``c1``
-  for checkpoint bodies), so a file identifies itself;
+- ``tag`` names the record format (``r2`` for chained journal commit
+  records, ``r1`` for the CRC-only 2PC side logs, ``c1`` for checkpoint
+  bodies), so a file identifies itself;
 - ``length`` is the byte length of the UTF-8 encoded payload — a torn
   write (the process died mid-``write``) leaves fewer bytes than the
   prefix promises and is detected without parsing the payload;
@@ -20,14 +21,13 @@ of a crash during an append and may be safely truncated when it is the
 final record; a record whose bytes are all present but wrong
 (:attr:`FrameDamage.CORRUPT`) is never silently dropped.
 
-Journal files written before framing existed hold bare JSON objects, one
-per line.  :func:`parse_frame` accepts those (a line starting with
-``{``) so old journals stay replayable; they simply carry no checksum.
-:func:`parse_journal_line` dispatches the three journal generations —
-chained ``r2``, pre-chain ``r1``, bare JSON — and counts the unprotected
-legacy lines into the ``storage.legacy_frames`` metric so an operator
-can see exactly how much of a journal carries no checksum
-(``repro audit`` reports the same count per file).
+There is **one journal generation**: a journal segment line is an
+``r2`` frame or it is damage.  :func:`parse_journal_line` refuses the
+retired generations (CRC-only ``r1`` frames, bare JSON objects) as
+:attr:`FrameDamage.CORRUPT` — accepting them would let an attacker
+*downgrade* a record out of the hash chain of
+:mod:`repro.storage.chain` instead of having to forge it
+(docs/INTEGRITY.md, "downgrade").
 
 Nothing in this module touches the filesystem — it frames and parses
 strings.  Durability (when bytes reach the disk) is the business of
@@ -39,23 +39,15 @@ from __future__ import annotations
 import enum
 import json
 import zlib
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
-from repro.obs import runtime as _obs
-
-#: Frame tag of pre-chain journal commit records.
+#: Frame tag of CRC-only records (the 2PC side logs; also the default).
 JOURNAL_TAG = "r1"
 #: Frame tag of chained journal commit records (payload carries the
 #: ``chain`` field of :mod:`repro.storage.chain`).
 CHAINED_TAG = "r2"
 #: Frame tag of checkpoint bodies.
 CHECKPOINT_TAG = "c1"
-
-#: How a journal line is protected: chained frame, CRC-only frame, or
-#: nothing at all (``parse_journal_line``'s second return value).
-PROTECTION_CHAINED = "r2"
-PROTECTION_CRC = "r1"
-PROTECTION_LEGACY = "legacy"
 
 
 class FrameDamage(enum.Enum):
@@ -99,15 +91,8 @@ def parse_frame(line: str, tag: str = JOURNAL_TAG) -> Dict[str, Any]:
     Raises :class:`FrameError` tagged :attr:`FrameDamage.TORN` when the
     payload is shorter than the length prefix promises (a torn trailing
     write), and :attr:`FrameDamage.CORRUPT` for everything else that is
-    wrong (bad tag, bad checksum, undecodable JSON).  Legacy bare-JSON
-    lines (starting with ``{``) are accepted for compatibility.
+    wrong (bad tag, bad checksum, undecodable JSON).
     """
-    if line.startswith("{"):
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FrameError(f"bad legacy JSON record: {exc}",
-                             FrameDamage.CORRUPT) from exc
     parts = line.split(" ", 3)
     if parts[0] != tag:
         # A crash can cut an append at any byte, so a strict prefix of
@@ -163,21 +148,13 @@ def parse_frame(line: str, tag: str = JOURNAL_TAG) -> Dict[str, Any]:
                          FrameDamage.CORRUPT) from exc
 
 
-def parse_journal_line(line: str) -> Tuple[Dict[str, Any], str]:
-    """Parse one journal line of any generation; returns ``(entry, how)``.
+def parse_journal_line(line: str) -> Dict[str, Any]:
+    """Parse one journal-segment line: a chained ``r2`` frame or damage.
 
-    ``how`` is :data:`PROTECTION_CHAINED` for an ``r2`` frame,
-    :data:`PROTECTION_CRC` for an ``r1`` frame, and
-    :data:`PROTECTION_LEGACY` for a bare-JSON line (which also counts
-    into the ``storage.legacy_frames`` metric — those records carry no
-    checksum at all).  Damage raises :class:`FrameError` exactly as
-    :func:`parse_frame` does; a line that is a strict prefix of either
-    journal tag is torn residue, not corruption.
+    Anything else — an ``r1`` frame, a bare-JSON line — raises
+    :class:`FrameError` tagged :attr:`FrameDamage.CORRUPT`, however
+    valid its own checksum: those generations carry no chain fields, so
+    admitting them would admit unchained history.  A strict prefix of
+    the tag is still torn residue, exactly as in :func:`parse_frame`.
     """
-    if line.startswith("{"):
-        entry = parse_frame(line)
-        _obs.current().metrics.counter("storage.legacy_frames").inc()
-        return entry, PROTECTION_LEGACY
-    if line == CHAINED_TAG or line.startswith(CHAINED_TAG + " "):
-        return parse_frame(line, tag=CHAINED_TAG), PROTECTION_CHAINED
-    return parse_frame(line), PROTECTION_CRC
+    return parse_frame(line, tag=CHAINED_TAG)

@@ -12,16 +12,20 @@ makes that operational:
   simulated clock so each transaction commits at its original instant.
 
 **Durability obligations.**  One commit record is one framed line
-(:mod:`repro.storage.framing`: length-prefixed, CRC32-checksummed).  The
+(:mod:`repro.storage.framing`: length-prefixed, CRC32-checksummed, tag
+``r2``) carrying its hash-chain fields (:mod:`repro.storage.chain`);
+there is no other journal generation, and a line of any other shape is
+damage.  The
 append is flushed to the operating system before :meth:`record` returns
 — that is the commit's durability point against *process* crashes; pass
 ``fsync=True`` to also survive OS/power failure at the cost of a device
 sync per commit.  A crash mid-append leaves a torn final record that
 framing detects; :meth:`read` with ``recover=True`` drops exactly that
-trailing damage (and :meth:`truncate_torn_tail` repairs the file), while
-damage *before* the final record is never recoverable and always raises
-:class:`~repro.errors.JournalError` with the failing line number and
-byte offset.
+trailing tear (and :meth:`truncate_torn_tail` repairs the file), while
+damage *before* the final record — or a final record whose bytes are
+all present but wrong, which no crash produces — is never recoverable
+and always raises :class:`~repro.errors.JournalError` with the failing
+line number and byte offset.
 
 Operations are serialized with the tagged-value scheme of
 :mod:`repro.storage.serializer`.  ``define`` operations serialize their
@@ -41,9 +45,8 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
 from repro.errors import JournalError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
-from repro.storage.framing import (CHAINED_TAG, PROTECTION_CHAINED,
-                                   FrameError, frame_record,
-                                   parse_journal_line)
+from repro.storage.framing import (CHAINED_TAG, FrameDamage, FrameError,
+                                   frame_record, parse_journal_line)
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.serializer import (decode_value, encode_value,
                                       schema_from_dict, schema_to_dict)
@@ -136,8 +139,6 @@ class ScannedRecord(NamedTuple):
     line_number: int
     offset: int  # byte offset of the record's first byte
     entry: Dict[str, Any]
-    #: How the line was protected on disk (framing.PROTECTION_*).
-    protection: str = PROTECTION_CHAINED
 
 
 class TailDamage(NamedTuple):
@@ -156,6 +157,11 @@ class Journal:
     crashes).  ``io`` is the write seam the fault-injection harness
     replaces; production code leaves it alone.
     """
+
+    #: Parses one line of the file.  Journal segments hold chained
+    #: ``r2`` records only; the 2PC side logs reuse the scanning and
+    #: torn-tail repair below over their CRC-only ``r1`` records.
+    _parse_line = staticmethod(parse_journal_line)
 
     def __init__(self, path: str, fsync: bool = False,
                  io: Optional[StorageIO] = None) -> None:
@@ -195,8 +201,7 @@ class Journal:
         Known head wins; an empty or absent file starts at GENESIS; an
         existing file is scanned once and its chain walked with an
         *unknown* seed (a rotated segment's first record links to the
-        previous segment, not GENESIS).  An unchained tail (legacy
-        records) also yields GENESIS — verification re-anchors there.
+        previous segment, not GENESIS).
         """
         if self._head is not None:
             return self._head
@@ -247,11 +252,12 @@ class Journal:
         """Parse the journal, reporting trailing damage instead of raising.
 
         Returns ``(records, damage)``.  ``damage`` is ``None`` for a
-        clean file, or describes the damaged **final** record (the torn
-        residue of a crashed append).  A damaged record *followed by
-        further records* is mid-journal corruption — the append-only
-        contract says that cannot be the residue of any crash — and
-        raises :class:`JournalError` naming the line and byte offset.
+        clean file, or describes a **torn final** record (the residue of
+        a crashed append).  A damaged record *followed by further
+        records*, or a final record whose bytes are all present but
+        wrong (a bad checksum, a retired frame generation), cannot be
+        the residue of any crash — the append-only contract — and raises
+        :class:`JournalError` naming the line and byte offset.
         """
         if not os.path.exists(self._path):
             return [], None
@@ -271,13 +277,19 @@ class Journal:
                         f"it, so this is not a torn tail"
                     )
                 try:
-                    entry, protection = parse_journal_line(
-                        chunk.decode("utf-8"))
-                except (FrameError, UnicodeDecodeError) as exc:
+                    entry = self._parse_line(chunk.decode("utf-8"))
+                except UnicodeDecodeError as exc:  # cut inside a character
+                    damage = TailDamage(line_number, offset, str(exc))
+                except FrameError as exc:
+                    if exc.damage is not FrameDamage.TORN:
+                        raise JournalError(
+                            f"corrupt journal record at line {line_number} "
+                            f"(byte offset {offset}) in {self._path}: {exc} "
+                            f"— its bytes are all present, so this is not "
+                            f"a torn tail") from exc
                     damage = TailDamage(line_number, offset, str(exc))
                 else:
-                    records.append(ScannedRecord(line_number, offset, entry,
-                                                 protection))
+                    records.append(ScannedRecord(line_number, offset, entry))
             offset += len(chunk) + 1
         return records, damage
 

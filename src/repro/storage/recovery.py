@@ -58,7 +58,6 @@ from repro.errors import ChainError, JournalError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.checkpoint import CheckpointStore
-from repro.storage.framing import PROTECTION_LEGACY
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import Journal, apply_entries
 from repro.storage.serializer import load_database
@@ -87,10 +86,8 @@ class RecoveryReport:
     #: Chained records whose hash link was verified during the walk.
     chain_verified: int = 0
     #: The history's commit-hash chain head after recovery (``None``
-    #: when the tail is unchained legacy records).
+    #: when operator-pruned prefix segments leave it unknown).
     chain_head: Optional[str] = None
-    #: Bare-JSON lines crossed — records carrying no checksum at all.
-    legacy_frames: int = 0
 
     @property
     def full_replay(self) -> bool:
@@ -123,8 +120,8 @@ class DurabilityManager:
         self._count = 0  # durable records; also the next global index
         self._live: Optional[Journal] = None
         self._live_start = 0
-        # Commit-hash chain head of the durable stream (None = unknown,
-        # i.e. the tail is unchained legacy records).
+        # Commit-hash chain head of the durable stream (None = unknown:
+        # pruned prefix segments and no checkpointed head yet).
         self._head: Optional[str] = None
         #: which shard this journal stream serves (None when unsharded);
         #: purely an observability label on journal-append spans/events.
@@ -155,7 +152,7 @@ class DurabilityManager:
     @property
     def chain_head(self) -> Optional[str]:
         """Commit-hash chain head of the durable history (``None`` when
-        the tail is unchained legacy records)."""
+        pruned prefix segments leave it unknown)."""
         return self._head
 
     def segments(self) -> List[Tuple[int, str]]:
@@ -208,7 +205,6 @@ class DurabilityManager:
                     "accept clock=SimulatedClock(...)")
             replayed = 0
             truncated = 0
-            legacy = 0
             total = base
             # Hash-chain verification walks every record read, seeded
             # GENESIS when history starts at record 0 and *unknown*
@@ -253,8 +249,6 @@ class DurabilityManager:
                             f"in no segment")
                 tail = []
                 for index, record in enumerate(scanned):
-                    if record.protection == PROTECTION_LEGACY:
-                        legacy += 1
                     if not reconciled and start + index >= base:
                         # Crossing the checkpoint boundary: the walked
                         # head must match the head the checkpoint
@@ -314,7 +308,6 @@ class DurabilityManager:
                 checkpoints_skipped=skipped if use_checkpoint else 0,
                 chain_verified=verifier.verified,
                 chain_head=head,
-                legacy_frames=legacy,
             )
         return database, report
 

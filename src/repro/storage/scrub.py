@@ -30,13 +30,16 @@ kind            meaning
 ``torn``        a short final record in the final segment — benign crash
                 residue, repairable by truncation
 ``corrupt``     a frame whose bytes are present but wrong (bad CRC, bad
-                header, undecodable payload), or torn bytes *mid-file*
-                where no crash can produce them
+                header, undecodable payload, or a retired generation —
+                an ``r1`` frame or bare JSON where only chained ``r2``
+                records belong: the downgrade), or torn bytes
+                *mid-file* where no crash can produce them
 ``chain-break``  a record linking to a parent that is not the walked
                 head: records were removed, reordered or substituted
 ``chain-tamper``  a record rewritten in place — CRC valid, but the
                 payload no longer matches the content hash the chain
-                pinned (the attack a checksum alone cannot catch)
+                pinned (the attack a checksum alone cannot catch), or
+                its chain fields were stripped (the downgrade)
 ``gap``         records in no segment: a hole between segment files, or
                 a checkpoint claiming more records than the journal holds
 ``checkpoint``  a checkpoint file that fails its frame or format
@@ -59,8 +62,8 @@ from repro.errors import ChainError, CheckpointError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.checkpoint import CheckpointStore, read_checkpoint
-from repro.storage.framing import (PROTECTION_LEGACY, FrameDamage,
-                                   FrameError, parse_journal_line)
+from repro.storage.framing import (FrameDamage, FrameError, parse_frame,
+                                   parse_journal_line)
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import apply_entries
 from repro.storage.recovery import DurabilityManager
@@ -103,13 +106,10 @@ class AuditReport:
     records_total: int
     #: Chained records whose hash link verified against the walked head.
     chain_verified: int
-    #: Bare-JSON records — no checksum at all (the ``r0`` generation).
-    legacy_frames: int
     #: Records from index 0 provably intact (frames *and* chain) — a
     #: degraded node may keep serving reads from exactly this prefix.
     verified_prefix: int
-    #: The walked chain head (``None`` when damage or legacy records
-    #: leave it unknown).
+    #: The walked chain head (``None`` when damage leaves it unknown).
     chain_head: Optional[str]
     segments_audited: int = 0
     checkpoints_audited: int = 0
@@ -159,7 +159,6 @@ class _SegmentWalk:
     def __init__(self) -> None:
         self.findings: List[Finding] = []
         self.records = 0
-        self.legacy = 0
         self.verified_prefix: Optional[int] = None  # None = no damage yet
         self.verifier = _chain.ChainVerifier(_chain.GENESIS)
         self.heads_at: Dict[int, Optional[str]] = {}
@@ -195,7 +194,7 @@ def _audit_segment(walk: _SegmentWalk, start: int, path: str, name: str,
             if mark == index and mark not in walk.heads_at:
                 walk.heads_at[mark] = walk.verifier.head
         try:
-            entry, protection = parse_journal_line(chunk.decode("utf-8"))
+            entry = parse_journal_line(chunk.decode("utf-8"))
         except (FrameError, UnicodeDecodeError) as exc:
             damage = getattr(exc, "damage", FrameDamage.CORRUPT)
             final = is_last and position == len(chunks) - 1
@@ -214,8 +213,6 @@ def _audit_segment(walk: _SegmentWalk, start: int, path: str, name: str,
             walk.verifier.forget()
             parsed_here += 1
             continue
-        if protection == PROTECTION_LEGACY:
-            walk.legacy += 1
         try:
             walk.verifier.take(entry, where=f"{name}:{line_number}")
         except ChainError as exc:
@@ -245,7 +242,7 @@ def _audit_sidelog(path: str, name: str,
         if not chunk.strip():
             continue
         try:
-            parse_journal_line(chunk.decode("utf-8"))
+            parse_frame(chunk.decode("utf-8"))
         except (FrameError, UnicodeDecodeError) as exc:
             damage = getattr(exc, "damage", FrameDamage.CORRUPT)
             final = position == len(chunks) - 1
@@ -338,7 +335,6 @@ def audit_directory(directory: str,
             findings=tuple(walk.findings),
             records_total=walk.records,
             chain_verified=walk.verifier.verified,
-            legacy_frames=walk.legacy,
             verified_prefix=prefix,
             chain_head=(walk.verifier.head if not walk.findings else None),
             segments_audited=len(segments),

@@ -75,6 +75,7 @@ from repro.tquel.ast import (
     TemporalExpr, TemporalPredicate, ValidClause,
 )
 from repro.tquel import planner as _planner
+from repro.txn.transaction import OperationRecorder
 
 #: What execute() can return: a derived relation, a commit time, or None.
 Result = Union[Relation, HistoricalRelation, TemporalRelation, Instant, None]
@@ -1088,27 +1089,25 @@ class Evaluator:
 
     def _materialize(self, name: str, result: Result) -> None:
         """Store a derived relation under a new name (``retrieve into``)."""
-        if isinstance(result, Relation):
-            self._db.define(name, result.schema)
-            if len(result):
-                with self._db.begin() as txn:
-                    for row in result:
-                        if self._db.kind.supports_historical_queries:
-                            self._db.insert(name, dict(row),
-                                            valid_from=NEG_INF, txn=txn)
-                        else:
-                            self._db.insert(name, dict(row), txn=txn)
-            return
-        # Historical / temporal results: re-insert with their validity.
         self._db.define(name, result.schema)
-        rows = (result.rows if isinstance(result, HistoricalRelation)
-                else result.current().rows)
-        if rows:
-            with self._db.begin() as txn:
-                for row in rows:
-                    self._db.insert(name, dict(row.data),
-                                    valid_from=row.valid.start,
-                                    valid_to=row.valid.end, txn=txn)
+        if isinstance(result, Relation):
+            bounds = ({"valid_from": NEG_INF}
+                      if self._db.kind.supports_historical_queries else {})
+            inserts = [(dict(row), bounds) for row in result]
+        else:
+            # Historical / temporal results: re-insert with their validity.
+            rows = (result.rows if isinstance(result, HistoricalRelation)
+                    else result.current().rows)
+            inserts = [(dict(row.data), {"valid_from": row.valid.start,
+                                         "valid_to": row.valid.end})
+                       for row in rows]
+
+        def expand(batch: OperationRecorder) -> None:
+            for values, valid in inserts:
+                self._db.insert(name, values, txn=batch, **valid)
+
+        if inserts:
+            self._commit_unit(expand)
 
     # -- updates -----------------------------------------------------------------------------
 
@@ -1142,9 +1141,7 @@ class Evaluator:
                   for name, expr in statement.assignments}
         values = self._coerce_values(statement.relation, values)
         arguments = self._valid_arguments(statement.valid, self._db.now())
-        if self._db.kind.supports_historical_queries:
-            return self._db.insert(statement.relation, values, **arguments)
-        return self._db.insert(statement.relation, values)
+        return self._db.insert(statement.relation, values, **arguments)
 
     def _matching_rows(self, statement) -> List[Tuple]:
         relation = self._ranges[statement.variable]
@@ -1155,34 +1152,52 @@ class Evaluator:
                 rows.append(candidate.data)
         return list(dict.fromkeys(rows))
 
+    def _commit_unit(self, expand) -> Optional[Instant]:
+        """Run *expand* and commit what it recorded, as one atomic unit.
+
+        *expand* matches rows against the committed state and records
+        the operations the statement expands to.  It runs under the
+        store's serialization lock, and the batch commits through the
+        manager-shaped ``run`` seam while that lock is still held
+        (reentrantly): no concurrent writer can change a matched row
+        between match and apply — a full-row match that then matched
+        nothing would be a silently dropped write — and two writers
+        serialize instead of tripping the single-writer ``begin()`` rule
+        with a non-retryable error.
+        """
+        manager = self._db.manager
+
+        def unit() -> Optional[Instant]:
+            batch = OperationRecorder()
+            expand(batch)
+            return manager.run(batch.ops)
+
+        return manager.certify(unit)
+
     def _delete(self, statement: DeleteStmt) -> Optional[Instant]:
         relation = self._ranges[statement.variable]
         arguments = self._valid_arguments(statement.valid, self._db.now())
-        rows = self._matching_rows(statement)
-        with self._db.begin() as txn:
-            for row in rows:
-                if self._db.kind.supports_historical_queries:
-                    self._db.delete(relation, dict(row), txn=txn, **arguments)
-                else:
-                    self._db.delete(relation, dict(row), txn=txn)
-        return txn.commit_time
+
+        def expand(batch: OperationRecorder) -> None:
+            for row in self._matching_rows(statement):
+                self._db.delete(relation, dict(row), txn=batch, **arguments)
+
+        return self._commit_unit(expand)
 
     def _replace(self, statement: ReplaceStmt) -> Optional[Instant]:
         relation = self._ranges[statement.variable]
         arguments = self._valid_arguments(statement.valid, self._db.now())
-        rows = self._matching_rows(statement)
-        with self._db.begin() as txn:
-            for row in rows:
+
+        def expand(batch: OperationRecorder) -> None:
+            for row in self._matching_rows(statement):
                 env = {statement.variable: row}
                 updates = {name: expr.evaluate(env)
                            for name, expr in statement.assignments}
                 updates = self._coerce_values(relation, updates)
-                if self._db.kind.supports_historical_queries:
-                    self._db.replace(relation, dict(row), updates, txn=txn,
-                                     **arguments)
-                else:
-                    self._db.replace(relation, dict(row), updates, txn=txn)
-        return txn.commit_time
+                self._db.replace(relation, dict(row), updates, txn=batch,
+                                 **arguments)
+
+        return self._commit_unit(expand)
 
     def _create(self, statement: CreateStmt) -> Instant:
         attributes = []

@@ -18,7 +18,8 @@ guarantee its past states were really the states the database went
 through.
 """
 
-from repro.txn.transaction import Operation, Transaction, TxnStatus
+from repro.txn.transaction import (Operation, OperationRecorder, Transaction,
+                                   TxnStatus)
 from repro.txn.log import CommitLog, CommitRecord
 from repro.txn.manager import TransactionManager
 
@@ -26,6 +27,7 @@ __all__ = [
     "CommitLog",
     "CommitRecord",
     "Operation",
+    "OperationRecorder",
     "Transaction",
     "TransactionManager",
     "TxnStatus",

@@ -42,7 +42,7 @@ documents.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import TransactionStateError
 from repro.obs import runtime as _obs
@@ -204,8 +204,9 @@ class TransactionManager:
                 if txn.is_active:
                     txn.abort()
 
-    def certify(self, validate: Callable[[], None]) -> None:
-        """Run *validate* atomically with respect to every commit.
+    def certify(self, validate: Callable[[], Any]) -> Any:
+        """Run *validate* atomically with respect to every commit;
+        returns whatever it returns.
 
         The read-only counterpart of :meth:`run`: *validate* executes
         under the commit serialization lock — no ``run()`` caller and no
@@ -216,7 +217,7 @@ class TransactionManager:
         simultaneously at one point in the serial history).
         """
         with self._run_lock:
-            validate()
+            return validate()
 
     def __repr__(self) -> str:
         return (f"TransactionManager({len(self._log)} commits, "

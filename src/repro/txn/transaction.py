@@ -68,6 +68,25 @@ class Operation:
         return f"Operation({self.action} {self.relation} {self.arguments!r})"
 
 
+class OperationRecorder:
+    """A ``txn=`` stand-in that captures operations instead of running them.
+
+    The kind databases validate arguments and build the
+    :class:`Operation` inside their DML methods, then hand it to
+    ``txn.add`` when a transaction is given.  Passing a recorder reuses
+    all of that validation while leaving the commit to the caller (the
+    sharded router, the TQuel evaluator's match-and-apply unit).
+    """
+
+    __slots__ = ("ops",)
+
+    def __init__(self) -> None:
+        self.ops: List[Operation] = []
+
+    def add(self, operation: Operation) -> None:
+        self.ops.append(operation)
+
+
 class Transaction:
     """A buffered, atomically-committing batch of operations.
 

@@ -12,18 +12,16 @@ Driving a workload with :func:`apply_workload` records into the live
 commit/transaction metrics the engine itself emits.
 
 :func:`run_stress` (:mod:`repro.workload.stress`) is the concurrent
-counterpart: it hammers one database from many sessions through the
-:mod:`repro.concurrency` layer — optionally under crash injection — and
-audits zero lost updates, monotone commit times and serial equivalence.
+counterpart: it hammers one store — a plain database or, with
+``shards=N``, the :mod:`repro.sharding` store — from many sessions
+through the :mod:`repro.concurrency` layer, with optional cross-shard
+transfers through the two-phase protocol and crash injection anywhere
+in the journals or 2PC logs, and audits zero lost updates, monotone
+commit times, serial equivalence and atomic recovery per pipeline.
 :func:`run_replicated` extends the chaos to :mod:`repro.replication`:
 writers on a primary, token-gated readers on replicas, seeded transport
 faults, partitions and a mid-run failover — audited for zero lost
 durable commits and replica digest convergence.
-:func:`run_sharded` (:mod:`repro.workload.sharded`) stresses the
-:mod:`repro.sharding` store the same way: disjoint per-worker keys,
-optional cross-shard transfers through the two-phase protocol, and — in
-chaos mode — crash injection anywhere in the shard journals or 2PC
-logs, audited for atomic cross-shard recovery.
 """
 
 from repro.workload.generators import (
@@ -31,7 +29,6 @@ from repro.workload.generators import (
     apply_workload,
 )
 from repro.workload.serve import ServingReport, run_serving
-from repro.workload.sharded import ShardedStressReport, run_sharded
 from repro.workload.stress import (ReplicatedReport, StressReport,
                                    run_replicated, run_stress)
 
@@ -40,13 +37,11 @@ __all__ = [
     "PayrollWorkload",
     "ReplicatedReport",
     "ServingReport",
-    "ShardedStressReport",
     "StressReport",
     "VersionWorkload",
     "WorkloadStep",
     "apply_workload",
     "run_replicated",
     "run_serving",
-    "run_sharded",
     "run_stress",
 ]

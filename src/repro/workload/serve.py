@@ -50,6 +50,7 @@ from repro.core.temporal import TemporalDatabase
 from repro.errors import (ConstraintViolation, DeadlineExceeded,
                           DrainingError, Overloaded, ReproError,
                           TransportError)
+from repro.obs.metrics import quantile
 from repro.relational.domain import Domain
 from repro.relational.schema import Schema
 from repro.server import ChaosConfig, ReproServer, ServerConfig, open_pipe
@@ -120,13 +121,11 @@ def _define_relation(database: Database) -> None:
     database.define(RELATION, schema)
 
 
-def _percentile_us(sorted_seconds: List[float], quantile: float) -> float:
-    """Nearest-rank percentile over pre-sorted seconds, in microseconds."""
+def _percentile_us(sorted_seconds: List[float], q: float) -> float:
+    """The *q*-quantile of pre-sorted seconds, in microseconds."""
     if not sorted_seconds:
         return 0.0
-    index = min(len(sorted_seconds) - 1,
-                int(quantile * len(sorted_seconds)))
-    return round(sorted_seconds[index] * 1e6, 1)
+    return round(quantile(sorted_seconds, q) * 1e6, 1)
 
 
 def _append_source(key: str, historical: bool) -> str:

@@ -39,10 +39,11 @@ class TestStress:
         first = run_stress(sessions=1, transactions=40, keys=3, seed=5)
         second = run_stress(sessions=1, transactions=40, keys=3, seed=5)
         left, right = first.describe(), second.describe()
-        # Wall time, the commit-latency histogram and the SLO health
-        # are measurements, not outcomes — everything else must replay
-        # identically.
-        for timing in ("wall_s", "commit_latency", "slo"):
+        # Wall time, throughput, the latency quantiles, the
+        # commit-latency histogram and the SLO health are measurements,
+        # not outcomes — everything else must replay identically.
+        for timing in ("wall_s", "tps", "latency_p50_s", "latency_p95_s",
+                       "latency_p99_s", "commit_latency", "slo"):
             left.pop(timing), right.pop(timing)
         assert left == right
 
@@ -64,6 +65,21 @@ class TestStress:
         assert isinstance(report, StressReport)
         assert data["ok"] is True
         assert data["sessions"] == 2
+        assert data["shards"] is None  # a plain database: one pipeline
+
+
+    def test_transfers_conserve_the_sum_on_one_pipeline(self):
+        report = run_stress(sessions=3, transactions=20, keys=4,
+                            cross_ratio=0.5, seed=13)
+        assert report.ok, report.describe()
+        assert report.sum_delta == 0
+        assert report.acknowledged_increments < report.committed
+        assert report.cross_shard_commits == 0  # one pipeline: no 2PC
+        assert report.per_shard == []
+
+    def test_replication_is_per_shard(self):
+        with pytest.raises(ValueError, match="shards"):
+            run_stress(replicas=1)
 
 
 class TestChaos:
@@ -80,6 +96,22 @@ class TestChaos:
         assert report.recovery_is_durable_prefix
         assert report.recovered_records <= 2 + report.committed + 1
         assert report.manager_accepts_begin_after_run
+
+    def test_durable_clean_run_audits_the_unsharded_manager(self, tmp_path):
+        # The product path behind ``repro serve --dir``: a plain
+        # database journaling through DurabilityManager, no faults.
+        from repro.storage import DurabilityManager, audit_directory
+        report = run_stress(kind=TemporalDatabase, sessions=2,
+                            transactions=10, keys=3, seed=6,
+                            directory=str(tmp_path))
+        assert report.ok, report.describe()
+        assert report.crashed == 0 and report.recovered_records is None
+        recovered, recovery = DurabilityManager(str(tmp_path)).recover(
+            TemporalDatabase)
+        assert recovery.records_total == 2 + report.committed
+        assert sum(row["v"] for row in recovered.snapshot("counters")) \
+            == report.applied_increments
+        assert audit_directory(str(tmp_path)).clean
 
     def test_chaos_mode_requires_a_directory(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,14 @@
-"""Per-shard footprints: the false sharing the shard layer removes."""
+"""Per-shard footprints: the false sharing the shard layer removes.
+
+There is one session layer; everything shard-shaped here is the sharded
+store answering the layer's seam (docs/CONCURRENCY.md).
+"""
+
+import threading
 
 import pytest
 
+from repro.concurrency import ConcurrentSession, SessionLayer
 from repro.core import StaticDatabase, TemporalDatabase
 from repro.errors import ConflictError, ShardConfigError
 from repro.relational import Domain, Schema
@@ -32,12 +39,22 @@ def keys_by_shard(store):
     return placed
 
 
+def footprint_shards(session):
+    """Every shard id named by the session's ``relation@shard`` keys."""
+    return sorted({int(key.rpartition("@")[2]) for key in session.footprint})
+
+
 class TestFootprints:
+    def test_sessions_returns_the_one_layer(self, store):
+        layer = store.sessions()
+        assert type(layer) is SessionLayer
+        assert type(layer.begin()) is ConcurrentSession
+
     def test_keyed_write_touches_one_shard(self, store):
         layer = store.sessions()
         with layer.begin() as session:
             session.replace("counters", {"k": "k0"}, {"v": 1})
-            assert session.footprint_shards() == [
+            assert footprint_shards(session) == [
                 store.shard_of_key("counters", {"k": "k0"})]
 
     def test_get_touches_only_the_owning_shard(self, store):
@@ -45,7 +62,7 @@ class TestFootprints:
         session = layer.begin()
         rows = session.get("counters", {"k": "k3"})
         assert [row["v"] for row in rows] == [0]
-        assert session.footprint_shards() == [
+        assert footprint_shards(session) == [
             store.shard_of_key("counters", {"k": "k3"})]
         session.abort()
 
@@ -60,14 +77,14 @@ class TestFootprints:
         layer = store.sessions()
         session = layer.begin()
         session.read("counters")
-        assert session.footprint_shards() == list(range(store.shards))
+        assert footprint_shards(session) == list(range(store.shards))
         session.abort()
 
     def test_unroutable_delete_broadcasts(self, store):
         layer = store.sessions()
         with layer.begin() as session:
             session.delete("counters", {"v": 0})
-            assert session.footprint_shards() == list(range(store.shards))
+            assert footprint_shards(session) == list(range(store.shards))
         assert store.snapshot("counters").cardinality == 0
 
 
@@ -112,6 +129,69 @@ class TestConflicts:
         reader.replace("counters", {"k": "k2"}, {"v": 1})
         with pytest.raises(ConflictError):
             reader.commit()
+
+
+class TestFootprintLocks:
+    """The coordinator locks the footprint's shards and no others."""
+
+    @staticmethod
+    def record_acquires(store, monkeypatch):
+        taken = []
+        acquire = store.coordinator._acquire
+
+        def spy(shard_ids):
+            taken.append(sorted(shard_ids))
+            return acquire(shard_ids)
+
+        monkeypatch.setattr(store.coordinator, "_acquire", spy)
+        return taken
+
+    def test_keyed_commit_locks_only_its_shard(self, store, monkeypatch):
+        sid = store.shard_of_key("counters", {"k": "k5"})
+        taken = self.record_acquires(store, monkeypatch)
+        with store.sessions().begin() as session:
+            session.get("counters", {"k": "k5"})
+            session.replace("counters", {"k": "k5"}, {"v": 1})
+        assert taken == [[sid]]
+
+    def test_read_only_certify_locks_only_its_shards(self, store,
+                                                     monkeypatch):
+        placed = keys_by_shard(store)
+        session = store.sessions().begin()
+        session.get("counters", {"k": placed[1]})
+        session.get("counters", {"k": placed[2]})
+        taken = self.record_acquires(store, monkeypatch)
+        session.commit()
+        assert taken == [[1, 2]]
+
+    def test_commit_proceeds_while_another_shard_is_locked(self, store):
+        placed = keys_by_shard(store)
+        other = store.shard_databases[1].manager.serialization_lock
+        locked, release = threading.Event(), threading.Event()
+
+        def hold():
+            with other:
+                locked.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert locked.wait(timeout=30)
+        try:
+            done = threading.Event()
+
+            def commit():
+                with store.sessions().begin() as session:
+                    session.replace("counters", {"k": placed[0]}, {"v": 7})
+                done.set()
+
+            writer = threading.Thread(target=commit, daemon=True)
+            writer.start()
+            assert done.wait(timeout=30)  # never queued behind shard 1
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
 
 
 class TestCommitTokens:

@@ -116,17 +116,26 @@ class TestVerifier:
         with pytest.raises(ChainError):
             verifier.take(entries[2])
 
-    def test_legacy_records_reanchor_instead_of_failing(self):
+    @pytest.mark.parametrize("chain", [
+        None, "abc", {}, {"prev": GENESIS, "content": "c"},
+        {"prev": GENESIS, "content": "c", "commit": 7}],
+        ids=["dropped", "not-a-dict", "empty", "field-missing",
+             "field-mistyped"])
+    def test_missing_or_malformed_chain_fields_are_tamper(self, chain):
+        # A record taken *out* of the chain must not make the verifier
+        # forget its head and re-anchor: that is the downgrade attack.
         entries = make_entries()
-        legacy = {"sequence": 99, "operations": []}  # pre-chain record
+        stripped = {"sequence": 99, "operations": []}
+        if chain is not None:
+            stripped["chain"] = chain
         verifier = ChainVerifier(GENESIS)
         verifier.take(entries[0])
-        verifier.take(legacy)
-        assert verifier.head is None
-        assert verifier.legacy == 1
-        # The next chained record re-anchors the walk on itself.
-        verifier.take(entries[1])
-        assert verifier.head == entries[1]["chain"]["commit"]
+        with pytest.raises(ChainError) as excinfo:
+            verifier.take(stripped)
+        assert excinfo.value.kind == "tamper"
+        assert verifier.head == entries[0]["chain"]["commit"]  # kept
+        with pytest.raises(ChainError):
+            ChainVerifier(None).take(stripped)  # unknown head: same
 
     def test_forget_tolerates_a_known_hole(self):
         entries = make_entries()

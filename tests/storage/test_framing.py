@@ -17,8 +17,23 @@ class TestRoundTrip:
             parse_frame(line)  # journal tag expected by default
         assert excinfo.value.damage is FrameDamage.CORRUPT
 
-    def test_legacy_bare_json_accepted(self):
-        assert parse_frame('{"x": 1}') == {"x": 1}
+    def test_bare_json_is_corrupt_not_a_record(self):
+        with pytest.raises(FrameError) as excinfo:
+            parse_frame('{"x": 1}')
+        assert excinfo.value.damage is FrameDamage.CORRUPT
+
+    def test_journal_lines_are_r2_frames_only(self):
+        from repro.storage import CHAINED_TAG, parse_journal_line
+        entry = {"sequence": 3}
+        assert parse_journal_line(
+            frame_record(entry, tag=CHAINED_TAG)) == entry
+        for retired in (frame_record(entry), '{"sequence": 3}'):
+            with pytest.raises(FrameError) as excinfo:
+                parse_journal_line(retired)
+            assert excinfo.value.damage is FrameDamage.CORRUPT
+        with pytest.raises(FrameError) as excinfo:
+            parse_journal_line("r")  # cut mid-tag: crash residue
+        assert excinfo.value.damage is FrameDamage.TORN
 
 
 class TestClassification:

@@ -63,23 +63,6 @@ class TestRecording:
                 assert parse_frame(line.rstrip("\n"),
                                    tag=CHAINED_TAG) == json.loads(payload)
 
-    def test_legacy_bare_json_lines_still_replay(self, journal_path):
-        # Journals written before framing (bare JSON lines) are still
-        # accepted; they just lack checksums (and chain fields).
-        database, _ = build_faculty(TemporalDatabase)
-        Journal(journal_path).bind(database)
-        from repro.storage import parse_journal_line
-        entries = []
-        for line in open(journal_path):
-            entry, _ = parse_journal_line(line.rstrip("\n"))
-            entry.pop("chain", None)
-            entries.append(entry)
-        with open(journal_path, "w") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry) + "\n")
-        rebuilt = Journal(journal_path).replay(TemporalDatabase)
-        assert rebuilt.temporal("faculty") == database.temporal("faculty")
-
 
 class TestReplay:
     @pytest.mark.parametrize("db_class", [
@@ -116,10 +99,12 @@ class TestReplay:
         assert rebuilt.temporal("faculty") == database.temporal("faculty")
 
     def test_bad_commit_time_detected(self, journal_path):
+        from repro.storage import (CHAINED_TAG, GENESIS, chain_entry,
+                                   frame_record)
         with open(journal_path, "w") as handle:
-            handle.write(json.dumps({
+            handle.write(frame_record(chain_entry({
                 "sequence": 0, "commit_time": "not-a-time",
-                "operations": []}) + "\n")
+                "operations": []}, GENESIS), tag=CHAINED_TAG) + "\n")
         with pytest.raises(JournalError, match="bad commit time"):
             Journal(journal_path).replay(TemporalDatabase)
 
@@ -143,7 +128,7 @@ class TestReplay:
         with open(journal_path, "rb") as handle:
             lines = handle.read().splitlines(keepends=True)
         expected_offset = len(lines[0]) + len(lines[1])
-        lines[2] = b"r1 5 00000000 {\"x\": 1}\n"  # bad length and CRC
+        lines[2] = b"r2 5 00000000 {\"x\": 1}\n"  # bad length and CRC
         with open(journal_path, "wb") as handle:
             handle.writelines(lines)
         with pytest.raises(JournalError,
@@ -155,7 +140,7 @@ class TestReplay:
         Journal(journal_path).bind(database)
         intact = Journal(journal_path).read()
         with open(journal_path, "ab") as handle:
-            handle.write(b"r1 400 0badf00d {\"torn")  # crashed append
+            handle.write(b"r2 400 0badf00d {\"torn")  # crashed append
         journal = Journal(journal_path)
         with pytest.raises(JournalError):
             journal.read()  # strict mode still refuses

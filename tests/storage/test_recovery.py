@@ -202,7 +202,7 @@ class TestDamageHandling:
         manager = self._durable_faculty(directory)
         _, live_path = manager.segments()[-1]
         with open(live_path, "ab") as handle:
-            handle.write(b"r1 9999 deadbeef {\"torn")  # crashed append
+            handle.write(b"r2 9999 deadbeef {\"torn")  # crashed append
         recovered_manager = DurabilityManager(directory)
         recovered, report = recovered_manager.recover(TemporalDatabase)
         assert report.torn_bytes_truncated > 0
@@ -224,7 +224,7 @@ class TestDamageHandling:
         with open(live_path, "rb") as handle:
             lines = handle.read().splitlines(keepends=True)
         assert len(lines) >= 2
-        lines[0] = b"r1 10 00000000 {\"bad\": 1}\n"  # wrong checksum
+        lines[0] = b"r2 10 00000000 {\"bad\": 1}\n"  # wrong checksum
         with open(live_path, "wb") as handle:
             handle.writelines(lines)
         with pytest.raises(JournalError, match="not a torn tail"):

@@ -13,11 +13,12 @@ import pytest
 
 from repro import obs
 from repro.core import StaticDatabase, TemporalDatabase
+from repro.errors import ChainError, JournalError
 from repro.relational import Domain, Schema
 from repro.storage import (CHAINED_TAG, GENESIS, CheckpointStore,
                            DurabilityManager, Journal, Scrubber,
                            audit_directory, chain_entry, flip_byte,
-                           frame_record, parse_journal_line,
+                           frame_record, parse_frame, parse_journal_line,
                            tamper_chain_field, tamper_record, truncate_file)
 from repro.storage.scrub import (DirectorySource, audit_sharded,
                                  combined_root)
@@ -56,7 +57,7 @@ def rewrite_segment(path, rebuild):
     """Parse a segment's entries (chain stripped) and rewrite its lines."""
     entries = []
     for line in open(path):
-        entry, _ = parse_journal_line(line.rstrip("\n"))
+        entry = parse_journal_line(line.rstrip("\n"))
         entry.pop("chain", None)
         entries.append(entry)
     with open(path, "w") as handle:
@@ -193,39 +194,74 @@ class TestAuditClassification:
         assert report.sidelogs_audited == 1
 
 
-class TestLegacyFrames:
-    def test_bare_json_lines_are_counted_not_flagged(self, directory):
-        # Satellite: the audit reports how much unprotected history the
-        # directory still carries (the migration burn-down number).
-        build(directory)
-        path = segment_paths(directory)[0]
+def downgrade_to_bare_json(entry):
+    entry.pop("chain")
+    return json.dumps(entry, sort_keys=True)
 
-        def downgrade(entries):
-            lines = [json.dumps(entry) for entry in entries[:3]]
-            prev = GENESIS
-            for entry in entries[3:]:
-                chained = chain_entry(entry, prev)
-                prev = chained["chain"]["commit"]
-                lines.append(frame_record(chained, tag=CHAINED_TAG))
-            return lines
 
-        rewrite_segment(path, downgrade)
-        with obs.recording() as instrumentation:
-            report = audit_directory(directory)
-        assert report.clean  # legacy is a fact, not damage
-        assert report.legacy_frames == 3
-        counters = instrumentation.metrics.snapshot()["counters"]
-        assert counters["storage.legacy_frames"] == 3
+def downgrade_to_crc_only(entry):
+    entry.pop("chain")
+    return frame_record(entry)  # an ``r1`` frame, CRC recomputed
 
-    def test_recovery_reports_legacy_frames_too(self, directory):
-        build(directory)
-        path = segment_paths(directory)[0]
-        rewrite_segment(path, lambda entries: [json.dumps(entry)
-                                               for entry in entries])
-        database, report = DurabilityManager(directory).recover(
-            TemporalDatabase)
-        assert report.legacy_frames == 7
-        assert report.records_total == 7
+
+def downgrade_chain_dropped(entry):
+    entry.pop("chain")
+    return frame_record(entry, tag=CHAINED_TAG)
+
+
+class TestDowngrade:
+    """A record taken *out* of the chain is damage, never "legacy".
+
+    The attack: rewrite one record's payload and re-emit it in a form
+    that carries no chain fields — a bare-JSON line, a CRC-only ``r1``
+    frame, or an ``r2`` frame with the ``chain`` key dropped — so a
+    verifier that tolerated unchained generations would forget its head,
+    re-anchor on the next record, and replay the forgery.
+    """
+
+    def salary_history(self, directory):
+        """Five records: define, insert, then salary 200 / 300 / 400."""
+        manager = DurabilityManager(directory)
+        database, _ = manager.recover(TemporalDatabase)
+        database.manager.clock.source.set("01/01/80")
+        database.define("faculty", Schema.of(
+            key=["name"], name=Domain.STRING, salary=Domain.INTEGER))
+        database.insert("faculty", {"name": "Merrie", "salary": 100},
+                        valid_from="01/01/80")
+        for salary in (200, 300, 400):
+            database.replace("faculty", {"name": "Merrie"},
+                             {"salary": salary}, valid_from="01/01/80")
+        assert manager.record_count == 5
+        return segment_paths(directory)[0]
+
+    @pytest.mark.parametrize("line_number", [1, 3, 5],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("downgrade", [
+        downgrade_to_bare_json, downgrade_to_crc_only,
+        downgrade_chain_dropped], ids=lambda f: f.__name__)
+    def test_rewrite_is_detected_and_refused(self, directory, downgrade,
+                                             line_number):
+        path = self.salary_history(directory)
+        lines = open(path).read().splitlines()
+        entry = parse_frame(lines[line_number - 1], tag=CHAINED_TAG)
+        entry["sequence"] += 1_000_000
+        for operation in entry["operations"]:
+            if "updates" in operation["arguments"]:
+                operation["arguments"]["updates"]["salary"] = 999999
+        lines[line_number - 1] = downgrade(entry)
+        tampered = "\n".join(lines) + "\n"
+        with open(path, "w") as handle:
+            handle.write(tampered)
+
+        report = audit_directory(directory)
+        assert [f.kind for f in report.findings if f.index ==
+                line_number - 1] in (["corrupt"], ["chain-tamper"])
+        assert report.verified_prefix == line_number - 1
+        assert report.chain_head is None
+        with pytest.raises((JournalError, ChainError)):
+            DurabilityManager(directory).recover(TemporalDatabase)
+        # Refused, not "repaired": recovery truncated nothing.
+        assert open(path).read() == tampered
 
 
 class TestQuarantineAndRepair:
@@ -369,7 +405,6 @@ class TestCliVerbs:
         data = json.loads(out)
         assert data["clean"] is False
         assert data["findings"][0]["kind"] == "chain-tamper"
-        assert data["legacy_frames"] == 0
 
     def test_scrub_verb_quarantines_without_a_source(self, directory,
                                                      capsys):

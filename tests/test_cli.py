@@ -365,7 +365,7 @@ class TestDurabilityVerbs:
         manager = self.populate(directory)
         _, live_path = manager.segments()[-1]
         with open(live_path, "ab") as handle:
-            handle.write(b"r1 500 00000000 {\"torn")
+            handle.write(b"r2 500 00000000 {\"torn")
         assert repro_main(["recover", "--dir", directory]) == 0
         assert "torn tail repaired" in capsys.readouterr().out
 
@@ -376,7 +376,7 @@ class TestDurabilityVerbs:
         _, live_path = manager.segments()[-1]
         with open(live_path, "rb") as handle:
             lines = handle.read().splitlines(keepends=True)
-        lines[1] = b"r1 4 00000000 {\"x\": 2}\n"
+        lines[1] = b"r2 4 00000000 {\"x\": 2}\n"
         with open(live_path, "wb") as handle:
             handle.writelines(lines)
         assert repro_main(["recover", "--dir", directory]) == 1
@@ -515,13 +515,14 @@ class TestReplicationVerbs:
 
 
 class TestShardStressVerb:
-    """The ``repro shard-stress`` verb over the sharded store."""
+    """The ``repro stress --shards N`` verb over the sharded store."""
 
     def test_shard_stress_prints_the_audit(self, capsys):
         from repro.cli import repro_main
-        assert repro_main(["shard-stress", "--shards", "3", "--sessions",
-                           "3", "--ops", "10", "--keys", "6",
-                           "--seed", "1"]) == 0
+        assert repro_main(["stress", "--kind", "static", "--shards", "3",
+                           "--placement", "scattered", "--sessions",
+                           "3", "--ops", "10", "--keys", "6", "--cross",
+                           "0.1", "--seed", "1"]) == 0
         output = capsys.readouterr().out
         assert "committed:          30 of 30 attempted" in output
         assert "shard 0:" in output and "shard 2:" in output
@@ -531,7 +532,8 @@ class TestShardStressVerb:
     def test_shard_stress_json_report(self, capsys):
         import json
         from repro.cli import repro_main
-        assert repro_main(["shard-stress", "--shards", "2", "--sessions",
+        assert repro_main(["stress", "--kind", "static", "--shards", "2",
+                           "--placement", "scattered", "--sessions",
                            "2", "--ops", "5", "--keys", "4", "--cross",
                            "0.5", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -542,19 +544,23 @@ class TestShardStressVerb:
 
     def test_shard_stress_chaos_audits_recovery(self, capsys, tmp_path):
         from repro.cli import repro_main
-        assert repro_main(["shard-stress", "--shards", "3", "--sessions",
+        assert repro_main(["stress", "--kind", "static", "--shards", "3",
+                           "--placement", "scattered", "--sessions",
                            "2", "--ops", "20", "--keys", "6", "--cross",
                            "0.3", "--faults", "lost-record",
                            "--fault-at", "25",
                            "--dir", str(tmp_path / "dur")]) == 0
         output = capsys.readouterr().out
-        assert "durable prefix:     True" in output
+        assert "durable prefix intact: True" in output
+        assert "in-doubt rolled back" in output
         assert "audit: ok" in output
 
     def test_shard_stress_chaos_uses_a_temporary_directory(self, capsys):
         from repro.cli import repro_main
-        assert repro_main(["shard-stress", "--shards", "2", "--sessions",
-                           "2", "--ops", "20", "--keys", "4", "--faults",
+        assert repro_main(["stress", "--kind", "static", "--shards", "2",
+                           "--placement", "scattered", "--sessions",
+                           "2", "--ops", "20", "--keys", "4", "--cross",
+                           "0.1", "--faults",
                            "torn-record", "--fault-at", "25"]) == 0
         assert "audit: ok" in capsys.readouterr().out
 
@@ -713,7 +719,8 @@ class TestTraceTreeVerb:
         import json
         from repro.cli import repro_main
         trace_out = str(tmp_path / "spans.jsonl")
-        assert repro_main(["shard-stress", "--shards", "2", "--sessions",
+        assert repro_main(["stress", "--kind", "static", "--shards", "2",
+                           "--placement", "scattered", "--sessions",
                            "2", "--ops", "10", "--keys", "4", "--cross",
                            "0.5", "--replicas", "1", "--dir",
                            str(tmp_path / "store"), "--trace-out",

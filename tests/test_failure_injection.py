@@ -156,7 +156,7 @@ class TestJournalFailures:
         path = str(tmp_path / "db.journal")
         database, _ = build_faculty(TemporalDatabase)
         Journal(path).bind(database)
-        entries = [parse_journal_line(line.rstrip("\n"))[0]
+        entries = [parse_journal_line(line.rstrip("\n"))
                    for line in open(path)]
         entries[3]["commit_time"] = entries[0]["commit_time"]
         with open(path, "w") as handle:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import StaticDatabase
 from repro.storage.faults import CrashPoint
-from repro.workload.sharded import run_sharded
+from repro.workload import run_stress
 
 
 def load_jsonl(path):
@@ -39,11 +39,11 @@ class TestLineageTree:
         base = tmp_path_factory.mktemp("lineage")
         trace_out = str(base / "spans.jsonl")
         events_out = str(base / "events.jsonl")
-        report = run_sharded(kind=StaticDatabase, shards=3, sessions=3,
-                             transactions=20, keys_per_session=6,
-                             cross_ratio=0.4, seed=7, replicas=2,
-                             directory=str(base / "store"),
-                             trace_out=trace_out, events_out=events_out)
+        report = run_stress(kind=StaticDatabase, shards=3, sessions=3,
+                            transactions=20, keys=6, placement="scattered",
+                            cross_ratio=0.4, seed=7, replicas=2,
+                            directory=str(base / "store"),
+                            trace_out=trace_out, events_out=events_out)
         return report, load_jsonl(trace_out), load_jsonl(events_out)
 
     def test_run_is_clean_and_replicated(self, run):
@@ -107,12 +107,12 @@ class TestLineageUnderChaos:
         # whatever committed before (or after recovery) still traces to
         # one root with no orphans.
         trace_out = str(tmp_path / "spans.jsonl")
-        report = run_sharded(kind=StaticDatabase, shards=3, sessions=3,
-                             transactions=20, keys_per_session=6,
-                             cross_ratio=0.4, seed=3, replicas=1,
-                             faults=CrashPoint.LOST_RECORD, fault_at=30,
-                             directory=str(tmp_path / "store"),
-                             trace_out=trace_out)
+        report = run_stress(kind=StaticDatabase, shards=3, sessions=3,
+                            transactions=20, keys=6, placement="scattered",
+                            cross_ratio=0.4, seed=3, replicas=1,
+                            faults=CrashPoint.LOST_RECORD, fault_at=30,
+                            directory=str(tmp_path / "store"),
+                            trace_out=trace_out)
         assert report.ok, report.describe()
         assert report.crashed >= 1
         assert report.sample_cross_txn is not None
