@@ -29,13 +29,18 @@ Update semantics (all arbitrary modifications, per Figure 12's
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple as PyTuple, Union)
+from typing import (Any, Callable, Container, Dict, Iterable,
+                    Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple as PyTuple, Union)
 
 from repro.core.base import Database, InstantLike
+from repro.core.lineage import extend_log, version_delta
 from repro.core.taxonomy import DatabaseKind
 from repro.errors import ConstraintViolation, JournalError, UnknownRelationError
-from repro.relational.constraints import Constraint, check_all
+from repro.obs import runtime as _obs
+from repro.relational.constraints import (CheckConstraint, Constraint,
+                                          KeyConstraint, NotNullConstraint,
+                                          check_all)
 from repro.relational.expression import Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -67,18 +72,46 @@ class HistoricalRelation:
     relations, TQuel retrieves) are the same type — the closure property
     the paper requires ("the derived relation is also an historical
     relation").
+
+    The versions :func:`apply_historical_operation` derives from one
+    another also share a lineage (:mod:`repro.core.lineage`): the rows
+    each operation removed and added are logged, so an index or a
+    constraint check can follow a commit without diffing two states.
     """
 
-    __slots__ = ("_schema", "_rows", "_coalesced")
+    __slots__ = ("_schema", "_rows", "_coalesced", "_lineage", "_closed_log",
+                 "_closed_len", "_opened_log", "_opened_len")
 
     def __init__(self, schema: Schema,
                  rows: Iterable[HistoricalRow] = ()) -> None:
         self._schema = schema
-        deduped: Dict[HistoricalRow, None] = {}
-        for row in rows:
-            deduped.setdefault(row, None)
-        self._rows: PyTuple[HistoricalRow, ...] = tuple(deduped)
+        self._rows: PyTuple[HistoricalRow, ...] = tuple(dict.fromkeys(rows))
         self._coalesced: Optional["HistoricalRelation"] = None
+        self._lineage: Optional[object] = None  # related to no other value
+
+    @classmethod
+    def _of_distinct(cls, schema: Schema, rows: PyTuple[HistoricalRow, ...],
+                     lineage: Optional[object] = None,
+                     closed_log: Sequence[HistoricalRow] = (),
+                     opened_log: Sequence[HistoricalRow] = (),
+                     ) -> "HistoricalRelation":
+        """Internal constructor: *rows* are already duplicate-free (no
+        re-hashing), optionally as the next version of a lineage."""
+        value = cls.__new__(cls)
+        value._schema = schema
+        value._rows = rows
+        value._coalesced = None
+        value._lineage = lineage
+        value._closed_log = closed_log
+        value._closed_len = len(closed_log)
+        value._opened_log = opened_log
+        value._opened_len = len(opened_log)
+        return value
+
+    def _under_keys(self, keys: Container[PyTuple[Any, ...]]
+                    ) -> Iterator[HistoricalRow]:
+        """The rows whose schema-key value is one of *keys* (a scan)."""
+        return (row for row in self._rows if row.data.key() in keys)
 
     # -- accessors ------------------------------------------------------------
 
@@ -284,52 +317,85 @@ def _matches(row: Tuple, match: Mapping[str, Any]) -> bool:
     return all(row[attribute] == value for attribute, value in match.items())
 
 
+def historical_delta(schema: Schema, op: Operation,
+                     candidates: Iterable[Any],
+                     present: Container[HistoricalRow],
+                     ) -> PyTuple[List[HistoricalRow], List[HistoricalRow]]:
+    """The rows one insert/delete/replace removes from and adds to a state.
+
+    The valid-time operations are per-fact interval splits (Mkaouar et
+    al.): a matching row overlapping the operation's period is removed and
+    its pieces outside the period (and, for ``replace``, the updated fact
+    inside it) are added.  *candidates* are the rows of the state the
+    operation's ``match`` can touch — any superset will do, each is
+    tested — as objects with ``data`` and ``valid``; *present* answers
+    whether a row is in the state.  A state is a set, so a produced row
+    that is already there is not added, and a row produced again by its
+    own split is not removed.
+    """
+    arguments = op.arguments
+    if op.action == "insert":
+        row = HistoricalRow(Tuple(schema, arguments["values"]),
+                            _period_from_args(arguments))
+        return [], ([] if row in present else [row])
+    if op.action not in ("delete", "replace"):
+        raise JournalError(
+            f"historical stores do not understand {op.action!r}")
+    match = arguments["match"]
+    updates = arguments.get("updates")
+    period = _period_from_args(arguments)
+    removed: List[HistoricalRow] = []
+    produced: Dict[HistoricalRow, None] = {}
+    for row in candidates:
+        if not _matches(row.data, match):
+            continue
+        common = row.valid.intersect(period)
+        if common is None:
+            continue
+        removed.append(HistoricalRow(row.data, row.valid))
+        for piece in row.valid.difference(period):
+            produced[HistoricalRow(row.data, piece)] = None
+        if updates is not None:
+            produced[HistoricalRow(row.data.replace(**updates), common)] = None
+    return ([row for row in removed if row not in produced],
+            [row for row in produced if row not in present])
+
+
 def apply_historical_operation(relation: HistoricalRelation,
                                op: Operation) -> HistoricalRelation:
     """Apply one insert/delete/replace to a historical relation value.
 
-    Pure function: returns the new historical state.  Used directly by
-    :class:`HistoricalDatabase` and, via state-diffing, by
-    :class:`~repro.core.temporal.TemporalDatabase` — which is what makes a
-    temporal relation literally "a sequence of historical states" (§4.4).
+    Pure function: :func:`historical_delta` applied to the state, which is
+    what makes a temporal relation literally "a sequence of historical
+    states" (§4.4) — :class:`~repro.core.temporal.TemporalDatabase`
+    records the same delta on the transaction-time axis.  The result is
+    the next version of *relation*'s lineage (*relation* itself when
+    nothing changed).
     """
-    schema = relation.schema
-    if op.action == "insert":
-        row = HistoricalRow(Tuple(schema, op.arguments["values"]),
-                            _period_from_args(op.arguments))
-        return HistoricalRelation(schema, relation.rows + (row,))
-
-    if op.action == "delete":
-        match = op.arguments["match"]
-        period = _period_from_args(op.arguments)
-        kept: List[HistoricalRow] = []
-        for row in relation.rows:
-            if not _matches(row.data, match):
-                kept.append(row)
-                continue
-            for piece in row.valid.difference(period):
-                kept.append(HistoricalRow(row.data, piece))
-        return HistoricalRelation(schema, kept)
-
-    if op.action == "replace":
-        match = op.arguments["match"]
-        updates = op.arguments["updates"]
-        period = _period_from_args(op.arguments)
-        result: List[HistoricalRow] = []
-        for row in relation.rows:
-            if not _matches(row.data, match):
-                result.append(row)
-                continue
-            common = row.valid.intersect(period)
-            if common is None:
-                result.append(row)
-                continue
-            for piece in row.valid.difference(period):
-                result.append(HistoricalRow(row.data, piece))
-            result.append(HistoricalRow(row.data.replace(**updates), common))
-        return HistoricalRelation(schema, result)
-
-    raise JournalError(f"historical stores do not understand {op.action!r}")
+    rows = relation.rows
+    removed, added = historical_delta(relation.schema, op, rows, set(rows))
+    _obs.current().metrics.counter("commit.rows_examined").inc(len(rows))
+    if not removed and not added:
+        return relation
+    if removed:
+        # What a split produces takes the place of the first row it
+        # removes, so a fact's history stays together in display order.
+        gone = set(removed)
+        at = next(i for i, row in enumerate(rows) if row in gone)
+        rows = (rows[:at] + tuple(added)
+                + tuple(row for row in rows[at:] if row not in gone))
+    else:
+        rows = rows + tuple(added)
+    if relation._lineage is None:
+        lineage, closed_log, opened_log = object(), list(removed), list(added)
+    else:
+        lineage = relation._lineage
+        closed_log = extend_log(relation._closed_log, relation._closed_len,
+                                removed)
+        opened_log = extend_log(relation._opened_log, relation._opened_len,
+                                added)
+    return HistoricalRelation._of_distinct(relation.schema, rows, lineage,
+                                           closed_log, opened_log)
 
 
 def check_sequenced_key(relation: HistoricalRelation) -> None:
@@ -375,8 +441,55 @@ def check_historical_constraints(relation: HistoricalRelation,
 
 
 def _is_key_constraint(constraint: Constraint) -> bool:
-    from repro.relational.constraints import KeyConstraint
     return isinstance(constraint, KeyConstraint)
+
+
+def _local_to_key(constraints: Sequence[Any], key: Sequence[str]) -> bool:
+    """Can *constraints* be re-checked on the rows of the touched
+    schema-key values alone?
+
+    True when every rule judges one row, one fact, or one group of rows
+    no wider than the schema key.  Only the exact built-in types qualify:
+    a user-defined subclass may look at anything.
+    """
+    from repro.core import temporal_constraints as rules
+    local = (KeyConstraint, NotNullConstraint, CheckConstraint,
+             rules.NoFutureValidity, rules.BoundedValidity,
+             rules.ValidityDuration)
+    return all(set(key) <= set(rule.key)
+               if type(rule) is rules.ContiguousHistory
+               else type(rule) in local
+               for rule in constraints)
+
+
+def check_commit(installed: Any, staged: Any,
+                 constraints: Sequence[Constraint], now: Instant) -> None:
+    """Enforce *constraints* on the state a commit is about to install.
+
+    *installed* is the version that passed its checks (``None`` for a new
+    relation), *staged* the one a batch derived from it — a
+    :class:`HistoricalRelation`, or a :class:`~repro.core.temporal.
+    TemporalRelation` standing for its current state.  When the relation
+    has a key and every constraint groups within it, an untouched key's
+    rows are exactly the rows already checked, so only the rows under the
+    keys in the batch's delta are re-examined.  Otherwise — unrelated
+    versions (a redefine, a non-canonical value), no key, a constraint
+    that may look across keys — the whole state is.
+    """
+    schema = staged.schema
+    delta = None if installed is None else version_delta(installed, staged)
+    if (delta is not None and schema.key
+            and _local_to_key(constraints, schema.key)):
+        touched = {row.data.key() for rows in delta for row in rows}
+        state = HistoricalRelation._of_distinct(
+            schema, tuple(HistoricalRow(row.data, row.valid)
+                          for row in staged._under_keys(touched)))
+    elif isinstance(staged, HistoricalRelation):
+        state = staged
+    else:
+        state = staged.current()
+    _obs.current().metrics.counter("commit.rows_examined").inc(len(state))
+    check_historical_constraints(state, constraints, now)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +612,12 @@ class HistoricalDatabase(Database):
             # Only relations this batch replaced are re-checked: an
             # untouched store is the same immutable value that already
             # passed, and no declared constraint tightens as now advances.
-            if name in self._schemas and relation is not self._store.get(name):
+            installed = self._store.get(name)
+            if name in self._schemas and relation is not installed:
                 # The schema key is enforced as a sequenced key inside
                 # check_historical_constraints (via relation.schema.key).
-                check_historical_constraints(relation,
-                                             self._constraints[name], now)
+                check_commit(installed, relation, self._constraints[name],
+                             now)
         self._store = staged
 
     def _create_store(self, staged: _Store, name: str, schema: Schema) -> None:

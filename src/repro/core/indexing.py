@@ -34,15 +34,16 @@ from __future__ import annotations
 
 import math
 from typing import (Any, Dict, Generic, Iterable, List, Optional, Sequence,
-                    Tuple as PyTuple, TypeVar)
+                    Tuple as PyTuple, TypeVar, Union)
 
 from repro.core.historical import HistoricalRelation, HistoricalRow
+from repro.core.lineage import version_delta
 from repro.core.rollback import RollbackRelation, TransactionTimeRow
 from repro.core.temporal import BitemporalRow, TemporalRelation
 from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.time.chronon import require_same_granularity
-from repro.time.instant import Instant, instant as _coerce
+from repro.time.instant import Instant, POS_INF, instant as _coerce
 from repro.time.period import Period
 
 Payload = TypeVar("Payload")
@@ -356,38 +357,49 @@ def _partition_delta(old, new):
     """``(removed, added)`` rows between two versions of one partitioned
     store (:class:`TemporalRelation` or :class:`RollbackRelation`).
 
-    Computed structurally — the closed-log suffix plus a value diff of the
-    open maps, O(current state + Δ) with no look at the closed past.
-    Returns ``None`` when the versions are unrelated (different storage
-    lineage, e.g. after a drop/redefine or a deserialized overwrite) or
-    non-canonical (duplicate open rows in a derived value), in which case
-    the caller rebuilds from scratch.
+    Read off the lineage's two log slices, O(Δ) with no look at either
+    state: every row closed in between is added, and its open form is
+    removed — unless it was also *opened* in between, in which case the
+    open form was never indexed and is simply not added.  Returns
+    ``None`` when the versions are unrelated (different storage lineage,
+    e.g. after a drop/redefine, a deserialized overwrite or a derived
+    value), in which case the caller rebuilds from scratch.
     """
-    if (old._lineage is not new._lineage or old._open_extra
-            or new._open_extra or new._closed_len < old._closed_len):
+    delta = version_delta(old, new)
+    if delta is None:
         return None
-    added = list(new._closed_log[old._closed_len:new._closed_len])
+    closed, opened = delta
+    entered = dict.fromkeys(opened)
     removed = []
-    old_open, new_open = old._open, new._open
-    for key, row in old_open.items():
-        if new_open.get(key) != row:
-            removed.append(row)
-    for key, row in new_open.items():
-        if old_open.get(key) != row:
-            added.append(row)
-    return removed, added
+    for row in closed:
+        was_open = row._replace(tt=Period(row.tt.start, POS_INF))
+        if was_open in entered:
+            del entered[was_open]
+        else:
+            removed.append(was_open)
+    return removed, closed + list(entered)
+
+
+_HistoricalState = Union[HistoricalRelation, TemporalRelation]
 
 
 class HistoricalIndex:
-    """Timeslice acceleration for one historical relation value."""
+    """Timeslice acceleration for one historical state.
 
-    def __init__(self, relation: HistoricalRelation) -> None:
+    The state is a :class:`HistoricalRelation` value, or the open
+    partition of a :class:`TemporalRelation` (its current historical
+    state, indexed in place rather than materialised per version).
+    """
+
+    def __init__(self, relation: _HistoricalState) -> None:
         self._relation = relation
+        rows = (relation.rows if isinstance(relation, HistoricalRelation)
+                else relation.open_rows())
         self._tree: IntervalTree = IntervalTree(
-            (row.valid, row.data) for row in relation.rows)
+            (row.valid, row.data) for row in rows)
 
     @property
-    def relation(self) -> HistoricalRelation:
+    def relation(self) -> _HistoricalState:
         """The indexed (immutable) relation value."""
         return self._relation
 
@@ -395,23 +407,32 @@ class HistoricalIndex:
         """Same result as ``relation.timeslice``, via the interval tree."""
         return Relation(self._relation.schema, self._tree.stab(valid_at))
 
-    def update(self, new_relation: HistoricalRelation
+    def update(self, new_relation: _HistoricalState
                ) -> Optional["HistoricalIndex"]:
         """A fresh index over *new_relation*, patching this index's tree.
 
-        The tree is edited with the row diff (O(Δ log n) amortized) and
+        The tree is edited with the rows that left and entered the state
+        between the two versions, read off the lineage's log slices
+        (O(Δ log n) amortized; a row that did both cancels out), and
         handed to a new wrapper; the stale wrapper must not be queried
-        afterwards.  Returns ``None`` when a diff row is missing from the
-        tree (unrelated values) — the caller then rebuilds.
+        afterwards.  Returns ``None`` when the values are unrelated — the
+        caller then rebuilds.
         """
-        old_rows = set(self._relation.rows)
-        new_rows = set(new_relation.rows)
+        delta = version_delta(self._relation, new_relation)
+        if delta is None:
+            return None
+        left, entered = delta
+        net: Dict[PyTuple[Period, Any], int] = {}
+        for rows, change in ((entered, 1), (left, -1)):
+            for row in rows:
+                interval = (row.valid, row.data)
+                net[interval] = net.get(interval, 0) + change
         tree = self._tree
-        for row in old_rows - new_rows:
-            if not tree.discard(row.valid, row.data):
+        for (valid, data), change in net.items():
+            if change > 0:
+                tree.insert(valid, data)
+            elif change < 0 and not tree.discard(valid, data):
                 return None
-        for row in new_rows - old_rows:
-            tree.insert(row.valid, row.data)
         fresh = HistoricalIndex.__new__(HistoricalIndex)
         fresh._relation = new_relation
         fresh._tree = tree
@@ -596,11 +617,17 @@ class DatabaseIndexCache:
         return index
 
     def historical(self, name: str) -> HistoricalIndex:
-        """A current HistoricalIndex over ``database.history(name)``."""
+        """A current HistoricalIndex over ``database.history(name)``.
+
+        A temporal database's history is the open partition of its
+        bitemporal relation, indexed in place.
+        """
+        state = (self._db.temporal if self._db.supports_rollback
+                 else self._db.history)
         return self._get(
             name, "historical",
-            lambda: HistoricalIndex(self._db.history(name)),
-            lambda stale: stale.update(self._db.history(name)))
+            lambda: HistoricalIndex(state(name)),
+            lambda stale: stale.update(state(name)))
 
     def rollback(self, name: str) -> RollbackIndex:
         """A current RollbackIndex over the interval store of *name*."""

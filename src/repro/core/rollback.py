@@ -34,6 +34,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple as PyTuple)
 
 from repro.core.base import Database, InstantLike
+from repro.core.lineage import extend_log, withdraw
 from repro.core.taxonomy import DatabaseKind
 from repro.errors import JournalError, UnknownRelationError
 from repro.obs import runtime as _obs
@@ -71,8 +72,9 @@ class RollbackRelation:
     therefore costs O(current state + Δ), never O(history).
     """
 
-    __slots__ = ("_schema", "_closed_log", "_closed_len", "_open",
-                 "_open_extra", "_lineage", "_rows_cache", "_current_cache")
+    __slots__ = ("_schema", "_closed_log", "_closed_len", "_opened_log",
+                 "_opened_len", "_open", "_open_extra", "_lineage",
+                 "_rows_cache", "_current_cache")
 
     def __init__(self, schema: Schema,
                  rows: Iterable[TransactionTimeRow] = ()) -> None:
@@ -87,16 +89,20 @@ class RollbackRelation:
                     open_map[row.data] = row
             else:
                 closed.append(row)
-        self._init_parts(schema, closed, len(closed), open_map, extra,
-                         object())
+        self._init_parts(schema, closed, [], open_map, extra, object())
 
     def _init_parts(self, schema: Schema,
-                    closed_log: List[TransactionTimeRow], closed_len: int,
+                    closed_log: List[TransactionTimeRow],
+                    opened_log: List[TransactionTimeRow],
                     open_map: Dict[Tuple, TransactionTimeRow],
                     extra: List[TransactionTimeRow], lineage: object) -> None:
         self._schema = schema
+        # Both logs are shared by the versions of a lineage
+        # (repro.core.lineage); a version sees a prefix of each.
         self._closed_log = closed_log
-        self._closed_len = closed_len
+        self._closed_len = len(closed_log)
+        self._opened_log = opened_log
+        self._opened_len = len(opened_log)
         self._open = open_map
         self._open_extra = extra
         self._lineage = lineage
@@ -105,12 +111,13 @@ class RollbackRelation:
 
     @classmethod
     def _from_parts(cls, schema: Schema,
-                    closed_log: List[TransactionTimeRow], closed_len: int,
+                    closed_log: List[TransactionTimeRow],
+                    opened_log: List[TransactionTimeRow],
                     open_map: Dict[Tuple, TransactionTimeRow],
                     lineage: object) -> "RollbackRelation":
         """Internal constructor for :meth:`RollbackDatabase._advance`."""
         value = cls.__new__(cls)
-        value._init_parts(schema, closed_log, closed_len, open_map, [],
+        value._init_parts(schema, closed_log, opened_log, open_map, [],
                           lineage)
         return value
 
@@ -444,33 +451,30 @@ class RollbackDatabase(Database):
             metrics.counter("commit.fallback_naive").inc()
             return naive_rollback_advance(store, new_current, commit_time)
         new_set = set(new_current.tuples)
-        closed_log = store._closed_log
-        if len(closed_log) != store._closed_len:
-            # A sibling version extended the shared log (an aborted
-            # commit): diverge onto a private copy.
-            closed_log = closed_log[:store._closed_len]
-        closed_before = len(closed_log)
         old_open = store._open
         new_open: Dict[Tuple, TransactionTimeRow] = {}
+        closed: List[TransactionTimeRow] = []
+        withdrawn: List[TransactionTimeRow] = []
         for data, row in old_open.items():
             if data in new_set:
                 new_open[data] = row  # survives this transaction
             elif row.tt.start == commit_time:
-                continue  # opened and removed within one transaction
+                withdrawn.append(row)  # opened and removed within one txn
             else:
-                closed_log.append(TransactionTimeRow(
+                closed.append(TransactionTimeRow(
                     data, Period(row.tt.start, commit_time)))
-        opened = 0
-        for data in new_current.tuples:
-            if data not in old_open:
-                new_open[data] = TransactionTimeRow(
-                    data, Period(commit_time, POS_INF))
-                opened += 1
-        metrics.counter("commit.rows_closed").inc(
-            len(closed_log) - closed_before)
-        metrics.counter("commit.rows_opened").inc(opened)
+        opened = [TransactionTimeRow(data, Period(commit_time, POS_INF))
+                  for data in new_current.tuples if data not in old_open]
+        for row in opened:
+            new_open[row.data] = row
+        closed_log = extend_log(store._closed_log, store._closed_len, closed)
+        opened_log = extend_log(store._opened_log, store._opened_len, opened)
+        if withdrawn:
+            withdraw(opened_log, withdrawn, commit_time)
+        metrics.counter("commit.rows_closed").inc(len(closed))
+        metrics.counter("commit.rows_opened").inc(len(opened))
         return RollbackRelation._from_parts(store.schema, closed_log,
-                                            len(closed_log), new_open,
+                                            opened_log, new_open,
                                             store._lineage)
 
 

@@ -21,27 +21,35 @@ The stored form is the four-timestamp table of Figure 8:
 
 Physically, a :class:`TemporalRelation` is *partitioned* along the
 transaction-time axis: rows whose transaction period has closed belong to
-the immutable past and live in an append-only segment shared structurally
+the immutable past and live in an append-only log shared structurally
 between successive versions, while the open rows (transaction end = ∞) —
 exactly the current historical state — live in a map keyed by
-``(data, valid)``.  Committing a transaction therefore costs
-O(current state + Δ), not O(all rows ever written): the closed past is
-never re-read, re-diffed or re-tupled.  The value semantics (``rows``,
-``rollback``, ``current``, equality) are unchanged; :func:`naive_advance`
-keeps the original whole-relation diff as the executable specification
-the incremental path is property-tested against.
+``(data, valid)``, with an index by schema-key value beside it.  The unit
+that flows through a commit is the **row delta**: the valid-time
+operation reports the rows it removes and adds among the rows its match
+can touch (:func:`~repro.core.historical.historical_delta`), the
+partition closes the former and opens the latter, the constraint check
+re-examines only the keys the delta touched, and the indexes are patched
+from the two log slices that record it (:mod:`repro.core.lineage`).  A
+commit therefore costs O(Δ) — the rows under the keys it touches — plus
+two C-speed dict copies, not O(current state) and never O(all rows ever
+written).  The value semantics (``rows``, ``rollback``, ``current``,
+equality) are unchanged; :func:`naive_advance` keeps the original
+whole-relation diff as the executable specification the delta path is
+property-tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple as PyTuple)
+from typing import (Any, Collection, Dict, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Set, Tuple as PyTuple)
 
 from repro.core.base import Database, InstantLike
 from repro.core.historical import (HistoricalRelation, HistoricalRow,
-                                   apply_historical_operation,
-                                   check_historical_constraints)
+                                   apply_historical_operation, check_commit,
+                                   historical_delta)
+from repro.core.lineage import extend_log, withdraw
 from repro.core.taxonomy import DatabaseKind
 from repro.errors import ConstraintViolation, UnknownRelationError
 from repro.obs import runtime as _obs
@@ -71,19 +79,26 @@ class BitemporalRow(NamedTuple):
 _OpenKey = PyTuple[Tuple, Period]
 
 
+#: The by-key index: schema-key value -> the open rows under it.
+_KeyIndex = Dict[PyTuple[Any, ...], PyTuple[BitemporalRow, ...]]
+
+
 class TemporalRelation:
     """A bitemporal relation (Figure 8): an immutable value object.
 
-    Internally partitioned into an append-only *closed* segment (rows
-    whose transaction time has ended) and an *open* map keyed by
+    Internally partitioned into an append-only *closed* log (rows whose
+    transaction time has ended) and an *open* map keyed by
     ``(data, valid)`` (the current historical state).  Successive
     versions produced by :meth:`TemporalDatabase._advance` share the
-    closed segment structurally, so a commit never copies the past.
+    closed log structurally, so a commit never copies the past; they
+    also share an *opened* log of every row that ever entered the open
+    map, so the difference between two versions is two list slices
+    (:mod:`repro.core.lineage`).
     """
 
-    __slots__ = ("_schema", "_closed_log", "_closed_len", "_open",
-                 "_open_extra", "_lineage", "_rows_cache", "_current_cache",
-                 "_times_cache")
+    __slots__ = ("_schema", "_closed_log", "_closed_len", "_opened_log",
+                 "_opened_len", "_open", "_by_key", "_open_extra", "_lineage",
+                 "_rows_cache", "_current_cache", "_times_cache")
 
     def __init__(self, schema: Schema,
                  rows: Iterable[BitemporalRow] = ()) -> None:
@@ -99,20 +114,23 @@ class TemporalRelation:
                     open_map[key] = row
             else:
                 closed.append(row)
-        self._init_parts(schema, closed, len(closed), open_map, extra,
-                         object())
+        self._init_parts(schema, closed, [], open_map, None, extra, object())
 
     def _init_parts(self, schema: Schema, closed_log: List[BitemporalRow],
-                    closed_len: int, open_map: Dict[_OpenKey, BitemporalRow],
+                    opened_log: List[BitemporalRow],
+                    open_map: Dict[_OpenKey, BitemporalRow],
+                    by_key: Optional[_KeyIndex],
                     extra: List[BitemporalRow], lineage: object) -> None:
         self._schema = schema
-        self._closed_log = closed_log
-        self._closed_len = closed_len
-        self._open = open_map
-        self._open_extra = extra
         # Versions descending from the same original value share a lineage
-        # token; within a lineage the closed log only ever grows, so index
-        # maintenance can diff two versions structurally.
+        # token and both logs; a version sees a prefix of each.
+        self._closed_log = closed_log
+        self._closed_len = len(closed_log)
+        self._opened_log = opened_log
+        self._opened_len = len(opened_log)
+        self._open = open_map
+        self._by_key = by_key  # built on first use, see _key_index
+        self._open_extra = extra
         self._lineage = lineage
         self._rows_cache: Optional[PyTuple[BitemporalRow, ...]] = None
         self._current_cache: Optional[HistoricalRelation] = None
@@ -120,13 +138,83 @@ class TemporalRelation:
 
     @classmethod
     def _from_parts(cls, schema: Schema, closed_log: List[BitemporalRow],
-                    closed_len: int, open_map: Dict[_OpenKey, BitemporalRow],
+                    opened_log: List[BitemporalRow],
+                    open_map: Dict[_OpenKey, BitemporalRow],
+                    by_key: Optional[_KeyIndex],
                     lineage: object) -> "TemporalRelation":
         """Internal constructor for :meth:`TemporalDatabase._advance`."""
         value = cls.__new__(cls)
-        value._init_parts(schema, closed_log, closed_len, open_map, [],
-                          lineage)
+        value._init_parts(schema, closed_log, opened_log, open_map, by_key,
+                          [], lineage)
         return value
+
+    # -- the open partition, by key ---------------------------------------------
+
+    def _key_index(self) -> Optional[_KeyIndex]:
+        """The open rows by schema-key value; ``None`` without a key.
+
+        Built once per lineage (the first commit after a load or a
+        recovery); every later version gets its predecessor's outer dict
+        copied at C speed with only the touched keys' entries rebuilt.
+        """
+        if self._by_key is None and self._schema.key:
+            index: Dict[PyTuple[Any, ...], List[BitemporalRow]] = {}
+            for row in self._open.values():
+                index.setdefault(row.data.key(), []).append(row)
+            self._by_key = {key: tuple(rows) for key, rows in index.items()}
+        return self._by_key
+
+    def _key_index_after(self, gone: Iterable[BitemporalRow],
+                         opened: Iterable[BitemporalRow]
+                         ) -> Optional[_KeyIndex]:
+        """The successor's key index: a C-speed copy of the outer dict
+        with the entries of the keys that lost (*gone*, rows of this
+        version's open map) or gained rows rebuilt."""
+        index = self._key_index()
+        if index is None:
+            return None
+        index = dict(index)
+        for row in gone:
+            key = row.data.key()
+            rest = tuple(other for other in index[key] if other is not row)
+            if rest:
+                index[key] = rest
+            else:
+                del index[key]
+        for row in opened:
+            key = row.data.key()
+            index[key] = index.get(key, ()) + (row,)
+        return index
+
+    def _candidates(self, op: Operation) -> Collection[BitemporalRow]:
+        """The open rows *op*'s ``match`` can touch.
+
+        A match binding every key attribute (a keyed update, or the
+        full-row match TQuel's ``replace`` expands to) is answered by one
+        lookup; a key-less or partial-key match scans the open map.
+        """
+        if op.action == "insert":
+            return ()
+        index = self._key_index()
+        if index is not None:
+            match = op.arguments["match"]
+            try:
+                return index.get(
+                    tuple(match[name] for name in self._schema.key), ())
+            except (KeyError, TypeError):
+                pass  # a partial key, or a value no stored key can equal
+        return self._open.values()
+
+    def _under_keys(self, keys: Iterable[PyTuple[Any, ...]]
+                    ) -> Iterator[BitemporalRow]:
+        """The open rows whose schema-key value is one of *keys*."""
+        index = self._key_index()
+        return itertools.chain.from_iterable(
+            index.get(key, ()) for key in keys)
+
+    def open_rows(self) -> Iterator[BitemporalRow]:
+        """The rows of the current historical state (transaction end = ∞)."""
+        return itertools.chain(self._open.values(), self._open_extra)
 
     # -- accessors ------------------------------------------------------------
 
@@ -166,16 +254,18 @@ class TemporalRelation:
     def current(self) -> HistoricalRelation:
         """The most recent historical state (transaction end = ∞).
 
-        The state is exactly the open partition, so this is O(current
-        state); the result is memoized (the value is immutable, so the
-        memo is per relation version).
+        The state is exactly the open partition — duplicate-free by
+        construction, so nothing is re-hashed unless a derived value
+        repeats a row.  Memoized (the value is immutable, so the memo is
+        per relation version).  A commit never calls this.
         """
         if self._current_cache is None:
-            self._current_cache = HistoricalRelation(
-                self._schema,
-                (HistoricalRow(row.data, row.valid)
-                 for row in itertools.chain(self._open.values(),
-                                            self._open_extra)))
+            rows = (HistoricalRow(row.data, row.valid)
+                    for row in self.open_rows())
+            self._current_cache = (
+                HistoricalRelation(self._schema, rows) if self._open_extra
+                else HistoricalRelation._of_distinct(self._schema,
+                                                     tuple(rows)))
         return self._current_cache
 
     def visible_during(self, period: Period) -> "TemporalRelation":
@@ -407,9 +497,10 @@ class TemporalDatabase(Database):
             # an untouched store is the very same (immutable) value that
             # passed its checks when it was installed, and no declared
             # constraint tightens as `now` advances.
-            if name in self._schemas and relation is not self._store.get(name):
-                check_historical_constraints(relation.current(),
-                                             self._constraints[name], now)
+            installed = self._store.get(name)
+            if name in self._schemas and relation is not installed:
+                check_commit(installed, relation, self._constraints[name],
+                             now)
         self._store = staged
 
     def _create_store(self, staged: _Store, name: str, schema: Schema) -> None:
@@ -427,55 +518,51 @@ class TemporalDatabase(Database):
     @staticmethod
     def _advance(relation: TemporalRelation, op: Operation,
                  commit_time: Instant) -> TemporalRelation:
-        """Apply a valid-time operation and record the state difference.
+        """Apply a valid-time operation and record the row delta.
 
-        Incremental: the closed past is carried over by reference (shared
-        structurally with the input version), and only the open partition
-        — the current historical state — is diffed against the state the
-        operation produces.  Cost is O(current state + Δ) regardless of how
-        many rows the relation has accumulated.  Semantically identical to
-        :func:`naive_advance` (property-tested), which also handles the
-        one case the partition cannot: a derived value holding duplicate
-        open rows.
+        The operation's delta is computed over the rows its match can
+        touch only; the removed rows are closed at *commit_time* (or
+        withdrawn without trace, if this very transaction created them),
+        the added rows open at it, and both are appended to the logs the
+        next version shares with this one.  Cost is O(Δ) — the rows under
+        the touched key — plus C-speed copies of the open map and the key
+        index; a key-less or partial-key match scans the open map.
+        Semantically identical to :func:`naive_advance` (property-tested),
+        which also handles the one case the partition cannot: a derived
+        value holding duplicate open rows.
         """
         metrics = _obs.current().metrics
         if relation._open_extra:
             metrics.counter("commit.fallback_naive").inc()
             return naive_advance(relation, op, commit_time)
-        old_state = relation.current()
-        new_state = apply_historical_operation(old_state, op)
-        new_keys: Dict[_OpenKey, HistoricalRow] = {
-            (hist_row.data, hist_row.valid): hist_row
-            for hist_row in new_state.rows
-        }
-
-        closed_log = relation._closed_log
-        if len(closed_log) != relation._closed_len:
-            # A sibling version already extended the shared log (an aborted
-            # or superseded commit): diverge onto a private copy.
-            closed_log = closed_log[:relation._closed_len]
-        closed_before = len(closed_log)
-        old_open = relation._open
-        new_open: Dict[_OpenKey, BitemporalRow] = {}
-        for key, row in old_open.items():
-            if key in new_keys:
-                new_open[key] = row  # survives this transaction
-            elif row.tt.start == commit_time:
-                continue  # created and superseded within one transaction
-            else:
-                closed_log.append(BitemporalRow(
-                    row.data, row.valid, Period(row.tt.start, commit_time)))
-        opened = 0
-        for key, hist_row in new_keys.items():
-            if key not in old_open:
-                new_open[key] = BitemporalRow(hist_row.data, hist_row.valid,
-                                              Period(commit_time, POS_INF))
-                opened += 1
-        metrics.counter("commit.rows_closed").inc(
-            len(closed_log) - closed_before)
-        metrics.counter("commit.rows_opened").inc(opened)
+        candidates = relation._candidates(op)
+        removed, added = historical_delta(relation.schema, op, candidates,
+                                          relation._open)
+        metrics.counter("commit.rows_examined").inc(len(candidates))
+        if not removed and not added:
+            return relation
+        open_map = dict(relation._open)
+        gone = [open_map.pop(row) for row in removed]
+        # A row created and superseded within one transaction was never
+        # part of a committed state: withdrawn, not closed.
+        withdrawn = [row for row in gone if row.tt.start == commit_time]
+        closed = [row._replace(tt=Period(row.tt.start, commit_time))
+                  for row in gone if row.tt.start != commit_time]
+        from_now_on = Period(commit_time, POS_INF)
+        opened = [BitemporalRow(new.data, new.valid, from_now_on)
+                  for new in added]
+        open_map.update(zip(added, opened))
+        by_key = relation._key_index_after(gone, opened)
+        closed_log = extend_log(relation._closed_log, relation._closed_len,
+                                closed)
+        opened_log = extend_log(relation._opened_log, relation._opened_len,
+                                opened)
+        if withdrawn:
+            withdraw(opened_log, withdrawn, commit_time)
+        metrics.counter("commit.rows_closed").inc(len(closed))
+        metrics.counter("commit.rows_opened").inc(len(opened))
         return TemporalRelation._from_parts(relation.schema, closed_log,
-                                            len(closed_log), new_open,
+                                            opened_log, open_map, by_key,
                                             relation._lineage)
 
 

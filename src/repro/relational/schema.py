@@ -86,7 +86,7 @@ class Schema:
     valid times overlap* (a sequenced key).
     """
 
-    __slots__ = ("_attributes", "_by_name", "_key")
+    __slots__ = ("_attributes", "_by_name", "_key", "_names")
 
     def __init__(self, attributes: Iterable[Attribute],
                  key: Optional[Sequence[str]] = None) -> None:
@@ -98,6 +98,7 @@ class Schema:
             if attribute.name in self._by_name:
                 raise SchemaError(f"duplicate attribute name {attribute.name!r}")
             self._by_name[attribute.name] = attribute
+        self._names: Tuple[str, ...] = tuple(self._by_name)
         key_names = tuple(key) if key else ()
         for name in key_names:
             if name not in self._by_name:
@@ -125,7 +126,7 @@ class Schema:
     @property
     def names(self) -> Tuple[str, ...]:
         """The attribute names, in declaration order."""
-        return tuple(attribute.name for attribute in self._attributes)
+        return self._names
 
     @property
     def key(self) -> Tuple[str, ...]:

@@ -62,7 +62,7 @@ class Instant:
     are the module-level singletons :data:`NEG_INF` and :data:`POS_INF`.
     """
 
-    __slots__ = ("_kind", "_chronon", "_granularity")
+    __slots__ = ("_kind", "_chronon", "_granularity", "_hash")
 
     def __init__(self, chronon: int, granularity: Granularity = Granularity.DAY,
                  _kind: _Kind = _Kind.FINITE) -> None:
@@ -73,6 +73,7 @@ class Instant:
         self._kind = _kind
         self._chronon = chronon if _kind is _Kind.FINITE else 0
         self._granularity = granularity
+        self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -213,9 +214,12 @@ class Instant:
         return self._chronon < other._chronon
 
     def __hash__(self) -> int:
-        if self._kind is not _Kind.FINITE:
-            return hash(self._kind)
-        return hash((self._chronon, self._granularity))
+        value = self._hash
+        if value is None:
+            value = self._hash = (
+                hash((self._chronon, self._granularity))
+                if self._kind is _Kind.FINITE else hash(self._kind))
+        return value
 
     # -- arithmetic ------------------------------------------------------------
 

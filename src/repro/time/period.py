@@ -77,7 +77,7 @@ class Period:
     chronon.  Periods are immutable and hashable.
     """
 
-    __slots__ = ("_start", "_end")
+    __slots__ = ("_start", "_end", "_hash")
 
     def __init__(self, start: InstantLike, end: InstantLike,
                  granularity: Granularity = Granularity.DAY) -> None:
@@ -93,6 +93,7 @@ class Period:
             )
         self._start = start_i
         self._end = end_i
+        self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -284,7 +285,10 @@ class Period:
         return self._start == other._start and self._end == other._end
 
     def __hash__(self) -> int:
-        return hash((self._start, self._end))
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self._start, self._end))
+        return value
 
     def __lt__(self, other: "Period") -> bool:
         """Order by start, then end — the order used for coalescing."""

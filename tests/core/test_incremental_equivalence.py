@@ -1,26 +1,36 @@
-"""The incremental commit path against the naive executable specification.
+"""The delta commit path against the naive executable specification.
 
-The partitioned stores (:class:`TemporalRelation`, :class:`RollbackRelation`)
-advance commits in O(current state + Δ); :func:`naive_advance` and
+A :class:`TemporalDatabase` commit carries a row delta — computed over the
+rows the operation's match can touch, checked on the touched keys only,
+recorded on two lineage-shared logs the indexes are patched from;
+:func:`naive_advance` (plus the whole-state constraint check) and
 :func:`naive_rollback_advance` keep the original whole-relation diffs.
 These tests drive seeded random workloads through the databases and replay
-their commit logs through the naive functions, asserting the two paths
-produce identical rows, rollbacks and timeslices — including the
-created-and-superseded-within-one-transaction edge and the abort path
-(a failed commit must leave the installed values untouched even though
-staging shares the closed segment structurally).
+them through the naive functions, asserting the two paths produce
+identical rows, rollbacks, timeslices and commit verdicts — over every
+shape of match, multi-operation batches that touch a key twice, every
+kind of constraint, the created-and-superseded-within-one-transaction
+edge and the abort path (a failed commit must leave the installed value's
+view of both shared logs untouched).
 """
 
 import random
 
 import pytest
 
-from repro.core import (INTERVAL, STATES, NoFutureValidity, RollbackDatabase,
-                        RollbackRelation, TemporalDatabase, TemporalRelation,
-                        naive_advance, naive_rollback_advance)
+from repro import obs
+from repro.core import (INTERVAL, STATES, BitemporalIndex, BoundedValidity,
+                        ContiguousHistory, HistoricalDatabase,
+                        HistoricalIndex, NoFutureValidity, RollbackDatabase,
+                        RollbackIndex, RollbackRelation, TemporalDatabase,
+                        TemporalRelation, ValidityDuration, naive_advance,
+                        naive_rollback_advance)
+from repro.core.historical import (apply_historical_operation,
+                                   check_historical_constraints)
 from repro.errors import ConstraintViolation
-from repro.relational import Domain, Schema
-from repro.time import Instant, SimulatedClock
+from repro.relational import (Attribute, CheckConstraint, Constraint, Domain,
+                              NotNullConstraint, Schema, attr)
+from repro.time import Instant, Period, SimulatedClock
 from repro.txn.transaction import Operation
 
 BASE = Instant.parse("01/01/80")
@@ -162,6 +172,52 @@ class TestTemporalEquivalence:
         naive = _replay_naive(database)
         assert frozenset(database.temporal("r").rows) == frozenset(naive.rows)
 
+    @pytest.mark.parametrize("abort", ["failed commit", "rehearse"])
+    def test_aborted_commit_leaves_both_shared_logs_intact(self, abort):
+        # The opened log is shared by reference like the closed one: a
+        # batch that dies (or a rehearse) has already appended its opened
+        # rows past the installed version's length.  The next commit must
+        # diverge onto a private copy, or an index patched from the log
+        # slices would resurrect the rows of a transaction that never
+        # happened.
+        clock = SimulatedClock(BASE)
+        database = TemporalDatabase(clock=clock)
+        database.define("r", Schema.of(key=["k"], k=Domain.STRING,
+                                       v=Domain.STRING),
+                        constraints=[NoFutureValidity()])
+        database.insert("r", {"k": "k0", "v": "red"}, valid_from=BASE)
+        database.timeslice("r", BASE), database.rollback("r", BASE)  # warm
+        before = database.temporal("r")
+        logs = (list(before._closed_log), list(before._opened_log))
+        clock.set(BASE + 10)
+        doomed = [
+            Operation("replace", "r", {"match": {"k": "k0"},
+                                       "updates": {"v": "green"}}),
+            Operation("insert", "r", {"values": {"k": "ghost", "v": "blue"},
+                                      "valid_from": BASE + 5000}),
+        ]
+        if abort == "rehearse":
+            database.rehearse(doomed[:1], BASE + 10)
+        else:
+            with pytest.raises(ConstraintViolation):
+                database._manager.run(doomed)
+        assert database.temporal("r") is before
+        assert len(before._opened_log) > before._opened_len  # the hazard
+        assert (before._closed_log[:before._closed_len],
+                before._opened_log[:before._opened_len]) == logs
+        clock.set(BASE + 20)
+        database.insert("r", {"k": "k1", "v": "blue"}, valid_from=BASE)
+        after = database.temporal("r")
+        assert frozenset(after.rows) == frozenset(_replay_naive(database).rows)
+        assert (after._closed_log[:before._closed_len],
+                after._opened_log[:before._opened_len]) == logs
+        # Both indexes were patched from the slices; neither saw a ghost.
+        cache = database.index_cache
+        assert cache.misses == 2 and cache.incremental_updates == 0
+        assert database.timeslice("r", BASE) == after.timeslice(BASE)
+        assert database.rollback("r", BASE + 20) == after.rollback(BASE + 20)
+        assert cache.misses == 2 and cache.incremental_updates == 2
+
     def test_ddl_rolls_back_on_constraint_failure(self):
         # define + failing DML in one batch: the schema bookkeeping must
         # be restored wholesale (the DDL is rolled back too).
@@ -232,3 +288,372 @@ class TestRollbackEquivalence:
             as_of = record.commit_time
             assert (interval.store("r").rollback(as_of)
                     == store.rollback(as_of))
+
+
+# ---------------------------------------------------------------------------
+# Keyed relations: every shape of match, batches, every kind of constraint
+# ---------------------------------------------------------------------------
+
+DEPTS = ["cs", "ee", "me"]
+NAMES = ["ann", "bob", "cy", "di"]
+RANKS = ["assistant", "associate", "full", None]
+
+
+def _keyed_schema():
+    # A composite key, so a match can bind all of it, part of it or none;
+    # a nullable attribute, so NotNull has something to reject.
+    return Schema([Attribute("dept", Domain.STRING),
+                   Attribute("name", Domain.STRING),
+                   Attribute("rank", Domain.STRING, nullable=True),
+                   Attribute("salary", Domain.INTEGER)],
+                  key=["dept", "name"])
+
+
+class HeadcountCap(Constraint):
+    """A user-defined rule that looks across keys: at most *cap* facts.
+
+    Checked on the touched keys alone it could never fire, so the
+    database has to take the whole-state path for it.
+    """
+
+    def __init__(self, cap):
+        super().__init__(f"headcount<={cap}")
+        self.cap = cap
+
+    def check(self, relation):
+        if len(relation) > self.cap:
+            raise ConstraintViolation(f"{self.name}: {len(relation)} facts")
+
+
+#: name -> (constraints, whether the touched-keys check applies).
+CONSTRAINT_SETS = {
+    "sequenced key only": ([], True),
+    "row-local": ([NotNullConstraint(["rank"]),
+                   CheckConstraint(attr("salary") < 95, name="cap")], True),
+    "no future, bounded": ([NoFutureValidity(horizon=300),
+                            BoundedValidity(Period(BASE + 20, BASE + 900))],
+                           True),
+    "duration, contiguous on the key": (
+        [ValidityDuration(at_least=15),
+         ContiguousHistory(["name", "dept"])], True),
+    "contiguous on part of the key": ([ContiguousHistory(["dept"])], False),
+    "user-defined": ([HeadcountCap(9)], False),
+}
+
+
+def _valid_bounds(rng):
+    """valid_from/valid_to: both, either or neither (the whole timeline)."""
+    lo = rng.randrange(0, 700)
+    hi = lo + rng.randrange(5, 300)
+    shape = rng.random()
+    if shape < 0.55:
+        return {"valid_from": BASE + lo, "valid_to": BASE + hi}
+    if shape < 0.75:
+        return {"valid_from": BASE + lo}
+    if shape < 0.9:
+        return {"valid_to": BASE + hi}
+    return {}
+
+
+def _random_match(rng, open_rows, key):
+    """One of: key-bound, full-row, partial-key, non-key, absent, empty."""
+    shape = rng.random()
+    if shape < 0.35:
+        return {"dept": key[0], "name": key[1]}
+    if shape < 0.55 and open_rows:
+        return dict(rng.choice(open_rows).data)  # what TQuel's replace sends
+    if shape < 0.7:
+        return {"dept": key[0]}
+    if shape < 0.8:
+        return {"rank": rng.choice(RANKS)}
+    if shape < 0.9:
+        return {"dept": "nowhere", "name": key[1]}
+    return {}
+
+
+def _random_batch(database, rng, txn, open_rows):
+    """Buffer 1-3 operations; later ones often revisit the first one's key.
+    *open_rows* lists the current state's rows (full-row matches)."""
+    key = (rng.choice(DEPTS), rng.choice(NAMES))
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        if rng.random() < 0.4:
+            key = (rng.choice(DEPTS), rng.choice(NAMES))
+        kind = rng.random()
+        bounds = _valid_bounds(rng)
+        if kind < 0.45:
+            if "valid_from" not in bounds:  # inserts need one
+                bounds = {"valid_from": BASE + rng.randrange(0, 700)}
+            database.insert("r", {"dept": key[0], "name": key[1],
+                                  "rank": rng.choice(RANKS),
+                                  "salary": rng.randrange(50, 100)},
+                            txn=txn, **bounds)
+        elif kind < 0.65:
+            database.delete("r", _random_match(rng, open_rows(), key),
+                            txn=txn, **bounds)
+        else:
+            updates = rng.choice([{"salary": rng.randrange(50, 100)},
+                                  {"rank": rng.choice(RANKS)}])
+            database.replace("r", _random_match(rng, open_rows(), key),
+                             updates, txn=txn, **bounds)
+
+
+def _assert_partition_consistent(relation):
+    """The by-key index is exactly the open map, grouped, in its order."""
+    grouped = {}
+    for row in relation._open.values():
+        grouped.setdefault(row.data.key(), []).append(row)
+    assert relation._key_index() == {key: tuple(rows)
+                                     for key, rows in grouped.items()}
+    assert not relation._open_extra
+    # Everything open entered through the opened log, exactly once.
+    entered = relation._opened_log[:relation._opened_len]
+    assert set(relation._open.values()) <= set(entered)
+    assert len(set(entered)) == len(entered)
+
+
+def _drive_keyed(seed, constraints, steps=70, after_commit=None):
+    """Random batches against a keyed relation and, in lock step, against
+    the oracle: naive_advance per operation, then the whole-state check.
+    Every verdict and every installed state must agree."""
+    clock = SimulatedClock(BASE)
+    database = TemporalDatabase(clock=clock)
+    database.define("r", _keyed_schema(), constraints=constraints)
+    oracle = TemporalRelation(_keyed_schema())
+    rng = random.Random(seed)
+    verdicts = []
+    for step in range(steps):
+        clock.set(BASE + 100 + 3 * step)
+        installed = database.temporal("r")
+        txn = database.begin()
+        _random_batch(database, rng, txn,
+                      lambda: list(database.temporal("r").open_rows()))
+        operations = txn.operations
+        try:
+            txn.commit()
+            accepted = True
+        except ConstraintViolation:
+            accepted = False
+        commit_time = database.manager.clock.last
+        staged = oracle
+        for op in operations:
+            staged = naive_advance(staged, op, commit_time)
+        try:
+            check_historical_constraints(staged.current(), constraints,
+                                         commit_time)
+            expected = True
+        except ConstraintViolation:
+            expected = False
+        assert accepted == expected, (step, operations)
+        verdicts.append(accepted)
+        if accepted:
+            oracle = staged
+        else:
+            assert database.temporal("r") is installed
+        relation = database.temporal("r")
+        assert frozenset(relation.rows) == frozenset(oracle.rows), step
+        _assert_partition_consistent(relation)
+        if after_commit is not None:
+            after_commit(step, database)
+    return database, verdicts
+
+
+class TestKeyedEquivalence:
+    @pytest.mark.parametrize("seed", [0, 7, 1985])
+    @pytest.mark.parametrize("rules", list(CONSTRAINT_SETS))
+    def test_every_commit_matches_the_oracle(self, rules, seed):
+        constraints, _ = CONSTRAINT_SETS[rules]
+        database, verdicts = _drive_keyed(seed, constraints)
+        # The run exercised both outcomes, not just one of them.
+        assert any(verdicts) and not all(verdicts)
+        assert database.temporal("r") == _replay_naive(database)
+
+    @pytest.mark.parametrize("rules", list(CONSTRAINT_SETS))
+    def test_only_key_local_rules_skip_the_whole_state(self, rules):
+        # The touched-keys check is an optimisation the database may take
+        # only when no rule can see past the key; rows_examined tells
+        # which path ran.
+        constraints, local = CONSTRAINT_SETS[rules]
+        clock = SimulatedClock(BASE)
+        database = TemporalDatabase(clock=clock)
+        database.define("r", _keyed_schema(), constraints=constraints)
+        with database.begin() as txn:
+            for dept in DEPTS:
+                for name in NAMES[:2]:
+                    database.insert("r", {"dept": dept, "name": name,
+                                          "rank": "full", "salary": 60},
+                                    valid_from=BASE + 30,
+                                    valid_to=BASE + 400, txn=txn)
+        clock.set(BASE + 50)
+        with obs.recording() as inst:
+            database.replace("r", {"dept": "cs", "name": "ann"},
+                             {"salary": 61})
+        examined = inst.metrics.snapshot()["counters"]["commit.rows_examined"]
+        # One row under the key for the delta; then the rows the check saw.
+        assert examined == 1 + (1 if local else 6)
+
+
+class TestHistoricalDatabaseDelta:
+    """The historical kind applies the same delta to its one state."""
+
+    @pytest.mark.parametrize("seed", [2, 31])
+    def test_state_index_and_verdicts_match_the_whole_state_path(self, seed):
+        constraints = [ValidityDuration(at_least=15)]
+        clock = SimulatedClock(BASE)
+        database = HistoricalDatabase(clock=clock)
+        database.define("r", _keyed_schema(), constraints=constraints)
+        oracle = database.history("r")
+        rng = random.Random(seed)
+        verdicts = []
+        for step in range(60):
+            clock.set(BASE + 100 + 3 * step)
+            txn = database.begin()
+            _random_batch(database, rng, txn,
+                          lambda: database.history("r").rows)
+            operations = txn.operations
+            try:
+                txn.commit()
+                accepted = True
+            except ConstraintViolation:
+                accepted = False
+            staged = oracle
+            for op in operations:
+                # Unrelated to every lineage: a bare value each step.
+                staged = apply_historical_operation(
+                    type(staged)(staged.schema, staged.rows), op)
+            try:
+                check_historical_constraints(staged, constraints,
+                                             database.manager.clock.last)
+                expected = True
+            except ConstraintViolation:
+                expected = False
+            assert accepted == expected, (step, operations)
+            verdicts.append(accepted)
+            if accepted:
+                oracle = staged
+            state = database.history("r")
+            assert frozenset(state.rows) == frozenset(oracle.rows), step
+            assert len(set(state.rows)) == len(state.rows)
+            if step % 3 == 0:
+                for offset in (0, 150, 450, 900):
+                    assert (database.timeslice("r", BASE + offset)
+                            == state.timeslice(BASE + offset))
+        assert any(verdicts) and not all(verdicts)
+        cache = database.index_cache
+        assert cache.misses == 1 and cache.incremental_updates > 5
+
+
+# ---------------------------------------------------------------------------
+# Indexes patched from the log slices, refreshed only every Nth commit
+# ---------------------------------------------------------------------------
+
+PROBES = (0, 150, 450, 900)
+
+
+class TestIndexRefreshEveryNth:
+    @pytest.mark.parametrize("every", [1, 3, 17])
+    def test_patched_indexes_answer_like_rebuilt_ones(self, every):
+        refreshes = []
+
+        def compare(step, database):
+            if step % every:
+                return
+            cache = database.index_cache
+            relation = database.temporal("r")
+            patched = cache.bitemporal("r")
+            rebuilt = BitemporalIndex(relation)
+            commits = relation.commit_times()
+            for as_of in commits + [BASE, BASE + 5000]:
+                assert patched.rollback(as_of) == rebuilt.rollback(as_of)
+                assert (sorted(map(repr, patched.visible(as_of)))
+                        == sorted(map(repr, rebuilt.visible(as_of))))
+                for offset in PROBES:
+                    assert (patched.timeslice(BASE + offset, as_of)
+                            == rebuilt.timeslice(BASE + offset, as_of))
+            for first, last in ((0, 120), (130, 200), (100, 5000)):
+                period = Period(BASE + first, BASE + last)
+                assert (sorted(map(repr, patched.visible_during(period)))
+                        == sorted(map(repr, rebuilt.visible_during(period))))
+            current = cache.historical("r")
+            fresh = HistoricalIndex(relation)
+            for offset in PROBES + (1200,):
+                assert (current.timeslice(BASE + offset)
+                        == fresh.timeslice(BASE + offset)
+                        == relation.current().timeslice(BASE + offset))
+            refreshes.append(step)
+
+        database, _ = _drive_keyed(11, [], steps=86, after_commit=compare)
+        cache = database.index_cache
+        # One build per flavor; every later refresh was a patch.
+        assert cache.misses == 2
+        assert cache.incremental_updates + cache.hits == 2 * len(refreshes) - 2
+
+    @pytest.mark.parametrize("every", [1, 3, 17])
+    def test_rollback_store_index_follows_the_logs(self, every):
+        clock = SimulatedClock(BASE)
+        database = RollbackDatabase(clock=clock, representation=INTERVAL)
+        database.define("r", _schema())
+        rng = random.Random(every)
+        cache = database.index_cache
+        for step in range(60):
+            clock.set(BASE + 100 + 3 * step)
+            with database.begin() as txn:
+                for _ in range(rng.choice([1, 2, 3])):
+                    # A small pool: batches often insert and delete the
+                    # same tuple (opened and removed in one transaction).
+                    row = {"k": rng.choice(KEYS[:3]),
+                           "v": rng.choice(VALUES[:2])}
+                    if rng.random() < 0.6:
+                        database.insert("r", row, txn=txn)
+                    else:
+                        database.delete("r", {"k": row["k"]}, txn=txn)
+            if step % every:
+                continue
+            store = database.store("r")
+            patched, rebuilt = cache.rollback("r"), RollbackIndex(store)
+            for as_of in [record.commit_time for record in database.log]:
+                assert patched.rollback(as_of) == rebuilt.rollback(as_of)
+            period = Period(BASE + 110, BASE + 200)
+            assert (patched.visible_during(period)
+                    == rebuilt.visible_during(period))
+        assert cache.misses == 1
+
+
+# ---------------------------------------------------------------------------
+# The O(Δ) guard: a count, not a clock
+# ---------------------------------------------------------------------------
+
+class TestRowsExamined:
+    @staticmethod
+    def _loaded(keys):
+        clock = SimulatedClock(BASE)
+        database = TemporalDatabase(clock=clock)
+        database.define("r", Schema.of(key=["name"], name=Domain.STRING,
+                                       rank=Domain.STRING,
+                                       salary=Domain.INTEGER))
+        with database.begin() as txn:
+            for index in range(keys):
+                database.insert("r", {"name": f"n{index:04d}",
+                                      "rank": "full" if index % 8 == 0
+                                      else "associate", "salary": index},
+                                valid_from=BASE, txn=txn)
+        clock.set(BASE + 10)
+        return database
+
+    @staticmethod
+    def _examined(database, match, updates):
+        with obs.recording() as inst:
+            database.replace("r", match, updates)
+        return inst.metrics.snapshot()["counters"]["commit.rows_examined"]
+
+    def test_single_key_replace_is_independent_of_relation_size(self):
+        counts = {keys: self._examined(self._loaded(keys),
+                                       {"name": "n0007"}, {"salary": -1})
+                  for keys in (64, 2048)}
+        # The key's one row for the delta, its one successor for the check.
+        assert counts == {64: 2, 2048: 2}
+
+    @pytest.mark.parametrize("keys", [64, 2048])
+    def test_key_less_match_scans_the_open_rows(self, keys):
+        database = self._loaded(keys)
+        examined = self._examined(database, {"rank": "full"}, {"salary": -1})
+        assert examined == keys + keys // 8
