@@ -12,7 +12,7 @@ Run:  pytest benchmarks/bench_indexing.py --benchmark-only -s
 
 import time
 
-from repro.core import BitemporalIndex, TemporalDatabase
+from repro.core import TemporalDatabase, TransactionTimeIndex
 from repro.time import Instant, SimulatedClock
 from repro.workload import FacultyWorkload, apply_workload
 
@@ -39,16 +39,16 @@ def test_indexing(benchmark):
     rows = []
     for people in SIZES:
         relation = build(people)
-        index = BitemporalIndex(relation)
+        index = TransactionTimeIndex(relation)
         # Correctness before speed.
         assert index.rollback(probe) == relation.rollback(probe)
         scan_us = latency(lambda: relation.rollback(probe))
-        build_us = latency(lambda: BitemporalIndex(relation), repeats=10)
+        build_us = latency(lambda: TransactionTimeIndex(relation), repeats=10)
         stab_us = latency(lambda: index.rollback(probe))
         rows.append((people, len(relation), scan_us, stab_us, build_us))
 
     relation = build(SIZES[-1])
-    index = BitemporalIndex(relation)
+    index = TransactionTimeIndex(relation)
     benchmark(index.rollback, probe)
 
     print()

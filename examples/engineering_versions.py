@@ -17,7 +17,7 @@ Run:  python examples/engineering_versions.py
 """
 
 from repro import Domain, RollbackDatabase, Schema, SimulatedClock
-from repro.core import vacuum_rollback
+from repro.core import vacuum_store
 from repro.tquel import Session
 from repro.tquel.printer import render_rollback
 
@@ -96,7 +96,7 @@ def main():
     print()
     print("Retiring history before 06/01/80 (vacuum):")
     store = database.store("parts")
-    vacuumed = vacuum_rollback(store, "06/01/80")
+    vacuumed = vacuum_store(store, "06/01/80")
     print(f"  rows before: {len(store)}, after: {len(vacuumed)}")
     print(f"  rollback to 09/14/80 unchanged: "
           f"{vacuumed.rollback('09/14/80') == store.rollback('09/14/80')}")

@@ -1,17 +1,28 @@
 """The paper's contribution: three kinds of time, four kinds of database.
 
-This package implements Section 4 of *A Taxonomy of Time in Databases*:
+This package implements Section 4 of *A Taxonomy of Time in Databases*.
+Figure 10's 2×2 is two orthogonal capabilities, and each is written
+once — the four kinds are their compositions:
 
 - :mod:`~repro.core.taxonomy` — the classification itself (Figures 1 and
   10–13 as executable data);
-- :mod:`~repro.core.static` — static databases (§4.1);
-- :mod:`~repro.core.rollback` — static rollback databases with both the
-  state-cube and interval-stamped representations (§4.2, Figures 3–4);
-- :mod:`~repro.core.historical` — historical databases and the
-  :class:`~repro.core.historical.HistoricalRelation` value type (§4.3,
-  Figures 5–6);
-- :mod:`~repro.core.temporal` — temporal (bitemporal) databases as
-  sequences of historical states (§4.4, Figures 7–8);
+- :mod:`~repro.core.static` — the static update API
+  (:class:`~repro.core.static.StaticStateDatabase`, ``static_delta``) and
+  static databases (§4.1);
+- :mod:`~repro.core.historical` — the valid-time update API
+  (:class:`~repro.core.historical.ValidTimeDatabase`,
+  ``historical_delta``), the
+  :class:`~repro.core.historical.HistoricalRelation` value type and
+  historical databases (§4.3, Figures 5–6);
+- :mod:`~repro.core.transaction_time` — transaction time: the
+  :class:`~repro.core.transaction_time.TransactionTimeStore` partition,
+  its O(Δ) ``advance`` and the ``naive_advance`` oracle;
+- :mod:`~repro.core.rollback` — static rollback databases = static +
+  transaction time, with both the state-cube and interval-stamped
+  representations (§4.2, Figures 3–4);
+- :mod:`~repro.core.temporal` — temporal (bitemporal) databases =
+  historical + transaction time: sequences of historical states (§4.4,
+  Figures 7–8);
 - :mod:`~repro.core.operations` — temporal joins, snapshot equivalence,
   representation equivalence;
 - :mod:`~repro.core.vacuum` — the controlled forget-the-past extension.
@@ -29,25 +40,25 @@ from repro.core.taxonomy import (
     render_figure_13,
 )
 from repro.core.base import Database
-from repro.core.static import StaticDatabase
+from repro.core.static import StaticDatabase, apply_static_operation
+from repro.core.transaction_time import TransactionTimeStore, naive_advance
 from repro.core.rollback import (
     INTERVAL, STATES, RollbackDatabase, RollbackRelation, StateSequence,
-    TransactionTimeRow, naive_rollback_advance,
+    TransactionTimeRow,
 )
 from repro.core.historical import (
     HistoricalDatabase, HistoricalRelation, HistoricalRow,
     apply_historical_operation,
 )
 from repro.core.temporal import (BitemporalRow, TemporalDatabase,
-                                 TemporalRelation, naive_advance)
+                                 TemporalRelation)
 from repro.core.operations import (
     changed_instants, diff_states, history_series, rollback_equivalent,
     snapshot_equivalent, temporal_timeslice_matrix, when_join,
 )
-from repro.core.vacuum import vacuum_rollback, vacuum_states, vacuum_temporal
+from repro.core.vacuum import vacuum_states, vacuum_store
 from repro.core.indexing import (
-    BitemporalIndex, DatabaseIndexCache, HistoricalIndex, IntervalTree,
-    RollbackIndex,
+    DatabaseIndexCache, HistoricalIndex, IntervalTree, TransactionTimeIndex,
 )
 from repro.core.migrate import migrate
 from repro.core.temporal_constraints import (
@@ -56,7 +67,6 @@ from repro.core.temporal_constraints import (
 )
 
 __all__ = [
-    "BitemporalIndex",
     "BitemporalRow",
     "BoundedValidity",
     "ContiguousHistory",
@@ -67,7 +77,7 @@ __all__ = [
     "DatabaseIndexCache",
     "HistoricalIndex",
     "IntervalTree",
-    "RollbackIndex",
+    "TransactionTimeIndex",
     "DatabaseKind",
     "FIGURE_1",
     "FIGURE_13",
@@ -87,14 +97,15 @@ __all__ = [
     "TemporalRelation",
     "TimeKind",
     "TransactionTimeRow",
+    "TransactionTimeStore",
     "apply_historical_operation",
+    "apply_static_operation",
     "changed_instants",
     "classify",
     "diff_states",
     "history_series",
     "migrate",
     "naive_advance",
-    "naive_rollback_advance",
     "render_figure_1",
     "render_figure_10",
     "render_figure_11",
@@ -103,8 +114,7 @@ __all__ = [
     "rollback_equivalent",
     "snapshot_equivalent",
     "temporal_timeslice_matrix",
-    "vacuum_rollback",
     "vacuum_states",
-    "vacuum_temporal",
+    "vacuum_store",
     "when_join",
 ]

@@ -29,8 +29,8 @@ system-assigned commit time.
 from __future__ import annotations
 
 import abc
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple as PyTuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple as PyTuple, Union)
 
 from repro.core.taxonomy import DatabaseKind
 from repro.errors import (DuplicateRelationError, HistoricalNotSupportedError,
@@ -44,7 +44,7 @@ from repro.time.clock import Clock
 from repro.time.instant import Instant
 from repro.txn.log import CommitLog
 from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Operation, Transaction
+from repro.txn.transaction import Operation, OperationRecorder, Transaction
 
 InstantLike = Union[Instant, str, int]
 
@@ -60,6 +60,9 @@ class Database(abc.ABC):
         self._schemas: Dict[str, Schema] = {}
         self._constraints: Dict[str, List[Constraint]] = {}
         self._event_relations: set = set()
+        #: name -> the value the kind keeps of the relation (immutable;
+        #: a commit installs fresh values, never edits one in place).
+        self._store: Dict[str, Any] = {}
         self._manager = TransactionManager(self._apply, clock)
         # Per-relation version counters: bumped once per committed batch
         # that touches the relation (DML, define, drop).  Monotone across
@@ -199,6 +202,12 @@ class Database(abc.ABC):
         self._require_defined(name)
         return tuple(self._constraints[name])
 
+    def store(self, name: str) -> Any:
+        """The stored value of a relation, in the kind's own representation
+        (for display, benches and the acceleration caches)."""
+        self._require_defined(name)
+        return self._store[name]
+
     def __contains__(self, name: object) -> bool:
         return name in self._schemas
 
@@ -255,6 +264,29 @@ class Database(abc.ABC):
         """Start a multi-operation transaction (single-writer: one at a
         time; for many concurrent callers use :meth:`sessions`)."""
         return self._manager.begin()
+
+    def commit_unit(self, expand: Callable[[OperationRecorder], None]
+                    ) -> Optional[Instant]:
+        """Run *expand* and commit what it recorded, as one atomic unit.
+
+        *expand* matches rows against the committed state and records
+        the operations a statement expands to (pass the recorder as the
+        DML methods' ``txn=``).  It runs under the store's serialization
+        lock, and the batch commits through the manager-shaped ``run``
+        seam while that lock is still held (reentrantly): no concurrent
+        writer can change a matched row between match and apply — a
+        full-row match that then matched nothing would be a silently
+        dropped write — and two writers serialize instead of tripping
+        the single-writer ``begin()`` rule with a non-retryable error.
+        """
+        manager = self.manager
+
+        def unit() -> Optional[Instant]:
+            batch = OperationRecorder()
+            expand(batch)
+            return manager.run(batch.ops)
+
+        return manager.certify(unit)
 
     def sessions(self, retry: Optional[Any] = None,
                  admission: Optional[Any] = None, **kwargs: Any):
@@ -476,26 +508,51 @@ class Database(abc.ABC):
         """
         return _obs.stats()
 
-    # -- kind-specific hooks ------------------------------------------------------------------------
+    # -- staging, and the kind-specific hooks -------------------------------------------------------
 
-    @abc.abstractmethod
-    def _stage(self) -> Any:
+    def _stage(self) -> Dict[str, Any]:
         """A mutable working copy of the stores for one commit."""
+        return dict(self._store)
+
+    @staticmethod
+    def _staged_store(staged: Dict[str, Any], name: str) -> Any:
+        """The working value of *name* (a batch may have dropped it)."""
+        try:
+            return staged[name]
+        except KeyError:
+            raise UnknownRelationError(f"no relation {name!r}") from None
+
+    def _install(self, staged: Dict[str, Any]) -> None:
+        """Make the staged stores current (the commit point).
+
+        Only the relations this batch replaced are checked: an untouched
+        store is the very same (immutable) value that passed its checks
+        when it was installed, and no declared constraint tightens as
+        ``now`` advances.
+        """
+        for name, store in staged.items():
+            installed = self._store.get(name)
+            if name in self._schemas and store is not installed:
+                self._check_store(name, installed, store)
+        self._store = staged
+
+    def _drop_store(self, staged: Dict[str, Any], name: str) -> None:
+        """Remove the store of a dropped relation."""
+        staged.pop(name, None)
 
     @abc.abstractmethod
-    def _install(self, staged: Any) -> None:
-        """Make the staged stores current (the commit point)."""
-
-    @abc.abstractmethod
-    def _create_store(self, staged: Any, name: str, schema: Schema) -> None:
+    def _create_store(self, staged: Dict[str, Any], name: str,
+                      schema: Schema) -> None:
         """Create an empty store for a newly defined relation."""
 
     @abc.abstractmethod
-    def _drop_store(self, staged: Any, name: str) -> None:
-        """Remove the store of a dropped relation."""
+    def _check_store(self, name: str, installed: Any, staged: Any) -> None:
+        """Enforce the relation's constraints on the value a commit is
+        about to install (*installed* is the one it replaces, ``None``
+        for a new relation)."""
 
     @abc.abstractmethod
-    def _apply_dml(self, staged: Any, op: Operation,
+    def _apply_dml(self, staged: Dict[str, Any], op: Operation,
                    commit_time: Instant) -> None:
         """Apply one DML operation to the staged stores."""
 

@@ -35,6 +35,7 @@ kernel has both shapes and the tests exercise both.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 try:  # optional accelerator; the GitHub CI image has no numpy
@@ -43,8 +44,8 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
     _np = None
 
 from repro.core.historical import HistoricalRelation
-from repro.core.rollback import RollbackRelation
 from repro.core.temporal import TemporalRelation
+from repro.core.transaction_time import TransactionTimeStore
 from repro.obs import runtime as _obs
 from repro.relational.expression import _COMPARATORS
 from repro.errors import ExpressionError
@@ -70,6 +71,11 @@ def _lo(period: Period) -> float:
 def _hi(period: Period) -> float:
     """Exclusive upper bound as a number."""
     return period.end.chronon if period.end.is_finite else _POS
+
+
+#: Row → period accessors for packing the two axes.
+_VALID = operator.attrgetter("valid")
+_TT = operator.attrgetter("tt")
 
 
 def _point(when: Instant) -> float:
@@ -270,29 +276,22 @@ class ColumnarChunk:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_temporal(cls, relation: TemporalRelation) -> "ColumnarChunk":
+    def from_store(cls, relation: TransactionTimeStore) -> "ColumnarChunk":
+        """A chunk over a transaction-time store; the valid axis is
+        packed when its rows carry one (a temporal relation)."""
         rows = relation.rows
         closed = 0 if relation._open_extra else relation._closed_len
-        return cls(relation.schema, rows, closed,
-                   _Axis.pack(rows, lambda r: r.valid),
-                   _Axis.pack(rows, lambda r: r.tt),
-                   lineage=None if relation._open_extra
-                   else relation._lineage)
-
-    @classmethod
-    def from_rollback(cls, relation: RollbackRelation) -> "ColumnarChunk":
-        rows = relation.rows
-        closed = 0 if relation._open_extra else relation._closed_len
-        return cls(relation.schema, rows, closed,
-                   None, _Axis.pack(rows, lambda r: r.tt),
+        valid = (_Axis.pack(rows, _VALID)
+                 if isinstance(relation, TemporalRelation) else None)
+        return cls(relation.schema, rows, closed, valid,
+                   _Axis.pack(rows, _TT),
                    lineage=None if relation._open_extra
                    else relation._lineage)
 
     @classmethod
     def from_historical(cls, relation: HistoricalRelation) -> "ColumnarChunk":
         rows = relation.rows
-        return cls(relation.schema, rows, 0,
-                   _Axis.pack(rows, lambda r: r.valid), None)
+        return cls(relation.schema, rows, 0, _Axis.pack(rows, _VALID), None)
 
     # -- masks -----------------------------------------------------------------
 
@@ -477,17 +476,11 @@ class ColumnarChunk:
 
     # -- extension -------------------------------------------------------------
 
-    def extended_temporal(self, relation: TemporalRelation
-                          ) -> Optional["ColumnarChunk"]:
-        """A chunk over a newer version, reusing the closed-prefix columns."""
-        return self._extended(relation, lambda r: r.valid, lambda r: r.tt)
-
-    def extended_rollback(self, relation: RollbackRelation
-                          ) -> Optional["ColumnarChunk"]:
-        """A chunk over a newer version, reusing the closed-prefix columns."""
-        return self._extended(relation, None, lambda r: r.tt)
-
-    def _extended(self, relation, valid_of, tt_of) -> Optional["ColumnarChunk"]:
+    def extended(self, relation: TransactionTimeStore
+                 ) -> Optional["ColumnarChunk"]:
+        """A chunk over a newer version of the store this one was built
+        from, reusing the closed-prefix columns; ``None`` when the values
+        are unrelated."""
         if (self._lineage is None
                 or relation._lineage is not self._lineage
                 or relation._open_extra
@@ -498,10 +491,9 @@ class ColumnarChunk:
         open_rows = tuple(relation._open.values())
         appended = new_closed + open_rows
         rows = self.rows[:self.closed_len] + appended
-        valid = None if valid_of is None else \
-            self.valid.extended(appended, valid_of, self.closed_len)
-        tt = None if tt_of is None else \
-            self.tt.extended(appended, tt_of, self.closed_len)
+        valid = None if self.valid is None else \
+            self.valid.extended(appended, _VALID, self.closed_len)
+        tt = self.tt.extended(appended, _TT, self.closed_len)
         return ColumnarChunk(relation.schema, rows, relation._closed_len,
                              valid, tt, lineage=relation._lineage)
 
@@ -537,24 +529,13 @@ class ColumnarCache:
 
     def _source(self, name: str):
         """(relation value, builder, extender) for *name*, or ``None``."""
-        db = self._db
-        getter = getattr(db, "temporal", None)
-        if getter is not None:
-            relation = getter(name)
-            return (relation, ColumnarChunk.from_temporal,
-                    lambda chunk: chunk.extended_temporal(relation))
-        getter = getattr(db, "store", None)
-        if getter is not None:
-            relation = getter(name)
-            if not isinstance(relation, RollbackRelation):
-                return None  # the duplicating StateSequence cube
-            return (relation, ColumnarChunk.from_rollback,
-                    lambda chunk: chunk.extended_rollback(relation))
-        getter = getattr(db, "history", None)
-        if getter is not None:
-            relation = getter(name)
+        relation = self._db.store(name)
+        if isinstance(relation, TransactionTimeStore):
+            return (relation, ColumnarChunk.from_store,
+                    lambda chunk: chunk.extended(relation))
+        if isinstance(relation, HistoricalRelation):
             return (relation, ColumnarChunk.from_historical, lambda chunk: None)
-        return None
+        return None  # a static relation, or the duplicating StateSequence cube
 
     def ready(self, name: str) -> bool:
         """True when a chunk for the *current* version is already built.

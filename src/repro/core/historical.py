@@ -36,7 +36,7 @@ from typing import (Any, Callable, Container, Dict, Iterable,
 from repro.core.base import Database, InstantLike
 from repro.core.lineage import extend_log, version_delta
 from repro.core.taxonomy import DatabaseKind
-from repro.errors import ConstraintViolation, JournalError, UnknownRelationError
+from repro.errors import ConstraintViolation, JournalError
 from repro.obs import runtime as _obs
 from repro.relational.constraints import (CheckConstraint, Constraint,
                                           KeyConstraint, NotNullConstraint,
@@ -313,10 +313,6 @@ def _period_from_args(arguments: Mapping[str, Any]) -> Period:
     )
 
 
-def _matches(row: Tuple, match: Mapping[str, Any]) -> bool:
-    return all(row[attribute] == value for attribute, value in match.items())
-
-
 def historical_delta(schema: Schema, op: Operation,
                      candidates: Iterable[Any],
                      present: Container[HistoricalRow],
@@ -347,7 +343,7 @@ def historical_delta(schema: Schema, op: Operation,
     removed: List[HistoricalRow] = []
     produced: Dict[HistoricalRow, None] = {}
     for row in candidates:
-        if not _matches(row.data, match):
+        if not Database._matches(row.data, match):
             continue
         common = row.valid.intersect(period)
         if common is None:
@@ -493,22 +489,16 @@ def check_commit(installed: Any, staged: Any,
 
 
 # ---------------------------------------------------------------------------
-# The database kind
+# The valid-time update API, and the database kind
 # ---------------------------------------------------------------------------
 
-_Store = Dict[str, HistoricalRelation]
+class ValidTimeDatabase(Database):
+    """The update API of the kinds with valid time (Figure 10, right).
 
-
-class HistoricalDatabase(Database):
-    """The historical database: valid time, arbitrary modification, no rollback."""
-
-    kind = DatabaseKind.HISTORICAL
-
-    def __init__(self, clock=None, index: bool = True) -> None:
-        super().__init__(clock, index=index)
-        self._store: _Store = {}
-
-    # -- DML API -------------------------------------------------------------------------
+    Facts are recorded, removed and changed *within a valid period*
+    (:func:`historical_delta`); whether the beliefs an update supersedes
+    survive (on the transaction-time axis) is the concrete kind's store.
+    """
 
     def insert(self, name: str, values: Mapping[str, Any],
                valid_from: Optional[InstantLike] = None,
@@ -533,9 +523,10 @@ class HistoricalDatabase(Database):
                txn: Optional[Transaction] = None) -> Optional[Instant]:
         """Remove matching facts' validity within the given period.
 
-        With no period, the facts are removed entirely — including from the
-        past, since "errors ... are corrected by modifying the database"
-        and no record of the correction is kept.
+        With no period, the facts are removed entirely — including from
+        the past.  A historical database keeps no record of the
+        correction; a temporal one keeps the previous belief on the
+        transaction-time axis ("errors ... cannot be forgotten").
         """
         arguments = self._valid_args(name, valid_from, valid_to, valid_at,
                                      for_insert=False)
@@ -569,7 +560,7 @@ class HistoricalDatabase(Database):
             )
         if for_insert and valid_from is None:
             raise ConstraintViolation(
-                "inserting into a historical relation requires valid_from "
+                f"inserting into a {self.kind} relation requires valid_from "
                 "(the instant the fact began to hold)"
             )
         arguments: Dict[str, Any] = {}
@@ -579,12 +570,25 @@ class HistoricalDatabase(Database):
             arguments["valid_to"] = _coerce(valid_to)
         return arguments
 
+    def _check_store(self, name: str, installed: Any, staged: Any) -> None:
+        # The commit being applied has already ticked the clock, so the
+        # manager's last reading is this transaction's commit instant.
+        # The schema key is enforced as a sequenced key inside
+        # check_historical_constraints (via the relation's schema.key).
+        check_commit(installed, staged, self._constraints[name],
+                     self._manager.clock.last)
+
+
+class HistoricalDatabase(ValidTimeDatabase):
+    """The historical database: valid time, arbitrary modification, no rollback."""
+
+    kind = DatabaseKind.HISTORICAL
+
     # -- queries --------------------------------------------------------------------------
 
     def history(self, name: str) -> HistoricalRelation:
         """The single historical state of the relation."""
-        self._require_defined(name)
-        return self._store[name]
+        return self.store(name)
 
     def snapshot(self, name: str) -> Relation:
         """The facts valid *now* (the historical DB always views 'as of now')."""
@@ -601,33 +605,11 @@ class HistoricalDatabase(Database):
 
     # -- applier hooks ----------------------------------------------------------------------
 
-    def _stage(self) -> _Store:
-        return dict(self._store)
-
-    def _install(self, staged: _Store) -> None:
-        # The commit being applied has already ticked the clock, so the
-        # manager's last reading is this transaction's commit instant.
-        now = self._manager.clock.last
-        for name, relation in staged.items():
-            # Only relations this batch replaced are re-checked: an
-            # untouched store is the same immutable value that already
-            # passed, and no declared constraint tightens as now advances.
-            installed = self._store.get(name)
-            if name in self._schemas and relation is not installed:
-                # The schema key is enforced as a sequenced key inside
-                # check_historical_constraints (via relation.schema.key).
-                check_commit(installed, relation, self._constraints[name],
-                             now)
-        self._store = staged
-
-    def _create_store(self, staged: _Store, name: str, schema: Schema) -> None:
+    def _create_store(self, staged: Dict[str, HistoricalRelation], name: str,
+                      schema: Schema) -> None:
         staged[name] = HistoricalRelation(schema)
 
-    def _drop_store(self, staged: _Store, name: str) -> None:
-        staged.pop(name, None)
-
-    def _apply_dml(self, staged: _Store, op: Operation,
+    def _apply_dml(self, staged: Dict[str, HistoricalRelation], op: Operation,
                    commit_time: Instant) -> None:
-        if op.relation not in staged:
-            raise UnknownRelationError(f"no relation {op.relation!r}")
-        staged[op.relation] = apply_historical_operation(staged[op.relation], op)
+        staged[op.relation] = apply_historical_operation(
+            self._staged_store(staged, op.relation), op)

@@ -12,11 +12,11 @@ module provides:
   threshold-triggered rebuilds;
 - :class:`HistoricalIndex` — a timeslice accelerator for one
   :class:`~repro.core.historical.HistoricalRelation`;
-- :class:`RollbackIndex` — a rollback accelerator for one
-  :class:`~repro.core.rollback.RollbackRelation`;
-- :class:`BitemporalIndex` — both axes for one
-  :class:`~repro.core.temporal.TemporalRelation`: a transaction-time tree
-  into per-state valid-time slices.
+- :class:`TransactionTimeIndex` — a rollback accelerator for one
+  :class:`~repro.core.transaction_time.TransactionTimeStore` (a
+  :class:`~repro.core.rollback.RollbackRelation` or a
+  :class:`~repro.core.temporal.TemporalRelation`): a transaction-time
+  tree, and for the latter per-state valid-time slices under it.
 
 Indexes are built over the *immutable* relation values, so a wrapper can
 never silently go stale: the database kinds hand out fresh values per
@@ -36,10 +36,10 @@ import math
 from typing import (Any, Dict, Generic, Iterable, List, Optional, Sequence,
                     Tuple as PyTuple, TypeVar, Union)
 
-from repro.core.historical import HistoricalRelation, HistoricalRow
+from repro.core.historical import HistoricalRelation
 from repro.core.lineage import version_delta
-from repro.core.rollback import RollbackRelation, TransactionTimeRow
-from repro.core.temporal import BitemporalRow, TemporalRelation
+from repro.core.temporal import TemporalRelation
+from repro.core.transaction_time import TransactionTimeStore
 from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.time.chronon import require_same_granularity
@@ -354,8 +354,8 @@ class IntervalTree(Generic[Payload]):
 
 
 def _partition_delta(old, new):
-    """``(removed, added)`` rows between two versions of one partitioned
-    store (:class:`TemporalRelation` or :class:`RollbackRelation`).
+    """``(removed, added)`` rows between two versions of one
+    :class:`~repro.core.transaction_time.TransactionTimeStore`.
 
     Read off the lineage's two log slices, O(Δ) with no look at either
     state: every row closed in between is added, and its open form is
@@ -403,6 +403,11 @@ class HistoricalIndex:
         """The indexed (immutable) relation value."""
         return self._relation
 
+    @property
+    def size(self) -> int:
+        """The number of live indexed intervals."""
+        return self._tree.size
+
     def timeslice(self, valid_at) -> Relation:
         """Same result as ``relation.timeslice``, via the interval tree."""
         return Relation(self._relation.schema, self._tree.stab(valid_at))
@@ -439,88 +444,49 @@ class HistoricalIndex:
         return fresh
 
 
-class RollbackIndex:
-    """Rollback acceleration for one interval-stamped rollback store."""
+class TransactionTimeIndex:
+    """Rollback acceleration for one transaction-time store.
 
-    def __init__(self, relation: RollbackRelation) -> None:
-        self._relation = relation
-        self._tree: IntervalTree = IntervalTree(
-            (row.tt, row.data) for row in relation.rows)
-
-    @property
-    def relation(self) -> RollbackRelation:
-        """The indexed (immutable) store value."""
-        return self._relation
-
-    def rollback(self, as_of) -> Relation:
-        """Same result as ``relation.rollback``, via the interval tree."""
-        return Relation(self._relation.schema, self._tree.stab(as_of))
-
-    def visible_during(self, period: Period) -> Relation:
-        """Same result as ``relation.visible_during``, via the tree."""
-        return Relation(self._relation.schema, self._tree.overlapping(period))
-
-    def update(self, new_relation: RollbackRelation
-               ) -> Optional["RollbackIndex"]:
-        """A fresh index over *new_relation*, patching this index's tree.
-
-        Uses the structural partition delta — O(Δ log n) amortized per
-        commit, independent of history size.  ``None`` when the two
-        values do not share a storage lineage.
-        """
-        delta = _partition_delta(self._relation, new_relation)
-        if delta is None:
-            return None
-        removed, added = delta
-        tree = self._tree
-        for row in removed:
-            if not tree.discard(row.tt, row.data):
-                return None
-        for row in added:
-            tree.insert(row.tt, row.data)
-        fresh = RollbackIndex.__new__(RollbackIndex)
-        fresh._relation = new_relation
-        fresh._tree = tree
-        return fresh
-
-
-class BitemporalIndex:
-    """Both axes of one temporal relation value.
-
-    A transaction-time tree finds the rows visible as of ``t``; a
-    valid-time tree over *those* rows answers the timeslice.  The
-    valid-time trees are memoized per distinct rollback instant actually
-    queried, which matches the access pattern of audit workloads (few
-    distinct as-of instants, many valid-time probes each).
+    A transaction-time tree finds the rows visible as of ``t``; the store
+    says what state they amount to (a static relation for a rollback
+    store, a historical one for a temporal relation).  For the latter a
+    valid-time tree over *those* rows answers the bitemporal timeslice;
+    these are memoized per distinct rollback instant actually queried,
+    which matches the access pattern of audit workloads (few distinct
+    as-of instants, many valid-time probes each).
     """
 
-    def __init__(self, relation: TemporalRelation) -> None:
+    def __init__(self, relation: TransactionTimeStore) -> None:
         self._relation = relation
-        self._tt_tree: IntervalTree = IntervalTree(
+        self._tree: IntervalTree = IntervalTree(
             (row.tt, row) for row in relation.rows)
         self._state_indexes: Dict[Instant, HistoricalIndex] = {}
 
     @property
-    def relation(self) -> TemporalRelation:
-        """The indexed (immutable) relation value."""
+    def relation(self) -> TransactionTimeStore:
+        """The indexed (immutable) store value."""
         return self._relation
 
-    def visible(self, as_of) -> List[BitemporalRow]:
-        """The bitemporal rows whose transaction time contains *as_of*."""
-        return self._tt_tree.stab(as_of)
+    @property
+    def size(self) -> int:
+        """The number of live indexed intervals."""
+        return self._tree.size
 
-    def visible_during(self, period: Period) -> List[BitemporalRow]:
-        """The bitemporal rows whose transaction time overlaps *period*."""
-        return self._tt_tree.overlapping(period)
+    def visible(self, as_of) -> List[Any]:
+        """The stored rows whose transaction time contains *as_of*."""
+        return self._tree.stab(as_of)
 
-    def rollback(self, as_of) -> HistoricalRelation:
-        """Same result as ``relation.rollback``, via the tt tree."""
-        rows = [HistoricalRow(row.data, row.valid)
-                for row in self._tt_tree.stab(as_of)]
-        return HistoricalRelation(self._relation.schema, rows)
+    def rollback(self, as_of):
+        """Same result as ``relation.rollback``, via the tree."""
+        return self._relation.state_of(self._tree.stab(as_of))
+
+    def visible_during(self, period: Period):
+        """Same result as ``relation.visible_during``, via the tree."""
+        return self._relation.range_of(self._tree.overlapping(period))
 
     def timeslice(self, valid_at, as_of) -> Relation:
-        """Same result as ``relation.timeslice(valid_at, as_of)``."""
+        """Same result as ``relation.timeslice(valid_at, as_of)`` (stores
+        with valid time only)."""
         when = _coerce(as_of)
         index = self._state_indexes.get(when)
         if index is None:
@@ -528,12 +494,12 @@ class BitemporalIndex:
             self._state_indexes[when] = index
         return index.timeslice(valid_at)
 
-    def update(self, new_relation: TemporalRelation
-               ) -> Optional["BitemporalIndex"]:
+    def update(self, new_relation: TransactionTimeStore
+               ) -> Optional["TransactionTimeIndex"]:
         """A fresh index over *new_relation*, patching this index's tree.
 
         Uses the structural partition delta — O(Δ log n) amortized per
-        commit, independent of how many rows the relation has accumulated.
+        commit, independent of how many rows the store has accumulated.
         ``None`` when the two values do not share a storage lineage (the
         caller rebuilds from scratch).
         """
@@ -541,15 +507,15 @@ class BitemporalIndex:
         if delta is None:
             return None
         removed, added = delta
-        tree = self._tt_tree
+        tree = self._tree
         for row in removed:
             if not tree.discard(row.tt, row):
                 return None
         for row in added:
             tree.insert(row.tt, row)
-        fresh = BitemporalIndex.__new__(BitemporalIndex)
+        fresh = TransactionTimeIndex.__new__(TransactionTimeIndex)
         fresh._relation = new_relation
-        fresh._tt_tree = tree
+        fresh._tree = tree
         # Per-as-of valid-time slices are rebuilt lazily on demand; the
         # memo keys (instants) would survive, but dropping them keeps the
         # wrapper's lifetime bounded by what is actually queried.
@@ -583,14 +549,10 @@ class DatabaseIndexCache:
         self.misses = 0
         self.incremental_updates = 0
 
-    @staticmethod
-    def _tree_size(index) -> int:
-        tree = getattr(index, "_tree", None)
-        if tree is None:
-            tree = getattr(index, "_tt_tree", None)
-        return tree.size if tree is not None else 0
-
-    def _get(self, name: str, flavor: str, builder, updater):
+    def _get(self, name: str, flavor: str, index_type, source):
+        """The *flavor* index over ``source(name)``, current as of the
+        relation's version: served, patched from the previous version's,
+        or built."""
         metrics = _obs.current().metrics
         version = self._db.relation_version(name)
         slot = self._slots.get((name, flavor))
@@ -600,20 +562,19 @@ class DatabaseIndexCache:
                 self.hits += 1
                 metrics.counter("index.cache.hits").inc()
                 return index
-            fresh = updater(index)
+            fresh = index.update(source(name))
             if fresh is not None:
                 self.incremental_updates += 1
                 self._slots[(name, flavor)] = (version, fresh)
                 metrics.counter("index.cache.patches").inc()
                 metrics.gauge(f"index.tree.size.{name}.{flavor}").set(
-                    self._tree_size(fresh))
+                    fresh.size)
                 return fresh
         self.misses += 1
         metrics.counter("index.cache.misses").inc()
-        index = builder()
+        index = index_type(source(name))
         self._slots[(name, flavor)] = (version, index)
-        metrics.gauge(f"index.tree.size.{name}.{flavor}").set(
-            self._tree_size(index))
+        metrics.gauge(f"index.tree.size.{name}.{flavor}").set(index.size)
         return index
 
     def historical(self, name: str) -> HistoricalIndex:
@@ -622,23 +583,14 @@ class DatabaseIndexCache:
         A temporal database's history is the open partition of its
         bitemporal relation, indexed in place.
         """
-        state = (self._db.temporal if self._db.supports_rollback
-                 else self._db.history)
-        return self._get(
-            name, "historical",
-            lambda: HistoricalIndex(state(name)),
-            lambda stale: stale.update(state(name)))
+        return self._get(name, "historical", HistoricalIndex, self._db.store)
 
-    def rollback(self, name: str) -> RollbackIndex:
-        """A current RollbackIndex over the interval store of *name*."""
-        return self._get(
-            name, "rollback",
-            lambda: RollbackIndex(self._db.store(name)),
-            lambda stale: stale.update(self._db.store(name)))
+    def rollback(self, name: str) -> TransactionTimeIndex:
+        """A current index over the interval store of *name*."""
+        return self._get(name, "rollback", TransactionTimeIndex,
+                         self._db.store)
 
-    def bitemporal(self, name: str) -> BitemporalIndex:
-        """A current BitemporalIndex over ``database.temporal(name)``."""
-        return self._get(
-            name, "bitemporal",
-            lambda: BitemporalIndex(self._db.temporal(name)),
-            lambda stale: stale.update(self._db.temporal(name)))
+    def bitemporal(self, name: str) -> TransactionTimeIndex:
+        """A current index over ``database.temporal(name)``."""
+        return self._get(name, "bitemporal", TransactionTimeIndex,
+                         self._db.store)

@@ -11,9 +11,9 @@ between any two versions of a lineage is two list slices
 patches consume those slices; nothing diffs two states.
 
 The values that speak this protocol (``_lineage``, ``_closed_log`` /
-``_closed_len``, ``_opened_log`` / ``_opened_len``) are
-:class:`~repro.core.temporal.TemporalRelation`,
-:class:`~repro.core.rollback.RollbackRelation` and the
+``_closed_len``, ``_opened_log`` / ``_opened_len``) are the
+:class:`~repro.core.transaction_time.TransactionTimeStore` (both its
+element types) and the
 :class:`~repro.core.historical.HistoricalRelation` versions a historical
 database stores.  A value built from bare rows has a lineage of its own
 (or ``None``) and is related to nothing.

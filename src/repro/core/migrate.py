@@ -159,11 +159,8 @@ def _replay_rollback_history(source: RollbackDatabase,
         if isinstance(store, StateSequence):
             pairs = list(store.states)
         else:
-            times = sorted({bound
-                            for row in store.rows
-                            for bound in (row.tt.start, row.tt.end)
-                            if bound.is_finite})
-            pairs = [(when, store.rollback(when)) for when in times]
+            pairs = [(when, store.rollback(when))
+                     for when in store.commit_times()]
         for when, state in pairs:
             events.append((when, "state", name, state))
     events.sort(key=lambda event: (event[0], event[1] != "define"))

@@ -20,10 +20,8 @@ After ``vacuum(relation, cutoff)``:
 
 from __future__ import annotations
 
-from typing import List, Union
-
-from repro.core.rollback import RollbackRelation, StateSequence, TransactionTimeRow
-from repro.core.temporal import BitemporalRow, TemporalRelation
+from repro.core.rollback import StateSequence
+from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import AppendOnlyViolation
 from repro.time.instant import Instant, instant as _coerce
 from repro.time.period import Period
@@ -39,26 +37,23 @@ def _check_cutoff(cutoff: Instant, newest: Instant) -> None:
         )
 
 
-def vacuum_rollback(relation: RollbackRelation,
-                    cutoff) -> RollbackRelation:
-    """Drop transaction history before *cutoff* from an interval store.
+def vacuum_store(relation: TransactionTimeStore,
+                 cutoff) -> TransactionTimeStore:
+    """Drop transaction history before *cutoff* from an interval store
+    (a rollback relation or a temporal relation).
 
     Rows that ended before the cutoff vanish; rows that started before it
     but were still in the database at the cutoff have their start clamped
-    to the cutoff.
+    to the cutoff.  Valid time is untouched — vacuuming forgets what the
+    database *used to believe*, never what is (currently believed to be)
+    true.
     """
     when = _coerce(cutoff)
-    newest = max((bound for row in relation.rows
-                  for bound in (row.tt.start, row.tt.end) if bound.is_finite),
-                 default=when)
-    _check_cutoff(when, newest)
-    kept: List[TransactionTimeRow] = []
-    for row in relation.rows:
-        if row.tt.end <= when:
-            continue  # only visible strictly before the cutoff
-        start = max(row.tt.start, when)
-        kept.append(TransactionTimeRow(row.data, Period(start, row.tt.end)))
-    return RollbackRelation(relation.schema, kept)
+    _check_cutoff(when, max(relation.commit_times(), default=when))
+    return type(relation)(relation.schema, (
+        row._replace(tt=Period(max(row.tt.start, when), row.tt.end))
+        for row in relation.rows
+        if row.tt.end > when))  # else only visible strictly before the cutoff
 
 
 def vacuum_states(sequence: StateSequence, cutoff) -> StateSequence:
@@ -78,23 +73,3 @@ def vacuum_states(sequence: StateSequence, cutoff) -> StateSequence:
         kept.append((when, older[-1][1]))
     kept.extend(newer)
     return StateSequence(sequence.schema, kept)
-
-
-def vacuum_temporal(relation: TemporalRelation, cutoff) -> TemporalRelation:
-    """Drop transaction history before *cutoff* from a temporal relation.
-
-    Valid time is untouched — vacuuming forgets what the database *used to
-    believe*, never what is (currently believed to be) true.
-    """
-    when = _coerce(cutoff)
-    newest = max((bound for row in relation.rows
-                  for bound in (row.tt.start, row.tt.end) if bound.is_finite),
-                 default=when)
-    _check_cutoff(when, newest)
-    kept: List[BitemporalRow] = []
-    for row in relation.rows:
-        if row.tt.end <= when:
-            continue
-        start = max(row.tt.start, when)
-        kept.append(BitemporalRow(row.data, row.valid, Period(start, row.tt.end)))
-    return TemporalRelation(relation.schema, kept)

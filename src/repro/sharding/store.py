@@ -286,11 +286,19 @@ class ShardedDatabase:
         if not hasattr(self._shards[0], "delete_where"):
             raise AttributeError(
                 f"{type(self._shards[0]).__name__} has no delete_where")
-        matched = self.snapshot(name).select(predicate)
-        ops: List[Operation] = []
-        for row in matched:
-            ops.extend(self._capture("delete", name, dict(row)))
-        return self._dispatch(ops, txn)
+
+        def expand(batch) -> None:
+            for row in self.snapshot(name).select(predicate):
+                self.delete(name, dict(row), txn=batch)
+
+        if txn is None:
+            return self.commit_unit(expand)
+        expand(txn)
+        return None
+
+    #: Match-and-apply as one atomic unit, over the coordinator's
+    #: manager-shaped seam (every shard's lock is held across the match).
+    commit_unit = Database.commit_unit
 
     # -- transactions ------------------------------------------------------------
 

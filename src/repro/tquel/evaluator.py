@@ -55,8 +55,9 @@ from typing import (Any, Dict, List, Mapping, NamedTuple, Optional, Sequence,
 
 from repro.core.base import Database
 from repro.core.historical import HistoricalDatabase, HistoricalRelation, HistoricalRow
-from repro.core.rollback import RollbackDatabase, RollbackRelation
+from repro.core.rollback import RollbackDatabase
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
+from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import TQuelSemanticError
 from repro.obs import runtime as _obs
 from repro.relational.domain import Domain
@@ -462,43 +463,30 @@ class Evaluator:
         and columnar paths are differentially tested against.
         """
         db = self._db
-        if isinstance(db, TemporalDatabase):
-            value = db.temporal(relation)
-            if through is not None:
-                if as_of is None:  # degenerate bound: mirror the legacy path
-                    return self._candidates(relation, as_of, through)
-                window = Period.from_inclusive(as_of, through)
-                return [_Candidate(row.data, row.valid, row.tt)
-                        for row in value.rows if row.tt.overlaps(window)]
-            when = as_of if as_of is not None else db.now()
-            return [_Candidate(row.data, row.valid, row.tt)
-                    for row in value.rows if row.tt.contains(when)]
-        if isinstance(db, HistoricalDatabase):
-            return [_Candidate(row.data, row.valid, None)
-                    for row in db.history(relation).rows]
-        if isinstance(db, RollbackDatabase):
-            store = db.store(relation)
-            if not isinstance(store, RollbackRelation):
-                # StateSequence: the representation's own state walk *is*
-                # the naive scan (no partition, no index, no chunk).
+        store = db.store(relation) if isinstance(db, Database) else None
+        if isinstance(store, TransactionTimeStore):
+            if through is None:
+                when = as_of if as_of is not None else db.now()
+                rows = [row for row in store.rows if row.tt.contains(when)]
+            elif as_of is None:  # degenerate bound: mirror the legacy path
                 return self._candidates(relation, as_of, through)
-            if through is not None:
-                if as_of is None:
-                    return self._candidates(relation, as_of, through)
-                window = Period.from_inclusive(as_of, through)
-                data = [row.data for row in store.rows
-                        if row.tt.overlaps(window)]
-            elif as_of is not None:
-                data = [row.data for row in store.rows
-                        if row.tt.contains(as_of)]
             else:
-                data = list(store.current())
+                window = Period.from_inclusive(as_of, through)
+                rows = [row for row in store.rows if row.tt.overlaps(window)]
+            if isinstance(store, TemporalRelation):
+                return [_Candidate(row.data, row.valid, row.tt)
+                        for row in rows]
             # Relation construction dedups tuples (first occurrence);
             # mirror it so counts and multiplicity match.
-            return [_Candidate(row, None, None)
-                    for row in dict.fromkeys(data)]
-        return [_Candidate(row, None, None)
-                for row in db.snapshot(relation)]
+            return [_Candidate(data, None, None)
+                    for data in dict.fromkeys(row.data for row in rows)]
+        if isinstance(store, HistoricalRelation):
+            return [_Candidate(row.data, row.valid, None)
+                    for row in store.rows]
+        # A static relation, the StateSequence cube, the sharded facade:
+        # the representation's own walk *is* the naive scan (no
+        # partition, no index, no chunk).
+        return self._candidates(relation, as_of, through)
 
     def _columnar_stream(self, relation: str, as_of: Optional[Instant],
                          through: Optional[Instant],
@@ -522,20 +510,13 @@ class Evaluator:
         chunk = cache.chunk(relation)
         if chunk is None or (through is not None and as_of is None):
             return None
-        db = self._db
-        if isinstance(db, TemporalDatabase):
-            if through is not None:
-                mask = chunk.tt_overlap_mask(
-                    Period.from_inclusive(as_of, through))
-            else:
-                mask = chunk.tt_stab_mask(
-                    as_of if as_of is not None else now)
-            indices = chunk.mask_indices(mask)
-            pre_count = len(indices)
+        rows = chunk.rows
+        if chunk.tt is None:  # historical: candidates are all recorded facts
+            indices = chunk.mask_indices(chunk.all_mask())
 
             def make(row) -> _Candidate:
-                return _Candidate(row.data, row.valid, row.tt)
-        elif isinstance(db, RollbackDatabase):
+                return _Candidate(row.data, row.valid, None)
+        else:
             if through is not None:
                 mask = chunk.tt_overlap_mask(
                     Period.from_inclusive(as_of, through))
@@ -544,21 +525,20 @@ class Evaluator:
                 # whose transaction time contains now (open partition).
                 mask = chunk.tt_stab_mask(
                     as_of if as_of is not None else now)
-            rows = chunk.rows
-            first: Dict[Tuple, int] = {}
-            for i in chunk.mask_indices(mask):
-                first.setdefault(rows[i].data, i)
-            indices = list(first.values())
-            pre_count = len(indices)
+            indices = chunk.mask_indices(mask)
+            if chunk.valid is not None:  # temporal: both axes survive
 
-            def make(row) -> _Candidate:
-                return _Candidate(row.data, None, None)
-        else:  # historical: candidates are all recorded facts
-            indices = chunk.mask_indices(chunk.all_mask())
-            pre_count = len(indices)
+                def make(row) -> _Candidate:
+                    return _Candidate(row.data, row.valid, row.tt)
+            else:  # rollback: a static result, one candidate per tuple
+                first: Dict[Tuple, int] = {}
+                for i in indices:
+                    first.setdefault(rows[i].data, i)
+                indices = list(first.values())
 
-            def make(row) -> _Candidate:
-                return _Candidate(row.data, row.valid, None)
+                def make(row) -> _Candidate:
+                    return _Candidate(row.data, None, None)
+        pre_count = len(indices)
         for conjunct in conjuncts:
             spec = columnar_compare_spec(conjunct, variable)
             if spec is not None:
@@ -566,7 +546,6 @@ class Evaluator:
                 indices = chunk.compare_select(indices, name, op, value,
                                                attr_on_left)
             else:
-                rows = chunk.rows
                 indices = [i for i in indices
                            if conjunct.evaluate({variable: rows[i].data})]
         when_applied = False
@@ -580,7 +559,6 @@ class Evaluator:
                 mask = chunk.when_mask(kernel.op, kernel.constant,
                                        kernel.var_on_left)
                 indices = [i for i in indices if mask[i]]
-        rows = chunk.rows
         return pre_count, tuple(make(rows[i]) for i in indices), when_applied
 
     # -- planning and the per-variable stream ----------------------------------
@@ -1107,7 +1085,7 @@ class Evaluator:
                 self._db.insert(name, values, txn=batch, **valid)
 
         if inserts:
-            self._commit_unit(expand)
+            self._db.commit_unit(expand)
 
     # -- updates -----------------------------------------------------------------------------
 
@@ -1152,28 +1130,6 @@ class Evaluator:
                 rows.append(candidate.data)
         return list(dict.fromkeys(rows))
 
-    def _commit_unit(self, expand) -> Optional[Instant]:
-        """Run *expand* and commit what it recorded, as one atomic unit.
-
-        *expand* matches rows against the committed state and records
-        the operations the statement expands to.  It runs under the
-        store's serialization lock, and the batch commits through the
-        manager-shaped ``run`` seam while that lock is still held
-        (reentrantly): no concurrent writer can change a matched row
-        between match and apply — a full-row match that then matched
-        nothing would be a silently dropped write — and two writers
-        serialize instead of tripping the single-writer ``begin()`` rule
-        with a non-retryable error.
-        """
-        manager = self._db.manager
-
-        def unit() -> Optional[Instant]:
-            batch = OperationRecorder()
-            expand(batch)
-            return manager.run(batch.ops)
-
-        return manager.certify(unit)
-
     def _delete(self, statement: DeleteStmt) -> Optional[Instant]:
         relation = self._ranges[statement.variable]
         arguments = self._valid_arguments(statement.valid, self._db.now())
@@ -1182,7 +1138,7 @@ class Evaluator:
             for row in self._matching_rows(statement):
                 self._db.delete(relation, dict(row), txn=batch, **arguments)
 
-        return self._commit_unit(expand)
+        return self._db.commit_unit(expand)
 
     def _replace(self, statement: ReplaceStmt) -> Optional[Instant]:
         relation = self._ranges[statement.variable]
@@ -1197,7 +1153,7 @@ class Evaluator:
                 self._db.replace(relation, dict(row), updates, txn=batch,
                                  **arguments)
 
-        return self._commit_unit(expand)
+        return self._db.commit_unit(expand)
 
     def _create(self, statement: CreateStmt) -> Instant:
         attributes = []

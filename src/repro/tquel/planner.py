@@ -57,9 +57,9 @@ import math
 from typing import Dict, NamedTuple, Optional
 
 from repro.core.base import Database
-from repro.core.historical import HistoricalDatabase
-from repro.core.rollback import RollbackDatabase, RollbackRelation
-from repro.core.temporal import TemporalDatabase
+from repro.core.historical import HistoricalRelation
+from repro.core.rollback import StateSequence
+from repro.core.transaction_time import TransactionTimeStore
 
 __all__ = ["PLAN_MODES", "AccessPlan", "RelationProfile", "profile",
            "choose", "COSTS"]
@@ -134,38 +134,29 @@ def profile(database: Database, relation: str) -> RelationProfile:
     """
     columnar = getattr(database, "columnar_cache", None)
     indexed = getattr(database, "index_cache", None) is not None
-    if isinstance(database, TemporalDatabase):
-        value = database.temporal(relation)
-        open_rows = len(value._open) + len(value._open_extra)
-        return RelationProfile(
-            relation, len(value), open_rows, True, indexed,
-            columnar is not None,
-            columnar is not None and columnar.ready(relation))
-    if isinstance(database, RollbackDatabase):
-        store = database.store(relation)
-        if isinstance(store, RollbackRelation):
-            open_rows = len(store._open) + len(store._open_extra)
-            return RelationProfile(
-                relation, len(store), open_rows, True, indexed,
-                columnar is not None,
-                columnar is not None and columnar.ready(relation))
-        # The duplicating StateSequence cube: no partition, no chunk,
-        # no tree — every path degenerates to the representation's own
-        # scan.
+    chunks = columnar is not None
+    store = (database.store(relation) if isinstance(database, Database)
+             else None)
+    if isinstance(store, TransactionTimeStore):
+        # The two transaction-time kinds: one partition, whatever its
+        # rows carry besides their transaction period.
+        return RelationProfile(relation, len(store), store.open_count, True,
+                               indexed, chunks,
+                               chunks and columnar.ready(relation))
+    if isinstance(store, StateSequence):
+        # The duplicating cube: no partition, no chunk, no tree — every
+        # path degenerates to the representation's own scan.
         total = sum(len(state) for _, state in store.states)
         return RelationProfile(relation, total, len(store.current()),
                                True, False, False, False)
-    if isinstance(database, HistoricalDatabase):
-        value = database.history(relation)
-        total = len(value.rows)
+    if isinstance(store, HistoricalRelation):
+        total = len(store)
         # Candidate sourcing on a historical database is always the full
         # recorded-facts scan; the valid-time tree accelerates timeslice,
         # not TQuel candidate streams — so the index path is not a
         # distinct plan here.
-        return RelationProfile(relation, total, total, False, False,
-                               columnar is not None,
-                               columnar is not None
-                               and columnar.ready(relation))
+        return RelationProfile(relation, total, total, False, False, chunks,
+                               chunks and columnar.ready(relation))
     total = len(database.snapshot(relation))
     return RelationProfile(relation, total, total, False, False, False,
                            False)

@@ -32,13 +32,13 @@ def kernels(request, monkeypatch):
 def temporal_chunk():
     database, _ = build_faculty(TemporalDatabase)
     relation = database.temporal("faculty")
-    return relation, ColumnarChunk.from_temporal(relation)
+    return relation, ColumnarChunk.from_store(relation)
 
 
 def rollback_chunk():
     database, _ = build_faculty(RollbackDatabase)
     store = database.store("faculty")
-    return store, ColumnarChunk.from_rollback(store)
+    return store, ColumnarChunk.from_store(store)
 
 
 class TestMaskKernels:
@@ -209,25 +209,25 @@ class TestExtension:
     def test_extension_reuses_closed_prefix(self, kernels):
         database, clock = build_faculty(TemporalDatabase)
         relation = database.temporal("faculty")
-        chunk = ColumnarChunk.from_temporal(relation)
+        chunk = ColumnarChunk.from_store(relation)
         clock.set("03/01/84")
         database.insert("faculty", {"name": "Jane", "rank": "assistant"},
                         valid_from="03/01/84")
         newer = database.temporal("faculty")
-        extended = chunk.extended_temporal(newer)
+        extended = chunk.extended(newer)
         assert extended is not None
         assert extended.rows == tuple(newer.rows)
         # The extended chunk answers exactly like a fresh build.
-        fresh = ColumnarChunk.from_temporal(newer)
+        fresh = ColumnarChunk.from_store(newer)
         when = Instant.parse("12/10/82")
         assert extended.take(extended.tt_stab_mask(when)) == \
             fresh.take(fresh.tt_stab_mask(when))
 
     def test_extension_refused_across_lineages(self, kernels):
         database, _ = build_faculty(TemporalDatabase)
-        chunk = ColumnarChunk.from_temporal(database.temporal("faculty"))
+        chunk = ColumnarChunk.from_store(database.temporal("faculty"))
         other, _ = build_faculty(TemporalDatabase)
-        assert chunk.extended_temporal(other.temporal("faculty")) is None
+        assert chunk.extended(other.temporal("faculty")) is None
 
 
 class TestColumnarCache:

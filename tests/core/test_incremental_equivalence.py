@@ -1,17 +1,19 @@
 """The delta commit path against the naive executable specification.
 
-A :class:`TemporalDatabase` commit carries a row delta — computed over the
-rows the operation's match can touch, checked on the touched keys only,
-recorded on two lineage-shared logs the indexes are patched from;
-:func:`naive_advance` (plus the whole-state constraint check) and
-:func:`naive_rollback_advance` keep the original whole-relation diffs.
+A commit on either transaction-time kind carries an element delta —
+computed over the rows the operation's match can touch, recorded by the
+one :meth:`TransactionTimeStore.advance` on two lineage-shared logs the
+indexes are patched from (and, on a :class:`TemporalDatabase`, checked on
+the touched keys only); the one :func:`naive_advance` (plus the
+whole-state constraint check) keeps the original whole-relation diff.
 These tests drive seeded random workloads through the databases and replay
-them through the naive functions, asserting the two paths produce
-identical rows, rollbacks, timeslices and commit verdicts — over every
-shape of match, multi-operation batches that touch a key twice, every
-kind of constraint, the created-and-superseded-within-one-transaction
-edge and the abort path (a failed commit must leave the installed value's
-view of both shared logs untouched).
+them through the naive function — both element types, data tuples and
+facts with their valid period — asserting the two paths produce identical
+stores, rollbacks, timeslices and commit verdicts — over every shape of
+match, multi-operation batches that touch a key twice, every kind of
+constraint, the created-and-superseded-within-one-transaction edge and the
+abort path (a failed commit must leave the installed value's view of both
+shared logs untouched).
 """
 
 import random
@@ -19,14 +21,13 @@ import random
 import pytest
 
 from repro import obs
-from repro.core import (INTERVAL, STATES, BitemporalIndex, BoundedValidity,
-                        ContiguousHistory, HistoricalDatabase,
-                        HistoricalIndex, NoFutureValidity, RollbackDatabase,
-                        RollbackIndex, RollbackRelation, TemporalDatabase,
-                        TemporalRelation, ValidityDuration, naive_advance,
-                        naive_rollback_advance)
-from repro.core.historical import (apply_historical_operation,
-                                   check_historical_constraints)
+from repro.core import (INTERVAL, STATES, BoundedValidity, ContiguousHistory,
+                        HistoricalDatabase, HistoricalIndex, NoFutureValidity,
+                        RollbackDatabase, RollbackRelation, TemporalDatabase,
+                        TemporalRelation, TransactionTimeIndex,
+                        ValidityDuration, apply_historical_operation,
+                        apply_static_operation, naive_advance)
+from repro.core.historical import check_historical_constraints
 from repro.errors import ConstraintViolation
 from repro.relational import (Attribute, CheckConstraint, Constraint, Domain,
                               NotNullConstraint, Schema, attr)
@@ -74,25 +75,117 @@ def _drive_temporal(seed, steps=40, index=True):
     return database
 
 
+def _naive_step(store, op, commit_time):
+    """One operation through the oracle: the whole new state, then the
+    whole-relation advance (either element type)."""
+    apply = (apply_historical_operation if isinstance(store, TemporalRelation)
+             else apply_static_operation)
+    return naive_advance(store, apply(store.current(), op), commit_time)
+
+
 def _replay_naive(database, name="r"):
-    """Rebuild the relation from the commit log via the naive advance."""
-    relation = TemporalRelation(database.schema(name))
+    """Rebuild the store from the commit log via the naive advance."""
+    store = (TemporalRelation if database.supports_historical_queries
+             else RollbackRelation)(database.schema(name))
     for record in database.log:
         for op in record.operations:
             if op.relation != name or op.action in ("define", "drop"):
                 continue
-            relation = naive_advance(relation, op, record.commit_time)
-    return relation
+            store = _naive_step(store, op, record.commit_time)
+    return store
+
+
+#: The two element types of the one store: (database, valid-time bounds).
+ELEMENTS = {"tuple": (RollbackDatabase, {}),
+            "fact": (TemporalDatabase, {"valid_from": BASE})}
+
+
+def _check_created_and_superseded_within_one_transaction(element):
+    # An element inserted and deleted inside the same transaction never
+    # existed in any committed state: no row may record it (the
+    # tt.start == commit_time withdrawal in advance).
+    make, bounds = ELEMENTS[element]
+    clock = SimulatedClock(BASE)
+    database = make(clock=clock)
+    database.define("r", _schema())
+    database.insert("r", {"k": "k0", "v": "red"}, **bounds)
+    clock.set(BASE + 10)
+    with database.begin() as txn:
+        database.insert("r", {"k": "ghost", "v": "blue"}, txn=txn, **bounds)
+        database.delete("r", {"k": "ghost"}, txn=txn)
+        database.replace("r", {"k": "k0"}, {"v": "green"}, txn=txn)
+    incremental = database.store("r")
+    assert incremental == _replay_naive(database)
+    assert not any(row.data["k"] == "ghost" for row in incremental.rows)
+    # The phantom also never shows up on the transaction-time axis.
+    state = database.rollback("r", BASE + 10)
+    assert "ghost" not in {getattr(row, "data", row)["k"] for row in state}
+
+
+def _check_aborted_commit_leaves_installed_value_intact(element):
+    # Staging shares the closed segment with the installed value; an
+    # abort after some operations applied must not leak closed rows
+    # into it, and the next successful commit must still agree with
+    # the naive replay (the copy-on-divergence path).
+    make, bounds = ELEMENTS[element]
+    clock = SimulatedClock(BASE)
+    database = make(clock=clock)
+    database.define("r", Schema.of(key=["k"], k=Domain.STRING,
+                                   v=Domain.STRING))
+    database.insert("r", {"k": "k0", "v": "red"}, **bounds)
+    before = database.store("r")
+    before_rows = frozenset(before.rows)
+    clock.set(BASE + 10)
+    with pytest.raises(ConstraintViolation):
+        with database.begin() as txn:
+            # Closes k0's row in the staged value (mutating the shared
+            # closed log past the installed prefix)...
+            database.replace("r", {"k": "k0"}, {"v": "green"}, txn=txn)
+            # ...then violates the key, aborting the batch.
+            database.insert("r", {"k": "k0", "v": "blue"}, txn=txn, **bounds)
+    assert database.store("r") is before
+    assert frozenset(database.store("r").rows) == before_rows
+    assert database.relation_version("r") == 2  # define + first insert
+    # A later commit diverges onto a private copy and stays correct.
+    clock.set(BASE + 20)
+    database.replace("r", {"k": "k0"}, {"v": "green"})
+    assert database.store("r") == _replay_naive(database)
+
+
+def _check_duplicate_open_rows_fall_back_to_the_oracle(element):
+    # A derived value may hold one element open twice (here: entered at
+    # two transaction times); the partition cannot key that, so advance
+    # hands the commit to naive_advance — same answer, counted.
+    make, bounds = ELEMENTS[element]
+    clock = SimulatedClock(BASE)
+    database = make(clock=clock)
+    database.define("r", _schema())
+    database.insert("r", {"k": "k0", "v": "red"}, **bounds)
+    database.insert("r", {"k": "k1", "v": "red"}, **bounds)
+    canonical = database.store("r")
+    twin = next(iter(canonical.rows))
+    derived = type(canonical)(canonical.schema, canonical.rows + (
+        twin._replace(tt=Period(twin.tt.start + 1, twin.tt.end)),))
+    assert derived.open_count == 3 and len(derived.open_elements) == 2
+    database._store["r"] = derived
+    clock.set(BASE + 10)
+    with obs.recording() as inst:
+        database.delete("r", {"k": "k0"})
+    counters = inst.metrics.snapshot()["counters"]
+    assert counters["commit.fallback_naive"] == 1
+    after = database.store("r")
+    # Both copies of the element were closed; the other row is untouched.
+    assert after.open_count == 1
+    assert len(after) == 3
+    assert {row.tt.end for row in after.rows
+            if row.data["k"] == "k0"} == {database.manager.clock.last}
 
 
 class TestTemporalEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1985])
     def test_rows_match_naive_replay(self, seed):
         database = _drive_temporal(seed)
-        naive = _replay_naive(database)
-        incremental = database.temporal("r")
-        assert frozenset(incremental.rows) == frozenset(naive.rows)
-        assert incremental == naive
+        assert database.temporal("r") == _replay_naive(database)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_rollbacks_and_timeslices_match(self, seed):
@@ -121,56 +214,13 @@ class TestTemporalEquivalence:
         assert frozenset(ranged_a.rows) == frozenset(ranged_b.rows)
 
     def test_created_and_superseded_within_one_transaction(self):
-        # A fact inserted and fully deleted inside the same transaction
-        # never existed in any committed state: no row may record it
-        # (src of the edge: the tt.start == commit_time drop in _advance).
-        clock = SimulatedClock(BASE)
-        database = TemporalDatabase(clock=clock)
-        database.define("r", _schema())
-        database.insert("r", {"k": "k0", "v": "red"}, valid_from=BASE)
-        clock.set(BASE + 10)
-        with database.begin() as txn:
-            database.insert("r", {"k": "ghost", "v": "blue"},
-                            valid_from=BASE, txn=txn)
-            database.delete("r", {"k": "ghost"}, txn=txn)
-            database.replace("r", {"k": "k0"}, {"v": "green"}, txn=txn)
-        incremental = database.temporal("r")
-        naive = _replay_naive(database)
-        assert frozenset(incremental.rows) == frozenset(naive.rows)
-        assert not any(row.data["k"] == "ghost" for row in incremental.rows)
-        # The phantom also never shows up on either time axis.
-        assert not any(row.data["k"] == "ghost"
-                       for row in database.rollback("r", BASE + 10).rows)
+        _check_created_and_superseded_within_one_transaction("fact")
 
     def test_aborted_commit_leaves_installed_value_intact(self):
-        # Staging shares the closed segment with the installed value; an
-        # abort after some operations applied must not leak closed rows
-        # into it, and the next successful commit must still agree with
-        # the naive replay (the copy-on-divergence path).
-        clock = SimulatedClock(BASE)
-        database = TemporalDatabase(clock=clock)
-        database.define("r", Schema.of(k=Domain.STRING, v=Domain.STRING),
-                        constraints=[NoFutureValidity()])
-        database.insert("r", {"k": "k0", "v": "red"}, valid_from=BASE)
-        before = database.temporal("r")
-        before_rows = frozenset(before.rows)
-        clock.set(BASE + 10)
-        with pytest.raises(ConstraintViolation):
-            with database.begin() as txn:
-                # Closes k0's row in the staged value (mutating the shared
-                # closed log past the installed prefix)...
-                database.replace("r", {"k": "k0"}, {"v": "green"}, txn=txn)
-                # ...then violates NoFutureValidity, aborting the batch.
-                database.insert("r", {"k": "k1", "v": "blue"},
-                                valid_from=BASE + 5000, txn=txn)
-        assert database.temporal("r") is before
-        assert frozenset(database.temporal("r").rows) == before_rows
-        assert database.relation_version("r") == 2  # define + first insert
-        # A later commit diverges onto a private copy and stays correct.
-        clock.set(BASE + 20)
-        database.replace("r", {"k": "k0"}, {"v": "green"}, txn=None)
-        naive = _replay_naive(database)
-        assert frozenset(database.temporal("r").rows) == frozenset(naive.rows)
+        _check_aborted_commit_leaves_installed_value_intact("fact")
+
+    def test_duplicate_open_rows_fall_back_to_the_oracle(self):
+        _check_duplicate_open_rows_fall_back_to_the_oracle("fact")
 
     @pytest.mark.parametrize("abort", ["failed commit", "rehearse"])
     def test_aborted_commit_leaves_both_shared_logs_intact(self, abort):
@@ -208,7 +258,7 @@ class TestTemporalEquivalence:
         clock.set(BASE + 20)
         database.insert("r", {"k": "k1", "v": "blue"}, valid_from=BASE)
         after = database.temporal("r")
-        assert frozenset(after.rows) == frozenset(_replay_naive(database).rows)
+        assert after == _replay_naive(database)
         assert (after._closed_log[:before._closed_len],
                 after._opened_log[:before._opened_len]) == logs
         # Both indexes were patched from the slices; neither saw a ghost.
@@ -279,15 +329,45 @@ class TestRollbackEquivalence:
     def test_interval_matches_naive_replay(self, seed):
         interval = _drive_rollback(seed, INTERVAL)
         cube = _drive_rollback(seed, STATES)
-        # Replay the cube's state sequence through the naive advance;
-        # the incremental store must observe every rollback identically.
+        # Replay the cube's state sequence through the naive advance:
+        # the incremental store must be the very same value.
         store = RollbackRelation(interval.schema("r"))
         for commit, state in cube.store("r").states:
-            store = naive_rollback_advance(store, state, commit)
+            store = naive_advance(store, state, commit)
+        assert interval.store("r") == store
         for record in interval.log:
             as_of = record.commit_time
             assert (interval.store("r").rollback(as_of)
                     == store.rollback(as_of))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1985])
+    def test_rows_match_naive_replay(self, seed):
+        # The temporal seeds, the other element type, the same advance.
+        database = _drive_rollback(seed, INTERVAL, steps=40)
+        assert database.store("r") == _replay_naive(database)
+
+    def test_created_and_superseded_within_one_transaction(self):
+        _check_created_and_superseded_within_one_transaction("tuple")
+
+    def test_aborted_commit_leaves_installed_value_intact(self):
+        _check_aborted_commit_leaves_installed_value_intact("tuple")
+
+    def test_duplicate_open_rows_fall_back_to_the_oracle(self):
+        _check_duplicate_open_rows_fall_back_to_the_oracle("tuple")
+
+    def test_stores_compare_by_value(self):
+        # Equality comes from the shared store: two stores holding the
+        # same rows are equal (and hash alike), whatever their lineage —
+        # a serializer round trip of a rollback store equals its source.
+        from repro.storage.serializer import (relation_from_dict,
+                                              rollback_to_dict)
+        store = _drive_rollback(5, INTERVAL).store("r")
+        assert (RollbackRelation(store.schema, store.rows)
+                == RollbackRelation(store.schema, store.rows))
+        loaded = relation_from_dict(rollback_to_dict(store))
+        assert loaded == store and hash(loaded) == hash(store)
+        assert loaded is not store and loaded._lineage is not store._lineage
+        assert RollbackRelation(store.schema, store.rows[1:]) != store
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +516,7 @@ def _drive_keyed(seed, constraints, steps=70, after_commit=None):
         commit_time = database.manager.clock.last
         staged = oracle
         for op in operations:
-            staged = naive_advance(staged, op, commit_time)
+            staged = _naive_step(staged, op, commit_time)
         try:
             check_historical_constraints(staged.current(), constraints,
                                          commit_time)
@@ -450,7 +530,7 @@ def _drive_keyed(seed, constraints, steps=70, after_commit=None):
         else:
             assert database.temporal("r") is installed
         relation = database.temporal("r")
-        assert frozenset(relation.rows) == frozenset(oracle.rows), step
+        assert relation == oracle, step
         _assert_partition_consistent(relation)
         if after_commit is not None:
             after_commit(step, database)
@@ -560,7 +640,7 @@ class TestIndexRefreshEveryNth:
             cache = database.index_cache
             relation = database.temporal("r")
             patched = cache.bitemporal("r")
-            rebuilt = BitemporalIndex(relation)
+            rebuilt = TransactionTimeIndex(relation)
             commits = relation.commit_times()
             for as_of in commits + [BASE, BASE + 5000]:
                 assert patched.rollback(as_of) == rebuilt.rollback(as_of)
@@ -609,7 +689,8 @@ class TestIndexRefreshEveryNth:
             if step % every:
                 continue
             store = database.store("r")
-            patched, rebuilt = cache.rollback("r"), RollbackIndex(store)
+            patched, rebuilt = (cache.rollback("r"),
+                                TransactionTimeIndex(store))
             for as_of in [record.commit_time for record in database.log]:
                 assert patched.rollback(as_of) == rebuilt.rollback(as_of)
             period = Period(BASE + 110, BASE + 200)
@@ -624,9 +705,10 @@ class TestIndexRefreshEveryNth:
 
 class TestRowsExamined:
     @staticmethod
-    def _loaded(keys):
+    def _loaded(keys, element="fact"):
+        make, bounds = ELEMENTS[element]
         clock = SimulatedClock(BASE)
-        database = TemporalDatabase(clock=clock)
+        database = make(clock=clock)
         database.define("r", Schema.of(key=["name"], name=Domain.STRING,
                                        rank=Domain.STRING,
                                        salary=Domain.INTEGER))
@@ -635,7 +717,7 @@ class TestRowsExamined:
                 database.insert("r", {"name": f"n{index:04d}",
                                       "rank": "full" if index % 8 == 0
                                       else "associate", "salary": index},
-                                valid_from=BASE, txn=txn)
+                                txn=txn, **bounds)
         clock.set(BASE + 10)
         return database
 
@@ -651,6 +733,14 @@ class TestRowsExamined:
                   for keys in (64, 2048)}
         # The key's one row for the delta, its one successor for the check.
         assert counts == {64: 2, 2048: 2}
+
+    def test_rollback_keyed_replace_hands_the_delta_one_row(self):
+        counts = {keys: self._examined(self._loaded(keys, "tuple"),
+                                       {"name": "n0007"}, {"salary": -1})
+                  for keys in (64, 2048)}
+        # The by-key candidates hand the delta the key's one row at any
+        # size; the static kinds' key check still reads the whole state.
+        assert counts == {64: 1 + 64, 2048: 1 + 2048}
 
     @pytest.mark.parametrize("keys", [64, 2048])
     def test_key_less_match_scans_the_open_rows(self, keys):

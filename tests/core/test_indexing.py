@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (BitemporalIndex, DatabaseIndexCache, HistoricalIndex,
-                        IntervalTree, RollbackDatabase, RollbackIndex,
-                        TemporalDatabase)
+from repro.core import (DatabaseIndexCache, HistoricalIndex, IntervalTree,
+                        RollbackDatabase, TemporalDatabase,
+                        TransactionTimeIndex)
 from repro.relational import Domain, Schema
 from repro.time import Instant, NEG_INF, POS_INF, Period, SimulatedClock
 from repro.workload import FacultyWorkload, apply_workload
@@ -121,7 +121,7 @@ class TestRelationIndexes:
     def test_rollback_index_matches_rollback(self, rollback_faculty):
         database, _ = rollback_faculty
         store = database.store("faculty")
-        index = RollbackIndex(store)
+        index = TransactionTimeIndex(store)
         for probe in ("01/01/77", "08/25/77", "12/10/82", "06/01/83",
                       "01/01/85"):
             assert index.rollback(probe) == store.rollback(probe), probe
@@ -129,7 +129,7 @@ class TestRelationIndexes:
     def test_bitemporal_index_matches_both_axes(self, temporal_faculty):
         database, _ = temporal_faculty
         relation = database.temporal("faculty")
-        index = BitemporalIndex(relation)
+        index = TransactionTimeIndex(relation)
         for as_of in ("12/06/82", "12/10/82", "12/20/82", "06/01/84"):
             assert index.rollback(as_of) == relation.rollback(as_of), as_of
             for valid_at in ("12/06/82", "06/01/83"):
@@ -140,7 +140,7 @@ class TestRelationIndexes:
         database = TemporalDatabase(clock=SimulatedClock("01/01/79"))
         apply_workload(database, FacultyWorkload(people=15, seed=3))
         relation = database.temporal("faculty")
-        index = BitemporalIndex(relation)
+        index = TransactionTimeIndex(relation)
         probes = [Instant.from_chronon(BASE + offset)
                   for offset in range(0, 1500, 97)]
         for probe in probes:

@@ -26,7 +26,7 @@ from repro.core import (HistoricalDatabase, HistoricalRelation,
 from repro.core.historical import HistoricalRow
 from repro.core.operations import changed_instants
 from repro.relational import Domain, Relation, Schema, Tuple
-from repro.time import Instant, Period, SimulatedClock
+from repro.time import NEG_INF, Instant, Period, SimulatedClock
 
 SCHEMA = Schema.of(name=Domain.STRING, grade=Domain.INTEGER)
 
@@ -112,6 +112,52 @@ class TestRollbackEquivalence:
                     expected = snapshot
             assert interval_db.rollback("r", probe) == expected
             assert states_db.rollback("r", probe) == expected
+
+    @given(operations())
+    @settings(max_examples=40, deadline=None)
+    def test_figure_10_square_commutes(self, ops):
+        # One op stream into all four kinds, every fact valid over the
+        # whole timeline in the two valid-time ones.  Dropping either
+        # capability of Figure 10 must commute with the updates: static
+        # after a prefix = rollback(t_prefix) under both representations,
+        # historical after it = temporal.rollback(t_prefix), and the
+        # temporal diagonal — roll back, then timeslice anywhere — is the
+        # rollback database's answer.
+        static_db = StaticDatabase(clock=SimulatedClock(BASE))
+        rollback_dbs = [RollbackDatabase(clock=SimulatedClock(BASE)),
+                        RollbackDatabase(clock=SimulatedClock(BASE),
+                                         representation="states")]
+        historical_db = HistoricalDatabase(clock=SimulatedClock(BASE))
+        temporal_db = TemporalDatabase(clock=SimulatedClock(BASE))
+        valid_time = (historical_db, temporal_db)
+        everyone = (static_db, *rollback_dbs, *valid_time)
+        for db in everyone:
+            db.define("r", SCHEMA)
+        prefixes = []
+        for gap, kind, payload in ops:
+            commits = set()
+            for db in everyone:
+                db.manager.clock.source.advance(gap)
+                if kind == "insert":
+                    always = ({"valid_from": NEG_INF} if db in valid_time
+                              else {})
+                    commits.add(db.insert("r", payload, **always))
+                elif kind == "delete":
+                    commits.add(db.delete("r", payload))
+                else:
+                    commits.add(db.replace("r", payload[0], payload[1]))
+            (when,) = commits  # the five clocks tick in lock step
+            prefixes.append((when, static_db.snapshot("r"),
+                             historical_db.history("r")))
+        anywhere = [Instant.from_chronon(BASE + offset)
+                    for offset in (-1000, 17, 100000)]
+        for when, static_state, historical_state in prefixes:
+            for db in rollback_dbs:
+                assert db.rollback("r", when) == static_state
+            believed = temporal_db.rollback("r", when)
+            assert believed == historical_state
+            for valid_at in anywhere:
+                assert believed.timeslice(valid_at) == static_state
 
     @given(operations())
     @settings(max_examples=40, deadline=None)

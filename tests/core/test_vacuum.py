@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import (RollbackDatabase, TemporalDatabase, vacuum_rollback,
-                        vacuum_states, vacuum_temporal)
+from repro.core import (RollbackDatabase, TemporalDatabase, vacuum_states,
+                        vacuum_store)
 from repro.errors import AppendOnlyViolation
 from repro.time import Instant
 
@@ -16,14 +16,14 @@ class TestVacuumRollback:
     def test_recent_rollbacks_unchanged(self, rollback_faculty):
         database, _ = rollback_faculty
         store = database.store("faculty")
-        vacuumed = vacuum_rollback(store, CUTOFF)
+        vacuumed = vacuum_store(store, CUTOFF)
         for probe in ("01/01/83", "06/01/83", "03/01/84", "01/01/85"):
             assert vacuumed.rollback(probe) == store.rollback(probe), probe
 
     def test_old_rollbacks_see_null_relation(self, rollback_faculty):
         database, _ = rollback_faculty
         store = database.store("faculty")
-        vacuumed = vacuum_rollback(store, CUTOFF)
+        vacuumed = vacuum_store(store, CUTOFF)
         assert vacuumed.rollback("12/10/82").is_empty
         # At the cutoff itself, the answer is intact.
         assert vacuumed.rollback(CUTOFF) == store.rollback(CUTOFF)
@@ -31,18 +31,18 @@ class TestVacuumRollback:
     def test_storage_shrinks(self, rollback_faculty):
         database, _ = rollback_faculty
         store = database.store("faculty")
-        vacuumed = vacuum_rollback(store, "01/01/84")
+        vacuumed = vacuum_store(store, "01/01/84")
         assert vacuumed.storage_cells() < store.storage_cells()
 
     def test_future_cutoff_rejected(self, rollback_faculty):
         database, _ = rollback_faculty
         with pytest.raises(AppendOnlyViolation, match="never the present"):
-            vacuum_rollback(database.store("faculty"), "01/01/99")
+            vacuum_store(database.store("faculty"), "01/01/99")
 
     def test_infinite_cutoff_rejected(self, rollback_faculty):
         database, _ = rollback_faculty
         with pytest.raises(AppendOnlyViolation, match="finite"):
-            vacuum_rollback(database.store("faculty"), "forever")
+            vacuum_store(database.store("faculty"), "forever")
 
 
 class TestVacuumStates:
@@ -70,24 +70,24 @@ class TestVacuumTemporal:
     def test_recent_rollbacks_unchanged(self, temporal_faculty):
         database, _ = temporal_faculty
         relation = database.temporal("faculty")
-        vacuumed = vacuum_temporal(relation, CUTOFF)
+        vacuumed = vacuum_store(relation, CUTOFF)
         for probe in ("06/01/83", "03/01/84", "01/01/85"):
             assert vacuumed.rollback(probe) == relation.rollback(probe), probe
 
     def test_valid_time_untouched(self, temporal_faculty):
         database, _ = temporal_faculty
         relation = database.temporal("faculty")
-        vacuumed = vacuum_temporal(relation, CUTOFF)
+        vacuumed = vacuum_store(relation, CUTOFF)
         # The current historical state (reality) is identical.
         assert vacuumed.current() == relation.current()
 
     def test_row_count_shrinks(self, temporal_faculty):
         database, _ = temporal_faculty
         relation = database.temporal("faculty")
-        vacuumed = vacuum_temporal(relation, "01/01/84")
+        vacuumed = vacuum_store(relation, "01/01/84")
         assert len(vacuumed) < len(relation)
 
     def test_future_cutoff_rejected(self, temporal_faculty):
         database, _ = temporal_faculty
         with pytest.raises(AppendOnlyViolation):
-            vacuum_temporal(database.temporal("faculty"), "01/01/99")
+            vacuum_store(database.temporal("faculty"), "01/01/99")

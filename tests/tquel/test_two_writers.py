@@ -19,7 +19,7 @@ import threading
 
 import pytest
 
-from repro.core import StaticDatabase, TemporalDatabase
+from repro.core import RollbackDatabase, StaticDatabase, TemporalDatabase
 from repro.relational import Domain, Schema
 from repro.sharding import ShardedDatabase
 from repro.time import SimulatedClock
@@ -131,6 +131,67 @@ class TestTwoWriters:
         # A matched first and holds the gate, so the delete wins and the
         # replace then matches nothing — a serial order, not a lost row.
         assert salaries(store) == {"Tom": 100}
+
+
+@pytest.mark.parametrize("kind", [StaticDatabase, RollbackDatabase],
+                         ids=["static", "rollback"])
+def test_delete_where_matches_and_applies_as_one_unit(kind, monkeypatch):
+    # The API twin of the TQuel defect: delete_where resolved its
+    # predicate with no lock held, then committed through an explicit
+    # begin().  Here the hand-off rides on the predicate itself: A parks
+    # on its first row; B is released and must either take the
+    # single-writer slot (unserialized code: A's begin() then fails with
+    # a non-retryable TransactionStateError) or reach the gate A holds.
+    store = faculty(kind(clock=SimulatedClock(BASE)))
+    before = len(store.log)
+    a_matched, b_engaged, a_done = (threading.Event() for _ in range(3))
+    victim = {"writer-A": "Merrie", "writer-B": "Tom"}
+
+    def predicate(row):
+        who = threading.current_thread().name
+        if who == "writer-A" and not a_matched.is_set():
+            a_matched.set()
+            assert b_engaged.wait(WAIT), "B never engaged"
+        return row["name"] == victim[who]
+
+    real_begin, real_certify = store.manager.begin, store.manager.certify
+
+    def begin():
+        txn = real_begin()
+        if threading.current_thread().name == "writer-B":
+            b_engaged.set()  # unserialized code: B owns the writer slot
+            assert a_done.wait(WAIT), "A never finished"
+        return txn
+
+    def certify(validate):
+        if threading.current_thread().name == "writer-B":
+            b_engaged.set()  # at the gate A is holding shut
+        return real_certify(validate)
+
+    monkeypatch.setattr(store.manager, "begin", begin)
+    monkeypatch.setattr(store.manager, "certify", certify)
+    errors = []
+
+    def writer():
+        try:
+            store.delete_where("faculty", predicate)
+        except Exception as error:  # surfaced by the assertions below
+            errors.append(error)
+        finally:
+            if threading.current_thread().name == "writer-A":
+                a_done.set()
+
+    first = threading.Thread(target=writer, name="writer-A", daemon=True)
+    second = threading.Thread(target=writer, name="writer-B", daemon=True)
+    first.start()
+    assert a_matched.wait(WAIT)
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=WAIT)
+        assert not thread.is_alive()
+    assert errors == []
+    assert salaries(store) == {}
+    assert len(store.log) == before + 2  # both committed, one after the other
 
 
 def test_commit_times_strictly_increase_across_the_race(monkeypatch):
