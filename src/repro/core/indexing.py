@@ -480,6 +480,10 @@ class TransactionTimeIndex:
         """Same result as ``relation.rollback``, via the tree."""
         return self._relation.state_of(self._tree.stab(as_of))
 
+    def overlapping(self, period: Period) -> List[Any]:
+        """The stored rows whose transaction time overlaps *period*."""
+        return self._tree.overlapping(period)
+
     def visible_during(self, period: Period):
         """Same result as ``relation.visible_during``, via the tree."""
         return self._relation.range_of(self._tree.overlapping(period))

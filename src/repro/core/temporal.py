@@ -178,19 +178,23 @@ class TemporalDatabase(ValidTimeDatabase):
     def rollback_range(self, name: str, from_: InstantLike,
                        through: InstantLike) -> TemporalRelation:
         """Rows of every historical state over the inclusive tt range."""
-        self.require_rollback("rollback")
-        period = Period.from_inclusive(_coerce(from_), _coerce(through))
-        return self._indexed(name).visible_during(period)
+        return self.store(name).range_of(
+            self.visible_during(name, from_, through))
 
     def visible(self, name: str, as_of: InstantLike) -> List[BitemporalRow]:
         """The bitemporal rows visible as of a transaction time (the
         TQuel evaluator's relation access)."""
-        cache = self.index_cache
-        if cache is not None:
-            self._require_defined(name)
-            return cache.bitemporal(name).visible(as_of)
-        when = _coerce(as_of)
-        return [row for row in self.temporal(name) if row.visible_at(when)]
+        return self._indexed(name).visible(as_of)
+
+    def visible_during(self, name: str, from_: InstantLike,
+                       through: InstantLike) -> List[BitemporalRow]:
+        """The bitemporal rows of every historical state over the
+        inclusive tt range, as the row list itself (the TQuel evaluator's
+        access for ``as of … through``: it filters and re-stamps the rows,
+        so a relation built here would only be read back)."""
+        self.require_rollback("rollback")
+        return self._indexed(name).overlapping(
+            Period.from_inclusive(_coerce(from_), _coerce(through)))
 
     def snapshot(self, name: str) -> Relation:
         """Facts valid now, as of now."""

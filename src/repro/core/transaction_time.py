@@ -226,11 +226,19 @@ class TransactionTimeStore:
 
     # -- the transaction-time axis -----------------------------------------------
 
+    def visible(self, as_of: InstantLike) -> List[Any]:
+        """The rows whose transaction time contains *as_of*, by a scan (an
+        index answers this and the next three methods from its tree)."""
+        when = _coerce(as_of)
+        return [row for row in self._iter_rows() if row.tt.contains(when)]
+
+    def overlapping(self, period: Period) -> List[Any]:
+        """The rows whose transaction time overlaps *period*, by a scan."""
+        return [row for row in self._iter_rows() if row.tt.overlaps(period)]
+
     def rollback(self, as_of: InstantLike) -> Any:
         """The state as of a transaction time (the paper's rollback)."""
-        when = _coerce(as_of)
-        return self.state_of(row for row in self._iter_rows()
-                             if row.tt.contains(when))
+        return self.state_of(self.visible(as_of))
 
     def current(self) -> Any:
         """The most recent state: exactly the open partition.
@@ -248,8 +256,7 @@ class TransactionTimeStore:
         Backs TQuel's ``as of t1 through t2``: the union of the rollback
         states over the transaction-time range.
         """
-        return self.range_of(row for row in self._iter_rows()
-                             if row.tt.overlaps(period))
+        return self.range_of(self.overlapping(period))
 
     def commit_times(self) -> List[Instant]:
         """Every transaction time at which this store changed, ascending."""

@@ -49,6 +49,17 @@ class AggregateFunction:
         return f"AggregateFunction({self.label})"
 
 
+#: Aggregate name -> its reduction over a group's non-null values (of
+#: none: ``sum`` is 0, as in Quel, the rest ``None``); shared with TQuel.
+REDUCERS: Dict[str, Callable[[List[Any]], Any]] = {
+    "count": len,
+    "sum": sum,
+    "avg": lambda values: sum(values) / len(values) if values else None,
+    "min": lambda values: min(values) if values else None,
+    "max": lambda values: max(values) if values else None,
+}
+
+
 def count(attribute: Optional[str] = None) -> AggregateFunction:
     """Row count, or non-null count of one attribute."""
     return AggregateFunction("count", attribute, len, Domain.INTEGER)
@@ -67,25 +78,17 @@ def agg_sum(attribute: str) -> AggregateFunction:
 
 def agg_avg(attribute: str) -> AggregateFunction:
     """Mean of non-null values (``None`` on empty input)."""
-    def mean(values: List[Any]) -> Optional[float]:
-        if not values:
-            return None
-        return sum(values) / len(values)
-    return AggregateFunction("avg", attribute, mean, Domain.FLOAT)
+    return AggregateFunction("avg", attribute, REDUCERS["avg"], Domain.FLOAT)
 
 
 def agg_min(attribute: str) -> AggregateFunction:
     """Minimum of non-null values (``None`` on empty input)."""
-    return AggregateFunction("min", attribute,
-                             lambda values: min(values) if values else None,
-                             Domain.FLOAT)
+    return AggregateFunction("min", attribute, REDUCERS["min"], Domain.FLOAT)
 
 
 def agg_max(attribute: str) -> AggregateFunction:
     """Maximum of non-null values (``None`` on empty input)."""
-    return AggregateFunction("max", attribute,
-                             lambda values: max(values) if values else None,
-                             Domain.FLOAT)
+    return AggregateFunction("max", attribute, REDUCERS["max"], Domain.FLOAT)
 
 
 def aggregate(relation: Relation, functions: Sequence[AggregateFunction],

@@ -32,7 +32,9 @@ class Domain:
     enumerations and user-defined time.
     """
 
-    __slots__ = ("_name", "_validate", "_parse", "_format", "_is_time",
+    #: ``contains`` is the membership test itself (``None`` is handled by
+    #: nullability, not domains) — a slot, so a check costs one call.
+    __slots__ = ("_name", "contains", "_parse", "_format", "_is_time",
                  "_enum_values")
 
     # Populated below, after the class body.
@@ -49,7 +51,7 @@ class Domain:
                  format: Optional[Callable[[Any], str]] = None,
                  is_time: bool = False) -> None:
         self._name = name
-        self._validate = validate
+        self.contains = validate
         self._parse = parse
         self._format = format
         self._is_time = is_time
@@ -117,13 +119,9 @@ class Domain:
 
     # -- operations --------------------------------------------------------------
 
-    def contains(self, value: Any) -> bool:
-        """Membership test; ``None`` is handled by nullability, not domains."""
-        return self._validate(value)
-
     def check(self, value: Any, attribute: str = "?") -> Any:
         """Validate and return *value*, raising :class:`DomainError` if illegal."""
-        if not self._validate(value):
+        if not self.contains(value):
             raise DomainError(
                 f"value {value!r} is not in domain {self._name} "
                 f"(attribute {attribute})"

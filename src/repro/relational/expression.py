@@ -25,6 +25,7 @@ where needed (parser round-trip tests), uses canonical ``repr`` equality.
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple as PyTuple, Union
 
 from repro.errors import ExpressionError, UnknownAttributeError
@@ -36,6 +37,12 @@ Environment = Mapping[Optional[str], Tuple]
 
 #: ``(variable, attribute)`` pairs reported by :meth:`Expression.references`.
 Reference = PyTuple[Optional[str], str]
+
+#: A compiled expression: one callable over whatever the caller binds its
+#: range variables to (the "bound rows") — and what resolves a reference
+#: ``(variable, attribute)`` to a getter over those rows, once.
+Compiled = Callable[[Any], Any]
+Resolver = Callable[[Optional[str], str], Compiled]
 
 
 def _env_of(binding: Union[Environment, Tuple]) -> Environment:
@@ -51,6 +58,16 @@ class Expression(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, env: Union[Environment, Tuple]) -> Any:
         """Evaluate under an environment (or a bare tuple)."""
+
+    @abc.abstractmethod
+    def compile(self, resolve: Resolver) -> Compiled:
+        """This expression as nested closures over the caller's bound rows.
+
+        *resolve* turns every attribute reference into a getter once, so
+        a run per row looks up no name and builds no environment.  Values,
+        null semantics and errors are :meth:`evaluate`'s — the tree walk
+        is the specification; operator nodes run one ``_apply`` under both.
+        """
 
     @abc.abstractmethod
     def references(self) -> FrozenSet[Reference]:
@@ -124,6 +141,10 @@ class Const(Expression):
     def evaluate(self, env: Union[Environment, Tuple]) -> Any:
         return self.value
 
+    def compile(self, resolve: Resolver) -> Compiled:
+        value = self.value
+        return lambda rows: value
+
     def references(self) -> FrozenSet[Reference]:
         return frozenset()
 
@@ -156,6 +177,9 @@ class AttrRef(Expression):
         except UnknownAttributeError as exc:
             raise ExpressionError(str(exc)) from None
 
+    def compile(self, resolve: Resolver) -> Compiled:
+        return resolve(self.variable, self.name)
+
     def references(self) -> FrozenSet[Reference]:
         return frozenset({(self.variable, self.name)})
 
@@ -166,16 +190,35 @@ class AttrRef(Expression):
 
 
 _COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 
-class Comparison(Expression):
+class _Binary(Expression):
+    """A two-operand node: evaluated and compiled through one ``_apply``
+    (the short-circuiting connectives override both instead)."""
+
+    def __init__(self, left: Expression, right: Expression) -> None:
+        self.left = left
+        self.right = right
+
+    def _apply(self, left: Any, right: Any) -> Any:
+        raise NotImplementedError
+
+    def evaluate(self, env: Union[Environment, Tuple]) -> Any:
+        return self._apply(self.left.evaluate(env), self.right.evaluate(env))
+
+    def compile(self, resolve: Resolver) -> Compiled:
+        left, right = self.left.compile(resolve), self.right.compile(resolve)
+        apply = self._apply
+        return lambda rows: apply(left(rows), right(rows))
+
+    def references(self) -> FrozenSet[Reference]:
+        return self.left.references() | self.right.references()
+
+
+class Comparison(_Binary):
     """A binary comparison. Comparisons involving ``None`` are false."""
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
@@ -185,9 +228,7 @@ class Comparison(Expression):
         self.left = left
         self.right = right
 
-    def evaluate(self, env: Union[Environment, Tuple]) -> bool:
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env)
+    def _apply(self, left: Any, right: Any) -> bool:
         if left is None or right is None:
             return False
         try:
@@ -197,23 +238,17 @@ class Comparison(Expression):
                 f"cannot compare {left!r} {self.op} {right!r}"
             ) from exc
 
-    def references(self) -> FrozenSet[Reference]:
-        return self.left.references() | self.right.references()
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
 _ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
 }
 
 
-class BinaryOp(Expression):
+class BinaryOp(_Binary):
     """Arithmetic (and string concatenation via ``+``); null-propagating."""
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
@@ -223,9 +258,7 @@ class BinaryOp(Expression):
         self.left = left
         self.right = right
 
-    def evaluate(self, env: Union[Environment, Tuple]) -> Any:
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env)
+    def _apply(self, left: Any, right: Any) -> Any:
         if left is None or right is None:
             return None
         try:
@@ -235,74 +268,70 @@ class BinaryOp(Expression):
                 f"cannot compute {left!r} {self.op} {right!r}: {exc}"
             ) from exc
 
-    def references(self) -> FrozenSet[Reference]:
-        return self.left.references() | self.right.references()
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-class And(Expression):
+class And(_Binary):
     """Logical conjunction (short-circuiting)."""
-
-    def __init__(self, left: Expression, right: Expression) -> None:
-        self.left = left
-        self.right = right
 
     def evaluate(self, env: Union[Environment, Tuple]) -> bool:
         return bool(self.left.evaluate(env)) and bool(self.right.evaluate(env))
 
-    def references(self) -> FrozenSet[Reference]:
-        return self.left.references() | self.right.references()
+    def compile(self, resolve: Resolver) -> Compiled:
+        left, right = self.left.compile(resolve), self.right.compile(resolve)
+        return lambda rows: bool(left(rows)) and bool(right(rows))
 
     def __repr__(self) -> str:
         return f"({self.left!r} and {self.right!r})"
 
 
-class Or(Expression):
+class Or(_Binary):
     """Logical disjunction (short-circuiting)."""
-
-    def __init__(self, left: Expression, right: Expression) -> None:
-        self.left = left
-        self.right = right
 
     def evaluate(self, env: Union[Environment, Tuple]) -> bool:
         return bool(self.left.evaluate(env)) or bool(self.right.evaluate(env))
 
-    def references(self) -> FrozenSet[Reference]:
-        return self.left.references() | self.right.references()
+    def compile(self, resolve: Resolver) -> Compiled:
+        left, right = self.left.compile(resolve), self.right.compile(resolve)
+        return lambda rows: bool(left(rows)) or bool(right(rows))
 
     def __repr__(self) -> str:
         return f"({self.left!r} or {self.right!r})"
 
 
-class Not(Expression):
-    """Logical negation."""
+class _Unary(Expression):
+    """A one-operand node: evaluated and compiled through one ``_apply``."""
+
+    _apply: Callable[[Any], bool]
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
 
     def evaluate(self, env: Union[Environment, Tuple]) -> bool:
-        return not self.operand.evaluate(env)
+        return self._apply(self.operand.evaluate(env))
+
+    def compile(self, resolve: Resolver) -> Compiled:
+        operand, apply = self.operand.compile(resolve), self._apply
+        return lambda rows: apply(operand(rows))
 
     def references(self) -> FrozenSet[Reference]:
         return self.operand.references()
+
+
+class Not(_Unary):
+    """Logical negation."""
+
+    _apply = staticmethod(operator.not_)
 
     def __repr__(self) -> str:
         return f"(not {self.operand!r})"
 
 
-class IsNull(Expression):
+class IsNull(_Unary):
     """Explicit null test (``None`` never compares equal via ``=``)."""
 
-    def __init__(self, operand: Expression) -> None:
-        self.operand = operand
-
-    def evaluate(self, env: Union[Environment, Tuple]) -> bool:
-        return self.operand.evaluate(env) is None
-
-    def references(self) -> FrozenSet[Reference]:
-        return self.operand.references()
+    _apply = staticmethod(lambda value: value is None)
 
     def __repr__(self) -> str:
         return f"({self.operand!r} is null)"

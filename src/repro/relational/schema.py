@@ -17,8 +17,6 @@ from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, T
 from repro.errors import SchemaError, UnknownAttributeError
 from repro.relational.domain import Domain
 
-_IDENTIFIER_OK = staticmethod(str.isidentifier)
-
 
 class Attribute:
     """A named, typed column of a relation."""
@@ -57,7 +55,9 @@ class Attribute:
             if self._nullable:
                 return None
             raise SchemaError(f"attribute {self._name} is not nullable")
-        return self._domain.check(value, self._name)
+        # One call decides the common case; a refusal is the domain's to word.
+        return value if self._domain.contains(value) else self._domain.check(
+            value, self._name)
 
     def renamed(self, name: str) -> "Attribute":
         """A copy of this attribute under a new name."""
@@ -86,22 +86,24 @@ class Schema:
     valid times overlap* (a sequenced key).
     """
 
-    __slots__ = ("_attributes", "_by_name", "_key", "_names")
+    __slots__ = ("_attributes", "_positions", "_key", "_names")
 
     def __init__(self, attributes: Iterable[Attribute],
                  key: Optional[Sequence[str]] = None) -> None:
         self._attributes: Tuple[Attribute, ...] = tuple(attributes)
         if not self._attributes:
             raise SchemaError("a schema needs at least one attribute")
-        self._by_name: Dict[str, Attribute] = {}
-        for attribute in self._attributes:
-            if attribute.name in self._by_name:
+        #: name -> index in declaration order, built once: every lookup by
+        #: name (here and in this schema's tuples) is one dict probe.
+        self._positions: Dict[str, int] = {}
+        for index, attribute in enumerate(self._attributes):
+            if attribute.name in self._positions:
                 raise SchemaError(f"duplicate attribute name {attribute.name!r}")
-            self._by_name[attribute.name] = attribute
-        self._names: Tuple[str, ...] = tuple(self._by_name)
+            self._positions[attribute.name] = index
+        self._names: Tuple[str, ...] = tuple(self._positions)
         key_names = tuple(key) if key else ()
         for name in key_names:
-            if name not in self._by_name:
+            if name not in self._positions:
                 raise SchemaError(f"key attribute {name!r} is not in the schema")
         if len(set(key_names)) != len(key_names):
             raise SchemaError("key attributes must be distinct")
@@ -135,15 +137,19 @@ class Schema:
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name."""
+        return self._attributes[self.position(name)]
+
+    def position(self, name: str) -> int:
+        """The index of attribute *name* in declaration order."""
         try:
-            return self._by_name[name]
+            return self._positions[name]
         except KeyError:
             raise UnknownAttributeError(
                 f"no attribute {name!r}; schema has {', '.join(self.names)}"
             ) from None
 
     def __contains__(self, name: object) -> bool:
-        return name in self._by_name
+        return name in self._positions
 
     def __iter__(self) -> Iterator[Attribute]:
         return iter(self._attributes)
@@ -162,7 +168,7 @@ class Schema:
     def rename(self, mapping: Mapping[str, str]) -> "Schema":
         """A schema with attributes renamed per *mapping*."""
         for old in mapping:
-            if old not in self._by_name:
+            if old not in self._positions:
                 raise UnknownAttributeError(f"cannot rename unknown attribute {old!r}")
         renamed = tuple(
             attribute.renamed(mapping.get(attribute.name, attribute.name))

@@ -21,51 +21,59 @@ class Tuple(Mapping[str, Any]):
     tuple that exists is well-typed by construction.
     """
 
-    __slots__ = ("_schema", "_values", "_hash")
+    #: ``values`` (the values in schema order) is a plain slot, not a
+    #: property: the compiled TQuel read path indexes it once per attribute
+    #: per row.  It is never assigned after construction.
+    __slots__ = ("_schema", "values", "_hash")
 
     def __init__(self, schema: Schema, values: Mapping[str, Any]) -> None:
-        extra = set(values) - set(schema.names)
-        if extra:
-            raise SchemaError(
-                f"values for unknown attributes: {', '.join(sorted(extra))}"
-            )
-        missing = [name for name in schema.names if name not in values]
-        if missing:
+        names = schema.names
+        if len(values) != len(names) or any(name not in values
+                                            for name in names):
+            extra = set(values) - set(names)
+            if extra:
+                raise SchemaError("values for unknown attributes: "
+                                  f"{', '.join(sorted(extra))}")
+            missing = [name for name in names if name not in values]
             raise SchemaError(f"missing values for: {', '.join(missing)}")
         self._schema = schema
-        self._values: PyTuple[Any, ...] = tuple(
-            attribute.check(values[attribute.name]) for attribute in schema
-        )
-        self._hash = hash((schema.names, self._values))
+        self.values: PyTuple[Any, ...] = tuple(
+            [attribute.check(values[attribute.name]) for attribute in schema])
+        self._hash = hash((names, self.values))
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def from_sequence(cls, schema: Schema, values: Sequence[Any]) -> "Tuple":
         """Build from positional values in schema order."""
-        if len(values) != len(schema):
+        attributes = schema._attributes
+        if len(values) != len(attributes):
             raise SchemaError(
-                f"expected {len(schema)} values, got {len(values)}"
+                f"expected {len(attributes)} values, got {len(values)}"
             )
-        return cls(schema, dict(zip(schema.names, values)))
+        row = cls.__new__(cls)
+        row._schema = schema
+        row.values = tuple([attribute.check(value) for attribute, value
+                            in zip(attributes, values)])
+        row._hash = hash((schema._names, row.values))
+        return row
 
     # -- mapping protocol ---------------------------------------------------------
 
     def __getitem__(self, name: str) -> Any:
         try:
-            index = self._schema.names.index(name)
-        except ValueError:
+            return self.values[self._schema._positions[name]]
+        except KeyError:
             raise UnknownAttributeError(
                 f"tuple has no attribute {name!r}; "
                 f"schema has {', '.join(self._schema.names)}"
             ) from None
-        return self._values[index]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._schema.names)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     # -- accessors -------------------------------------------------------------------
 
@@ -74,14 +82,10 @@ class Tuple(Mapping[str, Any]):
         """The schema this tuple conforms to."""
         return self._schema
 
-    @property
-    def values(self) -> PyTuple[Any, ...]:
-        """The values in schema order."""
-        return self._values
-
     def key(self) -> PyTuple[Any, ...]:
         """The key values, per the schema's key."""
-        return tuple(self[name] for name in self._schema.key)
+        values, positions = self.values, self._schema._positions
+        return tuple([values[positions[name]] for name in self._schema.key])
 
     # -- derivation ---------------------------------------------------------------------
 
@@ -98,13 +102,13 @@ class Tuple(Mapping[str, Any]):
 
     def cast(self, schema: Schema) -> "Tuple":
         """Re-type this tuple against an equal-named schema (e.g. after rename)."""
-        if len(schema) != len(self._values):
+        if len(schema) != len(self.values):
             raise SchemaError("cannot cast: attribute counts differ")
-        return Tuple.from_sequence(schema, self._values)
+        return Tuple.from_sequence(schema, self.values)
 
     def concat(self, other: "Tuple", schema: Schema) -> "Tuple":
         """Concatenate with *other* under a precomputed combined schema."""
-        return Tuple.from_sequence(schema, self._values + other._values)
+        return Tuple.from_sequence(schema, self.values + other.values)
 
     # -- dunder ----------------------------------------------------------------------------
 
@@ -112,12 +116,12 @@ class Tuple(Mapping[str, Any]):
         if not isinstance(other, Tuple):
             return NotImplemented
         return (self._schema.names == other._schema.names
-                and self._values == other._values)
+                and self.values == other.values)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={value!r}"
-                          for name, value in zip(self._schema.names, self._values))
+                          for name, value in zip(self._schema.names, self.values))
         return f"Tuple({inner})"

@@ -26,6 +26,14 @@ a static relation, computed over the candidate rows — which for the
 valid-time kinds means the recorded *facts* (one per tuple-validity row),
 not a single timeslice.
 
+**One compiled loop.**  Whatever the kind, the access path or the number
+of range variables, a retrieve is settled once per statement — attribute
+references resolved to positions and closed over (``Expression.compile``),
+variable-free temporal expressions folded (:func:`fold_temporal`), the
+clock read — and then runs one straight loop over the bindings.  The
+per-row tree walks (``Expression.evaluate``, the unfolded ``eval_*``) are
+the specification, property-tested in ``test_compiled_differential.py``.
+
 **Access paths and the equivalence obligation.**  Candidate rows can be
 sourced three ways — a naive row-at-a-time scan, an interval-tree probe,
 or the vectorized mask kernels of :mod:`repro.core.columnar` — chosen per
@@ -33,11 +41,11 @@ range variable by :mod:`repro.tquel.planner` (or forced via the ``plan``
 knob).  The naive path is the executable specification: every other path
 must yield the *same candidate multiset* for the same statement, and
 every vectorized kernel (transaction-time stab/overlap, ``when``
-comparison, attribute-comparison pushdown, compiled projection) owes
-row-for-row agreement with its scalar twin, including null semantics and
-raised error types.  The randomized differential suite
-(``tests/tquel/test_differential.py``) runs every query shape under all
-forced plans and asserts identical results.
+comparison, attribute-comparison pushdown) owes row-for-row agreement
+with its scalar twin, including null semantics and raised error types.
+The randomized differential suite (``tests/tquel/test_differential.py``)
+runs every query shape under all forced plans and asserts identical
+results.
 
 In ``auto`` mode the evaluator also consults the database's
 :class:`~repro.core.resultcache.ResultCache`: filtered candidate streams
@@ -49,20 +57,24 @@ serve a stale as-of answer.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
-from typing import (Any, Dict, List, Mapping, NamedTuple, Optional, Sequence,
-                    Set, Tuple as PyTuple, Union)
+import operator
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple as PyTuple, Union)
 
 from repro.core.base import Database
 from repro.core.historical import HistoricalDatabase, HistoricalRelation, HistoricalRow
 from repro.core.rollback import RollbackDatabase
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
-from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import TQuelSemanticError
 from repro.obs import runtime as _obs
+from repro.relational.aggregate import REDUCERS
 from repro.relational.domain import Domain
 from repro.relational.expression import (
     And, AttrRef, BinaryOp, Comparison, Const, Expression, IsNull, Not, Or,
+    Resolver,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -91,64 +103,76 @@ _TYPE_MAP = {
 }
 
 
-class _Candidate(NamedTuple):
-    """One candidate binding for a range variable."""
-
-    data: Tuple
-    valid: Optional[Period]
-    tt: Optional[Period]
-
-
 # ---------------------------------------------------------------------------
-# Temporal expression / predicate evaluation
+# Temporal expressions and predicates: the tree walk (the specification)
 # ---------------------------------------------------------------------------
+
+def _start_of(inner: Period) -> Period:
+    if not inner.start.is_finite:
+        raise TQuelSemanticError(f"start of {inner} is unbounded")
+    return inner.start_of()
+
+
+def _end_of(inner: Period) -> Period:
+    if not inner.end.is_finite:
+        raise TQuelSemanticError(f"end of {inner} is unbounded")
+    return inner.end_of()
+
+
+#: The compound temporal expressions: node type -> the operation over
+#: the non-empty periods of its operands (the node's fields, in order).
+_PERIOD_OPS = {TStartOf: _start_of, TEndOf: _end_of,
+               TOverlap: Period.intersect, TExtend: Period.extend}
+#: The literals legal only as a valid/as-of bound, and what they bound.
+_INFINITIES = {"forever": POS_INF, "beginning": NEG_INF}
+
+
+def _lifted(operation, operands: Sequence[Any]) -> Any:
+    """*operation* over *operands*, or ``None`` if one is (an empty
+    ``overlap(...)`` empties everything built on it)."""
+    for operand in operands:
+        if operand is None:
+            return None
+    return operation(*operands)
+
+
+def _through_end(inner: Period) -> Instant:
+    """`to end of e` should cover e's last chronon: resolve to e.end."""
+    return inner.end if inner.end.is_finite else POS_INF
+
+
+class _Folded(NamedTuple):
+    """A variable-free temporal expression, evaluated once per statement
+    (:func:`fold_temporal`): a leaf the tree walk only reads back."""
+
+    value: Any
+    #: Did the expression read ``now``?
+    clock_dependent: bool = False
+
 
 def eval_period(expr: TemporalExpr, periods: Mapping[str, Period],
                 now: Instant) -> Optional[Period]:
     """Evaluate a temporal expression to a period (None = empty overlap)."""
     if isinstance(expr, TVar):
         return periods[expr.variable]
+    if isinstance(expr, _Folded):
+        return expr.value
     if isinstance(expr, TNow):
         return Period.at(now)
     if isinstance(expr, TConst):
-        if expr.literal == "forever":
+        if expr.literal in _INFINITIES:
             raise TQuelSemanticError(
-                "'forever' may only appear as a valid/as-of bound"
-            )
-        if expr.literal == "beginning":
-            raise TQuelSemanticError(
-                "'beginning' may only appear as a valid/as-of bound"
+                f"{expr.literal!r} may only appear as a valid/as-of bound"
             )
         return Period.at(Instant.parse(expr.literal))
-    if isinstance(expr, TStartOf):
-        inner = eval_period(expr.operand, periods, now)
-        if inner is None:
-            return None
-        if not inner.start.is_finite:
-            raise TQuelSemanticError(
-                f"start of {inner} is unbounded"
-            )
-        return inner.start_of()
-    if isinstance(expr, TEndOf):
-        inner = eval_period(expr.operand, periods, now)
-        if inner is None:
-            return None
-        if not inner.end.is_finite:
-            raise TQuelSemanticError(f"end of {inner} is unbounded")
-        return inner.end_of()
-    if isinstance(expr, TOverlap):
-        left = eval_period(expr.left, periods, now)
-        right = eval_period(expr.right, periods, now)
-        if left is None or right is None:
-            return None
-        return left.intersect(right)
-    if isinstance(expr, TExtend):
-        left = eval_period(expr.left, periods, now)
-        right = eval_period(expr.right, periods, now)
-        if left is None or right is None:
-            return None
-        return left.extend(right)
+    if type(expr) in _PERIOD_OPS:
+        return _lifted(_PERIOD_OPS[type(expr)], [
+            eval_period(operand, periods, now)
+            for operand in vars(expr).values()])
     raise TQuelSemanticError(f"unknown temporal expression {expr!r}")
+
+
+_START = operator.attrgetter("start")
 
 
 def eval_bound(expr: TemporalExpr, periods: Mapping[str, Period],
@@ -159,22 +183,47 @@ def eval_bound(expr: TemporalExpr, periods: Mapping[str, Period],
     ``forever``/``beginning`` denote the infinities.  Returns ``None`` when
     an ``overlap(...)`` operand is empty (the candidate is filtered out).
     """
-    if isinstance(expr, TConst) and expr.literal == "forever":
-        return POS_INF
-    if isinstance(expr, TConst) and expr.literal == "beginning":
-        return NEG_INF
+    if isinstance(expr, _Folded):
+        return expr.value
+    if isinstance(expr, TConst) and expr.literal in _INFINITIES:
+        return _INFINITIES[expr.literal]
     if isinstance(expr, TEndOf):
-        # `to end of e` should cover e's last chronon: resolve to e.end.
-        inner = eval_period(expr.operand, periods, now)
-        if inner is None:
-            return None
-        if not inner.end.is_finite:
-            return POS_INF
-        return inner.end
-    period = eval_period(expr, periods, now)
-    if period is None:
-        return None
-    return period.start
+        return _lifted(_through_end,
+                       [eval_period(expr.operand, periods, now)])
+    return _lifted(_START, [eval_period(expr, periods, now)])
+
+
+#: The ``when`` operators over two non-empty periods: the paper's three
+#: (``overlap``, ``precede``, ``equal``) and the Allen-style extensions —
+#: ``meets`` (left ends exactly where right begins), ``before`` (strictly
+#: earlier, with a gap: precede minus meets), ``after`` (its converse),
+#: ``during`` (left contained in right, shared endpoints allowed),
+#: ``starts`` / ``finishes`` (contained and sharing the start / the end).
+#: Each has a vectorized twin in
+#: :meth:`repro.core.columnar.ColumnarChunk.when_mask`.
+_WHEN_OPS: Dict[str, Callable[[Period, Period], bool]] = {
+    "overlap": Period.overlaps,
+    "precede": Period.precedes,
+    "equal": operator.eq,
+    "meets": Period.meets,
+    "before": lambda left, right: (left.precedes(right)
+                                   and not left.meets(right)),
+    "after": lambda left, right: (right.precedes(left)
+                                  and not right.meets(left)),
+    "during": lambda left, right: right.contains_period(left),
+    "starts": lambda left, right: (right.contains_period(left)
+                                   and left.start == right.start),
+    "finishes": lambda left, right: (right.contains_period(left)
+                                     and left.end == right.end),
+}
+
+
+def _when_op(op: str) -> Callable[[Period, Period], bool]:
+    try:
+        return _WHEN_OPS[op]
+    except KeyError:
+        raise TQuelSemanticError(
+            f"unknown temporal operator {op!r}") from None
 
 
 def eval_temporal_predicate(predicate: TemporalPredicate,
@@ -186,33 +235,7 @@ def eval_temporal_predicate(predicate: TemporalPredicate,
         right = eval_period(predicate.right, periods, now)
         if left is None or right is None:
             return False
-        # The paper's three operators...
-        if predicate.op == "overlap":
-            return left.overlaps(right)
-        if predicate.op == "precede":
-            return left.precedes(right)
-        if predicate.op == "equal":
-            return left == right
-        # ...and the Allen-style extensions:
-        # meets    — left ends exactly where right begins;
-        # before   — strictly earlier, with a gap (precede minus meets);
-        # after    — the converse of before;
-        # during   — left contained in right (shared endpoints allowed);
-        # starts   — contained and sharing the start;
-        # finishes — contained and sharing the end.
-        if predicate.op == "meets":
-            return left.meets(right)
-        if predicate.op == "before":
-            return left.precedes(right) and not left.meets(right)
-        if predicate.op == "after":
-            return right.precedes(left) and not right.meets(left)
-        if predicate.op == "during":
-            return right.contains_period(left)
-        if predicate.op == "starts":
-            return right.contains_period(left) and left.start == right.start
-        if predicate.op == "finishes":
-            return right.contains_period(left) and left.end == right.end
-        raise TQuelSemanticError(f"unknown temporal operator {predicate.op!r}")
+        return _when_op(predicate.op)(left, right)
     if isinstance(predicate, TPAnd):
         return (eval_temporal_predicate(predicate.left, periods, now)
                 and eval_temporal_predicate(predicate.right, periods, now))
@@ -248,26 +271,29 @@ def partition_pushdown(where: Optional[Expression]
     residual: List[Expression] = []
     for conjunct in split_conjuncts(where):
         variables = {variable for variable, _ in conjunct.references()}
-        if len(variables) == 1:
-            (variable,) = variables
-            if variable is not None:
-                per_variable.setdefault(variable, []).append(conjunct)
-                continue
-        residual.append(conjunct)
+        if len(variables) == 1 and None not in variables:
+            per_variable.setdefault(variables.pop(), []).append(conjunct)
+        else:
+            residual.append(conjunct)
     return per_variable, residual
+
+
+def _leaves(node) -> Iterator[Any]:
+    """The leaves (variables, constants, ``now``) under a temporal
+    expression or predicate."""
+    if isinstance(node, (TStartOf, TEndOf, TPNot)):
+        yield from _leaves(node.operand)
+    elif isinstance(node, (TOverlap, TExtend, TPCompare, TPAnd, TPOr)):
+        yield from _leaves(node.left)
+        yield from _leaves(node.right)
+    else:
+        yield node
 
 
 def temporal_variables(node) -> Set[str]:
     """Every range variable a temporal expression/predicate mentions."""
-    if isinstance(node, TVar):
-        return {node.variable}
-    if isinstance(node, (TStartOf, TEndOf)):
-        return temporal_variables(node.operand)
-    if isinstance(node, (TOverlap, TExtend, TPCompare, TPAnd, TPOr)):
-        return temporal_variables(node.left) | temporal_variables(node.right)
-    if isinstance(node, TPNot):
-        return temporal_variables(node.operand)
-    return set()
+    return {leaf.variable for leaf in _leaves(node)
+            if isinstance(leaf, TVar)}
 
 
 def contains_now(node) -> bool:
@@ -277,35 +303,43 @@ def contains_now(node) -> bool:
     moment the clock moves, even without a commit — so such streams are
     never result-cached.
     """
-    if isinstance(node, TNow):
-        return True
-    if isinstance(node, (TStartOf, TEndOf, TPNot)):
-        return contains_now(node.operand)
-    if isinstance(node, (TOverlap, TExtend, TPCompare, TPAnd, TPOr)):
-        return contains_now(node.left) or contains_now(node.right)
-    return False
+    return any(isinstance(leaf, TNow) for leaf in _leaves(node))
 
 
-#: The ``when`` operators with a vectorized kernel in
-#: :meth:`repro.core.columnar.ColumnarChunk.when_mask` — exactly the set
-#: :func:`eval_temporal_predicate` accepts, so an unknown operator always
-#: raises through the naive path instead of a kernel ``KeyError``.
-_WHEN_KERNEL_OPS = frozenset((
-    "overlap", "precede", "equal", "meets", "before", "after", "during",
-    "starts", "finishes",
-))
+def fold_temporal(node, now: Instant, evaluate=eval_period):
+    """*node* with every maximal variable-free expression under it
+    evaluated (by *evaluate*) once, so the per-row tree walk parses no
+    literal and never reads the clock.
+
+    An expression the tree walk rejects (a bare ``forever``, an unbounded
+    ``start of``) stays unfolded: it raises when a row first reaches it —
+    so the statement still succeeds over an empty stream — and ends the
+    statement there.  A literal that does not parse is not caught: it is
+    refused here, as the analyzer refuses it.
+    """
+    if isinstance(node, TVar):
+        return node
+    if isinstance(node, TemporalPredicate) or temporal_variables(node):
+        return dataclasses.replace(node, **{
+            name: fold_temporal(operand, now)
+            for name, operand in vars(node).items()
+            if isinstance(operand, (TemporalExpr, TemporalPredicate))})
+    try:
+        return _Folded(evaluate(node, {}, now), contains_now(node))
+    except TQuelSemanticError:
+        return node
 
 
 class _WhenKernel(NamedTuple):
-    """A compiled, kernel-eligible ``when`` clause.
+    """A (folded) ``when`` clause one vectorized mask can answer.
 
     Eligible means: the clause is a single ``TPCompare`` with exactly one
-    side being a bare range variable and the other side a constant
-    temporal expression (no range variables), so the predicate can run
-    as one vectorized mask over that variable's valid column.  ``constant
-    is None`` records an empty ``overlap(...)`` constant — the predicate
-    is then false for every row, exactly as
-    :func:`eval_temporal_predicate` would report.
+    side being a bare range variable and the other side a folded constant,
+    so the predicate can run as one mask over that variable's valid column
+    (:meth:`repro.core.columnar.ColumnarChunk.when_mask`).  ``constant is
+    None`` records an empty ``overlap(...)`` constant — the predicate is
+    then false for every row, exactly as :func:`eval_temporal_predicate`
+    would report.
     """
 
     variable: str
@@ -317,28 +351,17 @@ class _WhenKernel(NamedTuple):
     clock_dependent: bool
 
 
-def when_kernel_spec(statement: RetrieveStmt,
-                     now: Instant) -> Optional[_WhenKernel]:
-    """Compile the ``when`` clause to a :class:`_WhenKernel`, if eligible."""
-    when = statement.when
-    if not isinstance(when, TPCompare) or when.op not in _WHEN_KERNEL_OPS:
-        return None
-    left_is_var = isinstance(when.left, TVar)
-    right_is_var = isinstance(when.right, TVar)
-    if left_is_var == right_is_var:
-        return None
-    var_side, const_side = ((when.left, when.right) if left_is_var
-                            else (when.right, when.left))
-    if temporal_variables(const_side):
-        return None
-    try:
-        constant = eval_period(const_side, {}, now)
-    except TQuelSemanticError:
-        # Constants eval_period rejects (bare `forever` etc.) must raise
-        # identically per row — leave them to the naive predicate.
-        return None
-    return _WhenKernel(var_side.variable, when.op, constant, left_is_var,
-                       contains_now(const_side))
+def when_kernel(when: Optional[TemporalPredicate]) -> Optional[_WhenKernel]:
+    """The :class:`_WhenKernel` of a folded ``when`` clause, if eligible
+    (a constant the tree walk rejects did not fold: it raises per row,
+    identically on every access path, and so does an unknown operator)."""
+    if isinstance(when, TPCompare) and when.op in _WHEN_OPS:
+        for var_side, constant, var_on_left in (
+                (when.left, when.right, True), (when.right, when.left, False)):
+            if isinstance(var_side, TVar) and isinstance(constant, _Folded):
+                return _WhenKernel(var_side.variable, when.op, constant.value,
+                                   var_on_left, constant.clock_dependent)
+    return None
 
 
 def columnar_compare_spec(conjunct: Expression, variable: str
@@ -346,24 +369,77 @@ def columnar_compare_spec(conjunct: Expression, variable: str
     """The ``(attr, op, value, attr_on_left)`` kernel form of a conjunct.
 
     Only a direct attribute-vs-literal comparison vectorizes; anything
-    else (arithmetic, attr-vs-attr, ``is null``, disjunctions) runs
-    per-row through the expression AST on the already-selected indices.
+    else (arithmetic, attr-vs-attr, ``is null``, disjunctions) runs per
+    row, as a compiled closure, on the already-selected indices.
     """
-    if not isinstance(conjunct, Comparison):
-        return None
-    left, right = conjunct.left, conjunct.right
-    if (isinstance(left, AttrRef) and left.variable == variable
-            and isinstance(right, Const)):
-        return (left.name, conjunct.op, right.value, True)
-    if (isinstance(right, AttrRef) and right.variable == variable
-            and isinstance(left, Const)):
-        return (right.name, conjunct.op, left.value, False)
+    if isinstance(conjunct, Comparison):
+        for attribute, constant, attr_on_left in (
+                (conjunct.left, conjunct.right, True),
+                (conjunct.right, conjunct.left, False)):
+            if (isinstance(attribute, AttrRef) and isinstance(constant, Const)
+                    and attribute.variable == variable):
+                return (attribute.name, conjunct.op, constant.value,
+                        attr_on_left)
     return None
 
 
 # ---------------------------------------------------------------------------
 # The evaluator
 # ---------------------------------------------------------------------------
+
+class _Prepared(NamedTuple):
+    """A retrieve compiled and sourced, short of forming the product: what
+    :meth:`Evaluator.retrieve` runs and :meth:`Evaluator.explain` reports."""
+
+    #: Range variable -> its place in a *binding*: one candidate
+    #: ``(data, valid, tt)`` per variable, in this order.
+    slots: Dict[str, int]
+    now: Instant
+    as_of: Optional[Instant]
+    through: Optional[Instant]
+    #: The access path in ``explain``'s words; the result's relation class.
+    access: str
+    result_type: type
+    #: Pushed single-variable conjuncts per variable, and the rest.
+    pushdown: Dict[str, List[Expression]]
+    residual: List[Expression]
+    #: The folded ``when`` still to test per binding (``None``: no such
+    #: clause, or a stream's kernel has answered it).
+    when: Optional[TemporalPredicate]
+    #: Per variable: the access plan, the candidates examined before
+    #: pushdown, and those that survived it.
+    streams: Dict[str, PyTuple[_planner.AccessPlan, int, PyTuple[Any, ...]]]
+
+
+#: ``explain``'s name for each relation class a retrieve can yield.
+_RESULT_KINDS = {Relation: "static", HistoricalRelation: "historical",
+                 TemporalRelation: "temporal"}
+
+
+def _has_aggregates(targets: Sequence[TargetItem]) -> bool:
+    return any(isinstance(target.expr, AggCall) for target in targets)
+
+
+def _intersection(binding, slots: Sequence[int],
+                  axis: int) -> Optional[Period]:
+    """One time axis (1 = valid, 2 = transaction) intersected over the
+    candidates at *slots*; ``None`` when empty or when a candidate lacks
+    the axis."""
+    current: Optional[Period] = None
+    for slot in slots:
+        period = binding[slot][axis]
+        if period is None:
+            return None
+        current = period if current is None else current.intersect(period)
+        if current is None:
+            return None
+    return current
+
+
+def _periods(slots: Mapping[str, int], binding) -> Dict[str, Any]:
+    """The valid periods of a binding's candidates, by range variable."""
+    return {variable: binding[slot][1] for variable, slot in slots.items()}
+
 
 class Evaluator:
     """Executes statements against one database and a range environment.
@@ -417,83 +493,70 @@ class Evaluator:
 
     # -- candidate streams ------------------------------------------------------------
 
-    def _candidates(self, relation: str, as_of: Optional[Instant],
-                    through: Optional[Instant] = None) -> List[_Candidate]:
-        """The candidate rows of one relation, per database kind.
+    def _source(self, as_of: Optional[Instant], through: Optional[Instant],
+                now: Instant):
+        """How this database sources candidate rows under the statement's
+        transaction-time clauses — the one per-kind dispatch.
 
-        ``through`` (with ``as_of``) selects the transaction-time *range*
-        form: everything that was part of some state between the two
-        instants, inclusive.
+        Returns ``(access, rows, scan, bitemporal)``: the access path in
+        ``explain``'s words; ``relation name -> its candidates``, each
+        ``(data, valid, tt)`` with ``None`` on an axis the kind lacks (a
+        temporal database's stored rows have that shape and stream as they
+        are); the raw-scan twin of *rows*; whether the candidates carry
+        both axes.  The twin asks the store itself, which walks every
+        stored row and tests the clause per row — never an interval tree:
+        the executable specification the other paths are differentially
+        tested against.  ``through`` (with ``as_of``) selects the *range*
+        form: every row of some state between the two instants, inclusive.
         """
         db = self._db
+        ranged = through is not None
+        tree = ((": transaction-time range overlap" if ranged
+                 else ": transaction-time stab")
+                if getattr(db, "index_cache", None) is not None else None)
         if isinstance(db, TemporalDatabase):
-            if through is not None:
-                ranged = db.rollback_range(relation, as_of, through)
-                return [_Candidate(row.data, row.valid, row.tt)
-                        for row in ranged.rows]
-            when = as_of if as_of is not None else db.now()
+            access = ("bitemporal index" + tree if tree
+                      else "scan (index disabled)")
+            if ranged:
+                return (access,
+                        lambda relation: db.visible_during(relation, as_of,
+                                                           through),
+                        lambda relation: db.store(relation).overlapping(
+                            Period.from_inclusive(as_of, through)), True)
+            when = as_of if as_of is not None else now
             # db.visible stabs the transaction-time index when the
             # database keeps one (O(log n + k)); otherwise it scans.
-            return [
-                _Candidate(row.data, row.valid, row.tt)
-                for row in db.visible(relation, when)
-            ]
+            return (access, lambda relation: db.visible(relation, when),
+                    lambda relation: db.store(relation).visible(when), True)
         if isinstance(db, HistoricalDatabase):
-            return [_Candidate(row.data, row.valid, None)
-                    for row in db.history(relation).rows]
-        if isinstance(db, RollbackDatabase):
-            if through is not None:
-                base = db.rollback_range(relation, as_of, through)
-            elif as_of is not None:
-                base = db.rollback(relation, as_of)
-            else:
-                base = db.snapshot(relation)
-            return [_Candidate(row, None, None) for row in base]
-        return [_Candidate(row, None, None)
-                for row in db.snapshot(relation)]
+            def facts(relation):
+                return [(row.data, row.valid, None)
+                        for row in db.history(relation).rows]
+            return "scan of recorded facts", facts, facts, False
+        if isinstance(db, RollbackDatabase) and (ranged or as_of is not None):
+            access = ("rollback index" + tree if tree
+                      else "scan (index disabled)")
+            states = ((lambda relation: db.rollback_range(relation, as_of,
+                                                          through),
+                       lambda relation: db.store(relation).visible_during(
+                           Period.from_inclusive(as_of, through)))
+                      if ranged else
+                      (lambda relation: db.rollback(relation, as_of),
+                       lambda relation: db.store(relation).rollback(as_of)))
+        else:  # the current state: no tree to bypass
+            access, states = "snapshot scan", (db.snapshot, db.snapshot)
 
-    def _candidates_naive(self, relation: str, as_of: Optional[Instant],
-                          through: Optional[Instant] = None
-                          ) -> List[_Candidate]:
-        """The raw-scan twin of :meth:`_candidates`.
+        def static(state):
+            return lambda relation: [(row, None, None)
+                                     for row in state(relation)]
+        rows, scan = map(static, states)
+        return access, rows, scan, False
 
-        Same rows in store order, but sourced by walking every stored row
-        and testing the temporal clauses per row — never through an
-        interval tree.  This is the executable specification the index
-        and columnar paths are differentially tested against.
-        """
-        db = self._db
-        store = db.store(relation) if isinstance(db, Database) else None
-        if isinstance(store, TransactionTimeStore):
-            if through is None:
-                when = as_of if as_of is not None else db.now()
-                rows = [row for row in store.rows if row.tt.contains(when)]
-            elif as_of is None:  # degenerate bound: mirror the legacy path
-                return self._candidates(relation, as_of, through)
-            else:
-                window = Period.from_inclusive(as_of, through)
-                rows = [row for row in store.rows if row.tt.overlaps(window)]
-            if isinstance(store, TemporalRelation):
-                return [_Candidate(row.data, row.valid, row.tt)
-                        for row in rows]
-            # Relation construction dedups tuples (first occurrence);
-            # mirror it so counts and multiplicity match.
-            return [_Candidate(data, None, None)
-                    for data in dict.fromkeys(row.data for row in rows)]
-        if isinstance(store, HistoricalRelation):
-            return [_Candidate(row.data, row.valid, None)
-                    for row in store.rows]
-        # A static relation, the StateSequence cube, the sharded facade:
-        # the representation's own walk *is* the naive scan (no
-        # partition, no index, no chunk).
-        return self._candidates(relation, as_of, through)
-
-    def _columnar_stream(self, relation: str, as_of: Optional[Instant],
-                         through: Optional[Instant],
-                         conjuncts: Sequence[Expression], variable: str,
-                         kernel: Optional[_WhenKernel], now: Instant
-                         ) -> Optional[PyTuple[int, PyTuple[_Candidate, ...],
-                                               bool]]:
+    def _columnar_stream(self, relation: str, variable: str,
+                         as_of: Optional[Instant], through: Optional[Instant],
+                         now: Instant, conjuncts: Sequence[Expression],
+                         kernel: Optional[_WhenKernel]
+                         ) -> Optional[PyTuple[int, PyTuple[Any, ...], bool]]:
         """Source one variable's stream through the columnar kernels.
 
         Returns ``(pre-pushdown count, filtered candidates, when
@@ -505,17 +568,14 @@ class Evaluator:
         identical row for row.
         """
         cache = getattr(self._db, "columnar_cache", None)
-        if cache is None:
-            return None
-        chunk = cache.chunk(relation)
-        if chunk is None or (through is not None and as_of is None):
+        chunk = cache.chunk(relation) if cache is not None else None
+        if chunk is None:
             return None
         rows = chunk.rows
+        make = None  # a temporal chunk's rows are candidates as stored
         if chunk.tt is None:  # historical: candidates are all recorded facts
             indices = chunk.mask_indices(chunk.all_mask())
-
-            def make(row) -> _Candidate:
-                return _Candidate(row.data, row.valid, None)
+            make = lambda row: (row.data, row.valid, None)  # noqa: E731
         else:
             if through is not None:
                 mask = chunk.tt_overlap_mask(
@@ -523,21 +583,15 @@ class Evaluator:
             else:
                 # No as-of: the current state, which is exactly the rows
                 # whose transaction time contains now (open partition).
-                mask = chunk.tt_stab_mask(
-                    as_of if as_of is not None else now)
+                mask = chunk.tt_stab_mask(as_of if as_of is not None else now)
             indices = chunk.mask_indices(mask)
-            if chunk.valid is not None:  # temporal: both axes survive
-
-                def make(row) -> _Candidate:
-                    return _Candidate(row.data, row.valid, row.tt)
-            else:  # rollback: a static result, one candidate per tuple
+            if chunk.valid is None:
+                # rollback: a static result, one candidate per tuple
                 first: Dict[Tuple, int] = {}
                 for i in indices:
                     first.setdefault(rows[i].data, i)
                 indices = list(first.values())
-
-                def make(row) -> _Candidate:
-                    return _Candidate(row.data, None, None)
+                make = lambda row: (row.data, None, None)  # noqa: E731
         pre_count = len(indices)
         for conjunct in conjuncts:
             spec = columnar_compare_spec(conjunct, variable)
@@ -546,11 +600,11 @@ class Evaluator:
                 indices = chunk.compare_select(indices, name, op, value,
                                                attr_on_left)
             else:
-                indices = [i for i in indices
-                           if conjunct.evaluate({variable: rows[i].data})]
-        when_applied = False
+                # Every chunk row carries its data tuple first, as a
+                # candidate does.
+                keep = self._filter(variable, [conjunct])
+                indices = [i for i in indices if keep(rows[i])]
         if kernel is not None:
-            when_applied = True
             if chunk.valid is None or kernel.constant is None:
                 # No valid axis / empty constant: the predicate is false
                 # for every row (eval_temporal_predicate on None periods).
@@ -559,94 +613,122 @@ class Evaluator:
                 mask = chunk.when_mask(kernel.op, kernel.constant,
                                        kernel.var_on_left)
                 indices = [i for i in indices if mask[i]]
-        return pre_count, tuple(make(rows[i]) for i in indices), when_applied
+        selected = (rows[i] for i in indices)
+        return (pre_count, tuple(map(make, selected) if make else selected),
+                kernel is not None)
 
-    # -- planning and the per-variable stream ----------------------------------
+    # -- compiling and sourcing a statement ------------------------------------------
 
-    def _plan_for(self, relation: str, variable: str,
-                  as_of: Optional[Instant], through: Optional[Instant],
-                  conjuncts: Sequence[Expression],
-                  when_spec: Optional[_WhenKernel]) -> _planner.AccessPlan:
-        prof = _planner.profile(self._db, relation)
-        vectorizable = sum(
-            1 for c in conjuncts
-            if columnar_compare_spec(c, variable) is not None)
-        clauses = _planner.Clauses(
-            as_of is not None, through is not None, len(conjuncts),
-            vectorizable,
-            when_spec is not None and when_spec.variable == variable)
-        return _planner.choose(prof, clauses, self._plan)
+    def _resolver(self, slots: Mapping[str, Optional[int]]) -> Resolver:
+        """Attribute references as positional getters, resolved once.
 
-    def _stream(self, variable: str, relation: str,
-                as_of: Optional[Instant], through: Optional[Instant],
-                conjuncts: Sequence[Expression],
-                when_spec: Optional[_WhenKernel],
-                plan: _planner.AccessPlan, now: Instant
-                ) -> PyTuple[int, PyTuple[_Candidate, ...], bool]:
-        """One variable's filtered candidate stream, result-cached in auto.
-
-        Returns ``(pre-pushdown candidate count, candidates after
-        pushdown, when-clause already applied?)``.
+        *slots* maps each bound range variable to its place in a binding —
+        or to ``None`` when the bound row is that variable's candidate
+        itself (a pushed conjunct filters one stream before the product).
         """
-        kernel = (when_spec
-                  if (when_spec is not None
-                      and when_spec.variable == variable
-                      and plan.path == "columnar")
-                  else None)
-        cache = (getattr(self._db, "result_cache", None)
-                 if self._plan == "auto" else None)
-        if cache is not None and kernel is not None and kernel.clock_dependent:
-            cache = None  # the clock can move without a commit
-        key = None
-        if cache is not None:
-            tt_key = (f"{as_of if as_of is not None else 'now'}"
-                      f"|{through if through is not None else '-'}")
-            when_part = (f"{kernel.op}:{kernel.constant}:{kernel.var_on_left}"
-                         if kernel is not None else "-")
-            fingerprint = "|".join(
-                [str(self._db.kind), plan.path,
-                 ";".join(repr(c) for c in conjuncts), when_part])
-            key = (relation, tt_key, fingerprint)
-            hit = cache.get(*key)
-            if hit is not None:
-                return hit
-        result = self._stream_compute(variable, relation, as_of, through,
-                                      conjuncts, kernel, plan, now)
-        if cache is not None:
-            cache.put(*key, result,
-                      self._immutable_result(relation, as_of, through,
-                                             result[1]))
-        return result
+        def resolve(variable: Optional[str], name: str):
+            slot = slots[variable]
+            position = self._db.schema(self._ranges[variable]).position(name)
+            if slot is None:
+                return lambda candidate: candidate[0].values[position]
+            return lambda binding: binding[slot][0].values[position]
+        return resolve
 
-    def _stream_compute(self, variable: str, relation: str,
-                        as_of: Optional[Instant],
-                        through: Optional[Instant],
-                        conjuncts: Sequence[Expression],
-                        kernel: Optional[_WhenKernel],
-                        plan: _planner.AccessPlan, now: Instant
-                        ) -> PyTuple[int, PyTuple[_Candidate, ...], bool]:
-        if plan.path == "columnar":
-            out = self._columnar_stream(relation, as_of, through, conjuncts,
-                                        variable, kernel, now)
-            if out is not None:
-                return out
-            # No chunk after all (e.g. the relation was redefined as an
-            # unsupported representation): degrade to the naive twin.
-        if plan.path == "index":
-            candidates = self._candidates(relation, as_of, through)
-        else:
-            candidates = self._candidates_naive(relation, as_of, through)
-        pre_count = len(candidates)
-        if conjuncts:
-            candidates = [
-                candidate for candidate in candidates
-                if all(conjunct.evaluate({variable: candidate.data})
-                       for conjunct in conjuncts)]
-        return pre_count, tuple(candidates), False
+    def _filter(self, variable: str, conjuncts: Sequence[Expression]
+                ) -> Callable[[Any], Any]:
+        """Conjuncts over one variable as one test over its candidate."""
+        return functools.reduce(And, conjuncts).compile(
+            self._resolver({variable: None}))
+
+    def _prepare(self, statement: RetrieveStmt, cache: Any) -> _Prepared:
+        """Settle everything a retrieve fixes before rows flow — the one
+        code path behind :meth:`retrieve` and :meth:`explain`: read the
+        clock, fold the transaction-time bounds and the ``when``, split
+        the ``where`` for pushdown, then plan and source each range
+        variable's candidate stream, through *cache* (the result cache,
+        keyed ``(relation, as-of pin, predicate fingerprint)``) if given.
+        """
+        slots = {variable: slot for slot, variable
+                 in enumerate(self._used_variables(statement))}
+        now = self._db.now()
+        as_of = through = None
+        if statement.as_of is not None:
+            as_of = eval_bound(statement.as_of, {}, now)
+        if statement.as_of_through is not None:
+            through = eval_bound(statement.as_of_through, {}, now)
+            if as_of is not None and through is not None and through < as_of:
+                raise TQuelSemanticError(
+                    f"as of {as_of} through {through}: the range runs "
+                    f"backwards"
+                )
+        access, rows, scan, bitemporal = self._source(as_of, through, now)
+        result_type = (
+            Relation if (_has_aggregates(statement.targets)
+                         or not self._db.kind.supports_historical_queries)
+            else TemporalRelation if bitemporal else HistoricalRelation)
+        # Selection pushdown: single-variable conjuncts filter their
+        # stream before the product is formed.
+        pushdown, residual = partition_pushdown(statement.where)
+        when = (fold_temporal(statement.when, now)
+                if statement.when is not None else None)
+        folded_kernel = when_kernel(when)
+        streams = {}
+        for variable in slots:
+            relation = self._ranges[variable]
+            conjuncts = pushdown.get(variable, [])
+            kernel = (folded_kernel if folded_kernel is not None
+                      and folded_kernel.variable == variable else None)
+            vectorizable = sum(
+                1 for c in conjuncts
+                if columnar_compare_spec(c, variable) is not None)
+            plan = _planner.choose(
+                _planner.profile(self._db, relation),
+                _planner.Clauses(as_of is not None, through is not None,
+                                 len(conjuncts), vectorizable,
+                                 kernel is not None),
+                self._plan)
+            if plan.path != "columnar":
+                kernel = None  # only that path answers `when` in the stream
+            found = key = None
+            if cache is not None and not (kernel is not None
+                                          and kernel.clock_dependent):
+                # (a clock-dependent stream goes stale without any commit)
+                tt_key = (f"{as_of if as_of is not None else 'now'}"
+                          f"|{through if through is not None else '-'}")
+                when_part = (
+                    f"{kernel.op}:{kernel.constant}:{kernel.var_on_left}"
+                    if kernel is not None else "-")
+                fingerprint = "|".join(
+                    [str(self._db.kind), plan.path,
+                     ";".join(repr(c) for c in conjuncts), when_part])
+                key = (relation, tt_key, fingerprint)
+                found = cache.get(*key)
+            hit = found is not None
+            if found is None and plan.path == "columnar":
+                # (None: no chunk after all, e.g. the relation was redefined
+                # as an unsupported representation — the naive twin runs)
+                found = self._columnar_stream(relation, variable, as_of,
+                                              through, now, conjuncts, kernel)
+            if found is None:
+                candidates = (rows if plan.path == "index" else scan)(relation)
+                examined = len(candidates)
+                if conjuncts:
+                    candidates = filter(self._filter(variable, conjuncts),
+                                        candidates)
+                found = examined, tuple(candidates), False
+            if key is not None and not hit:
+                cache.put(*key, found, self._immutable_result(
+                    relation, as_of, through, found[1]))
+            examined, candidates, when_applied = found
+            if when_applied:
+                when = None
+            streams[variable] = (plan, examined, candidates)
+        return _Prepared(slots, now, as_of, through, access, result_type,
+                         pushdown, residual, when, streams)
 
     def _immutable_result(self, relation: str, as_of: Optional[Instant],
                           through: Optional[Instant],
-                          candidates: Sequence[_Candidate]) -> bool:
+                          candidates: Sequence[Any]) -> bool:
         """Can this stream never change again (cache-forever eligible)?
 
         Two conditions (see ``docs/QUERY_PLANNING.md``):
@@ -671,36 +753,7 @@ class Evaluator:
                 return False
         except Exception:  # incomparable granularities: stay epoch-bound
             return False
-        return all(candidate.tt is None or candidate.tt.end.is_finite
-                   for candidate in candidates)
-
-    def _index_decision(self, as_of: Optional[Instant],
-                        through: Optional[Instant]) -> str:
-        """How :meth:`_candidates` would source one relation's rows.
-
-        Mirrors the dispatch in :meth:`_candidates` without running it:
-        which access path (index stab, index range overlap, or scan) the
-        evaluator will take for the statement's temporal clauses.
-        """
-        db = self._db
-        indexed = db.index_cache is not None
-        if isinstance(db, TemporalDatabase):
-            if not indexed:
-                return "scan (index disabled)"
-            if through is not None:
-                return "bitemporal index: transaction-time range overlap"
-            return "bitemporal index: transaction-time stab"
-        if isinstance(db, HistoricalDatabase):
-            return "scan of recorded facts"
-        if isinstance(db, RollbackDatabase):
-            if as_of is None and through is None:
-                return "snapshot scan"
-            if not indexed:
-                return "scan (index disabled)"
-            if through is not None:
-                return "rollback index: transaction-time range overlap"
-            return "rollback index: transaction-time stab"
-        return "snapshot scan"
+        return all(tt is None or tt.end.is_finite for _, _, tt in candidates)
 
     # -- explain -------------------------------------------------------------------------
 
@@ -710,183 +763,110 @@ class Evaluator:
         Returns a plain dict: the candidate source per range variable
         (with counts before/after selection pushdown), the residual
         predicate, the temporal clauses in force, and the result kind.
-        ``Session.explain`` renders it as text.
+        ``Session.explain`` renders it as text.  The streams come from the
+        very code :meth:`retrieve` runs (short of the result cache), so
+        what is reported is what would execute.
         """
         if not isinstance(statement, RetrieveStmt):
             raise TQuelSemanticError("only retrieve statements are explained")
-        used = self._used_variables(statement)
-        now = self._db.now()
-        as_of = through = None
-        if statement.as_of is not None:
-            as_of = eval_bound(statement.as_of, {}, now)
-        if statement.as_of_through is not None:
-            through = eval_bound(statement.as_of_through, {}, now)
-
-        pushdown, residual = partition_pushdown(statement.where)
-        when_spec = (when_kernel_spec(statement, now)
-                     if statement.when is not None else None)
-        index_decision = self._index_decision(as_of, through)
+        prepared = self._prepare(statement, None)
+        as_of, through = prepared.as_of, prepared.through
         variables = {}
         product = 1
-        for variable in used:
-            candidates = self._candidates(self._ranges[variable], as_of,
-                                          through)
-            filtered = candidates
-            if variable in pushdown:
-                filtered = [c for c in candidates
-                            if all(conjunct.evaluate({variable: c.data})
-                                   for conjunct in pushdown[variable])]
-            plan = self._plan_for(self._ranges[variable], variable, as_of,
-                                  through, pushdown.get(variable, []),
-                                  when_spec)
+        for variable, (plan, examined, candidates) in prepared.streams.items():
             variables[variable] = {
                 "relation": self._ranges[variable],
-                "candidates": len(candidates),
-                "after_pushdown": len(filtered),
-                "pushed_conjuncts": len(pushdown.get(variable, [])),
-                "index": index_decision,
+                "candidates": examined,
+                "after_pushdown": len(candidates),
+                "pushed_conjuncts": len(prepared.pushdown.get(variable, [])),
+                "index": prepared.access,
                 "plan": plan.path,
                 "estimated_rows": plan.estimated_rows,
                 "plan_reason": plan.reason,
             }
-            product *= len(filtered)
-
-        if any(isinstance(t.expr, AggCall) for t in statement.targets):
-            result_kind = "static (aggregate)"
-        elif isinstance(self._db, TemporalDatabase):
-            result_kind = "temporal"
-        elif isinstance(self._db, HistoricalDatabase):
-            result_kind = "historical"
-        else:
-            result_kind = "static"
-
+            product *= len(candidates)
         return {
             "database_kind": str(self._db.kind),
             "planner_mode": self._plan,
             "variables": variables,
             "product_size": product,
-            "residual_conjuncts": len(residual),
+            "residual_conjuncts": len(prepared.residual),
             "when": statement.when is not None,
             "valid_clause": statement.valid is not None,
             "as_of": str(as_of) if as_of is not None else None,
             "through": str(through) if through is not None else None,
-            "result_kind": result_kind,
+            "result_kind": (
+                "static (aggregate)" if _has_aggregates(statement.targets)
+                else _RESULT_KINDS[prepared.result_type]),
         }
 
     # -- retrieve ------------------------------------------------------------------------
 
     def retrieve(self, statement: RetrieveStmt) -> Result:
-        used = self._used_variables(statement)
-        now = self._db.now()
-        as_of = through = None
-        if statement.as_of is not None:
-            as_of = eval_bound(statement.as_of, {}, now)
-        if statement.as_of_through is not None:
-            through = eval_bound(statement.as_of_through, {}, now)
-            if as_of is not None and through is not None and through < as_of:
-                raise TQuelSemanticError(
-                    f"as of {as_of} through {through}: the range runs "
-                    f"backwards"
-                )
-
-        # Selection pushdown: single-variable conjuncts filter their
-        # stream before the product is formed.
-        pushdown, residual = partition_pushdown(statement.where)
-        when_spec = (when_kernel_spec(statement, now)
-                     if statement.when is not None else None)
-
+        """Run a retrieve: compile the statement once, then one straight
+        loop over the bindings, whatever the kind, the number of range
+        variables or the targets."""
+        prepared = self._prepare(
+            statement, getattr(self._db, "result_cache", None)
+            if self._plan == "auto" else None)
         metrics = _obs.current().metrics
-        streams: Dict[str, PyTuple[_Candidate, ...]] = {}
-        total_candidates = 0
-        when_handled = False
-        for variable in used:
-            relation = self._ranges[variable]
-            conjuncts = pushdown.get(variable, [])
-            plan = self._plan_for(relation, variable, as_of, through,
-                                  conjuncts, when_spec)
+        for plan, _, _ in prepared.streams.values():
             metrics.counter(f"tquel.plan.{plan.path}").inc()
-            pre_count, candidates, when_applied = self._stream(
-                variable, relation, as_of, through, conjuncts, when_spec,
-                plan, now)
-            total_candidates += pre_count
-            streams[variable] = candidates
-            when_handled = when_handled or when_applied
-        metrics.counter("tquel.candidates_enumerated").inc(total_candidates)
-        variables = list(used)
+        metrics.counter("tquel.candidates_enumerated").inc(
+            sum(examined for _, examined, _ in prepared.streams.values()))
 
-        has_aggregates = any(isinstance(t.expr, AggCall)
-                             for t in statement.targets)
-        target_vars = self._target_variables(statement.targets) or set(variables)
+        resolve = self._resolver(prepared.slots)
+        bindings = itertools.product(
+            *(candidates for _, _, candidates in prepared.streams.values()))
+        if prepared.residual:
+            bindings = filter(functools.reduce(And, prepared.residual)
+                              .compile(resolve), bindings)
+        if prepared.when is not None:
+            when, slots, now = prepared.when, prepared.slots, prepared.now
+            bindings = filter(lambda binding: eval_temporal_predicate(
+                when, _periods(slots, binding), now), bindings)
+        # Every binding is tested before any row is assembled: a failing
+        # test is reported ahead of a failing target.
+        bindings = list(bindings)
 
-        check_when = statement.when is not None and not when_handled
-        matched: List[Dict[str, _Candidate]] = []
-        for combination in itertools.product(*(streams[v] for v in variables)):
-            binding = dict(zip(variables, combination))
-            env = {variable: candidate.data
-                   for variable, candidate in binding.items()}
-            if residual and not all(conjunct.evaluate(env)
-                                    for conjunct in residual):
-                continue
-            if check_when:
-                periods = {variable: candidate.valid
-                           for variable, candidate in binding.items()}
-                if not eval_temporal_predicate(statement.when, periods, now):
-                    continue
-            matched.append(binding)
-
-        if has_aggregates:
-            result: Result = self._aggregate_result(statement, matched)
-        elif self._db.kind.supports_historical_queries:
-            result = self._temporal_result(statement, matched, target_vars, now)
+        schema = self._result_schema(statement.targets)
+        if _has_aggregates(statement.targets):
+            rows = self._aggregate_rows(statement.targets, schema, resolve,
+                                        bindings)
         else:
-            result = self._static_result(statement, matched)
-
-        result = self._sorted(result, statement.sort_by)
-        metrics.counter("tquel.rows_emitted").inc(
-            len(result) if isinstance(
-                result, (Relation, HistoricalRelation, TemporalRelation))
-            else 0)
+            rows = self._rows(statement, schema, resolve, prepared, bindings)
+        result = prepared.result_type(schema, rows)
+        if statement.sort_by and prepared.result_type is Relation:
+            result = result.sort(list(statement.sort_by))
+        metrics.counter("tquel.rows_emitted").inc(len(result))
         if statement.into is not None:
             self._materialize(statement.into, result)
         return result
 
     def _used_variables(self, statement: RetrieveStmt) -> List[str]:
-        used: List[str] = []
-
-        def note(variable: Optional[str]) -> None:
-            if variable is not None and variable not in used:
-                used.append(variable)
-
-        for target in statement.targets:
-            expr = (target.expr.operand
-                    if isinstance(target.expr, AggCall) else target.expr)
-            if expr is not None:
-                for variable, _ in expr.references():
-                    note(variable)
+        """Every range variable the statement mentions, first mention first
+        (targets, ``where``, ``when``, ``valid``)."""
+        found = self._target_variables(statement.targets)
         if statement.where is not None:
-            for variable, _ in statement.where.references():
-                note(variable)
-        if statement.when is not None:
-            for variable in sorted(temporal_variables(statement.when)):
-                note(variable)
-        if statement.valid is not None:
-            for clause_expr in (statement.valid.at, statement.valid.from_,
-                                statement.valid.to):
-                if clause_expr is not None:
-                    for variable in sorted(temporal_variables(clause_expr)):
-                        note(variable)
-        return used
+            found += [variable for variable, _
+                      in statement.where.references()]
+        valid = statement.valid
+        for clause in (statement.when,) + (
+                (valid.at, valid.from_, valid.to) if valid is not None else ()):
+            if clause is not None:
+                found += sorted(temporal_variables(clause))
+        return [variable for variable in dict.fromkeys(found)
+                if variable is not None]
 
     @staticmethod
-    def _target_variables(targets: Sequence[TargetItem]) -> Set[str]:
-        result: Set[str] = set()
+    def _target_variables(targets: Sequence[TargetItem]) -> List[str]:
+        found: List[str] = []
         for target in targets:
             expr = (target.expr.operand
                     if isinstance(target.expr, AggCall) else target.expr)
             if expr is not None:
-                result.update(variable for variable, _ in expr.references()
-                              if variable is not None)
-        return result
+                found += [variable for variable, _ in expr.references()]
+        return found
 
     # -- result assembly -------------------------------------------------------------------
 
@@ -933,137 +913,100 @@ class Evaluator:
             return Domain.ANY
         return Domain.ANY
 
-    def _row_values(self, targets: Sequence[TargetItem],
-                    env: Mapping[Optional[str], Tuple]) -> List[Any]:
-        return [target.expr.evaluate(env) for target in targets]
+    def _rows(self, statement: RetrieveStmt, schema: Schema,
+              resolve: Resolver, prepared: _Prepared, bindings) -> List[Any]:
+        """The result rows: one straight loop over the bindings.
 
-    def _static_result(self, statement: RetrieveStmt,
-                       matched: List[Dict[str, _Candidate]]) -> Relation:
-        schema = self._result_schema(statement.targets)
-        rows = []
-        for binding in matched:
-            env = {variable: candidate.data
-                   for variable, candidate in binding.items()}
-            rows.append(Tuple.from_sequence(
-                schema, self._row_values(statement.targets, env)))
-        return Relation(schema, rows)
+        The targets are compiled to positional getters once; a row is its
+        values, checked against the result schema and — on the kinds with
+        valid time — stamped with the derived periods: the ``valid``
+        clause, else the intersection of the valid times of the target
+        list's range variables (§4.3; of every variable, if the targets
+        name none), and on a temporal database the intersection of their
+        transaction times, retained, not clipped (§4.4).
+        """
+        values = [target.expr.compile(resolve) for target in statement.targets]
+        from_sequence, result_type = Tuple.from_sequence, prepared.result_type
+        if result_type is Relation:
+            return [from_sequence(schema, [value(binding) for value in values])
+                    for binding in bindings]
+        slots = sorted({prepared.slots[variable] for variable
+                        in self._target_variables(statement.targets)
+                        if variable is not None}
+                       or prepared.slots.values())
+        valid, now, always = statement.valid, prepared.now, Period.always()
+        if valid is not None and valid.is_event:
+            bounds = [fold_temporal(valid.at, now, eval_bound)]
 
-    def _temporal_result(self, statement: RetrieveStmt,
-                         matched: List[Dict[str, _Candidate]],
-                         target_vars: Set[str],
-                         now: Instant) -> Union[HistoricalRelation,
-                                                TemporalRelation]:
-        schema = self._result_schema(statement.targets)
-        is_temporal = isinstance(self._db, TemporalDatabase)
-        hist_rows: List[HistoricalRow] = []
-        temp_rows: List[BitemporalRow] = []
-        for binding in matched:
-            env = {variable: candidate.data
-                   for variable, candidate in binding.items()}
-            periods = {variable: candidate.valid
-                       for variable, candidate in binding.items()}
-            validity = self._derived_validity(statement.valid, periods,
-                                              target_vars, now)
+            def period(at: Instant) -> Optional[Period]:
+                return Period.at(at) if at.is_finite else None
+        elif valid is not None:
+            bounds = [fold_temporal(valid.from_, now, eval_bound),
+                      fold_temporal(valid.to, now, eval_bound)
+                      if valid.to is not None else _Folded(POS_INF)]
+
+            def period(start: Instant, end: Instant) -> Optional[Period]:
+                return Period(start, end) if start < end else None
+        rows: List[Any] = []
+        for binding in bindings:
+            if valid is not None:
+                periods = _periods(prepared.slots, binding)
+                validity = _lifted(period, [eval_bound(bound, periods, now)
+                                            for bound in bounds])
+            else:
+                validity = _intersection(binding, slots, 1)
+                if validity is None and all(binding[slot][1] is None
+                                            for slot in slots):
+                    validity = always  # no valid-time axis to derive from
             if validity is None:
                 continue
-            data = Tuple.from_sequence(
-                schema, self._row_values(statement.targets, env))
-            if is_temporal:
-                tt = self._intersect_all(
-                    [binding[v].tt for v in (target_vars or binding)])
-                if tt is None:
-                    continue
-                temp_rows.append(BitemporalRow(data, validity, tt))
-            else:
-                hist_rows.append(HistoricalRow(data, validity))
-        if is_temporal:
-            return TemporalRelation(schema, temp_rows)
-        return HistoricalRelation(schema, hist_rows)
+            data = from_sequence(schema, [value(binding) for value in values])
+            if result_type is HistoricalRelation:
+                rows.append(HistoricalRow(data, validity))
+                continue
+            tt = _intersection(binding, slots, 2)
+            if tt is not None:
+                rows.append(BitemporalRow(data, validity, tt))
+        return rows
 
-    def _derived_validity(self, valid: Optional[ValidClause],
-                          periods: Mapping[str, Period],
-                          target_vars: Set[str],
-                          now: Instant) -> Optional[Period]:
-        if valid is not None:
-            if valid.is_event:
-                at = eval_bound(valid.at, periods, now)
-                if at is None or not at.is_finite:
-                    return None
-                return Period.at(at)
-            start = eval_bound(valid.from_, periods, now)
-            end = (eval_bound(valid.to, periods, now)
-                   if valid.to is not None else POS_INF)
-            if start is None or end is None or not start < end:
-                return None
-            return Period(start, end)
-        chosen = [periods[v] for v in sorted(target_vars) if periods.get(v)]
-        if not chosen:
-            chosen = [p for p in periods.values() if p is not None]
-        if not chosen:
-            return Period.always()
-        return self._intersect_all(chosen)
-
-    @staticmethod
-    def _intersect_all(periods: Sequence[Optional[Period]]) -> Optional[Period]:
-        current: Optional[Period] = None
-        for period in periods:
-            if period is None:
-                return None
-            current = period if current is None else current.intersect(period)
-            if current is None:
-                return None
-        return current
-
-    def _aggregate_result(self, statement: RetrieveStmt,
-                          matched: List[Dict[str, _Candidate]]) -> Relation:
-        schema = self._result_schema(statement.targets)
-        group_targets = [t for t in statement.targets
-                         if not isinstance(t.expr, AggCall)]
-        agg_targets = [t for t in statement.targets
-                       if isinstance(t.expr, AggCall)]
-        groups: Dict[PyTuple[Any, ...], List[Mapping]] = {}
-        for binding in matched:
-            env = {variable: candidate.data
-                   for variable, candidate in binding.items()}
-            key = tuple(t.expr.evaluate(env) for t in group_targets)
-            groups.setdefault(key, []).append(env)
+    def _aggregate_rows(self, targets: Sequence[TargetItem], schema: Schema,
+                        resolve: Resolver, bindings) -> List[Tuple]:
+        """Group the bindings by the non-aggregate targets and apply the
+        aggregates to each group."""
+        group_targets = [t for t in targets if not isinstance(t.expr, AggCall)]
+        keys = [t.expr.compile(resolve) for t in group_targets]
+        aggregates = [
+            (t.name, t.expr, (t.expr.operand.compile(resolve)
+                              if t.expr.operand is not None else None))
+            for t in targets if isinstance(t.expr, AggCall)]
+        groups: Dict[PyTuple[Any, ...], List[Any]] = {}
+        for binding in bindings:
+            groups.setdefault(tuple([key(binding) for key in keys]),
+                              []).append(binding)
         if not group_targets and not groups:
             groups[()] = []
         rows = []
-        for key, envs in groups.items():
+        for key, members in groups.items():
             values: Dict[str, Any] = dict(zip(
                 (t.name for t in group_targets), key))
-            for target in agg_targets:
-                values[target.name] = self._apply_aggregate(target.expr, envs)
+            for name, call, operand in aggregates:
+                values[name] = self._apply_aggregate(call, operand, members)
             rows.append(Tuple(schema, values))
-        return Relation(schema, rows)
+        return rows
 
     @staticmethod
-    def _apply_aggregate(call: AggCall, envs: List[Mapping]) -> Any:
-        if call.operand is None:
-            return len(envs)
-        values = [call.operand.evaluate(env) for env in envs]
-        values = [value for value in values if value is not None]
+    def _apply_aggregate(call: AggCall, operand, members: List[Any]) -> Any:
+        if operand is None:
+            return len(members)
+        values = [value for value in map(operand, members)
+                  if value is not None]
         if call.unique:
             values = list(dict.fromkeys(values))
-        if call.func == "count":
-            return len(values)
-        if call.func == "sum":
-            return sum(values)
-        if not values:
-            return None
-        if call.func == "avg":
-            return sum(values) / len(values)
-        if call.func == "min":
-            return min(values)
-        if call.func == "max":
-            return max(values)
-        raise TQuelSemanticError(f"unknown aggregate {call.func!r}")
-
-    def _sorted(self, result: Result, sort_by: Sequence[str]) -> Result:
-        if not sort_by or not isinstance(result, Relation):
-            return result
-        return result.sort(list(sort_by))
+        try:
+            return REDUCERS[call.func](values)
+        except KeyError:
+            raise TQuelSemanticError(
+                f"unknown aggregate {call.func!r}") from None
 
     def _materialize(self, name: str, result: Result) -> None:
         """Store a derived relation under a new name (``retrieve into``)."""
@@ -1122,13 +1065,13 @@ class Evaluator:
         return self._db.insert(statement.relation, values, **arguments)
 
     def _matching_rows(self, statement) -> List[Tuple]:
-        relation = self._ranges[statement.variable]
-        rows = []
-        for candidate in self._candidates(relation, None):
-            env = {statement.variable: candidate.data}
-            if statement.where is None or statement.where.evaluate(env):
-                rows.append(candidate.data)
-        return list(dict.fromkeys(rows))
+        variable = statement.variable
+        _, rows, _, _ = self._source(None, None, self._db.now())
+        candidates = rows(self._ranges[variable])
+        if statement.where is not None:
+            candidates = filter(self._filter(variable, [statement.where]),
+                                candidates)
+        return list(dict.fromkeys(candidate[0] for candidate in candidates))
 
     def _delete(self, statement: DeleteStmt) -> Optional[Instant]:
         relation = self._ranges[statement.variable]

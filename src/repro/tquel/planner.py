@@ -71,8 +71,8 @@ PLAN_MODES = ("auto", "naive", "index", "columnar")
 #: (docs/QUERY_PLANNING.md documents what each one charges for).
 COSTS = {
     "C_ROW": 1.0,     # visit one stored row as a Python object
-    "C_PRED": 0.6,    # one pushed conjunct, evaluated through the AST
-    "C_WHEN": 1.0,    # one `when` predicate, evaluated through Periods
+    "C_PRED": 0.6,    # one pushed conjunct, run as a compiled closure
+    "C_WHEN": 1.0,    # one `when` predicate, walked over folded Periods
     "C_PROBE": 4.0,   # one interval-tree descent step (× log2 N)
     "C_MAT": 0.25,    # materialize one candidate from a chunk row
     "C_CELL_NUMPY": 0.03,  # one cell of an ndarray mask kernel

@@ -120,3 +120,34 @@ class TestRepr:
         assert repr(attr("age") == 40) != repr(attr("age") != 40)
         assert repr(And(const(1), const(2))) != repr(Or(const(1), const(2)))
         assert "is null" in repr(IsNull(attr("nick")))
+
+
+class TestCompile:
+    """``compile`` resolves references once and closes over the result;
+    values and errors are ``evaluate``'s (the generated-tree property is
+    in ``tests/tquel/test_compiled_differential.py``)."""
+
+    def test_references_are_resolved_once_not_per_row(self):
+        resolved = []
+
+        def resolve(variable, name):
+            resolved.append((variable, name))
+            position = SCHEMA.position(name)
+            return lambda row: row.values[position]
+
+        expr = ((attr("age") + 2) == 42) & ~attr("nick").is_null()
+        compiled = expr.compile(resolve)
+        assert resolved == [(None, "age"), (None, "nick")]
+        assert [compiled(ROW) for _ in range(3)] == [expr.evaluate(ROW)] * 3
+        assert len(resolved) == 2
+
+    def test_null_and_type_semantics_are_shared_with_evaluate(self):
+        def resolve(variable, name):
+            return lambda row: row[name]
+
+        assert (attr("nick") == "x").compile(resolve)(ROW) is False
+        assert (attr("nick") + 1).compile(resolve)(ROW) is None
+        with pytest.raises(ExpressionError, match="cannot compare"):
+            (attr("name") < 3).compile(resolve)(ROW)
+        with pytest.raises(ExpressionError, match="cannot compute"):
+            (attr("age") / 0).compile(resolve)(ROW)

@@ -79,6 +79,14 @@ class TestSchema:
         with pytest.raises(UnknownAttributeError, match="salary"):
             schema.attribute("salary")
 
+    def test_position_is_declaration_order(self):
+        schema = faculty_schema()
+        assert [schema.position(name) for name in schema.names] == [0, 1]
+        with pytest.raises(UnknownAttributeError,
+                           match="no attribute 'salary'; "
+                                 "schema has name, rank"):
+            schema.position("salary")
+
     def test_contains_iter_len(self):
         schema = faculty_schema()
         assert "name" in schema and "salary" not in schema
@@ -139,8 +147,19 @@ class TestTuple:
         assert row["rank"] == "associate"
 
     def test_from_sequence_wrong_arity(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="expected 2 values, got 1"):
             Tuple.from_sequence(faculty_schema(), ["Tom"])
+
+    def test_from_sequence_checks_every_value_against_its_attribute(self):
+        from repro.errors import DomainError
+        with pytest.raises(DomainError, match="attribute rank"):
+            Tuple.from_sequence(faculty_schema(), ["Tom", "janitor"])
+        with pytest.raises(SchemaError, match="name is not nullable"):
+            Tuple.from_sequence(faculty_schema(), [None, "full"])
+        row = Tuple.from_sequence(faculty_schema(), ("Tom", "full"))
+        assert row == Tuple(faculty_schema(), {"rank": "full", "name": "Tom"})
+        assert row.values == ("Tom", "full") and hash(row) == hash(
+            Tuple(faculty_schema(), {"name": "Tom", "rank": "full"}))
 
     def test_missing_value_rejected(self):
         with pytest.raises(SchemaError, match="missing"):
@@ -156,12 +175,19 @@ class TestTuple:
 
     def test_unknown_attribute_access(self):
         row = Tuple(faculty_schema(), {"name": "Tom", "rank": "full"})
-        with pytest.raises(UnknownAttributeError):
+        with pytest.raises(UnknownAttributeError,
+                           match="tuple has no attribute 'salary'; "
+                                 "schema has name, rank"):
             _ = row["salary"]
 
     def test_key(self):
         row = Tuple(faculty_schema(), {"name": "Tom", "rank": "full"})
         assert row.key() == ("Tom",)
+        composite = Schema.of(key=["b", "a"], a=Domain.INTEGER,
+                              b=Domain.STRING, c=Domain.STRING)
+        assert Tuple(composite, {"a": 1, "b": "x", "c": "y"}).key() == (
+            "x", 1)
+        assert Tuple(Schema.of(a=Domain.INTEGER), {"a": 1}).key() == ()
 
     def test_project(self):
         row = Tuple(faculty_schema(), {"name": "Tom", "rank": "full"})

@@ -159,9 +159,11 @@ def _gen_costs() -> str:
     rows = ["| constant | value | charges for |",
             "|---|---|---|"]
     notes = {
-        "C_ROW": "visiting one stored row as a Python object",
-        "C_PRED": "one pushed conjunct evaluated through the AST",
-        "C_WHEN": "one `when` predicate evaluated through `Period` objects",
+        "C_ROW": "visiting one stored row as a Python object (and, if it "
+                 "survives, assembling its result row positionally)",
+        "C_PRED": "one pushed conjunct run as a closure compiled per statement",
+        "C_WHEN": "one `when` predicate walked over `Period` objects, its "
+                  "constants folded per statement",
         "C_PROBE": "one interval-tree descent step (multiplied by log2 N)",
         "C_MAT": "materializing one candidate from a chunk row",
         "C_CELL_NUMPY": "one cell of an ndarray mask kernel",
