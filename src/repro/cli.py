@@ -1430,7 +1430,7 @@ def _repro_serve(args) -> int:
         print(f"serving a {database.kind} database on {host}:{port} "
               f"(s1 protocol); SIGTERM drains", flush=True)
         stop = asyncio.Event()
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, stop.set)
         await stop.wait()

@@ -16,7 +16,8 @@ The robustness posture mirrors the server's (docs/SERVING.md):
   errors raise immediately, as the *same* exception class the server
   raised (the typed round-trip of ``decode_error``).
 - **deadline ownership**: the client enforces ``budget_ms`` locally
-  with its own clock; a request that overruns raises
+  with its own clock (one timer around the whole exchange, however many
+  frames the reply has); a request that overruns raises
   :class:`~repro.errors.DeadlineExceeded` and the connection is closed
   rather than reused (a late reply must never be read as the answer to
   the *next* request).  The server independently suppresses late
@@ -170,12 +171,12 @@ class ReproClient:
         request_id = connection.next_id
         connection.next_id += 1
         try:
-            connection.writer.write(protocol.query_request(
-                request_id, source, budget_ms=5000.0, tenant=self.tenant))
-            await connection.writer.drain()
-            await asyncio.wait_for(
-                self._collect(connection, request_id, None, 0),
-                timeout=5.0)
+            async with asyncio.timeout(5.0):
+                connection.writer.write(protocol.query_request(
+                    request_id, source, budget_ms=5000.0,
+                    tenant=self.tenant))
+                await connection.writer.drain()
+                await self._collect(connection, request_id, 0)
         except BaseException:
             connection.close()
             raise
@@ -261,15 +262,14 @@ class ReproClient:
         try:
             request_id = connection.next_id
             connection.next_id += 1
-            connection.writer.write(protocol.ping_request(request_id))
-            await connection.writer.drain()
-            line = await asyncio.wait_for(connection.reader.readline(),
-                                          timeout=budget_ms / 1000.0)
+            async with asyncio.timeout(budget_ms / 1000.0):
+                connection.writer.write(protocol.ping_request(request_id))
+                await connection.writer.drain()
+                line = await connection.reader.readline()
             message = protocol.decode_message(line)
             self._checkin(connection)
             return message.get("type") == "pong"
-        except (asyncio.TimeoutError, ConnectionError, OSError,
-                ProtocolError):
+        except (TimeoutError, ConnectionError, OSError, ProtocolError):
             connection.close()
             return False
 
@@ -293,13 +293,17 @@ class ReproClient:
         if deadline is not None:
             remaining_ms = max(1.0, (deadline - self._clock()) * 1000.0)
         try:
-            connection.writer.write(protocol.query_request(
-                request_id, source, budget_ms=remaining_ms,
-                tenant=self.tenant, consistency=consistency, token=token))
-            await connection.writer.drain()
-            result = await self._collect(connection, request_id, deadline,
-                                         attempt)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(
+                    None if deadline is None
+                    else max(0.001, deadline - self._clock())):
+                connection.writer.write(protocol.query_request(
+                    request_id, source, budget_ms=remaining_ms,
+                    tenant=self.tenant, consistency=consistency,
+                    token=token))
+                await connection.writer.drain()
+                result = await self._collect(connection, request_id,
+                                             attempt)
+        except TimeoutError:
             # Budget ran out mid-exchange: the connection may still
             # deliver a (suppressed-or-not) late frame — burn it.
             connection.close()
@@ -318,16 +322,12 @@ class ReproClient:
         return result
 
     async def _collect(self, connection: _Conn, request_id: int,
-                       deadline: Optional[float],
                        attempt: int) -> QueryResult:
+        """Reassemble one reply (the caller's timer bounds the wait)."""
         rows: List[Dict[str, Any]] = []
         columns: List[str] = []
         while True:
-            timeout = None
-            if deadline is not None:
-                timeout = max(0.001, deadline - self._clock())
-            line = await asyncio.wait_for(connection.reader.readline(),
-                                          timeout=timeout)
+            line = await connection.reader.readline()
             if not line:
                 connection.close()
                 raise TransportError(

@@ -141,9 +141,12 @@ class TransactionTimeStore:
     def _key_index(self) -> Optional[_KeyIndex]:
         """The open rows by schema-key value; ``None`` without a key.
 
-        Built once per lineage (the first commit after a load or a
+        Built once per lineage (the first use after a load or a
         recovery); every later version gets its predecessor's outer dict
         copied at C speed with only the touched keys' entries rebuilt.
+        Readers reach the build without a lock: two racing threads each
+        derive the same index from this immutable version's open map and
+        one assignment wins — an idempotent value, never a torn one.
         """
         if self._by_key is None and self._schema.key:
             index: Dict[PyTuple[Any, ...], List[Any]] = {}
@@ -173,25 +176,35 @@ class TransactionTimeStore:
             index[key] = index.get(key, ()) + (row,)
         return index
 
+    def open_under_key(self, bound: Mapping[str, Any]
+                       ) -> Optional[PyTuple[Any, ...]]:
+        """The open rows whose schema-key value is the one *bound* names,
+        by one probe of the key index — or ``None`` where a probe cannot
+        answer: no schema key, a key attribute *bound* leaves out, a
+        value no stored key can equal, or a derived value whose duplicate
+        open rows the index does not hold."""
+        index = None if self._open_extra else self._key_index()
+        if index is None:
+            return None
+        try:
+            return index.get(
+                tuple(bound[name] for name in self._schema.key), ())
+        except (KeyError, TypeError):
+            return None
+
     def candidates(self, match: Optional[Mapping[str, Any]]
                    ) -> Collection[Any]:
         """The open rows an operation's equality *match* can touch.
 
         A match binding every key attribute (a keyed update, or the
-        full-row match TQuel's ``replace`` expands to) is answered by one
-        lookup; a key-less or partial-key match scans the open map; no
-        match at all (an insert) touches nothing.
+        full-row match TQuel's ``replace`` expands to) is answered by
+        :meth:`open_under_key`; a key-less or partial-key match scans the
+        open map; no match at all (an insert) touches nothing.
         """
         if match is None:
             return ()
-        index = self._key_index()
-        if index is not None:
-            try:
-                return index.get(
-                    tuple(match[name] for name in self._schema.key), ())
-            except (KeyError, TypeError):
-                pass  # a partial key, or a value no stored key can equal
-        return self._open.values()
+        found = self.open_under_key(match)
+        return self._open.values() if found is None else found
 
     def _under_keys(self, keys: Iterable[PyTuple[Any, ...]]) -> Iterator[Any]:
         """The open rows whose schema-key value is one of *keys*."""

@@ -18,9 +18,10 @@ back in bounded chunks.  The robustness contract (docs/SERVING.md):
   answers with a typed retryable :class:`~repro.errors.Overloaded`
   carrying ``retry_after`` and the queue depth that caused it;
 - **backpressure**: replies go through ``drain()`` under a write-stall
-  timeout; a client that stops reading is sent a ``goodbye`` (best
+  timer; a client that stops reading is sent a ``goodbye`` (best
   effort) and disconnected rather than allowed to pin server memory;
-  a connection that sends nothing for ``idle_timeout`` is closed;
+  a connection that sends nothing for ``idle_timeout`` is closed (one
+  timer per connection, re-armed when it fires, not per frame);
 - **pipelining, bounded**: up to ``max_pipeline`` requests run
   concurrently per connection; the excess is shed with ``Overloaded``;
 - **graceful drain**: :meth:`drain` stops accepting, answers new
@@ -33,8 +34,10 @@ back in bounded chunks.  The robustness contract (docs/SERVING.md):
   read-your-writes token), falling back to the primary when no replica
   is eligible — degraded service, never wrong answers.
 
-Everything the engine does stays synchronous; blocking work runs in a
-thread pool so the event loop only ever shuffles frames.
+Everything the engine does stays synchronous; a request is one hop to a
+thread pool (:meth:`ReproServer._work`: parse, replica routing, the
+session layer) so the event loop only ever shuffles frames, and every
+counter and per-connection binding is touched on the loop thread alone.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from repro.errors import (DrainingError, Overloaded, ProtocolError,
                           ReproError, ServingError)
 from repro.obs import runtime as _obs
 from repro.server import protocol
-from repro.tquel.ast import RangeStmt, RetrieveStmt
+from repro.tquel.ast import RetrieveStmt
 from repro.tquel.interpreter import Session
 from repro.tquel.lexer import tokenize
 from repro.tquel.parser import parse_tokens
@@ -114,6 +117,9 @@ class _Connection:
         self.ranges: Dict[str, str] = {}
         self.tasks: set = set()
         self.closed = False
+        #: Loop time the last frame arrived, and the timer watching it.
+        self.heard = 0.0
+        self.idle_watch: Optional[asyncio.TimerHandle] = None
 
 
 class ReproServer:
@@ -232,18 +238,12 @@ class ReproServer:
             metrics.gauge("server.connections").set(len(self._connections))
 
     async def _read_loop(self, connection: _Connection) -> None:
-        config = self.config
+        loop = asyncio.get_running_loop()
+        connection.heard = loop.time()
+        self._watch_idle(connection)
         while not connection.closed:
             try:
-                line = await asyncio.wait_for(connection.reader.readline(),
-                                              timeout=config.idle_timeout)
-            except asyncio.TimeoutError:
-                self.stats["idle_closes"] += 1
-                _obs.current().events.emit(
-                    "server.slow_client", connection=connection.id,
-                    reason="idle_timeout")
-                await self._say_goodbye(connection, "idle timeout")
-                return
+                line = await connection.reader.readline()
             except ValueError:
                 # The peer is streaming an unterminated torrent; there
                 # is no frame boundary left to resynchronize on.
@@ -257,10 +257,39 @@ class ReproServer:
             except (ConnectionError, OSError):
                 return
             if not line:
-                return  # clean EOF
+                return  # EOF: the peer's, or the idle watch closed us
+            connection.heard = loop.time()
             if line.strip() == b"":
                 continue  # bare keepalive newline
             await self._dispatch(connection, line)
+
+    def _watch_idle(self, connection: _Connection) -> None:
+        """The idle contract as one timer per connection.
+
+        Armed once; when it fires it either finds the connection quiet
+        for ``idle_timeout`` — goodbye (best effort: closing flushes what
+        the transport took), close, and the read loop wakes on EOF — or
+        re-arms itself for what is left.  A frame costs the timer nothing
+        but the ``heard`` stamp.
+        """
+        timeout = self.config.idle_timeout
+        if timeout is None or connection.closed:
+            return
+        loop = asyncio.get_running_loop()
+        left = connection.heard + timeout - loop.time()
+        if left > 0:
+            connection.idle_watch = loop.call_later(
+                left, self._watch_idle, connection)
+            return
+        self.stats["idle_closes"] += 1
+        _obs.current().events.emit(
+            "server.slow_client", connection=connection.id,
+            reason="idle_timeout")
+        try:
+            connection.writer.write(protocol.goodbye("idle timeout"))
+        except (ConnectionError, OSError):
+            pass
+        self._close_connection(connection)
 
     async def _dispatch(self, connection: _Connection, line: bytes) -> None:
         """Route one frame line: validate, answer, or spawn a request."""
@@ -366,31 +395,35 @@ class ReproServer:
     async def _execute(self, connection: _Connection,
                        message: Dict[str, Any],
                        deadline: Optional[float]) -> None:
-        """Parse, route, run and stream one query request."""
-        loop = asyncio.get_event_loop()
-        source = message["source"]
-        request_id = message["id"]
-        tenant = message.get("tenant", "default")
-        consistency = message.get("consistency", "primary")
-        token = message.get("token")
-        statement = await loop.run_in_executor(
-            self._executor, lambda: parse_tokens(tokenize(source)))
-        is_read = isinstance(statement, (RetrieveStmt, RangeStmt))
-        served_by = "primary"
-        replica = None
-        if is_read and consistency in ("replica", "ryw") and not isinstance(
-                statement, RangeStmt):
-            replica = self._pick_replica(token)
-            if replica is None:
-                self.stats["primary_fallbacks"] += 1
-                _obs.current().metrics.counter(
-                    "server.primary_fallbacks").inc()
-            else:
-                served_by = f"replica:{replica.node_id}"
-                self.stats["replica_reads"] += 1
-                _obs.current().metrics.counter("server.replica_reads").inc()
-        layer = self.layer(tenant)
-        ranges = dict(connection.ranges)
+        """Run one query request in one worker hop, then stream it."""
+        layer = self.layer(message.get("tenant", "default"))
+        result, ranges, token, routed, replica = await (
+            asyncio.get_running_loop().run_in_executor(
+                self._executor, self._work, layer, message,
+                connection.ranges, deadline))
+        connection.ranges = ranges
+        if routed:
+            outcome = ("primary_fallbacks" if replica is None
+                       else "replica_reads")
+            self.stats[outcome] += 1
+            _obs.current().metrics.counter(f"server.{outcome}").inc()
+        await self._stream_result(
+            connection, message["id"], result, deadline, token,
+            "primary" if replica is None else f"replica:{replica.node_id}")
+
+    def _work(self, layer: SessionLayer, message: Dict[str, Any],
+              ranges: Dict[str, str], deadline: Optional[float]
+              ) -> Tuple[Any, Dict[str, str], int, bool, Optional[Any]]:
+        """Everything a request does off the loop, in one executor call:
+        parse, route a ``replica``/``ryw`` retrieve, run under the
+        tenant's layer.  A worker thread changes no server or connection
+        state — it returns ``(result, range bindings, reply token, was
+        the read routed?, the replica that served it)`` and the loop
+        thread applies them."""
+        statement = parse_tokens(tokenize(message["source"]))
+        routed = (isinstance(statement, RetrieveStmt) and message.get(
+            "consistency", "primary") in ("replica", "ryw"))
+        replica = self._pick_replica(message.get("token")) if routed else None
         plan = self.config.plan
         target_db = replica.database if replica is not None else self.database
 
@@ -402,14 +435,10 @@ class ReproServer:
             result = interpreter.execute_statement(statement)
             return result, interpreter.ranges, len(self.database.log)
 
-        result, new_ranges, log_len = await loop.run_in_executor(
-            self._executor,
-            lambda: layer.run(closure, deadline=deadline))
-        connection.ranges = new_ranges
-        reply_token = (replica.applied_seq if replica is not None
-                       else log_len)
-        await self._stream_result(connection, request_id, result,
-                                  deadline, reply_token, served_by)
+        result, new_ranges, log_len = layer.run(closure, deadline=deadline)
+        return (result, new_ranges,
+                replica.applied_seq if replica is not None else log_len,
+                routed, replica)
 
     def _pick_replica(self, token: Optional[int]) -> Optional[Any]:
         """A healthy replica caught up past *token*, else ``None``.
@@ -440,28 +469,28 @@ class ReproServer:
         if result is not None and not wire_rows and not columns:
             # DML/DDL return the commit instant, not a relation.
             commit_time = str(result)
+        # Bounded streaming: a write and a drain per ``chunk_rows`` rows,
+        # except that the last ``rows`` frame waits for the ``done`` frame
+        # — the usual reply is one write, and it arrives whole or (past
+        # its deadline) not at all.
         chunk_size = self.config.chunk_rows
-        chunks = 0
+        pending, carried, chunks = b"", 0, 0
         for start in range(0, len(wire_rows), chunk_size):
+            if pending:
+                if not await self._reply(connection, pending, deadline):
+                    return  # expired or connection gone: stop streaming
+                self.stats["rows_sent"] += carried
             chunk = wire_rows[start:start + chunk_size]
-            sent = await self._reply(
-                connection,
-                protocol.rows_reply(request_id, chunks, chunk,
-                                    columns=columns if chunks == 0
-                                    else None),
-                deadline)
-            if not sent:
-                return  # expired or connection gone: stop streaming
+            pending, carried = protocol.rows_reply(
+                request_id, chunks, chunk,
+                columns=columns if chunks == 0 else None), len(chunk)
             chunks += 1
-            self.stats["rows_sent"] += len(chunk)
-        sent = await self._reply(
-            connection,
-            protocol.done_reply(request_id, row_count=len(wire_rows),
-                                chunks=chunks, token=token,
-                                commit_time=commit_time,
-                                served_by=served_by),
-            deadline)
-        if sent:
+        done = protocol.done_reply(request_id, row_count=len(wire_rows),
+                                   chunks=chunks, token=token,
+                                   commit_time=commit_time,
+                                   served_by=served_by)
+        if await self._reply(connection, pending + done, deadline):
+            self.stats["rows_sent"] += carried
             self.stats["replies"] += 1
             obs = _obs.current()
             obs.metrics.counter("server.replies").inc()
@@ -473,12 +502,14 @@ class ReproServer:
 
     async def _reply(self, connection: _Connection, data: bytes,
                      deadline: Optional[float]) -> bool:
-        """Write one reply frame, honoring deadline and backpressure.
+        """Write reply frame(s) in one ``write``, honoring deadline and
+        backpressure.
 
         Returns ``False`` without writing when the deadline has passed
         (the late-reply suppression contract) or the connection is
-        gone.  A write that stalls past ``write_stall_timeout`` marks
-        the client slow and aborts the connection.
+        gone.  A drain that stalls past ``write_stall_timeout`` (a timer
+        handle, armed only around the drain) marks the client slow and
+        aborts the connection.
         """
         if connection.closed:
             return False
@@ -492,10 +523,9 @@ class ReproServer:
                 return False
             try:
                 connection.writer.write(data)
-                await asyncio.wait_for(
-                    connection.writer.drain(),
-                    timeout=self.config.write_stall_timeout)
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.config.write_stall_timeout):
+                    await connection.writer.drain()
+            except TimeoutError:
                 self.stats["slow_client_aborts"] += 1
                 obs = _obs.current()
                 obs.metrics.counter("server.slow_client_aborts").inc()
@@ -513,8 +543,9 @@ class ReproServer:
                            reason: str) -> None:
         try:
             connection.writer.write(protocol.goodbye(reason))
-            await asyncio.wait_for(connection.writer.drain(), timeout=0.5)
-        except (asyncio.TimeoutError, ConnectionError, OSError):
+            async with asyncio.timeout(0.5):
+                await connection.writer.drain()
+        except (TimeoutError, ConnectionError, OSError):
             pass
         self._close_connection(connection)
 
@@ -522,6 +553,8 @@ class ReproServer:
         if connection.closed:
             return
         connection.closed = True
+        if connection.idle_watch is not None:
+            connection.idle_watch.cancel()
         try:
             connection.writer.close()
         except (ConnectionError, OSError):
@@ -568,6 +601,10 @@ class ReproServer:
             await asyncio.sleep(0.01)
         for connection in list(self._connections):
             await self._say_goodbye(connection, "drain complete")
+        for _ in range(3):
+            # Transport closed -> EOF fed -> read loop returns: let the
+            # handlers unwind before the caller tears the loop down.
+            await asyncio.sleep(0)
         obs.events.emit("server.drain", phase="end", aborted=aborted)
         tally = {"aborted": aborted,
                  "completed": self.stats["replies"],

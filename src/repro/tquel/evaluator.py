@@ -45,7 +45,11 @@ comparison, attribute-comparison pushdown) owes row-for-row agreement
 with its scalar twin, including null semantics and raised error types.
 The randomized differential suite (``tests/tquel/test_differential.py``)
 runs every query shape under all forced plans and asserts identical
-results.
+results.  In ``auto`` mode a current-state stream whose leading
+conjuncts pin the whole schema key is first *narrowed* to the open rows
+under that key (:func:`key_binding`, ``open_under_key`` of the store) —
+the same filter still runs over them, and ``naive`` is its oracle too
+(``tests/tquel/test_key_lookup_differential.py``).
 
 In ``auto`` mode the evaluator also consults the database's
 :class:`~repro.core.resultcache.ResultCache`: filtered candidate streams
@@ -383,6 +387,32 @@ def columnar_compare_spec(conjunct: Expression, variable: str
     return None
 
 
+def key_binding(schema: Schema, conjuncts: Sequence[Expression],
+                variable: str) -> Optional[Dict[str, Any]]:
+    """The schema-key value the leading conjuncts pin, or ``None``.
+
+    Only the unbroken run of ``attribute = constant`` conjuncts at the
+    front counts: ``=`` never raises, so a scan tests nothing beyond them
+    on a row under another key, whereas a conjunct ahead of the binding
+    that can raise does so on the scan's first row, which a lookup would
+    skip.  Every key attribute must be bound to a non-null constant of
+    its own domain (a constant from another domain can still *equal* a
+    stored one, ``1.0 = 1``: the scan decides); of two bindings of one
+    attribute the first is probed and the filter refutes the other.
+    """
+    bound: Dict[str, Any] = {}
+    for conjunct in conjuncts:
+        spec = columnar_compare_spec(conjunct, variable)
+        if spec is None or spec[1] != "=":
+            break
+        bound.setdefault(spec[0], spec[2])
+    for name in schema.key:
+        value = bound.get(name)
+        if value is None or not schema.attribute(name).domain.contains(value):
+            return None
+    return bound if schema.key else None
+
+
 # ---------------------------------------------------------------------------
 # The evaluator
 # ---------------------------------------------------------------------------
@@ -397,8 +427,7 @@ class _Prepared(NamedTuple):
     now: Instant
     as_of: Optional[Instant]
     through: Optional[Instant]
-    #: The access path in ``explain``'s words; the result's relation class.
-    access: str
+    #: The result's relation class.
     result_type: type
     #: Pushed single-variable conjuncts per variable, and the rest.
     pushdown: Dict[str, List[Expression]]
@@ -407,8 +436,10 @@ class _Prepared(NamedTuple):
     #: clause, or a stream's kernel has answered it).
     when: Optional[TemporalPredicate]
     #: Per variable: the access plan, the candidates examined before
-    #: pushdown, and those that survived it.
-    streams: Dict[str, PyTuple[_planner.AccessPlan, int, PyTuple[Any, ...]]]
+    #: pushdown, those that survived it, and the access path in
+    #: ``explain``'s words.
+    streams: Dict[str, PyTuple[_planner.AccessPlan, int, PyTuple[Any, ...],
+                               str]]
 
 
 #: ``explain``'s name for each relation class a retrieve can yield.
@@ -678,6 +709,20 @@ class Evaluator:
             conjuncts = pushdown.get(variable, [])
             kernel = (folded_kernel if folded_kernel is not None
                       and folded_kernel.variable == variable else None)
+            keyed = (self._under_key(relation, variable, conjuncts,
+                                     bitemporal)
+                     if as_of is None and through is None else None)
+            if keyed is not None:
+                # One probe is cheaper than costing it, or than looking
+                # its answer up in the result cache.
+                examined = len(keyed)
+                if conjuncts:
+                    keyed = filter(self._filter(variable, conjuncts), keyed)
+                streams[variable] = (
+                    _planner.key_lookup(self._db.schema(relation).key,
+                                        examined),
+                    examined, tuple(keyed), _planner.KEY_ACCESS)
+                continue
             vectorizable = sum(
                 1 for c in conjuncts
                 if columnar_compare_spec(c, variable) is not None)
@@ -722,9 +767,30 @@ class Evaluator:
             examined, candidates, when_applied = found
             if when_applied:
                 when = None
-            streams[variable] = (plan, examined, candidates)
-        return _Prepared(slots, now, as_of, through, access, result_type,
+            streams[variable] = (plan, examined, candidates, access)
+        return _Prepared(slots, now, as_of, through, result_type,
                          pushdown, residual, when, streams)
+
+    def _under_key(self, relation: str, variable: str,
+                   conjuncts: Sequence[Expression], bitemporal: bool
+                   ) -> Optional[Sequence[Any]]:
+        """A current-state stream narrowed to one schema-key value: the
+        open rows under the key the conjuncts pin (:func:`key_binding`),
+        as candidates, when the relation's store keeps a by-key index of
+        its open rows — else ``None`` and the caller scans.  Only ever a
+        narrowing: the conjuncts still run over what this returns.  Never
+        under a forced plan, whose point is to exercise its own path
+        (``naive`` is the oracle this one is tested against).
+        """
+        if self._plan != "auto" or not hasattr(self._db, "store"):
+            return None  # (the sharded facade keeps its stores per shard)
+        probe = getattr(self._db.store(relation), "open_under_key", None)
+        bound = probe and key_binding(self._db.schema(relation), conjuncts,
+                                      variable)
+        found = probe(bound) if bound else None
+        if found is None or bitemporal:  # (those stream as stored)
+            return found
+        return [(row.data, None, None) for row in found]
 
     def _immutable_result(self, relation: str, as_of: Optional[Instant],
                           through: Optional[Instant],
@@ -773,13 +839,14 @@ class Evaluator:
         as_of, through = prepared.as_of, prepared.through
         variables = {}
         product = 1
-        for variable, (plan, examined, candidates) in prepared.streams.items():
+        for variable, (plan, examined, candidates,
+                       access) in prepared.streams.items():
             variables[variable] = {
                 "relation": self._ranges[variable],
                 "candidates": examined,
                 "after_pushdown": len(candidates),
                 "pushed_conjuncts": len(prepared.pushdown.get(variable, [])),
-                "index": prepared.access,
+                "index": access,
                 "plan": plan.path,
                 "estimated_rows": plan.estimated_rows,
                 "plan_reason": plan.reason,
@@ -810,14 +877,14 @@ class Evaluator:
             statement, getattr(self._db, "result_cache", None)
             if self._plan == "auto" else None)
         metrics = _obs.current().metrics
-        for plan, _, _ in prepared.streams.values():
+        for plan, _, _, _ in prepared.streams.values():
             metrics.counter(f"tquel.plan.{plan.path}").inc()
         metrics.counter("tquel.candidates_enumerated").inc(
-            sum(examined for _, examined, _ in prepared.streams.values()))
+            sum(stream[1] for stream in prepared.streams.values()))
 
         resolve = self._resolver(prepared.slots)
         bindings = itertools.product(
-            *(candidates for _, _, candidates in prepared.streams.values()))
+            *(stream[2] for stream in prepared.streams.values()))
         if prepared.residual:
             bindings = filter(functools.reduce(And, prepared.residual)
                               .compile(resolve), bindings)
@@ -1066,11 +1133,15 @@ class Evaluator:
 
     def _matching_rows(self, statement) -> List[Tuple]:
         variable = statement.variable
-        _, rows, _, _ = self._source(None, None, self._db.now())
-        candidates = rows(self._ranges[variable])
-        if statement.where is not None:
-            candidates = filter(self._filter(variable, [statement.where]),
-                                candidates)
+        relation = self._ranges[variable]
+        conjuncts = split_conjuncts(statement.where)
+        _, rows, _, bitemporal = self._source(None, None, self._db.now())
+        candidates = self._under_key(relation, variable, conjuncts,
+                                     bitemporal)
+        if candidates is None:
+            candidates = rows(relation)
+        if conjuncts:
+            candidates = filter(self._filter(variable, conjuncts), candidates)
         return list(dict.fromkeys(candidate[0] for candidate in candidates))
 
     def _delete(self, statement: DeleteStmt) -> Optional[Instant]:

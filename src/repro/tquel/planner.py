@@ -45,6 +45,12 @@ default (``as of`` omitted) query selects ``open`` rows precisely; an
 (``closed / 8``); a ``through`` range keeps about half the closed past
 (``closed / 2``).  Kinds without transaction time select everything.
 
+One case is settled before any costing (:func:`key_lookup`): a
+current-state read (no ``as of``) whose pushed conjuncts bind every
+schema-key attribute by ``=`` is one probe of the store's by-key index
+of its open rows — an ``index`` plan whose ``estimated_rows`` is simply
+what the probe returned.
+
 Ties break deterministically: ``naive`` < ``index`` < ``columnar``.
 A forced plan (``plan=naive|index|columnar``) skips the costing; forcing
 an unavailable path degrades to ``naive`` with the reason recorded, so
@@ -54,7 +60,7 @@ forced-plan differential tests run on every database kind.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from repro.core.base import Database
 from repro.core.historical import HistoricalRelation
@@ -62,7 +68,7 @@ from repro.core.rollback import StateSequence
 from repro.core.transaction_time import TransactionTimeStore
 
 __all__ = ["PLAN_MODES", "AccessPlan", "RelationProfile", "profile",
-           "choose", "COSTS"]
+           "choose", "key_lookup", "KEY_ACCESS", "COSTS"]
 
 #: The Session/Evaluator plan knob values.
 PLAN_MODES = ("auto", "naive", "index", "columnar")
@@ -122,6 +128,17 @@ class AccessPlan(NamedTuple):
     estimated_rows: int    # the selectivity estimate k
     reason: str            # deterministic one-line justification
     costs: Dict[str, Optional[float]]  # per-path cost, None = unavailable
+
+
+#: ``explain``'s words for the access path of a :func:`key_lookup` plan.
+KEY_ACCESS = "key index: one probe of the open rows"
+
+
+def key_lookup(key: Sequence[str], rows: int) -> AccessPlan:
+    """The plan of a stream answered by one probe of the by-key index
+    (it returned *rows* rows; nothing was costed, the probe is cheaper)."""
+    return AccessPlan("index", rows,
+                      f"key lookup: {', '.join(key)} bound by =", {})
 
 
 def profile(database: Database, relation: str) -> RelationProfile:

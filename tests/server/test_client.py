@@ -206,7 +206,7 @@ class TestPooling:
             server_end.write(protocol.done_reply(1, row_count=2,
                                                  chunks=2))
             with pytest.raises(TransportError) as caught:
-                await client._collect(conn, 1, None, 0)
+                await client._collect(conn, 1, 0)
             assert caught.value.retryable
             assert "truncated in transit" in str(caught.value)
         run(scenario())
@@ -229,8 +229,42 @@ class TestPooling:
                                   "close": lambda self: None})()
             client_end.write(b"mangled frame on the wire\n")
             with pytest.raises(TransportError) as caught:
-                await client._collect(conn, 1, None, 0)
+                await client._collect(conn, 1, 0)
             assert caught.value.retryable
             assert "damaged in transit" in str(caught.value)
             server.shutdown()
+        run(scenario())
+
+
+class TestWireCompatibility:
+    def test_a_reply_sent_one_frame_per_write_is_reassembled(self):
+        # The server before replies were grouped: every frame its own
+        # write and drain, the loop free to run between them.  Same
+        # frames, so the client must not care how they were batched.
+        async def scenario():
+            from repro.server import protocol
+
+            async def frame_per_write_server(end):
+                request = protocol.parse_request(await end.readline())
+                for frame in (
+                        protocol.rows_reply(request["id"], 0, [
+                            {"values": {"k": "a"}}], columns=["k"]),
+                        protocol.rows_reply(request["id"], 1, [
+                            {"values": {"k": "b"}}]),
+                        protocol.done_reply(request["id"], row_count=2,
+                                            chunks=2, token=5)):
+                    end.write(frame)
+                    await end.drain()
+                    await asyncio.sleep(0)
+
+            async def connector(_endpoint):
+                client_end, server_end = open_pipe()
+                asyncio.ensure_future(frame_per_write_server(server_end))
+                return client_end, client_end
+
+            client = ReproClient(["a"], connector=connector)
+            result = await client.query("retrieve (c.k)", budget_ms=2000.0)
+            assert [row["values"]["k"] for row in result.rows] == ["a", "b"]
+            assert (result.row_count, result.token) == (2, 5)
+            await client.close()
         run(scenario())

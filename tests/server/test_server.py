@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.core import TemporalDatabase
 from repro.server import ReproServer, ServerConfig, open_pipe, protocol
+from repro.tquel import Session
 
 CREATE = "create counters (k = string, v = string) key (k)"
 RANGE = "range of c is counters"
@@ -54,6 +55,14 @@ async def roundtrip(pipe, request_id, source, **kwargs):
         frames.append(message)
         if message["type"] in ("done", "error"):
             return frames
+
+
+def counted(calls, real):
+    """*real*, recording each call's arguments in *calls*."""
+    def call(*args):
+        calls.append(args)
+        return real(*args)
+    return call
 
 
 async def seed(pipe, statements):
@@ -406,5 +415,86 @@ class TestReplicaRouting:
             assert done["type"] == "done"
             assert done["served_by"] == "primary"
             assert server.stats["primary_fallbacks"] == 1
+            server.shutdown()
+        run(scenario())
+
+
+class TestRequestCost:
+    """Counts, not clocks: what one served point request may cost, and
+    that the frames it sends are the frames a frame-at-a-time peer (the
+    client before replies were grouped into one write) expects."""
+
+    SEED = [CREATE, 'append to counters (k = "a", v = "1") '
+                    'valid from "12/05/82"', RANGE]
+    POINT = 'retrieve (c.k, c.v) where c.k = "a"'
+
+    @staticmethod
+    async def served(config=None):
+        server = ReproServer(TemporalDatabase(), config)
+        pipe, server_end = open_pipe()
+        handler = asyncio.ensure_future(
+            server.handle_connection(server_end, server_end))
+        await seed(pipe, TestRequestCost.SEED)
+        return server, pipe, server_end, handler
+
+    def test_one_hop_one_write_and_no_task_but_the_requests(self):
+        async def scenario():
+            server, pipe, server_end, _ = await self.served()
+            submitted, written, tasks = [], [], []
+            server._executor.submit = counted(submitted,
+                                              server._executor.submit)
+            server_end.write = counted(written, server_end.write)
+
+            def factory(loop, coroutine, **kwargs):
+                tasks.append(coroutine.__qualname__)
+                return asyncio.Task(coroutine, loop=loop, **kwargs)
+
+            asyncio.get_running_loop().set_task_factory(factory)
+            pipe.write(protocol.query_request(7, self.POINT))
+            async with asyncio.timeout(2.0):  # (wait_for would add a Task)
+                lines = [await pipe.readline(), await pipe.readline()]
+            asyncio.get_running_loop().set_task_factory(None)
+            assert len(submitted) == 1
+            assert tasks == ["ReproServer._run_request"]
+            # Byte for byte the two frames a reply always was; only their
+            # grouping into one write is new.
+            answer = Session(server.database, ranges={"c": "counters"}).query(
+                self.POINT)
+            expected = (
+                protocol.rows_reply(7, 0, protocol.rows_to_wire(answer)[1],
+                                    columns=["k", "v"])
+                + protocol.done_reply(7, row_count=1, chunks=1,
+                                      token=len(server.database.log),
+                                      commit_time=None, served_by="primary"))
+            assert written == [(expected,)] and expected == b"".join(lines)
+            server.shutdown()
+        run(scenario())
+
+    def test_a_longer_reply_still_drains_per_chunk(self):
+        async def scenario():
+            server, pipe, server_end, _ = await self.served(
+                ServerConfig(chunk_rows=2))
+            await seed(pipe, [f'append to counters (k = "k{i}", v = "{i}") '
+                              f'valid from "12/05/82"' for i in range(4)])
+            written = []
+            server_end.write = counted(written, server_end.write)
+            frames = await roundtrip(pipe, 8, "retrieve (c.k, c.v)")
+            assert [f["type"] for f in frames] == ["rows"] * 3 + ["done"]
+            # Five rows in chunks of two: the last rows frame rides with
+            # the done frame, each earlier one has its own write + drain.
+            assert [data.count(b"\n") for data, in written] == [1, 1, 2]
+            server.shutdown()
+        run(scenario())
+
+    def test_a_frame_at_a_time_client_reads_the_grouped_reply(self):
+        async def scenario():
+            server, pipe, _, _ = await self.served()
+            # The parent client's collect loop: one timed read per frame.
+            frames = await roundtrip(pipe, 9, self.POINT)
+            assert [f["type"] for f in frames] == ["rows", "done"]
+            assert frames[0]["columns"] == ["k", "v"]
+            assert protocol.rows_from_wire(frames[0]["rows"])[0]["values"] \
+                == {"k": "a", "v": "1"}
+            assert frames[1]["row_count"] == 1 and frames[1]["chunks"] == 1
             server.shutdown()
         run(scenario())

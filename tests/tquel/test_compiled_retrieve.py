@@ -260,6 +260,38 @@ class TestPerStatementCosts:
                 monkeypatch, history(keys), SHAPES["asof_through"])
             assert stores == 1
 
+    @pytest.mark.parametrize("db_class", [TemporalDatabase, RollbackDatabase])
+    def test_a_keyed_point_read_examines_the_rows_under_its_key(
+            self, db_class):
+        # A count, not a clock: without `as of`, a read that pins the
+        # whole schema key costs the open rows under that key, at any K.
+        for keys in (64, 2048):
+            clock = SimulatedClock("01/01/80")
+            database = db_class(clock=clock)
+            database.define("faculty", Schema.of(
+                key=["name"], name=Domain.STRING, salary=Domain.INTEGER))
+            valid = ({"valid_from": "01/01/80"}
+                     if database.kind.supports_historical_queries else {})
+            batch = database.begin()
+            for k in range(keys):
+                database.insert("faculty", {"name": f"n{k}", "salary": k},
+                                txn=batch, **valid)
+            batch.commit()
+            clock.advance(1)
+            database.replace("faculty", {"name": "n7"}, {"salary": 1007},
+                             **({"valid_from": "01/05/80"} if valid else {}))
+            clock.advance(30)
+            session = Session(database)
+            session.execute("range of f is faculty")
+            text = 'retrieve (f.salary) where f.name = "n7"'
+            under_key = [row for row in database.store("faculty").open_rows()
+                         if row.data["name"] == "n7"]
+            info = session.explain_plan(text, timings=False)["variables"]["f"]
+            assert info["candidates"] == len(under_key) == (2 if valid else 1)
+            assert info["plan"] == "index"
+            assert "key" in info["index"] and "key" in info["plan_reason"]
+            assert len(session.query(text)) == len(under_key)
+
 
 # -- domain checks that can fail are kept -------------------------------------------
 

@@ -39,7 +39,7 @@ from repro.core import TemporalDatabase  # noqa: E402
 from repro.core import columnar as _columnar  # noqa: E402
 from repro.time import SimulatedClock  # noqa: E402
 from repro.tquel import Session  # noqa: E402
-from repro.tquel.planner import COSTS  # noqa: E402
+from repro.tquel.planner import COSTS, KEY_ACCESS  # noqa: E402
 
 # The planner's columnar cost (and so the reason strings in the
 # transcripts below) depends on whether NumPy imported.  Pin the
@@ -134,6 +134,30 @@ def _gen_explain_forced() -> str:
     return _fenced("\n".join(lines))
 
 
+def _gen_explain_key() -> str:
+    """The current-state point query: the by-key lookup, then the
+    statements beside it that must scan instead (one line each)."""
+    session = _faculty_session()
+    query = 'retrieve (f.rank) where f.name = "Merrie"'
+    lines = []
+    for note, plan, text in (
+            ("whole key bound", "auto", query),
+            ("an as-of pin", "auto", query + ' as of "12/10/82"'),
+            ("key bound too late", "auto", 'retrieve (f.rank) where '
+             'f.rank != "full" and f.name = "Merrie"'),
+            ("wrong-domain constant", "auto",
+             "retrieve (f.rank) where f.name = 5"),
+            ("plan=naive (the oracle)", "naive", query)):
+        info = _faculty_session(plan).explain_plan(
+            text, timings=False)["variables"]["f"]
+        via = ("one key probe" if info["index"] == KEY_ACCESS
+               else "every visible row")
+        lines.append(f"{note:<24} -> {info['candidates']} candidate(s): {via}")
+    return (f"    .explain {query}\n\n"
+            + _fenced(session.explain(query, timings=False))
+            + "\n" + _fenced("\n".join(lines)))
+
+
 def _gen_cache_stats() -> str:
     """The ``repro cache`` transcript: the demo workload's cache stats."""
     # Imported from the CLI so this transcript can never diverge from
@@ -219,6 +243,7 @@ def _gen_integrity_audit() -> str:
 GENERATORS: Dict[str, Callable[[], str]] = {
     "planning-explain-asof": _gen_explain_asof,
     "planning-explain-forced": _gen_explain_forced,
+    "planning-explain-key": _gen_explain_key,
     "planning-cache-stats": _gen_cache_stats,
     "planning-costs": _gen_costs,
     "integrity-audit": _gen_integrity_audit,
