@@ -715,6 +715,8 @@ def _repro_recover(args) -> int:
     print(f"  records replayed:   {report.records_replayed} "
           f"of {report.records_total} durable")
     print(f"  segments read:      {report.segments_read}")
+    if not report.full_replay:
+        print(f"  history files read: {report.history_files_read}")
     if report.torn_bytes_truncated:
         print(f"  torn tail repaired: {report.torn_bytes_truncated} bytes "
               f"truncated")
@@ -1015,6 +1017,7 @@ def _format_audit(report) -> str:
     lines = [f"audited {report.directory}: "
              f"{report.segments_audited} segment(s), "
              f"{report.checkpoints_audited} checkpoint(s), "
+             f"{report.history_files_audited} history file(s), "
              f"{report.sidelogs_audited} side log(s)"]
     lines.append(f"  records:         {report.records_total} "
                  f"({report.chain_verified} chain-verified)")

@@ -231,6 +231,31 @@ class TransactionTimeStore:
             itertools.islice(self._closed_log, self._closed_len),
             self._open.values(), self._open_extra)
 
+    # -- the closed partition ----------------------------------------------------
+
+    def closed_mark(self) -> PyTuple[object, int]:
+        """A name for this version's closed partition: ``(lineage, rows
+        closed so far)``.  Opaque to callers; :meth:`closed_since` reads it."""
+        return self._lineage, self._closed_len
+
+    def closed_since(self, mark: Optional[PyTuple[object, int]] = None
+                     ) -> Optional[List[Any]]:
+        """The rows that closed between the version *mark* names and this
+        one, in closing order (all of them for ``None``).
+
+        The closed log is append-only within a lineage, so whoever holds a
+        mark (a checkpoint that wrote the rows before it to disk) already
+        holds every row this does not return.  ``None`` when *mark* is of
+        another lineage — a redefined relation, a loaded or vacuumed value
+        — and nothing can be said about what the holder has.
+        """
+        start = 0
+        if mark is not None:
+            lineage, start = mark
+            if lineage is not self._lineage or start > self._closed_len:
+                return None
+        return self._closed_log[start:self._closed_len]
+
     def __len__(self) -> int:
         return self._closed_len + self.open_count
 

@@ -28,9 +28,11 @@ obligation it carries:
   exactly, commit times included — the paper's transaction-time
   semantics make the commit log a complete description of a rollback
   or temporal database.
-- :mod:`~repro.storage.checkpoint` — atomic full-state snapshots keyed
-  by the journal records they incorporate.  Pure optimization: a
-  damaged or deleted checkpoint costs replay time, never data.
+- :mod:`~repro.storage.checkpoint` — atomic snapshots keyed by the
+  journal records they incorporate: the open partition plus a manifest
+  of sealed history files, each holding rows whose transaction time has
+  closed, written once.  Pure optimization: a damaged or deleted
+  checkpoint costs replay time, never data.
 - :mod:`~repro.storage.recovery` — :class:`DurabilityManager`, which
   ties segments and checkpoints into restart = *latest valid
   checkpoint + tail replay*, with torn-tail repair.
@@ -44,7 +46,8 @@ from repro.storage.serializer import (
     loads_database, schema_from_dict, schema_to_dict,
 )
 from repro.storage.framing import (
-    CHAINED_TAG, CHECKPOINT_TAG, JOURNAL_TAG, FrameDamage, FrameError,
+    CHAINED_TAG, CHECKPOINT_TAG, HISTORY_TAG, JOURNAL_TAG, FrameDamage,
+    FrameError,
     frame, frame_record, parse_frame, parse_journal_line,
 )
 from repro.storage.chain import (
@@ -55,6 +58,7 @@ from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import Journal, apply_entries, encode_commit
 from repro.storage.checkpoint import (
     CheckpointStore, checkpoint_bytes, read_checkpoint,
+    read_checkpoint_head, read_history,
 )
 from repro.storage.recovery import DurabilityManager, RecoveryReport, detect_kind
 from repro.storage.faults import (
@@ -77,6 +81,8 @@ __all__ = [
     "CheckpointStore",
     "checkpoint_bytes",
     "read_checkpoint",
+    "read_checkpoint_head",
+    "read_history",
     "DurabilityManager",
     "RecoveryReport",
     "detect_kind",
@@ -89,6 +95,7 @@ __all__ = [
     "JOURNAL_TAG",
     "CHAINED_TAG",
     "CHECKPOINT_TAG",
+    "HISTORY_TAG",
     "FrameDamage",
     "FrameError",
     "frame",

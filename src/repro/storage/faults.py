@@ -1,6 +1,6 @@
 """Deterministic fault injection for the durability subsystem.
 
-The crash-safety contract in ``docs/DURABILITY.md`` names four crash
+The crash-safety contract in ``docs/DURABILITY.md`` names six crash
 points a process can die at while persisting state.  This module makes
 each of them a reproducible event: a :class:`FaultyIO` wraps the real
 :class:`~repro.storage.io.StorageIO` and, on the *n*-th matching write,
@@ -24,7 +24,20 @@ crash point           simulated residue
 ``LOST_CHECKPOINT``   the ``.tmp`` file is complete but the atomic rename
                       never happened; recovery ignores the ``.tmp`` and
                       uses the previous checkpoint or full replay
+``TORN_HISTORY``      a prefix of a history file lands at its final path;
+                      the checkpoint that would have named it is never
+                      written, so nothing reads the orphan (the audit
+                      reports it) and the next checkpoint seals the same
+                      rows again
+``LOST_HISTORY``      the history file's ``.tmp`` is complete but was
+                      never renamed; as above, minus the orphan
 ====================  =====================================================
+
+A checkpoint of a database that keeps transaction time is two atomic
+writes — the history file, then the checkpoint naming it — and each
+pair of crash points counts only its own file: ``TORN_CHECKPOINT`` /
+``LOST_CHECKPOINT`` at a checkpoint that sealed rows is therefore the
+crash *after the history file and before the publish*.
 
 :class:`SimulatedCrash` deliberately does **not** derive from
 :class:`~repro.errors.ReproError`: no library code may catch it, just as
@@ -45,6 +58,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Dict, Optional
 
+from repro.storage.checkpoint import is_history_file
 from repro.storage.io import REAL_IO, StorageIO
 
 
@@ -54,7 +68,7 @@ class SimulatedCrash(Exception):
 
 
 class CrashPoint(enum.Enum):
-    """The four write-path crash points of the durability contract."""
+    """The six write-path crash points of the durability contract."""
 
     #: Die midway through appending a journal record (torn tail).
     TORN_RECORD = "torn-record"
@@ -64,13 +78,21 @@ class CrashPoint(enum.Enum):
     TORN_CHECKPOINT = "torn-checkpoint"
     #: Die between writing the checkpoint ``.tmp`` and the atomic rename.
     LOST_CHECKPOINT = "lost-checkpoint"
+    #: Die leaving a partial history file at its final path.
+    TORN_HISTORY = "torn-history"
+    #: Die between writing a history file's ``.tmp`` and the rename.
+    LOST_HISTORY = "lost-history"
 
 
 #: The full matrix the fault suite iterates (name → CrashPoint).
 ALL_CRASH_POINTS = tuple(CrashPoint)
 
-#: Crash points that fire on journal appends (vs. checkpoint writes).
+#: Crash points that fire on journal appends (vs. atomic publishes).
 _APPEND_POINTS = (CrashPoint.TORN_RECORD, CrashPoint.LOST_RECORD)
+#: Crash points that fire on a history file's publish (vs. a checkpoint's).
+_HISTORY_POINTS = (CrashPoint.TORN_HISTORY, CrashPoint.LOST_HISTORY)
+#: Crash points that leave a prefix at the final path (vs. a stray ``.tmp``).
+_TORN_PUBLISHES = (CrashPoint.TORN_CHECKPOINT, CrashPoint.TORN_HISTORY)
 
 
 class FaultyIO(StorageIO):
@@ -78,9 +100,10 @@ class FaultyIO(StorageIO):
 
     ``at`` counts *matching* writes: ``FaultyIO(CrashPoint.TORN_RECORD,
     at=3)`` lets two journal appends through untouched and tears the
-    third.  Checkpoint crash points count :meth:`write_atomic` calls the
-    same way.  ``fraction`` controls how much of the damaged write's
-    payload reaches the file (default: half, at least one byte).
+    third.  Checkpoint and history crash points count the
+    :meth:`write_atomic` calls publishing *their* kind of file the same
+    way.  ``fraction`` controls how much of the damaged write's payload
+    reaches the file (default: half, at least one byte).
     """
 
     def __init__(self, crash: CrashPoint, at: int = 1,
@@ -117,15 +140,17 @@ class FaultyIO(StorageIO):
 
     def write_atomic(self, path: str, data: bytes,
                      fsync: bool = False) -> None:
-        if self._crash in _APPEND_POINTS or not self._trigger():
+        mine = (self._crash not in _APPEND_POINTS
+                and (self._crash in _HISTORY_POINTS) == is_history_file(path))
+        if not mine or not self._trigger():
             self._real.write_atomic(path, data, fsync=fsync)
             return
-        if self._crash is CrashPoint.TORN_CHECKPOINT:
+        if self._crash in _TORN_PUBLISHES:
             # Model a non-atomic writer dying at the destination itself:
             # the final path holds a prefix that must fail its checksum.
             with open(path, "wb") as handle:
                 handle.write(self._partial(data))
-        else:  # LOST_CHECKPOINT: the .tmp is complete, the rename is not.
+        else:  # LOST_*: the .tmp is complete, the rename is not.
             with open(path + ".tmp", "wb") as handle:
                 handle.write(data)
         raise SimulatedCrash(

@@ -7,7 +7,8 @@ built from *framed records*.  A framed record is one line of text::
 
 - ``tag`` names the record format (``r2`` for chained journal commit
   records, ``r1`` for the CRC-only 2PC side logs, ``c1`` for checkpoint
-  bodies), so a file identifies itself;
+  bodies, ``h1`` for the sealed history files a checkpoint stands on), so
+  a file identifies itself;
 - ``length`` is the byte length of the UTF-8 encoded payload — a torn
   write (the process died mid-``write``) leaves fewer bytes than the
   prefix promises and is detected without parsing the payload;
@@ -48,6 +49,8 @@ JOURNAL_TAG = "r1"
 CHAINED_TAG = "r2"
 #: Frame tag of checkpoint bodies.
 CHECKPOINT_TAG = "c1"
+#: Frame tag of sealed history files (closed rows, written once).
+HISTORY_TAG = "h1"
 
 
 class FrameDamage(enum.Enum):

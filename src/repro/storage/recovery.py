@@ -7,15 +7,20 @@ entire durable state:
   **global index** of its first record; record *j* of the segment is
   global record ``start + j``.  Segments rotate at every checkpoint, so
   a checkpoint's tail is exactly the segments at or after its index.
-- ``checkpoint-<index>.ckpt`` — atomic full-state checkpoints
-  (:mod:`repro.storage.checkpoint`); ``index`` counts the journal
-  records the state incorporates.
+- ``checkpoint-<index>.ckpt`` — atomic checkpoints
+  (:mod:`repro.storage.checkpoint`): the open partition plus a manifest
+  of the history files holding the closed rows; ``index`` counts the
+  journal records the state incorporates.
+- ``history-<index>-<hash>.hist`` — sealed history files: the rows whose
+  transaction time closed between two checkpoints, written once.
 
 **The recovery algorithm** (:meth:`DurabilityManager.recover`):
 
-1. load the newest *valid* checkpoint (damaged ones are skipped — the
-   journal can always fill the gap); with none, start from an empty
-   database of the requested kind;
+1. load the newest *usable* checkpoint, its history files verified
+   against its manifest (a damaged checkpoint, or one standing on a
+   missing or damaged history file, is skipped — the journal can always
+   fill the gap); with none, start from an empty database of the
+   requested kind;
 2. repair the final segment — a torn trailing record (the residue of a
    crash mid-append) is truncated; damage anywhere else is a hard
    :class:`~repro.errors.JournalError`, because in an append-only file
@@ -43,8 +48,9 @@ Checkpoints are pure optimization: ``recover(use_checkpoint=False)``
 ignores them and replays all of history, and the equivalence tests in
 ``tests/storage/test_recovery.py`` hold the two paths to identical
 answers for every database kind.  Segments strictly below the newest
-checkpoint index may be deleted by an operator to reclaim space; this
-module never deletes anything.
+checkpoint index may be deleted by an operator to reclaim space —
+history files may **not**: they are the only copy of the closed rows
+outside those very segments.  This module never deletes anything.
 """
 
 from __future__ import annotations
@@ -80,14 +86,18 @@ class RecoveryReport:
     segments_read: int
     #: Bytes of torn trailing record physically truncated (0 = clean).
     torn_bytes_truncated: int
-    #: Checkpoint files present but newer than the one used (i.e. damaged
-    #: and skipped); nonzero means a checkpoint write was interrupted.
+    #: Checkpoint files present but newer than the one used (i.e. damaged,
+    #: or standing on a damaged history file, and skipped); nonzero means
+    #: a checkpoint write was interrupted.
     checkpoints_skipped: int
     #: Chained records whose hash link was verified during the walk.
     chain_verified: int = 0
     #: The history's commit-hash chain head after recovery (``None``
     #: when operator-pruned prefix segments leave it unknown).
     chain_head: Optional[str] = None
+    #: History files the checkpoint used stands on (each read and
+    #: verified against its manifest).
+    history_files_read: int = 0
 
     @property
     def full_replay(self) -> bool:
@@ -188,13 +198,18 @@ class DurabilityManager:
                              directory=self._directory), \
                 obs.metrics.histogram("recovery.recover_seconds").time():
             segment_list = self.segments()
-            loaded = (self._checkpoints.latest() if use_checkpoint
+            loaded = (self._checkpoints.latest_loadable() if use_checkpoint
                       else None)
             ckpt_head: Optional[str] = None
+            history_files = 0
             if loaded is not None:
                 base, ckpt_entry = loaded
                 ckpt_head = ckpt_entry.get("chain_head")
                 database = load_database(ckpt_entry["database"])
+                # What was just read is what is sealed: the next
+                # checkpoint writes only the rows that close from here on.
+                self._checkpoints.resume(database, ckpt_entry["history"])
+                history_files = len(ckpt_entry["history"])
             else:
                 base = 0
                 database = factory(clock=SimulatedClock(1))
@@ -308,6 +323,7 @@ class DurabilityManager:
                 checkpoints_skipped=skipped if use_checkpoint else 0,
                 chain_verified=verifier.verified,
                 chain_head=head,
+                history_files_read=history_files,
             )
         return database, report
 
@@ -363,7 +379,10 @@ class DurabilityManager:
         The checkpoint covers every record journaled so far, and the
         journal rotates to a fresh segment starting at that index, so
         the next recovery replays only records committed after this
-        call.  Must run between transactions (single-writer system);
+        call.  It costs O(open state + rows closed since the previous
+        checkpoint): closed rows are sealed once, into a history file,
+        and never serialised again (:mod:`repro.storage.checkpoint`).
+        Must run between transactions (single-writer system);
         under the concurrent session layer, quiesce the layer first —
         checkpointing races no individual commit (appends are ordered
         by the commit lock) but a checkpoint taken mid-burst may simply
@@ -438,8 +457,9 @@ class DurabilityManager:
 def detect_kind(directory: str) -> Optional[str]:
     """The database kind recorded in the newest valid checkpoint.
 
-    ``None`` when the directory has no usable checkpoint (journal-only
-    directories don't record the kind; callers fall back to asking)."""
+    Reads that one small file and no history file.  ``None`` when the
+    directory has no valid checkpoint (journal-only directories don't
+    record the kind; callers fall back to asking)."""
     found = CheckpointStore(directory).latest()
     if found is None:
         return None

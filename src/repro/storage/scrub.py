@@ -3,7 +3,8 @@
 Recovery (:mod:`repro.storage.recovery`) verifies what it replays and
 *stops* at damage.  The scrubber is the operational layer above that: it
 walks everything a durability directory holds — journal segments,
-checkpoints, 2PC side logs — verifying frames **and** chain links
+checkpoints, history files, 2PC side logs — verifying frames **and**
+chain links
 without ever raising, classifies each problem into a
 :class:`Finding`, and can then take action:
 
@@ -43,6 +44,13 @@ kind            meaning
 ``gap``         records in no segment: a hole between segment files, or
                 a checkpoint claiming more records than the journal holds
 ``checkpoint``  a checkpoint file that fails its frame or format
+``history``     a history file that fails its frame, or is not the
+                content it is named for
+``history-missing``  a checkpoint whose manifest names a history file
+                that is not there
+``manifest``    a checkpoint whose manifest disagrees with the history
+                file it names (another hash, other row counts), or
+                names a damaged one
 ``sidelog``     a damaged record in a 2PC prepare/decision log
 ==============  ============================================================
 
@@ -61,7 +69,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ChainError, CheckpointError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
-from repro.storage.checkpoint import CheckpointStore, read_checkpoint
+from repro.storage.checkpoint import (CheckpointStore, manifest_mismatch,
+                                      read_checkpoint_head, read_history)
 from repro.storage.framing import (FrameDamage, FrameError, parse_frame,
                                    parse_journal_line)
 from repro.storage.io import REAL_IO, StorageIO
@@ -113,6 +122,7 @@ class AuditReport:
     chain_head: Optional[str]
     segments_audited: int = 0
     checkpoints_audited: int = 0
+    history_files_audited: int = 0
     sidelogs_audited: int = 0
 
     @property
@@ -261,8 +271,10 @@ def audit_directory(directory: str,
     """Audit one :class:`DurabilityManager` directory; never raises.
 
     Walks every journal segment (frames + chain links + contiguity),
-    every checkpoint (frame, format, recorded chain head against the
-    walked head), and any 2PC side log living in the directory.
+    every history file (frame, content hash — each read once, however
+    many checkpoints name it), every checkpoint (frame, format, recorded
+    chain head against the walked head, each manifest entry against the
+    file it names), and any 2PC side log living in the directory.
     """
     obs = _obs.current()
     with obs.tracer.span("scrub.audit", directory=directory), \
@@ -293,18 +305,42 @@ def audit_directory(directory: str,
                 walk.verifier.forget()
             _audit_segment(walk, start, path, name,
                            position == len(segments) - 1, head_marks)
-        # Checkpoints: damaged files, and valid ones whose recorded
+        # History files: each verified once, on its own.
+        history_names = store.history_files()
+        histories: Dict[str, Any] = {}  # name -> (sha256, rows) | None
+        for name in history_names:
+            try:
+                histories[name] = read_history(os.path.join(directory, name))
+            except CheckpointError as exc:
+                histories[name] = None
+                walk.findings.append(Finding(name, "history", None, None,
+                                             str(exc)))
+        # Checkpoints: damaged files, valid ones whose manifest is not
+        # met by the history files present, and valid ones whose recorded
         # chain head contradicts the walked head at the same index.
         newest_valid: Optional[int] = None
         for index in ckpt_indices:
             path = store.path_for(index)
             name = os.path.basename(path)
             try:
-                entry = read_checkpoint(path)
+                entry = read_checkpoint_head(path)
             except CheckpointError as exc:
                 walk.findings.append(Finding(name, "checkpoint", None,
                                              index, str(exc)))
                 continue
+            for item in entry["history"]:
+                if item[0] not in histories:
+                    kind, problem = "history-missing", (
+                        f"manifest names {item[0]}, which is not there")
+                elif histories[item[0]] is None:
+                    kind, problem = "manifest", (
+                        f"manifest names {item[0]}, which is damaged")
+                else:
+                    kind, problem = "manifest", manifest_mismatch(
+                        item, *histories[item[0]])
+                if problem is not None:
+                    walk.findings.append(Finding(name, kind, None, index,
+                                                 problem))
             newest_valid = index
             recorded = entry.get("chain_head")
             walked = walk.heads_at.get(index)
@@ -339,6 +375,7 @@ def audit_directory(directory: str,
             chain_head=(walk.verifier.head if not walk.findings else None),
             segments_audited=len(segments),
             checkpoints_audited=len(ckpt_indices),
+            history_files_audited=len(history_names),
             sidelogs_audited=sidelogs,
         )
         obs.metrics.counter("scrub.audits").inc()
@@ -490,9 +527,11 @@ class Scrubber:
         Untrusted means: any segment with a finding, every segment at or
         after the first damaged record (their content is fine but their
         place in history depends on the damaged range), any damaged
-        checkpoint, any checkpoint incorporating records at or beyond
-        the first damage, and any damaged 2PC side log.  Nothing is
-        deleted — the files keep their names under ``quarantine/``.
+        history file and every checkpoint whose manifest names it, any
+        other checkpoint with a finding, any checkpoint incorporating
+        records at or beyond the first damage, and any damaged 2PC side
+        log.  Nothing is deleted — the files keep their names under
+        ``quarantine/``.
         """
         if report is None:
             report = self.audit()
@@ -530,6 +569,9 @@ class Scrubber:
             if name in damaged_ckpts or (refetch_from is not None
                                          and index > refetch_from):
                 self._quarantine_file(name, moved)
+        for finding in report.findings:
+            if finding.kind == "history":
+                self._quarantine_file(finding.file, moved)
         for name in sidelog_findings:
             self._quarantine_file(name, moved)
         return moved

@@ -17,6 +17,12 @@ and the clock position, so a loaded database answers every query the
 original did.  *Check constraints are not serialized* (they close over
 arbitrary predicates); key constraints survive via the schema key.
 
+Every timestamped row goes through one codec (:func:`encode_rows`).  A
+store that keeps transaction time is dumped whole, or — for a checkpoint,
+which writes the immutable closed rows once, elsewhere — as its open
+partition only (``dump_database(closed=False)``); :func:`restore_closed`
+puts the closed rows back, giving the whole dump again.
+
 **Durability obligations.**  ``dump_database`` is the payload of every
 checkpoint (:mod:`repro.storage.checkpoint`), so its completeness is
 load-bearing for recovery: anything it dropped would silently vanish
@@ -30,7 +36,8 @@ the wrong instants.  This module only produces and consumes JSON text;
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Tuple as PyTuple
 
 from repro.core.historical import (HistoricalDatabase, HistoricalRelation,
                                    HistoricalRow)
@@ -39,6 +46,7 @@ from repro.core.rollback import (INTERVAL, RollbackDatabase,
                                  TransactionTimeRow)
 from repro.core.static import StaticDatabase
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
+from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import StorageError
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation
@@ -81,8 +89,18 @@ def encode_value(value: Any) -> Any:
     raise StorageError(f"cannot serialize value {value!r}")
 
 
-def decode_value(data: Any) -> Any:
-    """Decode data produced by :func:`encode_value`."""
+#: The instants one load has decoded, by ``(literal, granularity)``.
+InstantMemo = Dict[PyTuple[str, str], Instant]
+
+
+def decode_value(data: Any, memo: Optional[InstantMemo] = None) -> Any:
+    """Decode data produced by :func:`encode_value`.
+
+    A history is a few thousand rows stamped with far fewer distinct
+    instants (a commit time ends some rows and starts others); a caller
+    decoding many values passes one *memo* for the whole load, and each
+    distinct literal is parsed once.
+    """
     if not isinstance(data, dict):
         return data
     if "$instant" in data:
@@ -91,11 +109,17 @@ def decode_value(data: Any) -> Any:
             return POS_INF
         if literal == "-inf":
             return NEG_INF
-        granularity = Granularity(data.get("granularity", "day"))
-        return Instant.parse(literal, granularity)
+        unit = data.get("granularity", "day")
+        if memo is None:
+            return Instant.parse(literal, Granularity(unit))
+        found = memo.get((literal, unit))
+        if found is None:
+            found = memo[literal, unit] = Instant.parse(literal,
+                                                        Granularity(unit))
+        return found
     if "$period" in data:
         start, end = data["$period"]
-        return Period(decode_value(start), decode_value(end))
+        return Period(decode_value(start, memo), decode_value(end, memo))
     raise StorageError(f"unknown tagged value {data!r}")
 
 
@@ -160,8 +184,27 @@ def _tuple_to_list(row: Tuple) -> List[Any]:
     return [encode_value(value) for value in row.values]
 
 
-def _tuple_from_list(schema: Schema, values: List[Any]) -> Tuple:
-    return Tuple.from_sequence(schema, [decode_value(value) for value in values])
+def _tuple_from_list(schema: Schema, values: List[Any],
+                     memo: Optional[InstantMemo] = None) -> Tuple:
+    return Tuple.from_sequence(
+        schema, [decode_value(value, memo) for value in values])
+
+
+def encode_rows(rows: Iterable[Any]) -> List[List[Any]]:
+    """The one codec of timestamped rows: ``[values, *stamps]`` each — a
+    historical row's valid period, a rollback row's transaction period, a
+    bitemporal row's both."""
+    encode = encode_value
+    return [[list(map(encode, row[0].values)), *map(encode, row[1:])]
+            for row in rows]
+
+
+def _decode_rows(schema: Schema, row_type: Any, data: Iterable[List[Any]],
+                 memo: InstantMemo) -> Iterator[Any]:
+    """Rows of *row_type* back from :func:`encode_rows` output."""
+    for values, *stamps in data:
+        yield row_type(_tuple_from_list(schema, values, memo),
+                       *[decode_value(stamp, memo) for stamp in stamps])
 
 
 def relation_to_dict(relation: Relation) -> Dict[str, Any]:
@@ -173,15 +216,20 @@ def relation_to_dict(relation: Relation) -> Dict[str, Any]:
 def historical_to_dict(relation: HistoricalRelation) -> Dict[str, Any]:
     """Serialize a historical relation."""
     return {"kind": "historical", "schema": schema_to_dict(relation.schema),
-            "rows": [[_tuple_to_list(row.data), encode_value(row.valid)]
-                     for row in relation.rows]}
+            "rows": encode_rows(relation.rows)}
 
 
-def rollback_to_dict(relation: RollbackRelation) -> Dict[str, Any]:
-    """Serialize an interval-stamped rollback relation."""
-    return {"kind": "rollback", "schema": schema_to_dict(relation.schema),
-            "rows": [[_tuple_to_list(row.data), encode_value(row.tt)]
-                     for row in relation.rows]}
+def _stamped_to_dict(kind: str, store: TransactionTimeStore,
+                     closed: bool) -> Dict[str, Any]:
+    return {"kind": kind, "schema": schema_to_dict(store.schema),
+            "rows": encode_rows(store.rows if closed else store.open_rows())}
+
+
+def rollback_to_dict(relation: RollbackRelation,
+                     closed: bool = True) -> Dict[str, Any]:
+    """Serialize an interval-stamped rollback relation (``closed=False``:
+    its open partition only)."""
+    return _stamped_to_dict("rollback", relation, closed)
 
 
 def states_to_dict(sequence: StateSequence) -> Dict[str, Any]:
@@ -192,40 +240,40 @@ def states_to_dict(sequence: StateSequence) -> Dict[str, Any]:
                        for time, state in sequence.states]}
 
 
-def temporal_to_dict(relation: TemporalRelation) -> Dict[str, Any]:
-    """Serialize a bitemporal relation."""
-    return {"kind": "temporal", "schema": schema_to_dict(relation.schema),
-            "rows": [[_tuple_to_list(row.data), encode_value(row.valid),
-                      encode_value(row.tt)]
-                     for row in relation.rows]}
+def temporal_to_dict(relation: TemporalRelation,
+                     closed: bool = True) -> Dict[str, Any]:
+    """Serialize a bitemporal relation (``closed=False``: its open
+    partition only)."""
+    return _stamped_to_dict("temporal", relation, closed)
 
 
-def relation_from_dict(data: Dict[str, Any]):
+#: Dump ``kind`` of the three row-stamped shapes -> (store type, row type).
+_ROW_SHAPES = {
+    "historical": (HistoricalRelation, HistoricalRow),
+    "rollback": (RollbackRelation, TransactionTimeRow),
+    "temporal": (TemporalRelation, BitemporalRow),
+}
+
+
+def relation_from_dict(data: Dict[str, Any],
+                       memo: Optional[InstantMemo] = None):
     """Deserialize any relation shape produced by the ``*_to_dict`` functions."""
     schema = schema_from_dict(data["schema"])
     kind = data.get("kind")
+    memo = {} if memo is None else memo
     if kind == "static":
-        return Relation(schema, (_tuple_from_list(schema, values)
+        return Relation(schema, (_tuple_from_list(schema, values, memo)
                                  for values in data["tuples"]))
-    if kind == "historical":
-        return HistoricalRelation(schema, (
-            HistoricalRow(_tuple_from_list(schema, values), decode_value(valid))
-            for values, valid in data["rows"]))
-    if kind == "rollback":
-        return RollbackRelation(schema, (
-            TransactionTimeRow(_tuple_from_list(schema, values),
-                               decode_value(tt))
-            for values, tt in data["rows"]))
     if kind == "states":
         return StateSequence(schema, (
-            (decode_value(time),
-             Relation(schema, (_tuple_from_list(schema, row) for row in rows)))
+            (decode_value(time, memo),
+             Relation(schema, (_tuple_from_list(schema, row, memo)
+                               for row in rows)))
             for time, rows in data["states"]))
-    if kind == "temporal":
-        return TemporalRelation(schema, (
-            BitemporalRow(_tuple_from_list(schema, values),
-                          decode_value(valid), decode_value(tt))
-            for values, valid, tt in data["rows"]))
+    if kind in _ROW_SHAPES:
+        store_type, row_type = _ROW_SHAPES[kind]
+        return store_type(schema, _decode_rows(schema, row_type,
+                                               data["rows"], memo))
     raise StorageError(f"unknown relation kind {kind!r}")
 
 
@@ -241,32 +289,36 @@ _DB_CLASSES = {
 }
 
 
-def _store_to_dict(database, name: str) -> Dict[str, Any]:
-    if isinstance(database, StaticDatabase):
-        return relation_to_dict(database.snapshot(name))
-    if isinstance(database, RollbackDatabase):
-        store = database.store(name)
-        if isinstance(store, StateSequence):
-            return states_to_dict(store)
-        return rollback_to_dict(store)
-    if isinstance(database, HistoricalDatabase):
-        return historical_to_dict(database.history(name))
-    if isinstance(database, TemporalDatabase):
-        return temporal_to_dict(database.temporal(name))
-    raise StorageError(f"cannot dump database {database!r}")
+def _store_to_dict(store: Any, closed: bool = True) -> Dict[str, Any]:
+    """Serialize a stored value by what it *is*, whichever kind of database
+    holds it."""
+    if isinstance(store, TemporalRelation):
+        return temporal_to_dict(store, closed)
+    if isinstance(store, RollbackRelation):
+        return rollback_to_dict(store, closed)
+    if isinstance(store, StateSequence):
+        return states_to_dict(store)
+    if isinstance(store, HistoricalRelation):
+        return historical_to_dict(store)
+    if isinstance(store, Relation):
+        return relation_to_dict(store)
+    raise StorageError(f"cannot dump store {store!r}")
 
 
-def dump_database(database) -> Dict[str, Any]:
+def dump_database(database, closed: bool = True) -> Dict[str, Any]:
     """Serialize a whole database (any kind) to plain data.
 
     Check constraints are not serialized; everything else — schemas, event
     flags, full stores including history, and the clock position — is.
+    With ``closed=False`` a store that keeps transaction time contributes
+    its open rows only: the dump is then O(current state), and is whole
+    again once :func:`restore_closed` is given the rows left out.
     """
     relations = {}
     for name in database.relation_names():
         entry = {
             "schema": schema_to_dict(database.schema(name)),
-            "store": _store_to_dict(database, name),
+            "store": _store_to_dict(database.store(name), closed),
         }
         is_event = getattr(database, "is_event_relation", None)
         if is_event is not None and is_event(name):
@@ -280,6 +332,16 @@ def dump_database(database) -> Dict[str, Any]:
         "clock_last": encode_value(last) if last is not None else None,
         "relations": relations,
     }
+
+
+def restore_closed(data: Dict[str, Any],
+                   closed: Mapping[str, List[List[Any]]]) -> None:
+    """Put *closed* (relation name -> :func:`encode_rows` output, in
+    closing order) back in front of the open rows a
+    ``dump_database(closed=False)`` kept, in place."""
+    for name, rows in closed.items():
+        store = data["relations"][name]["store"]
+        store["rows"] = rows + store["rows"]
 
 
 def load_database(data: Dict[str, Any], clock=None):
@@ -310,11 +372,12 @@ def load_database(data: Dict[str, Any], clock=None):
         database = db_class(clock=clock)
 
     # Rebuild private state directly; the dump is the source of truth.
+    memo: InstantMemo = {}
     for name, entry in data["relations"].items():
         schema = schema_from_dict(entry["schema"])
         database._schemas[name] = schema
         database._constraints[name] = []
-        database._store[name] = relation_from_dict(entry["store"])
+        database._store[name] = relation_from_dict(entry["store"], memo)
         if entry.get("event"):
             database._event_relations.add(name)
     if last is not None:

@@ -7,12 +7,14 @@ import pytest
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
 from repro.errors import CheckpointError
-from repro.storage import (CHECKPOINT_TAG, CheckpointStore, checkpoint_bytes,
-                           frame, read_checkpoint)
+from repro.storage import (CHECKPOINT_TAG, CheckpointStore, DurabilityManager,
+                           StorageIO, checkpoint_bytes, detect_kind, frame,
+                           load_database, read_checkpoint,
+                           read_checkpoint_head, serializer)
 from repro.time import SimulatedClock
 
-from tests.conftest import build_faculty
-from tests.storage.probes import observations
+from tests.conftest import build_faculty, faculty_schema
+from tests.storage.probes import drive_faculty, observations
 
 ALL_KINDS = [StaticDatabase, RollbackDatabase, HistoricalDatabase,
              TemporalDatabase]
@@ -23,19 +25,27 @@ def store(tmp_path):
     return CheckpointStore(str(tmp_path / "dur"))
 
 
+def load_latest(store, clock=None):
+    """``(commit_index, database)`` of the newest valid checkpoint:
+    ``latest()`` finds it, ``read_checkpoint`` resolves its history."""
+    commit_index, _ = store.latest()
+    entry = read_checkpoint(store.path_for(commit_index))
+    return commit_index, load_database(entry["database"], clock=clock)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("db_class", ALL_KINDS)
     def test_checkpoint_restores_every_kind(self, db_class, store):
         database, _ = build_faculty(db_class)
         store.write(database, len(database.log))
-        commit_index, restored = store.load_latest()
+        commit_index, restored = load_latest(store)
         assert commit_index == len(database.log)
         assert observations(restored) == observations(database)
 
     def test_restored_database_accepts_new_commits(self, store):
         database, _ = build_faculty(TemporalDatabase)
         store.write(database, len(database.log))
-        _, restored = store.load_latest()
+        _, restored = load_latest(store)
         restored.manager.clock.source.set("06/01/85")
         restored.insert("faculty", {"name": "New", "rank": "full"},
                         valid_from="06/01/85")
@@ -80,7 +90,7 @@ class TestValidation:
                         valid_from="06/01/85")
         newest = store.path_for(8)
         with open(newest, "wb") as handle:
-            handle.write(checkpoint_bytes(database, 8)[:40])
+            handle.write(checkpoint_bytes(database, 8, [])[:40])
         commit_index, entry = store.latest()
         assert commit_index == 7  # the torn newer one was skipped
         assert entry["commit_index"] == 7
@@ -94,16 +104,182 @@ class TestValidation:
 
     def test_empty_directory_has_no_latest(self, store):
         assert store.latest() is None
-        assert store.load_latest() is None
+        assert store.latest_loadable() is None
 
 
 class TestClockRestoration:
     def test_restored_clock_resumes_at_last_commit(self, store):
         database, _ = build_faculty(TemporalDatabase)
         store.write(database, 7)
-        _, restored = store.load_latest(clock=SimulatedClock("02/25/84"))
+        _, restored = load_latest(store, clock=SimulatedClock("02/25/84"))
         # A same-instant reading must still commit strictly after the
         # last recorded transaction (transaction time is monotone).
         when = restored.insert("faculty", {"name": "Ann", "rank": "full"},
                                valid_from="03/01/84")
         assert when > database.log.last().commit_time
+
+
+# ---------------------------------------------------------------------------
+# What a checkpoint costs (docs/PERFORMANCE.md): closed rows are sealed
+# once, so a checkpoint is the open partition plus what closed since.
+# ---------------------------------------------------------------------------
+
+class RecordingIO(StorageIO):
+    """Real writes, with every atomic publish remembered."""
+
+    def __init__(self):
+        self.published = []  # (file name, byte count)
+
+    def write_atomic(self, path, data, fsync=False):
+        self.published.append((os.path.basename(path), len(data)))
+        super().write_atomic(path, data, fsync=fsync)
+
+
+KEYS = 64
+DELTA = 8
+
+
+def churn(database, commits, start):
+    """*commits* keyed replaces that leave the open state K rows wide
+    (a temporal replace at a fixed valid time supersedes, never splits)."""
+    clock = database.manager.clock.source
+    valid = ({"valid_from": "01/01/80"}
+             if database.kind.supports_historical_queries else {})
+    ranks = ("assistant", "associate", "full")
+    for step in range(start, start + commits):
+        clock.set(clock.current() + 1)
+        database.replace("faculty", {"name": f"n{step % KEYS:02d}"},
+                         {"rank": ranks[(step // KEYS + step) % 3]}, **valid)
+
+
+def second_checkpoint_cost(db_class, directory, history, monkeypatch):
+    """``(bytes published, encode_value calls, files)`` of the second
+    ``checkpoint()`` — K keys, *history* commits before the first one,
+    DELTA commits between the two."""
+    io = RecordingIO()
+    manager = DurabilityManager(directory, io=io)
+    database, _ = manager.recover(db_class)
+    clock = database.manager.clock.source
+    clock.set("01/01/81")
+    database.define("faculty", faculty_schema())
+    valid = ({"valid_from": "01/01/80"}
+             if database.kind.supports_historical_queries else {})
+    for key in range(KEYS):
+        clock.set(clock.current() + 1)
+        database.insert("faculty", {"name": f"n{key:02d}", "rank": "full"},
+                        **valid)
+    churn(database, history, 0)
+    manager.checkpoint()
+    churn(database, DELTA, history)
+    del io.published[:]
+    calls = []
+    real = serializer.encode_value
+    monkeypatch.setattr(serializer, "encode_value",
+                        lambda value: calls.append(1) or real(value))
+    manager.checkpoint()
+    monkeypatch.undo()
+    assert database.store("faculty").open_count == KEYS
+    return (sum(size for _, size in io.published), len(calls),
+            [name for name, _ in io.published])
+
+
+class TestCheckpointCost:
+    @pytest.mark.parametrize("db_class", [RollbackDatabase, TemporalDatabase])
+    def test_second_checkpoint_is_independent_of_history_depth(
+            self, db_class, tmp_path, monkeypatch):
+        shallow = second_checkpoint_cost(db_class, str(tmp_path / "t64"), 64,
+                                         monkeypatch)
+        deep = second_checkpoint_cost(db_class, str(tmp_path / "t2048"),
+                                      2048, monkeypatch)
+        # Two files: the DELTA rows that closed, then the open partition.
+        assert [name.split("-")[0] for name in deep[2]] == ["history",
+                                                            "checkpoint"]
+        assert abs(deep[0] - shallow[0]) <= 0.01 * shallow[0]
+        # Exactly the same values encoded: K open rows + DELTA closed.
+        assert deep[1] == shallow[1]
+        per_row = deep[1] / (KEYS + DELTA)
+        assert per_row <= 10  # a row is ≤ 2 values + 2 periods of 3 calls
+
+    def test_unchanged_index_republishes_only_the_open_partition(
+            self, tmp_path):
+        io = RecordingIO()
+        manager = DurabilityManager(str(tmp_path / "dur"), io=io)
+        database, _ = manager.recover(TemporalDatabase)
+        drive_faculty(database)
+        manager.checkpoint()
+        first = list(io.published)
+        manager.checkpoint()
+        again = io.published[len(first):]
+        assert [name.split("-")[0] for name, _ in first] == ["history",
+                                                             "checkpoint"]
+        # No short-circuit, no second history file: the same checkpoint,
+        # serialised and published again.
+        assert again == [first[1]]
+
+    def test_restart_resumes_the_sealed_prefix(self, tmp_path):
+        directory = str(tmp_path / "dur")
+        manager = DurabilityManager(directory)
+        database, _ = manager.recover(TemporalDatabase)
+        drive_faculty(database, stop=5)
+        manager.checkpoint()
+        sealed = manager.checkpoints.history_files()
+        io = RecordingIO()
+        restarted = DurabilityManager(directory, io=io)
+        database, report = restarted.recover(TemporalDatabase)
+        assert report.history_files_read == len(sealed) == 1
+        drive_faculty(database, start=5)
+        path = restarted.checkpoint()
+        # Only the rows closed since the restart were sealed; the first
+        # file was neither rewritten nor dropped from the manifest.
+        manifest = read_checkpoint_head(path)["history"]
+        assert [item[0] for item in manifest][:1] == sealed
+        assert len(manifest) == 2
+        assert [name for name, _ in io.published] == [
+            manifest[1][0], os.path.basename(path)]
+        assert sum(sum(item[2].values()) for item in manifest) == len(
+            database.store("faculty").closed_since())
+
+    def test_redefined_relation_is_resealed_from_zero(self, tmp_path):
+        manager = DurabilityManager(str(tmp_path / "dur"))
+        database, _ = manager.recover(TemporalDatabase)
+        drive_faculty(database)
+        manager.checkpoint()
+        clock = database.manager.clock.source
+        clock.set("01/01/85")
+        database.drop("faculty")
+        clock.set("01/02/85")
+        database.define("faculty", faculty_schema())
+        clock.set("01/03/85")
+        database.insert("faculty", {"name": "Ann", "rank": "full"},
+                        valid_from="01/01/85")
+        clock.set("01/04/85")
+        database.delete("faculty", {"name": "Ann"}, valid_from="01/01/85")
+        path = manager.checkpoint()
+        # The old lineage's file left the manifest (it stays on disk for
+        # the older checkpoint); only the new relation's rows are named.
+        manifest = read_checkpoint_head(path)["history"]
+        assert len(manager.checkpoints.history_files()) == 2
+        assert [sum(item[2].values()) for item in manifest] == [1]
+        restored = load_database(read_checkpoint(path)["database"])
+        assert observations(restored) == observations(database)
+
+
+class TestKindDetection:
+    def test_detect_kind_reads_no_history_file(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "dur")
+        manager = DurabilityManager(directory)
+        database, _ = manager.recover(RollbackDatabase)
+        drive_faculty(database)
+        manager.checkpoint()
+        assert manager.checkpoints.history_files()
+        opened = []
+        real_open = open
+
+        def spy(path, *args, **kwargs):
+            opened.append(os.path.basename(str(path)))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        assert detect_kind(directory) == "static rollback"
+        monkeypatch.undo()
+        assert opened == [os.path.basename(manager.checkpoints.path_for(7))]

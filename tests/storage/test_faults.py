@@ -15,8 +15,11 @@ import pytest
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
 from repro.errors import CheckpointError
-from repro.storage import (ALL_CRASH_POINTS, CrashPoint, DurabilityManager,
-                           FaultyIO, Journal, SimulatedCrash, read_checkpoint)
+from repro.storage import (ALL_CRASH_POINTS, CheckpointStore, CrashPoint,
+                           DurabilityManager, FaultyIO, Journal,
+                           SimulatedCrash, audit_directory,
+                           detect_kind, flip_byte, read_checkpoint,
+                           read_history)
 from repro.time import SimulatedClock
 
 from tests.storage.probes import (drive_faculty, faculty_steps, observations,
@@ -25,8 +28,25 @@ from tests.storage.probes import (drive_faculty, faculty_steps, observations,
 ALL_KINDS = [StaticDatabase, RollbackDatabase, HistoricalDatabase,
              TemporalDatabase]
 
-#: Steps after which the driver checkpoints (0-based step indices).
+#: Steps after which the driver checkpoints (0-based step indices).  No
+#: row has closed by the first, so the second is the first to seal a
+#: history file — in the kinds that keep transaction time.
 CHECKPOINT_AFTER = (1, 4)
+
+HISTORY_POINTS = (CrashPoint.TORN_HISTORY, CrashPoint.LOST_HISTORY)
+
+
+def fault_for(point):
+    """The injector that dies at *point*'s first interesting write: the
+    fourth append, the second checkpoint publish, the first history
+    file."""
+    if point in (CrashPoint.TORN_RECORD, CrashPoint.LOST_RECORD):
+        return FaultyIO(point, at=4)
+    return FaultyIO(point, at=1 if point in HISTORY_POINTS else 2)
+
+
+def history_files(directory):
+    return CheckpointStore(directory).history_files()
 
 
 def crash_faculty(db_class, directory, io):
@@ -73,9 +93,11 @@ class TestCrashMatrix:
                              ids=[p.value for p in ALL_CRASH_POINTS])
     def test_recovery_answers_paper_queries(self, db_class, point,
                                             directory):
-        at = 4 if point in (CrashPoint.TORN_RECORD,
-                            CrashPoint.LOST_RECORD) else 2
-        assert crash_faculty(db_class, directory, FaultyIO(point, at=at))
+        crashed = crash_faculty(db_class, directory, fault_for(point))
+        # A kind without transaction time has no immutable past to seal:
+        # it writes no history file, so a history crash point never fires.
+        assert crashed == (point not in HISTORY_POINTS
+                           or db_class.kind.supports_rollback)
         recovered, _ = recover_and_finish(db_class, directory)
 
         reference = db_class(clock=SimulatedClock(1))
@@ -152,6 +174,97 @@ class TestCrashResidue:
         _, report = manager.recover(TemporalDatabase)
         assert report.checkpoints_skipped == 0
         assert report.checkpoint_index == 2
+
+
+class TestHistoryFileCrashes:
+    """A checkpoint that seals rows is two publishes; a crash at, or
+    between, either leaves nothing a later recovery trusts."""
+
+    KINDS = [RollbackDatabase, TemporalDatabase]
+
+    def reference(self, db_class):
+        reference = db_class(clock=SimulatedClock(1))
+        drive_faculty(reference)
+        return reference
+
+    @pytest.mark.parametrize("db_class", KINDS)
+    @pytest.mark.parametrize("point", [CrashPoint.TORN_CHECKPOINT,
+                                       CrashPoint.LOST_CHECKPOINT],
+                             ids=["torn-checkpoint", "lost-checkpoint"])
+    def test_orphan_history_file_is_resealed_identically(self, db_class,
+                                                         point, directory):
+        # Died after the history file, before the checkpoint naming it.
+        assert crash_faculty(db_class, directory, FaultyIO(point, at=2))
+        orphan = history_files(directory)
+        assert len(orphan) == 1
+        manager = DurabilityManager(directory)
+        _, report = manager.recover(db_class)
+        assert report.checkpoint_index == 2
+        assert report.history_files_read == 0  # nothing names the orphan
+        # The next checkpoint seals the same rows at the same index: the
+        # same content, hence the same name — no second file.
+        path = manager.checkpoint()
+        assert history_files(directory) == orphan
+        assert [item[0] for item in read_checkpoint(path)["history"]] == orphan
+        assert audit_directory(directory).clean
+        drive_faculty(manager.database, start=report.records_total)
+        assert observations(manager.database) == observations(
+            self.reference(db_class))
+
+    @pytest.mark.parametrize("db_class", KINDS)
+    def test_torn_history_file_is_an_orphan_nothing_reads(self, db_class,
+                                                          directory):
+        assert crash_faculty(db_class, directory,
+                             FaultyIO(CrashPoint.TORN_HISTORY, at=1))
+        (torn,) = history_files(directory)
+        with pytest.raises(CheckpointError, match="damaged history file"):
+            read_history(os.path.join(directory, torn))
+        manager = DurabilityManager(directory)
+        assert manager.checkpoints.indices() == [2]  # never published
+        assert [f.kind for f in audit_directory(directory).findings] == [
+            "history"]
+        _, report = manager.recover(db_class)
+        assert report.checkpoints_skipped == 0
+        assert report.checkpoint_index == 2
+        manager.checkpoint()  # rewrites the torn file: same name, whole
+        assert history_files(directory) == [torn]
+        assert audit_directory(directory).clean
+
+    @pytest.mark.parametrize("db_class", KINDS)
+    def test_lost_history_file_leaves_ignored_tmp(self, db_class, directory):
+        assert crash_faculty(db_class, directory,
+                             FaultyIO(CrashPoint.LOST_HISTORY, at=1))
+        assert history_files(directory) == []
+        assert [name for name in os.listdir(directory)
+                if name.endswith(".hist.tmp")]
+        assert audit_directory(directory).clean
+        _, report = DurabilityManager(directory).recover(db_class)
+        assert report.checkpoint_index == 2
+
+    @pytest.mark.parametrize("db_class", KINDS)
+    @pytest.mark.parametrize("damage", ["deleted", "bit-flipped"])
+    def test_damaged_history_file_disables_its_checkpoint(self, db_class,
+                                                          damage, directory):
+        assert not crash_faculty(db_class, directory,
+                                 FaultyIO(CrashPoint.LOST_RECORD, at=99))
+        (name,) = history_files(directory)
+        path = os.path.join(directory, name)
+        if damage == "deleted":
+            os.remove(path)
+        else:
+            flip_byte(path, os.path.getsize(path) // 2)
+        manager = DurabilityManager(directory)
+        newest = max(manager.checkpoints.indices())
+        assert detect_kind(directory) == db_class.kind.value  # head is fine
+        with pytest.raises(CheckpointError):
+            read_checkpoint(manager.checkpoints.path_for(newest))
+        recovered, report = manager.recover(db_class)
+        assert report.checkpoints_skipped == 1
+        assert report.checkpoint_index == 2  # the one that names no file
+        assert report.records_total == 7
+        reference = self.reference(db_class)
+        assert observations(recovered) == observations(reference)
+        assert paper_answers(recovered) == paper_answers(reference)
 
 
 class TestInjector:

@@ -9,8 +9,8 @@ failing disk) would:
   record may silently vanish;
 - the **detect-and-repair matrix** crosses every at-rest injector
   (bit-flip, mid-file truncation, chain-field tamper, CRC-valid record
-  tamper, checkpoint tamper) with every segment position (first, middle,
-  last record) and requires each damaged directory to converge back to
+  tamper, checkpoint tamper, history-file flip, history-file deletion)
+  with every segment position (first, middle, last record) and requires each damaged directory to converge back to
   a digest-equal copy of its healthy peer with zero lost durable
   commits.
 
@@ -32,7 +32,8 @@ from tests.storage.probes import drive_faculty, observations
 
 #: The full damage taxonomy (docs/INTEGRITY.md).
 TAXONOMY = {"torn", "corrupt", "chain-break", "chain-tamper", "gap",
-            "checkpoint", "sidelog"}
+            "checkpoint", "history", "history-missing", "manifest",
+            "sidelog"}
 
 
 def build(directory, stop=None, final_checkpoint=False):
@@ -132,12 +133,28 @@ def inject_checkpoint_tamper(directory, line_number):
     flip_byte(store.path_for(store.indices()[-1]), 40 + line_number)
 
 
+def history_file(directory):
+    """The (one) sealed history file of *directory*."""
+    (name,) = CheckpointStore(directory).history_files()
+    return os.path.join(directory, name)
+
+
+def inject_history_flip(directory, line_number):
+    flip_byte(history_file(directory), 40 + line_number)
+
+
+def inject_history_delete(directory, line_number):
+    os.remove(history_file(directory))
+
+
 INJECTORS = {
     "bit-flip": inject_bit_flip,
     "truncation": inject_truncation,
     "chain-field": inject_chain_field,
     "record-tamper": inject_record_tamper,
     "checkpoint-tamper": inject_checkpoint_tamper,
+    "history-flip": inject_history_flip,
+    "history-delete": inject_history_delete,
 }
 
 #: first / middle / last record of the 7-record faculty segment.

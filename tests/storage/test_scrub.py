@@ -13,12 +13,13 @@ import pytest
 
 from repro import obs
 from repro.core import StaticDatabase, TemporalDatabase
-from repro.errors import ChainError, JournalError
+from repro.errors import ChainError, CheckpointError, JournalError
 from repro.relational import Domain, Schema
-from repro.storage import (CHAINED_TAG, GENESIS, CheckpointStore,
-                           DurabilityManager, Journal, Scrubber,
-                           audit_directory, chain_entry, flip_byte,
+from repro.storage import (CHAINED_TAG, CHECKPOINT_TAG, GENESIS,
+                           CheckpointStore, DurabilityManager, Journal,
+                           Scrubber, audit_directory, chain_entry, flip_byte,
                            frame_record, parse_frame, parse_journal_line,
+                           read_checkpoint, read_checkpoint_head,
                            tamper_chain_field, tamper_record, truncate_file)
 from repro.storage.scrub import (DirectorySource, audit_sharded,
                                  combined_root)
@@ -160,6 +161,61 @@ class TestAuditClassification:
         report = audit_directory(directory)
         assert any(f.kind == "checkpoint" for f in report.findings)
 
+    def test_damaged_history_file_and_its_dependents_are_classified(
+            self, directory):
+        # Two checkpoints stand on the first history file, one of them
+        # on a second file too; damage to the first is one `history`
+        # finding plus a `manifest` finding per dependent checkpoint.
+        manager, database = build(directory, checkpoint_at=5)
+        manager.checkpoint()
+        first, second = manager.checkpoints.history_files()
+        flip_byte(os.path.join(directory, first), 60)
+        report = audit_directory(directory)
+        assert report.history_files_audited == 2
+        assert sorted((f.kind, f.file) for f in report.findings) == [
+            ("history", first),
+            ("manifest", "checkpoint-00000005.ckpt"),
+            ("manifest", "checkpoint-00000007.ckpt")]
+
+    def test_missing_history_file_is_classified(self, directory):
+        manager, _ = build(directory, checkpoint_at=5)
+        (name,) = manager.checkpoints.history_files()
+        os.remove(os.path.join(directory, name))
+        report = audit_directory(directory)
+        assert [(f.kind, f.file, f.index) for f in report.findings] == [
+            ("history-missing", "checkpoint-00000005.ckpt", 5)]
+        assert name in report.findings[0].detail
+
+    def test_substituted_history_file_is_a_manifest_mismatch(
+            self, directory, source_dir):
+        # A history file that is perfectly valid on its own — frame and
+        # content hash — but is not the one the manifest was written
+        # against: only the manifest's sha256 can tell.
+        manager, _ = build(directory, checkpoint_at=5)
+        other, _ = build(source_dir, checkpoint_at=4)
+        (name,) = manager.checkpoints.history_files()
+        (substitute,) = other.checkpoints.history_files()
+        assert substitute != name
+        os.remove(os.path.join(directory, name))
+        os.replace(os.path.join(source_dir, substitute),
+                   os.path.join(directory, substitute))
+        head = read_checkpoint_head(manager.checkpoints.path_for(5))
+        head["history"][0][0] = substitute  # re-point, keep the old hash
+        with open(manager.checkpoints.path_for(5), "w") as handle:
+            handle.write(frame_record(head, tag=CHECKPOINT_TAG) + "\n")
+        report = audit_directory(directory)
+        assert [(f.kind, f.file) for f in report.findings] == [
+            ("manifest", "checkpoint-00000005.ckpt")]
+        assert "sha256" in report.findings[0].detail
+        with pytest.raises(CheckpointError, match="sha256"):
+            read_checkpoint(manager.checkpoints.path_for(5))
+
+    def test_orphan_history_file_is_audited_but_not_damage(self, directory):
+        manager, _ = build(directory, checkpoint_at=5)
+        os.remove(manager.checkpoints.path_for(5))
+        report = audit_directory(directory)
+        assert report.clean and report.history_files_audited == 1
+
     def test_rewritten_prefix_contradicts_the_checkpointed_head(
             self, directory):
         # Rewrite history *before* a checkpoint while keeping every CRC
@@ -288,6 +344,24 @@ class TestQuarantineAndRepair:
         assert not os.path.exists(path)
         kinds = instrumentation.events.aggregate()
         assert kinds["integrity.quarantine"] == 1
+
+    def test_quarantine_takes_a_damaged_history_file_and_its_dependents(
+            self, directory):
+        manager, database = build(directory, checkpoint_at=2)
+        dependent = os.path.basename(manager.checkpoint())
+        (sealed,) = manager.checkpoints.history_files()
+        flip_byte(os.path.join(directory, sealed), 60)
+        moved = Scrubber(directory).quarantine()
+        # The file, and the one checkpoint standing on it — not the
+        # older checkpoint, which names no history file at all.
+        assert sorted(moved) == sorted([sealed, dependent])
+        assert os.path.exists(os.path.join(directory, "quarantine", sealed))
+        assert manager.checkpoints.indices() == [2]
+        assert audit_directory(directory).clean
+        recovered, report = DurabilityManager(directory).recover(
+            TemporalDatabase)
+        assert report.checkpoint_index == 2 and report.records_total == 7
+        assert observations(recovered) == observations(database)
 
     def test_repair_by_record_resend(self, directory, source_dir):
         report, src_database = self.damage_and_repair(
