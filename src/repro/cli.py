@@ -1304,38 +1304,30 @@ def _instrumented_run(args):
 
 def _cache_snapshot(database) -> dict:
     """The two query caches' stats, as one JSON-friendly dict."""
-    columnar = database.columnar_cache
-    results = database.result_cache
-    return {
-        "columnar": columnar.describe() if columnar is not None else None,
-        "results": results.describe() if results is not None else None,
-    }
+    return {"columnar": database.columnar_cache.describe(),
+            "results": database.result_cache.describe()}
 
 
 def _format_caches(database) -> str:
     """Render the columnar and result caches as aligned text."""
     snapshot = _cache_snapshot(database)
-    if snapshot["columnar"] is None and snapshot["results"] is None:
-        return "query caches disabled (database created with index=False)"
     lines = []
     columnar = snapshot["columnar"]
-    if columnar is not None:
-        lines.append("columnar chunks:")
-        lines.append(f"  built for: "
-                     f"{', '.join(columnar['relations']) or '(none)'}")
-        for name, count in columnar["rows"].items():
-            lines.append(f"  rows packed ({name}): {count}")
-        lines.append(f"  hits={columnar['hits']} misses={columnar['misses']} "
-                     f"extensions={columnar['extensions']}")
+    lines.append("columnar chunks:")
+    lines.append(f"  built for: "
+                 f"{', '.join(columnar['relations']) or '(none)'}")
+    for name, count in columnar["rows"].items():
+        lines.append(f"  rows packed ({name}): {count}")
+    lines.append(f"  hits={columnar['hits']} misses={columnar['misses']} "
+                 f"extensions={columnar['extensions']}")
     results = snapshot["results"]
-    if results is not None:
-        lines.append("as-of result cache:")
-        lines.append(f"  entries: {results['size']}/{results['capacity']} "
-                     f"({results['immutable_entries']} immutable, "
-                     f"{results['epoch_entries']} epoch-bound)")
-        lines.append(f"  hits={results['hits']} misses={results['misses']} "
-                     f"evictions={results['evictions']} "
-                     f"invalidations={results['invalidations']}")
+    lines.append("as-of result cache:")
+    lines.append(f"  entries: {results['size']}/{results['capacity']} "
+                 f"({results['immutable_entries']} immutable, "
+                 f"{results['epoch_entries']} epoch-bound)")
+    lines.append(f"  hits={results['hits']} misses={results['misses']} "
+                 f"evictions={results['evictions']} "
+                 f"invalidations={results['invalidations']}")
     return "\n".join(lines)
 
 

@@ -16,12 +16,16 @@ The robustness posture mirrors the server's (docs/SERVING.md):
   errors raise immediately, as the *same* exception class the server
   raised (the typed round-trip of ``decode_error``).
 - **deadline ownership**: the client enforces ``budget_ms`` locally
-  with its own clock (one timer around the whole exchange, however many
-  frames the reply has); a request that overruns raises
-  :class:`~repro.errors.DeadlineExceeded` and the connection is closed
-  rather than reused (a late reply must never be read as the answer to
-  the *next* request).  The server independently suppresses late
-  replies, so neither side trusts the other's clock.
+  with its own clock (one timer around each attempt's whole exchange,
+  however many frames the reply has).  An attempt may wait for the
+  budget that remains divided over the attempts that remain — never the
+  whole of it, or one dropped frame would spend the budget the retries
+  exist to use; an attempt that overruns its share is retried like any
+  transport failure, and a request that overruns its budget raises
+  :class:`~repro.errors.DeadlineExceeded`.  Either way the connection is
+  closed rather than reused (a late reply must never be read as the
+  answer to the *next* request).  The server independently suppresses
+  late replies, so neither side trusts the other's clock.
 - **failover**: endpoints are an ordered list; connection failures and
   :class:`~repro.errors.DrainingError` rotate the preferred endpoint,
   so a drained primary hands its clients to the promoted replica
@@ -44,6 +48,11 @@ from repro.concurrency.retry import RetryPolicy
 from repro.errors import (DeadlineExceeded, ProtocolError, ReproError,
                           TransportError)
 from repro.server import protocol
+
+#: Seconds one exchange may wait when the request carries no budget to
+#: share out (also the connection preamble's bound): finite, so a dropped
+#: frame costs a retry, never a hang.
+UNBUDGETED_ATTEMPT_S = 5.0
 
 #: A connector: endpoint spec -> ``(reader, writer)`` stream pair.
 Connector = Callable[[str], Awaitable[Tuple[Any, Any]]]
@@ -166,17 +175,17 @@ class ReproClient:
         return connection
 
     async def _exchange(self, connection: _Conn, source: str) -> None:
-        """One fire-and-check statement outside the retry loop (the
-        connection preamble); failures break the connection."""
+        """One fire-and-check statement of the connection preamble (the
+        caller's timer bounds the wait); failures break the connection."""
         request_id = connection.next_id
         connection.next_id += 1
         try:
-            async with asyncio.timeout(5.0):
-                connection.writer.write(protocol.query_request(
-                    request_id, source, budget_ms=5000.0,
-                    tenant=self.tenant))
-                await connection.writer.drain()
-                await self._collect(connection, request_id, 0)
+            connection.writer.write(protocol.query_request(
+                request_id, source,
+                budget_ms=UNBUDGETED_ATTEMPT_S * 1000.0,
+                tenant=self.tenant))
+            await connection.writer.drain()
+            await self._collect(connection, request_id, 0)
         except BaseException:
             connection.close()
             raise
@@ -258,11 +267,12 @@ class ReproClient:
 
     async def ping(self, budget_ms: float = 1000.0) -> bool:
         """Round-trip a liveness probe to the preferred endpoint."""
-        connection = await self._checkout()
+        connection: Optional[_Conn] = None
         try:
-            request_id = connection.next_id
-            connection.next_id += 1
             async with asyncio.timeout(budget_ms / 1000.0):
+                connection = await self._checkout()
+                request_id = connection.next_id
+                connection.next_id += 1
                 connection.writer.write(protocol.ping_request(request_id))
                 await connection.writer.drain()
                 line = await connection.reader.readline()
@@ -270,7 +280,8 @@ class ReproClient:
             self._checkin(connection)
             return message.get("type") == "pong"
         except (TimeoutError, ConnectionError, OSError, ProtocolError):
-            connection.close()
+            if connection is not None:
+                connection.close()
             return False
 
     def _backoff(self, failure: int, error: Optional[BaseException]) -> float:
@@ -283,19 +294,23 @@ class ReproClient:
     async def _attempt(self, source: str, budget_ms: Optional[float],
                        deadline: Optional[float], consistency: str,
                        token: Optional[int], attempt: int) -> QueryResult:
-        connection = await self._checkout()
-        request_id = connection.next_id
-        connection.next_id += 1
         # The budget sent to the server is what *remains*, so a retried
         # request never asks the server to work past the client's own
-        # deadline.
+        # deadline.  The attempt itself — connecting and the preamble
+        # included — may wait only for its share of that.
         remaining_ms = budget_ms
+        share = UNBUDGETED_ATTEMPT_S
         if deadline is not None:
-            remaining_ms = max(1.0, (deadline - self._clock()) * 1000.0)
+            remaining = deadline - self._clock()
+            remaining_ms = max(1.0, remaining * 1000.0)
+            share = max(0.001, remaining
+                        / (self.retry.max_attempts - attempt))
+        connection: Optional[_Conn] = None
         try:
-            async with asyncio.timeout(
-                    None if deadline is None
-                    else max(0.001, deadline - self._clock())):
+            async with asyncio.timeout(share):
+                connection = await self._checkout()
+                request_id = connection.next_id
+                connection.next_id += 1
                 connection.writer.write(protocol.query_request(
                     request_id, source, budget_ms=remaining_ms,
                     tenant=self.tenant, consistency=consistency,
@@ -304,19 +319,26 @@ class ReproClient:
                 result = await self._collect(connection, request_id,
                                              attempt)
         except TimeoutError:
-            # Budget ran out mid-exchange: the connection may still
+            # Time ran out mid-exchange: the connection may still
             # deliver a (suppressed-or-not) late frame — burn it.
-            connection.close()
+            if connection is not None:
+                connection.close()
             self.stats["timeouts"] += 1
-            raise DeadlineExceeded(
-                f"no terminal reply within the {budget_ms}ms budget")
+            if deadline is not None and self._clock() >= deadline:
+                raise DeadlineExceeded(
+                    f"no terminal reply within the {budget_ms}ms budget")
+            raise TransportError(
+                f"no terminal reply within this attempt's "
+                f"{share * 1000.0:.0f}ms share of the budget")
         except (ConnectionError, OSError, ProtocolError):
-            connection.close()
+            if connection is not None:
+                connection.close()
             raise
         except ReproError:
             # Typed server error: the exchange terminated cleanly, the
             # connection is still framed — reuse it.
-            self._checkin(connection)
+            if connection is not None:
+                self._checkin(connection)
             raise
         self._checkin(connection)
         return result

@@ -1,13 +1,13 @@
-"""Concurrent sessions over the single-writer temporal engine.
+"""Concurrent sessions over the serially-committing temporal engine.
 
 The paper's model is a serial history: every transaction appends one
 static relation to the front of the cube at a strictly-increasing,
 system-assigned transaction time.  This package keeps that order intact
 while letting many sessions race toward it safely:
 
-- :class:`~repro.concurrency.session.ConcurrentSession` — optimistic
-  concurrency control: buffer against a snapshot, validate a read/write
-  footprint at commit, first-committer-wins;
+- :class:`~repro.concurrency.session.ConcurrentSession` — a transaction
+  under optimistic concurrency control: buffer against a snapshot,
+  validate a read/write footprint at commit, first-committer-wins;
 - :class:`~repro.concurrency.retry.RetryPolicy` — bounded, deadline-
   aware retry with exponential backoff and seeded jitter;
 - :class:`~repro.concurrency.admission.AdmissionController` — bounded
@@ -22,12 +22,11 @@ with the durable journal is in docs/DURABILITY.md.
 from repro.concurrency.admission import AdmissionController
 from repro.concurrency.layer import SessionLayer
 from repro.concurrency.retry import RetryPolicy
-from repro.concurrency.session import ConcurrentSession, SessionStatus
+from repro.concurrency.session import ConcurrentSession
 
 __all__ = [
     "AdmissionController",
     "ConcurrentSession",
     "RetryPolicy",
     "SessionLayer",
-    "SessionStatus",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`SessionLayer` lets N threads run transactions against one
 store concurrently while every commit still funnels through a
-serialized commit pipeline — the single-writer
+serialized commit pipeline — the
 :class:`~repro.txn.manager.TransactionManager` of a plain database, or
 the per-shard managers behind a sharded store's coordinator — so
 transaction time stays append-only, system-assigned and strictly
@@ -35,28 +35,29 @@ fire under the commit lock, in commit order), so the crash-safety
 contract of docs/DURABILITY.md is oblivious to how many sessions raced.
 
 Mixing rule: writers that bypass the layer (direct ``db.insert`` or an
-explicit ``db.begin()`` transaction) commit under the same
-serialization lock as the layer — they cannot slip between a session's
-validation and its apply, so commits *through* the layer always detect
-their interference; the bypassing writers themselves get no conflict
-detection (docs/CONCURRENCY.md).
+explicit ``db.begin()`` transaction) commit through the same one entry,
+under the same serialization lock, as the layer — they cannot slip
+between a session's validation and its apply, so commits *through* the
+layer always detect their interference; the bypassing writers
+themselves get no conflict detection (docs/CONCURRENCY.md).
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
 import time
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.concurrency.admission import AdmissionController
 from repro.concurrency.retry import RetryPolicy
-from repro.concurrency.session import ConcurrentSession, SessionStatus
+from repro.concurrency.session import ConcurrentSession
 from repro.errors import ConflictError, DeadlineExceeded, Overloaded
 from repro.obs import context as _trace
 from repro.obs import runtime as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.time.instant import Instant
+    from repro.txn.transaction import Operation
 
 #: A transaction closure: receives the session, returns the caller's value.
 TransactionClosure = Callable[[ConcurrentSession], Any]
@@ -81,8 +82,7 @@ class SessionLayer:
         self.admission = (admission if admission is not None
                           else AdmissionController())
         self._clock = clock
-        self._id_lock = threading.Lock()
-        self._next_id = 1
+        self._ids = itertools.count(1)
 
     # -- session lifecycle ----------------------------------------------------
 
@@ -93,15 +93,14 @@ class SessionLayer:
         code normally wants :meth:`run`, which adds admission control,
         deadline enforcement, and conflict retry around this.
         """
-        with self._id_lock:
-            session_id = self._next_id
-            self._next_id += 1
         _obs.current().metrics.counter("concurrency.sessions").inc()
-        return ConcurrentSession(self, session_id)
+        return ConcurrentSession(self, next(self._ids))
 
     def commit_session(self, session: ConcurrentSession,
+                       operations: Sequence[Operation],
                        deadline: Optional[float] = None) -> Optional["Instant"]:
-        """Validate and commit *session*; called by ``session.commit()``.
+        """Validate *session* and commit its *operations*; called by
+        ``session.commit()``.
 
         First-committer-wins: the footprint check runs under the locks
         the store takes for that footprint, atomically with the apply.
@@ -116,7 +115,6 @@ class SessionLayer:
         obs = _obs.current()
         metrics = obs.metrics
         if deadline is not None and self._clock() >= deadline:
-            session._status = SessionStatus.ABORTED
             raise DeadlineExceeded(
                 f"session {session.session_id} reached its deadline "
                 f"before commit; aborting instead of committing late")
@@ -134,27 +132,18 @@ class SessionLayer:
 
         database = self.database
         footprint = tuple(session._footprint)
-        try:
-            if not session.operations:
-                database.certify(footprint, validate)
-                session._status = SessionStatus.COMMITTED
-                # A certified read-only session still gets a token: a
-                # replica at this index has everything the session saw.
-                session._commit_token = database.commit_token()
-                obs.events.emit("txn.commit", txn=session.txn_id,
-                                op_class="read",
-                                token=session._commit_token)
-                return None
-            with obs.tracer.span("concurrency.commit",
-                                 txn=session.txn_id):
-                with metrics.histogram("concurrency.commit_seconds").time():
-                    commit_time = database.commit(
-                        session.operations, footprint, validate)
-        except Exception:
-            session._status = SessionStatus.ABORTED
-            raise
-        session._status = SessionStatus.COMMITTED
-        session._commit_time = commit_time
+        if not operations:
+            database.certify(footprint, validate)
+            # A certified read-only session still gets a token: a
+            # replica at this index has everything the session saw.
+            session._commit_token = database.commit_token()
+            obs.events.emit("txn.commit", txn=session.txn_id,
+                            op_class="read", token=session._commit_token)
+            return None
+        with obs.tracer.span("concurrency.commit", txn=session.txn_id):
+            with metrics.histogram("concurrency.commit_seconds").time():
+                commit_time = database.commit(
+                    operations, footprint, validate)
         # The read-your-writes token: replicas must apply at least this
         # many records before serving this session's writes.  Read after
         # the commit locks dropped, so it may over-count (a concurrent

@@ -31,47 +31,38 @@ a committed session serializable at the store's footprint granularity.
 
 from __future__ import annotations
 
-import enum
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple, Union)
+                    Union)
 
-from repro.errors import TransactionStateError
 from repro.obs import context as _trace
 from repro.relational.tuple import Tuple as Row
 from repro.time.instant import Instant
-from repro.txn.transaction import Operation
+from repro.txn.transaction import Operation, Transaction
 
 InstantLike = Union[Instant, str, int]
 
 
-class SessionStatus(enum.Enum):
-    """The lifecycle of a concurrent session."""
-
-    ACTIVE = "active"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
-
-
-class ConcurrentSession:
+class ConcurrentSession(Transaction):
     """One optimistic transaction: buffered writes + a read/write footprint.
 
-    Obtained from :meth:`SessionLayer.begin
-    <repro.concurrency.layer.SessionLayer.begin>` (or implicitly inside
-    :meth:`SessionLayer.run`); commits through the owning layer.  The
-    DML methods mirror the database kind's own (``valid_from`` /
-    ``valid_to`` keywords where the kind supports valid time).
+    The :class:`~repro.txn.transaction.Transaction` lifecycle (status,
+    ``add``, ``operations``, ``abort``, ``with``) plus what is a
+    session's own: the footprint, tracked reads, the commit token, and a
+    ``commit`` that validates through the owning layer.  Obtained from
+    :meth:`SessionLayer.begin <repro.concurrency.layer.SessionLayer.begin>`
+    (or implicitly inside :meth:`SessionLayer.run`).  The DML methods
+    mirror the database kind's own (``valid_from`` / ``valid_to``
+    keywords where the kind supports valid time).
     """
 
     def __init__(self, layer, session_id: int) -> None:
+        super().__init__(session_id)
         self._layer = layer
         self._database = layer.database
-        self._id = session_id
-        self._status = SessionStatus.ACTIVE
-        self._operations: List[Operation] = []
+        self._deadline: Optional[float] = None
         #: footprint key -> version counter at first touch.
         self._footprint: Dict[str, int] = {}
-        self._commit_time: Optional[Instant] = None
-        self._commit_token: Optional[int] = None
+        self._commit_token: Optional[Any] = None
         #: the correlation id tying this attempt to its logical
         #: transaction: inherited from the thread's attached trace
         #: context (every retry attempt of one SessionLayer.run shares
@@ -109,24 +100,9 @@ class ConcurrentSession:
         return self._database.op_class(self._operations)
 
     @property
-    def status(self) -> SessionStatus:
-        """The current lifecycle state."""
-        return self._status
-
-    @property
-    def operations(self) -> Tuple[Operation, ...]:
-        """The buffered operations, in order."""
-        return tuple(self._operations)
-
-    @property
     def footprint(self) -> Dict[str, int]:
         """A copy of the read/write footprint (footprint key -> version)."""
         return dict(self._footprint)
-
-    @property
-    def commit_time(self) -> Optional[Instant]:
-        """The transaction time assigned at commit (None before)."""
-        return self._commit_time
 
     @property
     def commit_token(self) -> Optional[Any]:
@@ -143,11 +119,6 @@ class ConcurrentSession:
         *more* records than strictly needed never serves stale data.
         """
         return self._commit_token
-
-    @property
-    def is_active(self) -> bool:
-        """True while the session can still buffer and commit."""
-        return self._status is SessionStatus.ACTIVE
 
     # -- footprint ---------------------------------------------------------------
 
@@ -218,68 +189,42 @@ class ConcurrentSession:
         touching exactly the footprint keys it lands on."""
         self._require_active()
         self._touch(self._database.write_footprint(operation))
-        self._operations.append(operation)
+        super().add(operation)
 
     # The DML methods hand the database the ``txn=`` seam and let
-    # :meth:`add` touch the footprint: pre-touching the whole relation
-    # here would broadcast every keyed write to all of a sharded
-    # store's shards.
+    # :meth:`add` check the status and touch the footprint: pre-touching
+    # the whole relation here would broadcast every keyed write to all
+    # of a sharded store's shards.
 
     def insert(self, name: str, values: Mapping[str, Any],
                **valid_bounds: Any) -> None:
         """Buffer an insert (valid-time keywords per the database kind)."""
-        self._require_active()
         self._database.insert(name, values, txn=self, **valid_bounds)
 
     def delete(self, name: str, match: Optional[Mapping[str, Any]] = None,
                **valid_bounds: Any) -> None:
         """Buffer a delete of every tuple agreeing with *match*."""
-        self._require_active()
         self._database.delete(name, match, txn=self, **valid_bounds)
 
     def replace(self, name: str, match: Mapping[str, Any],
                 updates: Mapping[str, Any], **valid_bounds: Any) -> None:
         """Buffer a replace of every tuple agreeing with *match*."""
-        self._require_active()
         self._database.replace(name, match, updates, txn=self, **valid_bounds)
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def _require_active(self) -> None:
-        if self._status is not SessionStatus.ACTIVE:
-            raise TransactionStateError(
-                f"session {self._id} is {self._status.value}, not active")
-
-    def commit(self, deadline: Optional[float] = None) -> Instant:
+    def commit(self, deadline: Optional[float] = None) -> Optional[Instant]:
         """Validate the footprint and commit through the layer.
 
         Raises :class:`~repro.errors.ConflictError` when first-committer-
         wins validation fails (the session is then aborted; begin a new
         one to retry — :meth:`SessionLayer.run` does this for you).
         """
-        self._require_active()
-        return self._layer.commit_session(self, deadline=deadline)
+        self._deadline = deadline
+        return super().commit()
 
-    def abort(self) -> None:
-        """Discard the buffered operations."""
-        self._require_active()
-        self._operations.clear()
-        self._status = SessionStatus.ABORTED
-
-    # -- context manager ---------------------------------------------------------------
-
-    def __enter__(self) -> "ConcurrentSession":
-        self._require_active()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            if self.is_active:
-                self.abort()
-            return False
-        if self.is_active:
-            self.commit()
-        return False
+    def _commit(self, operations) -> Optional[Instant]:
+        return self._layer.commit_session(self, operations, self._deadline)
 
     def __repr__(self) -> str:
         return (f"ConcurrentSession(id={self._id}, {self._status.value}, "

@@ -1,7 +1,7 @@
 """The abstract database: what all four kinds share.
 
 A :class:`Database` is a set of named relations (schemas + stores), a
-single-writer :class:`~repro.txn.manager.TransactionManager`, and a
+:class:`~repro.txn.manager.TransactionManager`, and a
 position in the taxonomy (:attr:`Database.kind`).  The four concrete kinds
 in :mod:`repro.core` differ *only* in what history their stores keep and
 which query operations they can therefore support:
@@ -44,7 +44,7 @@ from repro.time.clock import Clock
 from repro.time.instant import Instant
 from repro.txn.log import CommitLog
 from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Operation, OperationRecorder, Transaction
+from repro.txn.transaction import Operation, Transaction
 
 InstantLike = Union[Instant, str, int]
 
@@ -55,8 +55,7 @@ class Database(abc.ABC):
     #: The kind of database, per the taxonomy (set by each subclass).
     kind: DatabaseKind
 
-    def __init__(self, clock: Optional[Clock] = None,
-                 index: bool = True) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self._schemas: Dict[str, Schema] = {}
         self._constraints: Dict[str, List[Constraint]] = {}
         self._event_relations: set = set()
@@ -72,7 +71,6 @@ class Database(abc.ABC):
         # result cache uses it to decide whether an as-of pin lies
         # entirely in the immutable past.
         self._last_change: Dict[str, Instant] = {}
-        self._index_enabled = bool(index)
         self._index_cache: Optional[Any] = None
         self._columnar_cache: Optional[Any] = None
         self._result_cache: Optional[Any] = None
@@ -146,13 +144,10 @@ class Database(abc.ABC):
     def index_cache(self):
         """The live :class:`~repro.core.indexing.DatabaseIndexCache`.
 
-        ``None`` when the database was created with ``index=False``; the
-        cache is built lazily on first use otherwise.  The default query
-        paths (``snapshot``/``timeslice``/``rollback`` and the TQuel
-        evaluator) go through it when present.
+        Built lazily on first use.  The default query paths
+        (``snapshot``/``timeslice``/``rollback`` and the TQuel evaluator)
+        go through it.
         """
-        if not self._index_enabled:
-            return None
         if self._index_cache is None:
             from repro.core.indexing import DatabaseIndexCache  # avoid cycle
             self._index_cache = DatabaseIndexCache(self)
@@ -162,12 +157,8 @@ class Database(abc.ABC):
     def columnar_cache(self):
         """The live :class:`~repro.core.columnar.ColumnarCache`.
 
-        Built lazily on first use; follows the ``index=False`` switch (a
-        database created without acceleration structures gets neither
-        trees nor chunks, and the planner falls back to naive scans).
+        Built lazily on first use.
         """
-        if not self._index_enabled:
-            return None
         if self._columnar_cache is None:
             from repro.core.columnar import ColumnarCache  # avoid cycle
             self._columnar_cache = ColumnarCache(self)
@@ -177,12 +168,8 @@ class Database(abc.ABC):
     def result_cache(self):
         """The live :class:`~repro.core.resultcache.ResultCache`.
 
-        Built lazily on first use; follows the ``index=False`` switch so
-        an acceleration-free database also reports honest per-query
-        costs.
+        Built lazily on first use.
         """
-        if not self._index_enabled:
-            return None
         if self._result_cache is None:
             from repro.core.resultcache import ResultCache  # avoid cycle
             self._result_cache = ResultCache(self)
@@ -261,32 +248,32 @@ class Database(abc.ABC):
     # -- DML plumbing ------------------------------------------------------------------------
 
     def begin(self) -> Transaction:
-        """Start a multi-operation transaction (single-writer: one at a
-        time; for many concurrent callers use :meth:`sessions`)."""
+        """Start a multi-operation transaction.
+
+        Any number may be open at once: buffering holds nothing, and
+        they serialize when they commit.  For conflict detection between
+        concurrent callers use :meth:`sessions`.
+        """
         return self._manager.begin()
 
-    def commit_unit(self, expand: Callable[[OperationRecorder], None]
+    def commit_unit(self, expand: Callable[[Transaction], None]
                     ) -> Optional[Instant]:
-        """Run *expand* and commit what it recorded, as one atomic unit.
+        """Run *expand* and commit what it buffered, as one atomic unit.
 
-        *expand* matches rows against the committed state and records
-        the operations a statement expands to (pass the recorder as the
-        DML methods' ``txn=``).  It runs under the store's serialization
-        lock, and the batch commits through the manager-shaped ``run``
-        seam while that lock is still held (reentrantly): no concurrent
-        writer can change a matched row between match and apply — a
-        full-row match that then matched nothing would be a silently
-        dropped write — and two writers serialize instead of tripping
-        the single-writer ``begin()`` rule with a non-retryable error.
+        *expand* matches rows against the committed state and buffers
+        the operations a statement expands to (pass the transaction as
+        the DML methods' ``txn=``).  It runs under the store's
+        serialization lock, and the batch commits while that lock is
+        still held (reentrantly): no concurrent writer can change a
+        matched row between match and apply — a full-row match that then
+        matched nothing would be a silently dropped write.
         """
-        manager = self.manager
-
         def unit() -> Optional[Instant]:
-            batch = OperationRecorder()
-            expand(batch)
-            return manager.run(batch.ops)
+            with self.begin() as batch:
+                expand(batch)
+            return batch.commit_time
 
-        return manager.certify(unit)
+        return self.manager.certify(unit)
 
     def sessions(self, retry: Optional[Any] = None,
                  admission: Optional[Any] = None, **kwargs: Any):
@@ -397,11 +384,10 @@ class Database(abc.ABC):
                commit_time: Instant) -> None:
         """Apply a committed batch (called by the manager, under its lock).
 
-        DDL is dispatched here; DML is handed to the kind-specific
-        :meth:`_apply_dml`.  Any exception aborts the whole batch — stores
-        must not be left half-updated, so kinds stage into fresh values
-        that are installed only at the end, and the schema/constraint/
-        event-flag bookkeeping is snapshotted and restored on failure.
+        Installs what :meth:`_staged` built.  Any exception there aborts
+        the whole batch with nothing half-updated: the stores and the
+        schema/constraint/event-flag bookkeeping a batch produces are
+        fresh values, made current only here, at the end.
 
         The whole batch runs inside a ``commit.apply`` span with the
         batch size timed into the ``commit.apply_seconds`` histogram
@@ -419,17 +405,14 @@ class Database(abc.ABC):
         with obs.tracer.span("commit.apply", kind=str(self.kind),
                              operations=len(operations)), \
                 metrics.histogram("commit.apply_seconds").time():
-            staged = self._stage()
-            snapshot = (dict(self._schemas), dict(self._constraints),
-                        set(self._event_relations))
             try:
-                self._execute(staged, operations, commit_time)
-                self._install(staged)
+                staged, bookkeeping = self._staged(operations, commit_time)
             except Exception:
-                self._schemas, self._constraints, self._event_relations = \
-                    snapshot
                 metrics.counter("commit.failed").inc()
                 raise
+            self._store = staged
+            self._schemas, self._constraints, self._event_relations = \
+                bookkeeping
             for name in {op.relation for op in operations}:
                 self._versions[name] = self._versions.get(name, 0) + 1
                 self._last_change[name] = commit_time
@@ -443,58 +426,77 @@ class Database(abc.ABC):
         metrics.counter("commit.batches").inc()
         metrics.counter("commit.operations").inc(len(operations))
 
-    def _execute(self, staged: Any, operations: Sequence[Operation],
-                 commit_time: Instant) -> None:
-        """Run one batch against *staged* (shared by apply and rehearse).
+    def _staged(self, operations: Sequence[Operation],
+                commit_time: Instant) -> PyTuple[Dict[str, Any], Any]:
+        """Stage, execute and constraint-check one batch; install nothing.
 
-        Mutates the schema/constraint/event bookkeeping as it goes (DDL
-        must be visible to later operations of the same batch); the
-        caller snapshots that bookkeeping beforehand and restores it on
-        failure (:meth:`_apply`) or unconditionally (:meth:`rehearse`).
+        Returns what a commit makes current — the stores, and the
+        ``(schemas, constraints, event relations)`` bookkeeping after the
+        batch — and raises exactly when the batch cannot be applied.
+        DDL is dispatched here; DML is handed to the kind-specific
+        :meth:`_apply_dml`.  The batch runs against working copies that
+        stand in as ``self``'s bookkeeping while it does (DDL must be
+        visible to later operations of the same batch, and to the
+        constraint check); the installed values are put back whatever
+        happens.
+
+        Only the relations this batch replaced are checked: an untouched
+        store is the very same (immutable) value that passed its checks
+        when it was installed, and no declared constraint tightens as
+        ``now`` advances.
         """
-        for op in operations:
-            if op.action == "define":
-                if op.relation in self._schemas:
-                    raise DuplicateRelationError(
-                        f"relation {op.relation!r} already exists"
-                    )
-                self._schemas[op.relation] = op.arguments["schema"]
-                self._constraints[op.relation] = list(
-                    op.arguments["constraints"])
-                if op.arguments.get("event"):
-                    self._event_relations.add(op.relation)
-                self._create_store(staged, op.relation,
-                                   op.arguments["schema"])
-            elif op.action == "drop":
-                self._require_defined(op.relation)
-                del self._schemas[op.relation]
-                del self._constraints[op.relation]
-                self._event_relations.discard(op.relation)
-                self._drop_store(staged, op.relation)
-            else:
-                self._apply_dml(staged, op, commit_time)
+        installed = (self._schemas, self._constraints, self._event_relations)
+        self._schemas, self._constraints, self._event_relations = (
+            dict(self._schemas), dict(self._constraints),
+            set(self._event_relations))
+        staged = dict(self._store)
+        try:
+            for op in operations:
+                if op.action == "define":
+                    if op.relation in self._schemas:
+                        raise DuplicateRelationError(
+                            f"relation {op.relation!r} already exists"
+                        )
+                    self._schemas[op.relation] = op.arguments["schema"]
+                    self._constraints[op.relation] = list(
+                        op.arguments["constraints"])
+                    if op.arguments.get("event"):
+                        self._event_relations.add(op.relation)
+                    self._create_store(staged, op.relation,
+                                       op.arguments["schema"])
+                elif op.action == "drop":
+                    self._require_defined(op.relation)
+                    del self._schemas[op.relation]
+                    del self._constraints[op.relation]
+                    self._event_relations.discard(op.relation)
+                    staged.pop(op.relation, None)
+                else:
+                    self._apply_dml(staged, op, commit_time)
+            for name, store in staged.items():
+                current = self._store.get(name)
+                if store is not current:
+                    self._check_store(name, current, store)
+            return staged, (self._schemas, self._constraints,
+                            self._event_relations)
+        finally:
+            self._schemas, self._constraints, self._event_relations = \
+                installed
 
     def rehearse(self, operations: Sequence[Operation],
                  commit_time: Instant) -> None:
         """Dry-run a batch: raise exactly when :meth:`_apply` would.
 
-        Runs the whole batch against a staged copy and then discards it
-        — no install, no version bump, no observable state change.  The
-        sharded store's two-phase commit rehearses each shard's part
-        during *prepare*, so a participant only votes yes for a batch it
-        can actually apply (a constraint violation surfaces before the
-        commit decision is journaled, never after another shard already
-        applied its part).  Callers must hold the commit serialization
-        lock for the answer to remain true at apply time.
+        Builds what the commit would install — constraint check included
+        — and discards it: no install, no version bump, no observable
+        state change.  The sharded store's two-phase commit rehearses
+        each shard's part during *prepare*, so a participant only votes
+        yes for a batch it can actually apply (a constraint violation
+        surfaces before the commit decision is journaled, never after
+        another shard already applied its part).  Callers must hold the
+        commit serialization lock for the answer to remain true at apply
+        time.
         """
-        staged = self._stage()
-        snapshot = (dict(self._schemas), dict(self._constraints),
-                    set(self._event_relations))
-        try:
-            self._execute(staged, operations, commit_time)
-        finally:
-            self._schemas, self._constraints, self._event_relations = \
-                snapshot
+        self._staged(operations, commit_time)
 
     # -- observability -----------------------------------------------------------------------------
 
@@ -508,11 +510,7 @@ class Database(abc.ABC):
         """
         return _obs.stats()
 
-    # -- staging, and the kind-specific hooks -------------------------------------------------------
-
-    def _stage(self) -> Dict[str, Any]:
-        """A mutable working copy of the stores for one commit."""
-        return dict(self._store)
+    # -- the kind-specific hooks -------------------------------------------------------
 
     @staticmethod
     def _staged_store(staged: Dict[str, Any], name: str) -> Any:
@@ -521,24 +519,6 @@ class Database(abc.ABC):
             return staged[name]
         except KeyError:
             raise UnknownRelationError(f"no relation {name!r}") from None
-
-    def _install(self, staged: Dict[str, Any]) -> None:
-        """Make the staged stores current (the commit point).
-
-        Only the relations this batch replaced are checked: an untouched
-        store is the very same (immutable) value that passed its checks
-        when it was installed, and no declared constraint tightens as
-        ``now`` advances.
-        """
-        for name, store in staged.items():
-            installed = self._store.get(name)
-            if name in self._schemas and store is not installed:
-                self._check_store(name, installed, store)
-        self._store = staged
-
-    def _drop_store(self, staged: Dict[str, Any], name: str) -> None:
-        """Remove the store of a dropped relation."""
-        staged.pop(name, None)
 
     @abc.abstractmethod
     def _create_store(self, staged: Dict[str, Any], name: str,

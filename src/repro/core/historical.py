@@ -597,11 +597,8 @@ class HistoricalDatabase(ValidTimeDatabase):
     def timeslice(self, name: str, valid_at: InstantLike) -> Relation:
         """The facts valid at an instant, as a static relation."""
         self.require_historical("timeslice")
-        cache = self.index_cache
-        if cache is not None:
-            self._require_defined(name)
-            return cache.historical(name).timeslice(valid_at)
-        return self.history(name).timeslice(valid_at)
+        self._require_defined(name)
+        return self.index_cache.historical(name).timeslice(valid_at)
 
     # -- applier hooks ----------------------------------------------------------------------
 

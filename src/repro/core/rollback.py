@@ -186,13 +186,12 @@ class RollbackDatabase(StaticStateDatabase):
 
     kind = DatabaseKind.STATIC_ROLLBACK
 
-    def __init__(self, clock=None, representation: str = INTERVAL,
-                 index: bool = True) -> None:
+    def __init__(self, clock=None, representation: str = INTERVAL) -> None:
         if representation not in (INTERVAL, STATES):
             raise ValueError(
                 f"representation must be {INTERVAL!r} or {STATES!r}"
             )
-        super().__init__(clock, index=index)
+        super().__init__(clock)
         self._representation = representation
 
     @property
@@ -207,13 +206,12 @@ class RollbackDatabase(StaticStateDatabase):
         return self.store(name).current()
 
     def _indexed(self, name: str):
-        """The store of *name*, behind its transaction-time tree when the
-        database keeps one (the cube is its own index: a bisect)."""
+        """The store of *name*, behind its transaction-time tree (the
+        cube is its own index: a bisect)."""
         store = self.store(name)
-        cache = self.index_cache
-        if cache is None or isinstance(store, StateSequence):
+        if isinstance(store, StateSequence):
             return store
-        return cache.rollback(name)
+        return self.index_cache.rollback(name)
 
     def rollback(self, name: str, as_of: InstantLike) -> Relation:
         """The static relation as of a past transaction time.

@@ -30,7 +30,7 @@ from repro.relational.relation import Predicate, Relation
 from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
 from repro.time.instant import Instant
-from repro.txn.transaction import Operation, OperationRecorder, Transaction
+from repro.txn.transaction import Operation, Transaction
 
 
 def static_delta(schema: Schema, op: Operation, candidates: Iterable[Tuple],
@@ -125,7 +125,7 @@ class StaticStateDatabase(Database):
         are one atomic unit (:meth:`~repro.core.base.Database.
         commit_unit`): no other writer can slip in between them.
         """
-        def expand(batch: OperationRecorder) -> None:
+        def expand(batch: Transaction) -> None:
             for row in self.snapshot(name).select(predicate):
                 self.delete(name, dict(row), txn=batch)
 

@@ -161,14 +161,10 @@ class TemporalDatabase(ValidTimeDatabase):
         return self.temporal(name).current()
 
     def _indexed(self, name: str):
-        """The relation, behind its transaction-time tree when the
-        database keeps one (a stab instead of a scan of every row ever
-        written)."""
-        cache = self.index_cache
-        if cache is None:
-            return self.temporal(name)
+        """The relation, behind its transaction-time tree (a stab
+        instead of a scan of every row ever written)."""
         self._require_defined(name)
-        return cache.bitemporal(name)
+        return self.index_cache.bitemporal(name)
 
     def rollback(self, name: str, as_of: InstantLike) -> HistoricalRelation:
         """The historical state as of a past transaction time."""
@@ -204,13 +200,10 @@ class TemporalDatabase(ValidTimeDatabase):
                   as_of: Optional[InstantLike] = None) -> Relation:
         """Facts valid at an instant, optionally seen as of a past moment."""
         self.require_historical("timeslice")
-        cache = self.index_cache
-        if cache is not None:
-            self._require_defined(name)
-            if as_of is None:
-                return cache.historical(name).timeslice(valid_at)
-            return cache.bitemporal(name).timeslice(valid_at, as_of)
-        return self.temporal(name).timeslice(valid_at, as_of)
+        self._require_defined(name)
+        if as_of is None:
+            return self.index_cache.historical(name).timeslice(valid_at)
+        return self._indexed(name).timeslice(valid_at, as_of)
 
     # -- applier hooks ----------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Sharding: per-shard commit pipelines under one logical store.
 
-The single-writer transaction manager serializes every commit of a
+The transaction manager serializes every commit of a
 database behind one lock — correct, and the wall the concurrency layer's
 throughput flattens against.  This package breaks the wall by
 *partitioning*: a :class:`ShardedDatabase` hash-partitions every

@@ -5,11 +5,11 @@ One :class:`ShardCoordinator` fronts the N per-shard databases of a
 store's analogue of :class:`~repro.txn.manager.TransactionManager` — the
 same ``run(operations, validate=)`` / ``certify(validate)`` shape, plus
 the shards to lock, which the store derives from a session's footprint
-— but where the single-writer
-manager owns *one* commit lock, the coordinator owns none: every shard
-keeps its own serialization lock, journal stream and transaction clock,
-so transactions whose footprint stays inside one shard commit fully in
-parallel.  Only transactions that *span* shards pay for coordination.
+— but where the manager owns *one* commit lock, the coordinator owns
+none: every shard keeps its own serialization lock, journal stream and
+transaction clock, so transactions whose footprint stays inside one
+shard commit fully in parallel.  Only transactions that *span* shards
+pay for coordination.
 
 **Single-shard commits** (the common case) take exactly one lock — the
 owning shard's — and are indistinguishable from a commit against an
@@ -22,9 +22,10 @@ serialization locks:
    so two cross-shard transactions can never deadlock);
 2. *Validate* the caller's first-committer-wins check under all of those
    locks, then **rehearse** each shard's batch
-   (:meth:`~repro.core.base.Database.rehearse`) so a participant only
-   votes yes for a batch it can actually apply — a constraint violation
-   aborts here, before anything is journaled anywhere;
+   (:meth:`~repro.core.base.Database.rehearse` — the applier's own
+   staging, constraint check included) so a participant only votes yes
+   for a batch it can actually apply — a constraint violation aborts
+   here, before anything is journaled anywhere;
 3. *Prepare*: journal a ``prepare`` record (gid, shard, journal position,
    operations) to each shard's 2PC log;
 4. *Decide*: journal one ``commit`` decision record to the coordinator's

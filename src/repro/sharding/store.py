@@ -35,8 +35,8 @@ Semantics kept, and one deliberately weakened:
 
 from __future__ import annotations
 
-import threading
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+import itertools
+from typing import (Any, Callable, List, Mapping, Optional, Sequence,
                     Tuple as PyTuple, Type)
 
 from repro.core.base import Database, InstantLike
@@ -50,8 +50,7 @@ from repro.sharding.partition import Partitioner
 from repro.time.clock import Clock
 from repro.time.instant import Instant
 from repro.txn.log import CommitRecord
-from repro.txn.transaction import (Operation, OperationRecorder,
-                                   Transaction)
+from repro.txn.transaction import Operation, Transaction
 
 
 class ShardLog:
@@ -96,18 +95,15 @@ class ShardedDatabase:
     """One logical database of any kind, hash-partitioned over N shards.
 
     ``factory`` is the kind class (:class:`TemporalDatabase` by
-    default); each shard is ``factory(clock=clock, index=index)``, all
+    default); each shard is ``factory(clock=clock)``, all
     sharing the base *clock* but each owning its transaction clock and
     manager.  Use :meth:`from_shards` to wrap pre-built shard databases
     (recovery does).
     """
 
     def __init__(self, factory: Type[Database] = TemporalDatabase,
-                 shards: int = 4, clock: Optional[Clock] = None,
-                 index: bool = True) -> None:
-        shard_dbs = [factory(clock=clock, index=index)
-                     for _ in range(shards)]
-        self._init_from(shard_dbs)
+                 shards: int = 4, clock: Optional[Clock] = None) -> None:
+        self._init_from([factory(clock=clock) for _ in range(shards)])
 
     @classmethod
     def from_shards(cls, shard_dbs: Sequence[Database]) -> "ShardedDatabase":
@@ -128,8 +124,7 @@ class ShardedDatabase:
         self.partitioner = Partitioner(len(shard_dbs))
         self.coordinator = ShardCoordinator(shard_dbs, self.partitioner)
         self._log = ShardLog(shard_dbs)
-        self._txn_lock = threading.Lock()
-        self._next_txn_id = 1
+        self._txn_ids = itertools.count(1)
 
     # -- shape ------------------------------------------------------------------
 
@@ -232,38 +227,35 @@ class ShardedDatabase:
 
     # -- DML (validated by shard 0, routed by the coordinator) -------------------
 
-    def _capture(self, method: str, name: str, *args: Any,
-                 **kwargs: Any) -> List[Operation]:
-        """Run a kind DML method against a recorder; return the ops.
+    def _dispatch(self, method: str, name: str, *args: Any,
+                  txn: Optional[Transaction], **kwargs: Any,
+                  ) -> Optional[Instant]:
+        """Buffer a kind DML method's operations in *txn*, or commit them.
 
-        All argument validation (schema checks, valid-time rules, event
-        relations) happens in the kind method exactly as unsharded.
+        The kind method of shard 0 validates the arguments (schema
+        checks, valid-time rules, event relations) exactly as unsharded
+        and buffers the operations; the coordinator routes them at
+        commit.
         """
-        recorder = OperationRecorder()
-        getattr(self._shards[0], method)(name, *args, txn=recorder, **kwargs)
-        return recorder.ops
-
-    def _dispatch(self, ops: Sequence[Operation],
-                  txn: Optional[Transaction]) -> Optional[Instant]:
+        dml = getattr(self._shards[0], method)
         if txn is not None:
-            for op in ops:
-                txn.add(op)
+            dml(name, *args, txn=txn, **kwargs)
             return None
-        return self.coordinator.run(ops)
+        with self.begin() as batch:
+            dml(name, *args, txn=batch, **kwargs)
+        return batch.commit_time
 
     def insert(self, name: str, values: Mapping[str, Any],
                txn: Optional[Transaction] = None,
                **valid_bounds: Any) -> Optional[Instant]:
         """Insert one row on its owning shard (kind keywords pass through)."""
-        return self._dispatch(
-            self._capture("insert", name, values, **valid_bounds), txn)
+        return self._dispatch("insert", name, values, txn=txn, **valid_bounds)
 
     def delete(self, name: str, match: Optional[Mapping[str, Any]] = None,
                txn: Optional[Transaction] = None,
                **valid_bounds: Any) -> Optional[Instant]:
         """Delete matching rows (one shard when *match* pins the key)."""
-        return self._dispatch(
-            self._capture("delete", name, match, **valid_bounds), txn)
+        return self._dispatch("delete", name, match, txn=txn, **valid_bounds)
 
     def replace(self, name: str, match: Mapping[str, Any],
                 updates: Mapping[str, Any],
@@ -271,9 +263,8 @@ class ShardedDatabase:
                 **valid_bounds: Any) -> Optional[Instant]:
         """Replace matching rows' attributes; key rewrites are rejected
         (:class:`~repro.errors.ShardRoutingError` — rows never migrate)."""
-        return self._dispatch(
-            self._capture("replace", name, match, updates, **valid_bounds),
-            txn)
+        return self._dispatch("replace", name, match, updates, txn=txn,
+                              **valid_bounds)
 
     def delete_where(self, name: str, predicate,
                      txn: Optional[Transaction] = None) -> Optional[Instant]:
@@ -305,31 +296,20 @@ class ShardedDatabase:
     def begin(self) -> Transaction:
         """Start a multi-operation transaction spanning any shards.
 
-        Unlike a single database's ``begin()`` this takes no slot on any
-        shard while buffering; the commit routes the batch and runs the
-        cross-shard protocol if it spans shards.  For many concurrent
-        callers use :meth:`sessions`.
+        Like a single database's ``begin()`` it holds nothing while
+        buffering; the commit routes the batch and runs the cross-shard
+        protocol if it spans shards.  For conflict detection between
+        concurrent callers use :meth:`sessions`.
         """
-        with self._txn_lock:
-            txn_id = self._next_txn_id
-            self._next_txn_id += 1
-        return Transaction(
-            txn_id, lambda txn: self.coordinator.run(txn.operations))
+        return Transaction(next(self._txn_ids), self.coordinator.run)
 
-    def sessions(self, retry: Optional[Any] = None,
-                 admission: Optional[Any] = None, **kwargs: Any):
-        """A concurrent session layer over this store.
-
-        The same :class:`~repro.concurrency.layer.SessionLayer` as
-        :meth:`Database.sessions <repro.core.base.Database.sessions>`;
-        only the seam's answers below differ: footprints are per
-        ``relation@shard``, so two sessions writing different shards of
-        the same relation do **not** conflict — the false sharing of a
-        single pipeline is cut by a factor of the shard count
-        (docs/SHARDING.md).
-        """
-        from repro.concurrency import SessionLayer  # avoid cycle
-        return SessionLayer(self, retry=retry, admission=admission, **kwargs)
+    #: The same :class:`~repro.concurrency.layer.SessionLayer` as a plain
+    #: database's; only the seam's answers below differ: footprints are
+    #: per ``relation@shard``, so two sessions writing different shards
+    #: of the same relation do **not** conflict — the false sharing of a
+    #: single pipeline is cut by a factor of the shard count
+    #: (docs/SHARDING.md).
+    sessions = Database.sessions
 
     # -- the session seam (docs/CONCURRENCY.md) -----------------------------------
 
@@ -476,9 +456,7 @@ class ShardedDatabase:
 
     # -- observability -------------------------------------------------------------
 
-    def stats(self) -> Dict[str, Any]:
-        """The process-local instrumentation snapshot (docs/OBSERVABILITY.md)."""
-        return _obs.stats()
+    stats = Database.stats
 
     def __repr__(self) -> str:
         return (f"ShardedDatabase({type(self._shards[0]).__name__} × "

@@ -92,7 +92,7 @@ from repro.tquel.ast import (
     TemporalExpr, TemporalPredicate, ValidClause,
 )
 from repro.tquel import planner as _planner
-from repro.txn.transaction import OperationRecorder
+from repro.txn.transaction import Transaction
 
 #: What execute() can return: a derived relation, a commit time, or None.
 Result = Union[Relation, HistoricalRelation, TemporalRelation, Instant, None]
@@ -542,12 +542,10 @@ class Evaluator:
         """
         db = self._db
         ranged = through is not None
-        tree = ((": transaction-time range overlap" if ranged
-                 else ": transaction-time stab")
-                if getattr(db, "index_cache", None) is not None else None)
+        tree = (": transaction-time range overlap" if ranged
+                else ": transaction-time stab")
         if isinstance(db, TemporalDatabase):
-            access = ("bitemporal index" + tree if tree
-                      else "scan (index disabled)")
+            access = "bitemporal index" + tree
             if ranged:
                 return (access,
                         lambda relation: db.visible_during(relation, as_of,
@@ -555,8 +553,7 @@ class Evaluator:
                         lambda relation: db.store(relation).overlapping(
                             Period.from_inclusive(as_of, through)), True)
             when = as_of if as_of is not None else now
-            # db.visible stabs the transaction-time index when the
-            # database keeps one (O(log n + k)); otherwise it scans.
+            # db.visible stabs the transaction-time index (O(log n + k)).
             return (access, lambda relation: db.visible(relation, when),
                     lambda relation: db.store(relation).visible(when), True)
         if isinstance(db, HistoricalDatabase):
@@ -565,8 +562,7 @@ class Evaluator:
                         for row in db.history(relation).rows]
             return "scan of recorded facts", facts, facts, False
         if isinstance(db, RollbackDatabase) and (ranged or as_of is not None):
-            access = ("rollback index" + tree if tree
-                      else "scan (index disabled)")
+            access = "rollback index" + tree
             states = ((lambda relation: db.rollback_range(relation, as_of,
                                                           through),
                        lambda relation: db.store(relation).visible_during(
@@ -1090,7 +1086,7 @@ class Evaluator:
                                          "valid_to": row.valid.end})
                        for row in rows]
 
-        def expand(batch: OperationRecorder) -> None:
+        def expand(batch: Transaction) -> None:
             for values, valid in inserts:
                 self._db.insert(name, values, txn=batch, **valid)
 
@@ -1148,7 +1144,7 @@ class Evaluator:
         relation = self._ranges[statement.variable]
         arguments = self._valid_arguments(statement.valid, self._db.now())
 
-        def expand(batch: OperationRecorder) -> None:
+        def expand(batch: Transaction) -> None:
             for row in self._matching_rows(statement):
                 self._db.delete(relation, dict(row), txn=batch, **arguments)
 
@@ -1158,7 +1154,7 @@ class Evaluator:
         relation = self._ranges[statement.variable]
         arguments = self._valid_arguments(statement.valid, self._db.now())
 
-        def expand(batch: OperationRecorder) -> None:
+        def expand(batch: Transaction) -> None:
             for row in self._matching_rows(statement):
                 env = {statement.variable: row}
                 updates = {name: expr.evaluate(env)

@@ -149,17 +149,14 @@ def profile(database: Database, relation: str) -> RelationProfile:
     caches per shard — profile as cache-less, so the planner degrades
     to the naive scan instead of refusing to plan.
     """
-    columnar = getattr(database, "columnar_cache", None)
-    indexed = getattr(database, "index_cache", None) is not None
-    chunks = columnar is not None
     store = (database.store(relation) if isinstance(database, Database)
              else None)
     if isinstance(store, TransactionTimeStore):
         # The two transaction-time kinds: one partition, whatever its
         # rows carry besides their transaction period.
         return RelationProfile(relation, len(store), store.open_count, True,
-                               indexed, chunks,
-                               chunks and columnar.ready(relation))
+                               True, True,
+                               database.columnar_cache.ready(relation))
     if isinstance(store, StateSequence):
         # The duplicating cube: no partition, no chunk, no tree — every
         # path degenerates to the representation's own scan.
@@ -172,8 +169,8 @@ def profile(database: Database, relation: str) -> RelationProfile:
         # recorded-facts scan; the valid-time tree accelerates timeslice,
         # not TQuel candidate streams — so the index path is not a
         # distinct plan here.
-        return RelationProfile(relation, total, total, False, False, chunks,
-                               chunks and columnar.ready(relation))
+        return RelationProfile(relation, total, total, False, False, True,
+                               database.columnar_cache.ready(relation))
     total = len(database.snapshot(relation))
     return RelationProfile(relation, total, total, False, False, False,
                            False)

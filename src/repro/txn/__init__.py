@@ -9,8 +9,8 @@ This package supplies:
 - :class:`~repro.txn.log.CommitLog` — the in-memory append-only record of
   every committed transaction (the journal of
   :mod:`repro.storage.journal` persists it);
-- :class:`~repro.txn.manager.TransactionManager` — begin/commit/abort,
-  commit timestamps from a :class:`~repro.time.clock.TransactionClock`.
+- :class:`~repro.txn.manager.TransactionManager` — ``run``, the one commit
+  entry, stamped by a :class:`~repro.time.clock.TransactionClock`.
 
 Every database kind in :mod:`repro.core` routes updates through this
 machinery, which is how a *static rollback* or *temporal* database can
@@ -18,8 +18,7 @@ guarantee its past states were really the states the database went
 through.
 """
 
-from repro.txn.transaction import (Operation, OperationRecorder, Transaction,
-                                   TxnStatus)
+from repro.txn.transaction import Operation, Transaction, TxnStatus
 from repro.txn.log import CommitLog, CommitRecord
 from repro.txn.manager import TransactionManager
 
@@ -27,7 +26,6 @@ __all__ = [
     "CommitLog",
     "CommitRecord",
     "Operation",
-    "OperationRecorder",
     "Transaction",
     "TransactionManager",
     "TxnStatus",

@@ -1,29 +1,30 @@
-"""The transaction manager: begin/commit/abort plus commit timestamps.
+"""The transaction manager: the one commit entry, plus commit timestamps.
 
 One :class:`TransactionManager` serves one database.  It owns the
 :class:`~repro.time.clock.TransactionClock` (so commit times are strictly
 increasing and system-assigned — the paper's append-only,
-application-independent transaction time) and the
-:class:`~repro.txn.log.CommitLog`.
+application-independent transaction time), the
+:class:`~repro.txn.log.CommitLog`, and the one serialization lock.
 
-The concurrency model is single-writer: one transaction may be active at a
-time, matching the serial-history semantics the paper's figures assume (a
-rollback relation *is* the serialized sequence of its transactions).
-Attempting to begin a second concurrent transaction raises
-:class:`~repro.errors.TransactionStateError` naming the holding
-transaction.  Many *sessions* may nonetheless race toward the serialized
-order through :mod:`repro.concurrency`, which funnels every commit
-through :meth:`TransactionManager.run` — the ``validate`` hook there is
-the optimistic-concurrency seam (docs/CONCURRENCY.md).  Explicit
-commits take the same serialization lock as ``run()``, so a writer
-bypassing the session layer can never slip between a session's
-validation and its apply.
+:meth:`TransactionManager.run` is the only code that commits: under the
+lock it runs the caller's ``validate``, ticks the clock, calls the
+applier, appends the commit record and fires ``on_commit``.  Every door
+into the store ends there — a direct DML call, an explicit
+:meth:`begin` transaction (a :class:`~repro.txn.transaction.Transaction`
+whose commit function *is* ``run``), a session of
+:mod:`repro.concurrency` (whose first-committer-wins check is the
+``validate``), a shard's part of a two-phase commit, a replayed journal
+record.  Open transactions hold nothing while they buffer, so any number
+may be open at once; they serialize when they commit, and the serial
+history the paper's figures assume is that order of commits (a rollback
+relation *is* the serialized sequence of its transactions).  Because
+there is one lock and one entry, no writer can slip between another's
+validation and its apply (docs/CONCURRENCY.md).
 
-**Failure release.**  A failed commit never wedges the manager: the
-active slot is released in a ``finally`` whether the applier, the log
-append, or the ``on_commit`` hook raised, so the next ``begin()`` is
-always accepted (the transaction itself is marked aborted by
-:meth:`Transaction.commit`).
+**Failure.**  A commit that raises — in the applier, the log append or
+the ``on_commit`` hook — leaves nothing behind in the manager: there is
+no per-transaction state here to release, so the next commit is always
+accepted (the failed :class:`Transaction` marks itself aborted).
 
 **Durability obligations.**  The manager itself persists nothing; the
 :attr:`TransactionManager.on_commit` hook is the durability seam.  It
@@ -41,10 +42,10 @@ documents.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import TransactionStateError
 from repro.obs import runtime as _obs
 from repro.time.clock import Clock, SystemClock, TransactionClock
 from repro.time.instant import Instant
@@ -64,11 +65,9 @@ class TransactionManager:
         self._txn_clock = TransactionClock(clock if clock is not None
                                            else SystemClock())
         self._log = CommitLog()
-        self._active: Optional[Transaction] = None
-        self._next_id = 1
-        self._lock = threading.Lock()
-        # Reentrant: _commit re-acquires it under run(), which already
-        # holds it around validate + begin + commit.
+        self._ids = itertools.count(1)
+        # Reentrant: a holder (commit_unit, a cross-shard commit) may
+        # still call run() on this manager.
         self._run_lock = threading.RLock()
         #: Optional hook invoked with each CommitRecord after it is logged
         #: (used by the durable journal).
@@ -90,16 +89,14 @@ class TransactionManager:
     def serialization_lock(self) -> threading.RLock:
         """The reentrant commit serialization lock.
 
-        Every commit path — :meth:`run`, an explicit
-        :meth:`Transaction.commit`, :meth:`certify` — acquires this
-        lock, and it is reentrant, so a holder may still call
-        :meth:`run` on this manager.  Exposed for *cross-manager*
-        coordination: the sharded store's two-phase commit
-        (:mod:`repro.sharding.coordinator`) takes several managers'
-        locks in shard order to make one multi-shard commit atomic
-        against every single-shard committer on the involved shards.
-        Holders must acquire managers in a globally consistent order
-        (ascending shard id) or risk deadlock.
+        :meth:`run` and :meth:`certify` acquire this lock, and it is
+        reentrant, so a holder may still call :meth:`run` on this
+        manager.  Exposed for *cross-manager* coordination: the sharded
+        store's two-phase commit (:mod:`repro.sharding.coordinator`)
+        takes several managers' locks in shard order to make one
+        multi-shard commit atomic against every single-shard committer
+        on the involved shards.  Holders must acquire managers in a
+        globally consistent order (ascending shard id) or risk deadlock.
         """
         return self._run_lock
 
@@ -117,108 +114,63 @@ class TransactionManager:
             return last
         return reading
 
-    @property
-    def active(self) -> Optional[Transaction]:
-        """The currently active transaction, if any."""
-        if self._active is not None and not self._active.is_active:
-            self._active = None
-        return self._active
-
     # -- lifecycle ----------------------------------------------------------------
 
     def begin(self) -> Transaction:
-        """Start a transaction (single-writer: only one may be active)."""
-        with self._lock:
-            if self.active is not None:
-                raise TransactionStateError(
-                    f"transaction {self._active.txn_id} is still active; "
-                    f"the manager is single-writer"
-                )
-            txn = Transaction(self._next_id, self._commit)
-            self._next_id += 1
-            self._active = txn
-            metrics = _obs.current().metrics
-            metrics.counter("txn.begin").inc()
-            metrics.gauge("txn.active").add(1)
-            return txn
-
-    def _commit(self, txn: Transaction) -> Instant:
-        """Assign a commit time, apply, log and journal (via Transaction.commit).
-
-        The active slot is released in the ``finally`` no matter which
-        step raised — a failed commit must never wedge the manager (the
-        transaction is marked aborted by its caller).  ``on_commit``
-        fires *inside* the lock so durable journal appends happen in
-        serialized commit order; if it raises, the commit is applied
-        in memory but not durable, the documented crash-equivalent
-        (docs/DURABILITY.md).
-
-        Every commit — :meth:`run`'s or an explicit
-        :meth:`Transaction.commit` — passes through ``_run_lock``
-        (reentrant from :meth:`run`), so no commit can interleave
-        between another caller's ``validate`` and its apply: the
-        first-committer-wins check of the session layer holds against
-        explicit transactions too, not just other ``run()`` callers.
-        """
-        with self._run_lock:
-            with self._lock:
-                try:
-                    commit_time = self._txn_clock.tick()
-                    self._applier(txn.operations, commit_time)
-                    record = self._log.append(commit_time, txn.operations)
-                    if self.on_commit is not None:
-                        self.on_commit(record)
-                finally:
-                    self._active = None
-        metrics = _obs.current().metrics
-        metrics.counter("txn.commit").inc()
-        metrics.gauge("txn.active").add(-1)
-        return commit_time
+        """An open transaction whose commit is :meth:`run`."""
+        return Transaction(next(self._ids), self.run)
 
     def run(self, operations: Sequence[Operation],
             validate: Optional[Callable[[], None]] = None) -> Instant:
-        """Convenience: begin, buffer *operations*, and commit.
+        """Commit *operations* as one transaction; returns its commit time.
 
-        Unlike interleaved explicit ``begin()`` calls (which the
-        single-writer rule rejects), concurrent ``run()`` calls simply
-        *serialize*: each whole-transaction convenience call takes its
-        turn.
+        The one commit entry.  Under the serialization lock: *validate*
+        (when given), then one clock tick, the applier, the log append
+        and ``on_commit`` — so concurrent callers simply take turns, and
+        durable journal appends happen in serialized commit order.
 
-        *validate*, when given, runs under the serialization lock before
-        anything begins; raising there rejects the transaction with no
-        clock tick and no state change.  This is the optimistic-
-        concurrency seam: the session layer passes its first-committer-
-        wins check here, making validation atomic with the commit it
-        guards against every other ``run()`` caller *and* every explicit
-        :meth:`Transaction.commit` (``_commit`` takes the same lock).
+        *validate* raising rejects the transaction with no clock tick
+        and no state change.  This is the optimistic-concurrency seam:
+        the session layer passes its first-committer-wins check here,
+        making validation atomic with the commit it guards against
+        every other committer.  If ``on_commit`` raises, the commit is
+        applied in memory but not durable, the documented
+        crash-equivalent (docs/DURABILITY.md).
         """
+        metrics = _obs.current().metrics
         with self._run_lock:
             if validate is not None:
                 validate()
-            txn = self.begin()
+            metrics.counter("txn.begin").inc()
+            active = metrics.gauge("txn.active")
+            active.add(1)
             try:
-                for operation in operations:
-                    txn.add(operation)
-                return txn.commit()
+                commit_time = self._txn_clock.tick()
+                self._applier(operations, commit_time)
+                record = self._log.append(commit_time, operations)
+                if self.on_commit is not None:
+                    self.on_commit(record)
+            except Exception:
+                metrics.counter("txn.abort").inc()
+                raise
             finally:
-                if txn.is_active:
-                    txn.abort()
+                active.add(-1)
+        metrics.counter("txn.commit").inc()
+        return commit_time
 
     def certify(self, validate: Callable[[], Any]) -> Any:
         """Run *validate* atomically with respect to every commit;
         returns whatever it returns.
 
         The read-only counterpart of :meth:`run`: *validate* executes
-        under the commit serialization lock — no ``run()`` caller and no
-        explicit :meth:`Transaction.commit` can apply while it checks —
-        but no transaction begins, the clock does not tick, and no
-        commit record is produced.  The session layer certifies
-        read-only sessions here (their whole read set held
-        simultaneously at one point in the serial history).
+        under the commit serialization lock — nothing can apply while
+        it checks — but the clock does not tick and no commit record is
+        produced.  The session layer certifies read-only sessions here
+        (their whole read set held simultaneously at one point in the
+        serial history).
         """
         with self._run_lock:
             return validate()
 
     def __repr__(self) -> str:
-        return (f"TransactionManager({len(self._log)} commits, "
-                f"active={self._active is not None})")
+        return f"TransactionManager({len(self._log)} commits)"

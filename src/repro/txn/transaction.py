@@ -3,10 +3,19 @@
 A :class:`Transaction` buffers :class:`Operation` records — plain,
 serializable descriptions of inserts, deletes and replaces, including
 their valid-time arguments where the database kind supports valid time —
-and hands the batch to its owning database at commit.  The whole batch
-takes effect at one commit instant, which is exactly the paper's model:
-"each transaction results in a new static relation being appended to the
-front of the cube" (§4.2).
+and hands the batch to a commit function ``operations -> Instant`` at
+commit.  The whole batch takes effect at one commit instant, which is
+exactly the paper's model: "each transaction results in a new static
+relation being appended to the front of the cube" (§4.2).
+
+There is one lifecycle class.  Who issues the batch — an explicit
+``db.begin()``, an optimistic session, a TQuel statement's match-and-apply
+unit, the sharded router — decides only which commit function is bound:
+:meth:`TransactionManager.run <repro.txn.manager.TransactionManager.run>`
+for one database, the coordinator's ``run`` for a sharded one, the
+session layer's validate-then-commit for a session.  Buffering holds
+nothing, so the serial history is the order of *commits*, not of
+``begin()`` calls.
 
 Operations carry *values*, not predicates, so a committed transaction can
 be journaled and replayed byte-for-byte.  Databases that accept predicate
@@ -21,7 +30,8 @@ declared check constraints on ``define``, which are not journaled
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.errors import TransactionStateError
 from repro.obs import runtime as _obs
@@ -68,49 +78,42 @@ class Operation:
         return f"Operation({self.action} {self.relation} {self.arguments!r})"
 
 
-class OperationRecorder:
-    """A ``txn=`` stand-in that captures operations instead of running them.
-
-    The kind databases validate arguments and build the
-    :class:`Operation` inside their DML methods, then hand it to
-    ``txn.add`` when a transaction is given.  Passing a recorder reuses
-    all of that validation while leaving the commit to the caller (the
-    sharded router, the TQuel evaluator's match-and-apply unit).
-    """
-
-    __slots__ = ("ops",)
-
-    def __init__(self) -> None:
-        self.ops: List[Operation] = []
-
-    def add(self, operation: Operation) -> None:
-        self.ops.append(operation)
-
-
 class Transaction:
     """A buffered, atomically-committing batch of operations.
 
-    Obtained from a database's ``begin()``.  Buffer operations with
-    :meth:`add`, then :meth:`commit` (applying them all at one transaction
-    time) or :meth:`abort` (discarding them).  A transaction can be used as
-    a context manager: committing on clean exit, aborting on exception. ::
+    *The* lifecycle in this codebase: an explicit ``db.begin()``
+    transaction is one of these bound to the store's ``run``, an
+    optimistic session (:class:`~repro.concurrency.session.
+    ConcurrentSession`) is a subclass that adds a footprint, and the
+    ``txn=`` parameter of every DML method takes either.  Buffer
+    operations with :meth:`add`, then :meth:`commit` (handing the whole
+    batch to the bound commit function, which applies it at one
+    transaction time) or :meth:`abort` (discarding it).  Any number may
+    be open at once — nothing is held while buffering; they serialize
+    at commit.  Usable as a context manager: committing on clean exit,
+    aborting on exception. ::
 
         with db.begin() as txn:
             db.insert("faculty", {"name": "Tom", "rank": "associate"}, txn=txn)
     """
 
-    def __init__(self, txn_id: int, commit_callback) -> None:
+    def __init__(self, txn_id: int,
+                 commit: Optional[Callable[[Sequence[Operation]],
+                                           Optional["Instant"]]] = None,
+                 ) -> None:
         self._id = txn_id
         self._status = TxnStatus.ACTIVE
         self._operations: List[Operation] = []
-        self._commit_callback = commit_callback
+        if commit is not None:
+            self._commit = commit
         self._commit_time: Optional["Instant"] = None
+        _obs.current().metrics.gauge("txn.active").add(1)
 
     # -- accessors ------------------------------------------------------------
 
     @property
     def txn_id(self) -> int:
-        """A session-unique, increasing transaction identifier."""
+        """A store-unique, increasing transaction identifier."""
         return self._id
 
     @property
@@ -141,37 +144,44 @@ class Transaction:
                 f"transaction {self._id} is {self._status.value}, not active"
             )
 
+    def _commit(self, operations: Sequence[Operation]) -> Optional["Instant"]:
+        """The commit function: the one given at construction, else a
+        subclass's override (a method, where a stored closure over
+        ``self`` would make every instance a reference cycle)."""
+        raise TransactionStateError(
+            f"transaction {self._id} has no commit function bound")
+
+    def _finish(self, status: TxnStatus) -> None:
+        self._status = status
+        _obs.current().metrics.gauge("txn.active").add(-1)
+
     def add(self, operation: Operation) -> None:
         """Buffer one operation."""
         self._require_active()
         self._operations.append(operation)
 
-    def commit(self) -> "Instant":
-        """Apply every buffered operation at one commit time.
+    def commit(self) -> Optional["Instant"]:
+        """Hand every buffered operation to the commit function.
 
-        Returns the assigned transaction time.  If application fails, the
-        transaction is marked aborted and nothing has taken effect.
+        Returns the assigned transaction time.  If the commit function
+        raises, the transaction is marked aborted and nothing has taken
+        effect.
         """
         self._require_active()
         try:
-            self._commit_time = self._commit_callback(self)
+            self._commit_time = self._commit(self.operations)
         except Exception:
-            self._status = TxnStatus.ABORTED
-            metrics = _obs.current().metrics
-            metrics.counter("txn.abort").inc()
-            metrics.gauge("txn.active").add(-1)
+            self._finish(TxnStatus.ABORTED)
             raise
-        self._status = TxnStatus.COMMITTED
+        self._finish(TxnStatus.COMMITTED)
         return self._commit_time
 
     def abort(self) -> None:
         """Discard the buffered operations."""
         self._require_active()
         self._operations.clear()
-        self._status = TxnStatus.ABORTED
-        metrics = _obs.current().metrics
-        metrics.counter("txn.abort").inc()
-        metrics.gauge("txn.active").add(-1)
+        self._finish(TxnStatus.ABORTED)
+        _obs.current().metrics.counter("txn.abort").inc()
 
     # -- context manager ---------------------------------------------------------------
 
@@ -180,12 +190,11 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            if self._status is TxnStatus.ACTIVE:
+        if self.is_active:
+            if exc_type is None:
+                self.commit()
+            else:
                 self.abort()
-            return False
-        if self._status is TxnStatus.ACTIVE:
-            self.commit()
         return False
 
     def __repr__(self) -> str:

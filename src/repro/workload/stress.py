@@ -111,7 +111,6 @@ class StressReport:
     lost_updates: int
     commit_times_monotone: bool
     serial_equivalent: bool
-    manager_accepts_begin_after_run: bool = True
     #: Chaos mode only.
     crash_injected: Optional[str] = None
     recovered_records: Optional[int] = None
@@ -165,7 +164,6 @@ class StressReport:
         return (exact and self.lost_updates == 0
                 and self.commit_times_monotone and self.serial_equivalent
                 and self.recovery_is_durable_prefix is not False
-                and self.manager_accepts_begin_after_run
                 and self.replica_converged is not False
                 and self.replica_digest_match is not False)
 
@@ -581,12 +579,6 @@ def run_stress(kind: Type[Database] = TemporalDatabase,
     # -- audit ---------------------------------------------------------------
     applied = sum(row["v"] for row in store.snapshot(RELATION))
     audited = list(pipelines)  # every history that must be serial
-    accepts_begin = True
-    try:
-        for pipeline in pipelines:
-            pipeline.manager.begin().abort()
-    except ReproError:
-        accepts_begin = False
 
     per_shard = [
         {"shard": sid,
@@ -658,7 +650,6 @@ def run_stress(kind: Type[Database] = TemporalDatabase,
         lost_updates=max(0, -delta),
         commit_times_monotone=monotone,
         serial_equivalent=serial_ok,
-        manager_accepts_begin_after_run=accepts_begin,
         crash_injected=faults.value if faults is not None else None,
         recovered_records=recovery.get("records_total"),
         recovery_reapplied=recovery.get("reapplied"),

@@ -5,12 +5,13 @@ import threading
 import pytest
 
 from repro.concurrency import (AdmissionController, ConcurrentSession,
-                              RetryPolicy, SessionLayer, SessionStatus)
+                              RetryPolicy, SessionLayer)
 from repro.core import StaticDatabase, TemporalDatabase
 from repro.errors import (ConflictError, DeadlineExceeded,
                          TransactionStateError)
 from repro.relational import Domain, Schema
 from repro.time import SimulatedClock
+from repro.txn import TxnStatus
 
 
 class FakeClock:
@@ -63,7 +64,7 @@ class TestSessionBasics:
         assert value(database) == 0  # still buffered
         session.commit()
         assert value(database) == 1
-        assert session.status is SessionStatus.COMMITTED
+        assert session.status is TxnStatus.COMMITTED
         assert session.commit_time is not None
 
     def test_reads_track_the_footprint(self):
@@ -78,7 +79,7 @@ class TestSessionBasics:
         session = database.sessions().begin()
         session.read("counters")
         assert session.commit() is None
-        assert session.status is SessionStatus.COMMITTED
+        assert session.status is TxnStatus.COMMITTED
         assert len(database.log) == 2  # define + seed only
 
     def test_aborted_session_rejects_further_work(self):
@@ -99,7 +100,7 @@ class TestSessionBasics:
                 session.replace("counters", {"k": "a"}, {"v": 99})
                 raise RuntimeError("application bug")
         assert value(database) == 5
-        assert session.status is SessionStatus.ABORTED
+        assert session.status is TxnStatus.ABORTED
 
     def test_temporal_kind_takes_valid_time_keywords(self):
         database = counters_db(TemporalDatabase)
@@ -127,7 +128,7 @@ class TestFirstCommitterWins:
             loser.commit()
         assert excinfo.value.retryable
         assert "counters" in excinfo.value.relations
-        assert loser.status is SessionStatus.ABORTED
+        assert loser.status is TxnStatus.ABORTED
         assert value(database) == 2  # winner stood
 
     def test_read_only_session_still_validates_its_reads(self):
@@ -173,7 +174,7 @@ class TestFirstCommitterWins:
         assert certified.wait(timeout=10.0)
         lock_holder.join(timeout=10.0)
         committer.join(timeout=10.0)
-        assert reader.status is SessionStatus.COMMITTED
+        assert reader.status is TxnStatus.COMMITTED
 
     def test_disjoint_footprints_do_not_conflict(self):
         database = counters_db()

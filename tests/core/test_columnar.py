@@ -261,9 +261,14 @@ class TestColumnarCache:
         assert not cache.ready("faculty")
 
     def test_unindexed_database_has_no_cache(self, kernels):
-        database, _ = build_faculty(TemporalDatabase, index=False)
-        assert database.columnar_cache is None
-        assert database.result_cache is None
+        # The store's own scan is the cache-free path (and the oracle):
+        # it answers without building a chunk or a result entry.
+        database, _ = build_faculty(TemporalDatabase)
+        scanned = database.store("faculty").visible(
+            Instant.parse("12/10/82"))
+        assert set(scanned) == set(database.visible("faculty", "12/10/82"))
+        assert database.columnar_cache.describe()["relations"] == []
+        assert database.result_cache.describe()["size"] == 0
 
     def test_describe_is_deterministic(self, kernels):
         database, _ = build_faculty(TemporalDatabase)

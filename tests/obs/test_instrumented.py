@@ -6,6 +6,7 @@ from repro import obs
 from repro.core import StaticDatabase, TemporalDatabase
 from repro.errors import TransactionStateError
 from repro.tquel import Session
+from repro.time import Instant
 
 from tests.conftest import build_faculty
 
@@ -156,11 +157,15 @@ class TestTQuelInstrumentation:
         assert "phases: lex" in text
 
     def test_explain_scan_when_index_disabled(self):
-        database, _ = build_faculty(TemporalDatabase, index=False)
-        session = Session(database)
+        # plan="naive" is the scan: the store walks every stored row.
+        database, _ = build_faculty(TemporalDatabase)
+        session = Session(database, plan="naive")
         session.execute("range of f is faculty")
-        plan = session.explain_plan('retrieve (f.rank) as of "12/10/82"')
-        assert plan["variables"]["f"]["index"] == "scan (index disabled)"
+        stream = session.explain_plan(
+            'retrieve (f.rank) as of "12/10/82"')["variables"]["f"]
+        assert stream["plan_reason"] == "forced plan 'naive'"
+        assert stream["candidates"] == len(database.store("faculty").visible(
+            Instant.parse("12/10/82")))
 
     def test_explain_leaves_global_registry_untouched(self):
         with obs.recording() as inst:

@@ -134,6 +134,36 @@ class TestDeadlines:
             await client.close()
         run(scenario())
 
+    def test_a_lost_frame_costs_one_attempt_not_the_budget(self):
+        # The first connection swallows the request; the attempt may
+        # wait only for its share of the budget (1.2 s over 4 attempts),
+        # so the retry policy gets its second attempt and that one lands.
+        async def scenario():
+            database = TemporalDatabase()
+            define_counters(database)
+            server = ReproServer(database, ServerConfig())
+            live = make_connector({"a": server})
+            calls = []
+
+            async def first_is_dead_air(endpoint):
+                calls.append(endpoint)
+                if len(calls) == 1:
+                    client_end, _server_end = open_pipe()
+                    return client_end, client_end
+                return await live(endpoint)
+
+            client = ReproClient(["a"], connector=first_is_dead_air,
+                                 retry=RetryPolicy(max_attempts=4,
+                                                   base_delay=0.001,
+                                                   seed=1),
+                                 preamble=["range of c is counters"])
+            result = await client.query("retrieve (c.k)", budget_ms=1200.0)
+            assert result.attempts == 2 and result.row_count == 0
+            assert client.stats["timeouts"] == 1
+            await client.close()
+            server.shutdown()
+        run(scenario())
+
 
 class TestReadYourWrites:
     def test_tokens_fold_and_gate_ryw_reads(self):

@@ -13,8 +13,10 @@ again changes nothing.
 import pytest
 
 from repro.core import StaticDatabase
-from repro.relational import Domain, Schema
-from repro.sharding import ShardedDurabilityManager, sharded_digest
+from repro.errors import ConstraintViolation
+from repro.relational import CheckConstraint, Domain, Schema, attr
+from repro.sharding import (ShardedDatabase, ShardedDurabilityManager,
+                            sharded_digest)
 from repro.storage.faults import CrashPoint, FaultyIO, SimulatedCrash
 from repro.storage.io import REAL_IO, StorageIO
 
@@ -153,6 +155,53 @@ class TestCrashMatrix:
             assert sharded_digest(twice) == sharded_digest(recovered)
             assert report2.reapplied == 0
             assert balances(twice, key_a, key_b) == (a, b)
+
+
+class TestPrepareVote:
+    """A participant votes yes only for a batch it can apply."""
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["in-memory", "durable"])
+    def test_a_constraint_violation_on_one_shard_commits_on_none(
+            self, tmp_path, durable):
+        # The rehearsal runs the constraint check: shard 0's part is
+        # fine, shard 1's violates v >= 0, so the transaction aborts
+        # before any 2PC record is written — not after shard 0 applied.
+        counter = _CountingIO()
+        if durable:
+            manager = ShardedDurabilityManager(str(tmp_path), shards=2,
+                                               io=counter)
+            store, _ = manager.recover(StaticDatabase)
+        else:
+            store = ShardedDatabase(StaticDatabase, shards=2)
+        store.define("c", Schema.of(key=["k"], k=Domain.STRING,
+                                    v=Domain.INTEGER),
+                     constraints=[CheckConstraint(attr("v") >= 0)])
+        on_shard = {}
+        for i in range(8):
+            on_shard.setdefault(store.shard_of_key("c", {"k": f"k{i}"}),
+                                f"k{i}")
+        fine, doomed = on_shard[0], on_shard[1]
+        for key in (fine, doomed):
+            store.insert("c", {"k": key, "v": 1})
+        before = sharded_digest(store)
+        vector, appends = store.log.vector(), counter.appends
+
+        with pytest.raises(ConstraintViolation):
+            with store.begin() as txn:
+                store.replace("c", {"k": fine}, {"v": 5}, txn=txn)
+                store.replace("c", {"k": doomed}, {"v": -1}, txn=txn)
+
+        assert {row["k"]: row["v"] for row in store.snapshot("c")} == {
+            fine: 1, doomed: 1}
+        assert sharded_digest(store) == before
+        assert store.log.vector() == vector
+        assert counter.appends == appends  # no prepare, decision or commit
+        if durable:
+            recovered, report = ShardedDurabilityManager(
+                str(tmp_path)).recover(StaticDatabase)
+            assert sharded_digest(recovered) == before
+            assert (report.in_doubt_aborted, report.reapplied) == (0, 0)
 
 
 class TestPhaseBoundaries:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import JournalError, TransactionStateError
+from repro.errors import JournalError
 from repro.time import Instant, SimulatedClock
 from repro.txn import CommitLog, Operation, TransactionManager
 
@@ -76,13 +76,20 @@ class TestTransactionManager:
         times = [manager.run([]) for _ in range(5)]
         assert all(a < b for a, b in zip(times, times[1:]))
 
-    def test_single_writer(self):
-        manager, _ = self.make()
-        txn = manager.begin()
-        with pytest.raises(TransactionStateError, match="single-writer"):
-            manager.begin()
-        txn.abort()
-        manager.begin()  # allowed again
+    def test_open_transactions_commit_in_commit_order(self):
+        # No single-writer slot: any number may be open, and the serial
+        # history is the order of commits, not of begin() calls.
+        manager, applied = self.make()
+        first, second = manager.begin(), manager.begin()
+        assert first.txn_id < second.txn_id
+        first.add(Operation("insert", "r", {"n": 1}))
+        second.add(Operation("insert", "r", {"n": 2}))
+        later, earlier = second.commit(), manager.run([])
+        assert later < earlier < first.commit()
+        assert [record.operations for record in manager.log] == [
+            second.operations, (), first.operations]
+        assert [ops for ops, _ in applied] == [
+            second.operations, (), first.operations]
 
     def test_aborted_transaction_leaves_no_trace(self):
         manager, applied = self.make()
@@ -141,17 +148,11 @@ class TestTransactionManager:
         times = [record.commit_time for record in manager.log]
         assert all(a < b for a, b in zip(times, times[1:]))
 
-    def test_explicit_begin_still_single_writer_under_run(self):
+    def test_run_commits_while_an_explicit_transaction_is_open(self):
         manager, _ = self.make()
         txn = manager.begin()
-        with pytest.raises(TransactionStateError):
-            manager.begin()
+        txn.add(Operation("insert", "r", {}))
+        manager.run([Operation("insert", "r", {})])  # does not wait for txn
+        assert len(manager.log) == 1 and txn.is_active
         txn.commit()
-
-    def test_active_property(self):
-        manager, _ = self.make()
-        assert manager.active is None
-        txn = manager.begin()
-        assert manager.active is txn
-        txn.commit()
-        assert manager.active is None
+        assert len(manager.log) == 2

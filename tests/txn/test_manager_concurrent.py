@@ -13,6 +13,9 @@ from repro.time import SimulatedClock
 from repro.txn.transaction import Operation
 
 
+WAIT = 30  # seconds; a bound on every hand-off, never a pacing device
+
+
 def fresh_db():
     database = StaticDatabase(clock=SimulatedClock("01/01/80"))
     database.define("r", Schema.of(key=["k"], k=Domain.STRING,
@@ -35,10 +38,10 @@ class TestFailureRelease:
             with database.begin() as txn:
                 database.insert("r", {"k": "a", "v": 1}, txn=txn)
                 # commit on exit applies and rejects the duplicate key
-        replacement = database.manager.begin()  # must be accepted
-        replacement.abort()
-        assert database.manager.active is None
-        assert len(database.log) == 2  # define + the seed insert only
+        assert not txn.is_active
+        with database.begin() as replacement:  # must be accepted, and commit
+            database.insert("r", {"k": "b", "v": 1}, txn=replacement)
+        assert len(database.log) == 3  # define, the seed insert, replacement
 
     def test_on_commit_failure_releases_the_active_slot(self):
         database = fresh_db()
@@ -66,16 +69,47 @@ class TestFailureRelease:
             txn.commit()  # dead is dead
 
 
-class TestSingleWriter:
-    def test_second_begin_names_the_holding_transaction(self):
-        database = fresh_db()
-        holder = database.begin()
-        with pytest.raises(TransactionStateError) as excinfo:
-            database.begin()
-        assert f"transaction {holder.txn_id} " in str(excinfo.value)
-        assert "single-writer" in str(excinfo.value)
-        holder.abort()
+class TestOpenTransactions:
+    """There is no single-writer slot: open transactions buffer freely
+    and serialize when they commit."""
 
+    def test_two_threads_hold_open_transactions_and_both_commit(self):
+        database = fresh_db()
+        opened = [threading.Event(), threading.Event()]
+        go = [threading.Event(), threading.Event()]
+        times, failures = {}, []
+
+        def writer(index):
+            try:
+                with database.begin() as txn:
+                    database.insert("r", {"k": f"w{index}", "v": index},
+                                    txn=txn)
+                    opened[index].set()
+                    assert go[index].wait(timeout=WAIT)
+                times[index] = txn.commit_time
+            except Exception as error:  # pragma: no cover - diagnostic
+                failures.append(error)
+
+        threads = [threading.Thread(target=writer, args=(i,), daemon=True)
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        # Both are open, with buffered writes, at the same time ...
+        assert all(event.wait(timeout=WAIT) for event in opened)
+        assert len(database.snapshot("r")) == 0
+        # ... and commit in the order they are released, not begun.
+        go[1].set()
+        threads[1].join(timeout=WAIT)
+        go[0].set()
+        threads[0].join(timeout=WAIT)
+        assert failures == [] and not any(t.is_alive() for t in threads)
+        assert times[1] < times[0]
+        assert [record.commit_time for record in database.log][-2:] == [
+            times[1], times[0]]
+        assert {row["k"] for row in database.snapshot("r")} == {"w0", "w1"}
+
+
+class TestSingleWriter:
     def test_racing_run_calls_serialize_into_n_monotone_commits(self):
         database = fresh_db()
         threads_n, per_thread = 8, 20
@@ -108,12 +142,14 @@ class TestValidateSeam:
         events = []
 
         def validate():
-            events.append(("active", database.manager.active))
+            events.append(database.manager.clock.last)
             raise ConflictError("rejected")
 
+        before = database.manager.clock.last
         with pytest.raises(ConflictError):
             database.manager.run([insert_op("a")], validate=validate)
-        assert events == [("active", None)]  # ran before any begin
+        assert events == [before]  # ran before the tick
+        assert database.manager.clock.last == before
         assert len(database.log) == 1  # nothing ticked, nothing applied
 
     def test_validate_passing_lets_the_commit_through(self):
