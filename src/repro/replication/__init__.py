@@ -29,7 +29,7 @@ The pieces (consistency contract in docs/REPLICATION.md):
   fresh epoch.
 """
 
-from repro.replication.digest import canonical_state, state_digest
+from repro.replication.digest import state_digest
 from repro.replication.failover import (EPOCH_FILE, FailoverCoordinator,
                                         PromotionReport, read_epoch,
                                         write_epoch)
@@ -58,7 +58,6 @@ __all__ = [
     "Replica",
     "Transport",
     "TransportFault",
-    "canonical_state",
     "catchup_message",
     "decode_message",
     "digest_message",

@@ -19,6 +19,13 @@ The digest is a SHA-256 over the canonical form of
   allowed to disagree on;
 - the result is serialized with sorted keys and hashed.
 
+**One pass.**  :func:`~repro.storage.serializer.canonical_dump` hands
+back the dump with each row already its canonical JSON text, written
+once (each distinct instant formatted once per call); this module sorts
+those texts, splices them into the header the other fields make, and
+hashes the bytes ``json.dumps(sorted dump, sort_keys=True,
+ensure_ascii=False)`` would have produced.
+
 Because transaction time is append-only and replay is deterministic,
 two nodes that applied the same commit prefix *must* hash equal — the
 dump excludes the in-memory commit log precisely so the digest
@@ -31,41 +38,41 @@ want the full digest (failover audits, ``repro digest``) should not pay
 it twice when nothing committed in between.  :func:`state_digest`
 caches its result *on the database object*, keyed by the identity of
 the last commit record — state only changes through commits, so an
-unchanged log tail means an unchanged state.  Pass ``cache=False`` to
-force a fresh serialization (the benchmark's honest baseline).
+unchanged log tail means an unchanged state.  ``cache=False`` keeps
+nothing from one call to the next, not even the instant memo: every
+call re-reads and re-encodes every row (the detector of last resort).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.obs import runtime as _obs
-from repro.storage.serializer import dump_database
+from repro.storage.serializer import RowTexts, canonical_dump
 
 #: Attribute the memo rides on (per database object; never cross-object).
 _CACHE_ATTR = "_repro_digest_memo"
+#: One value's canonical JSON text.
+_text = functools.partial(json.dumps, sort_keys=True, ensure_ascii=False)
 
 
-def _canonical_json(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, ensure_ascii=False)
-
-
-def canonical_state(database) -> Dict[str, Any]:
-    """The dump of *database* normalized for digesting (a fresh dict)."""
-    data = dump_database(database)
-    data.pop("clock_last", None)
-    for entry in data.get("relations", {}).values():
-        store = entry.get("store")
-        if not isinstance(store, dict):
-            continue
-        canonical = dict(store)
-        for field, rows in store.items():
-            if isinstance(rows, list):
-                canonical[field] = sorted(rows, key=_canonical_json)
-        entry["store"] = canonical
-    return data
+def _pieces(value: Any) -> Iterator[str]:
+    """*value* as ``json.dumps(value, sort_keys=True, ensure_ascii=False)``
+    writes it, in pieces, a store's :class:`RowTexts` sorted and spliced
+    in (joined once, not copied at every level of nesting)."""
+    if isinstance(value, RowTexts):
+        yield "[" + ", ".join(sorted(value)) + "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for index, (key, item) in enumerate(sorted(value.items())):
+            yield (", " if index else "") + _text(key) + ": "
+            yield from _pieces(item)
+        yield "}"
+    else:
+        yield _text(value)
 
 
 def _memo_key(database) -> Optional[Tuple[int, Any]]:
@@ -96,7 +103,7 @@ def state_digest(database, cache: bool = True) -> str:
                 and memo[0][1] is key[1]):
             _obs.current().metrics.counter("digest.cache_hits").inc()
             return memo[1]
-    payload = _canonical_json(canonical_state(database))
+    payload = "".join(_pieces(canonical_dump(database)))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     if key is not None:
         try:

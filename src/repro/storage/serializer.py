@@ -21,7 +21,9 @@ Every timestamped row goes through one codec (:func:`encode_rows`).  A
 store that keeps transaction time is dumped whole, or — for a checkpoint,
 which writes the immutable closed rows once, elsewhere — as its open
 partition only (``dump_database(closed=False)``); :func:`restore_closed`
-puts the closed rows back, giving the whole dump again.
+puts the closed rows back, giving the whole dump again.  A state digest
+reads the dump as text (:func:`canonical_dump`, :func:`row_texts`), each
+row written straight from the store through the same :func:`encode_value`.
 
 **Durability obligations.**  ``dump_database`` is the payload of every
 checkpoint (:mod:`repro.storage.checkpoint`), so its completeness is
@@ -35,8 +37,11 @@ the wrong instants.  This module only produces and consumes JSON text;
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+from json.encoder import c_make_encoder, encode_basestring
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional)
 from typing import Tuple as PyTuple
 
 from repro.core.historical import (HistoricalDatabase, HistoricalRelation,
@@ -46,7 +51,6 @@ from repro.core.rollback import (INTERVAL, RollbackDatabase,
                                  TransactionTimeRow)
 from repro.core.static import StaticDatabase
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
-from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import StorageError
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation
@@ -73,20 +77,26 @@ _BUILTIN_DOMAINS = {
 # Values
 # ---------------------------------------------------------------------------
 
-def encode_value(value: Any) -> Any:
-    """Encode one value as JSON-compatible data."""
+def encode_value(value: Any, memo: Optional[Dict[Instant, Any]] = None) -> Any:
+    """Encode one value as JSON-compatible data.  A caller encoding many
+    values passes one *memo*: each distinct instant is then formatted
+    once, its occurrences sharing that (never mutated) encoding."""
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
-    if isinstance(value, Instant):
-        if value.is_pos_inf:
-            return {"$instant": "inf"}
-        if value.is_neg_inf:
-            return {"$instant": "-inf"}
-        return {"$instant": value.isoformat(),
-                "granularity": value.granularity.value}
     if isinstance(value, Period):
-        return {"$period": [encode_value(value.start), encode_value(value.end)]}
-    raise StorageError(f"cannot serialize value {value!r}")
+        return {"$period": [encode_value(value.start, memo),
+                            encode_value(value.end, memo)]}
+    if not isinstance(value, Instant):
+        raise StorageError(f"cannot serialize value {value!r}")
+    if not value.is_finite:
+        return {"$instant": "inf" if value.is_pos_inf else "-inf"}
+    encoded = memo.get(value) if memo is not None else None
+    if encoded is None:
+        encoded = {"$instant": value.isoformat(),
+                   "granularity": value.granularity.value}
+        if memo is not None:
+            memo[value] = encoded
+    return encoded
 
 
 #: The instants one load has decoded, by ``(literal, granularity)``.
@@ -180,8 +190,13 @@ def schema_from_dict(data: Dict[str, Any]) -> Schema:
 # Relations (all four storage shapes)
 # ---------------------------------------------------------------------------
 
-def _tuple_to_list(row: Tuple) -> List[Any]:
-    return [encode_value(value) for value in row.values]
+def _encode_tuples(tuples: Iterable[Tuple]) -> List[List[Any]]:
+    return [[encode_value(value) for value in row.values] for row in tuples]
+
+
+def _encode_states(states: Iterable[Any]) -> List[List[Any]]:
+    return [[encode_value(time), _encode_tuples(state)]
+            for time, state in states]
 
 
 def _tuple_from_list(schema: Schema, values: List[Any],
@@ -193,10 +208,44 @@ def _tuple_from_list(schema: Schema, values: List[Any],
 def encode_rows(rows: Iterable[Any]) -> List[List[Any]]:
     """The one codec of timestamped rows: ``[values, *stamps]`` each — a
     historical row's valid period, a rollback row's transaction period, a
-    bitemporal row's both."""
-    encode = encode_value
+    bitemporal row's both.  Each distinct instant is formatted once."""
+    encode = functools.partial(encode_value, memo={})
     return [[list(map(encode, row[0].values)), *map(encode, row[1:])]
             for row in rows]
+
+
+def _json_writer(default: Callable[[Any], Any]) -> Callable[[Any], str]:
+    """``JSONEncoder(sort_keys=True, ensure_ascii=False, default=default)
+    .encode`` with its C encoder built once, not on every call."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                check_circular=False, default=default).encode
+    write = c_make_encoder(None, default, encode_basestring, None, ": ",
+                           ", ", True, False, True)
+    return lambda value: "".join(write(value, 0))
+
+
+class RowTexts(list):
+    """A store's rows, each as its canonical JSON text."""
+
+
+def row_texts(rows: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
+    """Each stored row's :func:`store_to_dict` form as ``json.dumps(...,
+    sort_keys=True, ensure_ascii=False)`` writes it: a tuple's values in
+    one encoder call, each distinct stamp once (instants through *memo*)."""
+    text = _json_writer(functools.partial(encode_value, memo=memo))
+    stamps: Dict[Any, str] = {}
+
+    def item(value: Any) -> str:
+        if isinstance(value, (Instant, Period)):
+            found = stamps.get(value)
+            if found is None:
+                found = stamps[value] = text(encode_value(value, memo))
+            return found
+        if isinstance(value, (tuple, Relation)):
+            return "[" + ", ".join(map(item, value)) + "]"
+        return text(value.values)
+    return RowTexts(map(item, rows))
 
 
 def _decode_rows(schema: Schema, row_type: Any, data: Iterable[List[Any]],
@@ -207,44 +256,27 @@ def _decode_rows(schema: Schema, row_type: Any, data: Iterable[List[Any]],
                        *[decode_value(stamp, memo) for stamp in stamps])
 
 
-def relation_to_dict(relation: Relation) -> Dict[str, Any]:
-    """Serialize a static relation."""
-    return {"kind": "static", "schema": schema_to_dict(relation.schema),
-            "tuples": [_tuple_to_list(row) for row in relation]}
-
-
-def historical_to_dict(relation: HistoricalRelation) -> Dict[str, Any]:
-    """Serialize a historical relation."""
-    return {"kind": "historical", "schema": schema_to_dict(relation.schema),
-            "rows": encode_rows(relation.rows)}
-
-
-def _stamped_to_dict(kind: str, store: TransactionTimeStore,
-                     closed: bool) -> Dict[str, Any]:
+def store_to_dict(store: Any, closed: bool = True,
+                  encode: Optional[Callable[..., List[Any]]] = None
+                  ) -> Dict[str, Any]:
+    """Serialize a stored value by what it *is*, whichever database holds
+    it (``closed=False``: a store keeping transaction time gives its open
+    partition only); *encode*, if given, writes the rows."""
+    if isinstance(store, (TemporalRelation, RollbackRelation)):
+        kind = "temporal" if isinstance(store, TemporalRelation) else "rollback"
+        rows = store.rows if closed else store.open_rows()
+        field, plain = "rows", encode_rows
+    elif isinstance(store, StateSequence):
+        kind, field, rows = "states", "states", store.states
+        plain = _encode_states
+    elif isinstance(store, HistoricalRelation):
+        kind, field, rows, plain = "historical", "rows", store.rows, encode_rows
+    elif isinstance(store, Relation):
+        kind, field, rows, plain = "static", "tuples", store, _encode_tuples
+    else:
+        raise StorageError(f"cannot dump store {store!r}")
     return {"kind": kind, "schema": schema_to_dict(store.schema),
-            "rows": encode_rows(store.rows if closed else store.open_rows())}
-
-
-def rollback_to_dict(relation: RollbackRelation,
-                     closed: bool = True) -> Dict[str, Any]:
-    """Serialize an interval-stamped rollback relation (``closed=False``:
-    its open partition only)."""
-    return _stamped_to_dict("rollback", relation, closed)
-
-
-def states_to_dict(sequence: StateSequence) -> Dict[str, Any]:
-    """Serialize a state-sequence rollback store."""
-    return {"kind": "states", "schema": schema_to_dict(sequence.schema),
-            "states": [[encode_value(time),
-                        [_tuple_to_list(row) for row in state]]
-                       for time, state in sequence.states]}
-
-
-def temporal_to_dict(relation: TemporalRelation,
-                     closed: bool = True) -> Dict[str, Any]:
-    """Serialize a bitemporal relation (``closed=False``: its open
-    partition only)."""
-    return _stamped_to_dict("temporal", relation, closed)
+            field: (encode or plain)(rows)}
 
 
 #: Dump ``kind`` of the three row-stamped shapes -> (store type, row type).
@@ -257,7 +289,7 @@ _ROW_SHAPES = {
 
 def relation_from_dict(data: Dict[str, Any],
                        memo: Optional[InstantMemo] = None):
-    """Deserialize any relation shape produced by the ``*_to_dict`` functions."""
+    """Deserialize any store shape produced by :func:`store_to_dict`."""
     schema = schema_from_dict(data["schema"])
     kind = data.get("kind")
     memo = {} if memo is None else memo
@@ -289,20 +321,20 @@ _DB_CLASSES = {
 }
 
 
-def _store_to_dict(store: Any, closed: bool = True) -> Dict[str, Any]:
-    """Serialize a stored value by what it *is*, whichever kind of database
-    holds it."""
-    if isinstance(store, TemporalRelation):
-        return temporal_to_dict(store, closed)
-    if isinstance(store, RollbackRelation):
-        return rollback_to_dict(store, closed)
-    if isinstance(store, StateSequence):
-        return states_to_dict(store)
-    if isinstance(store, HistoricalRelation):
-        return historical_to_dict(store)
-    if isinstance(store, Relation):
-        return relation_to_dict(store)
-    raise StorageError(f"cannot dump store {store!r}")
+def _dump(database, closed: bool,
+          encode: Optional[Callable[..., List[Any]]] = None) -> Dict[str, Any]:
+    """A whole database's dump but the clock (see :func:`store_to_dict`)."""
+    relations = {}
+    is_event = getattr(database, "is_event_relation", None)
+    for name in database.relation_names():
+        relations[name] = entry = {
+            "schema": schema_to_dict(database.schema(name)),
+            "store": store_to_dict(database.store(name), closed, encode)}
+        if is_event is not None and is_event(name):
+            entry["event"] = True
+    return {"version": FORMAT_VERSION, "kind": database.kind.value,
+            "representation": getattr(database, "representation", None),
+            "relations": relations}
 
 
 def dump_database(database, closed: bool = True) -> Dict[str, Any]:
@@ -314,24 +346,16 @@ def dump_database(database, closed: bool = True) -> Dict[str, Any]:
     its open rows only: the dump is then O(current state), and is whole
     again once :func:`restore_closed` is given the rows left out.
     """
-    relations = {}
-    for name in database.relation_names():
-        entry = {
-            "schema": schema_to_dict(database.schema(name)),
-            "store": _store_to_dict(database.store(name), closed),
-        }
-        is_event = getattr(database, "is_event_relation", None)
-        if is_event is not None and is_event(name):
-            entry["event"] = True
-        relations[name] = entry
+    data = _dump(database, closed)
     last = database.manager.clock.last
-    return {
-        "version": FORMAT_VERSION,
-        "kind": database.kind.value,
-        "representation": getattr(database, "representation", None),
-        "clock_last": encode_value(last) if last is not None else None,
-        "relations": relations,
-    }
+    data["clock_last"] = encode_value(last) if last is not None else None
+    return data
+
+
+def canonical_dump(database) -> Dict[str, Any]:
+    """:func:`dump_database` as a state digest reads it: no clock, each row
+    its :func:`row_texts` text, from a memo that dies with the call."""
+    return _dump(database, True, functools.partial(row_texts, memo={}))
 
 
 def restore_closed(data: Dict[str, Any],

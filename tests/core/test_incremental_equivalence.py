@@ -365,11 +365,11 @@ class TestRollbackEquivalence:
         # same rows are equal (and hash alike), whatever their lineage —
         # a serializer round trip of a rollback store equals its source.
         from repro.storage.serializer import (relation_from_dict,
-                                              rollback_to_dict)
+                                              store_to_dict)
         store = _drive_rollback(5, INTERVAL).store("r")
         assert (RollbackRelation(store.schema, store.rows)
                 == RollbackRelation(store.schema, store.rows))
-        loaded = relation_from_dict(rollback_to_dict(store))
+        loaded = relation_from_dict(store_to_dict(store))
         assert loaded == store and hash(loaded) == hash(store)
         assert loaded is not store and loaded._lineage is not store._lineage
         assert RollbackRelation(store.schema, store.rows[1:]) != store

@@ -14,10 +14,11 @@ from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
 from repro.errors import DivergenceError, ReplicaLagging
 from repro.replication import (FaultyTransport, InProcessTransport, Primary,
-                               Replica, canonical_state, state_digest)
+                               Replica, state_digest)
 from repro.storage import DurabilityManager
 from repro.time import SimulatedClock
 
+from tests.replication.digest_oracle import canonical_state
 from tests.storage.probes import drive_faculty, observations, paper_answers
 
 ALL_KINDS = [StaticDatabase, RollbackDatabase, HistoricalDatabase,

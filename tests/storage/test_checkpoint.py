@@ -175,7 +175,8 @@ def second_checkpoint_cost(db_class, directory, history, monkeypatch):
     calls = []
     real = serializer.encode_value
     monkeypatch.setattr(serializer, "encode_value",
-                        lambda value: calls.append(1) or real(value))
+                        lambda value, memo=None: calls.append(1)
+                        or real(value, memo))
     manager.checkpoint()
     monkeypatch.undo()
     assert database.store("faculty").open_count == KEYS

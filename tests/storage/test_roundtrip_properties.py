@@ -12,7 +12,7 @@ from repro.relational import Attribute, Domain, Relation, Schema, Tuple
 from repro.storage import (export_csv, export_historical_csv,
                            export_temporal_csv, import_csv,
                            import_historical_csv, import_temporal_csv)
-from repro.storage.serializer import relation_from_dict, relation_to_dict
+from repro.storage.serializer import relation_from_dict, store_to_dict
 from repro.time import Instant, POS_INF, Period
 
 SCHEMA = Schema([
@@ -88,21 +88,19 @@ class TestJsonRoundTrips:
     @settings(max_examples=60, deadline=None)
     def test_static_json(self, rows):
         relation = Relation(SCHEMA, rows)
-        assert relation_from_dict(relation_to_dict(relation)) == relation
+        assert relation_from_dict(store_to_dict(relation)) == relation
 
     @given(st.lists(st.tuples(tuples(), periods()), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_historical_json(self, raw):
-        from repro.storage.serializer import historical_to_dict
         relation = HistoricalRelation(
             SCHEMA, (HistoricalRow(data, valid) for data, valid in raw))
-        assert relation_from_dict(historical_to_dict(relation)) == relation
+        assert relation_from_dict(store_to_dict(relation)) == relation
 
     @given(st.lists(st.tuples(tuples(), periods(), periods()), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_temporal_json(self, raw):
-        from repro.storage.serializer import temporal_to_dict
         relation = TemporalRelation(
             SCHEMA, (BitemporalRow(data, valid, tt)
                      for data, valid, tt in raw))
-        assert relation_from_dict(temporal_to_dict(relation)) == relation
+        assert relation_from_dict(store_to_dict(relation)) == relation
