@@ -14,9 +14,7 @@ foundation:
 - :mod:`~repro.relational.relation` — relations with the full relational
   algebra (select, project, join, union, difference, product, rename);
 - :mod:`~repro.relational.aggregate` — aggregation and grouping;
-- :mod:`~repro.relational.index` — hash and ordered secondary indexes;
-- :mod:`~repro.relational.constraints` — key / not-null / check constraints;
-- :mod:`~repro.relational.catalog` — the named-relation catalog.
+- :mod:`~repro.relational.constraints` — key / not-null / check constraints.
 """
 
 from repro.relational.domain import Domain
@@ -26,7 +24,6 @@ from repro.relational.relation import Relation
 from repro.relational.expression import (
     And, AttrRef, BinaryOp, Comparison, Const, Expression, Not, Or, attr, const,
 )
-from repro.relational.catalog import Catalog
 from repro.relational.constraints import (
     CheckConstraint, Constraint, KeyConstraint, NotNullConstraint,
 )
@@ -36,7 +33,6 @@ __all__ = [
     "AttrRef",
     "Attribute",
     "BinaryOp",
-    "Catalog",
     "CheckConstraint",
     "Comparison",
     "Const",

@@ -20,13 +20,16 @@ Two kinds of file, each a single framed record
     content: a file is never rewritten with different bytes, so every
     checkpoint that names it keeps standing on what it saw.
 ``checkpoint-<commit_index padded to 8>.ckpt``
-    Tag ``c1``.  ``{"format", "commit_index", "chain_head", "database",
-    "history"}`` — ``database`` is
+    Tag ``c1``.  ``{"format", "commit_index", "chain_head",
+    "sealed_journal", "database", "history"}`` — ``database`` is
     ``dump_database(closed=False)`` (static and historical kinds have no
     immutable past and are dumped whole, as before); ``history`` is the
     manifest, a list of ``[file name, sha256, {relation: row count}]`` in
     sealing order.  ``commit_index`` counts the journal records the state
     incorporates; recovery replays only the records at or after it.
+    ``sealed_journal`` folds the journal segments below ``commit_index``
+    (:func:`~repro.storage.recovery.fold_segment`) into one SHA-256;
+    absent when the writer did not know their bytes (adopted snapshot).
 
 **Durability obligations.**  Both files are published atomically with
 ``fsync`` (:meth:`~repro.storage.io.StorageIO.write_atomic`), the history
@@ -61,7 +64,7 @@ from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.serializer import (dump_database, encode_rows,
                                       restore_closed)
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 HISTORY_FORMAT = 1
 
 _NAME = re.compile(r"^checkpoint-(\d{8,})\.ckpt$")
@@ -105,7 +108,8 @@ def _read_framed(path: str, tag: str, what: str
 
 def checkpoint_bytes(database, commit_index: int,
                      history: List[ManifestEntry],
-                     chain_head: Optional[str] = None) -> bytes:
+                     chain_head: Optional[str] = None,
+                     sealed_journal: Optional[str] = None) -> bytes:
     """The framed on-disk form of a checkpoint (exposed for tests).
 
     Holds the open partition of *database*; its closed rows are the
@@ -113,7 +117,8 @@ def checkpoint_bytes(database, commit_index: int,
     journal's commit-hash chain head at *commit_index*
     (:mod:`repro.storage.chain`); recovery verifies the replayed tail
     links onto it.  ``None`` (an unknown head: pruned prefix segments
-    not yet re-anchored) omits the key.
+    not yet re-anchored) omits the key.  *sealed_journal* is the fold
+    of the journal segments below *commit_index*; ``None`` omits it.
     """
     body: Dict[str, Any] = {
         "format": CHECKPOINT_FORMAT,
@@ -123,6 +128,8 @@ def checkpoint_bytes(database, commit_index: int,
     }
     if chain_head is not None:
         body["chain_head"] = chain_head
+    if sealed_journal is not None:
+        body["sealed_journal"] = sealed_journal
     return _framed(body, CHECKPOINT_TAG)
 
 
@@ -313,7 +320,8 @@ class CheckpointStore:
         return manifest, marks, fresh
 
     def write(self, database, commit_index: int,
-              chain_head: Optional[str] = None) -> str:
+              chain_head: Optional[str] = None,
+              sealed_journal: Optional[str] = None) -> str:
         """Atomically publish a checkpoint of *database*; returns its path.
 
         The rows that closed since the last one are sealed into a history
@@ -345,7 +353,9 @@ class CheckpointStore:
                 obs.metrics.counter("recovery.history_files_written").inc()
             self._io.write_atomic(
                 path, checkpoint_bytes(database, commit_index, manifest,
-                                       chain_head=chain_head), fsync=True)
+                                       chain_head=chain_head,
+                                       sealed_journal=sealed_journal),
+                fsync=True)
         # Only now: a crash (or an injected one the caller survives)
         # between the two writes must leave the rows to be sealed again.
         self._manifest, self._marks = manifest, marks

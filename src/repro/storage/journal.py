@@ -37,6 +37,7 @@ documented exception to "the journal describes everything".
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
@@ -175,8 +176,9 @@ class Journal:
         self._append_lock = threading.Lock()
         # Running commit hash of the file's last chained record; ``None``
         # until known (resolved lazily from disk on the first append, or
-        # seeded by set_head when the caller tracks the stream's head).
+        # seeded by resume when the caller tracks the stream's head).
         self._head: Optional[str] = None
+        self._sha = hashlib.sha256()  # of the file's bytes: see digest
 
     @property
     def path(self) -> str:
@@ -188,10 +190,17 @@ class Journal:
         """The last appended record's commit hash (``None`` = unknown)."""
         return self._head
 
-    def set_head(self, head: Optional[str]) -> None:
-        """Seed the chain head (e.g. a rotated segment continuing a
-        stream whose head the caller tracks)."""
+    @property
+    def digest(self) -> str:
+        """SHA-256 (hex) of the bytes :meth:`resume` seeded and
+        :meth:`record` appended — never re-read from disk."""
+        return self._sha.hexdigest()
+
+    def resume(self, head: Optional[str], data: bytes) -> None:
+        """Continue a stream whose head the caller tracks, in a file whose
+        bytes so far, *data* (``b""`` for a new segment), it verified."""
         self._head = head
+        self._sha = hashlib.sha256(data)
 
     # -- writing -------------------------------------------------------------------
 
@@ -225,9 +234,10 @@ class Journal:
         with self._append_lock:
             prev = prev_hash if prev_hash is not None else self._resolve_prev()
             chained = _chain.chain_entry(entry, prev)
-            line = frame_record(chained, tag=CHAINED_TAG)
-            self._io.append(self._path, (line + "\n").encode("utf-8"),
-                            fsync=self._fsync)
+            data = (frame_record(chained, tag=CHAINED_TAG) + "\n").encode(
+                "utf-8")
+            self._io.append(self._path, data, fsync=self._fsync)
+            self._sha.update(data)
             self._head = chained[_chain.CHAIN_KEY]["commit"]
             head = self._head
         _obs.current().metrics.counter("journal.records").inc()
@@ -262,7 +272,11 @@ class Journal:
         if not os.path.exists(self._path):
             return [], None
         with open(self._path, "rb") as handle:
-            data = handle.read()
+            return self.parse(handle.read())
+
+    def parse(self, data: bytes
+              ) -> Tuple[List[ScannedRecord], Optional[TailDamage]]:
+        """:meth:`scan` over *data*, the file's bytes already in hand."""
         records: List[ScannedRecord] = []
         damage: Optional[TailDamage] = None
         offset = 0

@@ -25,7 +25,15 @@ entire durable state:
    crash mid-append) is truncated; damage anywhere else is a hard
    :class:`~repro.errors.JournalError`, because in an append-only file
    nothing but the tail can be half-written;
-3. replay, in global order, every record whose index is at or after the
+3. verify the segments below the checkpoint's index by one hash: the
+   checkpoint recorded their fold (:func:`fold_segment`), and while they
+   fold to it none of their records is read — the walked head is the
+   checkpoint's ``chain_head``.  Otherwise they are walked, so an error
+   names file and line, and refused even when every record walks clean
+   (:class:`~repro.errors.ChainError`, kind ``tamper``).  No fold applies
+   once an operator pruned the oldest segments, nor under a checkpoint
+   that records none (an adopted snapshot): those are walked;
+4. replay, in global order, every record whose index is at or after the
    checkpoint's, driving the simulated clock so each transaction
    commits at its original instant — verifying, record by record, the
    commit hash chain (:mod:`repro.storage.chain`): every chained record
@@ -35,9 +43,11 @@ entire durable state:
    error, not a silent skip).  A broken or rewritten link raises
    :class:`~repro.errors.ChainError` — its own damage kind, distinct
    from torn tails and CRC corruption;
-4. attach: new commits append to the final segment, and
-   :meth:`DurabilityManager.checkpoint` publishes a fresh checkpoint
-   and rotates to a new segment.
+5. attach: new commits append to the final segment (or start the one
+   a crash kept a checkpoint from rotating to), and
+   :meth:`DurabilityManager.checkpoint` publishes a fresh checkpoint and
+   rotates, folding in the old segment by the running hash of what was
+   appended to it — never by re-reading it.
 
 The recovered database is observationally identical to one that never
 crashed (same snapshots, timeslices, rollbacks and TQuel answers) up to
@@ -48,17 +58,18 @@ Checkpoints are pure optimization: ``recover(use_checkpoint=False)``
 ignores them and replays all of history, and the equivalence tests in
 ``tests/storage/test_recovery.py`` hold the two paths to identical
 answers for every database kind.  Segments strictly below the newest
-checkpoint index may be deleted by an operator to reclaim space —
-history files may **not**: they are the only copy of the closed rows
-outside those very segments.  This module never deletes anything.
+checkpoint index may be deleted by an operator to reclaim space, oldest
+first — history files may **not**: they are the only copy of the closed
+rows outside those very segments.  This module never deletes anything.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import re
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ChainError, JournalError
 from repro.obs import runtime as _obs
@@ -70,6 +81,43 @@ from repro.storage.serializer import load_database
 from repro.time.clock import SimulatedClock
 
 _SEGMENT = re.compile(r"^journal-(\d{8,})\.seg$")
+
+
+def fold_segment(fold: Any, path: str, digest: str) -> None:
+    """Fold one sealed segment into *fold* (a ``hashlib.sha256()``): its
+    file name, then *digest*, the SHA-256 (hex) of its bytes.  A
+    checkpoint's ``sealed_journal`` is the fold of every segment below
+    its index, oldest first."""
+    fold.update((os.path.basename(path) + digest).encode("ascii"))
+
+
+def read_segments(segments: Sequence[Tuple[int, str]]
+                  ) -> Tuple[List[bytes], Any]:
+    """The bytes of *segments* and their fold, which a caller may extend."""
+    fold = hashlib.sha256()
+    blobs = []
+    for _, path in segments:
+        with open(path, "rb") as handle:
+            blobs.append(handle.read())
+        fold_segment(fold, path, hashlib.sha256(blobs[-1]).hexdigest())
+    return blobs, fold
+
+
+def record_lines(data: bytes) -> List[bytes]:
+    """The record-bearing lines of segment bytes, in order."""
+    return [line for line in data.split(b"\n") if line.strip()]
+
+
+def sealed_mismatch(sealed: Sequence[Tuple[int, str]], index: int,
+                    folded: str, recorded: Any) -> str:
+    """Why *sealed*, the segments below checkpoint *index*, are refused
+    although every record in them walks clean."""
+    names = " … ".join(sorted({os.path.basename(sealed[0][1]),
+                               os.path.basename(sealed[-1][1])}))
+    return (f"chain tamper in {names}: the segments below checkpoint "
+            f"{index} fold to {folded[:12]}… but the checkpoint sealed "
+            f"{str(recorded)[:12]}… — their bytes were rewritten, though "
+            f"every record in them walks clean")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,6 +181,9 @@ class DurabilityManager:
         # Commit-hash chain head of the durable stream (None = unknown:
         # pruned prefix segments and no checkpointed head yet).
         self._head: Optional[str] = None
+        # The fold (fold_segment) of every segment before the live one,
+        # from bytes this manager verified; None = not known.
+        self._fold: Any = None
         #: which shard this journal stream serves (None when unsharded);
         #: purely an observability label on journal-append spans/events.
         self.shard = shard
@@ -201,10 +252,12 @@ class DurabilityManager:
             loaded = (self._checkpoints.latest_loadable() if use_checkpoint
                       else None)
             ckpt_head: Optional[str] = None
+            sealed_journal: Optional[str] = None
             history_files = 0
             if loaded is not None:
                 base, ckpt_entry = loaded
                 ckpt_head = ckpt_entry.get("chain_head")
+                sealed_journal = ckpt_entry.get("sealed_journal")
                 database = load_database(ckpt_entry["database"])
                 # What was just read is what is sealed: the next
                 # checkpoint writes only the rows that close from here on.
@@ -218,6 +271,17 @@ class DurabilityManager:
                 raise JournalError(
                     "recovery drives a simulated clock; the factory must "
                     "accept clock=SimulatedClock(...)")
+            # A fold covers a journal from record 0: once an operator has
+            # pruned its oldest segments, none applies.
+            from_zero = (segment_list[0][0] if segment_list else base) == 0
+            sealed = [segment for segment in segment_list
+                      if segment[0] < base and from_zero
+                      and sealed_journal is not None]
+            blobs, fold = read_segments(sealed)
+            vouched = bool(sealed) and fold.hexdigest() == sealed_journal
+            live = (segment_list[-1] if segment_list
+                    and segment_list[-1][0] >= base else None)
+            live_data = b""
             replayed = 0
             truncated = 0
             total = base
@@ -227,14 +291,34 @@ class DurabilityManager:
             verifier = _chain.ChainVerifier(_chain.GENESIS)
             reconciled = base == 0  # head checked against the checkpoint?
             expected: Optional[int] = None  # next global index expected
+            if vouched:
+                # The segments below the checkpoint are the bytes it
+                # sealed: their records count as verified, unread, and
+                # the chain goes on from the head it recorded for them.
+                verifier = _chain.ChainVerifier(ckpt_head)
+                verifier.verified = sum(len(record_lines(data))
+                                        for data in blobs)
+                reconciled, expected = True, base
             for position, (start, path) in enumerate(segment_list):
+                if vouched and position < len(sealed):
+                    continue
                 name = os.path.basename(path)
                 journal = Journal(path, fsync=self._fsync, io=self._io)
-                if position == len(segment_list) - 1:
-                    # Only the live segment may carry a torn tail; repair
-                    # it so future appends extend a clean file.
-                    truncated = journal.truncate_torn_tail()
-                scanned, damage = journal.scan()
+                if position < len(sealed):
+                    data = blobs[position]  # walked to name the damage
+                else:
+                    if position == len(segment_list) - 1:
+                        # Only the final segment may carry a torn tail;
+                        # repair it so future appends extend a clean file.
+                        truncated = journal.truncate_torn_tail()
+                    with open(path, "rb") as handle:
+                        data = handle.read()
+                    if (start, path) == live:
+                        live_data = data
+                    else:
+                        fold_segment(fold, path,
+                                     hashlib.sha256(data).hexdigest())
+                scanned, damage = journal.parse(data)
                 if damage is not None:  # strict: damage here is fatal
                     raise JournalError(
                         f"corrupt journal record at line "
@@ -292,6 +376,12 @@ class DurabilityManager:
                     replayed += len(tail)
                 expected = start + len(scanned)
                 total = max(total, expected)
+                if position == len(sealed) - 1:
+                    # Every record walks clean, yet these are not the
+                    # bytes the checkpoint sealed: refused all the same.
+                    raise ChainError(sealed_mismatch(
+                        sealed, base, fold.hexdigest(), sealed_journal),
+                        kind="tamper")
             head = verifier.head if reconciled else ckpt_head
             obs.metrics.counter("recovery.records_replayed").inc(replayed)
             obs.metrics.counter("recovery.chain_links_verified").inc(
@@ -301,15 +391,15 @@ class DurabilityManager:
             self._database = database
             self._count = total
             self._head = head
-            if segment_list:
-                self._live_start, live_path = segment_list[-1]
-                self._live = Journal(live_path, fsync=self._fsync,
-                                     io=self._io)
-            else:
-                self._live_start = base
-                self._live = Journal(self._segment_path(base),
-                                     fsync=self._fsync, io=self._io)
-            self._live.set_head(head)
+            self._fold = fold if from_zero else None
+            if live is None:
+                # No segment, or a crash cut a checkpoint's rotation
+                # short: the next append starts the segment it would
+                # have created, so no segment below a checkpoint grows.
+                live = (total, self._segment_path(total))
+            self._live_start, live_path = live
+            self._live = Journal(live_path, fsync=self._fsync, io=self._io)
+            self._live.resume(head, live_data)
             database.manager.on_commit = self._on_commit
 
             skipped = len([index for index in self._checkpoints.indices()
@@ -345,9 +435,10 @@ class DurabilityManager:
         self._count = 0
         self._live_start = 0
         self._head = _chain.GENESIS
+        self._fold = hashlib.sha256()
         self._live = Journal(self._segment_path(0), fsync=self._fsync,
                              io=self._io)
-        self._live.set_head(self._head)
+        self._live.resume(self._head, b"")
         for commit in database.log:
             self._head = self._live.record(commit, prev_hash=self._head)
             self._count += 1
@@ -382,6 +473,9 @@ class DurabilityManager:
         call.  It costs O(open state + rows closed since the previous
         checkpoint): closed rows are sealed once, into a history file,
         and never serialised again (:mod:`repro.storage.checkpoint`).
+        The segments below its index are sealed too: it records their
+        fold, the segment it rotates away from by the running hash of
+        what was appended to it, not by re-reading the file.
         Must run between transactions (single-writer system);
         under the concurrent session layer, quiesce the layer first —
         checkpointing races no individual commit (appends are ordered
@@ -391,13 +485,19 @@ class DurabilityManager:
         if self._database is None:
             raise JournalError("no database attached; recover() or "
                                "attach() first")
-        path = self._checkpoints.write(self._database, self._count,
-                                       chain_head=self._head)
-        if self._count != self._live_start:
+        rotates = self._count != self._live_start
+        fold = self._fold.copy() if self._fold is not None else None
+        if fold is not None and rotates:
+            fold_segment(fold, self._live.path, self._live.digest)
+        path = self._checkpoints.write(
+            self._database, self._count, chain_head=self._head,
+            sealed_journal=fold.hexdigest() if fold is not None else None)
+        if rotates:
+            self._fold = fold
             self._live_start = self._count
             segment_path = self._segment_path(self._count)
             self._live = Journal(segment_path, fsync=self._fsync, io=self._io)
-            self._live.set_head(self._head)
+            self._live.resume(self._head, b"")
             # Create the rotated segment eagerly (zero-length) so the
             # directory names its live segment even before the first
             # append.  A crash in this window leaves an empty trailing
@@ -437,12 +537,16 @@ class DurabilityManager:
         self._database = database
         self._count = count
         self._head = chain_head
+        # The segments left below *count* are not bytes this manager
+        # verified: this checkpoint, and those after it until the next
+        # recovery, record no fold of them.
+        self._fold = None
         ckpt = self._checkpoints.write(database, count,
                                        chain_head=chain_head)
         self._live_start = count
         segment_path = self._segment_path(count)
         self._live = Journal(segment_path, fsync=self._fsync, io=self._io)
-        self._live.set_head(chain_head)
+        self._live.resume(chain_head, b"")
         with open(segment_path, "ab"):
             pass
         database.manager.on_commit = self._on_commit

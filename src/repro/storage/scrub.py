@@ -75,7 +75,8 @@ from repro.storage.framing import (FrameDamage, FrameError, parse_frame,
                                    parse_journal_line)
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import apply_entries
-from repro.storage.recovery import DurabilityManager
+from repro.storage.recovery import (DurabilityManager, read_segments,
+                                    record_lines, sealed_mismatch)
 from repro.storage.serializer import dump_database, load_database
 
 #: Quarantine subdirectory name (inside the durability directory).
@@ -183,11 +184,36 @@ class _SegmentWalk:
             self.verified_prefix = finding.index
 
 
-def _audit_segment(walk: _SegmentWalk, start: int, path: str, name: str,
+def _commit_of(line: bytes) -> str:
+    """The commit hash a (verified) journal line carries."""
+    return parse_journal_line(line.decode("utf-8"))[_chain.CHAIN_KEY][
+        "commit"]
+
+
+def _vouch_segment(walk: _SegmentWalk, start: int, data: bytes,
+                   head_marks: Tuple[int, ...]) -> None:
+    """Account for a segment whose bytes a checkpoint's fold vouches for:
+    its records count as verified and none is hashed.  The chain head at
+    a checkpoint mark inside or at the end of it is the ``commit`` of the
+    record before the mark, so every checkpoint's recorded head is still
+    cross-checked."""
+    lines = record_lines(data)
+    end = start + len(lines)
+    for mark in head_marks:
+        if start <= mark <= end and mark not in walk.heads_at:
+            walk.heads_at[mark] = (walk.verifier.head if mark == start
+                                   else _commit_of(lines[mark - start - 1]))
+    if lines:
+        walk.verifier.head = _commit_of(lines[-1])
+    walk.verifier.verified += len(lines)
+    walk.records += len(lines)
+    walk.expected = end
+    walk.end = max(walk.end, end)
+
+
+def _audit_segment(walk: _SegmentWalk, start: int, data: bytes, name: str,
                    is_last: bool, head_marks: Tuple[int, ...]) -> None:
-    """Audit one segment file line by line (never raises)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    """Audit one segment's bytes line by line (never raises)."""
     chunks = data.split(b"\n")
     # Trailing newline yields one empty final chunk; drop it so "last
     # line" means the last record-bearing line.
@@ -275,6 +301,9 @@ def audit_directory(directory: str,
     many checkpoints name it), every checkpoint (frame, format, recorded
     chain head against the walked head, each manifest entry against the
     file it names), and any 2PC side log living in the directory.
+    Segments below the newest valid checkpoint that still fold to its
+    ``sealed_journal`` verify by that one hash, no record re-hashed;
+    ones that do not are walked, and a clean walk is a ``chain-tamper``.
     """
     obs = _obs.current()
     with obs.tracer.span("scrub.audit", directory=directory), \
@@ -284,11 +313,29 @@ def audit_directory(directory: str,
         store = CheckpointStore(directory, io=io)
         ckpt_indices = store.indices()
         head_marks = tuple(sorted(ckpt_indices))
+        heads: Dict[int, Any] = {}  # index -> its head, or why it has none
+        for index in ckpt_indices:
+            try:
+                heads[index] = read_checkpoint_head(store.path_for(index))
+            except CheckpointError as exc:
+                heads[index] = exc
         walk = _SegmentWalk()
         if segments and segments[0][0] > 0:
             # History starts mid-stream (operator-deleted prefix): the
             # head is unknown until a checkpointed head re-anchors it.
             walk.verifier = _chain.ChainVerifier(None)
+        # The segments below the newest valid checkpoint verify by its
+        # fold while they still fold to it.  A fold covers a journal from
+        # record 0: none applies once an operator pruned the oldest ones.
+        newest_valid = max((index for index, head in heads.items()
+                            if isinstance(head, dict)), default=None)
+        sealed_journal = None
+        if newest_valid is not None and segments and segments[0][0] == 0:
+            sealed_journal = heads[newest_valid].get("sealed_journal")
+        sealed = [segment for segment in segments
+                  if sealed_journal is not None and segment[0] < newest_valid]
+        blobs, fold = read_segments(sealed)
+        vouched = fold.hexdigest() == sealed_journal
         for position, (start, path) in enumerate(segments):
             name = os.path.basename(path)
             if walk.expected is not None and start != walk.expected:
@@ -303,8 +350,27 @@ def audit_directory(directory: str,
                         f"segment overlaps the previous one (starts at "
                         f"{start}, previous ends at {walk.expected})"))
                 walk.verifier.forget()
-            _audit_segment(walk, start, path, name,
+            if position < len(sealed) and vouched:
+                _vouch_segment(walk, start, blobs[position], head_marks)
+                continue
+            if position < len(sealed):
+                data = blobs[position]
+            else:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            _audit_segment(walk, start, data, name,
                            position == len(segments) - 1, head_marks)
+            if position == len(sealed) - 1 and not walk.findings and \
+                    walk.heads_at.get(newest_valid) == heads[
+                        newest_valid].get("chain_head"):
+                # Every record walks clean and links to the head the
+                # checkpoint sealed, yet the bytes are not the ones it
+                # sealed: diagnosed here, and never accepted.
+                walk.damage(Finding(
+                    os.path.basename(sealed[0][1]), "chain-tamper", None,
+                    sealed[0][0], sealed_mismatch(
+                        sealed, newest_valid, fold.hexdigest(),
+                        sealed_journal)))
         # History files: each verified once, on its own.
         history_names = store.history_files()
         histories: Dict[str, Any] = {}  # name -> (sha256, rows) | None
@@ -318,15 +384,12 @@ def audit_directory(directory: str,
         # Checkpoints: damaged files, valid ones whose manifest is not
         # met by the history files present, and valid ones whose recorded
         # chain head contradicts the walked head at the same index.
-        newest_valid: Optional[int] = None
         for index in ckpt_indices:
-            path = store.path_for(index)
-            name = os.path.basename(path)
-            try:
-                entry = read_checkpoint_head(path)
-            except CheckpointError as exc:
+            name = os.path.basename(store.path_for(index))
+            entry = heads[index]
+            if isinstance(entry, CheckpointError):
                 walk.findings.append(Finding(name, "checkpoint", None,
-                                             index, str(exc)))
+                                             index, str(entry)))
                 continue
             for item in entry["history"]:
                 if item[0] not in histories:
@@ -341,7 +404,6 @@ def audit_directory(directory: str,
                 if problem is not None:
                     walk.findings.append(Finding(name, kind, None, index,
                                                  problem))
-            newest_valid = index
             recorded = entry.get("chain_head")
             walked = walk.heads_at.get(index)
             if recorded is not None and walked is not None \

@@ -120,12 +120,13 @@ def decode_value(data: Any, memo: Optional[InstantMemo] = None) -> Any:
         if literal == "-inf":
             return NEG_INF
         unit = data.get("granularity", "day")
-        if memo is None:
-            return Instant.parse(literal, Granularity(unit))
-        found = memo.get((literal, unit))
+        found = memo.get((literal, unit)) if memo is not None else None
         if found is None:
-            found = memo[literal, unit] = Instant.parse(literal,
-                                                        Granularity(unit))
+            granularity = Granularity(unit)
+            found = Instant.from_chronon(granularity.parse(literal),
+                                         granularity)
+            if memo is not None:
+                memo[literal, unit] = found
         return found
     if "$period" in data:
         start, end = data["$period"]

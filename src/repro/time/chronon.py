@@ -26,10 +26,15 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import re
 
 from repro.errors import GranularityError, InvalidInstantError
 
 _EPOCH = _dt.datetime(1, 1, 1)
+
+#: The fields :meth:`Granularity.format` writes, as far as it goes.
+_FORMATTED = re.compile(
+    r"(\d+)(?:-(\d\d)(?:-(\d\d)(?: (\d\d):(\d\d)(?::(\d\d))?)?)?)?")
 
 
 class Granularity(enum.Enum):
@@ -107,7 +112,9 @@ class Granularity(enum.Enum):
 
     def format(self, chronon: int) -> str:
         """Render a chronon as an ISO-style literal appropriate to the granularity."""
-        when = self.to_datetime(chronon)
+        return self._render(self.to_datetime(chronon))
+
+    def _render(self, when: _dt.datetime) -> str:
         if self is Granularity.DAY:
             return when.date().isoformat()
         if self is Granularity.SECOND:
@@ -119,6 +126,27 @@ class Granularity(enum.Enum):
         if self is Granularity.MONTH:
             return when.strftime("%Y-%m")
         return when.strftime("%Y")
+
+    def parse(self, literal: str) -> int:
+        """The chronon whose :meth:`format` is *literal* — its exact
+        inverse, at every granularity (``2000-01`` is a month, ``2000`` a
+        year).  Raises :class:`~repro.errors.InvalidInstantError` for any
+        other text."""
+        match = _FORMATTED.fullmatch(literal)
+        if match is not None:
+            year, month, day, hour, minute, second = match.groups()
+            try:
+                when = _dt.datetime(
+                    int(year), int(month or 1), int(day or 1),
+                    int(hour or 0), int(minute or 0), int(second or 0))
+            except ValueError:
+                pass
+            else:
+                if self._render(when) == literal:
+                    return self.from_datetime(when)
+        raise InvalidInstantError(
+            f"{literal!r} is not a {self.value} literal as this "
+            f"granularity writes them")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Granularity.{self.name}"

@@ -1,91 +1,12 @@
-"""Unit tests for indexes, constraints and the catalog."""
+"""Unit tests for the relational constraints."""
 
 import pytest
 
-from repro.errors import (ConstraintViolation, DuplicateRelationError,
-                          UnknownAttributeError, UnknownRelationError)
+from repro.errors import ConstraintViolation, UnknownAttributeError
 from repro.relational import (
-    Attribute, Catalog, CheckConstraint, Domain, KeyConstraint,
-    NotNullConstraint, Relation, Schema, attr,
+    Attribute, CheckConstraint, Domain, KeyConstraint, NotNullConstraint,
+    Relation, Schema, attr,
 )
-from repro.relational.index import HashIndex, OrderedIndex
-from repro.time import Instant
-
-
-def events() -> Relation:
-    schema = Schema([
-        Attribute("name", Domain.STRING),
-        Attribute("when", Domain.DATE, nullable=True),
-    ])
-    return Relation.from_rows(schema, [
-        ["hired", Instant.parse("09/01/77")],
-        ["promoted", Instant.parse("12/01/82")],
-        ["left", Instant.parse("03/01/84")],
-        ["unknown", None],
-    ])
-
-
-class TestHashIndex:
-    def test_lookup(self):
-        index = HashIndex(events(), ["name"])
-        assert [dict(t)["name"] for t in index.lookup("hired")] == ["hired"]
-        assert index.lookup("fired") == []
-
-    def test_contains(self):
-        index = HashIndex(events(), ["name"])
-        assert index.contains("promoted")
-        assert not index.contains("demoted")
-
-    def test_multi_attribute(self):
-        index = HashIndex(events(), ["name", "when"])
-        assert len(index.lookup("hired", Instant.parse("09/01/77"))) == 1
-
-    def test_arity_checked(self):
-        index = HashIndex(events(), ["name", "when"])
-        with pytest.raises(UnknownAttributeError):
-            index.lookup("hired")
-
-    def test_unknown_attribute_rejected(self):
-        with pytest.raises(UnknownAttributeError):
-            HashIndex(events(), ["nowhere"])
-
-    def test_len_and_keys(self):
-        index = HashIndex(events(), ["name"])
-        assert len(index) == 4
-        assert len(list(index.distinct_keys())) == 4
-
-
-class TestOrderedIndex:
-    def test_range(self):
-        index = OrderedIndex(events(), "when")
-        hits = index.range(Instant.parse("01/01/80"), Instant.parse("01/01/83"))
-        assert [t["name"] for t in hits] == ["promoted"]
-
-    def test_at_most_is_as_of_scan(self):
-        index = OrderedIndex(events(), "when")
-        hits = index.at_most(Instant.parse("12/01/82"))
-        assert [t["name"] for t in hits] == ["hired", "promoted"]
-
-    def test_inclusive_high(self):
-        index = OrderedIndex(events(), "when")
-        exclusive = index.range(None, Instant.parse("12/01/82"))
-        inclusive = index.range(None, Instant.parse("12/01/82"), inclusive_high=True)
-        assert len(inclusive) == len(exclusive) + 1
-
-    def test_nulls_excluded(self):
-        index = OrderedIndex(events(), "when")
-        assert len(index) == 3
-
-    def test_first_last(self):
-        index = OrderedIndex(events(), "when")
-        assert index.first()["name"] == "hired"
-        assert index.last()["name"] == "left"
-
-    def test_empty(self):
-        empty = Relation.empty(events().schema)
-        index = OrderedIndex(empty, "when")
-        assert index.first() is None and index.last() is None
-        assert index.range() == []
 
 
 class TestConstraints:
@@ -113,66 +34,3 @@ class TestConstraints:
         adult.check(Relation.from_rows(schema, [[21]]))
         with pytest.raises(ConstraintViolation, match="adult"):
             adult.check(Relation.from_rows(schema, [[12]]))
-
-
-class TestCatalog:
-    def test_create_and_get(self):
-        catalog = Catalog()
-        schema = Schema.of(key=["name"], name=Domain.STRING)
-        catalog.create("faculty", schema)
-        assert catalog.get("faculty").is_empty
-        assert "faculty" in catalog
-        assert catalog.names() == ["faculty"]
-
-    def test_duplicate_create_rejected(self):
-        catalog = Catalog()
-        schema = Schema.of(name=Domain.STRING)
-        catalog.create("faculty", schema)
-        with pytest.raises(DuplicateRelationError):
-            catalog.create("faculty", schema)
-
-    def test_unknown_relation(self):
-        with pytest.raises(UnknownRelationError, match="nowhere"):
-            Catalog().get("nowhere")
-
-    def test_schema_key_becomes_constraint(self):
-        catalog = Catalog()
-        catalog.create("faculty", Schema.of(key=["name"], name=Domain.STRING,
-                                            rank=Domain.STRING))
-        relation = catalog.get("faculty")
-        dup = (relation.insert_values(name="A", rank="x")
-                       .insert_values(name="A", rank="y"))
-        with pytest.raises(ConstraintViolation):
-            catalog.replace("faculty", dup)
-
-    def test_replace_checks_constraints(self):
-        catalog = Catalog()
-        schema = Schema.of(age=Domain.INTEGER)
-        catalog.create("people", schema,
-                       constraints=[CheckConstraint(attr("age") >= 0)])
-        bad = Relation.from_rows(schema, [[-1]])
-        with pytest.raises(ConstraintViolation):
-            catalog.replace("people", bad)
-        # skip_constraints bypasses (used by the temporal kinds).
-        catalog.replace("people", bad, skip_constraints=True)
-        assert catalog.get("people").cardinality == 1
-
-    def test_replace_schema_mismatch(self):
-        catalog = Catalog()
-        catalog.create("a", Schema.of(x=Domain.INTEGER))
-        other = Relation.empty(Schema.of(y=Domain.INTEGER))
-        with pytest.raises(UnknownRelationError):
-            catalog.replace("a", other)
-
-    def test_drop(self):
-        catalog = Catalog()
-        catalog.create("a", Schema.of(x=Domain.INTEGER))
-        catalog.drop("a")
-        assert "a" not in catalog
-        with pytest.raises(UnknownRelationError):
-            catalog.drop("a")
-
-    def test_constraints_accessor(self):
-        catalog = Catalog()
-        catalog.create("a", Schema.of(key=["x"], x=Domain.INTEGER))
-        assert any(isinstance(c, KeyConstraint) for c in catalog.constraints("a"))

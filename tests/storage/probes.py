@@ -15,8 +15,15 @@ never crashed.  These helpers collect those answers:
 - :func:`faculty_steps` / :func:`drive_faculty` — the conftest faculty
   narrative as a resumable step list, so fault tests can crash between
   any two transactions and finish the rest after recovery.
+- :func:`unsealed_twin` / :func:`findings` — the reference an audit of
+  sealed segments is held to: the same bytes under checkpoints that
+  record no fold, which every audit walks record by record.
 """
 
+import shutil
+
+from repro.storage import (CHECKPOINT_TAG, CheckpointStore, frame_record,
+                           read_checkpoint_head)
 from repro.tquel import Session
 
 from tests.conftest import faculty_schema
@@ -154,3 +161,20 @@ def drive_faculty(database, start=0, stop=None):
         action()
         done += 1
     return done
+
+
+def unsealed_twin(directory, twin):
+    """A copy of *directory* whose checkpoints record no fold."""
+    shutil.copytree(directory, twin)
+    store = CheckpointStore(twin)
+    for index in store.indices():
+        head = read_checkpoint_head(store.path_for(index))
+        head.pop("sealed_journal")
+        with open(store.path_for(index), "w") as handle:
+            handle.write(frame_record(head, tag=CHECKPOINT_TAG) + "\n")
+    return twin
+
+
+def findings(report):
+    """An audit's findings as ``(kind, file, line, index)`` tuples."""
+    return [(f.kind, f.file, f.line_number, f.index) for f in report.findings]

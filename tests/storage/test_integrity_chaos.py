@@ -6,7 +6,10 @@ failing disk) would:
 - the **exhaustive flip sweep** XORs one byte at *every offset* of a
   journal segment, one at a time, and requires the audit to classify
   each flip — no offset may produce a clean report, and no mid-file
-  record may silently vanish;
+  record may silently vanish.  It runs twice: over a segment still
+  open, and over one sealed behind a checkpoint, whose fold verifies it
+  unflipped — there the findings must equal a record-by-record walk's
+  and recovery must refuse every flip;
 - the **detect-and-repair matrix** crosses every at-rest injector
   (bit-flip, mid-file truncation, chain-field tamper, CRC-valid record
   tamper, checkpoint tamper, history-file flip, history-file deletion)
@@ -22,13 +25,15 @@ import os
 import pytest
 
 from repro.core import TemporalDatabase
+from repro.errors import ChainError, JournalError
 from repro.replication import state_digest
 from repro.storage import (CheckpointStore, DurabilityManager, Scrubber,
                            audit_directory, flip_byte, tamper_chain_field,
                            tamper_record, truncate_file)
 from repro.storage.scrub import DirectorySource
 
-from tests.storage.probes import drive_faculty, observations
+from tests.storage.probes import (drive_faculty, findings, observations,
+                                  unsealed_twin)
 
 #: The full damage taxonomy (docs/INTEGRITY.md).
 TAXONOMY = {"torn", "corrupt", "chain-break", "chain-tamper", "gap",
@@ -61,6 +66,33 @@ def line_spans(path):
     return spans
 
 
+def flip_sweep(directory, check=lambda offset, report: None):
+    """Flip every byte of *directory*'s data segment in turn; each flip
+    must surface as a classified finding (and pass *check*)."""
+    path = data_segment(directory)
+    size = os.path.getsize(path)
+    assert size > 0
+    missed = []
+    misclassified = []
+    for offset in range(size):
+        flip_byte(path, offset)
+        report = audit_directory(directory)
+        if report.clean:
+            missed.append(offset)
+        else:
+            bad = [f.kind for f in report.findings
+                   if f.kind not in TAXONOMY]
+            if bad:
+                misclassified.append((offset, bad))
+        check(offset, report)
+        flip_byte(path, offset)  # restore
+    assert missed == [], (f"{len(missed)} of {size} byte flips were "
+                          f"not detected: offsets {missed[:10]}...")
+    assert misclassified == []
+    # The restores were exact: the segment audits clean again.
+    assert audit_directory(directory).clean
+
+
 class TestExhaustiveFlipSweep:
     def test_every_single_byte_flip_is_detected_and_classified(
             self, tmp_path):
@@ -68,27 +100,28 @@ class TestExhaustiveFlipSweep:
         # per offset, every flip must surface as a classified finding.
         directory = str(tmp_path / "dur")
         build(directory, stop=4)
-        path = data_segment(directory)
-        size = os.path.getsize(path)
-        assert size > 0
-        missed = []
-        misclassified = []
-        for offset in range(size):
-            flip_byte(path, offset)
-            report = audit_directory(directory)
-            if report.clean:
-                missed.append(offset)
-            else:
-                bad = [f.kind for f in report.findings
-                       if f.kind not in TAXONOMY]
-                if bad:
-                    misclassified.append((offset, bad))
-            flip_byte(path, offset)  # restore
-        assert missed == [], (f"{len(missed)} of {size} byte flips were "
-                              f"not detected: offsets {missed[:10]}...")
-        assert misclassified == []
-        # The restores were exact: the segment audits clean again.
-        assert audit_directory(directory).clean
+        flip_sweep(directory)
+
+    def test_every_flip_in_a_sealed_segment_is_found_as_by_the_walk(
+            self, tmp_path):
+        # The same sweep over a segment a checkpoint sealed (verified by
+        # its fold): every flip is found, with the findings of the same
+        # bytes under a checkpoint that records no fold, which walks
+        # them — and recovery refuses every one.
+        directory = str(tmp_path / "dur")
+        build(directory, stop=4, final_checkpoint=True)
+        twin = unsealed_twin(directory, str(tmp_path / "twin"))
+        twin_path = data_segment(twin)
+
+        def same_as_walked(offset, report):
+            flip_byte(twin_path, offset)
+            assert findings(report) == findings(audit_directory(twin)), \
+                f"flip at {offset}"
+            flip_byte(twin_path, offset)
+            with pytest.raises((JournalError, ChainError)):
+                DurabilityManager(directory).recover(TemporalDatabase)
+
+        flip_sweep(directory, same_as_walked)
 
     def test_no_mid_file_flip_silently_drops_a_record(self, tmp_path):
         # A flip inside record k must never yield an audit that claims

@@ -80,6 +80,24 @@ class TestFormatting:
         chronon = Granularity.HOUR.from_datetime(dt.datetime(1982, 12, 15, 8, 0))
         assert Granularity.HOUR.format(chronon) == "1982-12-15 08:00"
 
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("when", [dt.datetime(1, 1, 1),
+                                      dt.datetime(999, 2, 3, 4, 5, 6),
+                                      dt.datetime(2000, 1, 1),
+                                      dt.datetime(9999, 12, 31, 23, 59, 59)])
+    def test_parse_inverts_format(self, granularity, when):
+        chronon = granularity.from_datetime(when)
+        assert granularity.parse(granularity.format(chronon)) == chronon
+
+    @pytest.mark.parametrize("granularity, literal", [
+        (Granularity.MONTH, "2000-13"), (Granularity.MONTH, "2000-01-01"),
+        (Granularity.YEAR, "2000-01"), (Granularity.DAY, "2000-01"),
+        (Granularity.HOUR, "2000-01-01 08:30"), (Granularity.DAY, "12/15/82")])
+    def test_parse_refuses_what_format_never_writes(self, granularity,
+                                                     literal):
+        with pytest.raises(InvalidInstantError):
+            granularity.parse(literal)
+
 
 class TestOrdering:
     def test_second_finer_than_day(self):
