@@ -145,18 +145,22 @@ class ConcurrentSession(Transaction):
     # -- reads --------------------------------------------------------------------
 
     def _read(self, name: str, compute: Callable[[], Any]) -> Any:
-        """Touch *name*, then run *compute* under its footprint's locks.
+        """Touch *name* and run *compute*, both under its footprint's locks.
 
         A commit's apply (close the superseded version, open the new
         one) is atomic only to holders of the commit lock; a bare
         ``database.snapshot`` taken mid-apply can see *neither* version
-        of a replaced row.  Every session read goes through here so a
-        racing committer's torn intermediate state is never observable
-        — touch first (outside the lock), then read atomically.
+        of a replaced row, so every session read goes through here.  The
+        touch holds the lock too, so it records the version the read saw:
+        a commit landing while this session waits is read, not a conflict.
         """
         keys = self._database.read_footprint(name)
-        self._touch(keys)
-        return self._database.certify(keys, compute)
+
+        def touch_and_compute() -> Any:
+            self._touch(keys)
+            return compute()
+
+        return self._database.certify(keys, touch_and_compute)
 
     def read(self, name: str):
         """The relation's current committed snapshot, footprint-tracked."""

@@ -57,7 +57,7 @@ from repro.errors import ShardConfigError
 from repro.obs import runtime as _obs
 from repro.sharding.partition import SCHEME, Partitioner
 from repro.sharding.store import ShardedDatabase
-from repro.storage.framing import frame_record, parse_frame
+from repro.storage.framing import JOURNAL_TAG, frame_record
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import Journal, decode_operation
 from repro.storage.recovery import DurabilityManager, RecoveryReport
@@ -77,7 +77,7 @@ class _SideLog(Journal):
     harness can tear and kill 2PC appends exactly like journal appends.
     """
 
-    _parse_line = staticmethod(parse_frame)
+    _tag = JOURNAL_TAG
 
     def append(self, entry: Dict[str, Any]) -> None:
         line = frame_record(entry)

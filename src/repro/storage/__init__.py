@@ -33,6 +33,10 @@ obligation it carries:
   of sealed history files, each holding rows whose transaction time has
   closed, written once.  Pure optimization: a damaged or deleted
   checkpoint costs replay time, never data.
+- :mod:`~repro.storage.walk` — the segment walk: the one reading of a
+  journal's segments (frames, contiguity, chain links, the sealed fold,
+  checkpoint heads) that recovery, the audit and a repair source share,
+  so recovery refuses exactly what the audit finds.
 - :mod:`~repro.storage.recovery` — :class:`DurabilityManager`, which
   ties segments and checkpoints into restart = *latest valid
   checkpoint + tail replay*, with torn-tail repair.

@@ -28,7 +28,7 @@ Two kinds of file, each a single framed record
     sealing order.  ``commit_index`` counts the journal records the state
     incorporates; recovery replays only the records at or after it.
     ``sealed_journal`` folds the journal segments below ``commit_index``
-    (:func:`~repro.storage.recovery.fold_segment`) into one SHA-256;
+    (:func:`~repro.storage.walk.fold_segment`) into one SHA-256;
     absent when the writer did not know their bytes (adopted snapshot).
 
 **Durability obligations.**  Both files are published atomically with

@@ -20,7 +20,10 @@ The distinction matters for recovery: a record that fails *because the
 file ends too early* (:attr:`FrameDamage.TORN`) is the expected residue
 of a crash during an append and may be safely truncated when it is the
 final record; a record whose bytes are all present but wrong
-(:attr:`FrameDamage.CORRUPT`) is never silently dropped.
+(:attr:`FrameDamage.CORRUPT`) is never silently dropped.  Every reader
+of a multi-record file — journal segments, the 2PC side logs, the
+segment walk — classifies its lines with :func:`frame_lines`, so the
+distinction is drawn in one place.
 
 There is **one journal generation**: a journal segment line is an
 ``r2`` frame or it is damage.  :func:`parse_journal_line` refuses the
@@ -40,7 +43,7 @@ from __future__ import annotations
 import enum
 import json
 import zlib
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, Tuple, Union
 
 #: Frame tag of CRC-only records (the 2PC side logs; also the default).
 JOURNAL_TAG = "r1"
@@ -161,3 +164,51 @@ def parse_journal_line(line: str) -> Dict[str, Any]:
     the tag is still torn residue, exactly as in :func:`parse_frame`.
     """
     return parse_frame(line, tag=CHAINED_TAG)
+
+
+def _parse_bytes(chunk: bytes, tag: str) -> Dict[str, Any]:
+    try:
+        line = chunk.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # A crash can cut an append inside a multi-byte character, which
+        # leaves an incomplete sequence at the very end; any other
+        # undecodable byte was written wrong or rotted.
+        torn = exc.reason == "unexpected end of data"
+        raise FrameError(f"undecodable bytes: {exc}",
+                         FrameDamage.TORN if torn else FrameDamage.CORRUPT
+                         ) from exc
+    return parse_frame(line, tag=tag)
+
+
+def frame_lines(data: bytes, tag: str, final: bool = True
+                ) -> Iterator[Tuple[int, int, Union[Dict[str, Any],
+                                                    FrameError]]]:
+    """Classify every record-bearing line of a framed file's bytes.
+
+    Yields ``(line number, byte offset, record)`` per non-blank line, in
+    order: *record* is the parsed payload, or the :class:`FrameError` the
+    line failed with.  The error is :attr:`FrameDamage.TORN` only for the
+    last such line, and only when *final* says the file ends its stream
+    (no crash tears a record that later ones follow); a torn line
+    anywhere else is CORRUPT.  Bytes that are not UTF-8 are TORN only as
+    an incomplete sequence at the end of the line.
+    """
+    chunks = data.split(b"\n")
+    last = len(chunks) - 1
+    while last >= 0 and not chunks[last].strip():
+        last -= 1
+    offset = 0
+    for number, chunk in enumerate(chunks):
+        if chunk.strip():
+            try:
+                record: Union[Dict[str, Any], FrameError] = _parse_bytes(
+                    chunk, tag)
+            except FrameError as exc:
+                record = exc
+                if exc.damage is FrameDamage.TORN and not (final
+                                                           and number == last):
+                    record = FrameError(f"torn bytes mid-file — no crash "
+                                        f"writes there: {exc}",
+                                        FrameDamage.CORRUPT)
+            yield number + 1, offset, record
+        offset += len(chunk) + 1

@@ -47,7 +47,7 @@ from repro.errors import JournalError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.framing import (CHAINED_TAG, FrameDamage, FrameError,
-                                   frame_record, parse_journal_line)
+                                   frame_lines, frame_record)
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.serializer import (decode_value, encode_value,
                                       schema_from_dict, schema_to_dict)
@@ -134,6 +134,16 @@ def apply_entries(database, clock: SimulatedClock,
     return len(entries)
 
 
+def record_error(path: str, line_number: int, offset: int, reason: str,
+                 torn: bool = False) -> JournalError:
+    """The error naming a damaged journal record by file, line and byte
+    offset; unless *torn*, its bytes cannot be crash residue."""
+    return JournalError(
+        f"corrupt journal record at line {line_number} (byte offset "
+        f"{offset}) in {path}: {reason}"
+        + ("" if torn else " — so this is not a torn tail"))
+
+
 class ScannedRecord(NamedTuple):
     """One parsed journal record with its position in the file."""
 
@@ -159,10 +169,10 @@ class Journal:
     replaces; production code leaves it alone.
     """
 
-    #: Parses one line of the file.  Journal segments hold chained
+    #: The frame tag of the file's lines.  Journal segments hold chained
     #: ``r2`` records only; the 2PC side logs reuse the scanning and
     #: torn-tail repair below over their CRC-only ``r1`` records.
-    _parse_line = staticmethod(parse_journal_line)
+    _tag = CHAINED_TAG
 
     def __init__(self, path: str, fsync: bool = False,
                  io: Optional[StorageIO] = None) -> None:
@@ -278,34 +288,15 @@ class Journal:
               ) -> Tuple[List[ScannedRecord], Optional[TailDamage]]:
         """:meth:`scan` over *data*, the file's bytes already in hand."""
         records: List[ScannedRecord] = []
-        damage: Optional[TailDamage] = None
-        offset = 0
-        for line_number, chunk in enumerate(data.split(b"\n"), start=1):
-            stripped = chunk.strip()
-            if stripped:
-                if damage is not None:
-                    raise JournalError(
-                        f"corrupt journal record at line "
-                        f"{damage.line_number} (byte offset {damage.offset}) "
-                        f"in {self._path}: {damage.reason} — records follow "
-                        f"it, so this is not a torn tail"
-                    )
-                try:
-                    entry = self._parse_line(chunk.decode("utf-8"))
-                except UnicodeDecodeError as exc:  # cut inside a character
-                    damage = TailDamage(line_number, offset, str(exc))
-                except FrameError as exc:
-                    if exc.damage is not FrameDamage.TORN:
-                        raise JournalError(
-                            f"corrupt journal record at line {line_number} "
-                            f"(byte offset {offset}) in {self._path}: {exc} "
-                            f"— its bytes are all present, so this is not "
-                            f"a torn tail") from exc
-                    damage = TailDamage(line_number, offset, str(exc))
-                else:
-                    records.append(ScannedRecord(line_number, offset, entry))
-            offset += len(chunk) + 1
-        return records, damage
+        for line_number, offset, entry in frame_lines(data, self._tag):
+            if not isinstance(entry, FrameError):
+                records.append(ScannedRecord(line_number, offset, entry))
+            elif entry.damage is FrameDamage.TORN:  # the last line
+                return records, TailDamage(line_number, offset, str(entry))
+            else:
+                raise record_error(self._path, line_number, offset,
+                                   str(entry))
+        return records, None
 
     def read(self, recover: bool = False) -> List[Dict[str, Any]]:
         """Every journal entry, oldest first.
@@ -317,11 +308,8 @@ class Journal:
         """
         records, damage = self.scan()
         if damage is not None and not recover:
-            raise JournalError(
-                f"corrupt journal record at line {damage.line_number} "
-                f"(byte offset {damage.offset}) in {self._path}: "
-                f"{damage.reason}"
-            )
+            raise record_error(self._path, damage.line_number, damage.offset,
+                               damage.reason, torn=True)
         return [record.entry for record in records]
 
     def truncate_torn_tail(self) -> int:

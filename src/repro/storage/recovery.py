@@ -21,30 +21,14 @@ entire durable state:
    missing or damaged history file, is skipped — the journal can always
    fill the gap); with none, start from an empty database of the
    requested kind;
-2. repair the final segment — a torn trailing record (the residue of a
-   crash mid-append) is truncated; damage anywhere else is a hard
-   :class:`~repro.errors.JournalError`, because in an append-only file
-   nothing but the tail can be half-written;
-3. verify the segments below the checkpoint's index by one hash: the
-   checkpoint recorded their fold (:func:`fold_segment`), and while they
-   fold to it none of their records is read — the walked head is the
-   checkpoint's ``chain_head``.  Otherwise they are walked, so an error
-   names file and line, and refused even when every record walks clean
-   (:class:`~repro.errors.ChainError`, kind ``tamper``).  No fold applies
-   once an operator pruned the oldest segments, nor under a checkpoint
-   that records none (an adopted snapshot): those are walked;
-4. replay, in global order, every record whose index is at or after the
-   checkpoint's, driving the simulated clock so each transaction
-   commits at its original instant — verifying, record by record, the
-   commit hash chain (:mod:`repro.storage.chain`): every chained record
-   must link to the walked head, the head crossing the checkpoint
-   boundary must equal the head the checkpoint recorded, and segments
-   must be contiguous (a hole above the checkpoint index is a hard
-   error, not a silent skip).  A broken or rewritten link raises
-   :class:`~repro.errors.ChainError` — its own damage kind, distinct
-   from torn tails and CRC corruption;
-5. attach: new commits append to the final segment (or start the one
-   a crash kept a checkpoint from rotating to), and
+2. walk the segments with the checkpoint's index as the base — the walk
+   the audit makes (:mod:`repro.storage.walk`) — and raise the typed
+   error of the first finding it refuses;
+3. truncate a torn final record, then replay, in global order, the entries
+   at or after the checkpoint's index, driving the simulated clock so
+   each transaction commits at its original instant;
+4. attach: new commits append to the live segment (or start the one a
+   crash kept a checkpoint from rotating to), and
    :meth:`DurabilityManager.checkpoint` publishes a fresh checkpoint and
    rotates, folding in the old segment by the running hash of what was
    appended to it — never by re-reading it.
@@ -69,55 +53,19 @@ import dataclasses
 import hashlib
 import os
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ChainError, JournalError
+from repro.errors import JournalError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import Journal, apply_entries
 from repro.storage.serializer import load_database
+from repro.storage.walk import JournalWalk, fold_segment
 from repro.time.clock import SimulatedClock
 
 _SEGMENT = re.compile(r"^journal-(\d{8,})\.seg$")
-
-
-def fold_segment(fold: Any, path: str, digest: str) -> None:
-    """Fold one sealed segment into *fold* (a ``hashlib.sha256()``): its
-    file name, then *digest*, the SHA-256 (hex) of its bytes.  A
-    checkpoint's ``sealed_journal`` is the fold of every segment below
-    its index, oldest first."""
-    fold.update((os.path.basename(path) + digest).encode("ascii"))
-
-
-def read_segments(segments: Sequence[Tuple[int, str]]
-                  ) -> Tuple[List[bytes], Any]:
-    """The bytes of *segments* and their fold, which a caller may extend."""
-    fold = hashlib.sha256()
-    blobs = []
-    for _, path in segments:
-        with open(path, "rb") as handle:
-            blobs.append(handle.read())
-        fold_segment(fold, path, hashlib.sha256(blobs[-1]).hexdigest())
-    return blobs, fold
-
-
-def record_lines(data: bytes) -> List[bytes]:
-    """The record-bearing lines of segment bytes, in order."""
-    return [line for line in data.split(b"\n") if line.strip()]
-
-
-def sealed_mismatch(sealed: Sequence[Tuple[int, str]], index: int,
-                    folded: str, recorded: Any) -> str:
-    """Why *sealed*, the segments below checkpoint *index*, are refused
-    although every record in them walks clean."""
-    names = " … ".join(sorted({os.path.basename(sealed[0][1]),
-                               os.path.basename(sealed[-1][1])}))
-    return (f"chain tamper in {names}: the segments below checkpoint "
-            f"{index} fold to {folded[:12]}… but the checkpoint sealed "
-            f"{str(recorded)[:12]}… — their bytes were rewritten, though "
-            f"every record in them walks clean")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,156 +196,53 @@ class DurabilityManager:
         with obs.tracer.span("recovery.recover",
                              directory=self._directory), \
                 obs.metrics.histogram("recovery.recover_seconds").time():
-            segment_list = self.segments()
+            segments = self.segments()
             loaded = (self._checkpoints.latest_loadable() if use_checkpoint
                       else None)
-            ckpt_head: Optional[str] = None
-            sealed_journal: Optional[str] = None
-            history_files = 0
+            base, ckpt = loaded if loaded is not None else (0, {})
             if loaded is not None:
-                base, ckpt_entry = loaded
-                ckpt_head = ckpt_entry.get("chain_head")
-                sealed_journal = ckpt_entry.get("sealed_journal")
-                database = load_database(ckpt_entry["database"])
+                database = load_database(ckpt["database"])
                 # What was just read is what is sealed: the next
                 # checkpoint writes only the rows that close from here on.
-                self._checkpoints.resume(database, ckpt_entry["history"])
-                history_files = len(ckpt_entry["history"])
+                self._checkpoints.resume(database, ckpt["history"])
             else:
-                base = 0
                 database = factory(clock=SimulatedClock(1))
             clock = database.manager.clock.source
             if not isinstance(clock, SimulatedClock):
                 raise JournalError(
                     "recovery drives a simulated clock; the factory must "
                     "accept clock=SimulatedClock(...)")
-            # A fold covers a journal from record 0: once an operator has
-            # pruned its oldest segments, none applies.
-            from_zero = (segment_list[0][0] if segment_list else base) == 0
-            sealed = [segment for segment in segment_list
-                      if segment[0] < base and from_zero
-                      and sealed_journal is not None]
-            blobs, fold = read_segments(sealed)
-            vouched = bool(sealed) and fold.hexdigest() == sealed_journal
-            live = (segment_list[-1] if segment_list
-                    and segment_list[-1][0] >= base else None)
-            live_data = b""
-            replayed = 0
+            walk = JournalWalk(segments, base,
+                               heads={base: ckpt.get("chain_head")},
+                               sealed=ckpt.get("sealed_journal"))
+            if walk.refusal is not None:
+                raise walk.refusal
+            total = max(base, walk.end)
+            # No segment, or a crash cut a checkpoint's rotation short:
+            # the next append starts the segment it would have created,
+            # so no segment below a checkpoint grows.
+            live_start, live_path, live_data = walk.live or (
+                total, self._segment_path(total), b"")
             truncated = 0
-            total = base
-            # Hash-chain verification walks every record read, seeded
-            # GENESIS when history starts at record 0 and *unknown*
-            # when an operator deleted checkpointed prefix segments.
-            verifier = _chain.ChainVerifier(_chain.GENESIS)
-            reconciled = base == 0  # head checked against the checkpoint?
-            expected: Optional[int] = None  # next global index expected
-            if vouched:
-                # The segments below the checkpoint are the bytes it
-                # sealed: their records count as verified, unread, and
-                # the chain goes on from the head it recorded for them.
-                verifier = _chain.ChainVerifier(ckpt_head)
-                verifier.verified = sum(len(record_lines(data))
-                                        for data in blobs)
-                reconciled, expected = True, base
-            for position, (start, path) in enumerate(segment_list):
-                if vouched and position < len(sealed):
-                    continue
-                name = os.path.basename(path)
-                journal = Journal(path, fsync=self._fsync, io=self._io)
-                if position < len(sealed):
-                    data = blobs[position]  # walked to name the damage
-                else:
-                    if position == len(segment_list) - 1:
-                        # Only the final segment may carry a torn tail;
-                        # repair it so future appends extend a clean file.
-                        truncated = journal.truncate_torn_tail()
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                    if (start, path) == live:
-                        live_data = data
-                    else:
-                        fold_segment(fold, path,
-                                     hashlib.sha256(data).hexdigest())
-                scanned, damage = journal.parse(data)
-                if damage is not None:  # strict: damage here is fatal
-                    raise JournalError(
-                        f"corrupt journal record at line "
-                        f"{damage.line_number} (byte offset "
-                        f"{damage.offset}) in {path}: {damage.reason}")
-                if expected is None:
-                    # First segment present.  Anything it fails to cover
-                    # must be covered by the checkpoint instead.
-                    if start > base:
-                        raise JournalError(
-                            f"journal gap: records {base}..{start} are in "
-                            f"no segment (first segment is {name}); the "
-                            f"history cannot be reconstructed")
-                    if start > 0:
-                        verifier = _chain.ChainVerifier(None)
-                elif start != expected:
-                    if expected < start <= base:
-                        # A deleted-by-the-operator range entirely below
-                        # the checkpoint: replay is unaffected, but the
-                        # chain cannot be followed across the hole.
-                        verifier.forget()
-                    else:
-                        raise JournalError(
-                            f"journal gap: segment {name} starts at "
-                            f"record {start} but the previous segment "
-                            f"ends at {expected}; records in between are "
-                            f"in no segment")
-                tail = []
-                for index, record in enumerate(scanned):
-                    if not reconciled and start + index >= base:
-                        # Crossing the checkpoint boundary: the walked
-                        # head must match the head the checkpoint
-                        # recorded for the same prefix.
-                        if ckpt_head is not None:
-                            if (verifier.head is not None
-                                    and verifier.head != ckpt_head):
-                                raise ChainError(
-                                    f"chain break at {name}:"
-                                    f"{record.line_number}: checkpoint "
-                                    f"{base} records head "
-                                    f"{ckpt_head[:12]}… but the journal "
-                                    f"walks to {verifier.head[:12]}…")
-                            if verifier.head is None:
-                                verifier.head = ckpt_head
-                        reconciled = True
-                    verifier.take(record.entry,
-                                  where=f"{name}:{record.line_number}")
-                    if start + index >= base:
-                        tail.append(record.entry)
-                if tail:
-                    with obs.tracer.span("recovery.tail_replay",
-                                         segment=name,
-                                         records=len(tail)):
-                        apply_entries(database, clock, tail)
-                    replayed += len(tail)
-                expected = start + len(scanned)
-                total = max(total, expected)
-                if position == len(sealed) - 1:
-                    # Every record walks clean, yet these are not the
-                    # bytes the checkpoint sealed: refused all the same.
-                    raise ChainError(sealed_mismatch(
-                        sealed, base, fold.hexdigest(), sealed_journal),
-                        kind="tamper")
-            head = verifier.head if reconciled else ckpt_head
-            obs.metrics.counter("recovery.records_replayed").inc(replayed)
+            if any(finding.kind == "torn" for finding in walk.findings):
+                truncated = Journal(live_path, io=self._io
+                                    ).truncate_torn_tail()
+            with obs.tracer.span("recovery.tail_replay",
+                                 records=len(walk.entries)):
+                apply_entries(database, clock, walk.entries)
+            head = (walk.verifier.head if walk.end >= base
+                    else ckpt.get("chain_head"))
+            obs.metrics.counter("recovery.records_replayed").inc(
+                len(walk.entries))
             obs.metrics.counter("recovery.chain_links_verified").inc(
-                verifier.verified)
+                walk.verifier.verified)
             obs.metrics.counter("recovery.runs").inc()
 
             self._database = database
             self._count = total
             self._head = head
-            self._fold = fold if from_zero else None
-            if live is None:
-                # No segment, or a crash cut a checkpoint's rotation
-                # short: the next append starts the segment it would
-                # have created, so no segment below a checkpoint grows.
-                live = (total, self._segment_path(total))
-            self._live_start, live_path = live
+            self._fold = walk.fold
+            self._live_start = live_start
             self._live = Journal(live_path, fsync=self._fsync, io=self._io)
             self._live.resume(head, live_data)
             database.manager.on_commit = self._on_commit
@@ -406,14 +251,14 @@ class DurabilityManager:
                            if loaded is None or index > base])
             report = RecoveryReport(
                 checkpoint_index=base if loaded is not None else None,
-                records_replayed=replayed,
+                records_replayed=len(walk.entries),
                 records_total=total,
-                segments_read=len(segment_list),
+                segments_read=len(segments),
                 torn_bytes_truncated=truncated,
                 checkpoints_skipped=skipped if use_checkpoint else 0,
-                chain_verified=verifier.verified,
+                chain_verified=walk.verifier.verified,
                 chain_head=head,
-                history_files_read=history_files,
+                history_files_read=len(ckpt.get("history", ())),
             )
         return database, report
 

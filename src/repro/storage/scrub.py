@@ -1,11 +1,10 @@
 """The integrity scrubber: audit, quarantine, and repair durable state.
 
 Recovery (:mod:`repro.storage.recovery`) verifies what it replays and
-*stops* at damage.  The scrubber is the operational layer above that: it
-walks everything a durability directory holds — journal segments,
-checkpoints, history files, 2PC side logs — verifying frames **and**
-chain links
-without ever raising, classifies each problem into a
+*stops* at damage.  The scrubber is the operational layer above that.
+Its audit makes the segment walk recovery makes
+(:mod:`repro.storage.walk`), then checks the checkpoints, history files
+and 2PC side logs, never raising; it classifies each problem into a
 :class:`Finding`, and can then take action:
 
 - :meth:`Scrubber.quarantine` moves every damaged file (and every file
@@ -28,8 +27,10 @@ The damage taxonomy the audit classifies into (docs/INTEGRITY.md):
 ==============  ============================================================
 kind            meaning
 ==============  ============================================================
-``torn``        a short final record in the final segment — benign crash
-                residue, repairable by truncation
+``torn``        a short final record in the live segment — benign crash
+                residue, repairable by truncation (the only finding in
+                a segment that recovery tolerates, beside a ``gap``
+                wholly below the checkpoint it loads)
 ``corrupt``     a frame whose bytes are present but wrong (bad CRC, bad
                 header, undecodable payload, or a retired generation —
                 an ``r1`` frame or bare JSON where only chained ``r2``
@@ -40,8 +41,10 @@ kind            meaning
 ``chain-tamper``  a record rewritten in place — CRC valid, but the
                 payload no longer matches the content hash the chain
                 pinned (the attack a checksum alone cannot catch), or
-                its chain fields were stripped (the downgrade)
-``gap``         records in no segment: a hole between segment files, or
+                its chain fields were stripped (the downgrade); or
+                sealed segments that no longer fold to the checkpoint
+``gap``         records in no segment: a hole between segment files, a
+                first segment starting above the newest checkpoint, or
                 a checkpoint claiming more records than the journal holds
 ``checkpoint``  a checkpoint file that fails its frame or format
 ``history``     a history file that fails its frame, or is not the
@@ -66,43 +69,24 @@ import dataclasses
 import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ChainError, CheckpointError
+from repro.errors import CheckpointError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.checkpoint import (CheckpointStore, manifest_mismatch,
                                       read_checkpoint_head, read_history)
-from repro.storage.framing import (FrameDamage, FrameError, parse_frame,
-                                   parse_journal_line)
+from repro.storage.framing import (JOURNAL_TAG, FrameDamage, FrameError,
+                                   frame_lines)
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import apply_entries
-from repro.storage.recovery import (DurabilityManager, read_segments,
-                                    record_lines, sealed_mismatch)
+from repro.storage.recovery import DurabilityManager
 from repro.storage.serializer import dump_database, load_database
+from repro.storage.walk import Finding, JournalWalk
 
 #: Quarantine subdirectory name (inside the durability directory).
 QUARANTINE_DIR = "quarantine"
 
 #: 2PC side-log file names (audited when present).
 _SIDELOGS = ("2pc.seg", "decisions.seg")
-
-
-@dataclasses.dataclass(frozen=True)
-class Finding:
-    """One classified integrity problem."""
-
-    #: File the damage lives in (relative to the audited directory).
-    file: str
-    #: Damage kind (module docstring taxonomy).
-    kind: str
-    #: 1-based line in the file, when the damage is line-addressable.
-    line_number: Optional[int] = None
-    #: Global record index the damage starts at, when known.
-    index: Optional[int] = None
-    #: Human-readable diagnosis.
-    detail: str = ""
-
-    def describe(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,213 +148,61 @@ class RepairReport:
         return dataclasses.asdict(self)
 
 
-class _SegmentWalk:
-    """Mutable state threaded through one audit's segment walk."""
-
-    def __init__(self) -> None:
-        self.findings: List[Finding] = []
-        self.records = 0
-        self.verified_prefix: Optional[int] = None  # None = no damage yet
-        self.verifier = _chain.ChainVerifier(_chain.GENESIS)
-        self.heads_at: Dict[int, Optional[str]] = {}
-        self.expected: Optional[int] = None  # next global index expected
-        self.end = 0  # highest global index accounted for
-
-    def damage(self, finding: Finding) -> None:
-        self.findings.append(finding)
-        if finding.index is not None and (self.verified_prefix is None
-                                          or finding.index
-                                          < self.verified_prefix):
-            self.verified_prefix = finding.index
-
-
-def _commit_of(line: bytes) -> str:
-    """The commit hash a (verified) journal line carries."""
-    return parse_journal_line(line.decode("utf-8"))[_chain.CHAIN_KEY][
-        "commit"]
-
-
-def _vouch_segment(walk: _SegmentWalk, start: int, data: bytes,
-                   head_marks: Tuple[int, ...]) -> None:
-    """Account for a segment whose bytes a checkpoint's fold vouches for:
-    its records count as verified and none is hashed.  The chain head at
-    a checkpoint mark inside or at the end of it is the ``commit`` of the
-    record before the mark, so every checkpoint's recorded head is still
-    cross-checked."""
-    lines = record_lines(data)
-    end = start + len(lines)
-    for mark in head_marks:
-        if start <= mark <= end and mark not in walk.heads_at:
-            walk.heads_at[mark] = (walk.verifier.head if mark == start
-                                   else _commit_of(lines[mark - start - 1]))
-    if lines:
-        walk.verifier.head = _commit_of(lines[-1])
-    walk.verifier.verified += len(lines)
-    walk.records += len(lines)
-    walk.expected = end
-    walk.end = max(walk.end, end)
-
-
-def _audit_segment(walk: _SegmentWalk, start: int, data: bytes, name: str,
-                   is_last: bool, head_marks: Tuple[int, ...]) -> None:
-    """Audit one segment's bytes line by line (never raises)."""
-    chunks = data.split(b"\n")
-    # Trailing newline yields one empty final chunk; drop it so "last
-    # line" means the last record-bearing line.
-    while chunks and not chunks[-1].strip():
-        chunks.pop()
-    parsed_here = 0
-    for position, chunk in enumerate(chunks):
-        line_number = position + 1
-        stripped = chunk.strip()
-        if not stripped:
-            continue
-        index = start + parsed_here
-        for mark in head_marks:
-            if mark == index and mark not in walk.heads_at:
-                walk.heads_at[mark] = walk.verifier.head
-        try:
-            entry = parse_journal_line(chunk.decode("utf-8"))
-        except (FrameError, UnicodeDecodeError) as exc:
-            damage = getattr(exc, "damage", FrameDamage.CORRUPT)
-            final = is_last and position == len(chunks) - 1
-            if damage is FrameDamage.TORN and final:
-                kind, detail = "torn", (f"torn final record (crash "
-                                        f"residue): {exc}")
-            elif damage is FrameDamage.TORN:
-                kind, detail = "corrupt", (f"torn bytes mid-file — no "
-                                           f"crash writes there: {exc}")
-            else:
-                kind, detail = "corrupt", str(exc)
-            walk.damage(Finding(name, kind, line_number, index, detail))
-            # Records beyond a damaged line still parse, but their global
-            # indices are no longer certain and the chain cannot be
-            # followed across the hole.
-            walk.verifier.forget()
-            parsed_here += 1
-            continue
-        try:
-            walk.verifier.take(entry, where=f"{name}:{line_number}")
-        except ChainError as exc:
-            walk.damage(Finding(
-                name, f"chain-{exc.kind}", line_number, index, str(exc)))
-            walk.verifier.forget()
-        walk.records += 1
-        parsed_here += 1
-    walk.expected = start + parsed_here
-    walk.end = max(walk.end, walk.expected)
-    for mark in head_marks:
-        if mark == walk.expected and mark not in walk.heads_at:
-            walk.heads_at[mark] = walk.verifier.head
-
-
-def _audit_sidelog(path: str, name: str,
-                   findings: List[Finding]) -> int:
-    """Frame-check one 2PC side log; returns records parsed."""
+def _audit_sidelog(path: str, name: str) -> List[Finding]:
+    """Frame-check one 2PC side log (absent: nothing to find)."""
     if not os.path.exists(path):
-        return 0
+        return []
     with open(path, "rb") as handle:
-        chunks = handle.read().split(b"\n")
-    while chunks and not chunks[-1].strip():
-        chunks.pop()
-    parsed = 0
-    for position, chunk in enumerate(chunks):
-        if not chunk.strip():
-            continue
-        try:
-            parse_frame(chunk.decode("utf-8"))
-        except (FrameError, UnicodeDecodeError) as exc:
-            damage = getattr(exc, "damage", FrameDamage.CORRUPT)
-            final = position == len(chunks) - 1
-            benign = damage is FrameDamage.TORN and final
-            findings.append(Finding(
-                name, "sidelog", position + 1, None,
-                ("torn final record (crash residue; recovery drops it): "
-                 if benign else "damaged 2PC record: ") + str(exc)))
-        else:
-            parsed += 1
-    return parsed
+        data = handle.read()
+    return [Finding(name, "sidelog", line_number, None,
+                    ("torn final record (crash residue; recovery drops it): "
+                     if error.damage is FrameDamage.TORN
+                     else "damaged 2PC record: ") + str(error))
+            for line_number, _, error in frame_lines(data, JOURNAL_TAG)
+            if isinstance(error, FrameError)]
 
 
 def audit_directory(directory: str,
                     io: Optional[StorageIO] = None) -> AuditReport:
     """Audit one :class:`DurabilityManager` directory; never raises.
 
-    Walks every journal segment (frames + chain links + contiguity),
-    every history file (frame, content hash — each read once, however
-    many checkpoints name it), every checkpoint (frame, format, recorded
-    chain head against the walked head, each manifest entry against the
-    file it names), and any 2PC side log living in the directory.
-    Segments below the newest valid checkpoint that still fold to its
-    ``sealed_journal`` verify by that one hash, no record re-hashed;
-    ones that do not are walked, and a clean walk is a ``chain-tamper``.
+    The segment walk of :mod:`repro.storage.walk` from the newest valid
+    checkpoint, cross-checking every valid checkpoint's recorded chain
+    head; then every history file (frame, content hash — each read once,
+    however many checkpoints name it), every checkpoint (frame, format,
+    each manifest entry against the file it names, its index against the
+    journal's end), and any 2PC side log living in the directory.
     """
     obs = _obs.current()
     with obs.tracer.span("scrub.audit", directory=directory), \
             obs.metrics.histogram("scrub.audit_seconds").time():
-        manager = DurabilityManager(directory, io=io)
-        segments = manager.segments()
+        segments = DurabilityManager(directory, io=io).segments()
         store = CheckpointStore(directory, io=io)
         ckpt_indices = store.indices()
-        head_marks = tuple(sorted(ckpt_indices))
         heads: Dict[int, Any] = {}  # index -> its head, or why it has none
         for index in ckpt_indices:
             try:
                 heads[index] = read_checkpoint_head(store.path_for(index))
             except CheckpointError as exc:
                 heads[index] = exc
-        walk = _SegmentWalk()
-        if segments and segments[0][0] > 0:
-            # History starts mid-stream (operator-deleted prefix): the
-            # head is unknown until a checkpointed head re-anchors it.
-            walk.verifier = _chain.ChainVerifier(None)
-        # The segments below the newest valid checkpoint verify by its
-        # fold while they still fold to it.  A fold covers a journal from
-        # record 0: none applies once an operator pruned the oldest ones.
-        newest_valid = max((index for index, head in heads.items()
-                            if isinstance(head, dict)), default=None)
-        sealed_journal = None
-        if newest_valid is not None and segments and segments[0][0] == 0:
-            sealed_journal = heads[newest_valid].get("sealed_journal")
-        sealed = [segment for segment in segments
-                  if sealed_journal is not None and segment[0] < newest_valid]
-        blobs, fold = read_segments(sealed)
-        vouched = fold.hexdigest() == sealed_journal
-        for position, (start, path) in enumerate(segments):
-            name = os.path.basename(path)
-            if walk.expected is not None and start != walk.expected:
-                if start > walk.expected:
-                    walk.damage(Finding(
-                        name, "gap", None, walk.expected,
-                        f"records {walk.expected}..{start} are in no "
-                        f"segment"))
-                else:
-                    walk.damage(Finding(
-                        name, "gap", None, start,
-                        f"segment overlaps the previous one (starts at "
-                        f"{start}, previous ends at {walk.expected})"))
-                walk.verifier.forget()
-            if position < len(sealed) and vouched:
-                _vouch_segment(walk, start, blobs[position], head_marks)
-                continue
-            if position < len(sealed):
-                data = blobs[position]
-            else:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            _audit_segment(walk, start, data, name,
-                           position == len(segments) - 1, head_marks)
-            if position == len(sealed) - 1 and not walk.findings and \
-                    walk.heads_at.get(newest_valid) == heads[
-                        newest_valid].get("chain_head"):
-                # Every record walks clean and links to the head the
-                # checkpoint sealed, yet the bytes are not the ones it
-                # sealed: diagnosed here, and never accepted.
-                walk.damage(Finding(
-                    os.path.basename(sealed[0][1]), "chain-tamper", None,
-                    sealed[0][0], sealed_mismatch(
-                        sealed, newest_valid, fold.hexdigest(),
-                        sealed_journal)))
+        valid = {index: head for index, head in heads.items()
+                 if isinstance(head, dict)}
+        newest_valid = max(valid, default=None)
+        walk = JournalWalk(
+            segments, newest_valid or 0,
+            heads={index: head.get("chain_head")
+                   for index, head in valid.items()},
+            sealed=valid.get(newest_valid, {}).get("sealed_journal"))
+        findings = list(walk.findings)
+        if newest_valid is not None and newest_valid > walk.end:
+            findings.append(Finding(
+                os.path.basename(store.path_for(newest_valid)), "gap",
+                None, walk.end,
+                f"checkpoint incorporates {newest_valid} records but the "
+                f"journal accounts for only {walk.end} — the journal "
+                f"tail was truncated"))
+        damaged_from = min((finding.index for finding in findings
+                            if finding.index is not None), default=walk.end)
         # History files: each verified once, on its own.
         history_names = store.history_files()
         histories: Dict[str, Any] = {}  # name -> (sha256, rows) | None
@@ -379,17 +211,16 @@ def audit_directory(directory: str,
                 histories[name] = read_history(os.path.join(directory, name))
             except CheckpointError as exc:
                 histories[name] = None
-                walk.findings.append(Finding(name, "history", None, None,
-                                             str(exc)))
-        # Checkpoints: damaged files, valid ones whose manifest is not
-        # met by the history files present, and valid ones whose recorded
-        # chain head contradicts the walked head at the same index.
+                findings.append(Finding(name, "history", None, None,
+                                        str(exc)))
+        # Checkpoints: damaged files, and valid ones whose manifest is not
+        # met by the history files present.
         for index in ckpt_indices:
             name = os.path.basename(store.path_for(index))
             entry = heads[index]
             if isinstance(entry, CheckpointError):
-                walk.findings.append(Finding(name, "checkpoint", None,
-                                             index, str(entry)))
+                findings.append(Finding(name, "checkpoint", None, index,
+                                        str(entry)))
                 continue
             for item in entry["history"]:
                 if item[0] not in histories:
@@ -402,43 +233,24 @@ def audit_directory(directory: str,
                     kind, problem = "manifest", manifest_mismatch(
                         item, *histories[item[0]])
                 if problem is not None:
-                    walk.findings.append(Finding(name, kind, None, index,
-                                                 problem))
-            recorded = entry.get("chain_head")
-            walked = walk.heads_at.get(index)
-            if recorded is not None and walked is not None \
-                    and recorded != walked:
-                walk.damage(Finding(
-                    name, "chain-break", None, index,
-                    f"checkpoint records chain head {recorded[:12]}… but "
-                    f"the journal walks to {walked[:12]}… at record "
-                    f"{index}"))
-        if newest_valid is not None and newest_valid > walk.end:
-            walk.damage(Finding(
-                os.path.basename(store.path_for(newest_valid)), "gap",
-                None, walk.end,
-                f"checkpoint incorporates {newest_valid} records but the "
-                f"journal accounts for only {walk.end} — the journal "
-                f"tail was truncated"))
-        sidelogs = 0
-        for sidelog in _SIDELOGS:
-            path = os.path.join(directory, sidelog)
-            if os.path.exists(path):
-                sidelogs += 1
-                _audit_sidelog(path, sidelog, walk.findings)
-        damaged_from = walk.verified_prefix
-        prefix = damaged_from if damaged_from is not None else walk.end
+                    findings.append(Finding(name, kind, None, index,
+                                            problem))
+        sidelogs = [name for name in _SIDELOGS
+                    if os.path.exists(os.path.join(directory, name))]
+        for name in sidelogs:
+            findings.extend(_audit_sidelog(os.path.join(directory, name),
+                                           name))
         report = AuditReport(
             directory=directory,
-            findings=tuple(walk.findings),
+            findings=tuple(findings),
             records_total=walk.records,
             chain_verified=walk.verifier.verified,
-            verified_prefix=prefix,
-            chain_head=(walk.verifier.head if not walk.findings else None),
+            verified_prefix=damaged_from,
+            chain_head=(walk.verifier.head if not findings else None),
             segments_audited=len(segments),
             checkpoints_audited=len(ckpt_indices),
             history_files_audited=len(history_names),
-            sidelogs_audited=sidelogs,
+            sidelogs_audited=len(sidelogs),
         )
         obs.metrics.counter("scrub.audits").inc()
         if report.findings:
@@ -469,9 +281,8 @@ def audit_sharded(directory: str,
         if name.startswith("shard-") and os.path.isdir(path):
             shard_ids.append(int(name.split("-", 1)[1]))
             per_shard.append(audit_directory(path, io=io))
-    decision_findings: List[Finding] = []
-    _audit_sidelog(os.path.join(directory, "decisions.seg"),
-                   "decisions.seg", decision_findings)
+    decision_findings = _audit_sidelog(
+        os.path.join(directory, "decisions.seg"), "decisions.seg")
     heads = [report.chain_head for report in per_shard]
     combined = combined_root(heads)
     return {
@@ -527,14 +338,12 @@ class DirectorySource:
         return segments[0][0] if segments else self._manager.record_count
 
     def entries_from(self, seq: int) -> List[Dict[str, Any]]:
-        """Every journal entry at or after *seq*, oldest first."""
-        from repro.storage.journal import Journal
-        entries: List[Dict[str, Any]] = []
-        for start, path in self._manager.segments():
-            for offset, entry in enumerate(Journal(path).read()):
-                if start + offset >= seq:
-                    entries.append(entry)
-        return entries
+        """Every journal entry at or after *seq*, oldest first (the
+        segment walk's; what recovery would refuse raises)."""
+        walk = JournalWalk(self._manager.segments(), seq)
+        if walk.refusal is not None:
+            raise walk.refusal
+        return walk.entries
 
     def snapshot(self) -> Tuple[int, Dict[str, Any], Optional[str]]:
         """``(record_count, dumped_state, chain_head)`` of the source."""

@@ -18,12 +18,19 @@ never crashed.  These helpers collect those answers:
 - :func:`unsealed_twin` / :func:`findings` — the reference an audit of
   sealed segments is held to: the same bytes under checkpoints that
   record no fold, which every audit walks record by record.
+- :func:`files` / :func:`assert_refused` — recovery refusing a damaged
+  directory: a typed error, and not one byte of it changed.
 """
 
+import os
 import shutil
 
-from repro.storage import (CHECKPOINT_TAG, CheckpointStore, frame_record,
-                           read_checkpoint_head)
+import pytest
+
+from repro.core import TemporalDatabase
+from repro.errors import ChainError, JournalError
+from repro.storage import (CHECKPOINT_TAG, CheckpointStore, DurabilityManager,
+                           frame_record, read_checkpoint_head)
 from repro.tquel import Session
 
 from tests.conftest import faculty_schema
@@ -178,3 +185,21 @@ def unsealed_twin(directory, twin):
 def findings(report):
     """An audit's findings as ``(kind, file, line, index)`` tuples."""
     return [(f.kind, f.file, f.line_number, f.index) for f in report.findings]
+
+
+def files(directory):
+    """Every file of *directory* with its bytes."""
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))
+            if os.path.isfile(os.path.join(directory, name))}
+
+
+def assert_refused(directory, error=(JournalError, ChainError),
+                   recover=lambda d: DurabilityManager(d).recover(
+                       TemporalDatabase)):
+    """Recovery raises a typed error and truncates nothing."""
+    before = files(directory)
+    with pytest.raises(error) as raised:
+        recover(directory)
+    assert files(directory) == before
+    return raised.value

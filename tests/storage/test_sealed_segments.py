@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.core import TemporalDatabase
-from repro.errors import ChainError, JournalError
+from repro.errors import ChainError
 from repro.storage import (CHAINED_TAG, CHECKPOINT_TAG, GENESIS,
                            DurabilityManager, audit_directory, chain_entry,
                            flip_byte, frame, frame_record, parse_journal_line,
@@ -31,8 +31,8 @@ from repro.storage import chain as chain_module
 from repro.time import SimulatedClock
 
 from tests.conftest import faculty_schema
-from tests.storage.probes import (drive_faculty, findings, observations,
-                                  unsealed_twin)
+from tests.storage.probes import (assert_refused, drive_faculty, findings,
+                                  observations, unsealed_twin)
 
 SEALED = "journal-00000000.seg"
 
@@ -59,13 +59,6 @@ def reference():
     return database
 
 
-def files(directory):
-    """Every file of *directory* with its bytes."""
-    return {name: open(os.path.join(directory, name), "rb").read()
-            for name in sorted(os.listdir(directory))
-            if os.path.isfile(os.path.join(directory, name))}
-
-
 def rewrite_line(path, line_number, rewrite):
     """Replace one line of a segment with ``rewrite(entry)``."""
     lines = open(path, "rb").read().split(b"\n")
@@ -80,15 +73,6 @@ def reformatted(entry):
     with other JSON separators: other bytes that walk clean."""
     return frame(json.dumps(entry, sort_keys=True, separators=(",", ":")),
                  tag=CHAINED_TAG)
-
-
-def assert_refused(directory, error=(JournalError, ChainError)):
-    """Recovery raises a typed error and truncates nothing."""
-    before = files(directory)
-    with pytest.raises(error) as raised:
-        DurabilityManager(directory).recover(TemporalDatabase)
-    assert files(directory) == before
-    return raised.value
 
 
 def assert_found_as_unsealed(directory, tmp_path):
