@@ -32,7 +32,10 @@ checks index answers against the naive scans they replace.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
+from operator import itemgetter
 from typing import (Any, Dict, Generic, Iterable, List, Optional, Sequence,
                     Tuple as PyTuple, TypeVar, Union)
 
@@ -52,6 +55,9 @@ Payload = TypeVar("Payload")
 #: comparison orders them against integer chronons.
 _NEG = -math.inf
 _POS = math.inf
+#: A stored ``(lo, hi, payload)`` triple's start and exclusive end.
+_START = itemgetter(0)
+_END = itemgetter(1)
 
 
 def _lo(period: Period) -> float:
@@ -125,10 +131,8 @@ class IntervalTree(Generic[Payload]):
 
     def _reset(self, triples: List[PyTuple[float, float, Payload]]) -> None:
         self._base = triples
-        counts: Dict[PyTuple[float, float, Payload], int] = {}
-        for triple in triples:
-            counts[triple] = counts.get(triple, 0) + 1
-        self._base_counts = counts
+        # Built by the first discard, the one reader: it hashes every row.
+        self._base_counts: Optional[Counter] = None
         self._extra: List[PyTuple[float, float, Payload]] = []
         self._dead: Dict[PyTuple[float, float, Payload], int] = {}
         self._pending = 0
@@ -150,15 +154,14 @@ class IntervalTree(Generic[Payload]):
         if not triples:
             return None
         # Median of the finite endpoints keeps the tree balanced even with
-        # many unbounded intervals.
-        endpoints = sorted(
-            point
-            for lo, hi, _ in triples
-            for point in (lo, hi)
-            if point not in (_NEG, _POS)
-        )
-        if endpoints:
-            center = endpoints[len(endpoints) // 2]
+        # many unbounded intervals: sort them all, bisect off the infinities.
+        endpoints = [lo for lo, _, _ in triples]
+        endpoints += [hi for _, hi, _ in triples]
+        endpoints.sort()
+        first = bisect.bisect_right(endpoints, _NEG)
+        last = bisect.bisect_left(endpoints, _POS)
+        if first < last:
+            center = endpoints[first + (last - first) // 2]
         else:
             center = 0.0  # every interval is (-∞, ∞); all land here
         node = _Node[Payload](center)
@@ -177,8 +180,9 @@ class IntervalTree(Generic[Payload]):
         if len(left_items) == len(triples) or len(right_items) == len(triples):
             node.by_start.extend(left_items + right_items)
             left_items, right_items = [], []
-        node.by_start.sort(key=lambda t: t[0])
-        node.by_end = sorted(node.by_start, key=lambda t: -t[1])
+        node.by_start.sort(key=_START)
+        # Stable either way: equal ends keep their by_start order.
+        node.by_end = sorted(node.by_start, key=_END, reverse=True)
         node.left = self._build(left_items)
         node.right = self._build(right_items)
         return node
@@ -201,6 +205,8 @@ class IntervalTree(Generic[Payload]):
         intervals are respected: one call removes one copy.
         """
         triple = (_lo(period), _hi(period), payload)
+        if self._base_counts is None:
+            self._base_counts = Counter(self._base)
         live_in_base = (self._base_counts.get(triple, 0)
                         - self._dead.get(triple, 0))
         if live_in_base > 0:

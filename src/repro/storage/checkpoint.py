@@ -13,14 +13,14 @@ Two kinds of file, each a single framed record
 (:mod:`repro.storage.framing`):
 
 ``history-<commit_index padded to 8>-<first 16 hex of its sha256>.hist``
-    Tag ``h1``.  ``{"format", "commit_index", "relations": {name: rows}}``
-    — for each relation that keeps transaction time, the rows (in the
-    one codec of :func:`~repro.storage.serializer.encode_rows`) that
-    closed since the previous history file.  Immutable and named by
-    content: a file is never rewritten with different bytes, so every
-    checkpoint that names it keeps standing on what it saw.
+    Tag ``h1``, format 2.  ``{"format", "commit_index", "relations":
+    {name: rows}}`` — for each relation that keeps transaction time, the
+    rows (in the one codec of :func:`~repro.storage.serializer.
+    encode_rows`) that closed since the previous history file.  Immutable
+    and named by content: a file is never rewritten with different bytes,
+    so every checkpoint that names it keeps standing on what it saw.
 ``checkpoint-<commit_index padded to 8>.ckpt``
-    Tag ``c1``.  ``{"format", "commit_index", "chain_head",
+    Tag ``c1``, format 4.  ``{"format", "commit_index", "chain_head",
     "sealed_journal", "database", "history"}`` — ``database`` is
     ``dump_database(closed=False)`` (static and historical kinds have no
     immutable past and are dumped whole, as before); ``history`` is the
@@ -31,14 +31,19 @@ Two kinds of file, each a single framed record
     (:func:`~repro.storage.walk.fold_segment`) into one SHA-256;
     absent when the writer did not know their bytes (adopted snapshot).
 
+A row's stamps — its valid and transaction periods — are written as
+chronon integers, ``[start, end]`` (``null`` for an infinity, a
+granularity other than day appended by name), so a load parses no date.
+A file of an older format is skipped, as a damaged one is.
+
 **Durability obligations.**  Both files are published atomically with
 ``fsync`` (:meth:`~repro.storage.io.StorageIO.write_atomic`), the history
 file first, so a durable checkpoint never names a file that is not.  A
 crash in between leaves an orphan history file, which nothing reads; the
 next checkpoint seals the same rows again.  A checkpoint that turns up
 damaged — or whose history file is missing, fails its frame, or is not
-the bytes the manifest hashed — raises
-:class:`~repro.errors.CheckpointError` from :func:`read_checkpoint` and
+the bytes the manifest hashed, or whose rows do not decode — raises
+:class:`~repro.errors.CheckpointError` from :func:`load_checkpoint` and
 is skipped, never trusted; the journal remains the source of truth and
 recovery simply replays more of it.  Checkpoints are an optimization, not
 a durability requirement: deleting every checkpoint and history file
@@ -56,16 +61,16 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
                     Tuple)
 
 from repro.core.transaction_time import TransactionTimeStore
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ReproError
 from repro.obs import runtime as _obs
 from repro.storage.framing import (CHECKPOINT_TAG, HISTORY_TAG, FrameError,
                                    frame, parse_frame)
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.serializer import (dump_database, encode_rows,
-                                      restore_closed)
+                                      load_database, restore_closed)
 
-CHECKPOINT_FORMAT = 3
-HISTORY_FORMAT = 1
+CHECKPOINT_FORMAT = 4
+HISTORY_FORMAT = 2
 
 _NAME = re.compile(r"^checkpoint-(\d{8,})\.ckpt$")
 _HISTORY_NAME = re.compile(r"^history-(\d{8,})-([0-9a-f]{16})\.hist$")
@@ -237,6 +242,25 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
     return entry
 
 
+def load_payload(path: str, data: Dict[str, Any]):
+    """The database the ``database`` field *data* of the checkpoint at
+    *path* holds.  Rows that do not decode make the checkpoint as
+    unusable as a torn one: :class:`~repro.errors.CheckpointError`."""
+    try:
+        return load_database(data)
+    except (ReproError, LookupError, TypeError, ValueError,
+            AttributeError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} does not decode: {exc}") from exc
+
+
+def load_checkpoint(path: str) -> Tuple[Any, Dict[str, Any]]:
+    """``(database, entry)``: :func:`read_checkpoint`, then the database
+    it holds (:func:`load_payload`)."""
+    entry = read_checkpoint(path)
+    return load_payload(path, entry["database"]), entry
+
+
 class CheckpointStore:
     """The checkpoint and history files of one durability directory.
 
@@ -362,8 +386,8 @@ class CheckpointStore:
         obs.metrics.counter("recovery.checkpoints_written").inc()
         return path
 
-    def _newest(self, read: Callable[[str], Dict[str, Any]]
-                ) -> Optional[Tuple[int, Dict[str, Any]]]:
+    def _newest(self, read: Callable[[str], Any]
+                ) -> Optional[Tuple[int, Any]]:
         metrics = _obs.current().metrics
         for commit_index in reversed(self.indices()):
             try:
@@ -382,16 +406,19 @@ class CheckpointStore:
         """
         return self._newest(read_checkpoint_head)
 
-    def latest_loadable(self) -> Optional[Tuple[int, Dict[str, Any]]]:
+    def latest_loadable(self
+                        ) -> Optional[Tuple[int, Tuple[Any, Dict[str, Any]]]]:
         """The newest **usable** checkpoint, or ``None``: ``(commit_index,
-        entry)`` as :func:`read_checkpoint` gives it, history resolved.
+        (database, entry))`` as :func:`load_checkpoint` gives them, the
+        history resolved and every row decoded.
 
-        Damaged checkpoints, and checkpoints standing on a missing or
-        damaged history file, are skipped (newest first, counting each
-        skip into the ``recovery.checkpoints_skipped`` metric) rather
-        than trusted — the journal can always fill the gap.
+        Damaged checkpoints, checkpoints standing on a missing or damaged
+        history file, and checkpoints whose rows do not decode are
+        skipped (newest first, counting each skip into the
+        ``recovery.checkpoints_skipped`` metric) rather than trusted —
+        the journal can always fill the gap.
         """
-        return self._newest(read_checkpoint)
+        return self._newest(load_checkpoint)
 
     def __repr__(self) -> str:
         return f"CheckpointStore({self._directory!r})"

@@ -17,10 +17,10 @@ entire durable state:
 **The recovery algorithm** (:meth:`DurabilityManager.recover`):
 
 1. load the newest *usable* checkpoint, its history files verified
-   against its manifest (a damaged checkpoint, or one standing on a
-   missing or damaged history file, is skipped — the journal can always
-   fill the gap); with none, start from an empty database of the
-   requested kind;
+   against its manifest (a damaged checkpoint, one standing on a
+   missing or damaged history file, or one whose rows do not decode, is
+   skipped — the journal can always fill the gap); with none, start
+   from an empty database of the requested kind;
 2. walk the segments with the checkpoint's index as the base — the walk
    the audit makes (:mod:`repro.storage.walk`) — and raise the typed
    error of the first finding it refuses;
@@ -61,7 +61,6 @@ from repro.storage import chain as _chain
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.journal import Journal, apply_entries
-from repro.storage.serializer import load_database
 from repro.storage.walk import JournalWalk, fold_segment
 from repro.time.clock import SimulatedClock
 
@@ -83,8 +82,8 @@ class RecoveryReport:
     #: Bytes of torn trailing record physically truncated (0 = clean).
     torn_bytes_truncated: int
     #: Checkpoint files present but newer than the one used (i.e. damaged,
-    #: or standing on a damaged history file, and skipped); nonzero means
-    #: a checkpoint write was interrupted.
+    #: standing on a damaged history file, or not decoding, and skipped);
+    #: nonzero means a checkpoint write was interrupted or damaged.
     checkpoints_skipped: int
     #: Chained records whose hash link was verified during the walk.
     chain_verified: int = 0
@@ -199,9 +198,9 @@ class DurabilityManager:
             segments = self.segments()
             loaded = (self._checkpoints.latest_loadable() if use_checkpoint
                       else None)
-            base, ckpt = loaded if loaded is not None else (0, {})
+            base, (database, ckpt) = (loaded if loaded is not None
+                                      else (0, (None, {})))
             if loaded is not None:
-                database = load_database(ckpt["database"])
                 # What was just read is what is sealed: the next
                 # checkpoint writes only the rows that close from here on.
                 self._checkpoints.resume(database, ckpt["history"])

@@ -46,7 +46,8 @@ kind            meaning
 ``gap``         records in no segment: a hole between segment files, a
                 first segment starting above the newest checkpoint, or
                 a checkpoint claiming more records than the journal holds
-``checkpoint``  a checkpoint file that fails its frame or format
+``checkpoint``  a checkpoint file that fails its frame or format, or
+                whose own rows do not decode
 ``history``     a history file that fails its frame, or is not the
                 content it is named for
 ``history-missing``  a checkpoint whose manifest names a history file
@@ -72,8 +73,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import CheckpointError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
-from repro.storage.checkpoint import (CheckpointStore, manifest_mismatch,
-                                      read_checkpoint_head, read_history)
+from repro.storage.checkpoint import (CheckpointStore, load_payload,
+                                      manifest_mismatch, read_checkpoint_head,
+                                      read_history)
 from repro.storage.framing import (JOURNAL_TAG, FrameDamage, FrameError,
                                    frame_lines)
 from repro.storage.io import REAL_IO, StorageIO
@@ -170,8 +172,9 @@ def audit_directory(directory: str,
     checkpoint, cross-checking every valid checkpoint's recorded chain
     head; then every history file (frame, content hash — each read once,
     however many checkpoints name it), every checkpoint (frame, format,
-    each manifest entry against the file it names, its index against the
-    journal's end), and any 2PC side log living in the directory.
+    its own rows decoding, each manifest entry against the file it names,
+    its index against the journal's end), and any 2PC side log living in
+    the directory.
     """
     obs = _obs.current()
     with obs.tracer.span("scrub.audit", directory=directory), \
@@ -181,8 +184,10 @@ def audit_directory(directory: str,
         ckpt_indices = store.indices()
         heads: Dict[int, Any] = {}  # index -> its head, or why it has none
         for index in ckpt_indices:
+            path = store.path_for(index)
             try:
-                heads[index] = read_checkpoint_head(store.path_for(index))
+                heads[index] = read_checkpoint_head(path)
+                load_payload(path, heads[index]["database"])
             except CheckpointError as exc:
                 heads[index] = exc
         valid = {index: head for index, head in heads.items()

@@ -5,6 +5,12 @@ Encoding conventions (tagged objects, so plain values stay plain):
 - ``{"$instant": "1982-12-15", "granularity": "day"}`` — finite instants;
   ``"$instant": "inf" / "-inf"`` for the unbounded endpoints;
 - ``{"$period": [start, end]}`` — periods;
+- *stamps* — the timestamps of Figure 8, a row's valid and transaction
+  periods — are not values but chronons (§1): ``[start, end]`` as
+  chronon integers, ``null`` for a −∞ start or a +∞ end, with the
+  granularity's name appended unless it is day (``[s, e, "hour"]``).
+  The clock position is a one-chronon stamp, ``[last]``.  A value of an
+  attribute keeps the tagged form, whatever its domain;
 - schemas carry attribute name, domain descriptor and nullability, plus
   the key;
 - domains serialize by descriptor: the built-ins by name, enumerations
@@ -23,7 +29,10 @@ which writes the immutable closed rows once, elsewhere — as its open
 partition only (``dump_database(closed=False)``); :func:`restore_closed`
 puts the closed rows back, giving the whole dump again.  A state digest
 reads the dump as text (:func:`canonical_dump`, :func:`row_texts`), each
-row written straight from the store through the same :func:`encode_value`.
+row written straight from the store through the same :func:`encode_value`
+and :func:`encode_stamp`.  A load builds one period per distinct stamp
+(:func:`decode_stamp`), so the valid period many rows share is one
+object.
 
 **Durability obligations.**  ``dump_database`` is the payload of every
 checkpoint (:mod:`repro.storage.checkpoint`), so its completeness is
@@ -51,7 +60,7 @@ from repro.core.rollback import (INTERVAL, RollbackDatabase,
                                  TransactionTimeRow)
 from repro.core.static import StaticDatabase
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
-from repro.errors import StorageError
+from repro.errors import StorageError, TimeError
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -61,7 +70,13 @@ from repro.time.clock import SimulatedClock
 from repro.time.instant import Instant, NEG_INF, POS_INF
 from repro.time.period import Period
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: Granularities by name: the optional last item of a stamp.
+_UNITS = {unit.value: unit for unit in Granularity}
+#: The exact types a stamp's chronon may have (``bool`` and ``float``
+#: compare equal to integers, and are refused).
+_CHRONONS = frozenset({int, type(None)})
 
 _BUILTIN_DOMAINS = {
     "string": Domain.STRING,
@@ -99,17 +114,17 @@ def encode_value(value: Any, memo: Optional[Dict[Instant, Any]] = None) -> Any:
     return encoded
 
 
-#: The instants one load has decoded, by ``(literal, granularity)``.
-InstantMemo = Dict[PyTuple[str, str], Instant]
+#: What one load has decoded: instants by ``(literal, granularity)``,
+#: periods by their stamp as a tuple (whose first item is never a str).
+Memo = Dict[PyTuple[Any, ...], Any]
 
 
-def decode_value(data: Any, memo: Optional[InstantMemo] = None) -> Any:
+def decode_value(data: Any, memo: Optional[Memo] = None) -> Any:
     """Decode data produced by :func:`encode_value`.
 
-    A history is a few thousand rows stamped with far fewer distinct
-    instants (a commit time ends some rows and starts others); a caller
-    decoding many values passes one *memo* for the whole load, and each
-    distinct literal is parsed once.
+    A caller decoding many values passes one *memo* for the whole load,
+    and each distinct literal is parsed once.  (A row's stamps are not
+    values: they are chronons, read by :func:`decode_stamp`.)
     """
     if not isinstance(data, dict):
         return data
@@ -132,6 +147,72 @@ def decode_value(data: Any, memo: Optional[InstantMemo] = None) -> Any:
         start, end = data["$period"]
         return Period(decode_value(start, memo), decode_value(end, memo))
     raise StorageError(f"unknown tagged value {data!r}")
+
+
+def encode_stamp(*points: Instant) -> List[Any]:
+    """A stamp: the chronons of *points* — a period's start and end, or
+    the clock's one position — ``None`` for an infinity, then the
+    granularity's name unless it is day."""
+    unit = Granularity.DAY
+    stamp: List[Any] = []
+    for point in points:
+        if point.is_finite:
+            stamp.append(point.chronon)
+            unit = point.granularity
+        else:
+            stamp.append(None)
+    if unit is not Granularity.DAY:
+        stamp.append(unit.value)
+    return stamp
+
+
+def _stamp_unit(stamp: Any, points: int) -> Granularity:
+    """The granularity of *stamp*, a stamp of *points* chronons; anything
+    else raises :class:`~repro.errors.StorageError`."""
+    if (type(stamp) in (list, tuple) and points <= len(stamp) <= points + 1
+            and _CHRONONS.issuperset(map(type, stamp[:points]))):
+        if len(stamp) == points:
+            return Granularity.DAY
+        unit = stamp[points]
+        if type(unit) is str and unit in _UNITS:
+            return _UNITS[unit]
+    raise StorageError(
+        f"malformed stamp {stamp!r}: expected {points} integer chronon(s) "
+        f"(null for an infinity), then optionally a granularity's name")
+
+
+def decode_stamp(data: Any, memo: Optional[Memo] = None) -> Period:
+    """The period a two-chronon stamp (:func:`encode_stamp`) names, built
+    through :class:`~repro.time.period.Period`'s own validation once per
+    distinct stamp per *memo*.  Anything else — a bool or float chronon,
+    an unknown unit, a start not before its end — raises
+    :class:`~repro.errors.StorageError`."""
+    key = tuple(data) if type(data) is list else data
+    try:
+        found = memo.get(key) if memo is not None else None
+    except TypeError:  # an unhashable item: no stamp
+        found = None
+    # A hit still checks the types: ``True`` and ``1.0`` hash as ``1``.
+    if (found is None or type(key[0]) not in _CHRONONS
+            or type(key[1]) not in _CHRONONS):
+        unit = _stamp_unit(key, 2)
+        start, end = key[0], key[1]
+        try:
+            found = Period(NEG_INF if start is None else Instant(start, unit),
+                           POS_INF if end is None else Instant(end, unit))
+        except TimeError as exc:
+            raise StorageError(f"stamp {data!r}: {exc}") from exc
+        if memo is not None:
+            memo[key] = found
+    return found
+
+
+def _decode_clock(data: Any) -> Instant:
+    """The clock position a one-chronon stamp names (never an infinity)."""
+    unit = _stamp_unit(data, 1)
+    if data[0] is None:
+        raise StorageError(f"clock position {data!r} is not a chronon")
+    return Instant.from_chronon(data[0], unit)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +282,7 @@ def _encode_states(states: Iterable[Any]) -> List[List[Any]]:
 
 
 def _tuple_from_list(schema: Schema, values: List[Any],
-                     memo: Optional[InstantMemo] = None) -> Tuple:
+                     memo: Optional[Memo] = None) -> Tuple:
     return Tuple.from_sequence(
         schema, [decode_value(value, memo) for value in values])
 
@@ -209,9 +290,11 @@ def _tuple_from_list(schema: Schema, values: List[Any],
 def encode_rows(rows: Iterable[Any]) -> List[List[Any]]:
     """The one codec of timestamped rows: ``[values, *stamps]`` each — a
     historical row's valid period, a rollback row's transaction period, a
-    bitemporal row's both.  Each distinct instant is formatted once."""
+    bitemporal row's both.  Each distinct instant of a value is formatted
+    once; a stamp is its chronons (:func:`encode_stamp`)."""
     encode = functools.partial(encode_value, memo={})
-    return [[list(map(encode, row[0].values)), *map(encode, row[1:])]
+    return [[list(map(encode, row[0].values)),
+             *[encode_stamp(period.start, period.end) for period in row[1:]]]
             for row in rows]
 
 
@@ -233,7 +316,8 @@ class RowTexts(list):
 def row_texts(rows: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
     """Each stored row's :func:`store_to_dict` form as ``json.dumps(...,
     sort_keys=True, ensure_ascii=False)`` writes it: a tuple's values in
-    one encoder call, each distinct stamp once (instants through *memo*)."""
+    one encoder call (their instants through *memo*), each distinct stamp
+    or state time once."""
     text = _json_writer(functools.partial(encode_value, memo=memo))
     stamps: Dict[Any, str] = {}
 
@@ -241,7 +325,10 @@ def row_texts(rows: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
         if isinstance(value, (Instant, Period)):
             found = stamps.get(value)
             if found is None:
-                found = stamps[value] = text(encode_value(value, memo))
+                found = stamps[value] = text(
+                    encode_stamp(value.start, value.end)
+                    if isinstance(value, Period)
+                    else encode_value(value, memo))
             return found
         if isinstance(value, (tuple, Relation)):
             return "[" + ", ".join(map(item, value)) + "]"
@@ -250,11 +337,11 @@ def row_texts(rows: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
 
 
 def _decode_rows(schema: Schema, row_type: Any, data: Iterable[List[Any]],
-                 memo: InstantMemo) -> Iterator[Any]:
+                 memo: Memo) -> Iterator[Any]:
     """Rows of *row_type* back from :func:`encode_rows` output."""
     for values, *stamps in data:
         yield row_type(_tuple_from_list(schema, values, memo),
-                       *[decode_value(stamp, memo) for stamp in stamps])
+                       *[decode_stamp(stamp, memo) for stamp in stamps])
 
 
 def store_to_dict(store: Any, closed: bool = True,
@@ -289,7 +376,7 @@ _ROW_SHAPES = {
 
 
 def relation_from_dict(data: Dict[str, Any],
-                       memo: Optional[InstantMemo] = None):
+                       memo: Optional[Memo] = None):
     """Deserialize any store shape produced by :func:`store_to_dict`."""
     schema = schema_from_dict(data["schema"])
     kind = data.get("kind")
@@ -349,7 +436,7 @@ def dump_database(database, closed: bool = True) -> Dict[str, Any]:
     """
     data = _dump(database, closed)
     last = database.manager.clock.last
-    data["clock_last"] = encode_value(last) if last is not None else None
+    data["clock_last"] = encode_stamp(last) if last is not None else None
     return data
 
 
@@ -385,7 +472,7 @@ def load_database(data: Dict[str, Any], clock=None):
     except KeyError:
         raise StorageError(f"unknown database kind {kind!r}") from None
 
-    last = (decode_value(data["clock_last"])
+    last = (_decode_clock(data["clock_last"])
             if data.get("clock_last") is not None else None)
     if clock is None:
         clock = SimulatedClock(last if last is not None else 1)
@@ -397,7 +484,7 @@ def load_database(data: Dict[str, Any], clock=None):
         database = db_class(clock=clock)
 
     # Rebuild private state directly; the dump is the source of truth.
-    memo: InstantMemo = {}
+    memo: Memo = {}
     for name, entry in data["relations"].items():
         schema = schema_from_dict(entry["schema"])
         database._schemas[name] = schema

@@ -12,6 +12,7 @@ from repro.time import Instant, NEG_INF, POS_INF, Period, SimulatedClock
 from repro.workload import FacultyWorkload, apply_workload
 
 from tests.conftest import build_faculty
+from tests.core.interval_tree_reference import reference_build, shape
 
 BASE = Instant.parse("01/01/80").chronon
 
@@ -78,6 +79,34 @@ class TestIntervalTree:
         probe = Instant.from_chronon(BASE + probe_offset)
         expected = sorted(index for p, index in items if p.contains(probe))
         assert sorted(tree.stab(probe)) == expected
+
+
+class TestBuildMatchesReference:
+    """The build sorts each node's endpoints once; the tree it makes is
+    the reference build's, node for node (tests/core/
+    interval_tree_reference.py), so every answer comes in the same order.
+    """
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.one_of(st.none(), st.integers(1, 30))), max_size=60),
+        st.lists(st.integers(0, 59), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_same_centres_and_orders(self, raw, repeats):
+        items = [(period(lo, None if length is None else (lo or 0) + length),
+                  index) for index, (lo, length) in enumerate(raw)]
+        # Duplicates: the same interval and payload, again.
+        items += [items[at] for at in repeats if at < len(items)]
+        tree = IntervalTree(items)
+        assert shape(tree._root) == shape(reference_build(tree._base))
+
+    def test_lazy_counts_still_respect_multiplicity(self):
+        tree = IntervalTree([(period(0, 10), "a")] * 2)
+        assert tree._base_counts is None  # a build hashes no row
+        assert tree.discard(period(0, 10), "a")
+        assert tree.discard(period(0, 10), "a")
+        assert not tree.discard(period(0, 10), "a")
+        assert tree.stab(Instant.from_chronon(BASE + 5)) == []
 
 
 class TestOverlapping:
