@@ -456,12 +456,6 @@ class ColumnarChunk:
     # -- mask algebra ----------------------------------------------------------
 
     @staticmethod
-    def mask_and(left: Any, right: Any) -> Any:
-        if _np is not None:
-            return left & right
-        return [a and b for a, b in zip(left, right)]
-
-    @staticmethod
     def count(mask: Any) -> int:
         if _np is not None:
             return int(mask.sum())

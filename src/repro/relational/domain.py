@@ -35,7 +35,7 @@ class Domain:
     #: ``contains`` is the membership test itself (``None`` is handled by
     #: nullability, not domains) — a slot, so a check costs one call.
     __slots__ = ("_name", "contains", "_parse", "_format", "_is_time",
-                 "_enum_values")
+                 "_enum_values", "_enum_set")
 
     # Populated below, after the class body.
     STRING: "Domain"
@@ -56,6 +56,7 @@ class Domain:
         self._format = format
         self._is_time = is_time
         self._enum_values: Optional[tuple] = None
+        self._enum_set: Optional[frozenset] = None  # (what equality reads)
 
     # -- factories -----------------------------------------------------------
 
@@ -75,7 +76,7 @@ class Domain:
             return text
 
         domain = cls(name, check, parse, str)
-        domain._enum_values = tuple(values)
+        domain._enum_values, domain._enum_set = tuple(values), allowed
         return domain
 
     @classmethod
@@ -145,10 +146,11 @@ class Domain:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Domain):
             return NotImplemented
-        return self._name == other._name and self._is_time == other._is_time
+        return (self._name == other._name and self._is_time == other._is_time
+                and self._enum_set == other._enum_set)
 
     def __hash__(self) -> int:
-        return hash((self._name, self._is_time))
+        return hash((self._name, self._is_time, self._enum_set))
 
     def __repr__(self) -> str:
         return f"Domain({self._name!r})"

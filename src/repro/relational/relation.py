@@ -177,11 +177,6 @@ class Relation:
             tuple(self._schema.attributes)
             + tuple(other._schema.attribute(name) for name in other_only)
         )
-        if not common:
-            return Relation(result_schema,
-                            (Tuple.from_sequence(result_schema,
-                                                 mine.values + theirs.values)
-                             for mine in self._tuples for theirs in other._tuples))
         buckets: Dict[PyTuple[Any, ...], List[Tuple]] = {}
         for theirs in other._tuples:
             buckets.setdefault(tuple(theirs[name] for name in common), []).append(theirs)

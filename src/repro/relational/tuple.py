@@ -51,11 +51,19 @@ class Tuple(Mapping[str, Any]):
             raise SchemaError(
                 f"expected {len(attributes)} values, got {len(values)}"
             )
+        return cls.from_checked(schema, tuple([
+            attribute.check(value)
+            for attribute, value in zip(attributes, values)]))
+
+    @classmethod
+    def from_checked(cls, schema: Schema, values: PyTuple[Any, ...]) -> "Tuple":
+        """Build from values in schema order already checked against its
+        very domains — e.g. copied from stored tuples whose attributes
+        have the same ``Domain`` objects — so none is checked again."""
         row = cls.__new__(cls)
         row._schema = schema
-        row.values = tuple([attribute.check(value) for attribute, value
-                            in zip(attributes, values)])
-        row._hash = hash((schema._names, row.values))
+        row.values = values
+        row._hash = hash((schema._names, values))
         return row
 
     # -- mapping protocol ---------------------------------------------------------
@@ -102,8 +110,6 @@ class Tuple(Mapping[str, Any]):
 
     def cast(self, schema: Schema) -> "Tuple":
         """Re-type this tuple against an equal-named schema (e.g. after rename)."""
-        if len(schema) != len(self.values):
-            raise SchemaError("cannot cast: attribute counts differ")
         return Tuple.from_sequence(schema, self.values)
 
     def concat(self, other: "Tuple", schema: Schema) -> "Tuple":

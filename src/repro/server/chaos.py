@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import random
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.obs import runtime as _obs
 
@@ -343,11 +343,3 @@ def open_pipe(chaos: Optional[ChaosConfig] = None,
     client._peer = server
     server._peer = client
     return client, server
-
-
-def chaos_stats() -> Dict[str, int]:
-    """The injected-fault counters of the current instrumentation."""
-    snapshot = _obs.current().metrics.snapshot()
-    counters = snapshot.get("counters", {})
-    return {name: value for name, value in counters.items()
-            if name.startswith("server.chaos.")}

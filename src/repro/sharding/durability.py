@@ -216,11 +216,6 @@ class ShardedDurabilityManager:
         """The attached sharded database (``None`` before recover)."""
         return self._store
 
-    @property
-    def shard_managers(self) -> List[DurabilityManager]:
-        """The per-shard durability managers, in shard order (a copy)."""
-        return list(self._managers)
-
     # -- the coordinator's 2PC log seam -----------------------------------------
 
     def prepare(self, shard: int, entry: Dict[str, Any]) -> None:

@@ -976,59 +976,105 @@ class Evaluator:
             return Domain.ANY
         return Domain.ANY
 
+    def _projection(self, statement: RetrieveStmt, schema: Schema,
+                    prepared: _Prepared) -> Optional[Callable[[Any], Any]]:
+        """For a **projection** — one range variable, no ``valid`` clause,
+        every target a bare attribute of it whose result domain *is* (not
+        ``==``: equal domains may admit different values) the stored one,
+        against which each value was checked when stored — one C-level
+        getter from a stored tuple's ``values`` to the row's; else None."""
+        if len(prepared.slots) != 1 or statement.valid is not None:
+            return None
+        (variable,) = prepared.slots
+        stored = self._db.schema(self._ranges[variable])
+        positions = []
+        for target, attribute in zip(statement.targets, schema):
+            expr = target.expr
+            if not (isinstance(expr, AttrRef) and expr.variable == variable
+                    and attribute.domain is stored.attribute(expr.name).domain):
+                return None
+            positions.append(stored.position(expr.name))
+        start, stop = positions[0], positions[0] + len(positions)
+        if positions == list(range(start, stop)):  # (a slice of one, too)
+            return operator.itemgetter(slice(start, stop))
+        return operator.itemgetter(*positions)
+
     def _rows(self, statement: RetrieveStmt, schema: Schema,
               resolve: Resolver, prepared: _Prepared, bindings) -> List[Any]:
-        """The result rows: one straight loop over the bindings.
+        """The result rows: one straight loop over the bindings, its row
+        values, row constructor and period sources chosen per statement.
 
-        The targets are compiled to positional getters once; a row is its
-        values, checked against the result schema and — on the kinds with
-        valid time — stamped with the derived periods: the ``valid``
-        clause, else the intersection of the valid times of the target
-        list's range variables (§4.3; of every variable, if the targets
-        name none), and on a temporal database the intersection of their
-        transaction times, retained, not clipped (§4.4).
+        A row is its values — a projection's copied (:meth:`_projection`),
+        other targets compiled to positional getters and checked against
+        the result schema — and, with valid time, the derived periods: the
+        ``valid`` clause, else the intersection of the valid times of the
+        target list's range variables (§4.3; of every variable, if the
+        targets name none; of one, its candidate's own), and on a temporal
+        database the intersection of their transaction times, retained,
+        not clipped (§4.4).
         """
-        values = [target.expr.compile(resolve) for target in statement.targets]
-        from_sequence, result_type = Tuple.from_sequence, prepared.result_type
-        if result_type is Relation:
-            return [from_sequence(schema, [value(binding) for value in values])
-                    for binding in bindings]
         slots = sorted({prepared.slots[variable] for variable
                         in self._target_variables(statement.targets)
                         if variable is not None}
                        or prepared.slots.values())
-        valid, now, always = statement.valid, prepared.now, Period.always()
-        if valid is not None and valid.is_event:
-            bounds = [fold_temporal(valid.at, now, eval_bound)]
+        if len(slots) == 1:
+            candidates = list(map(operator.itemgetter(*slots), bindings))
 
-            def period(at: Instant) -> Optional[Period]:
-                return Period.at(at) if at.is_finite else None
-        elif valid is not None:
-            bounds = [fold_temporal(valid.from_, now, eval_bound),
-                      fold_temporal(valid.to, now, eval_bound)
-                      if valid.to is not None else _Folded(POS_INF)]
+            def axis(number: int) -> Iterator[Any]:
+                return map(operator.itemgetter(number), candidates)
+        else:
+            def axis(number: int) -> Iterator[Any]:
+                return map(_intersection, bindings, itertools.repeat(slots),
+                           itertools.repeat(number))
+        copy = self._projection(statement, schema, prepared)
+        if copy is not None:  # (one variable, so one slot: *candidates*)
+            values, make = copy, Tuple.from_checked
+            sources = [candidate[0].values for candidate in candidates]
+        else:
+            targets = [target.expr.compile(resolve)
+                       for target in statement.targets]
+            sources, make = bindings, Tuple.from_sequence
 
-            def period(start: Instant, end: Instant) -> Optional[Period]:
-                return Period(start, end) if start < end else None
-        rows: List[Any] = []
-        for binding in bindings:
-            if valid is not None:
-                periods = _periods(prepared.slots, binding)
-                validity = _lifted(period, [eval_bound(bound, periods, now)
-                                            for bound in bounds])
+            def values(binding) -> List[Any]:
+                return [value(binding) for value in targets]
+        if prepared.result_type is Relation:
+            return [make(schema, values(source)) for source in sources]
+
+        valid, now = statement.valid, prepared.now
+        if valid is not None:
+            if valid.is_event:
+                bounds = [fold_temporal(valid.at, now, eval_bound)]
+
+                def period(at: Instant) -> Optional[Period]:
+                    return Period.at(at) if at.is_finite else None
             else:
-                validity = _intersection(binding, slots, 1)
-                if validity is None and all(binding[slot][1] is None
-                                            for slot in slots):
-                    validity = always  # no valid-time axis to derive from
+                bounds = [fold_temporal(valid.from_, now, eval_bound),
+                          fold_temporal(valid.to, now, eval_bound)
+                          if valid.to is not None else _Folded(POS_INF)]
+
+                def period(start: Instant, end: Instant) -> Optional[Period]:
+                    return Period(start, end) if start < end else None
+
+            def clause(binding) -> Optional[Period]:
+                periods = _periods(prepared.slots, binding)
+                return _lifted(period, [eval_bound(bound, periods, now)
+                                        for bound in bounds])
+            valids = map(clause, bindings)
+        elif bindings and all(bindings[0][slot][1] is None for slot in slots):
+            # No valid-time axis (a stream's candidates share one shape).
+            valids = itertools.repeat(Period.always())
+        else:
+            valids = axis(1)
+        historical = prepared.result_type is HistoricalRelation
+        tts = itertools.repeat(None) if historical else axis(2)
+        rows: List[Any] = []
+        for source, validity, tt in zip(sources, valids, tts):
             if validity is None:
                 continue
-            data = from_sequence(schema, [value(binding) for value in values])
-            if result_type is HistoricalRelation:
+            data = make(schema, values(source))
+            if historical:
                 rows.append(HistoricalRow(data, validity))
-                continue
-            tt = _intersection(binding, slots, 2)
-            if tt is not None:
+            elif tt is not None:
                 rows.append(BitemporalRow(data, validity, tt))
         return rows
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DomainError
 from repro.relational.domain import Domain
+from repro.relational.schema import Attribute, Schema
 from repro.time import Instant
 
 
@@ -101,6 +102,24 @@ class TestEquality:
 
     def test_hashable(self):
         assert len({Domain.STRING, Domain.INTEGER, Domain.STRING}) == 2
+
+    def test_an_enumeration_is_its_set_of_values(self):
+        first = Domain.enumeration("rank", "a")
+        assert first != Domain.enumeration("rank", "b")
+        assert len({first, Domain.enumeration("rank", "b")}) == 2
+        reordered = Domain.enumeration("rank", "b", "a")
+        assert reordered == Domain.enumeration("rank", "a", "b")
+        assert hash(reordered) == hash(Domain.enumeration("rank", "a", "b"))
+        assert first != Domain("rank", lambda v: True, str, str)
+
+    def test_schemas_over_different_enumerations_differ(self):
+        def schema(*ranks):
+            return Schema([Attribute("rank", Domain.enumeration("rank",
+                                                                *ranks))])
+        assert Attribute("r", Domain.enumeration("rank", "a")) != \
+            Attribute("r", Domain.enumeration("rank", "b"))
+        assert schema("a") != schema("b")
+        assert schema("a", "b") == schema("b", "a")
 
     def test_format_without_formatter(self):
         bare = Domain("bare", lambda v: True)

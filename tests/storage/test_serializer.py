@@ -65,6 +65,14 @@ class TestSchemas:
         assert rebuilt.attribute("rank").domain.enum_values == (
             "assistant", "associate", "full")
 
+    def test_a_decoded_enumeration_keeps_its_values_in_equality(self):
+        narrower = Schema([Attribute("rank", Domain.enumeration(
+            "rank", "assistant"))])
+        rebuilt = schema_from_dict(schema_to_dict(narrower))
+        assert rebuilt == narrower and hash(rebuilt) == hash(narrower)
+        assert rebuilt != schema_from_dict(schema_to_dict(Schema([Attribute(
+            "rank", Domain.enumeration("rank", "assistant", "full"))])))
+
     def test_roundtrip_user_defined_time(self):
         schema = Schema([Attribute("effective date",
                                    Domain.user_defined_time("effective date"))])

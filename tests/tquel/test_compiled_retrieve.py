@@ -19,6 +19,8 @@ from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import (DomainError, ExpressionError, InvalidInstantError,
                           TQuelSemanticError)
 from repro.relational import Domain, Schema
+from repro.relational.schema import Attribute
+from repro.relational.tuple import Tuple
 from repro.time import Instant, SimulatedClock
 from repro.tquel import Session
 from repro.tquel.evaluator import Evaluator
@@ -192,23 +194,26 @@ class TestExpressionSemanticsSurvive:
 
 # -- a count guard, not a clock ----------------------------------------------------
 
-def history(keys):
+def history(keys, db_class=TemporalDatabase):
     """K keys loaded in one commit, then a few single replaces a day
     apart; read through the index path, as the deep-history workloads
     are (the planner's own choice flips with K, the guard must not)."""
     clock = SimulatedClock("01/01/80")
-    database = TemporalDatabase(clock=clock)
+    database = db_class(clock=clock)
     database.define("faculty", Schema.of(
         key=["name"], name=Domain.STRING, salary=Domain.INTEGER))
+    valid = ({"valid_from": "01/01/80"}
+             if database.kind.supports_historical_queries else {})
     batch = database.begin()
     for k in range(keys):
         database.insert("faculty", {"name": f"n{k}", "salary": k},
-                        valid_from="01/01/80", txn=batch)
+                        txn=batch, **valid)
     batch.commit()
     for step in range(8):
         clock.advance(1)
         database.replace("faculty", {"name": f"n{step}"},
-                         {"salary": 1000 + step}, valid_from="01/05/80")
+                         {"salary": 1000 + step},
+                         **({"valid_from": "01/05/80"} if valid else {}))
     clock.advance(30)
     session = Session(database, plan="index")
     session.execute("range of f is faculty")
@@ -243,6 +248,26 @@ def parses_and_stores(monkeypatch, session, text):
     return len(result), len(parses), len(stores)
 
 
+def checks_while_reading(monkeypatch, session, text):
+    """The answer to *text*, and the ``Attribute.check`` calls it made."""
+    checks = []
+    real_check = Attribute.check
+
+    def check(self, value):
+        checks.append(value)
+        return real_check(self, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Attribute, "check", check)
+        result = session.query(text)
+    return result, len(checks)
+
+
+def result_tuples(result):
+    rows = getattr(result, "rows", None)
+    return list(result) if rows is None else [row.data for row in rows]
+
+
 class TestPerStatementCosts:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_literal_parses_do_not_grow_with_the_relation(
@@ -259,6 +284,40 @@ class TestPerStatementCosts:
             _, _, stores = parses_and_stores(
                 monkeypatch, history(keys), SHAPES["asof_through"])
             assert stores == 1
+
+    @pytest.mark.parametrize("db_class", [TemporalDatabase, RollbackDatabase])
+    def test_a_projection_rechecks_no_stored_value(self, monkeypatch,
+                                                    db_class):
+        # Each projected value was checked against the very same Domain
+        # when its tuple was stored; the row is copied, at any K.
+        for keys in (64, 512):
+            result, checks = checks_while_reading(
+                monkeypatch, history(keys, db_class), SHAPES["asof_through"])
+            assert len(result) >= keys and checks == 0
+
+    @pytest.mark.parametrize("db_class", [TemporalDatabase, RollbackDatabase])
+    def test_a_computed_value_is_checked_once(self, monkeypatch, db_class):
+        text = ('retrieve (x = f.salary + 1) as of "01/03/80" '
+                'through "01/07/80"')
+        for keys in (64, 512):
+            result, checks = checks_while_reading(
+                monkeypatch, history(keys, db_class), text)
+            assert len(result) >= keys and checks == len(result)
+
+    @pytest.mark.parametrize("db_class", KINDS)
+    @pytest.mark.parametrize("targets", [
+        "f.name, f.salary", "f.salary, f.name", "f.salary", "s = f.salary"])
+    def test_a_copied_row_is_the_checked_row(self, db_class, targets):
+        clause = ('as of "01/03/80" through "01/07/80"'
+                  if db_class.kind.supports_rollback else "")
+        result = history(64, db_class).query(
+            f"retrieve ({targets}) {clause}")
+        rows = result_tuples(result)
+        assert rows
+        for row in rows:
+            checked = Tuple.from_sequence(row.schema, row.values)
+            assert type(row.values) is tuple
+            assert row == checked and hash(row) == hash(checked)
 
     @pytest.mark.parametrize("db_class", [TemporalDatabase, RollbackDatabase])
     def test_a_keyed_point_read_examines_the_rows_under_its_key(
