@@ -24,11 +24,11 @@ An additional measurement sweeps the **query paths** (embedded in
 ``BENCH_temporal.json`` under ``query_paths``): an as-of timeslice and
 a predicate+as-of retrieve run through a TQuel :class:`Session` against
 the same replace-loop history, once per plan mode (forced ``naive`` /
-``index`` / ``columnar``, plus ``auto`` — the cost-based planner with
-the as-of result cache live).  Each mode is warmed once (chunk packing
+``index`` / ``columnar``, plus ``auto`` — the access rule with the
+as-of result cache live).  Each mode is warmed once (chunk packing
 / cache fill), then timed best-of-``QUERY_REPEATS``; the canonical row
 sets of all four modes must be identical (plan choice never changes
-results).  The acceptance bar is a ≥ 10x planner-on speedup over
+results).  The acceptance bar is a ≥ 10x ``auto`` speedup over
 forced-naive at the largest size (enforced when that size reaches
 10^4; the CI smoke sweep records the numbers without gating).
 
@@ -173,7 +173,7 @@ SHARDING_SPEEDUP = 3.0
 SHARDING_ROUNDS = 3
 #: Pump-round ceiling for catch-up loops (a bug, not noise, exhausts it).
 REPLICATION_MAX_ROUNDS = 100_000
-#: The query-path sweep: required planner-on speedup over forced-naive
+#: The query-path sweep: required ``auto`` speedup over forced-naive
 #: at the gate size (gated only when the sweep reaches that size), and
 #: timing repeats per (plan, query) pair — best-of-N, as everywhere.
 QUERY_GATE_SIZE = 10_000
@@ -284,7 +284,7 @@ def _query_history(commits, seed):
 
     Returns ``(database, as_of)`` where *as_of* pins the middle of
     transaction-time history, so an as-of query must reject roughly half
-    the closed log — the regime the planner's cost model is built for.
+    the closed log — the regime the transaction-time tree is built for.
     """
     rng = random.Random(seed)
     clock = SimulatedClock(BASE)
@@ -334,7 +334,7 @@ def _query_point(commits, seed):
     Each mode gets its own :class:`Session` (so forced modes never see
     another mode's result-cache entries), one untimed warm-up run (the
     columnar mode packs its chunk there; ``auto`` populates the as-of
-    result cache there — warm ``auto`` is the planner-on steady state
+    result cache there — warm ``auto`` is the steady state
     the gate measures), then best-of-``QUERY_REPEATS`` timed runs.  The
     canonical row sets of all four modes are cross-checked per query.
     """
@@ -1355,7 +1355,7 @@ def main(argv=None):
               "results")
         return 1
     if not report["query_paths"]["speedup_ok"]:
-        print("FAIL: planner-on queries are not ≥ %.1fx faster than "
+        print("FAIL: auto queries are not ≥ %.1fx faster than "
               "forced-naive at n=%d" % (QUERY_SPEEDUP, max(sizes)))
         return 1
     if not overhead["overhead_under_5pct"]:

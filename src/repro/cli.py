@@ -101,6 +101,7 @@ from repro.errors import ReproError
 from repro.storage import Journal, dumps_database
 from repro.time import SimulatedClock, SystemClock
 from repro.tquel import Session
+from repro.tquel.evaluator import PLAN_MODES
 
 _KINDS = {
     "static": StaticDatabase,
@@ -385,7 +386,7 @@ def build_repro_parser() -> argparse.ArgumentParser:
                       "as-of result caches (hits/misses/sizes)")
     add_common(cache)
     cache.add_argument("--plan", default="auto",
-                       choices=("auto", "naive", "index", "columnar"),
+                       choices=PLAN_MODES,
                        help="the session's access-path mode "
                             "(default: auto; only auto uses the result "
                             "cache)")
@@ -591,7 +592,7 @@ def build_repro_parser() -> argparse.ArgumentParser:
                        help="recover and serve a durability directory "
                             "instead of a fresh database")
     serve.add_argument("--plan", default="auto",
-                       choices=("auto", "naive", "index", "columnar"),
+                       choices=PLAN_MODES,
                        help="TQuel access-path mode (default: auto)")
     serve.add_argument("--max-active", type=int, default=8, metavar="N",
                        help="admission slots per tenant (default: 8)")
@@ -1229,8 +1230,8 @@ def _demo_workload(session: Session, clock: SimulatedClock) -> None:
         else:
             session.execute('retrieve (f.name, f.rank) sort by name')
     if database.supports_rollback and session.plan == "auto":
-        # The cost model keeps this tiny relation on the naive path, so
-        # force one indexed pass (a miss, then a hit) to keep the
+        # The result cache answers the repeated reads above, so force two
+        # indexed passes (forced plans bypass it) to keep the
         # interval-tree layer in the stats story too.
         session.plan = "index"
         try:

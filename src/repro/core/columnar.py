@@ -52,12 +52,7 @@ from repro.time.chronon import require_same_granularity
 from repro.time.instant import Instant
 from repro.time.period import Period, chronon_number, first_unit
 
-__all__ = ["ColumnarChunk", "ColumnarCache", "numpy_available"]
-
-
-def numpy_available() -> bool:
-    """True when the vectorized (ndarray) kernel shapes are in use."""
-    return _np is not None
+__all__ = ["ColumnarChunk", "ColumnarCache"]
 
 
 #: Row → period accessors for packing the two axes.
@@ -470,7 +465,7 @@ class ColumnarCache:
 
     ``chunk(name)`` returns ``None`` for kinds/representations without a
     columnar form (static relations, ``StateSequence`` rollback stores) —
-    the planner then never offers the columnar path.
+    a forced ``columnar`` plan then degrades to the naive scan.
 
     Plain counters (:attr:`hits`, :attr:`misses`, :attr:`extensions`) are
     always live; the same events are mirrored into the process
@@ -495,22 +490,6 @@ class ColumnarCache:
         if isinstance(relation, HistoricalRelation):
             return (relation, ColumnarChunk.from_historical, lambda chunk: None)
         return None  # a static relation, or the duplicating StateSequence cube
-
-    def ready(self, name: str) -> bool:
-        """True when a chunk for the *current* version is already built.
-
-        The planner reads this to decide whether the columnar path must
-        pay the first-build packing cost.
-        """
-        slot = self._slots.get(name)
-        return slot is not None and slot[0] == self._db.relation_version(name)
-
-    def supports(self, name: str) -> bool:
-        """True when *name* has a columnar form in this database kind."""
-        try:
-            return self._source(name) is not None
-        except Exception:
-            return False
 
     def chunk(self, name: str) -> Optional[ColumnarChunk]:
         """The current chunk for *name*, or ``None`` when unsupported."""

@@ -14,8 +14,8 @@ that range variables are declared, attributes exist, types of temporal
 clauses fit the relation (event vs. interval), aggregates appear only at
 target top level, and update valid-clauses are constant.
 
-The analyzer runs *before* planning, so every statement the planner and
-the vectorized kernels (:mod:`repro.core.columnar`) ever see is already
+The analyzer runs *before* planning, so every statement the access rule
+and the vectorized kernels (:mod:`repro.core.columnar`) ever see is already
 well-formed: attribute references resolve against real schema slots and
 temporal clauses fit the database kind.  The kernels therefore owe
 equivalence only on analyzable statements — semantic errors surface here,

@@ -36,16 +36,17 @@ the specification, property-tested in ``test_compiled_differential.py``.
 
 **Access paths and the equivalence obligation.**  Candidate rows can be
 sourced three ways — a naive row-at-a-time scan, an interval-tree probe,
-or the vectorized mask kernels of :mod:`repro.core.columnar` — chosen per
-range variable by :mod:`repro.tquel.planner` (or forced via the ``plan``
-knob).  The naive path is the executable specification: every other path
-must yield the *same candidate multiset* for the same statement, and
-every vectorized kernel (transaction-time stab/overlap, ``when``
-comparison, attribute-comparison pushdown) owes row-for-row agreement
-with its scalar twin, including null semantics and raised error types.
-The randomized differential suite (``tests/tquel/test_differential.py``)
-runs every query shape under all forced plans and asserts identical
-results.  In ``auto`` mode a current-state stream whose leading
+or the vectorized mask kernels of :mod:`repro.core.columnar` — settled
+per range variable by one rule (:func:`choose`: the transaction-time
+tree where one answers the statement's clauses, else the scan) or forced
+via the ``plan`` knob.  The naive path is the executable specification:
+every other path must yield the *same candidate multiset* for the same
+statement, and every vectorized kernel (transaction-time stab/overlap,
+``when`` comparison, attribute-comparison pushdown) owes row-for-row
+agreement with its scalar twin, including null semantics and raised
+error types.  The randomized differential suite
+(``tests/tquel/test_differential.py``) runs every query shape under all
+forced plans and asserts identical results.  In ``auto`` mode a current-state stream whose leading
 conjuncts pin the whole schema key is first *narrowed* to the open rows
 under that key (:func:`key_binding`, ``open_under_key`` of the store) —
 the same filter still runs over them, and ``naive`` is its oracle too
@@ -71,7 +72,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple,
 
 from repro.core.base import Database
 from repro.core.historical import HistoricalDatabase, HistoricalRelation, HistoricalRow
-from repro.core.rollback import RollbackDatabase
+from repro.core.rollback import INTERVAL, RollbackDatabase
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
 from repro.errors import InvalidPeriodError, TQuelSemanticError
 from repro.obs import runtime as _obs
@@ -92,7 +93,6 @@ from repro.tquel.ast import (
     TNow, TOverlap, TPAnd, TPCompare, TPNot, TPOr, TStartOf, TVar,
     TemporalExpr, TemporalPredicate, ValidClause,
 )
-from repro.tquel import planner as _planner
 from repro.txn.transaction import Transaction
 
 #: What execute() can return: a derived relation, a commit time, or None.
@@ -411,6 +411,59 @@ def key_binding(schema: Schema, conjuncts: Sequence[Expression],
 
 
 # ---------------------------------------------------------------------------
+# The access rule
+# ---------------------------------------------------------------------------
+
+#: The plan modes: ``auto`` (the rule below) or one path forced.
+PLAN_MODES = ("auto", "naive", "index", "columnar")
+
+
+def plan_mode(mode: str) -> str:
+    """*mode*, if it is one of :data:`PLAN_MODES`."""
+    if mode not in PLAN_MODES:
+        raise ValueError(
+            f"plan must be one of {', '.join(PLAN_MODES)}; got {mode!r}")
+    return mode
+
+
+class AccessPlan(NamedTuple):
+    """The access path one range variable's stream ran, and why."""
+
+    path: str    # "naive" | "index" | "columnar"
+    reason: str  # deterministic one-line justification
+
+
+#: ``explain``'s words for the access path of a :func:`key_lookup` plan.
+KEY_ACCESS = "key index: one probe of the open rows"
+
+
+def key_lookup(key: Sequence[str]) -> AccessPlan:
+    """The plan of a stream answered by one probe of the by-key index."""
+    return AccessPlan("index", f"key lookup: {', '.join(key)} bound by =")
+
+
+def choose(mode: str, tree: bool, chunk: bool) -> AccessPlan:
+    """The access path of a stream the key probe did not answer.
+
+    ``auto`` takes the transaction-time tree when one answers the
+    statement's clauses (*tree*: the temporal store always, the
+    interval-stamped rollback store under ``as of``), else the scan.  A
+    forced mode takes its path where this store has one (*chunk*: a
+    column chunk was built) and otherwise degrades to ``naive``, with
+    the reason recorded, so plan forcing is usable on every kind.
+    """
+    if mode == "auto":
+        return (AccessPlan("index", "auto: a transaction-time tree answers "
+                                    "these clauses") if tree else
+                AccessPlan("naive", "auto: no transaction-time tree answers "
+                                    "these clauses"))
+    if {"naive": True, "index": tree, "columnar": chunk}[mode]:
+        return AccessPlan(mode, f"forced plan {mode!r}")
+    return AccessPlan("naive",
+                      f"forced plan {mode!r} unavailable here; using naive")
+
+
+# ---------------------------------------------------------------------------
 # The evaluator
 # ---------------------------------------------------------------------------
 
@@ -435,8 +488,7 @@ class _Prepared(NamedTuple):
     #: Per variable: the access plan, the candidates examined before
     #: pushdown, those that survived it, and the access path in
     #: ``explain``'s words.
-    streams: Dict[str, PyTuple[_planner.AccessPlan, int, PyTuple[Any, ...],
-                               str]]
+    streams: Dict[str, PyTuple[AccessPlan, int, PyTuple[Any, ...], str]]
 
 
 #: ``explain``'s name for each relation class a retrieve can yield.
@@ -473,7 +525,7 @@ class Evaluator:
     """Executes statements against one database and a range environment.
 
     ``plan`` selects the access path for every range variable:
-    ``"auto"`` (cost-based, the default) or a forced
+    ``"auto"`` (the rule of :func:`choose`, the default) or a forced
     ``"naive"``/``"index"``/``"columnar"`` for debugging and differential
     testing.  Only ``auto`` consults the result cache — forced plans must
     exercise their path, not a memo of it.
@@ -483,20 +535,7 @@ class Evaluator:
                  plan: str = "auto") -> None:
         self._db = database
         self._ranges = dict(ranges)
-        self.plan = plan
-
-    @property
-    def plan(self) -> str:
-        """The plan mode (one of :data:`repro.tquel.planner.PLAN_MODES`)."""
-        return self._plan
-
-    @plan.setter
-    def plan(self, mode: str) -> None:
-        if mode not in _planner.PLAN_MODES:
-            raise ValueError(
-                f"plan must be one of {', '.join(_planner.PLAN_MODES)}; "
-                f"got {mode!r}")
-        self._plan = mode
+        self._plan = plan_mode(plan)
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -526,23 +565,25 @@ class Evaluator:
         """How this database sources candidate rows under the statement's
         transaction-time clauses — the one per-kind dispatch.
 
-        Returns ``(access, rows, scan, bitemporal)``: the access path in
-        ``explain``'s words; ``relation name -> its candidates``, each
+        Returns ``(access, tree, scan, bitemporal)``: the access path in
+        ``explain``'s words; ``relation name -> its candidates`` through a
+        transaction-time tree, or ``None`` when no tree answers these
+        clauses; that function's raw-scan twin, each candidate
         ``(data, valid, tt)`` with ``None`` on an axis the kind lacks (a
         temporal database's stored rows have that shape and stream as they
-        are); the raw-scan twin of *rows*; whether the candidates carry
-        both axes.  The twin asks the store itself, which walks every
-        stored row and tests the clause per row — never an interval tree:
-        the executable specification the other paths are differentially
-        tested against.  ``through`` (with ``as_of``) selects the *range*
-        form: every row of some state between the two instants, inclusive.
+        are); whether the candidates carry both axes.  The twin asks the
+        store itself, which walks every stored row and tests the clause
+        per row — never an interval tree: the executable specification the
+        other paths are differentially tested against.  ``through`` (with
+        ``as_of``) selects the *range* form: every row of some state
+        between the two instants, inclusive.
         """
         db = self._db
         ranged = through is not None
-        tree = (": transaction-time range overlap" if ranged
-                else ": transaction-time stab")
+        probe = (": transaction-time range overlap" if ranged
+                 else ": transaction-time stab")
         if isinstance(db, TemporalDatabase):
-            access = "bitemporal index" + tree
+            access = "bitemporal index" + probe
             if ranged:
                 return (access,
                         lambda relation: db.visible_during(relation, as_of,
@@ -557,9 +598,9 @@ class Evaluator:
             def facts(relation):
                 return [(row.data, row.valid, None)
                         for row in db.history(relation).rows]
-            return "scan of recorded facts", facts, facts, False
+            return "scan of recorded facts", None, facts, False
         if isinstance(db, RollbackDatabase) and (ranged or as_of is not None):
-            access = "rollback index" + tree
+            access = "rollback index" + probe
             states = ((lambda relation: db.rollback_range(relation, as_of,
                                                           through),
                        lambda relation: db.store(relation).visible_during(
@@ -567,34 +608,37 @@ class Evaluator:
                       if ranged else
                       (lambda relation: db.rollback(relation, as_of),
                        lambda relation: db.store(relation).rollback(as_of)))
+            if db.representation != INTERVAL:  # the cube is its own index
+                states = None, states[1]
         else:  # the current state: no tree to bypass
-            access, states = "snapshot scan", (db.snapshot, db.snapshot)
+            access, states = "snapshot scan", (None, db.snapshot)
 
         def static(state):
-            return lambda relation: [(row, None, None)
-                                     for row in state(relation)]
-        rows, scan = map(static, states)
-        return access, rows, scan, False
+            return state and (lambda relation: [(row, None, None)
+                                                for row in state(relation)])
+        tree, scan = map(static, states)
+        return access, tree, scan, False
 
-    def _columnar_stream(self, relation: str, variable: str,
+    def _chunk(self, relation: str) -> Any:
+        """The relation's column chunk, or ``None`` where the store has no
+        columnar form (a static store, the duplicating cube, the sharded
+        facade, which keeps its caches per shard)."""
+        cache = getattr(self._db, "columnar_cache", None)
+        return cache.chunk(relation) if cache is not None else None
+
+    def _columnar_stream(self, chunk: Any, variable: str,
                          as_of: Optional[Instant], through: Optional[Instant],
                          now: Instant, conjuncts: Sequence[Expression],
                          kernel: Optional[_WhenKernel]
-                         ) -> Optional[PyTuple[int, PyTuple[Any, ...], bool]]:
+                         ) -> PyTuple[int, PyTuple[Any, ...], bool]:
         """Source one variable's stream through the columnar kernels.
 
         Returns ``(pre-pushdown count, filtered candidates, when
-        applied?)``, or ``None`` when no chunk exists for the relation
-        (the caller then degrades to the naive scan).  Filter order
-        matches the naive path — visibility, then pushed conjuncts in
-        clause order restricted to surviving rows, then the ``when``
-        kernel — so error behavior (an untypable comparison, say) is
-        identical row for row.
+        applied?)``.  Filter order matches the naive path — visibility,
+        then pushed conjuncts in clause order restricted to surviving
+        rows, then the ``when`` kernel — so error behavior (an untypable
+        comparison, say) is identical row for row.
         """
-        cache = getattr(self._db, "columnar_cache", None)
-        chunk = cache.chunk(relation) if cache is not None else None
-        if chunk is None:
-            return None
         rows = chunk.rows
         make = None  # a temporal chunk's rows are candidates as stored
         if chunk.tt is None:  # historical: candidates are all recorded facts
@@ -685,7 +729,7 @@ class Evaluator:
                     f"as of {as_of} through {through}: the range runs "
                     f"backwards"
                 )
-        access, rows, scan, bitemporal = self._source(as_of, through, now)
+        access, tree, scan, bitemporal = self._source(as_of, through, now)
         result_type = (
             Relation if (_has_aggregates(statement.targets)
                          or not self._db.kind.supports_historical_queries)
@@ -706,25 +750,18 @@ class Evaluator:
                                      bitemporal)
                      if as_of is None and through is None else None)
             if keyed is not None:
-                # One probe is cheaper than costing it, or than looking
-                # its answer up in the result cache.
+                # One probe is cheaper than looking its answer up in the
+                # result cache.
                 examined = len(keyed)
                 if conjuncts:
                     keyed = filter(self._filter(variable, conjuncts), keyed)
                 streams[variable] = (
-                    _planner.key_lookup(self._db.schema(relation).key,
-                                        examined),
-                    examined, tuple(keyed), _planner.KEY_ACCESS)
+                    key_lookup(self._db.schema(relation).key),
+                    examined, tuple(keyed), KEY_ACCESS)
                 continue
-            vectorizable = sum(
-                1 for c in conjuncts
-                if columnar_compare_spec(c, variable) is not None)
-            plan = _planner.choose(
-                _planner.profile(self._db, relation),
-                _planner.Clauses(as_of is not None, through is not None,
-                                 len(conjuncts), vectorizable,
-                                 kernel is not None),
-                self._plan)
+            chunk = (self._chunk(relation) if self._plan == "columnar"
+                     else None)
+            plan = choose(self._plan, tree is not None, chunk is not None)
             if plan.path != "columnar":
                 kernel = None  # only that path answers `when` in the stream
             found = key = None
@@ -743,12 +780,10 @@ class Evaluator:
                 found = cache.get(*key)
             hit = found is not None
             if found is None and plan.path == "columnar":
-                # (None: no chunk after all, e.g. the relation was redefined
-                # as an unsupported representation — the naive twin runs)
-                found = self._columnar_stream(relation, variable, as_of,
+                found = self._columnar_stream(chunk, variable, as_of,
                                               through, now, conjuncts, kernel)
             if found is None:
-                candidates = (rows if plan.path == "index" else scan)(relation)
+                candidates = (tree if plan.path == "index" else scan)(relation)
                 examined = len(candidates)
                 if conjuncts:
                     candidates = filter(self._filter(variable, conjuncts),
@@ -841,7 +876,6 @@ class Evaluator:
                 "pushed_conjuncts": len(prepared.pushdown.get(variable, [])),
                 "index": access,
                 "plan": plan.path,
-                "estimated_rows": plan.estimated_rows,
                 "plan_reason": plan.reason,
             }
             product *= len(candidates)
@@ -1174,11 +1208,11 @@ class Evaluator:
         variable = statement.variable
         relation = self._ranges[variable]
         conjuncts = split_conjuncts(statement.where)
-        _, rows, _, bitemporal = self._source(None, None, self._db.now())
+        _, tree, scan, bitemporal = self._source(None, None, self._db.now())
         candidates = self._under_key(relation, variable, conjuncts,
                                      bitemporal)
         if candidates is None:
-            candidates = rows(relation)
+            candidates = (tree or scan)(relation)
         if conjuncts:
             candidates = filter(self._filter(variable, conjuncts), candidates)
         return list(dict.fromkeys(candidate[0] for candidate in candidates))

@@ -30,7 +30,7 @@ from repro.obs.runtime import Instrumentation
 from repro.relational.relation import Relation
 from repro.tquel.analyzer import analyze
 from repro.tquel.ast import RangeStmt, Statement
-from repro.tquel.evaluator import Evaluator, Result
+from repro.tquel.evaluator import Evaluator, Result, plan_mode
 from repro.tquel.lexer import tokenize
 from repro.tquel.parser import parse_script, parse_tokens
 from repro.tquel import printer
@@ -39,9 +39,10 @@ from repro.tquel import printer
 class Session:
     """An interactive TQuel session over one database.
 
-    ``plan`` is the session-wide access-path knob: ``"auto"`` lets the
-    cost-based planner (:mod:`repro.tquel.planner`) pick per range
-    variable; ``"naive"``/``"index"``/``"columnar"`` force one path
+    ``plan`` is the session-wide access-path knob: ``"auto"`` settles
+    each range variable by one rule (:func:`repro.tquel.evaluator.choose`:
+    the key probe, else the transaction-time tree where one answers, else
+    the scan); ``"naive"``/``"index"``/``"columnar"`` force one path
     everywhere (the shell exposes this as ``.plan``).
     """
 
@@ -67,11 +68,7 @@ class Session:
 
     @plan.setter
     def plan(self, mode: str) -> None:
-        from repro.tquel.planner import PLAN_MODES
-        if mode not in PLAN_MODES:
-            raise ValueError(
-                f"plan must be one of {', '.join(PLAN_MODES)}; got {mode!r}")
-        self._plan = mode
+        self._plan = plan_mode(mode)
 
     @property
     def ranges(self) -> Dict[str, str]:
@@ -144,8 +141,8 @@ class Session:
         :class:`~repro.obs.Instrumentation` so the timings are recorded
         even when process-wide recording is off, and nothing leaks into
         the global registry.  The returned dict is the evaluator's plan
-        (per-variable candidate counts, pushdown effect, chosen access
-        path with estimated rows) plus a ``"phases"`` map of phase name →
+        (per-variable candidate counts, pushdown effect, the access path
+        that ran and why) plus a ``"phases"`` map of phase name →
         seconds.  ``timings=False`` omits the ``"phases"`` key — every
         remaining field is a pure function of database state, so the
         plan (and its text rendering) can be asserted verbatim; the
@@ -190,10 +187,7 @@ class Session:
                 f"{info['candidates']} candidates -> "
                 f"{info['after_pushdown']}{note}")
             lines.append(f"    access path: {info['index']}")
-            lines.append(
-                f"    plan: {info['plan']} — estimated "
-                f"{info['estimated_rows']} row(s), actual "
-                f"{info['candidates']} ({info['plan_reason']})")
+            lines.append(f"    plan: {info['plan']} ({info['plan_reason']})")
         lines.append(f"  product of {plan['product_size']} combination(s), "
                      f"{plan['residual_conjuncts']} residual conjunct(s)")
         clauses = []

@@ -250,15 +250,17 @@ class TestColumnarCache:
         assert fresh.rows == tuple(database.temporal("faculty").rows)
 
     def test_ready_tracks_current_version(self, kernels):
+        # A chunk serves its own relation version only: a commit turns
+        # the next request from a hit into an extension.
         database, clock = build_faculty(TemporalDatabase)
         cache = database.columnar_cache
-        assert not cache.ready("faculty")
-        cache.chunk("faculty")
-        assert cache.ready("faculty")
+        first = cache.chunk("faculty")
+        assert cache.chunk("faculty") is first and cache.hits == 1
         clock.set("03/01/84")
         database.insert("faculty", {"name": "Jane", "rank": "assistant"},
                         valid_from="03/01/84")
-        assert not cache.ready("faculty")
+        assert cache.chunk("faculty") is not first
+        assert (cache.hits, cache.extensions) == (1, 1)
 
     def test_unindexed_database_has_no_cache(self, kernels):
         # The store's own scan is the cache-free path (and the oracle):

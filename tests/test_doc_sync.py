@@ -12,18 +12,11 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 @pytest.fixture(scope="module")
 def doc_sync():
-    # Importing the tool pins repro.core.columnar._np = None (so its
-    # transcripts are machine-independent); restore the real kernels
-    # afterwards so this module cannot skew the numpy-parametrized
-    # suites running in the same process.
-    from repro.core import columnar
-    saved = columnar._np
     spec = importlib.util.spec_from_file_location("doc_sync", TOOL)
     module = importlib.util.module_from_spec(spec)
     sys.modules.setdefault("doc_sync", module)
     spec.loader.exec_module(module)
-    yield module
-    columnar._np = saved
+    return module
 
 
 def test_generators_are_deterministic(doc_sync):
@@ -33,14 +26,15 @@ def test_generators_are_deterministic(doc_sync):
 
 def test_stale_block_is_regenerated(doc_sync):
     text = ("intro\n"
-            "<!-- doc-sync:begin planning-costs -->\n"
+            "<!-- doc-sync:begin planning-explain-forced -->\n"
             "OUT OF DATE\n"
             "<!-- doc-sync:end -->\n"
             "outro\n")
     synced = doc_sync.sync_text(text, "docs/example.md")
     assert "OUT OF DATE" not in synced
-    assert "| `C_SETUP` |" in synced
-    assert synced.startswith("intro\n<!-- doc-sync:begin planning-costs -->")
+    assert "(forced plan 'columnar')" in synced
+    assert synced.startswith(
+        "intro\n<!-- doc-sync:begin planning-explain-forced -->")
     assert synced.endswith("<!-- doc-sync:end -->\noutro\n")
     # Re-syncing the synced text is a fixed point.
     assert doc_sync.sync_text(synced, "docs/example.md") == synced
@@ -59,7 +53,7 @@ def test_unknown_generator_is_an_error(doc_sync):
 
 
 def test_begin_without_end_is_an_error(doc_sync):
-    text = "<!-- doc-sync:begin planning-costs -->\nnever closed\n"
+    text = "<!-- doc-sync:begin planning-explain-asof -->\nnever closed\n"
     with pytest.raises(SystemExit, match="without an\\s+end marker"):
         doc_sync.sync_text(text, "docs/x.md")
 
@@ -70,9 +64,12 @@ def test_committed_docs_are_fresh(doc_sync, capsys):
     assert "all generated blocks are fresh" in capsys.readouterr().out
 
 
-def test_transcripts_are_pinned_to_fallback_kernels(doc_sync):
-    # doc_sync pins _np = None so transcripts match on machines without
-    # numpy (CI); the columnar cost in the worked example depends on it.
+def test_transcripts_are_pinned_to_fallback_kernels(doc_sync, monkeypatch):
+    # No transcript depends on NumPy: the blocks CI (which has none)
+    # checks are the blocks a machine with ndarray kernels writes.
     from repro.core import columnar
-    assert columnar._np is None
-    assert "columnar=46.4" in doc_sync.GENERATORS["planning-explain-asof"]()
+    kernels = {name: generator()
+               for name, generator in doc_sync.GENERATORS.items()}
+    monkeypatch.setattr(columnar, "_np", None)
+    assert kernels == {name: generator()
+                       for name, generator in doc_sync.GENERATORS.items()}

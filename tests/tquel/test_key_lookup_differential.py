@@ -27,8 +27,7 @@ from repro.time import Instant, Period, SimulatedClock
 from repro.time.instant import POS_INF
 from repro.tquel.ast import (DeleteStmt, ReplaceStmt, RetrieveStmt,
                              TargetItem, TConst, TPCompare, TVar)
-from repro.tquel.evaluator import Evaluator
-from repro.tquel.planner import KEY_ACCESS
+from repro.tquel.evaluator import KEY_ACCESS, Evaluator
 
 from tests.tquel.test_compiled_differential import canonical, outcome
 

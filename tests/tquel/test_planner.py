@@ -1,104 +1,174 @@
-"""The cost-based planner: choices, forcing, and the explain contract."""
+"""The access rule: what ``auto`` takes, forcing, and the explain contract.
+
+``auto`` settles each range variable by one rule: the key probe when the
+leading conjuncts pin the whole schema key of a current-state read, else
+the transaction-time tree when one answers the statement's clauses, else
+the scan.  A forced mode takes its path where the store has one and
+otherwise degrades to the scan, saying so.
+"""
 
 import pytest
 
-from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
-                        TemporalDatabase)
+from repro import obs
+from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
+                        StaticDatabase, TemporalDatabase)
+from repro.errors import TQuelSemanticError
+from repro.relational import Domain, Schema
+from repro.time import SimulatedClock
 from repro.tquel import Session
-from repro.tquel.planner import (COSTS, AccessPlan, Clauses, PLAN_MODES,
-                                 RelationProfile, choose, estimate_rows)
+from repro.tquel.evaluator import PLAN_MODES, Evaluator
 
 from tests.conftest import build_faculty
 
+TREE = "auto: a transaction-time tree answers these clauses"
+SCAN = "auto: no transaction-time tree answers these clauses"
 
-def prof(total=10_000, open_rows=50, has_tt=True, index=True,
-         columnar=True, ready=False):
-    return RelationProfile("facts", total, open_rows, has_tt, index,
-                           columnar, ready)
+KINDS = {
+    "static": (StaticDatabase, {}),
+    "rollback interval": (RollbackDatabase, {}),
+    "rollback states": (RollbackDatabase, {"representation": STATES}),
+    "historical": (HistoricalDatabase, {}),
+    "temporal": (TemporalDatabase, {}),
+}
+
+CLAUSES = {
+    "current": 'retrieve (f.name) where f.rank = "full"',
+    "as of": 'retrieve (f.name) where f.rank = "full" as of "12/10/82"',
+    "through": 'retrieve (f.name) where f.rank = "full" '
+               'as of "12/02/82" through "12/20/82"',
+}
+
+#: kind -> mode -> the outcome under (current, as of, through): "tree" /
+#: "scan" for the rule's two answers, "forced" for the forced path taken,
+#: "degraded" for a forced path this store lacks, None where the analyzer
+#: refuses the clause (the kind has no transaction time).
+TABLE = {
+    "static": {
+        "auto": ("scan", None, None),
+        "naive": ("forced", None, None),
+        "index": ("degraded", None, None),
+        "columnar": ("degraded", None, None)},
+    "rollback interval": {
+        "auto": ("scan", "tree", "tree"),
+        "naive": ("forced",) * 3,
+        "index": ("degraded", "forced", "forced"),
+        "columnar": ("forced",) * 3},
+    "rollback states": {
+        "auto": ("scan",) * 3,
+        "naive": ("forced",) * 3,
+        "index": ("degraded",) * 3,
+        "columnar": ("degraded",) * 3},
+    "historical": {
+        "auto": ("scan", None, None),
+        "naive": ("forced", None, None),
+        "index": ("degraded", None, None),
+        "columnar": ("forced", None, None)},
+    "temporal": {
+        "auto": ("tree",) * 3,
+        "naive": ("forced",) * 3,
+        "index": ("forced",) * 3,
+        "columnar": ("forced",) * 3},
+}
 
 
-def clauses(as_of=False, through=False, pushed=0, vectorizable=0,
-            when=False):
-    return Clauses(as_of, through, pushed, vectorizable, when)
+def expected(outcome, mode):
+    """The ``(plan, plan_reason)`` pair an outcome of TABLE stands for."""
+    return {"tree": ("index", TREE),
+            "scan": ("naive", SCAN),
+            "forced": (mode, f"forced plan {mode!r}"),
+            "degraded": ("naive", f"forced plan {mode!r} unavailable here; "
+                                  f"using naive")}[outcome]
+
+
+def faculty(kind="temporal", plan="auto"):
+    db_class, options = KINDS[kind]
+    database, _ = build_faculty(db_class, **options)
+    session = Session(database, plan=plan)
+    session.execute("range of f is faculty")
+    return session
+
+
+def explained(session, text):
+    return session.explain_plan(text, timings=False)["variables"]["f"]
+
+
+class TestTheRule:
+    @pytest.mark.parametrize("clause", sorted(CLAUSES))
+    @pytest.mark.parametrize("mode", PLAN_MODES)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_kind_mode_and_clause(self, kind, mode, clause):
+        session = faculty(kind, mode)
+        text = CLAUSES[clause]
+        outcome = TABLE[kind][mode][list(CLAUSES).index(clause)]
+        if outcome is None:
+            with pytest.raises(TQuelSemanticError):
+                session.explain_plan(text)
+            with pytest.raises(TQuelSemanticError):
+                session.query(text)
+            return
+        path, reason = expected(outcome, mode)
+        info = explained(session, text)
+        assert (info["plan"], info["plan_reason"]) == (path, reason)
+        with obs.recording() as inst:
+            session.query(text)
+        counters = inst.metrics.snapshot()["counters"]
+        assert {name: count for name, count in counters.items()
+                if name.startswith("tquel.plan.")} == {f"tquel.plan.{path}": 1}
+
+    def test_a_wide_historical_filter_is_scanned_not_packed(self):
+        # No row count or conjunct count moves the rule: a historical
+        # relation has no transaction-time tree, so `auto` scans it and
+        # never builds a column chunk (only plan=columnar does).
+        database = HistoricalDatabase(clock=SimulatedClock("01/01/80"))
+        names = "abcde"
+        database.define("facts", Schema.of(
+            key=["k"], k=Domain.INTEGER,
+            **{name: Domain.INTEGER for name in names}))
+        batch = database.begin()
+        for k in range(512):
+            database.insert("facts", {"k": k, **dict.fromkeys(names, k)},
+                            txn=batch, valid_from="01/01/80")
+        batch.commit()
+        session = Session(database)
+        session.execute("range of f is facts")
+        text = "retrieve (f.k) where " + " and ".join(
+            f"f.{name} >= 100" for name in names)
+        info = explained(session, text)
+        assert (info["plan"], info["plan_reason"]) == ("naive", SCAN)
+        assert len(session.query(text)) == 412
+        assert database.columnar_cache.misses == 0
 
 
 class TestChoose:
-    def test_tiny_relation_stays_naive(self):
-        plan = choose(prof(total=6, open_rows=3), clauses(as_of=True))
-        assert plan.path == "naive"
-        assert plan.reason.startswith("min cost (")
-
     def test_selective_as_of_stab_picks_index(self):
-        plan = choose(prof(), clauses(as_of=True))
-        assert plan.path == "index"
-
-    def test_predicate_heavy_scan_picks_columnar(self):
-        # A through-range keeps half the closed log: too many survivors
-        # for the probe to win, and the vectorized predicates make the
-        # scan cheap per cell.
-        plan = choose(prof(ready=True),
-                      clauses(through=True, pushed=2, vectorizable=2),
-                      vectorized_kernels=True)
-        assert plan.path == "columnar"
+        info = explained(faculty(), 'retrieve (f.rank) as of "12/10/82"')
+        assert (info["plan"], info["plan_reason"]) == ("index", TREE)
 
     def test_missing_index_is_not_offered(self):
-        plan = choose(prof(index=False), clauses(as_of=True),
-                      vectorized_kernels=True)
-        assert plan.costs["index"] is None
-        assert plan.path != "index"
-
-    def test_fallback_kernels_cost_more(self):
-        fast = choose(prof(), clauses(), vectorized_kernels=True)
-        slow = choose(prof(), clauses(), vectorized_kernels=False)
-        assert slow.costs["columnar"] > fast.costs["columnar"]
-
-    def test_first_build_pays_packing(self):
-        cold = choose(prof(ready=False), clauses())
-        warm = choose(prof(ready=True), clauses())
-        assert cold.costs["columnar"] - warm.costs["columnar"] == \
-            pytest.approx(COSTS["C_PACK"] * 10_000)
+        # A historical store keeps no transaction-time tree to stab.
+        info = explained(faculty("historical"), "retrieve (f.rank)")
+        assert info["plan"] != "index"
 
     def test_forced_mode_skips_costing(self):
-        plan = choose(prof(total=6, open_rows=3), clauses(),
-                      mode="columnar")
-        assert plan.path == "columnar"
-        assert plan.reason == "forced plan 'columnar'"
+        info = explained(faculty(plan="columnar"), "retrieve (f.rank)")
+        assert info["plan"] == "columnar"
+        assert info["plan_reason"] == "forced plan 'columnar'"
 
     def test_forced_unavailable_degrades_to_naive(self):
-        plan = choose(prof(index=False, columnar=False), clauses(),
-                      mode="index")
-        assert plan.path == "naive"
-        assert plan.reason == "forced plan 'index' unavailable here; using naive"
+        info = explained(faculty("static", plan="index"), "retrieve (f.rank)")
+        assert info["plan"] == "naive"
+        assert info["plan_reason"] == \
+            "forced plan 'index' unavailable here; using naive"
 
     def test_unknown_mode_rejected(self):
+        database, _ = build_faculty(TemporalDatabase)
         with pytest.raises(ValueError, match="plan must be one of"):
-            choose(prof(), clauses(), mode="quantum")
-
-    def test_reason_renders_every_cost(self):
-        plan = choose(prof(columnar=False), clauses(as_of=True))
-        assert "columnar=n/a" in plan.reason
-        assert "naive=" in plan.reason and "index=" in plan.reason
-
-
-class TestEstimateRows:
-    def test_default_state_is_exactly_the_open_partition(self):
-        assert estimate_rows(prof(), clauses()) == 50
-
-    def test_as_of_keeps_a_thin_closed_slice(self):
-        assert estimate_rows(prof(), clauses(as_of=True)) == \
-            50 + (10_000 - 50) // 8
-
-    def test_through_keeps_half_the_closed_log(self):
-        assert estimate_rows(prof(), clauses(through=True)) == \
-            50 + (10_000 - 50) // 2
-
-    def test_no_transaction_time_selects_everything(self):
-        assert estimate_rows(prof(has_tt=False), clauses(as_of=True)) == \
-            10_000
+            Evaluator(database, {"f": "faculty"}, plan="quantum")
 
 
 class TestSessionKnob:
     def test_invalid_plan_rejected_with_modes_listed(self):
+        assert PLAN_MODES == ("auto", "naive", "index", "columnar")
         database, _ = build_faculty(TemporalDatabase)
         with pytest.raises(ValueError) as err:
             Session(database, plan="speedy")
@@ -125,9 +195,10 @@ class TestExplainContract:
         plan = session.explain_plan(
             'retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"')
         info = plan["variables"]["f"]
-        assert info["plan"] in ("naive", "index", "columnar")
-        assert isinstance(info["estimated_rows"], int)
-        assert info["plan_reason"].startswith("min cost (")
+        assert set(info) == {"relation", "candidates", "after_pushdown",
+                             "pushed_conjuncts", "index", "plan",
+                             "plan_reason"}
+        assert info["plan"] == "index" and info["plan_reason"] == TREE
         assert plan["planner_mode"] == "auto"
 
     def test_explain_reports_forced_mode(self):
@@ -154,20 +225,14 @@ class TestExplainContract:
         assert text == session.explain(
             'retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"',
             timings=False)
-        lines = text.splitlines()
-        assert lines[0] == ("retrieve on a temporal database -> "
-                            "temporal result (planner: auto)")
-        assert lines[1] == ("  f over faculty: 2 candidates -> 1, "
-                            "1 conjunct(s) pushed")
-        assert lines[2] == \
-            "    access path: bitemporal index: transaction-time stab"
-        assert lines[3].startswith(
-            "    plan: naive — estimated 4 row(s), actual 2 (min cost "
-            "(naive=11.2, index=19.1, columnar=")
-        assert lines[4] == \
-            "  product of 1 combination(s), 0 residual conjunct(s)"
-        assert lines[5] == "  temporal clauses: as of 1982-12-10"
-        assert "phases" not in text
+        assert text.splitlines() == [
+            "retrieve on a temporal database -> temporal result "
+            "(planner: auto)",
+            "  f over faculty: 2 candidates -> 1, 1 conjunct(s) pushed",
+            "    access path: bitemporal index: transaction-time stab",
+            f"    plan: index ({TREE})",
+            "  product of 1 combination(s), 0 residual conjunct(s)",
+            "  temporal clauses: as of 1982-12-10"]
 
     def test_timings_true_appends_phases(self):
         session = self.session(TemporalDatabase)
@@ -184,7 +249,9 @@ class TestExplainContract:
         for db_class in (StaticDatabase, RollbackDatabase,
                          HistoricalDatabase, TemporalDatabase):
             session = self.session(db_class)
-            plan = session.explain_plan("retrieve (f.name)")
-            info = plan["variables"]["f"]
-            assert info["plan"] in ("naive", "index", "columnar"), db_class
-            assert info["estimated_rows"] >= 0
+            text = "retrieve (f.name)"
+            info = session.explain_plan(text)["variables"]["f"]
+            with obs.recording() as inst:
+                session.query(text)
+            counters = inst.metrics.snapshot()["counters"]
+            assert counters[f"tquel.plan.{info['plan']}"] == 1, db_class

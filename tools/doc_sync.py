@@ -36,16 +36,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core import TemporalDatabase  # noqa: E402
-from repro.core import columnar as _columnar  # noqa: E402
 from repro.time import SimulatedClock  # noqa: E402
 from repro.tquel import Session  # noqa: E402
-from repro.tquel.planner import COSTS, KEY_ACCESS  # noqa: E402
-
-# The planner's columnar cost (and so the reason strings in the
-# transcripts below) depends on whether NumPy imported.  Pin the
-# pure-Python fallback kernels so the generated blocks are identical on
-# every machine — including the CI image, which has no numpy.
-_columnar._np = None
+from repro.tquel.evaluator import KEY_ACCESS  # noqa: E402
 
 DOCS_DIR = os.path.join(REPO_ROOT, "docs")
 
@@ -104,10 +97,58 @@ def _gen_explain_asof() -> str:
             + _fenced(session.explain(query, timings=False)))
 
 
+def _one_row_session(db_class, plan: str = "auto") -> Session:
+    """One faculty row in a database of *db_class*, on a pinned clock."""
+    clock = SimulatedClock("01/01/77")
+    session = Session(db_class(clock=clock), plan=plan)
+    session.execute("create faculty (name = string, rank = string) "
+                    "key (name)")
+    session.execute("range of f is faculty")
+    clock.set("08/25/77")
+    valid = (' valid from "09/01/77"'
+             if session.database.kind.supports_historical_queries else "")
+    session.execute('append to faculty (name = "Merrie", '
+                    'rank = "associate")' + valid)
+    clock.set("12/01/82")
+    return session
+
+
+def _gen_explain_rule() -> str:
+    """What ``auto`` takes on each kind under each transaction-time
+    clause (a statement no key probe answers), with the reason."""
+    from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
+                            StaticDatabase)
+    kinds = [("static", StaticDatabase),
+             ("rollback (interval)", RollbackDatabase),
+             ("rollback (states)",
+              lambda clock: RollbackDatabase(clock, representation=STATES)),
+             ("historical", HistoricalDatabase),
+             ("temporal", TemporalDatabase)]
+    clauses = [("current state", ""), ("as of", ' as of "12/01/82"'),
+               ("as of … through",
+                ' as of "01/01/80" through "12/01/82"')]
+    rows = ["| kind | " + " | ".join(name for name, _ in clauses) + " |",
+            "|---|" + "---|" * len(clauses)]
+    for kind, db_class in kinds:
+        session = _one_row_session(db_class)
+        cells = []
+        for _, clause in clauses:
+            if clause and not session.database.supports_rollback:
+                cells.append("refused (no transaction time)")
+                continue
+            info = session.explain_plan(
+                'retrieve (f.rank) where f.rank = "associate"' + clause,
+                timings=False)["variables"]["f"]
+            cells.append(f"`{info['plan']}`")
+        rows.append(f"| {kind} | " + " | ".join(cells) + " |")
+    return "\n".join(rows) + "\n"
+
+
 def _gen_explain_forced() -> str:
     """The same query under each forced plan mode (one line each),
-    plus a forced `index` on a kind that has no index path — the
-    degradation notice is part of the contract."""
+    plus a forced `index` where no tree answers — on a kind without
+    one, and on a rollback database's current state, which its snapshot
+    serves; the degradation notice is part of the contract."""
     query = ('retrieve (f.rank) where f.name = "Merrie" '
              'as of "12/10/82"')
     lines = []
@@ -117,20 +158,14 @@ def _gen_explain_forced() -> str:
         info = plan["variables"]["f"]
         lines.append(f"plan={mode:<8} (temporal)   -> {info['plan']:<8} "
                      f"({info['plan_reason']})")
-    from repro.core import HistoricalDatabase
-    clock = SimulatedClock("01/01/77")
-    session = Session(HistoricalDatabase(clock=clock), plan="index")
-    session.execute("create faculty (name = string, rank = string) "
-                    "key (name)")
-    session.execute("range of f is faculty")
-    clock.set("08/25/77")
-    session.execute('append to faculty (name = "Merrie", '
-                    'rank = "associate") valid from "09/01/77"')
-    plan = session.explain_plan(
-        'retrieve (f.rank) where f.name = "Merrie"', timings=False)
-    info = plan["variables"]["f"]
-    lines.append(f"plan=index    (historical) -> {info['plan']:<8} "
-                 f"({info['plan_reason']})")
+    from repro.core import HistoricalDatabase, RollbackDatabase
+    for kind, db_class in (("historical", HistoricalDatabase),
+                           ("rollback", RollbackDatabase)):
+        plan = _one_row_session(db_class, plan="index").explain_plan(
+            'retrieve (f.rank) where f.name = "Merrie"', timings=False)
+        info = plan["variables"]["f"]
+        lines.append(f"plan=index    ({kind + ')':<11} -> "
+                     f"{info['plan']:<8} ({info['plan_reason']})")
     return _fenced("\n".join(lines))
 
 
@@ -178,28 +213,6 @@ def _gen_cache_stats() -> str:
             " only:\n\n" + forced)
 
 
-def _gen_costs() -> str:
-    """The COSTS table, straight from ``repro.tquel.planner.COSTS``."""
-    rows = ["| constant | value | charges for |",
-            "|---|---|---|"]
-    notes = {
-        "C_ROW": "visiting one stored row as a Python object (and, if it "
-                 "survives, assembling its result row positionally)",
-        "C_PRED": "one pushed conjunct run as a closure compiled per statement",
-        "C_WHEN": "one `when` predicate walked over `Period` objects, its "
-                  "constants folded per statement",
-        "C_PROBE": "one interval-tree descent step (multiplied by log2 N)",
-        "C_MAT": "materializing one candidate from a chunk row",
-        "C_CELL_NUMPY": "one cell of an ndarray mask kernel",
-        "C_CELL_PY": "one cell of the fallback float-loop kernel",
-        "C_PACK": "packing one row into columns (first chunk build)",
-        "C_SETUP": "fixed kernel setup (keeps tiny scans naive)",
-    }
-    for name, value in COSTS.items():
-        rows.append(f"| `{name}` | {value} | {notes[name]} |")
-    return "\n".join(rows) + "\n"
-
-
 def _gen_integrity_audit() -> str:
     """The ``repro audit`` transcripts INTEGRITY.md annotates: a clean
     pass over the faculty store, then the same store with record 4
@@ -241,11 +254,11 @@ def _gen_integrity_audit() -> str:
 
 
 GENERATORS: Dict[str, Callable[[], str]] = {
+    "planning-explain-rule": _gen_explain_rule,
     "planning-explain-asof": _gen_explain_asof,
     "planning-explain-forced": _gen_explain_forced,
     "planning-explain-key": _gen_explain_key,
     "planning-cache-stats": _gen_cache_stats,
-    "planning-costs": _gen_costs,
     "integrity-audit": _gen_integrity_audit,
 }
 
