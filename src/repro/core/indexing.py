@@ -15,28 +15,32 @@ module provides:
 - :class:`TransactionTimeIndex` — a rollback accelerator for one
   :class:`~repro.core.transaction_time.TransactionTimeStore` (a
   :class:`~repro.core.rollback.RollbackRelation` or a
-  :class:`~repro.core.temporal.TemporalRelation`): a transaction-time
-  tree, and for the latter per-state valid-time slices under it.
+  :class:`~repro.core.temporal.TemporalRelation`).  Transaction time is
+  append-only, so this index is too: it holds the *closed* rows only —
+  a tree, and per key a chain in closing order — and reads the open
+  rows from the store.
 
 Indexes are built over the *immutable* relation values, so a wrapper can
 never silently go stale: the database kinds hand out fresh values per
 commit, and :class:`DatabaseIndexCache` hands out a fresh wrapper per
 relation *version*.  When successive versions share a storage lineage
 (the incremental commit path), the cache patches the previous version's
-tree with the row delta (``update``) instead of rebuilding from scratch —
-a commit costs O(Δ log n) index upkeep.
+structures with what the commit changed (``update``: the rows it closed,
+or those that left and entered a historical state) instead of rebuilding.
 
-The benchmark ``bench_indexing.py`` measures the win; the property suite
-checks index answers against the naive scans they replace.
+The benchmark ``bench_indexing.py`` measures the win; the property suites
+check index answers against the naive scans they replace.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import math
+import threading
 from collections import Counter
-from operator import itemgetter
-from typing import (Any, Dict, Generic, Iterable, List, Optional, Sequence,
+from operator import attrgetter, itemgetter
+from typing import (Any, Dict, Generic, Iterable, List, Mapping, Optional,
                     Tuple as PyTuple, TypeVar, Union)
 
 from repro.core.historical import HistoricalRelation
@@ -46,7 +50,7 @@ from repro.core.transaction_time import TransactionTimeStore
 from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.time.chronon import require_same_granularity
-from repro.time.instant import Instant, POS_INF, instant as _coerce
+from repro.time.instant import instant as _coerce
 from repro.time.period import Period, chronon_number, first_unit
 
 Payload = TypeVar("Payload")
@@ -58,6 +62,16 @@ _POS = math.inf
 #: A stored ``(lo, hi, payload)`` triple's start and exclusive end.
 _START = itemgetter(0)
 _END = itemgetter(1)
+#: A stored row's transaction-time end: a closed chain's sort key.
+_TT_END = attrgetter("tt.hi")
+
+
+def _spend(dead: Dict[Any, int], triple: Any) -> bool:
+    """Use up one of *triple*'s tombstones in *dead*, a query's working
+    copy: each dead duplicate suppresses exactly one matching entry."""
+    count = dead[triple]
+    dead[triple] = count - 1
+    return count > 0
 
 
 class _Node(Generic[Payload]):
@@ -200,16 +214,9 @@ class IntervalTree(Generic[Payload]):
         if self._pending <= threshold:
             return
         _obs.current().metrics.counter("index.tree.fold_rebuilds").inc()
-        live: List[PyTuple[float, float, Payload]] = []
-        remaining = dict(self._dead)
-        for triple in self._base:
-            count = remaining.get(triple, 0)
-            if count:
-                remaining[triple] = count - 1
-                continue
-            live.append(triple)
-        live.extend(self._extra)
-        self._reset(live)
+        dead = dict(self._dead)
+        self._reset([triple for triple in self._base if triple not in dead
+                     or not _spend(dead, triple)] + self._extra)
 
     # -- queries --------------------------------------------------------------
 
@@ -217,9 +224,7 @@ class IntervalTree(Generic[Payload]):
         """Payloads of every interval containing *when* (an instant)."""
         point = chronon_number(_coerce(when), self._granularity,
                                "stab a temporal index")
-        # Tombstones are filtered against a local working copy so each
-        # dead duplicate suppresses exactly one matching tree entry.
-        dead = dict(self._dead) if self._dead else None
+        dead = dict(self._dead) if self._dead else None  # (see _spend)
         found: List[Payload] = []
         node = self._root
         while node is not None:
@@ -229,12 +234,8 @@ class IntervalTree(Generic[Payload]):
                     lo, hi, payload = triple
                     if lo > point:
                         break
-                    if point < hi:
-                        if dead is not None:
-                            count = dead.get(triple, 0)
-                            if count:
-                                dead[triple] = count - 1
-                                continue
+                    if point < hi and (dead is None or triple not in dead
+                                       or not _spend(dead, triple)):
                         found.append(payload)
                 node = node.left
             else:
@@ -244,12 +245,9 @@ class IntervalTree(Generic[Payload]):
                     lo, hi, payload = triple
                     if hi <= point:
                         break
-                    if dead is not None:
-                        count = dead.get(triple, 0)
-                        if count:
-                            dead[triple] = count - 1
-                            continue
-                    found.append(payload)
+                    if (dead is None or triple not in dead
+                            or not _spend(dead, triple)):
+                        found.append(payload)
                 node = node.right
         for lo, hi, payload in self._extra:
             if lo <= point < hi:
@@ -281,12 +279,8 @@ class IntervalTree(Generic[Payload]):
                     start, end, payload = triple
                     if start >= hi:
                         break
-                    if end > lo:
-                        if dead is not None:
-                            count = dead.get(triple, 0)
-                            if count:
-                                dead[triple] = count - 1
-                                continue
+                    if end > lo and (dead is None or triple not in dead
+                                     or not _spend(dead, triple)):
                         found.append(payload)
                 stack.append(node.left)
             elif lo > node.center:
@@ -295,12 +289,8 @@ class IntervalTree(Generic[Payload]):
                     start, end, payload = triple
                     if end <= lo:
                         break
-                    if start < hi:
-                        if dead is not None:
-                            count = dead.get(triple, 0)
-                            if count:
-                                dead[triple] = count - 1
-                                continue
+                    if start < hi and (dead is None or triple not in dead
+                                       or not _spend(dead, triple)):
                         found.append(payload)
                 stack.append(node.right)
             else:
@@ -308,15 +298,11 @@ class IntervalTree(Generic[Payload]):
                 # contains the center, hence overlaps; recurse both ways.
                 for triple in node.by_start:
                     start, end, payload = triple
-                    if start < hi and end > lo:
-                        if dead is not None:
-                            count = dead.get(triple, 0)
-                            if count:
-                                dead[triple] = count - 1
-                                continue
+                    if start < hi and end > lo and (
+                            dead is None or triple not in dead
+                            or not _spend(dead, triple)):
                         found.append(payload)
-                stack.append(node.left)
-                stack.append(node.right)
+                stack += (node.left, node.right)
         for start, end, payload in self._extra:
             if start < hi and end > lo:
                 found.append(payload)
@@ -324,33 +310,6 @@ class IntervalTree(Generic[Payload]):
 
     def __len__(self) -> int:
         return self._size
-
-
-def _partition_delta(old, new):
-    """``(removed, added)`` rows between two versions of one
-    :class:`~repro.core.transaction_time.TransactionTimeStore`.
-
-    Read off the lineage's two log slices, O(Δ) with no look at either
-    state: every row closed in between is added, and its open form is
-    removed — unless it was also *opened* in between, in which case the
-    open form was never indexed and is simply not added.  Returns
-    ``None`` when the versions are unrelated (different storage lineage,
-    e.g. after a drop/redefine, a deserialized overwrite or a derived
-    value), in which case the caller rebuilds from scratch.
-    """
-    delta = version_delta(old, new)
-    if delta is None:
-        return None
-    closed, opened = delta
-    entered = dict.fromkeys(opened)
-    removed = []
-    for row in closed:
-        was_open = row._replace(tt=Period(row.tt.start, POS_INF))
-        if was_open in entered:
-            del entered[was_open]
-        else:
-            removed.append(was_open)
-    return removed, closed + list(entered)
 
 
 _HistoricalState = Union[HistoricalRelation, TemporalRelation]
@@ -400,40 +359,39 @@ class HistoricalIndex:
         if delta is None:
             return None
         left, entered = delta
-        net: Dict[PyTuple[Period, Any], int] = {}
-        for rows, change in ((entered, 1), (left, -1)):
-            for row in rows:
-                interval = (row.valid, row.data)
-                net[interval] = net.get(interval, 0) + change
-        tree = self._tree
+        net = Counter((row.valid, row.data) for row in entered)
+        net.subtract((row.valid, row.data) for row in left)
         for (valid, data), change in net.items():
             if change > 0:
-                tree.insert(valid, data)
-            elif change < 0 and not tree.discard(valid, data):
+                self._tree.insert(valid, data)
+            elif change < 0 and not self._tree.discard(valid, data):
                 return None
-        fresh = HistoricalIndex.__new__(HistoricalIndex)
+        fresh = copy.copy(self)
         fresh._relation = new_relation
-        fresh._tree = tree
         return fresh
+
+
+def _in_force(rows: Iterable[Any], first: float, last: float) -> List[Any]:
+    """The *rows* in the state at some chronon ``first`` … ``last``."""
+    return [row for row in rows if row.tt.lo <= last and first < row.tt.hi]
 
 
 class TransactionTimeIndex:
     """Rollback acceleration for one transaction-time store.
 
-    A transaction-time tree finds the rows visible as of ``t``; the store
-    says what state they amount to (a static relation for a rollback
-    store, a historical one for a temporal relation).  For the latter a
-    valid-time tree over *those* rows answers the bitemporal timeslice;
-    these are memoized per distinct rollback instant actually queried,
-    which matches the access pattern of audit workloads (few distinct
-    as-of instants, many valid-time probes each).
+    Transaction time is append-only (Figure 12): a closed row never
+    changes.  So the index holds the **closed** rows only, insert-only, in
+    two forms each built by the first read that needs it and patched from
+    ``closed_since``: an :class:`IntervalTree`, and per schema-key value
+    the key's rows in closing order, where one bisect finds those closed
+    after a pin.  The open rows are the store's own (in force at a pin iff
+    started by it); the store says what state the rows amount to.
     """
 
     def __init__(self, relation: TransactionTimeStore) -> None:
         self._relation = relation
-        self._tree: IntervalTree = IntervalTree(
-            (row.tt, row) for row in relation.rows)
-        self._state_indexes: Dict[Instant, HistoricalIndex] = {}
+        self._tree: Optional[IntervalTree] = None
+        self._chains: Optional[Dict[PyTuple[Any, ...], List[Any]]] = None
 
     @property
     def relation(self) -> TransactionTimeStore:
@@ -442,61 +400,86 @@ class TransactionTimeIndex:
 
     @property
     def size(self) -> int:
-        """The number of live indexed intervals."""
-        return self._tree.size
+        """The number of rows, closed and open, the index answers for."""
+        return len(self._relation)
+
+    def _closed_tree(self) -> IntervalTree:
+        if self._tree is None:
+            self._tree = IntervalTree(
+                (row.tt, row) for row in self._relation.closed_since())
+        return self._tree
+
+    def _key_chains(self) -> Dict[PyTuple[Any, ...], List[Any]]:
+        if self._chains is None:  # (a loaded store's rows: file order)
+            self._chains = self._relation._by_key_of(
+                sorted(self._relation.closed_since(), key=_TT_END))
+        return self._chains
+
+    def _bounds(self, when=None, period=None) -> PyTuple[float, float]:
+        """A pin *when*, or a *period*, as its first and last chronon
+        numbers, in the unit of the store's rows (if it has any)."""
+        first = next(iter(self._relation), None)
+        unit, context = first and first.tt.unit, "stab a temporal index"
+        if period is not None:
+            require_same_granularity(period.unit, unit, context)
+            return period.lo, period.hi - 1
+        point = chronon_number(_coerce(when), unit, context)
+        return point, point
 
     def visible(self, as_of) -> List[Any]:
         """The stored rows whose transaction time contains *as_of*."""
-        return self._tree.stab(as_of)
+        return self._closed_tree().stab(as_of) + _in_force(
+            self._relation.open_rows(), *self._bounds(as_of))
 
     def rollback(self, as_of):
-        """Same result as ``relation.rollback``, via the tree."""
-        return self._relation.state_of(self._tree.stab(as_of))
+        """Same result as ``relation.rollback``, via the index."""
+        return self._relation.state_of(self.visible(as_of))
 
     def overlapping(self, period: Period) -> List[Any]:
         """The stored rows whose transaction time overlaps *period*."""
-        return self._tree.overlapping(period)
+        return self._closed_tree().overlapping(period) + _in_force(
+            self._relation.open_rows(), *self._bounds(period=period))
 
     def visible_during(self, period: Period):
-        """Same result as ``relation.visible_during``, via the tree."""
-        return self._relation.range_of(self._tree.overlapping(period))
+        """Same result as ``relation.visible_during``, via the index."""
+        return self._relation.range_of(self.overlapping(period))
+
+    def under_key(self, bound: Mapping[str, Any], as_of, through=None
+                  ) -> Optional[List[Any]]:
+        """The rows of the key *bound* names in force as of *as_of* (or up
+        to *through*, inclusive): one bisect of the key's closed chain plus
+        its open rows; ``None`` where ``open_under_key`` cannot answer."""
+        open_rows = self._relation.open_under_key(bound)
+        if open_rows is None:
+            return None
+        first, last = self._bounds(as_of, None if through is None else
+                                   Period.from_inclusive(as_of, through))
+        chain = self._key_chains().get(
+            tuple(bound[name] for name in self._relation.schema.key), [])
+        return _in_force(chain[bisect.bisect_right(chain, first, key=_TT_END):]
+                         + list(open_rows), first, last)
 
     def timeslice(self, valid_at, as_of) -> Relation:
         """Same result as ``relation.timeslice(valid_at, as_of)`` (stores
-        with valid time only)."""
-        when = _coerce(as_of)
-        index = self._state_indexes.get(when)
-        if index is None:
-            index = HistoricalIndex(self.rollback(when))
-            self._state_indexes[when] = index
-        return index.timeslice(valid_at)
+        with valid time only): the state as of *as_of*, sliced."""
+        return self.rollback(as_of).timeslice(valid_at)
 
     def update(self, new_relation: TransactionTimeStore
                ) -> Optional["TransactionTimeIndex"]:
-        """A fresh index over *new_relation*, patching this index's tree.
-
-        Uses the structural partition delta — O(Δ log n) amortized per
-        commit, independent of how many rows the store has accumulated.
-        ``None`` when the two values do not share a storage lineage (the
-        caller rebuilds from scratch).
-        """
-        delta = _partition_delta(self._relation, new_relation)
-        if delta is None:
+        """A fresh index over *new_relation*: this one's tree and chains,
+        patched with the rows closed in between (inserts only; the stale
+        wrapper must not be queried after).  ``None`` across lineages."""
+        closed = new_relation.closed_since(self._relation.closed_mark())
+        if closed is None:
             return None
-        removed, added = delta
-        tree = self._tree
-        for row in removed:
-            if not tree.discard(row.tt, row):
-                return None
-        for row in added:
-            tree.insert(row.tt, row)
-        fresh = TransactionTimeIndex.__new__(TransactionTimeIndex)
-        fresh._relation = new_relation
-        fresh._tree = tree
-        # Per-as-of valid-time slices are rebuilt lazily on demand; the
-        # memo keys (instants) would survive, but dropping them keeps the
-        # wrapper's lifetime bounded by what is actually queried.
-        fresh._state_indexes = {}
+        if self._tree is not None:
+            for row in closed:
+                self._tree.insert(row.tt, row)
+        if self._chains is not None:
+            for key, rows in new_relation._by_key_of(closed).items():
+                self._chains[key] += rows
+        fresh = TransactionTimeIndex(new_relation)
+        fresh._tree, fresh._chains = self._tree, self._chains
         return fresh
 
 
@@ -522,37 +505,33 @@ class DatabaseIndexCache:
     def __init__(self, database) -> None:
         self._db = database
         self._slots: Dict[PyTuple[str, str], PyTuple[int, Any]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.incremental_updates = 0
+        self.hits = self.misses = self.incremental_updates = 0
+        self._lock = threading.Lock()
 
-    def _get(self, name: str, flavor: str, index_type, source):
-        """The *flavor* index over ``source(name)``, current as of the
+    def _get(self, name: str, flavor: str, index_type):
+        """The *flavor* index over the store of *name*, current as of the
         relation's version: served, patched from the previous version's,
         or built."""
         metrics = _obs.current().metrics
         version = self._db.relation_version(name)
-        slot = self._slots.get((name, flavor))
-        if slot is not None:
-            cached_version, index = slot
+        key = (name, flavor)
+        with self._lock:  # (readers run on threads; versions share trees)
+            cached_version, index = self._slots.get(key, (None, None))
             if cached_version == version:
                 self.hits += 1
                 metrics.counter("index.cache.hits").inc()
                 return index
-            fresh = index.update(source(name))
+            fresh = index and index.update(self._db.store(name))
             if fresh is not None:
                 self.incremental_updates += 1
-                self._slots[(name, flavor)] = (version, fresh)
                 metrics.counter("index.cache.patches").inc()
-                metrics.gauge(f"index.tree.size.{name}.{flavor}").set(
-                    fresh.size)
-                return fresh
-        self.misses += 1
-        metrics.counter("index.cache.misses").inc()
-        index = index_type(source(name))
-        self._slots[(name, flavor)] = (version, index)
-        metrics.gauge(f"index.tree.size.{name}.{flavor}").set(index.size)
-        return index
+            else:
+                self.misses += 1
+                metrics.counter("index.cache.misses").inc()
+                fresh = index_type(self._db.store(name))
+            self._slots[key] = (version, fresh)
+            metrics.gauge(f"index.tree.size.{name}.{flavor}").set(fresh.size)
+            return fresh
 
     def historical(self, name: str) -> HistoricalIndex:
         """A current HistoricalIndex over ``database.history(name)``.
@@ -560,14 +539,12 @@ class DatabaseIndexCache:
         A temporal database's history is the open partition of its
         bitemporal relation, indexed in place.
         """
-        return self._get(name, "historical", HistoricalIndex, self._db.store)
+        return self._get(name, "historical", HistoricalIndex)
 
     def rollback(self, name: str) -> TransactionTimeIndex:
         """A current index over the interval store of *name*."""
-        return self._get(name, "rollback", TransactionTimeIndex,
-                         self._db.store)
+        return self._get(name, "rollback", TransactionTimeIndex)
 
     def bitemporal(self, name: str) -> TransactionTimeIndex:
         """A current index over ``database.temporal(name)``."""
-        return self._get(name, "bitemporal", TransactionTimeIndex,
-                         self._db.store)
+        return self._get(name, "bitemporal", TransactionTimeIndex)

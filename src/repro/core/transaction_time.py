@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import defaultdict
 from typing import (Any, Callable, Collection, Dict, Iterable, Iterator,
                     KeysView, List, Mapping, Optional, Tuple as PyTuple)
 
@@ -150,11 +152,22 @@ class TransactionTimeStore:
         one assignment wins — an idempotent value, never a torn one.
         """
         if self._by_key is None and self._schema.key:
-            index: Dict[PyTuple[Any, ...], List[Any]] = {}
-            for row in self._open.values():
-                index.setdefault(row.data.key(), []).append(row)
-            self._by_key = {key: tuple(rows) for key, rows in index.items()}
+            self._by_key = {key: tuple(rows) for key, rows
+                            in self._by_key_of(self._open.values()).items()}
         return self._by_key
+
+    def _by_key_of(self, rows: Collection[Any]
+                   ) -> Dict[PyTuple[Any, ...], List[Any]]:
+        """*rows* by schema-key value, in order, the keys read by C-level
+        getters (a ``Tuple.key`` call per row is what a restart's first
+        read would pay for every row it indexes)."""
+        positions = [self._schema.position(name) for name in self._schema.key]
+        keys = map(operator.itemgetter(*positions),
+                   map(operator.attrgetter("data.values"), rows))
+        groups: Dict[PyTuple[Any, ...], List[Any]] = defaultdict(list)
+        for key, row in zip(zip(keys) if len(positions) == 1 else keys, rows):
+            groups[key].append(row)
+        return groups
 
     def _key_index_after(self, gone: Iterable[Any], opened: Iterable[Any]
                          ) -> Optional[_KeyIndex]:

@@ -433,8 +433,9 @@ class AccessPlan(NamedTuple):
     reason: str  # deterministic one-line justification
 
 
-#: ``explain``'s words for the access path of a :func:`key_lookup` plan.
+#: ``explain``'s words for a :func:`key_lookup` plan's access (now; as of).
 KEY_ACCESS = "key index: one probe of the open rows"
+KEY_HISTORY_ACCESS = "key index: one key's closed chain and open rows"
 
 
 def key_lookup(key: Sequence[str]) -> AccessPlan:
@@ -591,7 +592,6 @@ class Evaluator:
                         lambda relation: db.store(relation).overlapping(
                             Period.from_inclusive(as_of, through)), True)
             when = as_of if as_of is not None else now
-            # db.visible stabs the transaction-time index (O(log n + k)).
             return (access, lambda relation: db.visible(relation, when),
                     lambda relation: db.store(relation).visible(when), True)
         if isinstance(db, HistoricalDatabase):
@@ -747,8 +747,8 @@ class Evaluator:
             kernel = (folded_kernel if folded_kernel is not None
                       and folded_kernel.variable == variable else None)
             keyed = (self._under_key(relation, variable, conjuncts,
-                                     bitemporal)
-                     if as_of is None and through is None else None)
+                                     bitemporal, as_of, through)
+                     if tree is not None or as_of is None else None)
             if keyed is not None:
                 # One probe is cheaper than looking its answer up in the
                 # result cache.
@@ -757,7 +757,8 @@ class Evaluator:
                     keyed = filter(self._filter(variable, conjuncts), keyed)
                 streams[variable] = (
                     key_lookup(self._db.schema(relation).key),
-                    examined, tuple(keyed), KEY_ACCESS)
+                    examined, tuple(keyed),
+                    KEY_ACCESS if as_of is None else KEY_HISTORY_ACCESS)
                 continue
             chunk = (self._chunk(relation) if self._plan == "columnar"
                      else None)
@@ -800,25 +801,34 @@ class Evaluator:
                          pushdown, residual, when, streams)
 
     def _under_key(self, relation: str, variable: str,
-                   conjuncts: Sequence[Expression], bitemporal: bool
+                   conjuncts: Sequence[Expression], bitemporal: bool,
+                   as_of: Optional[Instant], through: Optional[Instant]
                    ) -> Optional[Sequence[Any]]:
-        """A current-state stream narrowed to one schema-key value: the
-        open rows under the key the conjuncts pin (:func:`key_binding`),
-        as candidates, when the relation's store keeps a by-key index of
-        its open rows — else ``None`` and the caller scans.  Only ever a
-        narrowing: the conjuncts still run over what this returns.  Never
-        under a forced plan, whose point is to exercise its own path
-        (``naive`` is the oracle this one is tested against).
+        """A stream narrowed to one schema-key value, as candidates: the
+        rows under the key the conjuncts pin (:func:`key_binding`) — the
+        open ones, or under ``as of`` (… ``through``) those in force then
+        (``TransactionTimeIndex.under_key``) — when the relation's store
+        keeps a by-key index of its open rows; else ``None`` and the
+        caller scans.  Only ever a narrowing: the conjuncts still run over
+        what this returns.  Never under a forced plan, whose point is to
+        exercise its own path (``naive`` is this one's oracle).
         """
         if self._plan != "auto" or not hasattr(self._db, "store"):
             return None  # (the sharded facade keeps its stores per shard)
         probe = getattr(self._db.store(relation), "open_under_key", None)
         bound = probe and key_binding(self._db.schema(relation), conjuncts,
                                       variable)
-        found = probe(bound) if bound else None
+        if not bound:
+            return None
+        cache = self._db.index_cache
+        found = (probe(bound) if as_of is None else
+                 (cache.bitemporal if bitemporal else cache.rollback)(
+                     relation).under_key(bound, as_of, through))
         if found is None or bitemporal:  # (those stream as stored)
             return found
-        return [(row.data, None, None) for row in found]
+        # (a tuple may have been in the state twice over a range)
+        return [(data, None, None)
+                for data in dict.fromkeys(row.data for row in found)]
 
     def _immutable_result(self, relation: str, as_of: Optional[Instant],
                           through: Optional[Instant],
@@ -1210,7 +1220,7 @@ class Evaluator:
         conjuncts = split_conjuncts(statement.where)
         _, tree, scan, bitemporal = self._source(None, None, self._db.now())
         candidates = self._under_key(relation, variable, conjuncts,
-                                     bitemporal)
+                                     bitemporal, None, None)
         if candidates is None:
             candidates = (tree or scan)(relation)
         if conjuncts:

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from repro.core import (DatabaseIndexCache, HistoricalIndex, IntervalTree,
                         RollbackDatabase, TemporalDatabase,
                         TransactionTimeIndex)
-from repro.relational import Domain, Schema
+from repro.relational import Domain, Schema, Tuple
+from repro.storage import DurabilityManager
 from repro.time import Instant, NEG_INF, POS_INF, Period, SimulatedClock
+from repro.tquel import Session
 from repro.workload import FacultyWorkload, apply_workload
 
-from tests.conftest import build_faculty
+from tests.conftest import build_faculty, faculty_schema
+from tests.storage.test_stamps import faculty_store
 from tests.core.interval_tree_reference import reference_build, shape
 
 BASE = Instant.parse("01/01/80").chronon
@@ -327,3 +330,99 @@ class TestIncrementalCacheMaintenance:
         bare = plain.store("faculty")  # the store's own scan: no tree
         assert plain.rollback("faculty", "12/10/82") == \
             bare.rollback("12/10/82")
+
+
+# ---------------------------------------------------------------------------
+# Transaction time is append-only, so its index is too: count guards
+# ---------------------------------------------------------------------------
+
+class TestTransactionTimeUpkeep:
+    @pytest.mark.parametrize("factory", [TemporalDatabase, RollbackDatabase])
+    def test_commits_patch_the_index_by_inserts_only(self, monkeypatch,
+                                                     factory):
+        clock = SimulatedClock(Instant.from_chronon(BASE))
+        database = factory(clock=clock)
+        database.define("faculty", faculty_schema())
+        valid = ({"valid_from": Instant.from_chronon(BASE)}
+                 if database.supports_historical_queries else {})
+        for key in range(16):
+            database.insert("faculty", {"name": f"n{key:02d}",
+                                        "rank": "full"}, **valid)
+        database.rollback("faculty", Instant.from_chronon(BASE))  # built
+        discards, periods, upkeep = [], [], []
+        discard, build = IntervalTree.discard, Period.__init__
+        update = TransactionTimeIndex.update
+        monkeypatch.setattr(IntervalTree, "discard", lambda self, *args:
+                            discards.append(1) or discard(self, *args))
+
+        def counted_build(self, *args, **kwargs):
+            if upkeep:
+                periods.append(1)
+            build(self, *args, **kwargs)
+
+        def counted_update(self, relation):
+            upkeep.append(1)
+            try:
+                return update(self, relation)
+            finally:
+                upkeep.pop()
+
+        monkeypatch.setattr(Period, "__init__", counted_build)
+        monkeypatch.setattr(TransactionTimeIndex, "update", counted_update)
+        patches = database.index_cache.incremental_updates
+        for step in range(200):
+            clock.set(Instant.from_chronon(BASE + 1 + step))
+            database.replace("faculty", {"name": f"n{step % 16:02d}"},
+                             {"rank": ("assistant", "associate")[step % 2]},
+                             **valid)
+            database.rollback("faculty",
+                              Instant.from_chronon(BASE + step // 2))
+        monkeypatch.undo()
+        assert database.index_cache.incremental_updates == patches + 200
+        assert discards == [] and periods == []
+
+    @pytest.mark.parametrize("factory", [TemporalDatabase, RollbackDatabase])
+    def test_a_keyed_read_after_a_restart_walks_one_key(self, tmp_path,
+                                                        monkeypatch, factory):
+        directory = str(tmp_path)
+        live = faculty_store(directory, factory, 2048)
+        recovered, _ = DurabilityManager(directory).recover(factory)
+        query = 'retrieve (f.rank) where f.name = "n03" as of "06/01/82"'
+        trees, keys = [], []
+        tree, key = IntervalTree.__init__, Tuple.key
+        monkeypatch.setattr(IntervalTree, "__init__", lambda self, items:
+                            trees.append(1) or tree(self, items))
+        monkeypatch.setattr(Tuple, "key", lambda self:
+                            keys.append(1) or key(self))
+        session = Session(recovered)
+        session.execute("range of f is faculty")
+        answer = session.query(query)
+        candidates = session.explain_plan(query)["variables"]["f"][
+            "candidates"]
+        monkeypatch.undo()
+        assert trees == [] and keys == []
+        versions = [row for row in live.store("faculty").rows
+                    if row.data["name"] == "n03"]
+        assert 1 <= candidates <= len(versions)
+        naive = Session(recovered, plan="naive")
+        naive.execute("range of f is faculty")
+        assert answer == naive.query(query)
+
+    def test_a_patch_runs_under_the_cache_lock(self, monkeypatch,
+                                               temporal_faculty):
+        # Versions share the tree and chains, and reads run on several
+        # threads: two readers patching one stale version would insert
+        # the same closed rows twice.
+        database, clock = temporal_faculty
+        cache = database.index_cache
+        cache.bitemporal("faculty").visible("12/10/82")  # tree built
+        held, update = [], TransactionTimeIndex.update
+        monkeypatch.setattr(TransactionTimeIndex, "update",
+                            lambda self, relation: held.append(
+                                cache._lock.locked()) or update(self, relation))
+        clock.set("06/01/85")
+        database.replace("faculty", {"name": "Tom"}, {"rank": "full"},
+                         valid_from="06/01/85")
+        index = cache.bitemporal("faculty")
+        assert held == [True]
+        assert index._tree.size == len(index.relation.closed_since())

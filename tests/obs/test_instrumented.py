@@ -6,6 +6,7 @@ from repro import obs
 from repro.core import StaticDatabase, TemporalDatabase
 from repro.errors import TransactionStateError
 from repro.tquel import Session
+from repro.tquel.evaluator import KEY_HISTORY_ACCESS
 from repro.time import Instant
 
 from tests.conftest import build_faculty
@@ -149,11 +150,14 @@ class TestTQuelInstrumentation:
             'retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"')
         assert list(plan["phases"]) == ["lex", "parse", "analyze", "plan"]
         assert all(duration >= 0.0 for duration in plan["phases"].values())
-        assert plan["variables"]["f"]["index"] == \
-            "bitemporal index: transaction-time stab"
+        # The name is the key: the read walks Merrie's versions only.
+        stream = plan["variables"]["f"]
+        assert stream["index"] == KEY_HISTORY_ACCESS
+        assert stream["plan_reason"] == "key lookup: name bound by ="
+        assert stream["candidates"] == 1
         text = session.explain(
             'retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"')
-        assert "access path: bitemporal index: transaction-time stab" in text
+        assert f"access path: {KEY_HISTORY_ACCESS}" in text
         assert "phases: lex" in text
 
     def test_explain_scan_when_index_disabled(self):

@@ -3,7 +3,9 @@
 A current-state statement whose leading conjuncts bind every schema-key
 attribute by ``=`` sources its candidates from the store's by-key index
 of open rows (``TransactionTimeStore.open_under_key``) instead of the
-whole current state.  The lookup may only *narrow*: on every database
+whole current state; under ``as of`` (… ``through``), where the store
+has a transaction-time index, from that key's closed chain plus its
+open rows (``TransactionTimeIndex.under_key``).  The lookup may only *narrow*: on every database
 kind, with and without a key, ``plan="auto"`` must return the relation
 ``plan="naive"`` returns **and raise the error it raises** — under
 wrong-domain and null constants, contradictory bindings, a partial
@@ -25,9 +27,9 @@ from repro.relational.schema import Attribute
 from repro.relational.tuple import Tuple
 from repro.time import Instant, Period, SimulatedClock
 from repro.time.instant import POS_INF
-from repro.tquel.ast import (DeleteStmt, ReplaceStmt, RetrieveStmt,
+from repro.tquel.ast import (AggCall, DeleteStmt, ReplaceStmt, RetrieveStmt,
                              TargetItem, TConst, TPCompare, TVar)
-from repro.tquel.evaluator import KEY_ACCESS, Evaluator
+from repro.tquel.evaluator import KEY_ACCESS, KEY_HISTORY_ACCESS, Evaluator
 
 from tests.tquel.test_compiled_differential import canonical, outcome
 
@@ -51,8 +53,9 @@ KINDS = {
 
 
 def build(kind, shape):
-    """A small narrative: several keys, superseded and deleted rows, and
-    on the valid-time kinds several open versions under one key."""
+    """A small narrative: several keys, superseded and deleted rows, a
+    tuple that leaves and comes back, and on the valid-time kinds several
+    open versions under one key."""
     clock = SimulatedClock(BASE)
     database = KINDS[kind](clock=clock)
     database.define("r", SCHEMAS[shape])
@@ -70,6 +73,8 @@ def build(kind, shape):
     database.replace("r", {"k": "k0"}, {"n": 7}, **at(10, valid_from=8))
     database.replace("r", {"k": "k2"}, {"s": "b"}, **at(15, valid_from=20))
     database.delete("r", {"k": "k3"}, **at(20, valid_from=18))
+    # k0's first tuple returns: a range can see it in two states.
+    database.replace("r", {"k": "k0"}, {"n": None}, **at(25, valid_from=24))
     clock.set(NOW)
     return database
 
@@ -159,10 +164,31 @@ def test_a_keyed_update_records_the_delta_the_scan_records(which, conjuncts,
     assert after[0] == after[1]
 
 
+#: Before, at, between and after the narrative's commits (days 0–20).
+PINS = st.sampled_from([str(BASE + day) for day in (-1, 0, 2, 10, 12, 20, 30)])
+COUNT = [TargetItem("c", AggCall("count", AttrRef("f", "k")))]
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(DATABASES)), CONJUNCTIONS, PINS,
+       st.one_of(st.none(), PINS), st.booleans())
+def test_a_keyed_as_of_retrieve_is_the_naive_retrieve(which, conjuncts, pin,
+                                                      through, count):
+    # Under `as of` (… `through`, backwards ranges included) a bound key
+    # reads that key's versions; static and historical refuse alike.
+    clauses = {"as_of": TConst(pin)}
+    if through is not None:
+        clauses["as_of_through"] = TConst(through)
+    statement = RetrieveStmt(targets=COUNT if count else TARGETS,
+                             where=where_of(conjuncts), **clauses)
+    auto, naive = retrieve_both(DATABASES[which], statement)
+    assert auto == naive
+
+
 # -- the cases by name ---------------------------------------------------------------
 
-def explain(database, where, plan="auto"):
-    statement = RetrieveStmt(targets=TARGETS, where=where)
+def explain(database, where, plan="auto", **clauses):
+    statement = RetrieveStmt(targets=TARGETS, where=where, **clauses)
     return Evaluator(database, RANGES, plan=plan).explain(
         statement)["variables"]["f"]
 
@@ -197,6 +223,36 @@ def test_the_lookup_is_taken_exactly_when_the_whole_key_is_pinned(kind):
     for database, where in scanned:
         assert explain(database, where)["index"] != KEY_ACCESS, where
     assert explain(single, k_is("k0"), plan="naive")["plan"] == "naive"
+
+
+@pytest.mark.parametrize("kind", ["temporal", "rollback"])
+def test_under_as_of_the_lookup_reads_the_key_versions(kind):
+    database = DATABASES[kind, "single"]
+    versions = len([row for row in database.store("r").rows
+                    if row.data["k"] == "k0"])
+    for clauses in ({"as_of": TConst(str(BASE + 9))},
+                    {"as_of": TConst(str(BASE)),
+                     "as_of_through": TConst(str(NOW))}):
+        info = explain(database, k_is("k0"), **clauses)
+        assert (info["index"], info["plan"]) == (KEY_HISTORY_ACCESS, "index")
+        assert 1 <= info["candidates"] <= versions
+        assert explain(database, k_is("k0"), plan="naive",
+                       **clauses)["index"] != KEY_HISTORY_ACCESS
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_tuple_in_two_states_of_a_range_counts_once(kind):
+    statement = RetrieveStmt(targets=COUNT, where=k_is("k0"),
+                             as_of=TConst(str(BASE)),
+                             as_of_through=TConst(str(NOW)))
+    auto, naive = retrieve_both(DATABASES[kind, "single"], statement)
+    assert auto == naive
+
+
+def test_the_cube_scans_under_as_of():
+    info = explain(DATABASES["rollback-states", "single"], k_is("k0"),
+                   as_of=TConst(str(BASE + 9)))
+    assert info["index"] not in (KEY_ACCESS, KEY_HISTORY_ACCESS)
 
 
 @pytest.mark.parametrize("kind", ["static", "rollback-states", "historical"])

@@ -16,7 +16,7 @@ from repro.errors import TQuelSemanticError
 from repro.relational import Domain, Schema
 from repro.time import SimulatedClock
 from repro.tquel import Session
-from repro.tquel.evaluator import PLAN_MODES, Evaluator
+from repro.tquel.evaluator import KEY_HISTORY_ACCESS, PLAN_MODES, Evaluator
 
 from tests.conftest import build_faculty
 
@@ -198,7 +198,11 @@ class TestExplainContract:
         assert set(info) == {"relation", "candidates", "after_pushdown",
                              "pushed_conjuncts", "index", "plan",
                              "plan_reason"}
-        assert info["plan"] == "index" and info["plan_reason"] == TREE
+        # The key is bound: the read walks Merrie's versions only.
+        assert info["plan"] == "index" and info["plan_reason"] == \
+            "key lookup: name bound by ="
+        assert info["index"] == KEY_HISTORY_ACCESS
+        assert info["candidates"] == 1
         assert plan["planner_mode"] == "auto"
 
     def test_explain_reports_forced_mode(self):
@@ -228,9 +232,9 @@ class TestExplainContract:
         assert text.splitlines() == [
             "retrieve on a temporal database -> temporal result "
             "(planner: auto)",
-            "  f over faculty: 2 candidates -> 1, 1 conjunct(s) pushed",
-            "    access path: bitemporal index: transaction-time stab",
-            f"    plan: index ({TREE})",
+            "  f over faculty: 1 candidates -> 1, 1 conjunct(s) pushed",
+            f"    access path: {KEY_HISTORY_ACCESS}",
+            "    plan: index (key lookup: name bound by =)",
             "  product of 1 combination(s), 0 residual conjunct(s)",
             "  temporal clauses: as of 1982-12-10"]
 

@@ -38,7 +38,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.core import TemporalDatabase  # noqa: E402
 from repro.time import SimulatedClock  # noqa: E402
 from repro.tquel import Session  # noqa: E402
-from repro.tquel.evaluator import KEY_ACCESS  # noqa: E402
+from repro.tquel.evaluator import KEY_ACCESS, KEY_HISTORY_ACCESS  # noqa: E402
 
 DOCS_DIR = os.path.join(REPO_ROOT, "docs")
 
@@ -171,13 +171,16 @@ def _gen_explain_forced() -> str:
 
 def _gen_explain_key() -> str:
     """The current-state point query: the by-key lookup, then the
-    statements beside it that must scan instead (one line each)."""
+    statements beside it — the same key under ``as of`` (… ``through``),
+    and those that must scan instead (one line each)."""
     session = _faculty_session()
     query = 'retrieve (f.rank) where f.name = "Merrie"'
     lines = []
     for note, plan, text in (
             ("whole key bound", "auto", query),
             ("an as-of pin", "auto", query + ' as of "12/10/82"'),
+            ("an as-of range", "auto",
+             query + ' as of "12/10/82" through "12/20/82"'),
             ("key bound too late", "auto", 'retrieve (f.rank) where '
              'f.rank != "full" and f.name = "Merrie"'),
             ("wrong-domain constant", "auto",
@@ -185,8 +188,9 @@ def _gen_explain_key() -> str:
             ("plan=naive (the oracle)", "naive", query)):
         info = _faculty_session(plan).explain_plan(
             text, timings=False)["variables"]["f"]
-        via = ("one key probe" if info["index"] == KEY_ACCESS
-               else "every visible row")
+        via = {KEY_ACCESS: "one key probe",
+               KEY_HISTORY_ACCESS: "one key's versions"}.get(
+                   info["index"], "every visible row")
         lines.append(f"{note:<24} -> {info['candidates']} candidate(s): {via}")
     return (f"    .explain {query}\n\n"
             + _fenced(session.explain(query, timings=False))
