@@ -20,14 +20,13 @@ valid time, is rejected before evaluation with the database kind named in
 the error — Figure 11 of the paper as a type system.
 """
 
-from repro.tquel.lexer import Lexer, Token, TokenType
+from repro.tquel.lexer import Token, TokenType
 from repro.tquel.parser import Parser, parse, parse_script
 from repro.tquel.analyzer import analyze
 from repro.tquel.interpreter import Session
 from repro.tquel.printer import render, unparse
 
 __all__ = [
-    "Lexer",
     "Parser",
     "Session",
     "Token",

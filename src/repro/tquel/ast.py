@@ -139,6 +139,19 @@ class TPNot(TemporalPredicate):
 # Clauses
 # ---------------------------------------------------------------------------
 
+class _ComparedByRepr:
+    """A node holding expressions, whose ``==`` builds a ``Comparison``:
+    equal to another of its class when their canonical reprs are."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _fingerprint(self) == _fingerprint(other)
+
+    def __hash__(self) -> int:
+        return hash(_fingerprint(self))
+
+
 @dataclasses.dataclass(frozen=True)
 class ValidClause:
     """``valid from e1 to e2`` (interval) or ``valid at e`` (event)."""
@@ -154,7 +167,7 @@ class ValidClause:
 
 
 @dataclasses.dataclass(eq=False)
-class AggCall:
+class AggCall(_ComparedByRepr):
     """An aggregate in a target list: ``count(f.name)``, ``avg(f.salary)``...
 
     ``operand is None`` only for bare ``count()``.
@@ -164,34 +177,14 @@ class AggCall:
     operand: Optional[Expression]
     unique: bool = False
 
-    # Expression overloads ==, so compare/hash by canonical repr.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AggCall):
-            return NotImplemented
-        return (self.func == other.func and self.unique == other.unique
-                and repr(self.operand) == repr(other.operand))
-
-    def __hash__(self) -> int:
-        return hash((self.func, self.unique, repr(self.operand)))
-
 
 #: A target-list entry: result attribute name plus the defining expression.
-@dataclasses.dataclass(frozen=True)
-class TargetItem:
+@dataclasses.dataclass(frozen=True, eq=False)
+class TargetItem(_ComparedByRepr):
     """``name = expression`` (name defaults to the attribute referenced)."""
 
     name: str
     expr: Union[Expression, AggCall]
-
-    # Expression overloads == to build Comparison nodes, which breaks the
-    # generated dataclass __eq__; compare by repr instead.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TargetItem):
-            return NotImplemented
-        return self.name == other.name and repr(self.expr) == repr(other.expr)
-
-    def __hash__(self) -> int:
-        return hash((self.name, repr(self.expr)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +204,7 @@ class RangeStmt(Statement):
 
 
 @dataclasses.dataclass(eq=False)
-class RetrieveStmt(Statement):
+class RetrieveStmt(_ComparedByRepr, Statement):
     """``retrieve [into name] [unique] (targets) [where] [when] [valid] [as of] [sort by]``.
 
     ``as of e1 through e2`` (``as_of_through`` set) retrieves over the
@@ -229,65 +222,33 @@ class RetrieveStmt(Statement):
     as_of_through: Optional[TemporalExpr] = None
     sort_by: Tuple[str, ...] = ()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RetrieveStmt):
-            return NotImplemented
-        return _stmt_fingerprint(self) == _stmt_fingerprint(other)
-
-    def __hash__(self) -> int:
-        return hash(_stmt_fingerprint(self))
-
 
 @dataclasses.dataclass(eq=False)
-class AppendStmt(Statement):
+class AppendStmt(_ComparedByRepr, Statement):
     """``append to faculty (name = "Tom", ...) [valid ...]``."""
 
     relation: str
     assignments: List[Tuple[str, Expression]]
     valid: Optional[ValidClause] = None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AppendStmt):
-            return NotImplemented
-        return _stmt_fingerprint(self) == _stmt_fingerprint(other)
-
-    def __hash__(self) -> int:
-        return hash(_stmt_fingerprint(self))
-
 
 @dataclasses.dataclass(eq=False)
-class DeleteStmt(Statement):
+class DeleteStmt(_ComparedByRepr, Statement):
     """``delete f [where ...] [valid ...]``."""
 
     variable: str
     where: Optional[Expression] = None
     valid: Optional[ValidClause] = None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeleteStmt):
-            return NotImplemented
-        return _stmt_fingerprint(self) == _stmt_fingerprint(other)
-
-    def __hash__(self) -> int:
-        return hash(_stmt_fingerprint(self))
-
 
 @dataclasses.dataclass(eq=False)
-class ReplaceStmt(Statement):
+class ReplaceStmt(_ComparedByRepr, Statement):
     """``replace f (rank = "full") [where ...] [valid ...]``."""
 
     variable: str
     assignments: List[Tuple[str, Expression]]
     where: Optional[Expression] = None
     valid: Optional[ValidClause] = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReplaceStmt):
-            return NotImplemented
-        return _stmt_fingerprint(self) == _stmt_fingerprint(other)
-
-    def __hash__(self) -> int:
-        return hash(_stmt_fingerprint(self))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -311,6 +272,6 @@ class DestroyStmt(Statement):
     relation: str
 
 
-def _stmt_fingerprint(stmt: Statement) -> str:
-    """A canonical string for statement equality (expressions compare by repr)."""
-    return repr(dataclasses.asdict(stmt)) if dataclasses.is_dataclass(stmt) else repr(stmt)
+def _fingerprint(node: _ComparedByRepr) -> str:
+    """A canonical string for node equality (expressions compare by repr)."""
+    return repr(dataclasses.asdict(node))

@@ -1,15 +1,22 @@
 """The TQuel lexer.
 
-Hand-rolled, position-tracking tokenizer.  Keywords are case-insensitive
-(the paper typesets them lowercase; INGRES accepted either).  String
-literals use double quotes, as in all the paper's examples
-(``f.name = "Merrie"``, ``as of "12/10/82"``).
+One master regular expression scans the source: each match is the
+whitespace and comments before a token, then the token, the end of
+input, or the character at which lexing fails.  Keywords are
+case-insensitive (the paper typesets them lowercase; INGRES accepted
+either).  Strings use double quotes, as in all the paper's examples
+(``f.name = "Merrie"``, ``as of "12/10/82"``), with ``\\"`` and
+``\\\\`` escapes.  Numbers are ASCII ``[0-9]+(.[0-9]+)?``; an identifier
+is a letter or ``_`` and then letters, digits or ``_`` (Unicode
+``str.isalpha`` / ``str.isalnum``).  Every failure is a
+:class:`~repro.errors.TQuelSyntaxError` at its 1-based line and column.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple
 
 from repro.errors import TQuelSyntaxError
 
@@ -61,121 +68,66 @@ class Token(NamedTuple):
         return self.type is TokenType.SYMBOL and self.value == symbol
 
 
-class Lexer:
-    """Tokenizes one TQuel source string."""
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._position = 0
-        self._line = 1
-        self._column = 1
-
-    def tokens(self) -> List[Token]:
-        """The full token list, ending with an EOF token."""
-        result = []
-        while True:
-            token = self._next()
-            result.append(token)
-            if token.type is TokenType.EOF:
-                return result
-
-    # -- scanning ---------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._position + ahead
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self._source[self._position:self._position + count]
-        for char in text:
-            if char == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._position += count
-        return text
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while True:
-            char = self._peek()
-            if char and char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                line, column = self._line, self._column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise TQuelSyntaxError("unterminated comment",
-                                               line, column)
-                    self._advance()
-                self._advance(2)
-            elif char == "#":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next(self) -> Token:
-        self._skip_whitespace_and_comments()
-        line, column = self._line, self._column
-        char = self._peek()
-        if not char:
-            return Token(TokenType.EOF, "", line, column)
-
-        if char == '"':
-            return self._string(line, column)
-
-        if char.isdigit():
-            return self._number(line, column)
-
-        if char.isalpha() or char == "_":
-            return self._word(line, column)
-
-        for symbol in SYMBOLS:
-            if self._source.startswith(symbol, self._position):
-                self._advance(len(symbol))
-                return Token(TokenType.SYMBOL, symbol, line, column)
-
-        raise TQuelSyntaxError(f"unexpected character {char!r}", line, column)
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            char = self._peek()
-            if not char or char == "\n":
-                raise TQuelSyntaxError("unterminated string literal",
-                                       line, column)
-            if char == '"':
-                self._advance()
-                return Token(TokenType.STRING, "".join(chars), line, column)
-            if char == "\\" and self._peek(1) in ('"', "\\"):
-                self._advance()
-            chars.append(self._advance())
-
-    def _number(self, line: int, column: int) -> Token:
-        digits: List[str] = []
-        seen_dot = False
-        while self._peek().isdigit() or (self._peek() == "." and not seen_dot
-                                         and self._peek(1).isdigit()):
-            if self._peek() == ".":
-                seen_dot = True
-            digits.append(self._advance())
-        return Token(TokenType.NUMBER, "".join(digits), line, column)
-
-    def _word(self, line: int, column: int) -> Token:
-        chars: List[str] = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        word = "".join(chars)
-        if word.lower() in KEYWORDS:
-            return Token(TokenType.KEYWORD, word.lower(), line, column)
-        return Token(TokenType.IDENT, word, line, column)
+#: One match per token: the whitespace and comments before it, then the
+#: first alternative that matches, in order.  A word is ``\w+`` not led
+#: by a decimal digit; :func:`tokenize` refuses the other non-letters
+#: (``²``, ``½``) ``\w`` admits first.  An unclosed ``"`` or ``/*`` is
+#: an error before it can be a symbol; no token at all is the end.
+_TOKEN = re.compile(r"""
+    ( (?: [ \t\r\n]+ | \#[^\n]* | /\*.*?\*/ )*+ )
+    (?: ( [^\W\d]\w* )
+      | ( [0-9]+ (?:\.[0-9]+)? )
+      | ( " (?: [^"\\\n] | \\["\\] | \\(?!["\\]) )* " )
+      | ( "|/\* )
+      | ( """ + "|".join(map(re.escape, SYMBOLS)) + r""" )
+      | ( . )
+      | \Z )
+""", re.VERBOSE | re.DOTALL)
+_UNTERMINATED = {'"': "unterminated string literal",
+                 "/*": "unterminated comment"}
+_ESCAPE = re.compile(r'\\(["\\])')
+_IDENT, _KEYWORD, _STRING, _NUMBER, _SYMBOL, _EOF = TokenType
+#: ``Token(...)`` runs the Python ``__new__`` NamedTuple generates; this
+#: builds the same tuple in C.
+_new = tuple.__new__
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience: tokenize *source* in one call."""
-    return Lexer(source).tokens()
+    """The tokens of *source*, ending with an EOF token."""
+    tokens: List[Token] = []
+    line, line_start, position = 1, 0, 0
+    # finditer stops at the first error; findall would scan on, from each
+    # later unclosed ``/*`` or ``"`` to the end: quadratic if hostile.
+    for match in _TOKEN.finditer(source):
+        gap, word, number, string, opened, symbol, other = match.groups()
+        if gap:
+            position += len(gap)
+            if "\n" in gap:
+                line += gap.count("\n")
+                line_start = position - len(gap) + gap.rindex("\n") + 1
+        column = position - line_start + 1
+        if word:
+            kind, value = _IDENT, word
+            if word.lower() in KEYWORDS:
+                kind, value = _KEYWORD, word.lower()
+            elif not (word[0].isalpha() or word[0] == "_"):
+                other = word[0]
+        elif symbol:
+            kind, value = _SYMBOL, symbol
+        elif string:
+            kind, value = _STRING, string[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif number:
+            kind, value = _NUMBER, number
+        elif opened:
+            raise TQuelSyntaxError(_UNTERMINATED[opened], line, column)
+        elif not other:
+            tokens.append(_new(Token, (_EOF, "", line, column)))
+            break
+        if other:
+            raise TQuelSyntaxError(f"unexpected character {other!r}",
+                                   line, column)
+        tokens.append(_new(Token, (kind, value, line, column)))
+        position += len(word or symbol or string or number)
+    return tokens

@@ -38,13 +38,29 @@ repeated):
 
 Statements may be separated by optional semicolons;
 :func:`parse_script` splits a multi-statement source.
+
+A statement's *shape* parses once.  :func:`parse_tokens` keys a
+process-wide table of at most 256 shapes by the token stream with each
+literal's value left out (its kind kept: string, int or float).  A
+miss runs the :class:`Parser`, which records the nodes it builds from
+literal tokens; the statement, with None in those nodes' places,
+becomes the shape's template.  A hit builds new ``Const`` / ``TConst``
+nodes from the new literals and copies only the nodes on the paths
+from the root down to them; every other subtree is the template's,
+shared, since no AST node is mutated after it is built.  Whether a
+parse succeeds depends on no literal's value, so a hit cannot hide a
+syntax error — save a literal read as a ``create`` type name, which is
+why such a statement is never a template; nor is a failed parse, nor
+a shape over ``_TEMPLATE_CHARS`` (so an entry's size is bounded too).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import threading
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TQuelSyntaxError
+from repro.obs import runtime as _obs
 from repro.relational.expression import (
     And, AttrRef, BinaryOp, Comparison, Const, Expression, Not, Or,
 )
@@ -68,6 +84,8 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._position = 0
+        #: ``(token index, node)`` per STRING / NUMBER token read.
+        self.literals: List[Tuple[int, Any]] = []
 
     # -- token plumbing ----------------------------------------------------------
 
@@ -102,6 +120,30 @@ class Parser:
         if token.type is not TokenType.IDENT:
             raise self._error(f"expected {what}, found {token.value!r}", token)
         return token.value
+
+    def _literal(self, node_class: Callable[[Any], Any]) -> Any:
+        """A *node_class* node of the literal token it consumes."""
+        token = self._advance()
+        value: Any = token.value
+        if token.type is TokenType.NUMBER:
+            value = (float if "." in value else int)(value)
+        node = node_class(value)
+        self.literals.append((self._position - 1, node))
+        return node
+
+    def _list(self, item: Callable[[], Any]) -> List[Any]:
+        """``item {"," item}``."""
+        items = [item()]
+        while self._accept_symbol(","):
+            items.append(item())
+        return items
+
+    def _parenthesized(self, item: Callable[[], Any]) -> List[Any]:
+        """``"(" item {"," item} ")"``."""
+        self._expect_symbol("(")
+        items = self._list(item)
+        self._expect_symbol(")")
+        return items
 
     def _accept_keyword(self, word: str) -> bool:
         if self._peek().is_keyword(word):
@@ -163,11 +205,7 @@ class Parser:
         if self._accept_keyword("into"):
             into = self._expect_ident("result relation name")
         unique = self._accept_keyword("unique")
-        self._expect_symbol("(")
-        targets = [self._target()]
-        while self._accept_symbol(","):
-            targets.append(self._target())
-        self._expect_symbol(")")
+        targets = self._parenthesized(self._target)
 
         where = when = valid = as_of = as_of_through = None
         sort_by: Tuple[str, ...] = ()
@@ -192,10 +230,8 @@ class Parser:
                     as_of_through = self._temporal_expr()
             elif self._accept_keyword("sort"):
                 self._expect_keyword("by")
-                names = [self._expect_ident("sort attribute")]
-                while self._accept_symbol(","):
-                    names.append(self._expect_ident("sort attribute"))
-                sort_by = tuple(names)
+                sort_by = tuple(self._list(
+                    lambda: self._expect_ident("sort attribute")))
             else:
                 break
         return RetrieveStmt(targets, into=into, unique=unique, where=where,
@@ -222,14 +258,6 @@ class Parser:
                                   "name: write (name = expression)")
         return TargetItem(name, expr)
 
-    def _assignments(self) -> List[Tuple[str, Expression]]:
-        self._expect_symbol("(")
-        assignments = [self._assignment()]
-        while self._accept_symbol(","):
-            assignments.append(self._assignment())
-        self._expect_symbol(")")
-        return assignments
-
     def _assignment(self) -> Tuple[str, Expression]:
         name = self._expect_ident("attribute name")
         self._expect_symbol("=")
@@ -239,7 +267,7 @@ class Parser:
         self._expect_keyword("append")
         self._expect_keyword("to")
         relation = self._expect_ident("relation name")
-        assignments = self._assignments()
+        assignments = self._parenthesized(self._assignment)
         valid = self._valid_clause() if self._peek().is_keyword("valid") else None
         return AppendStmt(relation, assignments, valid)
 
@@ -253,7 +281,7 @@ class Parser:
     def _replace(self) -> ReplaceStmt:
         self._expect_keyword("replace")
         variable = self._expect_ident("range variable")
-        assignments = self._assignments()
+        assignments = self._parenthesized(self._assignment)
         where = self._expression() if self._accept_keyword("where") else None
         valid = self._valid_clause() if self._peek().is_keyword("valid") else None
         return ReplaceStmt(variable, assignments, where, valid)
@@ -263,19 +291,11 @@ class Parser:
         event = self._accept_keyword("event")
         self._accept_keyword("persistent")  # accepted, implied
         relation = self._expect_ident("relation name")
-        self._expect_symbol("(")
-        attributes = [self._attribute_def()]
-        while self._accept_symbol(","):
-            attributes.append(self._attribute_def())
-        self._expect_symbol(")")
+        attributes = self._parenthesized(self._attribute_def)
         key: Tuple[str, ...] = ()
         if self._accept_keyword("key"):
-            self._expect_symbol("(")
-            names = [self._expect_ident("key attribute")]
-            while self._accept_symbol(","):
-                names.append(self._expect_ident("key attribute"))
-            self._expect_symbol(")")
-            key = tuple(names)
+            key = tuple(self._parenthesized(
+                lambda: self._expect_ident("key attribute")))
         return CreateStmt(relation, tuple(attributes), key, event)
 
     def _attribute_def(self) -> Tuple[str, str]:
@@ -369,14 +389,8 @@ class Parser:
             inner = self._expression()
             self._expect_symbol(")")
             return inner
-        if token.type is TokenType.STRING:
-            self._advance()
-            return Const(token.value)
-        if token.type is TokenType.NUMBER:
-            self._advance()
-            if "." in token.value:
-                return Const(float(token.value))
-            return Const(int(token.value))
+        if token.type is TokenType.STRING or token.type is TokenType.NUMBER:
+            return self._literal(Const)
         if token.is_symbol("-"):
             self._advance()
             operand = self._primary()
@@ -482,8 +496,7 @@ class Parser:
             self._advance()
             return TConst(token.value)
         if token.type is TokenType.STRING:
-            self._advance()
-            return TConst(token.value)
+            return self._literal(TConst)
         if token.type is TokenType.IDENT:
             self._advance()
             return TVar(token.value)
@@ -502,13 +515,85 @@ def _default_target_name(expr) -> Optional[str]:
     return None
 
 
+#: Shape -> ``(statement, plan, ((token index, node class), ...))``; at most
+#: 256, the oldest dropped first.  The statement holds None where each
+#: literal was, so no request's values outlive it.
+_TEMPLATES: Dict[Tuple[Any, ...], Tuple[Any, Any, Any]] = {}
+#: The longest shape kept, in characters: each non-literal token's text,
+#: one per literal.  This bounds an entry's key and tree.
+_TEMPLATE_CHARS = 512
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _shape(tokens: List[Token]) -> Tuple[Any, ...]:
+    """*tokens* with each literal's text replaced by its kind: the types
+    ``str``, ``int`` or ``float``, which equal no token text.  A
+    non-literal's text fixes its token type, which is left out (hashing
+    the enum is a Python call per token)."""
+    string, number = TokenType.STRING, TokenType.NUMBER
+    return tuple([
+        value if kind is not string and kind is not number
+        else str if kind is string else float if "." in value else int
+        for kind, value, _, _ in tokens])
+
+
+def _plan(node: Any, slots: Dict[int, int]) -> Any:
+    """How to rebuild *node* around the literals in *slots* (``id`` ->
+    index, popped as reached): that index, or the ``(field, plan)``
+    pairs of the members that lead to one; None if none lies under it."""
+    if id(node) in slots:
+        return slots.pop(id(node))
+    if isinstance(node, (list, tuple)):
+        members: Any = enumerate(node)
+    elif hasattr(node, "__dict__"):
+        members = vars(node).items()
+    else:
+        return None
+    plan = tuple((field, sub) for field, member in list(members)
+                 if (sub := _plan(member, slots)) is not None)
+    return plan or None
+
+
+def _bind(node: Any, plan: Any, literals: List[Any]) -> Any:
+    """A copy of *node* with *literals* on *plan*; the rest is shared."""
+    if type(plan) is int:
+        return literals[plan]
+    if isinstance(node, (list, tuple)):
+        members = list(node)
+        for index, sub in plan:
+            members[index] = _bind(node[index], sub, literals)
+        return type(node)(members)
+    # A new node of the class, filled before anyone can see it (frozen
+    # dataclasses too): its constructor already checked these fields.
+    copy = object.__new__(type(node))
+    fields = vars(copy)
+    fields.update(vars(node))
+    for name, sub in plan:
+        fields[name] = _bind(fields[name], sub, literals)
+    return copy
+
+
 def parse_tokens(tokens: List[Token]) -> Statement:
     """Parse exactly one statement from an already-lexed token stream.
 
     Split out of :func:`parse` so callers that time lexing and parsing
     separately (the session's ``tquel.lex`` / ``tquel.parse`` spans) can
-    run the two phases themselves.
+    run the two phases themselves.  A shape seen before binds the new
+    literals into its template (``tquel.parse.template_hit``); otherwise
+    the parser runs (``tquel.parse.template_miss``).
     """
+    shape = _shape(tokens)
+    template = _TEMPLATES.get(shape)
+    metrics = _obs.current().metrics
+    if template is not None:
+        metrics.counter("tquel.parse.template_hit").inc()
+        statement, plan, makers = template
+        if plan is None:
+            return statement
+        return _bind(statement, plan, [
+            make(shape[index](tokens[index].value))
+            for index, make in makers])
+    metrics.counter("tquel.parse.template_miss").inc()
     parser = Parser(tokens)
     statement = parser.statement()
     while parser._accept_symbol(";"):
@@ -518,6 +603,24 @@ def parse_tokens(tokens: List[Token]) -> Statement:
         raise TQuelSyntaxError(
             f"unexpected input after statement: {trailing.value!r}",
             trailing.line, trailing.column)
+    # Checked before the walk, which recurses once per level of the tree.
+    if sum(len(text) if type(text) is str else 1
+           for text in shape) > _TEMPLATE_CHARS:
+        return statement
+    # A template needs every literal token to be a node the plan reaches
+    # (a literal read as a type name, in ``create``, is not).
+    slots = {id(node): index
+             for index, (_, node) in enumerate(parser.literals)}
+    plan = _plan(statement, slots)
+    if not slots and len(parser.literals) == sum(
+            kind is str or kind is int or kind is float for kind in shape):
+        makers = tuple((index, type(node)) for index, node in parser.literals)
+        template = statement if plan is None else _bind(
+            statement, plan, [None] * len(makers))
+        with _TEMPLATES_LOCK:  # another thread may have just added it
+            if shape not in _TEMPLATES and len(_TEMPLATES) >= 256:
+                del _TEMPLATES[next(iter(_TEMPLATES))]
+            _TEMPLATES[shape] = (template, plan, makers)
     return statement
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import TQuelSyntaxError
-from repro.tquel.lexer import Lexer, TokenType, tokenize
+from repro.tquel.lexer import TokenType, tokenize
+from repro.tquel.parser import parse
 
 
 def kinds(source):
@@ -68,6 +69,24 @@ class TestNumbers:
     def test_dot_not_swallowed(self):
         # 'f.rank' is ident dot ident, not a float.
         assert kinds("f.rank")[1] == (TokenType.SYMBOL, ".")
+
+    def test_digits_are_ascii(self):
+        # A superscript two reached int("2²") and raised a bare ValueError.
+        with pytest.raises(TQuelSyntaxError,
+                           match="unexpected character '²'") as raised:
+            parse("retrieve (x = 2²)")
+        assert (raised.value.line, raised.value.column) == (1, 16)
+
+    def test_a_non_ascii_digit_is_not_a_number(self):
+        # An Arabic-Indic three was silently read as 3.
+        with pytest.raises(TQuelSyntaxError,
+                           match="unexpected character '٣'") as raised:
+            parse("retrieve (x = ٣)")
+        assert (raised.value.line, raised.value.column) == (1, 15)
+
+    def test_identifiers_keep_unicode_letters_and_digits(self):
+        assert kinds("é٣ x²") == [(TokenType.IDENT, "é٣"),
+                                  (TokenType.IDENT, "x²")]
 
 
 class TestSymbols:

@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.core import StaticDatabase
 from repro.errors import TQuelSyntaxError
+from repro.relational.expression import Or
 from repro.tquel.ast import (
     AggCall, AppendStmt, CreateStmt, DeleteStmt, DestroyStmt, RangeStmt,
     ReplaceStmt, RetrieveStmt, TConst, TEndOf, TExtend, TNow, TOverlap, TPAnd,
     TPCompare, TPNot, TPOr, TStartOf, TVar,
 )
-from repro.tquel.parser import parse, parse_script
+from repro.tquel import Session
+from repro.tquel import parser as parser_module
+from repro.tquel.lexer import tokenize
+from repro.tquel.parser import Parser, parse, parse_script
 
 
 class TestRange:
@@ -223,3 +228,81 @@ class TestScripts:
 
     def test_semicolons_optional(self):
         assert len(parse_script("destroy a; destroy b;; destroy c")) == 3
+
+
+class TestShapeTemplates:
+    """A statement's shape parses once (``parse_tokens``' template table)."""
+
+    def test_one_shape_runs_the_parser_once(self, monkeypatch):
+        monkeypatch.setattr(parser_module, "_TEMPLATES", {}, raising=False)
+        session = Session(StaticDatabase())
+        session.execute("create faculty (name = string, salary = integer) "
+                        "key (name)")
+        parses = []
+        statement = Parser.statement
+
+        def counted(self):
+            parses.append(self)
+            return statement(self)
+
+        monkeypatch.setattr(Parser, "statement", counted)
+        for salary in range(200):
+            session.execute(f'append to faculty (name = "n{salary}", '
+                            f'salary = {salary})')
+        assert len(parses) == 1
+        rows = session.database.snapshot("faculty")
+        assert sorted(row["salary"] for row in rows) == list(range(200))
+
+    def test_the_table_stops_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(parser_module, "_TEMPLATES", {}, raising=False)
+        for index in range(300):
+            parse(f"retrieve (f.a{index})")
+        assert len(parser_module._TEMPLATES) == 256
+        assert tokens_shape("retrieve (f.a299)") in parser_module._TEMPLATES
+        assert tokens_shape("retrieve (f.a0)") not in parser_module._TEMPLATES
+
+    def test_an_entry_holds_no_literal_and_no_long_shape(self, monkeypatch):
+        # 300 shapes whose one literal is 100,000 characters: the table
+        # keeps 256 of them and none of their values.  300 shapes of
+        # long names or long lists: the table keeps none, and a 3,000-term
+        # `or` chain (a tree 3,000 deep) parses.
+        monkeypatch.setattr(parser_module, "_TEMPLATES", {}, raising=False)
+        value = "v" * 100_000
+        for index in range(300):
+            statement = parse(f'append to r (a{index} = "{value}")')
+            assert statement.assignments[0][1].value == value
+        assert len(parser_module._TEMPLATES) == 256
+        assert held_characters() < 256 * 100
+        monkeypatch.setattr(parser_module, "_TEMPLATES", {}, raising=False)
+        for index in range(300):
+            parse(f'retrieve (f.{"a" * 600}{index})')
+            parse(f'retrieve ({", ".join(["f.a"] * 200)}, x{index} = 1)')
+        where = parse("retrieve (f.name) where " + " or ".join(
+            f"f.a = {term}" for term in range(3000))).where
+        terms = 1
+        while isinstance(where, Or):
+            where, terms = where.left, terms + 1
+        assert terms == 3000
+        assert parser_module._TEMPLATES == {}
+
+
+def held_characters():
+    """The characters in every string the template table holds."""
+    seen, total = set(), 0
+    pending = list(parser_module._TEMPLATES.items())
+    while pending:
+        item = pending.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, str):
+            total += len(item)
+        elif isinstance(item, (tuple, list)):
+            pending.extend(item)
+        elif hasattr(item, "__dict__"):
+            pending.extend(vars(item).values())
+    return total
+
+
+def tokens_shape(source):
+    return parser_module._shape(tokenize(source))
