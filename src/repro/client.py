@@ -358,7 +358,7 @@ class ReproClient:
             message = protocol.decode_message(line)
             kind = message.get("type")
             if kind == "rows" and message.get("id") == request_id:
-                rows.extend(protocol.rows_from_wire(message["rows"]))
+                rows.extend(protocol.rows_from_wire(message.get("rows")))
                 if message.get("columns"):
                     columns = list(message["columns"])
             elif kind == "done" and message.get("id") == request_id:

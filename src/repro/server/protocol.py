@@ -24,9 +24,10 @@ Server → client:
 
 ``rows``
     One bounded chunk of a retrieve's result: ``seq`` (0-based chunk
-    number), ``rows`` (wire rows, see :func:`rows_to_wire`) and, on the
-    first chunk, ``columns``.  Results stream — a million-row retrieve
-    never materializes as one frame.
+    number), ``rows`` (:func:`rows_to_wire`: tagged values, stamps as
+    the two chronons a checkpoint writes) and, on the first chunk,
+    ``columns``.  Results stream — a million-row retrieve never
+    materializes as one frame.
 ``done``
     The terminal frame of a successful request: total ``row_count`` and
     ``chunks``, the ``token`` (read-your-writes commit token after a
@@ -52,13 +53,14 @@ and a correctness hazard at worst).  See docs/SERVING.md.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-import repro.errors as _errors
 from repro.errors import ProtocolError, RemoteError, ReproError
 from repro.storage.framing import FrameError, frame, parse_frame
-from repro.storage.serializer import decode_value, encode_value
+from repro.storage.serializer import (Memo, decode_stamp, decode_value,
+                                     encode_value, period_stamp)
 
 #: Frame tag of serving protocol messages.
 SERVING_TAG = "s1"
@@ -298,37 +300,39 @@ def decode_error(data: Dict[str, Any]) -> ReproError:
     return error
 
 
-_ERRORS_MODULE = _errors  # keeps the import referenced (registry walks it)
-
-
 # ---------------------------------------------------------------------------
 # Result rows on the wire
 # ---------------------------------------------------------------------------
 
+#: The stamp fields a wire row may carry.
+_STAMPS = ("valid", "transaction")
+
+
 def rows_to_wire(result: Any) -> Tuple[List[str], List[Dict[str, Any]]]:
     """Flatten a retrieve result into ``(columns, wire rows)``.
 
-    Handles all three relation kinds: static rows carry ``values``
-    only, historical rows add ``valid``, temporal rows add
-    ``transaction`` — using the storage layer's tagged value encoding
-    so instants and periods survive JSON.
+    A wire row is ``{"values": {name: value}}`` plus a stamp for each of
+    the row's ``valid`` and ``transaction`` periods.  Values keep the
+    storage layer's tagged encoding (``encode_value``: a DATE value is an
+    ``$instant`` object).  A stamp is written as a checkpoint writes it
+    (``period_stamp``): ``[start, end]`` chronon integers, ``null`` for
+    an infinity, the unit's name appended unless it is day — no date is
+    formatted for it, and :func:`rows_from_wire` parses none.
     """
     if result is None:
         return [], []
     schema = getattr(result, "schema", None)
     columns = list(schema.names) if schema is not None else []
+    encode = functools.partial(encode_value, memo={})
     wire: List[Dict[str, Any]] = []
     for row in _iter_rows(result):
-        entry: Dict[str, Any] = {}
         data = getattr(row, "data", row)
-        entry["values"] = {name: encode_value(value)
-                           for name, value in dict(data).items()}
-        valid = getattr(row, "valid", None)
-        if valid is not None:
-            entry["valid"] = encode_value(valid)
-        transaction = getattr(row, "transaction", None)
-        if transaction is not None:
-            entry["transaction"] = encode_value(transaction)
+        entry: Dict[str, Any] = {
+            "values": dict(zip(data.schema.names, map(encode, data.values)))}
+        for field in _STAMPS:
+            period = getattr(row, field, None)
+            if period is not None:
+                entry[field] = period_stamp(period)
         wire.append(entry)
     return columns, wire
 
@@ -344,15 +348,34 @@ def _iter_rows(result: Any) -> Iterable[Any]:
 
 
 def rows_from_wire(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Decode wire rows back into plain dicts with real time values."""
+    """Decode wire rows (:func:`rows_to_wire`) into ``{"values", "valid"?,
+    "transaction"?}`` dicts holding real instants and periods.
+
+    One memo serves the call, so each distinct instant literal is parsed
+    once and each distinct stamp is one ``Period`` (``decode_stamp``),
+    shared by every row of the frame that carries it.  A row that does
+    not decode raises :class:`~repro.errors.ProtocolError` naming the
+    row's index and the field.
+    """
+    if type(rows) is not list:
+        raise ProtocolError(f"rows frame carries {type(rows).__name__}, "
+                            f"not a list of rows")
+    memo: Memo = {}
     decoded = []
-    for row in rows:
-        entry: Dict[str, Any] = {
-            "values": {name: decode_value(value)
-                       for name, value in row.get("values", {}).items()}}
-        if "valid" in row:
-            entry["valid"] = decode_value(row["valid"])
-        if "transaction" in row:
-            entry["transaction"] = decode_value(row["transaction"])
+    for index, row in enumerate(rows):
+        if type(row) is not dict:
+            raise ProtocolError(f"wire row {index} is a "
+                                f"{type(row).__name__}, not an object")
+        field = "values"
+        try:
+            entry = {"values": {name: decode_value(value, memo)
+                                for name, value in row["values"].items()}}
+            for field in _STAMPS:
+                if field in row:
+                    entry[field] = decode_stamp(row[field], memo)
+        except (ReproError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:
+            raise ProtocolError(
+                f"wire row {index}: cannot decode {field!r}: {exc}") from exc
         decoded.append(entry)
     return decoded

@@ -9,8 +9,9 @@ Encoding conventions (tagged objects, so plain values stay plain):
   periods — are not values but chronons (§1): ``[start, end]`` as
   chronon integers, ``null`` for a −∞ start or a +∞ end, with the
   granularity's name appended unless it is day (``[s, e, "hour"]``).
-  The clock position is a one-chronon stamp, ``[last]``.  A value of an
-  attribute keeps the tagged form, whatever its domain;
+  The clock position is a one-chronon stamp, ``[last]``.  An ``s1``
+  result row's stamps are written the same way (:func:`period_stamp`).
+  A value of an attribute keeps the tagged form, whatever its domain;
 - schemas carry attribute name, domain descriptor and nullability, plus
   the key;
 - domains serialize by descriptor: the built-ins by name, enumerations
@@ -297,12 +298,13 @@ def encode_rows(rows: Iterable[Any]) -> List[List[Any]]:
     bitemporal row's both.  Each distinct instant of a value is formatted
     once; a stamp is the period's chronons (:func:`encode_stamp`)."""
     encode = functools.partial(encode_value, memo={})
-    return [[list(map(encode, row[0].values)), *map(_period_stamp, row[1:])]
+    return [[list(map(encode, row[0].values)), *map(period_stamp, row[1:])]
             for row in rows]
 
 
-def _period_stamp(period: Period) -> List[Any]:
-    """*period*'s stamp (:func:`encode_stamp`), read off its chronons."""
+def period_stamp(period: Period) -> List[Any]:
+    """*period*'s stamp (:func:`encode_stamp`), read off its chronons: the
+    one stamp writer of checkpoints and of ``s1`` result rows."""
     lo, hi, unit = period.lo, period.hi, period.unit
     stamp = [None if lo == _NEG else lo, None if hi == _POS else hi]
     if unit is not None and unit is not Granularity.DAY:

@@ -18,6 +18,7 @@ from repro.errors import (ConflictError, Overloaded, ProtocolError,
                           RemoteError, ReplicaLagging, ReproError,
                           TQuelSyntaxError)
 from repro.server import protocol
+from repro.time import Granularity, Instant, Period
 from repro.tquel import Session
 
 
@@ -196,3 +197,50 @@ class TestRowsOnTheWire:
     def test_empty_result(self):
         assert protocol.rows_to_wire(None) == ([], [])
         assert protocol.rows_from_wire([]) == []
+
+
+class TestRowCodecCost:
+    """A stamp crosses the wire as its two chronons: encoding and decoding
+    a 64-row temporal reply formats no date and parses none, and the
+    decode builds one period per distinct stamp of the frame (a clock-free
+    guard; docs/PERFORMANCE.md "What a served request costs")."""
+
+    def reply(self):
+        session = Session(TemporalDatabase())
+        session.execute("create faculty (name = string, rank = string) "
+                        "key (name)")
+        for n in range(64):
+            until = ' to "01/01/90"' if n % 3 == 0 else ""
+            session.execute(
+                f'append to faculty (name = "n{n:02d}", rank = "full") '
+                f'valid from "0{1 + n % 4}/01/82"{until}')
+        session.execute("range of f is faculty")
+        return session.execute("retrieve (f.name, f.rank)")
+
+    def test_no_date_is_formatted_or_parsed(self, monkeypatch):
+        result = self.reply()
+        calls = []
+        for cls, name in ((Instant, "isoformat"), (Granularity, "parse")):
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *args, _f=original, _n=name:
+                                calls.append(_n) or _f(*args))
+        columns, wire = protocol.rows_to_wire(result)
+        rows = protocol.rows_from_wire(protocol.decode_message(
+            protocol.rows_reply(1, 0, wire, columns=columns))["rows"])
+        assert len(rows) == 64
+        assert calls == []
+
+    def test_one_period_per_distinct_stamp(self, monkeypatch):
+        result = self.reply()
+        stamps = {(row.valid.lo, row.valid.hi) for row in result.rows}
+        assert len(stamps) == 8
+        line = protocol.rows_reply(1, 0, protocol.rows_to_wire(result)[1])
+        built = []
+        original_init, original_from = Period.__init__, Period.from_chronons
+        monkeypatch.setattr(Period, "__init__", lambda self, *args:
+                            built.append(1) or original_init(self, *args))
+        monkeypatch.setattr(Period, "from_chronons", classmethod(
+            lambda cls, *args: built.append(1) or original_from(*args)))
+        rows = protocol.rows_from_wire(protocol.decode_message(line)["rows"])
+        assert len(built) == len(stamps)
+        assert len({id(row["valid"]) for row in rows}) == len(stamps)
