@@ -29,8 +29,8 @@ system-assigned commit time.
 from __future__ import annotations
 
 import abc
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple as PyTuple, Union)
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple as PyTuple, Union)
 
 from repro.core.taxonomy import DatabaseKind
 from repro.errors import (DuplicateRelationError, HistoricalNotSupportedError,
@@ -47,6 +47,16 @@ from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Operation, Transaction
 
 InstantLike = Union[Instant, str, int]
+
+
+class Read(NamedTuple):
+    """A TQuel read's answer (:meth:`Database.read`): ``explain``'s words
+    for the access path, whether an index (a tree, a key probe) answered,
+    and one ``(data, valid, tt)`` per row, ``None`` on an axis not kept."""
+
+    access: str
+    indexed: bool
+    candidates: Sequence[Any]
 
 
 class Database(abc.ABC):
@@ -542,15 +552,41 @@ class Database(abc.ABC):
     def snapshot(self, name: str) -> Relation:
         """The current static view of a relation (available in every kind)."""
 
+    #: ``explain``'s words for the scan :meth:`read` makes of the state.
+    _scan_access = "snapshot scan"
+
+    def access(self, as_of: Optional[Instant] = None,
+               through: Optional[Instant] = None) -> str:
+        """``explain``'s words for an unkeyed :meth:`read` of the clauses."""
+        return self._scan_access
+
+    def read(self, name: str, now: Instant, as_of: Optional[Instant] = None,
+             through: Optional[Instant] = None, key: Any = None,
+             indexed: bool = True) -> Optional[Read]:
+        """A TQuel read of *name*: the rows in force at *now*, as of
+        *as_of* or at some instant of ``[as_of, through]``, by the kind's
+        index where *indexed* and it has one, else by the store's own walk
+        (the executable specification); under the schema-key value *key*,
+        that key's rows, or ``None`` where no probe answers.  Each kind
+        answers from the times it keeps — here none: the snapshot."""
+        if key is not None:
+            return None
+        return Read(self.access(), False, self._scanned(name))
+
+    def _scanned(self, name: str) -> List[Any]:
+        return [(row, None, None) for row in self.snapshot(name)]
+
     def rollback(self, name: str, as_of: InstantLike):
         """The relation as of a past transaction time.
 
         Supported by static rollback and temporal databases only; the
-        result is a static relation for the former and a historical
-        relation for the latter.
+        result is a static relation for the former — "a pure static
+        relation" (§4.2), queried with the ordinary algebra — and a
+        historical relation for the latter.  Both read it from the
+        kind's transaction-time index (``_indexed``).
         """
         self.require_rollback("rollback")
-        raise NotImplementedError  # pragma: no cover - kinds override
+        return self._indexed(name).rollback(as_of)
 
     def timeslice(self, name: str, valid_at: InstantLike) -> Relation:
         """The tuples valid at an instant of valid time, as a static relation.

@@ -598,6 +598,12 @@ class HistoricalDatabase(ValidTimeDatabase):
         self._require_defined(name)
         return self.index_cache.historical(name).timeslice(valid_at)
 
+    _scan_access = "scan of recorded facts"
+
+    def _scanned(self, name: str) -> List[Any]:
+        # (valid time only: its tree answers `timeslice`, not a read)
+        return [(row.data, row.valid, None) for row in self.history(name).rows]
+
     # -- applier hooks ----------------------------------------------------------------------
 
     def _create_store(self, staged: Dict[str, HistoricalRelation], name: str,

@@ -32,23 +32,19 @@ drops an audit trail by accident.
 
 from __future__ import annotations
 
-from typing import Optional, Type
+from typing import Type
 
 from repro.core.base import Database
-from repro.core.rollback import RollbackDatabase, StateSequence
-from repro.core.temporal import TemporalDatabase
+from repro.core.rollback import StateSequence
 from repro.errors import TemporalSupportError
 from repro.time.clock import SimulatedClock
 
 
-def _is_lossy(source: Database, target_class: Type[Database]) -> bool:
-    if source.kind.supports_rollback and not target_class(
-            clock=SimulatedClock(1)).kind.supports_rollback:
-        return True
-    if source.kind.supports_historical_queries and not target_class(
-            clock=SimulatedClock(1)).kind.supports_historical_queries:
-        return True
-    return False
+def _is_lossy(source: Database, target: Database) -> bool:
+    """Does *target*'s kind lack a time axis *source*'s keeps?"""
+    return ((source.supports_rollback and not target.supports_rollback)
+            or (source.supports_historical_queries
+                and not target.supports_historical_queries))
 
 
 def migrate(source: Database, target_class: Type[Database],
@@ -61,14 +57,17 @@ def migrate(source: Database, target_class: Type[Database],
     axis the source has) require ``allow_loss=True``.
     """
     target_probe = target_class(clock=SimulatedClock(1))
-    if _is_lossy(source, target_class) and not allow_loss:
+    if _is_lossy(source, target_probe) and not allow_loss:
         raise TemporalSupportError(
             f"migrating a {source.kind} database to {target_probe.kind} "
             f"discards a time axis; pass allow_loss=True to proceed"
         )
 
-    replaying = (isinstance(source, RollbackDatabase)
-                 and target_class is TemporalDatabase)
+    # A past kept without valid time is replayed into a target with both.
+    replaying = (source.supports_rollback
+                 and not source.supports_historical_queries
+                 and target_probe.supports_rollback
+                 and target_probe.supports_historical_queries)
     last = source.manager.clock.last
     if clock is None:
         if replaying:
@@ -90,18 +89,11 @@ def migrate(source: Database, target_class: Type[Database],
     for name in source.relation_names():
         target.define(name, source.schema(name),
                       constraints=source.constraints(name),
-                      event=_carries_event_flag(source, target, name))
+                      event=(target.supports_historical_queries
+                             and source.is_event_relation(name)))
     for name in source.relation_names():
         _copy_current(source, target, name)
     return target
-
-
-def _carries_event_flag(source: Database, target: Database,
-                        name: str) -> bool:
-    if not target.kind.supports_historical_queries:
-        return False
-    is_event = getattr(source, "is_event_relation", None)
-    return bool(is_event and is_event(name))
 
 
 def _copy_current(source: Database, target: Database, name: str) -> None:
@@ -123,15 +115,14 @@ def _copy_current(source: Database, target: Database, name: str) -> None:
 
 
 def _insert_fact(target: Database, name: str, values, valid, txn) -> None:
-    if getattr(target, "is_event_relation", lambda _: False)(name):
+    if target.is_event_relation(name):
         target.insert(name, values, valid_at=valid.start, txn=txn)
     else:
         target.insert(name, values, valid_from=valid.start,
                       valid_to=valid.end, txn=txn)
 
 
-def _replay_rollback_history(source: RollbackDatabase,
-                             target: TemporalDatabase) -> None:
+def _replay_rollback_history(source: Database, target: Database) -> None:
     """Rollback → temporal: replay every state at its original commit.
 
     The target's clock is driven through the source's commit instants so

@@ -33,11 +33,11 @@ import operator
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple as PyTuple)
 
-from repro.core.base import InstantLike
+from repro.core.base import InstantLike, Read
 from repro.core.static import (StaticStateDatabase, apply_static_operation,
                                static_delta)
 from repro.core.taxonomy import DatabaseKind
-from repro.core.transaction_time import TransactionTimeStore
+from repro.core.transaction_time import TransactionTimeStore, index_access
 from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -82,6 +82,11 @@ class RollbackRelation(TransactionTimeStore):
     #: ``as of … through`` is the union of the rollback states over the
     #: range: every tuple that was in some state, as a static relation.
     range_of = state_of
+
+    def as_candidates(self, rows):
+        """Each tuple of *rows* once (a range may hold it twice)."""
+        return [(data, None, None)
+                for data in dict.fromkeys(map(self._element, rows))]
 
     def storage_cells(self) -> int:
         """Stored cells: tuples × (attributes + 2 timestamps).  For benches."""
@@ -157,6 +162,18 @@ class StateSequence:
                 union = union.union(state)
         return union
 
+    def read(self, index: Any, access: str, now: Instant,
+             as_of: Optional[Instant], through: Optional[Instant], key: Any,
+             indexed: bool) -> Optional[Read]:
+        """:meth:`TransactionTimeStore.read <repro.core.transaction_time.
+        TransactionTimeStore.read>` of the cube: a bisect of its states is
+        its own index, so no tree answers, and there is no key probe."""
+        if key is not None:
+            return None
+        state = (self.rollback(as_of) if through is None else
+                 self.visible_during(Period.from_inclusive(as_of, through)))
+        return Read(access, False, [(row, None, None) for row in state])
+
     def storage_cells(self) -> int:
         """Stored cells across all duplicated states.  For benches."""
         return sum(len(state) * len(self._schema) for state in self._states)
@@ -209,18 +226,24 @@ class RollbackDatabase(StaticStateDatabase):
         """The store of *name*, behind its transaction-time tree (the
         cube is its own index: a bisect)."""
         store = self.store(name)
-        if isinstance(store, StateSequence):
-            return store
-        return self.index_cache.rollback(name)
+        return (store if isinstance(store, StateSequence)
+                else self.index_cache.rollback(name))
 
-    def rollback(self, name: str, as_of: InstantLike) -> Relation:
-        """The static relation as of a past transaction time.
+    def access(self, as_of: Optional[Instant] = None,
+               through: Optional[Instant] = None) -> str:
+        return (self._scan_access if as_of is None
+                else index_access("rollback index", through))
 
-        The result is "a pure static relation" (§4.2): it can be queried
-        with the ordinary algebra but carries no temporal columns.
-        """
-        self.require_rollback("rollback")
-        return self._indexed(name).rollback(as_of)
+    def read(self, name: str, now: Instant, as_of: Optional[Instant] = None,
+             through: Optional[Instant] = None, key: Any = None,
+             indexed: bool = True) -> Optional[Read]:
+        """Transaction time alone: the store's read, but the current state
+        is the snapshot (scanned) unless a key probe answers."""
+        if as_of is None and key is None:
+            return super().read(name, now)
+        return self.store(name).read(
+            lambda: self.index_cache.rollback(name),
+            self.access(as_of, through), now, as_of, through, key, indexed)
 
     def rollback_range(self, name: str, from_: InstantLike,
                        through: InstantLike) -> Relation:

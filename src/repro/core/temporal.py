@@ -37,14 +37,14 @@ indexes are patched from the two log slices that record it
 from __future__ import annotations
 
 import operator
-from typing import (Dict, Iterable, List, NamedTuple, Optional,
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple as PyTuple)
 
-from repro.core.base import InstantLike
+from repro.core.base import InstantLike, Read
 from repro.core.historical import (HistoricalRelation, HistoricalRow,
                                    ValidTimeDatabase, historical_delta)
 from repro.core.taxonomy import DatabaseKind
-from repro.core.transaction_time import TransactionTimeStore
+from repro.core.transaction_time import TransactionTimeStore, index_access
 from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -91,6 +91,9 @@ class TemporalRelation(TransactionTimeStore):
     def range_of(self, rows: Iterable[BitemporalRow]) -> "TemporalRelation":
         """``as of … through`` keeps both time axes: a temporal relation."""
         return TemporalRelation(self._schema, rows)
+
+    #: A bitemporal row is a TQuel read's candidate ``(data, valid, tt)``.
+    as_candidates = staticmethod(lambda rows: rows)
 
     # -- the two time axes ------------------------------------------------------
 
@@ -166,31 +169,23 @@ class TemporalDatabase(ValidTimeDatabase):
         self._require_defined(name)
         return self.index_cache.bitemporal(name)
 
-    def rollback(self, name: str, as_of: InstantLike) -> HistoricalRelation:
-        """The historical state as of a past transaction time."""
-        self.require_rollback("rollback")
-        return self._indexed(name).rollback(as_of)
-
     def rollback_range(self, name: str, from_: InstantLike,
                        through: InstantLike) -> TemporalRelation:
         """Rows of every historical state over the inclusive tt range."""
-        return self.store(name).range_of(
-            self.visible_during(name, from_, through))
+        return self.store(name).range_of(self._indexed(name).overlapping(
+            Period.from_inclusive(_coerce(from_), _coerce(through))))
 
-    def visible(self, name: str, as_of: InstantLike) -> List[BitemporalRow]:
-        """The bitemporal rows visible as of a transaction time (the
-        TQuel evaluator's relation access)."""
-        return self._indexed(name).visible(as_of)
+    def access(self, as_of: Optional[Instant] = None,
+               through: Optional[Instant] = None) -> str:
+        return index_access("bitemporal index", through)
 
-    def visible_during(self, name: str, from_: InstantLike,
-                       through: InstantLike) -> List[BitemporalRow]:
-        """The bitemporal rows of every historical state over the
-        inclusive tt range, as the row list itself (the TQuel evaluator's
-        access for ``as of … through``: it filters and re-stamps the rows,
-        so a relation built here would only be read back)."""
-        self.require_rollback("rollback")
-        return self._indexed(name).overlapping(
-            Period.from_inclusive(_coerce(from_), _coerce(through)))
+    def read(self, name: str, now: Instant, as_of: Optional[Instant] = None,
+             through: Optional[Instant] = None, key: Any = None,
+             indexed: bool = True) -> Optional[Read]:
+        """Both times: the store's read, the current state a stab at now."""
+        return self.store(name).read(
+            lambda: self.index_cache.bitemporal(name),
+            self.access(as_of, through), now, as_of, through, key, indexed)
 
     def snapshot(self, name: str) -> Relation:
         """Facts valid now, as of now."""

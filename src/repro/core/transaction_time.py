@@ -39,7 +39,7 @@ from collections import defaultdict
 from typing import (Any, Callable, Collection, Dict, Iterable, Iterator,
                     KeysView, List, Mapping, Optional, Tuple as PyTuple)
 
-from repro.core.base import InstantLike
+from repro.core.base import InstantLike, Read
 from repro.core.lineage import extend_log, withdraw
 from repro.obs import runtime as _obs
 from repro.relational.schema import Schema
@@ -48,6 +48,16 @@ from repro.time.period import Period
 
 #: The by-key index: schema-key value -> the open rows under it.
 _KeyIndex = Dict[PyTuple[Any, ...], PyTuple[Any, ...]]
+
+#: ``explain``'s words for a read under one key: now; ``as of``.
+KEY_ACCESS = "key index: one probe of the open rows"
+KEY_HISTORY_ACCESS = "key index: one key's closed chain and open rows"
+
+
+def index_access(index: str, through: Optional[Instant]) -> str:
+    """``explain``'s words for a stab of *index*, or a range overlap."""
+    return index + (": transaction-time stab" if through is None
+                    else ": transaction-time range overlap")
 
 
 class TransactionTimeStore:
@@ -89,6 +99,9 @@ class TransactionTimeStore:
     def range_of(self, rows: Iterable[Any]) -> Any:
         """What ``as of … through`` returns for the *rows* it selects."""
         raise NotImplementedError
+
+    #: rows -> a TQuel read's candidates ``(data, valid, tt)``.
+    as_candidates: Callable[[Collection[Any]], Collection[Any]]
 
     def __init__(self, schema: Schema, rows: Iterable[Any] = ()) -> None:
         element = self._element
@@ -287,6 +300,26 @@ class TransactionTimeStore:
     def overlapping(self, period: Period) -> List[Any]:
         """The rows whose transaction time overlaps *period*, by a scan."""
         return [row for row in self._iter_rows() if row.tt.overlaps(period)]
+
+    def read(self, index: Callable[[], Any], access: str, now: Instant,
+             as_of: Optional[Instant], through: Optional[Instant], key: Any,
+             indexed: bool) -> Optional[Read]:
+        """:meth:`Database.read <repro.core.base.Database.read>` of this
+        store, in *access*'s words: a stab at *as_of* (else *now*) or a
+        range overlap, of the index *index* returns where *indexed*, else
+        of the store's own rows.  Under *key*, the key's open rows by one
+        probe, or under ``as of`` its rows then, from the index's chain."""
+        if key is not None:
+            found = (self.open_under_key(key) if as_of is None else
+                     index().under_key(key, as_of, through))
+            return None if found is None else Read(
+                KEY_ACCESS if as_of is None else KEY_HISTORY_ACCESS, True,
+                self.as_candidates(found))
+        source = index() if indexed else self
+        rows = (source.visible(now if as_of is None else as_of)
+                if through is None else
+                source.overlapping(Period.from_inclusive(as_of, through)))
+        return Read(access, indexed, self.as_candidates(rows))
 
     def rollback(self, as_of: InstantLike) -> Any:
         """The state as of a transaction time (the paper's rollback)."""

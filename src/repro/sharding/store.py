@@ -39,7 +39,7 @@ import itertools
 from typing import (Any, Callable, List, Mapping, Optional, Sequence,
                     Tuple as PyTuple, Type)
 
-from repro.core.base import Database, InstantLike
+from repro.core.base import Database, InstantLike, Read
 from repro.core.temporal import TemporalDatabase
 from repro.errors import ConflictError, ShardConfigError
 from repro.obs import runtime as _obs
@@ -413,6 +413,20 @@ class ShardedDatabase:
         first = parts[0]
         return type(first)(self.schema(name),
                            [row for part in parts for row in part])
+
+    #: The query caches are the shards' own: the facade keeps none.
+    columnar_cache = result_cache = None
+
+    def read(self, name: str, now: Instant, as_of: Optional[Instant] = None,
+             through: Optional[Instant] = None, key: Any = None,
+             indexed: bool = True) -> Optional[Read]:
+        """The shards' reads (:meth:`Database.read <repro.core.base.
+        Database.read>`), concatenated at one cut: a row lives on the
+        shard its key hashes to, so no candidate is on two."""
+        parts = self._read_all(
+            lambda db: db.read(name, now, as_of, through, key, indexed))
+        return parts[0] and parts[0]._replace(candidates=[
+            candidate for part in parts for candidate in part.candidates])
 
     def snapshot(self, name: str):
         """The current merged state of *name* (all kinds)."""

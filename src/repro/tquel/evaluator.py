@@ -34,23 +34,19 @@ clock read — and then runs one straight loop over the bindings.  The
 per-row tree walks (``Expression.evaluate``, the unfolded ``eval_*``) are
 the specification, property-tested in ``test_compiled_differential.py``.
 
-**Access paths and the equivalence obligation.**  Candidate rows can be
-sourced three ways — a naive row-at-a-time scan, an interval-tree probe,
-or the vectorized mask kernels of :mod:`repro.core.columnar` — settled
-per range variable by one rule (:func:`choose`: the transaction-time
-tree where one answers the statement's clauses, else the scan) or forced
-via the ``plan`` knob.  The naive path is the executable specification:
-every other path must yield the *same candidate multiset* for the same
-statement, and every vectorized kernel (transaction-time stab/overlap,
-``when`` comparison, attribute-comparison pushdown) owes row-for-row
-agreement with its scalar twin, including null semantics and raised
-error types.  The randomized differential suite
-(``tests/tquel/test_differential.py``) runs every query shape under all
-forced plans and asserts identical results.  In ``auto`` mode a current-state stream whose leading
-conjuncts pin the whole schema key is first *narrowed* to the open rows
-under that key (:func:`key_binding`, ``open_under_key`` of the store) —
-the same filter still runs over them, and ``naive`` is its oracle too
-(``tests/tquel/test_key_lookup_differential.py``).
+**Access paths and the equivalence obligation.**  Candidate rows come
+from the store (:meth:`~repro.core.base.Database.read`), which answers
+from the times its kind keeps: through its index where one answers the
+clauses and ``auto`` or ``index`` asked for it, else by its own walk —
+the executable specification; or, under ``plan="columnar"``, from the
+vectorized mask kernels of :mod:`repro.core.columnar`.  Every path must
+yield the *same candidate multiset* (``tests/tquel/test_differential.py``
+runs every query shape under all forced plans), every kernel agreeing
+row for row with its scalar twin, nulls and raised error types
+included.  In ``auto`` mode a stream whose leading conjuncts pin the
+whole schema key is first *narrowed* to that key's rows
+(:func:`key_binding`) — the same filter still runs over them, and
+``naive`` is its oracle (``tests/tquel/test_key_lookup_differential.py``).
 
 In ``auto`` mode the evaluator also consults the database's
 :class:`~repro.core.resultcache.ResultCache`: filtered candidate streams
@@ -70,10 +66,11 @@ import operator
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple as PyTuple, Union)
 
-from repro.core.base import Database
-from repro.core.historical import HistoricalDatabase, HistoricalRelation, HistoricalRow
-from repro.core.rollback import INTERVAL, RollbackDatabase
-from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
+from repro.core.base import Database, Read
+from repro.core.historical import HistoricalRelation, HistoricalRow
+from repro.core.temporal import BitemporalRow, TemporalRelation
+from repro.core.transaction_time import (  # noqa: F401 - explain's words
+    KEY_ACCESS, KEY_HISTORY_ACCESS)
 from repro.errors import InvalidPeriodError, TQuelSemanticError
 from repro.obs import runtime as _obs
 from repro.relational.aggregate import REDUCERS
@@ -433,32 +430,17 @@ class AccessPlan(NamedTuple):
     reason: str  # deterministic one-line justification
 
 
-#: ``explain``'s words for a :func:`key_lookup` plan's access (now; as of).
-KEY_ACCESS = "key index: one probe of the open rows"
-KEY_HISTORY_ACCESS = "key index: one key's closed chain and open rows"
-
-
-def key_lookup(key: Sequence[str]) -> AccessPlan:
-    """The plan of a stream answered by one probe of the by-key index."""
-    return AccessPlan("index", f"key lookup: {', '.join(key)} bound by =")
-
-
-def choose(mode: str, tree: bool, chunk: bool) -> AccessPlan:
-    """The access path of a stream the key probe did not answer.
-
-    ``auto`` takes the transaction-time tree when one answers the
-    statement's clauses (*tree*: the temporal store always, the
-    interval-stamped rollback store under ``as of``), else the scan.  A
-    forced mode takes its path where this store has one (*chunk*: a
-    column chunk was built) and otherwise degrades to ``naive``, with
-    the reason recorded, so plan forcing is usable on every kind.
-    """
+def plan_of(mode: str, path: str) -> AccessPlan:
+    """The plan of a stream no key probe answered, *path* having run:
+    ``auto`` asks for the index, and a transaction-time tree answers (the
+    temporal store, the interval rollback store under ``as of``) or the
+    scan does; a forced path the store lacks degrades to ``naive``."""
     if mode == "auto":
         return (AccessPlan("index", "auto: a transaction-time tree answers "
-                                    "these clauses") if tree else
+                                    "these clauses") if path == "index" else
                 AccessPlan("naive", "auto: no transaction-time tree answers "
                                     "these clauses"))
-    if {"naive": True, "index": tree, "columnar": chunk}[mode]:
+    if path == mode:
         return AccessPlan(mode, f"forced plan {mode!r}")
     return AccessPlan("naive",
                       f"forced plan {mode!r} unavailable here; using naive")
@@ -526,7 +508,7 @@ class Evaluator:
     """Executes statements against one database and a range environment.
 
     ``plan`` selects the access path for every range variable:
-    ``"auto"`` (the rule of :func:`choose`, the default) or a forced
+    ``"auto"`` (the rule of :func:`plan_of`, the default) or a forced
     ``"naive"``/``"index"``/``"columnar"`` for debugging and differential
     testing.  Only ``auto`` consults the result cache — forced plans must
     exercise their path, not a memo of it.
@@ -561,80 +543,15 @@ class Evaluator:
 
     # -- candidate streams ------------------------------------------------------------
 
-    def _source(self, as_of: Optional[Instant], through: Optional[Instant],
-                now: Instant):
-        """How this database sources candidate rows under the statement's
-        transaction-time clauses — the one per-kind dispatch.
-
-        Returns ``(access, tree, scan, bitemporal)``: the access path in
-        ``explain``'s words; ``relation name -> its candidates`` through a
-        transaction-time tree, or ``None`` when no tree answers these
-        clauses; that function's raw-scan twin, each candidate
-        ``(data, valid, tt)`` with ``None`` on an axis the kind lacks (a
-        temporal database's stored rows have that shape and stream as they
-        are); whether the candidates carry both axes.  The twin asks the
-        store itself, which walks every stored row and tests the clause
-        per row — never an interval tree: the executable specification the
-        other paths are differentially tested against.  ``through`` (with
-        ``as_of``) selects the *range* form: every row of some state
-        between the two instants, inclusive.
-        """
-        db = self._db
-        ranged = through is not None
-        probe = (": transaction-time range overlap" if ranged
-                 else ": transaction-time stab")
-        if isinstance(db, TemporalDatabase):
-            access = "bitemporal index" + probe
-            if ranged:
-                return (access,
-                        lambda relation: db.visible_during(relation, as_of,
-                                                           through),
-                        lambda relation: db.store(relation).overlapping(
-                            Period.from_inclusive(as_of, through)), True)
-            when = as_of if as_of is not None else now
-            return (access, lambda relation: db.visible(relation, when),
-                    lambda relation: db.store(relation).visible(when), True)
-        if isinstance(db, HistoricalDatabase):
-            def facts(relation):
-                return [(row.data, row.valid, None)
-                        for row in db.history(relation).rows]
-            return "scan of recorded facts", None, facts, False
-        if isinstance(db, RollbackDatabase) and (ranged or as_of is not None):
-            access = "rollback index" + probe
-            states = ((lambda relation: db.rollback_range(relation, as_of,
-                                                          through),
-                       lambda relation: db.store(relation).visible_during(
-                           Period.from_inclusive(as_of, through)))
-                      if ranged else
-                      (lambda relation: db.rollback(relation, as_of),
-                       lambda relation: db.store(relation).rollback(as_of)))
-            if db.representation != INTERVAL:  # the cube is its own index
-                states = None, states[1]
-        else:  # the current state: no tree to bypass
-            access, states = "snapshot scan", (None, db.snapshot)
-
-        def static(state):
-            return state and (lambda relation: [(row, None, None)
-                                                for row in state(relation)])
-        tree, scan = map(static, states)
-        return access, tree, scan, False
-
-    def _chunk(self, relation: str) -> Any:
-        """The relation's column chunk, or ``None`` where the store has no
-        columnar form (a static store, the duplicating cube, the sharded
-        facade, which keeps its caches per shard)."""
-        cache = getattr(self._db, "columnar_cache", None)
-        return cache.chunk(relation) if cache is not None else None
-
     def _columnar_stream(self, chunk: Any, variable: str,
                          as_of: Optional[Instant], through: Optional[Instant],
                          now: Instant, conjuncts: Sequence[Expression],
                          kernel: Optional[_WhenKernel]
-                         ) -> PyTuple[int, PyTuple[Any, ...], bool]:
+                         ) -> PyTuple[int, PyTuple[Any, ...]]:
         """Source one variable's stream through the columnar kernels.
 
-        Returns ``(pre-pushdown count, filtered candidates, when
-        applied?)``.  Filter order matches the naive path — visibility,
+        Returns ``(pre-pushdown count, filtered candidates)``, *kernel*
+        applied.  Filter order matches the naive path — visibility,
         then pushed conjuncts in clause order restricted to surviving
         rows, then the ``when`` kernel — so error behavior (an untypable
         comparison, say) is identical row for row.
@@ -682,8 +599,7 @@ class Evaluator:
                                        kernel.var_on_left)
                 indices = [i for i in indices if mask[i]]
         selected = (rows[i] for i in indices)
-        return (pre_count, tuple(map(make, selected) if make else selected),
-                kernel is not None)
+        return pre_count, tuple(map(make, selected) if make else selected)
 
     # -- compiling and sourcing a statement ------------------------------------------
 
@@ -729,11 +645,12 @@ class Evaluator:
                     f"as of {as_of} through {through}: the range runs "
                     f"backwards"
                 )
-        access, tree, scan, bitemporal = self._source(as_of, through, now)
+        db = self._db
         result_type = (
             Relation if (_has_aggregates(statement.targets)
-                         or not self._db.kind.supports_historical_queries)
-            else TemporalRelation if bitemporal else HistoricalRelation)
+                         or not db.supports_historical_queries)
+            else TemporalRelation if db.supports_rollback
+            else HistoricalRelation)
         # Selection pushdown: single-variable conjuncts filter their
         # stream before the product is formed.
         pushdown, residual = partition_pushdown(statement.where)
@@ -744,28 +661,23 @@ class Evaluator:
         for variable in slots:
             relation = self._ranges[variable]
             conjuncts = pushdown.get(variable, [])
-            kernel = (folded_kernel if folded_kernel is not None
-                      and folded_kernel.variable == variable else None)
-            keyed = (self._under_key(relation, variable, conjuncts,
-                                     bitemporal, as_of, through)
-                     if tree is not None or as_of is None else None)
+            keyed = self._keyed(relation, variable, conjuncts, now, as_of,
+                                through)
             if keyed is not None:
                 # One probe is cheaper than looking its answer up in the
                 # result cache.
-                examined = len(keyed)
-                if conjuncts:
-                    keyed = filter(self._filter(variable, conjuncts), keyed)
-                streams[variable] = (
-                    key_lookup(self._db.schema(relation).key),
-                    examined, tuple(keyed),
-                    KEY_ACCESS if as_of is None else KEY_HISTORY_ACCESS)
+                plan = AccessPlan("index", "key lookup: " + ", ".join(
+                    db.schema(relation).key) + " bound by =")
+                streams[variable] = self._stream(plan, keyed, variable,
+                                                 conjuncts)
                 continue
-            chunk = (self._chunk(relation) if self._plan == "columnar"
-                     else None)
-            plan = choose(self._plan, tree is not None, chunk is not None)
-            if plan.path != "columnar":
-                kernel = None  # only that path answers `when` in the stream
-            found = key = None
+            chunk = kernel = None
+            if self._plan == "columnar" and db.columnar_cache is not None:
+                chunk = db.columnar_cache.chunk(relation)
+            if (chunk is not None and folded_kernel is not None
+                    and folded_kernel.variable == variable):
+                kernel, when = folded_kernel, None  # (the stream answers it)
+            stream = key = None
             if cache is not None and not (kernel is not None
                                           and kernel.clock_dependent):
                 # (a clock-dependent stream goes stale without any commit)
@@ -774,61 +686,52 @@ class Evaluator:
                 when_part = (
                     f"{kernel.op}:{kernel.constant}:{kernel.var_on_left}"
                     if kernel is not None else "-")
-                fingerprint = "|".join(
-                    [str(self._db.kind), plan.path,
-                     ";".join(repr(c) for c in conjuncts), when_part])
-                key = (relation, tt_key, fingerprint)
-                found = cache.get(*key)
-            hit = found is not None
-            if found is None and plan.path == "columnar":
-                found = self._columnar_stream(chunk, variable, as_of,
-                                              through, now, conjuncts, kernel)
-            if found is None:
-                candidates = (tree if plan.path == "index" else scan)(relation)
-                examined = len(candidates)
-                if conjuncts:
-                    candidates = filter(self._filter(variable, conjuncts),
-                                        candidates)
-                found = examined, tuple(candidates), False
-            if key is not None and not hit:
-                cache.put(*key, found, self._immutable_result(
-                    relation, as_of, through, found[1]))
-            examined, candidates, when_applied = found
-            if when_applied:
-                when = None
-            streams[variable] = (plan, examined, candidates, access)
+                key = (relation, tt_key, "|".join(
+                    [str(db.kind), self._plan,
+                     ";".join(repr(c) for c in conjuncts), when_part]))
+                stream = cache.get(*key)
+            if stream is None and chunk is not None:
+                stream = (plan_of(self._plan, "columnar"),
+                          *self._columnar_stream(chunk, variable, as_of,
+                                                 through, now, conjuncts,
+                                                 kernel),
+                          db.access(as_of, through))
+            elif stream is None:
+                read = db.read(relation, now, as_of, through,
+                               indexed=self._plan in ("auto", "index"))
+                stream = self._stream(
+                    plan_of(self._plan, "index" if read.indexed else "naive"),
+                    read, variable, conjuncts)
+            else:
+                key = None  # (a hit: nothing to put back)
+            if key is not None:
+                cache.put(*key, stream, self._immutable_result(
+                    relation, as_of, through, stream[2]))
+            streams[variable] = stream
         return _Prepared(slots, now, as_of, through, result_type,
                          pushdown, residual, when, streams)
 
-    def _under_key(self, relation: str, variable: str,
-                   conjuncts: Sequence[Expression], bitemporal: bool,
-                   as_of: Optional[Instant], through: Optional[Instant]
-                   ) -> Optional[Sequence[Any]]:
-        """A stream narrowed to one schema-key value, as candidates: the
-        rows under the key the conjuncts pin (:func:`key_binding`) — the
-        open ones, or under ``as of`` (… ``through``) those in force then
-        (``TransactionTimeIndex.under_key``) — when the relation's store
-        keeps a by-key index of its open rows; else ``None`` and the
-        caller scans.  Only ever a narrowing: the conjuncts still run over
-        what this returns.  Never under a forced plan, whose point is to
-        exercise its own path (``naive`` is this one's oracle).
-        """
-        if self._plan != "auto" or not hasattr(self._db, "store"):
-            return None  # (the sharded facade keeps its stores per shard)
-        probe = getattr(self._db.store(relation), "open_under_key", None)
-        bound = probe and key_binding(self._db.schema(relation), conjuncts,
-                                      variable)
-        if not bound:
-            return None
-        cache = self._db.index_cache
-        found = (probe(bound) if as_of is None else
-                 (cache.bitemporal if bitemporal else cache.rollback)(
-                     relation).under_key(bound, as_of, through))
-        if found is None or bitemporal:  # (those stream as stored)
-            return found
-        # (a tuple may have been in the state twice over a range)
-        return [(data, None, None)
-                for data in dict.fromkeys(row.data for row in found)]
+    def _keyed(self, relation: str, variable: str,
+               conjuncts: Sequence[Expression], now: Instant,
+               as_of: Optional[Instant], through: Optional[Instant]
+               ) -> Optional[Read]:
+        """The store's read under the key the conjuncts pin, where a probe
+        answers (:func:`key_binding`): a narrowing the conjuncts still
+        run over.  Never under a forced plan (``naive`` is its oracle)."""
+        bound = (key_binding(self._db.schema(relation), conjuncts, variable)
+                 if self._plan == "auto" else None)
+        return bound and self._db.read(relation, now, as_of, through, bound)
+
+    def _stream(self, plan: AccessPlan, read: Read, variable: str,
+                conjuncts: Sequence[Expression]
+                ) -> PyTuple[AccessPlan, int, PyTuple[Any, ...], str]:
+        """One variable's stream from a store's read: the plan, the
+        candidates examined, those the pushed conjuncts keep, and the
+        access path in ``explain``'s words."""
+        candidates = read.candidates
+        if conjuncts:
+            candidates = filter(self._filter(variable, conjuncts), candidates)
+        return plan, len(read.candidates), tuple(candidates), read.access
 
     def _immutable_result(self, relation: str, as_of: Optional[Instant],
                           through: Optional[Instant],
@@ -911,8 +814,7 @@ class Evaluator:
         loop over the bindings, whatever the kind, the number of range
         variables or the targets."""
         prepared = self._prepare(
-            statement, getattr(self._db, "result_cache", None)
-            if self._plan == "auto" else None)
+            statement, self._db.result_cache if self._plan == "auto" else None)
         metrics = _obs.current().metrics
         for plan, _, _, _ in prepared.streams.values():
             metrics.counter(f"tquel.plan.{plan.path}").inc()
@@ -1218,11 +1120,10 @@ class Evaluator:
         variable = statement.variable
         relation = self._ranges[variable]
         conjuncts = split_conjuncts(statement.where)
-        _, tree, scan, bitemporal = self._source(None, None, self._db.now())
-        candidates = self._under_key(relation, variable, conjuncts,
-                                     bitemporal, None, None)
-        if candidates is None:
-            candidates = (tree or scan)(relation)
+        now = self._db.now()
+        read = (self._keyed(relation, variable, conjuncts, now, None, None)
+                or self._db.read(relation, now))
+        candidates = read.candidates
         if conjuncts:
             candidates = filter(self._filter(variable, conjuncts), candidates)
         return list(dict.fromkeys(candidate[0] for candidate in candidates))

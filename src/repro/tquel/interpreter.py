@@ -40,7 +40,7 @@ class Session:
     """An interactive TQuel session over one database.
 
     ``plan`` is the session-wide access-path knob: ``"auto"`` settles
-    each range variable by one rule (:func:`repro.tquel.evaluator.choose`:
+    each range variable by one rule (:func:`repro.tquel.evaluator.plan_of`:
     the key probe, else the transaction-time tree where one answers, else
     the scan); ``"naive"``/``"index"``/``"columnar"`` force one path
     everywhere (the shell exposes this as ``.plan``).

@@ -266,9 +266,10 @@ class TestColumnarCache:
         # The store's own scan is the cache-free path (and the oracle):
         # it answers without building a chunk or a result entry.
         database, _ = build_faculty(TemporalDatabase)
-        scanned = database.store("faculty").visible(
-            Instant.parse("12/10/82"))
-        assert set(scanned) == set(database.visible("faculty", "12/10/82"))
+        pin = Instant.parse("12/10/82")
+        scanned = database.store("faculty").visible(pin)
+        assert set(scanned) == set(
+            database.read("faculty", database.now(), pin).candidates)
         assert database.columnar_cache.describe()["relations"] == []
         assert database.result_cache.describe()["size"] == 0
 

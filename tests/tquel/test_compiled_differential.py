@@ -15,9 +15,10 @@ two levels:
   nine operators, two-variable joins with a residual, aggregates,
   ``valid at`` / ``valid from … to``, ``as of [… through]``) return what
   a reference retrieve written only against the public tree walks
-  returns.
+  returns — on each kind's plain store and on a 3-shard store of it.
 """
 
+import functools
 import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,6 +30,7 @@ from repro.relational.expression import (And, AttrRef, BinaryOp, Comparison,
                                          Const, IsNull, Not, Or)
 from repro.relational.schema import Attribute
 from repro.relational.tuple import Tuple
+from repro.sharding import ShardedDatabase
 from repro.time import Instant, Period, SimulatedClock
 from repro.time.instant import NEG_INF, POS_INF
 from repro.tquel.ast import (AggCall, RetrieveStmt, TargetItem, TConst,
@@ -190,10 +192,18 @@ def build(db_class):
 DATABASES = {db_class: build(db_class)
              for db_class in (StaticDatabase, RollbackDatabase,
                               HistoricalDatabase, TemporalDatabase)}
+SHARDED = {db_class: build(functools.partial(ShardedDatabase, db_class,
+                                             shards=3))
+           for db_class in DATABASES}
 
 
 def candidates(database, relation, as_of, through, now):
-    """The candidate rows ``(data, valid, tt)``, by walking the store."""
+    """The candidate rows ``(data, valid, tt)``, by walking the store (of
+    every shard: a row lives on one)."""
+    if isinstance(database, ShardedDatabase):
+        return [candidate for shard in database.shard_databases
+                for candidate in candidates(shard, relation, as_of, through,
+                                            now)]
     kind = database.kind
     if not kind.supports_rollback:
         if kind.supports_historical_queries:
@@ -388,12 +398,12 @@ def retrieves(draw, db_class):
 
 
 def check(db_class, statement):
-    database = DATABASES[db_class]
-    expected = outcome(lambda: reference_retrieve(database, statement))
-    for plan in ("auto", "naive"):
-        actual = outcome(lambda: canonical(
-            Evaluator(database, RANGES, plan=plan).retrieve(statement)))
-        assert actual == expected, plan
+    for database in (DATABASES[db_class], SHARDED[db_class]):
+        expected = outcome(lambda: reference_retrieve(database, statement))
+        for plan in ("auto", "naive"):
+            actual = outcome(lambda: canonical(
+                Evaluator(database, RANGES, plan=plan).retrieve(statement)))
+            assert actual == expected, (database, plan)
 
 
 @SETTINGS

@@ -25,6 +25,7 @@ from repro.relational import Domain, Schema
 from repro.relational.expression import And, AttrRef, Comparison, Const
 from repro.relational.schema import Attribute
 from repro.relational.tuple import Tuple
+from repro.sharding import ShardedDatabase
 from repro.time import Instant, Period, SimulatedClock
 from repro.time.instant import POS_INF
 from repro.tquel.ast import (AggCall, DeleteStmt, ReplaceStmt, RetrieveStmt,
@@ -49,6 +50,10 @@ KINDS = {
     "rollback-states": lambda clock: RollbackDatabase(
         clock=clock, representation=STATES),
     "historical": HistoricalDatabase, "temporal": TemporalDatabase,
+    "sharded rollback": lambda clock: ShardedDatabase(
+        RollbackDatabase, shards=3, clock=clock),
+    "sharded temporal": lambda clock: ShardedDatabase(
+        TemporalDatabase, shards=3, clock=clock),
 }
 
 
@@ -81,6 +86,8 @@ def build(kind, shape):
 
 def state(database):
     """Everything the store of ``r`` holds, as a comparable value."""
+    if isinstance(database, ShardedDatabase):
+        return [state(shard) for shard in database.shard_databases]
     store = database.store("r")
     if hasattr(store, "states"):  # the duplicating cube
         return [(when, frozenset(rows)) for when, rows in store.states]

@@ -7,6 +7,8 @@ the scan.  A forced mode takes its path where the store has one and
 otherwise degrades to the scan, saying so.
 """
 
+import functools
+
 import pytest
 
 from repro import obs
@@ -14,6 +16,7 @@ from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
                         StaticDatabase, TemporalDatabase)
 from repro.errors import TQuelSemanticError
 from repro.relational import Domain, Schema
+from repro.sharding import ShardedDatabase
 from repro.time import SimulatedClock
 from repro.tquel import Session
 from repro.tquel.evaluator import KEY_HISTORY_ACCESS, PLAN_MODES, Evaluator
@@ -29,6 +32,18 @@ KINDS = {
     "rollback states": (RollbackDatabase, {"representation": STATES}),
     "historical": (HistoricalDatabase, {}),
     "temporal": (TemporalDatabase, {}),
+    "sharded static": (ShardedDatabase,
+                       {"factory": StaticDatabase, "shards": 3}),
+    "sharded rollback interval": (ShardedDatabase,
+                                  {"factory": RollbackDatabase, "shards": 3}),
+    "sharded rollback states": (ShardedDatabase, {
+        "factory": functools.partial(RollbackDatabase,
+                                     representation=STATES),
+        "shards": 3}),
+    "sharded historical": (ShardedDatabase,
+                           {"factory": HistoricalDatabase, "shards": 3}),
+    "sharded temporal": (ShardedDatabase,
+                         {"factory": TemporalDatabase, "shards": 3}),
 }
 
 CLAUSES = {
@@ -68,6 +83,33 @@ TABLE = {
         "naive": ("forced",) * 3,
         "index": ("forced",) * 3,
         "columnar": ("forced",) * 3},
+    # A sharded store reads each shard as that shard's kind would, and
+    # concatenates; the facade keeps no column chunk of its own.
+    "sharded static": {
+        "auto": ("scan", None, None),
+        "naive": ("forced", None, None),
+        "index": ("degraded", None, None),
+        "columnar": ("degraded", None, None)},
+    "sharded rollback interval": {
+        "auto": ("scan", "tree", "tree"),
+        "naive": ("forced",) * 3,
+        "index": ("degraded", "forced", "forced"),
+        "columnar": ("degraded",) * 3},
+    "sharded rollback states": {
+        "auto": ("scan",) * 3,
+        "naive": ("forced",) * 3,
+        "index": ("degraded",) * 3,
+        "columnar": ("degraded",) * 3},
+    "sharded historical": {
+        "auto": ("scan", None, None),
+        "naive": ("forced", None, None),
+        "index": ("degraded", None, None),
+        "columnar": ("degraded", None, None)},
+    "sharded temporal": {
+        "auto": ("tree",) * 3,
+        "naive": ("forced",) * 3,
+        "index": ("forced",) * 3,
+        "columnar": ("degraded",) * 3},
 }
 
 
@@ -110,10 +152,25 @@ class TestTheRule:
         info = explained(session, text)
         assert (info["plan"], info["plan_reason"]) == (path, reason)
         with obs.recording() as inst:
-            session.query(text)
+            result = session.query(text)
         counters = inst.metrics.snapshot()["counters"]
         assert {name: count for name, count in counters.items()
                 if name.startswith("tquel.plan.")} == {f"tquel.plan.{path}": 1}
+        if kind.startswith("sharded "):  # the rows and class of one store
+            plain = faculty(kind.removeprefix("sharded "), mode).query(text)
+            assert (type(result), result) == (type(plain), plain)
+
+    @pytest.mark.parametrize("kind", ["historical", "temporal"])
+    def test_a_sharded_store_matches_updates_as_one_store(self, kind):
+        # A TQuel delete matches every fact of the current history, not
+        # only those valid now: Ann's starts after the clock.
+        for name in (kind, f"sharded {kind}"):
+            session = faculty(name)
+            session.execute('append to faculty (name = "Ann", rank = "full")'
+                            ' valid from "01/01/90"')
+            session.execute('delete f where f.name = "Ann"')
+            history = session.database.history("faculty")
+            assert "Ann" not in {row.data["name"] for row in history}, name
 
     def test_a_wide_historical_filter_is_scanned_not_packed(self):
         # No row count or conjunct count moves the rule: a historical

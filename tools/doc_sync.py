@@ -118,12 +118,17 @@ def _gen_explain_rule() -> str:
     clause (a statement no key probe answers), with the reason."""
     from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
                             StaticDatabase)
+    from repro.sharding import ShardedDatabase
     kinds = [("static", StaticDatabase),
              ("rollback (interval)", RollbackDatabase),
              ("rollback (states)",
               lambda clock: RollbackDatabase(clock, representation=STATES)),
              ("historical", HistoricalDatabase),
-             ("temporal", TemporalDatabase)]
+             ("temporal", TemporalDatabase),
+             ("rollback (interval), 3 shards", lambda clock: ShardedDatabase(
+                 RollbackDatabase, shards=3, clock=clock)),
+             ("temporal, 3 shards", lambda clock: ShardedDatabase(
+                 TemporalDatabase, shards=3, clock=clock))]
     clauses = [("current state", ""), ("as of", ' as of "12/01/82"'),
                ("as of … through",
                 ' as of "01/01/80" through "12/01/82"')]
