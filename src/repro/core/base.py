@@ -588,10 +588,13 @@ class Database(abc.ABC):
         self.require_rollback("rollback")
         return self._indexed(name).rollback(as_of)
 
-    def timeslice(self, name: str, valid_at: InstantLike) -> Relation:
-        """The tuples valid at an instant of valid time, as a static relation.
+    def timeslice(self, name: str, valid_at: InstantLike,
+                  as_of: Optional[InstantLike] = None) -> Relation:
+        """The tuples valid at an instant of valid time, as a static
+        relation, seen as of the past transaction time *as_of* if given.
 
-        Supported by historical and temporal databases only.
+        Supported by historical and temporal databases only, and with
+        *as_of* by temporal ones only.
         """
         self.require_historical("timeslice")
         raise NotImplementedError  # pragma: no cover - kinds override

@@ -592,9 +592,13 @@ class HistoricalDatabase(ValidTimeDatabase):
         """The facts valid *now* (the historical DB always views 'as of now')."""
         return self.timeslice(name, self.now())
 
-    def timeslice(self, name: str, valid_at: InstantLike) -> Relation:
-        """The facts valid at an instant, as a static relation."""
+    def timeslice(self, name: str, valid_at: InstantLike,
+                  as_of: Optional[InstantLike] = None) -> Relation:
+        """The facts valid at an instant, as a static relation (no
+        *as_of*: a historical database keeps no transaction time)."""
         self.require_historical("timeslice")
+        if as_of is not None:
+            self.require_rollback("as of")
         self._require_defined(name)
         return self.index_cache.historical(name).timeslice(valid_at)
 

@@ -432,8 +432,9 @@ class TransactionTimeIndex:
             self._relation.open_rows(), *self._bounds(as_of))
 
     def rollback(self, as_of):
-        """Same result as ``relation.rollback``, via the index."""
-        return self._relation.state_of(self.visible(as_of))
+        """Same result as ``relation.rollback``, via the index (which
+        serves a database's stores: ``state_in_force``)."""
+        return self._relation.state_in_force(self.visible(as_of))
 
     def overlapping(self, period: Period) -> List[Any]:
         """The stored rows whose transaction time overlaps *period*."""

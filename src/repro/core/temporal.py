@@ -88,6 +88,13 @@ class TemporalRelation(TransactionTimeStore):
         return HistoricalRelation(
             self._schema, (HistoricalRow(row.data, row.valid) for row in rows))
 
+    def state_in_force(self, rows: Iterable[BitemporalRow]
+                       ) -> HistoricalRelation:
+        """The historical state of distinct *rows*, no fact hashed."""
+        return HistoricalRelation._of_distinct(
+            self._schema,
+            tuple([HistoricalRow(row.data, row.valid) for row in rows]))
+
     def range_of(self, rows: Iterable[BitemporalRow]) -> "TemporalRelation":
         """``as of … through`` keeps both time axes: a temporal relation."""
         return TemporalRelation(self._schema, rows)
@@ -96,18 +103,6 @@ class TemporalRelation(TransactionTimeStore):
     as_candidates = staticmethod(lambda rows: rows)
 
     # -- the two time axes ------------------------------------------------------
-
-    def current(self) -> HistoricalRelation:
-        """The most recent historical state (transaction end = ∞).
-
-        The open partition is duplicate-free by construction, so nothing
-        is re-hashed unless a derived value repeats a row.
-        """
-        if self._current_cache is None and not self._open_extra:
-            self._current_cache = HistoricalRelation._of_distinct(
-                self._schema, tuple(HistoricalRow(row.data, row.valid)
-                                    for row in self._open.values()))
-        return super().current()
 
     def timeslice(self, valid_at: InstantLike,
                   as_of: Optional[InstantLike] = None) -> Relation:

@@ -96,6 +96,13 @@ class TransactionTimeStore:
         """The state *rows* amount to with transaction time projected away."""
         raise NotImplementedError
 
+    def state_in_force(self, rows: Iterable[Any]) -> Any:
+        """:meth:`state_of` rows holding each element at most once — the
+        open map's, or those in force at one instant of a store a database
+        maintains (:meth:`advance` closes an element's row before it opens
+        the next) — so a subclass may skip the dedupe."""
+        return self.state_of(rows)
+
     def range_of(self, rows: Iterable[Any]) -> Any:
         """What ``as of … through`` returns for the *rows* it selects."""
         raise NotImplementedError
@@ -329,10 +336,13 @@ class TransactionTimeStore:
         """The most recent state: exactly the open partition.
 
         O(current state), memoized (the value is immutable, so the memo
-        is per version).  A commit never calls this.
+        is per version).  A commit never calls this.  Nothing is deduped
+        unless a derived value repeats an open element.
         """
         if self._current_cache is None:
-            self._current_cache = self.state_of(self.open_rows())
+            self._current_cache = (
+                self.state_of(self.open_rows()) if self._open_extra
+                else self.state_in_force(self._open.values()))
         return self._current_cache
 
     def visible_during(self, period: Period) -> Any:

@@ -34,22 +34,37 @@ def _as_callable(predicate: Predicate) -> Callable[[Tuple], bool]:
 
 
 class Relation:
-    """An immutable relation: a schema plus a duplicate-free set of tuples."""
+    """An immutable relation: a schema plus a duplicate-free set of tuples.
+
+    Built in one pass (each row hashed once by ``dict.fromkeys``, its
+    schema checked by identity); the frozenset behind membership, ``==``,
+    ``hash`` and the set operations is built by the first of them, not on
+    construction.
+    """
 
     __slots__ = ("_schema", "_tuples", "_tuple_set")
 
     def __init__(self, schema: Schema, tuples: Iterable[Tuple] = ()) -> None:
         self._schema = schema
-        deduped: Dict[Tuple, None] = {}
-        for row in tuples:
-            if row.schema.names != schema.names:
+        self._tuples: PyTuple[Tuple, ...] = tuple(dict.fromkeys(tuples))
+        # Equal tuples have equal names, so checking the distinct ones will
+        # do; a row on this very schema object needs no names compared.
+        for row in self._tuples:
+            if row._schema is not schema and row.schema.names != schema.names:
                 raise SchemaError(
                     f"tuple attributes {row.schema.names} do not match "
                     f"relation schema {schema.names}"
                 )
-            deduped.setdefault(row, None)
-        self._tuples: PyTuple[Tuple, ...] = tuple(deduped)
-        self._tuple_set = frozenset(self._tuples)
+        self._tuple_set: Optional[frozenset] = None
+
+    def _members(self) -> frozenset:
+        """The tuples as a frozenset, built by the first caller.  Readers
+        reach the build without a lock: two racing threads build equal
+        sets from the immutable tuples and one assignment wins."""
+        members = self._tuple_set
+        if members is None:
+            members = self._tuple_set = frozenset(self._tuples)
+        return members
 
     # -- constructors ------------------------------------------------------------
 
@@ -142,15 +157,16 @@ class Relation:
     def difference(self, other: "Relation") -> "Relation":
         """− — tuples of self not in other."""
         self._check_compatible(other, "difference")
+        members = other._members()
         return Relation(self._schema,
-                        (row for row in self._tuples
-                         if row not in other._tuple_set))
+                        (row for row in self._tuples if row not in members))
 
     def intersect(self, other: "Relation") -> "Relation":
         """∩ — tuples in both."""
         self._check_compatible(other, "intersect")
+        members = other._members()
         return Relation(self._schema,
-                        (row for row in self._tuples if row in other._tuple_set))
+                        (row for row in self._tuples if row in members))
 
     def product(self, other: "Relation", prefix_self: str = "",
                 prefix_other: str = "") -> "Relation":
@@ -238,17 +254,17 @@ class Relation:
         return len(self._tuples)
 
     def __contains__(self, row: object) -> bool:
-        return row in self._tuple_set
+        return row in self._members()
 
     def __eq__(self, other: object) -> bool:
         """Set equality over the same attribute names."""
         if not isinstance(other, Relation):
             return NotImplemented
         return (self._schema.names == other._schema.names
-                and self._tuple_set == other._tuple_set)
+                and self._members() == other._members())
 
     def __hash__(self) -> int:
-        return hash((self._schema.names, self._tuple_set))
+        return hash((self._schema.names, self._members()))
 
     def __repr__(self) -> str:
         return (f"Relation({', '.join(self._schema.names)}; "

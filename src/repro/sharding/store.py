@@ -25,12 +25,15 @@ Semantics kept, and one deliberately weakened:
   sees only its shard's rows; cross-row predicates (e.g. aggregates)
   therefore weaken to per-shard assertions — the documented trade.
 - **Transaction time is per-shard.**  Each shard's clock assigns its own
-  strictly-increasing commit times.  A cross-shard transaction's parts
-  commit at slightly different instants on different shards, so a
-  ``rollback`` *as of* an instant inside that tiny window can see the
-  transaction on some shards and not others.  Current-state reads are
-  never affected (the coordinator's consistent cuts cover them); the
-  2PC decision log remains the authority on atomicity after a crash.
+  strictly-increasing commit times, so stamps order commits within a
+  shard only: a commit on one shard may carry an earlier stamp than one
+  made before it on another, and a ``rollback`` sees each shard at its
+  own *as of*.  A cross-shard transaction's parts commit at different
+  instants on different shards, so a ``rollback`` *as of* an instant
+  between them sees the transaction on some shards and not others.
+  Current-state reads are never affected (the coordinator's consistent
+  cuts cover them); the 2PC decision log remains the authority on
+  atomicity after a crash.
 """
 
 from __future__ import annotations
@@ -436,19 +439,22 @@ class ShardedDatabase:
     def rollback(self, name: str, as_of: InstantLike):
         """The merged state as of a past transaction time.
 
-        Per-shard transaction times differ slightly for cross-shard
-        transactions (module docstring); an *as_of* inside that window
-        sees the transaction on the shards whose commit instant it
-        covers.
+        Each shard stamps its commits from its own transaction clock,
+        so *as_of* is each shard's state at its own *as_of*: it orders
+        commits within a shard only (docs/SHARDING.md "Consistent cuts").
         """
         self._shards[0].require_rollback("rollback")
         return self._merged(name, lambda db: db.rollback(name, as_of))
 
-    def timeslice(self, name: str, valid_at: InstantLike, **kwargs: Any):
-        """The merged valid-time slice (historical and temporal kinds)."""
+    def timeslice(self, name: str, valid_at: InstantLike,
+                  as_of: Optional[InstantLike] = None):
+        """The merged valid-time slice (historical and temporal kinds),
+        as of *as_of* if given (temporal kind)."""
         self._shards[0].require_historical("timeslice")
+        if as_of is not None:
+            self._shards[0].require_rollback("as of")
         return self._merged(name,
-                            lambda db: db.timeslice(name, valid_at, **kwargs))
+                            lambda db: db.timeslice(name, valid_at, as_of))
 
     def history(self, name: str):
         """The merged current historical state (valid-time kinds)."""
