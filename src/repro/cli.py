@@ -49,6 +49,11 @@ instrumentation (see :mod:`repro.obs` and docs/OBSERVABILITY.md)::
                                  # columnar-chunk and as-of result
                                  # caches (see docs/QUERY_PLANNING.md)
 
+Every ``repro`` verb but ``trace`` and ``serve`` prints one report:
+under ``--json`` as indented JSON, otherwise one aligned ``key: value``
+line per leaf (nested dicts and lists indented, list items keyed by
+position), so the text names exactly the fields the JSON does.
+
 ``repro`` also operates durability directories (checkpoint + segmented
 journal; see docs/DURABILITY.md)::
 
@@ -85,18 +90,21 @@ and the sharded store (see docs/SHARDING.md)::
                                            # store: per-shard metrics
 
 The database kind is read from the newest checkpoint when one exists;
-``--kind`` decides it for journal-only or fresh directories.
+``--kind`` decides it for journal-only or fresh directories.  Every verb
+but ``checkpoint`` and ``serve`` refuses a ``--dir`` that is not an
+existing directory (``error: no durability directory at DIR``, exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
-from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
-                        TemporalDatabase)
+from repro.core import (DatabaseKind, HistoricalDatabase, RollbackDatabase,
+                        StaticDatabase, TemporalDatabase)
 from repro.errors import ReproError
 from repro.storage import Journal, dumps_database
 from repro.time import SimulatedClock, SystemClock
@@ -179,26 +187,14 @@ def _dot_command(session: Session, line: str, out) -> bool:
               file=out)
     elif command == ".relations":
         for name in database.relation_names():
-            print(f"  {name}{'  (event)' if getattr(database, 'is_event_relation', lambda n: False)(name) else ''}",
-                  file=out)
+            event = "  (event)" if database.is_event_relation(name) else ""
+            print(f"  {name}{event}", file=out)
     elif command == ".figure":
-        from repro.tquel import printer
-        if hasattr(database, "temporal"):
-            print(printer.render_temporal(
-                database.temporal(argument), argument,
-                event=database.is_event_relation(argument)), file=out)
-        elif hasattr(database, "history"):
-            print(printer.render_historical(
-                database.history(argument), argument,
-                event=database.is_event_relation(argument)), file=out)
-        elif hasattr(database, "store"):
-            store = database.store(argument)
-            if hasattr(store, "rows"):
-                print(printer.render_rollback(store, argument), file=out)
-            else:
-                print(database.snapshot(argument).pretty(argument), file=out)
-        else:
-            print(database.snapshot(argument).pretty(argument), file=out)
+        # Only a store with valid time holds an event relation, and only
+        # such a store's figure has an event style.
+        event = database.is_event_relation(argument)
+        style = {"event": True} if event else {}
+        print(database.store(argument).pretty(argument, **style), file=out)
     elif command == ".log":
         for record in database.log:
             ops = ", ".join(f"{op.action} {op.relation}"
@@ -220,31 +216,19 @@ def _dot_command(session: Session, line: str, out) -> bool:
             print(f"usage: .migrate <{('|'.join(sorted(_KINDS)))}> [force]",
                   file=out)
         else:
-            try:
-                session.migrate_database(_KINDS[kind_name],
-                                         allow_loss=force)
-                print(f"migrated to a {session.database.kind} database",
-                      file=out)
-            except ReproError as error:
-                print(f"error: {error}", file=out)
+            session.migrate_database(_KINDS[kind_name], allow_loss=force)
+            print(f"migrated to a {session.database.kind} database",
+                  file=out)
     elif command == ".explain":
-        try:
-            print(session.explain(argument), file=out)
-        except ReproError as error:
-            print(f"error: {error}", file=out)
+        print(session.explain(argument), file=out)
     elif command == ".plan":
-        if not argument:
-            print(f"plan mode: {session.plan}", file=out)
-        else:
-            try:
-                session.plan = argument
-                print(f"plan mode: {session.plan}", file=out)
-            except ValueError as error:
-                print(f"error: {error}", file=out)
+        if argument:
+            session.plan = argument
+        print(f"plan mode: {session.plan}", file=out)
     elif command == ".cache":
-        print(_format_caches(database), file=out)
+        _emit(_cache_snapshot(database), out=out)
     elif command == ".stats":
-        print(_format_stats(database.stats()), file=out)
+        _emit(database.stats(), out=out)
     elif command == ".save":
         with open(argument, "w", encoding="utf-8") as handle:
             handle.write(dumps_database(session.database, indent=2))
@@ -272,15 +256,15 @@ def repl(session: Session, stdin=None, out=None) -> int:
         line = line.strip()
         if not line:
             continue
-        if line.startswith("."):
-            if not _dot_command(session, line, out):
-                return 0
-            continue
+        # A failing statement or shell command reports and the shell
+        # goes on (`.save` with no path is an OSError, `.plan x` a
+        # ValueError).
         try:
-            result = session.execute(line)
-            rendered = session.render(result)
-            print(rendered, file=out)
-        except ReproError as error:
+            if not line.startswith("."):
+                print(session.render(session.execute(line)), file=out)
+            elif not _dot_command(session, line, out):
+                return 0
+        except (ReproError, OSError, ValueError) as error:
             print(f"error: {error}", file=out)
 
 
@@ -677,64 +661,82 @@ def _append_points():
     return (CrashPoint.TORN_RECORD, CrashPoint.LOST_RECORD)
 
 
-#: DatabaseKind value string (as checkpoints record it) → class.
-_KIND_VALUES = {
-    "static": StaticDatabase,
-    "static rollback": RollbackDatabase,
-    "historical": HistoricalDatabase,
-    "temporal": TemporalDatabase,
-}
+def _emit(data, as_json: bool = False, out=None) -> None:
+    """Print a verb's report: the one output path of every ``repro`` verb.
+
+    Under ``--json``: indented, key-sorted JSON.  Otherwise one
+    ``key: value`` line per leaf, in the same key order, values aligned
+    within each dict; a non-empty dict or list prints its key alone and
+    its entries two spaces further in, a list's entries keyed by
+    position.  Text and JSON therefore name the same fields."""
+    out = out if out is not None else sys.stdout
+    if as_json:
+        print(json.dumps(data, indent=2, sort_keys=True, default=str),
+              file=out)
+        return
+
+    def lines(node, indent: str):
+        items = [(f"{key}:", value) for key, value in
+                 (sorted(node.items()) if isinstance(node, dict)
+                  else enumerate(node))]
+        width = max((len(label) for label, _ in items), default=0)
+        for label, value in items:
+            if isinstance(value, (dict, list, tuple)) and value:
+                yield indent + label
+                yield from lines(value, indent + "  ")
+            else:
+                text = (value if isinstance(value, str)
+                        else json.dumps(value, default=str))
+                yield f"{indent}{label:<{width}} {text}"
+
+    print("\n".join(lines(data, "")), file=out)
 
 
-def _durable_class(directory: str, kind_flag: str):
-    """The database class a durability directory holds.
-
-    The newest valid checkpoint records the kind; without one (fresh or
-    journal-only directory) the ``--kind`` flag decides."""
+def _durable_class(args):
+    """The database class ``args.dir`` holds: the kind its newest valid
+    checkpoint records, else (a fresh or journal-only directory) the
+    ``--kind`` flag's."""
     from repro.storage import detect_kind
-    detected = detect_kind(directory)
-    if detected is not None:
-        return _KIND_VALUES[detected]
-    return _KINDS[kind_flag]
+    detected = detect_kind(args.dir)
+    if detected is None:
+        return _KINDS[args.kind]
+    kind = DatabaseKind(detected)
+    return next(cls for cls in _KINDS.values() if cls.kind is kind)
+
+
+def _existing(directory: str) -> str:
+    """*directory*, refused unless it is one: a mistyped ``--dir`` must
+    fail the verb, not audit or recover an empty store."""
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"no durability directory at {directory}")
+    return directory
+
+
+def _recover(args, create: bool = False, **options):
+    """Open ``args.dir`` the one way: ``(manager, database, report)``.
+
+    Refuses a missing directory unless *create*; *options* go to
+    :meth:`~repro.storage.DurabilityManager.recover`."""
+    from repro.storage import DurabilityManager
+    manager = DurabilityManager(args.dir if create else _existing(args.dir))
+    database, report = manager.recover(_durable_class(args), **options)
+    return manager, database, report
 
 
 def _repro_recover(args) -> int:
     """The ``repro recover`` verb: rebuild, then report what it took."""
-    from repro.storage import DurabilityManager
-    manager = DurabilityManager(args.dir)
-    database, report = manager.recover(
-        _durable_class(args.dir, args.kind), use_checkpoint=not args.full)
+    _, database, report = _recover(args, use_checkpoint=not args.full)
     data = report.describe()
     data["kind"] = str(database.kind)
     data["relations"] = sorted(database.relation_names())
-    if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
-    source = ("full journal replay" if report.full_replay else
-              f"checkpoint at commit index {report.checkpoint_index}")
-    print(f"recovered a {database.kind} database from {source}")
-    print(f"  records replayed:   {report.records_replayed} "
-          f"of {report.records_total} durable")
-    print(f"  segments read:      {report.segments_read}")
-    if not report.full_replay:
-        print(f"  history files read: {report.history_files_read}")
-    if report.torn_bytes_truncated:
-        print(f"  torn tail repaired: {report.torn_bytes_truncated} bytes "
-              f"truncated")
-    if report.checkpoints_skipped:
-        print(f"  checkpoints skipped (damaged): "
-              f"{report.checkpoints_skipped}")
-    for name in data["relations"]:
-        print(f"  relation: {name}")
+    _emit(data, args.json)
     return 0
 
 
 def _repro_checkpoint(args) -> int:
-    """The ``repro checkpoint`` verb: recover, optionally run a script,
-    publish a checkpoint."""
-    from repro.storage import DurabilityManager
-    manager = DurabilityManager(args.dir)
-    database, _ = manager.recover(_durable_class(args.dir, args.kind))
+    """The ``repro checkpoint`` verb: recover (creating the directory),
+    optionally run a script, publish a checkpoint."""
+    manager, database, _ = _recover(args, create=True)
     if args.file is not None:
         session = Session(database)
         with open(args.file, encoding="utf-8") as handle:
@@ -777,72 +779,7 @@ def _repro_stress(args) -> int:
             report = run(scratch)
     else:
         report = run(args.dir)
-
-    if args.json:
-        print(json.dumps(report.describe(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    store = (f"a {args.kind} database" if report.shards is None else
-             f"{report.shards} shards of a {args.kind} database")
-    print(f"stress: {report.sessions} sessions x "
-          f"{report.transactions_per_session} transactions on {store} "
-          f"({report.wall_s:.3f}s, {report.placement} keys)")
-    print(f"  committed:          {report.committed} of {report.attempted} "
-          f"attempted ({report.tps:.0f} tps)")
-    if report.shards is not None:
-        print(f"  cross-shard:        {report.cross_shard_commits} "
-              f"committed through the two-phase protocol")
-    print(f"  conflicts retried:  {report.conflicts} "
-          f"({report.retries} retries)")
-    print(f"  shed (overloaded):  {report.shed}")
-    print(f"  deadline exceeded:  {report.deadline_exceeded}")
-    print(f"  commit latency:     p50 {report.latency_p50_s * 1e6:.0f}us, "
-          f"p95 {report.latency_p95_s * 1e6:.0f}us, "
-          f"p99 {report.latency_p99_s * 1e6:.0f}us")
-    for entry in report.per_shard:
-        extra = (f", {entry['journal_bytes']} journal bytes"
-                 if "journal_bytes" in entry else "")
-        print(f"  shard {entry['shard']}:            "
-              f"{entry['commits']} commits, "
-              f"{entry['conflicts']} conflicts{extra}")
-    if faults is not None:
-        print(f"  crashed:            {report.crashed} worker(s) saw the "
-              f"injected crash")
-        resolved = ("" if report.recovery_reapplied is None else
-                    f", {report.recovery_reapplied} decided batches "
-                    f"re-applied, {report.recovery_in_doubt_aborted} "
-                    f"in-doubt rolled back")
-        print(f"  recovered records:  {report.recovered_records} "
-              f"(durable prefix intact: "
-              f"{report.recovery_is_durable_prefix}){resolved}")
-    if report.replicas:
-        digest_note = ("" if report.replica_digest_match is None else
-                       f", digests "
-                       f"{'match' if report.replica_digest_match else 'DIVERGED'}")
-        print(f"  replicas:           {report.replicas} "
-              f"({'converged' if report.replica_converged else 'LAGGING'}, "
-              f"{report.replica_records_applied} records applied"
-              f"{digest_note})")
-    if report.sample_cross_txn is not None:
-        print(f"  sample cross txn:   {report.sample_cross_txn}"
-              + (f"  (repro trace --txn {report.sample_cross_txn} "
-                 f"--input {report.trace_path})"
-                 if report.trace_path else ""))
-    if report.trace_path:
-        print(f"  spans exported:     {report.trace_path} "
-              f"({report.spans_dropped} dropped)")
-    if report.events_path:
-        print(f"  events exported:    {report.events_path} "
-              f"({report.events_dropped} dropped)")
-    if report.slo:
-        print(f"  slo:                "
-              f"{'within objectives' if report.slo.get('ok') else 'BUDGET BURNED'}")
-    print(f"  lost updates:       {report.lost_updates}")
-    print(f"  sum conservation:   delta {report.sum_delta:+d}")
-    print(f"  commit times:       "
-          f"{'strictly increasing' if report.commit_times_monotone else 'OUT OF ORDER'}")
-    print(f"  serial replay:      "
-          f"{'equivalent' if report.serial_equivalent else 'DIVERGED'}")
-    print(f"  audit: {'ok' if report.ok else 'FAILED'}")
+    _emit(report.describe(), args.json)
     return 0 if report.ok else 1
 
 
@@ -887,18 +824,7 @@ def _repro_health(args) -> int:
             layer.run(increment)
             layer.run(transfer)
     health = instrumentation.slo.health(policy)
-    if args.json:
-        print(json.dumps(health, indent=2, sort_keys=True))
-        return 0 if health["ok"] else 1
-    print(f"health: {'ok' if health['ok'] else 'BUDGET BURNED'} "
-          f"({args.ops} transactions per class)")
-    for name, entry in sorted(health["classes"].items()):
-        print(f"  {name:<20} p50 {entry.get('p50', 0.0) * 1e3:.2f}ms  "
-              f"p95 {entry.get('p95', 0.0) * 1e3:.2f}ms  "
-              f"objective {entry['objective_s'] * 1e3:.0f}ms  "
-              f"violations {entry['violations']}/{entry['count']} "
-              f"(burn {entry['burn']:.2f} of budget {entry['budget']:.2f})"
-              f"  {'ok' if entry['ok'] else 'BURNED'}")
+    _emit(health, args.json)
     return 0 if health["ok"] else 1
 
 
@@ -911,20 +837,7 @@ def _repro_bench_diff(args) -> int:
     with open(args.fresh, encoding="utf-8") as handle:
         fresh = json.load(handle)
     result = bench_diff(baseline, fresh, tolerance=args.tolerance)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-        return 0 if result["ok"] else 1
-    print(f"bench-diff: {result['compared']} metrics compared, "
-          f"{result['regressions']} regression(s) beyond "
-          f"{result['tolerance']:.0%} tolerance")
-    for row in result["rows"]:
-        if row["change"] >= 0:
-            marker = "REGRESSED" if row["regression"] else "ok"
-            detail = f"({row['change']:+.1%} worse, {marker})"
-        else:
-            detail = f"({-row['change']:.1%} better)"
-        print(f"  {row['metric']:<44} {row['baseline']:>12.4g} -> "
-              f"{row['fresh']:>12.4g}  {detail}")
+    _emit(result, args.json)
     return 0 if result["ok"] else 1
 
 
@@ -999,75 +912,33 @@ def _repro_digest(args) -> int:
     replica.  ``--full`` forces the full-replay path as a cross-check.
     """
     from repro.replication import state_digest
-    from repro.storage import DurabilityManager
-    database, report = DurabilityManager(args.dir).recover(
-        _durable_class(args.dir, args.kind), use_checkpoint=not args.full)
-    digest = state_digest(database)
-    if args.json:
-        print(json.dumps({"digest": digest, "kind": str(database.kind),
-                          "records": report.records_total,
-                          "full_replay": report.full_replay},
-                         indent=2, sort_keys=True))
-        return 0
-    print(digest)
+    _, database, report = _recover(args, use_checkpoint=not args.full)
+    _emit({"digest": state_digest(database), "kind": str(database.kind),
+           "records": report.records_total,
+           "full_replay": report.full_replay}, args.json)
     return 0
-
-
-def _format_audit(report) -> str:
-    """Human-readable rendering of one AuditReport."""
-    lines = [f"audited {report.directory}: "
-             f"{report.segments_audited} segment(s), "
-             f"{report.checkpoints_audited} checkpoint(s), "
-             f"{report.history_files_audited} history file(s), "
-             f"{report.sidelogs_audited} side log(s)"]
-    lines.append(f"  records:         {report.records_total} "
-                 f"({report.chain_verified} chain-verified)")
-    lines.append(f"  verified prefix: {report.verified_prefix} record(s)")
-    head = report.chain_head
-    lines.append(f"  chain head:      "
-                 f"{head if head is not None else '(unknown)'}")
-    if report.clean:
-        lines.append("  clean: no damage found")
-    else:
-        lines.append(f"  findings: {len(report.findings)}")
-        for finding in report.findings:
-            where = finding.file
-            if finding.line_number is not None:
-                where += f":{finding.line_number}"
-            lines.append(f"    [{finding.kind}] {where}: {finding.detail}")
-    return "\n".join(lines)
 
 
 def _repro_audit(args) -> int:
     """The ``repro audit`` verb: classify damage, change nothing.
 
     Exit status 0 means clean; 2 means the audit found damage (so a
-    cron job can page on it) — 1 stays reserved for operational errors.
+    cron job can page on it) — 1 stays reserved for operational errors,
+    a missing directory among them.
     """
     from repro.storage import audit_directory
     from repro.storage.scrub import audit_sharded
+    directory = _existing(args.dir)
     if args.sharded:
-        result = audit_sharded(args.dir)
-        if args.json:
-            data = dict(result)
-            data["per_shard"] = [r.describe() for r in result["per_shard"]]
-            data["decision_log"] = [f.describe()
-                                    for f in result["decision_log"]]
-            print(json.dumps(data, indent=2, sort_keys=True))
-        else:
-            for report in result["per_shard"]:
-                print(_format_audit(report))
-            for finding in result["decision_log"]:
-                print(f"  [sidelog] decisions.seg: {finding.detail}")
-            root = result["combined_root"]
-            print(f"combined root: "
-                  f"{root if root is not None else '(unknown)'}")
+        result = audit_sharded(directory)
+        _emit(dict(result,
+                   per_shard=[r.describe() for r in result["per_shard"]],
+                   decision_log=[f.describe()
+                                 for f in result["decision_log"]]),
+              args.json)
         return 0 if result["clean"] else 2
-    report = audit_directory(args.dir)
-    if args.json:
-        print(json.dumps(report.describe(), indent=2, sort_keys=True))
-    else:
-        print(_format_audit(report))
+    report = audit_directory(directory)
+    _emit(report.describe(), args.json)
     return 0 if report.clean else 2
 
 
@@ -1075,51 +946,26 @@ def _repro_scrub(args) -> int:
     """The ``repro scrub`` verb: quarantine damage, optionally repair.
 
     Without ``--repair-from`` the damaged files are quarantined and the
-    directory is left recoverable at its verified prefix.  With it, the
-    damaged suffix is re-fetched from the source (records, or a whole
-    snapshot when the source compacted past the prefix) and the result
-    is digest-checked against the source.
+    directory is left recoverable at its verified prefix; exit 2 when
+    there was damage.  With it, the damaged suffix is re-fetched from
+    the source (records, or a whole snapshot when the source compacted
+    past the prefix) and the result is digest-checked against the
+    source; exit 1 on a digest mismatch (``--json`` exits 0).
     """
     from repro.storage import Scrubber
     from repro.storage.scrub import DirectorySource
-    scrubber = Scrubber(args.dir)
-    factory = _durable_class(args.dir, args.kind)
+    scrubber = Scrubber(_existing(args.dir))
     if args.repair_from is None:
         report = scrubber.audit()
-        moved = scrubber.quarantine(report)
-        if args.json:
-            data = report.describe()
-            data["quarantined"] = moved
-            print(json.dumps(data, indent=2, sort_keys=True))
-            return 0 if report.clean else 2
-        print(_format_audit(report))
-        if moved:
-            print(f"  quarantined: {', '.join(moved)}")
-            print(f"  the directory now recovers to its verified prefix; "
-                  f"re-run with --repair-from to converge with a healthy "
-                  f"copy")
+        data = report.describe()
+        data["quarantined"] = scrubber.quarantine(report)
+        _emit(data, args.json)
         return 0 if report.clean else 2
-    source = DirectorySource(args.repair_from, factory)
-    report = scrubber.repair(source, factory)
-    if args.json:
-        print(json.dumps(report.describe(), indent=2, sort_keys=True))
-        return 0
-    if report.findings == 0:
-        print(f"{args.dir} is clean: {report.records_total} record(s), "
-              f"nothing to repair")
-        return 0
-    path = "snapshot catch-up" if report.used_snapshot else "record resend"
-    print(f"repaired {args.dir} from {args.repair_from}")
-    print(f"  findings:     {report.findings}")
-    print(f"  quarantined:  {', '.join(report.quarantined) or '(nothing)'}")
-    print(f"  re-fetched:   {report.refetched_records} record(s) via {path}")
-    print(f"  records now:  {report.records_total}")
-    head = report.chain_head
-    print(f"  chain head:   {head if head is not None else '(unknown)'}")
-    if report.digest_match is not None:
-        print(f"  digest check: "
-              f"{'equal to source' if report.digest_match else 'MISMATCH'}")
-    return 0 if report.digest_match in (True, None) else 1
+    factory = _durable_class(args)
+    report = scrubber.repair(
+        DirectorySource(_existing(args.repair_from), factory), factory)
+    _emit(report.describe(), args.json)
+    return 0 if args.json or report.digest_match is not False else 1
 
 
 def _repro_promote(args) -> int:
@@ -1130,22 +976,12 @@ def _repro_promote(args) -> int:
     epoch are rejected by every replica that saw this promotion.
     """
     from repro.replication import read_epoch, state_digest, write_epoch
-    from repro.storage import DurabilityManager
-    database, report = DurabilityManager(args.dir).recover(
-        _durable_class(args.dir, args.kind))
+    _, database, report = _recover(args)
     epoch = read_epoch(args.dir) + 1
     write_epoch(args.dir, epoch)
-    digest = state_digest(database)
-    if args.json:
-        print(json.dumps({"epoch": epoch, "digest": digest,
-                          "kind": str(database.kind),
-                          "records": report.records_total},
-                         indent=2, sort_keys=True))
-        return 0
-    print(f"promoted the {database.kind} database in {args.dir}")
-    print(f"  epoch:   {epoch} (records from older epochs are now fenced)")
-    print(f"  records: {report.records_total}")
-    print(f"  digest:  {digest}")
+    _emit({"epoch": epoch, "digest": state_digest(database),
+           "kind": str(database.kind), "records": report.records_total},
+          args.json)
     return 0
 
 
@@ -1160,35 +996,7 @@ def _repro_replicate(args) -> int:
         reorder=args.reorder, delay=args.delay,
         partition_at=args.partition_at, heal_at=args.heal_at,
         failover_at=args.failover_at)
-    if args.json:
-        print(json.dumps(report.describe(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    print(f"replicate: {report.writers} writers x "
-          f"{report.transactions_per_writer} transactions, "
-          f"{report.replicas} replicas on a {args.kind} database "
-          f"({report.wall_s:.3f}s)")
-    print(f"  committed:          {report.committed} of {report.attempted} "
-          f"attempted")
-    print(f"  primary seq:        {report.primary_seq} "
-          f"(epoch {report.final_epoch})")
-    faults = ", ".join(f"{name}={count}" for name, count
-                       in sorted(report.transport.items()))
-    print(f"  transport:          {faults}")
-    print(f"  stream repair:      {report.gaps_detected} gaps, "
-          f"{report.duplicates_dropped} duplicates dropped, "
-          f"{report.snapshots_loaded} snapshot catch-ups")
-    if report.failover_performed:
-        print(f"  failover:           promoted (prefix verified: "
-              f"{report.promoted_prefix_verified}, "
-              f"{report.fenced_rejects} zombie records fenced)")
-    print(f"  lost durable:       {report.lost_durable_commits}")
-    print(f"  replicas:           "
-          f"{'converged' if report.replicas_converged else 'DIVERGED'} "
-          f"({report.diverged} latched divergence)")
-    print(f"  read-your-writes:   "
-          f"{'ok' if report.read_your_writes_ok else 'VIOLATED'} "
-          f"({report.ryw_reads_lagging} reads waited on the token)")
-    print(f"  audit: {'ok' if report.ok else 'FAILED'}")
+    _emit(report.describe(), args.json)
     return 0 if report.ok else 1
 
 
@@ -1308,29 +1116,6 @@ def _cache_snapshot(database) -> dict:
             "results": database.result_cache.describe()}
 
 
-def _format_caches(database) -> str:
-    """Render the columnar and result caches as aligned text."""
-    snapshot = _cache_snapshot(database)
-    lines = []
-    columnar = snapshot["columnar"]
-    lines.append("columnar chunks:")
-    lines.append(f"  built for: "
-                 f"{', '.join(columnar['relations']) or '(none)'}")
-    for name, count in columnar["rows"].items():
-        lines.append(f"  rows packed ({name}): {count}")
-    lines.append(f"  hits={columnar['hits']} misses={columnar['misses']} "
-                 f"extensions={columnar['extensions']}")
-    results = snapshot["results"]
-    lines.append("as-of result cache:")
-    lines.append(f"  entries: {results['size']}/{results['capacity']} "
-                 f"({results['immutable_entries']} immutable, "
-                 f"{results['epoch_entries']} epoch-bound)")
-    lines.append(f"  hits={results['hits']} misses={results['misses']} "
-                 f"evictions={results['evictions']} "
-                 f"invalidations={results['invalidations']}")
-    return "\n".join(lines)
-
-
 def _repro_cache(args) -> int:
     """``repro cache``: run a workload, report both query caches."""
     clock = SimulatedClock("01/01/77")
@@ -1340,60 +1125,8 @@ def _repro_cache(args) -> int:
             session.execute_script(handle.read())
     else:
         _demo_workload(session, clock)
-    if args.json:
-        print(json.dumps(_cache_snapshot(session.database), indent=2,
-                         sort_keys=True))
-    else:
-        print(_format_caches(session.database))
+    _emit(_cache_snapshot(session.database), args.json)
     return 0
-
-
-def _format_stats(stats) -> str:
-    """Render a ``stats()`` snapshot as aligned text."""
-    state = "recording" if stats["instrumentation_enabled"] else "off"
-    lines = [f"instrumentation: {state}"]
-    metrics = stats["metrics"]
-    if metrics.get("counters"):
-        lines.append("counters:")
-        for name, value in metrics["counters"].items():
-            lines.append(f"  {name:<34} {value}")
-    if metrics.get("gauges"):
-        lines.append("gauges:")
-        for name, value in metrics["gauges"].items():
-            lines.append(f"  {name:<34} {value}")
-    if metrics.get("histograms"):
-        lines.append("histograms:")
-        for name, summary in metrics["histograms"].items():
-            lines.append(
-                f"  {name}: count={summary['count']} "
-                f"total={summary['total'] * 1e3:.3f}ms "
-                f"p50={summary['p50'] * 1e6:.1f}us "
-                f"p95={summary['p95'] * 1e6:.1f}us "
-                f"max={summary['max'] * 1e6:.1f}us")
-    if stats["spans"]:
-        dropped = stats.get("spans_dropped", 0)
-        lines.append(f"spans ({stats['spans_retained']} retained, "
-                     f"{dropped} dropped):")
-        for name, entry in sorted(stats["spans"].items()):
-            lines.append(
-                f"  {name:<34} count={entry['count']} "
-                f"total={entry['total_s'] * 1e3:.3f}ms "
-                f"max={entry['max_s'] * 1e6:.1f}us")
-    events = stats.get("events") or {}
-    if events.get("recorded"):
-        lines.append(f"events ({events['recorded']} recorded, "
-                     f"{events['dropped']} dropped):")
-        for kind, count in sorted((events.get("by_kind") or {}).items()):
-            lines.append(f"  {kind:<34} {count}")
-    slo = stats.get("slo") or {}
-    if slo.get("classes"):
-        lines.append(f"slo: {'ok' if slo.get('ok') else 'BUDGET BURNED'}")
-        for name, entry in sorted(slo["classes"].items()):
-            lines.append(
-                f"  {name:<34} count={entry['count']} "
-                f"p95={entry.get('p95', 0.0) * 1e3:.2f}ms "
-                f"violations={entry['violations']}")
-    return "\n".join(lines)
 
 
 def _repro_serve(args) -> int:
@@ -1402,9 +1135,7 @@ def _repro_serve(args) -> int:
     import signal
     from repro.server import ReproServer, ServerConfig
     if args.dir is not None:
-        from repro.storage import DurabilityManager
-        database, _ = DurabilityManager(args.dir).recover(
-            _durable_class(args.dir, args.kind))
+        _, database, _ = _recover(args, create=True)
     else:
         database = _KINDS[args.kind]()
     config = ServerConfig(chunk_rows=args.chunk_rows,
@@ -1460,58 +1191,26 @@ def _repro_loadgen(args) -> int:
         failover_at=args.failover_at,
         tenants=tuple(f"tenant-{i}" for i in range(args.tenants)),
         kind=_KINDS[args.kind])
-    if args.json:
-        print(json.dumps(report.describe(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    print(f"loadgen: {args.clients} client(s) x {args.ops} request(s) "
-          f"in {report.wall_s:.3f}s")
-    print(f"  succeeded:            {report.succeeded} of "
-          f"{report.attempted}")
-    print(f"  shed / drained:       {report.shed} / {report.drained}")
-    print(f"  deadline exceeded:    {report.deadline_exceeded}")
-    print(f"  transport failures:   {report.transport_failures}")
-    print(f"  client retries:       {report.client_retries} "
-          f"(failovers: {report.client_failovers})")
-    print(f"  acked writes:         {report.acked_writes} "
-          f"(lost: {report.acked_writes_lost}, "
-          f"duplicate acks: {report.duplicate_acks})")
-    print(f"  read-your-writes:     {report.ryw_checks} check(s), "
-          f"{report.ryw_violations} violation(s)")
-    if report.failover_performed:
-        print("  failover:             primary killed mid-run, replica "
-              "promoted")
-    if report.chaos:
-        print("  chaos injected:       " + ", ".join(
-            f"{name}={count}" for name, count in
-            sorted(report.chaos.items())))
-    print(f"  late replies suppressed: "
-          f"{report.server.get('late_suppressed', 0)}")
-    print("  audit: " + ("OK" if report.ok else "FAILED"))
+    _emit(report.describe(), args.json)
     return 0 if report.ok else 1
+
+
+#: Each ``repro`` verb but ``stats`` and ``trace``, by name.
+_VERBS = {"recover": _repro_recover, "checkpoint": _repro_checkpoint,
+          "stress": _repro_stress, "digest": _repro_digest,
+          "audit": _repro_audit, "scrub": _repro_scrub,
+          "replicate": _repro_replicate, "promote": _repro_promote,
+          "health": _repro_health, "bench-diff": _repro_bench_diff,
+          "cache": _repro_cache, "serve": _repro_serve,
+          "loadgen": _repro_loadgen}
 
 
 def repro_main(argv: Optional[list] = None) -> int:
     """Entry point for the ``repro`` console script."""
     args = build_repro_parser().parse_args(argv)
-    if args.subcommand in ("recover", "checkpoint", "stress", "digest",
-                           "audit", "scrub", "replicate", "promote",
-                           "health", "bench-diff", "cache",
-                           "serve", "loadgen"):
+    if args.subcommand in _VERBS:
         try:
-            handler = {"recover": _repro_recover,
-                       "checkpoint": _repro_checkpoint,
-                       "stress": _repro_stress,
-                       "digest": _repro_digest,
-                       "audit": _repro_audit,
-                       "scrub": _repro_scrub,
-                       "replicate": _repro_replicate,
-                       "promote": _repro_promote,
-                       "health": _repro_health,
-                       "bench-diff": _repro_bench_diff,
-                       "cache": _repro_cache,
-                       "serve": _repro_serve,
-                       "loadgen": _repro_loadgen}[args.subcommand]
-            return handler(args)
+            return _VERBS[args.subcommand](args)
         except (ReproError, OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
@@ -1542,11 +1241,7 @@ def repro_main(argv: Optional[list] = None) -> int:
             print(to_openmetrics(instrumentation.metrics.snapshot()),
                   end="")
             return 0
-        snapshot = instrumentation.stats()
-        if args.json:
-            print(json.dumps(snapshot, indent=2, sort_keys=True, default=str))
-        else:
-            print(_format_stats(snapshot))
+        _emit(instrumentation.stats(), args.json)
         return 0
     spans = instrumentation.tracer.spans()
     if args.txn is not None:

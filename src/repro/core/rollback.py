@@ -178,6 +178,10 @@ class StateSequence:
         """Stored cells across all duplicated states.  For benches."""
         return sum(len(state) * len(self._schema) for state in self._states)
 
+    def pretty(self, title: Optional[str] = None) -> str:
+        """Render the current state like Figure 2 (the cube's newest face)."""
+        return self.current().pretty(title)
+
     def __len__(self) -> int:
         return len(self._states)
 

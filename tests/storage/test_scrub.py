@@ -8,6 +8,7 @@ copy with zero lost durable commits.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -471,7 +472,7 @@ class TestCliVerbs:
         build(directory)
         code, out = self.run_cli(["audit", "--dir", directory], capsys)
         assert code == 0
-        assert "clean" in out
+        assert re.search(r"^clean:\s+true$", out, re.MULTILINE)
         tamper_record(segment_paths(directory)[0], 4)
         code, out = self.run_cli(["audit", "--dir", directory, "--json"],
                                  capsys)
@@ -486,7 +487,8 @@ class TestCliVerbs:
         tamper_record(segment_paths(directory)[0], 4)
         code, out = self.run_cli(["scrub", "--dir", directory], capsys)
         assert code == 2
-        assert "quarantined" in out
+        assert re.search(r"^quarantined:\n  0:\s+journal-\d+\.seg$", out,
+                         re.MULTILINE)
         assert os.path.isdir(os.path.join(directory, "quarantine"))
 
     def test_scrub_verb_repairs_from_a_source(self, directory, source_dir,
@@ -508,4 +510,5 @@ class TestCliVerbs:
         code, out = self.run_cli(
             ["audit", "--dir", directory, "--sharded"], capsys)
         assert code == 0
-        assert "combined root" in out
+        assert re.search(r"^combined_root:\s+[0-9a-f]{64}$", out,
+                         re.MULTILINE)

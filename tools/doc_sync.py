@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import io
 import os
 import re
 import sys
@@ -202,24 +203,31 @@ def _gen_explain_key() -> str:
             + "\n" + _fenced("\n".join(lines)))
 
 
+def _report_text(data) -> str:
+    """*data* as a ``repro`` verb prints it without ``--json``."""
+    # The CLI's own renderer, so a transcript can never diverge from
+    # what the verb actually prints.
+    from repro.cli import _emit
+    out = io.StringIO()
+    _emit(data, out=out)
+    return out.getvalue()
+
+
 def _gen_cache_stats() -> str:
     """The ``repro cache`` transcript: the demo workload's cache stats."""
-    # Imported from the CLI so this transcript can never diverge from
-    # what the `repro cache` verb actually prints.
-    from repro.cli import _demo_workload, _format_caches
-    clock = SimulatedClock("01/01/77")
-    session = Session(TemporalDatabase(clock=clock))
-    _demo_workload(session, clock)
-    auto = _fenced(_format_caches(session.database))
-    clock = SimulatedClock("01/01/77")
-    session = Session(TemporalDatabase(clock=clock), plan="columnar")
-    _demo_workload(session, clock)
-    forced = _fenced(_format_caches(session.database))
-    return ("    $ repro cache --kind temporal\n\n" + auto
+    from repro.cli import _cache_snapshot, _demo_workload
+
+    def caches(plan: str) -> str:
+        clock = SimulatedClock("01/01/77")
+        session = Session(TemporalDatabase(clock=clock), plan=plan)
+        _demo_workload(session, clock)
+        return _fenced(_report_text(_cache_snapshot(session.database)))
+
+    return ("    $ repro cache --kind temporal\n\n" + caches("auto")
             + "\nForcing the columnar path (`repro cache --plan columnar`)"
             " packs the\nchunk instead — and the result cache stays"
             " cold, because cached\nstreams serve `auto` sessions"
-            " only:\n\n" + forced)
+            " only:\n\n" + caches("columnar"))
 
 
 def _gen_integrity_audit() -> str:
@@ -230,7 +238,6 @@ def _gen_integrity_audit() -> str:
     and the temp directory name substituted out."""
     import tempfile
 
-    from repro.cli import _format_audit
     from repro.storage import (DurabilityManager, audit_directory,
                                tamper_record)
 
@@ -247,9 +254,9 @@ def _gen_integrity_audit() -> str:
         for instant, statement in FACULTY_HISTORY:
             clock.set(instant)
             session.execute(statement)
-        clean = _format_audit(audit_directory(directory))
+        clean = _report_text(audit_directory(directory).describe())
         tamper_record(manager.segments()[0][1], 4)
-        damaged = _format_audit(audit_directory(directory))
+        damaged = _report_text(audit_directory(directory).describe())
         clean = clean.replace(directory, "store")
         damaged = damaged.replace(directory, "store")
     return ("    $ repro audit --dir store\n\n" + _fenced(clean)
@@ -257,7 +264,10 @@ def _gen_integrity_audit() -> str:
               " (the\n`tamper_record` injector) — every frame still"
               " verifies, and the same\naudit pins the rewrite anyway,"
               " because the chain fields commit to the\noriginal"
-              " payload:\n\n"
+              " payload.  `clean` turns `false`, `findings` names the"
+              "\nrecord (`kind: chain-tamper`, its `file` and"
+              " `line_number`),\n`chain_verified` and `verified_prefix`"
+              " drop, and `chain_head` is `null`\n(unknown):\n\n"
               "    $ repro audit --dir store    # exit status 2\n\n"
             + _fenced(damaged))
 
