@@ -950,7 +950,7 @@ def _repro_scrub(args) -> int:
     there was damage.  With it, the damaged suffix is re-fetched from
     the source (records, or a whole snapshot when the source compacted
     past the prefix) and the result is digest-checked against the
-    source; exit 1 on a digest mismatch (``--json`` exits 0).
+    source; exit 1 on a digest mismatch, in text and ``--json`` alike.
     """
     from repro.storage import Scrubber
     from repro.storage.scrub import DirectorySource
@@ -965,7 +965,7 @@ def _repro_scrub(args) -> int:
     report = scrubber.repair(
         DirectorySource(_existing(args.repair_from), factory), factory)
     _emit(report.describe(), args.json)
-    return 0 if args.json or report.digest_match is not False else 1
+    return 0 if report.digest_match is not False else 1
 
 
 def _repro_promote(args) -> int:

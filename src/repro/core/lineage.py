@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from repro.time.instant import Instant
+from repro.time.period import Period
 
 
 def extend_log(log: List[Any], seen: int, rows: Iterable[Any]) -> List[Any]:
@@ -41,16 +41,16 @@ def extend_log(log: List[Any], seen: int, rows: Iterable[Any]) -> List[Any]:
 
 
 def withdraw(opened_log: List[Any], rows: Sequence[Any],
-             commit_time: Instant) -> None:
+             opened: Period) -> None:
     """Take back rows opened, then superseded, within one transaction.
 
     Such a row never belonged to a committed state, so it leaves no trace
-    on either log.  Everything this transaction opened sits at the tail
-    of *opened_log* (commit times strictly increase), past the length of
-    every version installed before it — no installed view changes.
+    on either log.  Everything this transaction opened (stamped
+    *opened*) sits at the tail of *opened_log* (commit times strictly
+    increase), past every version installed before it.
     """
     start = len(opened_log)
-    while start and opened_log[start - 1].tt.start == commit_time:
+    while start and opened_log[start - 1].tt == opened:
         start -= 1
     gone = set(rows)
     opened_log[start:] = [row for row in opened_log[start:]

@@ -44,7 +44,7 @@ from repro.core.lineage import extend_log, withdraw
 from repro.obs import runtime as _obs
 from repro.relational.schema import Schema
 from repro.time.instant import Instant, POS_INF, instant as _coerce
-from repro.time.period import Period
+from repro.time.period import Period, chronon_number
 
 #: The by-key index: schema-key value -> the open rows under it.
 _KeyIndex = Dict[PyTuple[Any, ...], PyTuple[Any, ...]]
@@ -356,10 +356,12 @@ class TransactionTimeStore:
     def commit_times(self) -> List[Instant]:
         """Every transaction time at which this store changed, ascending."""
         if self._times_cache is None:
-            times = {row.tt.start for row in self._iter_rows()}
-            times.update(row.tt.end for row in self._iter_rows()
-                         if row.tt.hi != math.inf)
-            self._times_cache = sorted(times)
+            # One instant per distinct chronon, not two per row.
+            periods = [row.tt for row in self._iter_rows()]
+            starts = {tt.lo: tt for tt in periods}.values()
+            ends = {tt.hi: tt for tt in periods if tt.hi != math.inf}
+            self._times_cache = sorted({tt.start for tt in starts}.union(
+                tt.end for tt in ends.values()))
         return list(self._times_cache)
 
     def advance(self, removed: Collection[Any], added: Collection[Any],
@@ -386,19 +388,19 @@ class TransactionTimeStore:
             return self
         open_map = dict(self._open)
         gone = [open_map.pop(element) for element in removed]
+        from_now_on = Period(commit_time, POS_INF)
         # A row opened and superseded within one transaction was never
         # part of a committed state: withdrawn, not closed.
-        withdrawn = [row for row in gone if row.tt.start == commit_time]
-        closed = [row._replace(tt=Period(row.tt.start, commit_time))
-                  for row in gone if row.tt.start != commit_time]
-        from_now_on = Period(commit_time, POS_INF)
+        withdrawn = [row for row in gone if row.tt == from_now_on]
+        closed = [_closed(row, commit_time)
+                  for row in gone if row.tt != from_now_on]
         opened = [self._stamp(element, from_now_on) for element in added]
         open_map.update(zip(added, opened))
         by_key = self._key_index_after(gone, opened)
         closed_log = extend_log(self._closed_log, self._closed_len, closed)
         opened_log = extend_log(self._opened_log, self._opened_len, opened)
         if withdrawn:
-            withdraw(opened_log, withdrawn, commit_time)
+            withdraw(opened_log, withdrawn, from_now_on)
         metrics.counter("commit.rows_closed").inc(len(closed))
         metrics.counter("commit.rows_opened").inc(len(opened))
         successor = type(self).__new__(type(self))
@@ -422,6 +424,14 @@ class TransactionTimeStore:
                 f"{len(self)} rows)")
 
 
+def _closed(row: Any, commit_time: Instant) -> Any:
+    """*row*, open since before *commit_time*, closed at it (at another
+    granularity: :class:`~repro.errors.GranularityError`)."""
+    end = chronon_number(commit_time, row.tt.unit, "build a period")
+    return row._replace(tt=Period.from_chronons(row.tt.lo, end,
+                                                commit_time.granularity))
+
+
 def naive_advance(store: TransactionTimeStore, new_state: Iterable[Any],
                   commit_time: Instant) -> TransactionTimeStore:
     """The whole-relation advance: the executable specification.
@@ -436,16 +446,16 @@ def naive_advance(store: TransactionTimeStore, new_state: Iterable[Any],
     state = dict.fromkeys(new_state)
     carried = set()
     rows: List[Any] = []
+    from_now_on = Period(commit_time, POS_INF)
     for row in store.rows:
         if row.tt.hi != math.inf:
             rows.append(row)  # already part of the immutable past
         elif element(row) in state:
             rows.append(row)  # survives this transaction
             carried.add(element(row))
-        elif row.tt.start != commit_time:
-            rows.append(row._replace(tt=Period(row.tt.start, commit_time)))
+        elif row.tt != from_now_on:
+            rows.append(_closed(row, commit_time))
         # else: opened and superseded within one transaction
-    from_now_on = Period(commit_time, POS_INF)
     rows.extend(store._stamp(new, from_now_on)
                 for new in state if new not in carried)
     return type(store)(store.schema, rows)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.core.rollback import StateSequence
 from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import AppendOnlyViolation
-from repro.time.instant import Instant, instant as _coerce
+from repro.time.instant import Instant, POS_INF, instant as _coerce
 from repro.time.period import Period
 
 
@@ -50,10 +50,10 @@ def vacuum_store(relation: TransactionTimeStore,
     """
     when = _coerce(cutoff)
     _check_cutoff(when, max(relation.commit_times(), default=when))
+    kept = Period(when, POS_INF)
     return type(relation)(relation.schema, (
-        row._replace(tt=Period(max(row.tt.start, when), row.tt.end))
-        for row in relation.rows
-        if row.tt.end > when))  # else only visible strictly before the cutoff
+        row._replace(tt=tt) for row in relation.rows
+        if (tt := row.tt.intersect(kept)) is not None))
 
 
 def vacuum_states(sequence: StateSequence, cutoff) -> StateSequence:

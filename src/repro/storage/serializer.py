@@ -31,9 +31,9 @@ partition only (``dump_database(closed=False)``); :func:`restore_closed`
 puts the closed rows back, giving the whole dump again.  A state digest
 reads the dump as text (:func:`canonical_dump`, :func:`row_texts`), each
 row written straight from the store through the same :func:`encode_value`,
-each stamp straight from its period's chronons.  A load builds one period
-per distinct stamp (:func:`decode_stamp`), so the valid period many rows
-share is one object.
+each stamp straight from its period's chronons.  A load decodes a column
+at a time (:func:`_decode_rows`), one period per distinct stamp, so the
+valid period many rows share is one object, and it builds no date.
 
 **Durability obligations.**  ``dump_database`` is the payload of every
 checkpoint (:mod:`repro.storage.checkpoint`), so its completeness is
@@ -48,11 +48,11 @@ the wrong instants.  This module only produces and consumes JSON text;
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from json.encoder import c_make_encoder, encode_basestring
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional)
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 from typing import Tuple as PyTuple
 
 from repro.core.historical import (HistoricalDatabase, HistoricalRelation,
@@ -62,7 +62,7 @@ from repro.core.rollback import (INTERVAL, RollbackDatabase,
                                  TransactionTimeRow)
 from repro.core.static import StaticDatabase
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
-from repro.errors import StorageError, TimeError
+from repro.errors import SchemaError, StorageError, TimeError
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -200,16 +200,21 @@ def decode_stamp(data: Any, memo: Optional[Memo] = None) -> Period:
     # A hit still checks the types: ``True`` and ``1.0`` hash as ``1``.
     if (found is None or type(key[0]) not in _CHRONONS
             or type(key[1]) not in _CHRONONS):
-        unit = _stamp_unit(key, 2)
-        start, end = key[0], key[1]
-        try:
-            found = Period.from_chronons(_NEG if start is None else start,
-                                         _POS if end is None else end, unit)
-        except TimeError as exc:
-            raise StorageError(f"stamp {data!r}: {exc}") from exc
+        found = _stamp_period(key, _stamp_unit(key, 2))
         if memo is not None:
             memo[key] = found
     return found
+
+
+def _stamp_period(stamp: Any, unit: Granularity) -> Period:
+    """``[start, end)`` from a stamp whose chronons' types are checked;
+    an empty period raises :class:`~repro.errors.StorageError`."""
+    start, end = stamp[0], stamp[1]
+    try:
+        return Period.from_chronons(_NEG if start is None else start,
+                                    _POS if end is None else end, unit)
+    except TimeError as exc:
+        raise StorageError(f"stamp {list(stamp)!r}: {exc}") from exc
 
 
 def _decode_clock(data: Any) -> Instant:
@@ -286,12 +291,6 @@ def _encode_states(states: Iterable[Any]) -> List[List[Any]]:
             for time, state in states]
 
 
-def _tuple_from_list(schema: Schema, values: List[Any],
-                     memo: Optional[Memo] = None) -> Tuple:
-    return Tuple.from_sequence(
-        schema, [decode_value(value, memo) for value in values])
-
-
 def encode_rows(rows: Iterable[Any]) -> List[List[Any]]:
     """The one codec of timestamped rows: ``[values, *stamps]`` each — a
     historical row's valid period, a rollback row's transaction period, a
@@ -357,12 +356,49 @@ def _value_texts(items: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
     return RowTexts(map(item, items))
 
 
-def _decode_rows(schema: Schema, row_type: Any, data: Iterable[List[Any]],
-                 memo: Memo) -> Iterator[Any]:
-    """Rows of *row_type* back from :func:`encode_rows` output."""
-    for values, *stamps in data:
-        yield row_type(_tuple_from_list(schema, values, memo),
-                       *[decode_stamp(stamp, memo) for stamp in stamps])
+def _decode_rows(schema: Schema, data: Any, memo: Memo,
+                 row_type: Any = None) -> List[Any]:
+    """Stored tuples (or, given *row_type*, :func:`encode_rows` output)
+    back a column at a time: a value column is decoded only if it holds a
+    tagged value, then checked against its attribute; a stamp column of
+    plain ``[int | None, int | None]`` builds one period per distinct
+    stamp per *memo*, any other goes through :func:`decode_stamp`."""
+    stamps: List[Any] = []
+    if row_type is not None:
+        width = len(row_type._fields)
+        if not (set(map(type, data)) <= {list}
+                and set(map(len, data)) <= {width}):
+            raise StorageError(f"a stored row is not a list of {width} items")
+        data, *stamps = list(zip(*data)) or [()] * width
+    attributes = schema._attributes
+    if not set(map(type, data)) <= {list}:
+        raise StorageError("a stored tuple's values are not a list")
+    widths = set(map(len, data)) - {len(attributes)}
+    if widths:
+        raise SchemaError(
+            f"expected {len(attributes)} values, got {min(widths)}")
+    decode = functools.partial(decode_value, memo=memo)
+    columns = [list(map(attribute.check, map(decode, column)
+                        if dict in set(map(type, column)) else column))
+               for attribute, column in zip(attributes, zip(*data))]
+    rows = [list(map(Tuple.from_checked, itertools.repeat(schema),
+                     zip(*columns)))]
+    for column in stamps:
+        if (set(map(type, column)) != {list} or set(map(len, column)) != {2}
+                or not _CHRONONS.issuperset(map(
+                    type, itertools.chain.from_iterable(column)))):
+            rows.append([decode_stamp(stamp, memo) for stamp in column])
+            continue
+        keys = list(map(tuple, column))
+        # Built in row order, not a set's: a scan of the rows (the first
+        # read's tree build) then reads the periods in allocation order.
+        for key in dict.fromkeys(keys):
+            if key not in memo:
+                memo[key] = _stamp_period(key, Granularity.DAY)
+        rows.append(list(map(memo.__getitem__, keys)))
+    # ``row_type._make`` without a Python frame per row.
+    return rows[0] if row_type is None else list(map(
+        tuple.__new__, itertools.repeat(row_type), zip(*rows)))
 
 
 def store_to_dict(store: Any, closed: bool = True,
@@ -404,18 +440,16 @@ def relation_from_dict(data: Dict[str, Any],
     kind = data.get("kind")
     memo = {} if memo is None else memo
     if kind == "static":
-        return Relation(schema, (_tuple_from_list(schema, values, memo)
-                                 for values in data["tuples"]))
+        return Relation(schema, _decode_rows(schema, data["tuples"], memo))
     if kind == "states":
         return StateSequence(schema, (
             (decode_value(time, memo),
-             Relation(schema, (_tuple_from_list(schema, row, memo)
-                               for row in rows)))
+             Relation(schema, _decode_rows(schema, rows, memo)))
             for time, rows in data["states"]))
     if kind in _ROW_SHAPES:
         store_type, row_type = _ROW_SHAPES[kind]
-        return store_type(schema, _decode_rows(schema, row_type,
-                                               data["rows"], memo))
+        return store_type(schema, _decode_rows(schema, data["rows"], memo,
+                                               row_type))
     raise StorageError(f"unknown relation kind {kind!r}")
 
 

@@ -16,7 +16,8 @@ A period is two chronons plus a unit (§1's discrete timeline): ``lo`` and
 ``inf`` for an unbounded end, and ``unit`` is the granularity of its
 finite ends (``None`` for ``[-∞, ∞)``).  Every operation runs on those
 numbers; ``start`` / ``end`` are the same ends as
-:class:`~repro.time.instant.Instant` objects, built with the period.  Any
+:class:`~repro.time.instant.Instant` objects, built on first read when
+the period was made from chronons (a restart's stamps).  Any
 binary operation between two periods of different units raises
 :class:`~repro.errors.GranularityError` (``==`` is then ``False``).
 """
@@ -94,7 +95,7 @@ class Period:
     ``unit`` are the ends as chronon numbers (see the module docstring).
     """
 
-    __slots__ = ("lo", "hi", "unit", "start", "end", "_hash")
+    __slots__ = ("lo", "hi", "unit", "_start", "_end", "_hash")
 
     def __init__(self, start: InstantLike, end: InstantLike,
                  granularity: Granularity = Granularity.DAY) -> None:
@@ -110,7 +111,7 @@ class Period:
                 f"period start {start_i} must precede end {end_i} "
                 f"(periods are half-open and non-empty)")
         self.lo, self.hi, self.unit, self._hash = lo, hi, unit, None
-        self.start, self.end = start_i, end_i
+        self._start, self._end = start_i, end_i
 
     # -- constructors --------------------------------------------------------
 
@@ -119,14 +120,13 @@ class Period:
                       unit: Optional[Granularity]) -> "Period":
         """``[lo, hi)`` from chronon numbers at *unit* (``-inf`` / ``inf``
         for an unbounded end), trusted to be of the right types; only
-        ``lo < hi`` is checked."""
+        ``lo < hi`` is checked.  Its ends are built on first read."""
         if not lo < hi:
             raise InvalidPeriodError(f"period [{lo}, {hi}) is empty")
         period = cls.__new__(cls)
         period.lo, period.hi, period._hash = lo, hi, None
         period.unit = None if lo == _NEG and hi == _POS else unit
-        period.start = NEG_INF if lo == _NEG else Instant(lo, unit)
-        period.end = POS_INF if hi == _POS else Instant(hi, unit)
+        period._start = period._end = None
         return period
 
     @classmethod
@@ -149,6 +149,23 @@ class Period:
                    _coerce(last, granularity) + 1)
 
     # -- accessors -------------------------------------------------------------
+
+    # Racing first reads build equal instants, like ``_hash``.
+    @property
+    def start(self) -> Instant:
+        """The first chronon as an instant (``NEG_INF`` if unbounded)."""
+        if self._start is None:
+            self._start = (NEG_INF if self.lo == _NEG
+                           else Instant(self.lo, self.unit))
+        return self._start
+
+    @property
+    def end(self) -> Instant:
+        """The chronon after the last (``POS_INF`` if unbounded)."""
+        if self._end is None:
+            self._end = (POS_INF if self.hi == _POS
+                         else Instant(self.hi, self.unit))
+        return self._end
 
     @property
     def last(self) -> Instant:

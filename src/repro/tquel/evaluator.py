@@ -210,9 +210,9 @@ _WHEN_OPS: Dict[str, Callable[[Period, Period], bool]] = {
                                   and not right.meets(left)),
     "during": lambda left, right: right.contains_period(left),
     "starts": lambda left, right: (right.contains_period(left)
-                                   and left.start == right.start),
+                                   and left.lo == right.lo),
     "finishes": lambda left, right: (right.contains_period(left)
-                                     and left.end == right.end),
+                                     and left.hi == right.hi),
 }
 
 

@@ -28,10 +28,10 @@ from repro.core import (INTERVAL, STATES, BoundedValidity, ContiguousHistory,
                         ValidityDuration, apply_historical_operation,
                         apply_static_operation, naive_advance)
 from repro.core.historical import check_historical_constraints
-from repro.errors import ConstraintViolation
+from repro.errors import ConstraintViolation, GranularityError
 from repro.relational import (Attribute, CheckConstraint, Constraint, Domain,
-                              NotNullConstraint, Schema, attr)
-from repro.time import Instant, Period, SimulatedClock
+                              NotNullConstraint, Schema, Tuple, attr)
+from repro.time import Granularity, Instant, Period, SimulatedClock
 from repro.txn.transaction import Operation
 
 BASE = Instant.parse("01/01/80")
@@ -359,6 +359,19 @@ class TestRollbackEquivalence:
 
     def test_duplicate_open_rows_fall_back_to_the_oracle(self):
         _check_duplicate_open_rows_fall_back_to_the_oracle("tuple")
+
+    @pytest.mark.parametrize("path", ["delta", "naive"])
+    def test_closing_at_another_granularity_is_refused(self, path):
+        # A closed row's period is built from chronons; the commit time's
+        # unit is still checked against the row's.
+        row = Tuple.from_sequence(_schema(), ["k0", "red"])
+        store = RollbackRelation(_schema()).advance((), [row], BASE)
+        hour = Instant.from_chronon(BASE.chronon * 24 + 30, Granularity.HOUR)
+        with pytest.raises(GranularityError):
+            if path == "delta":
+                store.advance([row], (), hour)
+            else:
+                naive_advance(store, (), hour)
 
     def test_stores_compare_by_value(self):
         # Equality comes from the shared store: two stores holding the

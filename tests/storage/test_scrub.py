@@ -505,6 +505,23 @@ class TestCliVerbs:
         code, out = self.run_cli(["audit", "--dir", directory], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_scrub_verb_exits_1_on_a_digest_mismatch(
+            self, directory, source_dir, capsys, monkeypatch, as_json):
+        build(directory)
+        build(source_dir)
+        tamper_record(segment_paths(directory)[0], 4)
+        monkeypatch.setattr(DirectorySource, "digest",
+                            lambda self: "0" * 64)
+        code, out = self.run_cli(
+            ["scrub", "--dir", directory, "--repair-from", source_dir]
+            + ["--json"] * as_json, capsys)
+        assert code == 1
+        if as_json:
+            assert json.loads(out)["digest_match"] is False
+        else:
+            assert re.search(r"^digest_match:\s+false$", out, re.MULTILINE)
+
     def test_sharded_audit_verb(self, tmp_path, capsys):
         directory, _, _ = TestShardedAudit().build_sharded(tmp_path)
         code, out = self.run_cli(

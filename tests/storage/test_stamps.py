@@ -22,10 +22,10 @@ from repro.core import RollbackDatabase, TemporalDatabase
 from repro.core.historical import HistoricalRelation, HistoricalRow
 from repro.core.indexing import IntervalTree
 from repro.errors import StorageError
-from repro.relational import Domain, Schema, Tuple
+from repro.relational import Attribute, Domain, Schema, Tuple
 from repro.replication import state_digest
 from repro.storage import (CHECKPOINT_TAG, DurabilityManager, audit_directory,
-                           frame_record, read_checkpoint_head)
+                           frame_record, read_checkpoint_head, serializer)
 from repro.storage.serializer import (decode_stamp, encode_rows,
                                       encode_stamp, relation_from_dict,
                                       row_texts, store_to_dict)
@@ -136,7 +136,7 @@ def faculty_store(directory, factory, history):
     for step in range(history):
         clock.set(clock.current() + 1)
         database.replace("faculty", {"name": f"n{step % KEYS:02d}"},
-                         {"rank": ("assistant", "associate")[step % 2]},
+                         {"rank": ("assistant", "associate")[step // KEYS % 2]},
                          **valid)
     manager.checkpoint()
     return database
@@ -164,6 +164,63 @@ class TestRestartCost:
             assert parsed == []
             assert 0 < len(built) <= len(stamps)
             assert observations(recovered) == observations(live)
+
+    @pytest.mark.parametrize("factory", [TemporalDatabase, RollbackDatabase])
+    def test_a_restart_builds_no_date_and_checks_every_value(
+            self, tmp_path, monkeypatch, factory):
+        # The decode reads stamps as chronons, and values a column at a
+        # time: a column with no tagged value is not decoded value by
+        # value.  Every stored value is still checked against its
+        # attribute, once.
+        for history in (64, 2048):
+            directory = str(tmp_path / f"t{history}")
+            live = faculty_store(directory, factory, history)
+            instants = calls(monkeypatch, Instant, "__init__")
+            decoded = calls(monkeypatch, serializer, "decode_value")
+            checked = calls(monkeypatch, Attribute, "check")
+            recovered, report = DurabilityManager(directory).recover(factory)
+            monkeypatch.undo()
+            rows = live.store("faculty").rows
+            assert len(rows) == KEYS + history
+            assert report.records_replayed == 0
+            assert len(instants) <= 1  # the clock's position
+            assert decoded == []
+            assert len(checked) == len(rows) * len(faculty_schema().names)
+            assert observations(recovered) == observations(live)
+
+    @pytest.mark.parametrize("factory", [TemporalDatabase, RollbackDatabase])
+    def test_a_write_reads_no_date_of_a_loaded_period(
+            self, tmp_path, monkeypatch, factory):
+        directory = str(tmp_path / "dur")
+        faculty_store(directory, factory, 2048)
+        recovered, _ = DurabilityManager(directory).recover(factory)
+        loaded = {id(period) for row in recovered.store("faculty").rows
+                  for period in row[1:]}
+        clock = recovered.manager.clock.source
+        clock.set(clock.current() + 1)
+        valid = ({"valid_from": "01/01/80"}
+                 if recovered.supports_historical_queries else {})
+        read = []
+        for name in ("start", "end"):
+            real = getattr(Period, name)
+            monkeypatch.setattr(Period, name, property(
+                lambda self, real=real: read.append(id(self))
+                or real.fget(self)))
+        recovered.replace("faculty", {"name": "n00"}, {"rank": "full"},
+                          **valid)
+        monkeypatch.undo()
+        assert loaded.isdisjoint(read)
+        assert len(recovered.store("faculty").rows) == KEYS + 2048 + 1
+
+
+def calls(monkeypatch, owner, name):
+    """The arguments of every call of ``owner.name`` from now on."""
+    made = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kwargs: made.append(args)
+                        or real(*args, **kwargs))
+    return made
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +275,15 @@ def staffed(directory):
     clock = database.manager.clock.source
     clock.set("01/01/80")
     database.define("staff", Schema.of(key=["name"], name=Domain.STRING,
-                                       hired=Domain.DATE))
-    database.insert("staff", {"name": "Merrie",
+                                       hired=Domain.DATE,
+                                       salary=Domain.INTEGER))
+    database.insert("staff", {"name": "Merrie", "salary": 25000,
                               "hired": Instant.parse(HIRED)},
                     valid_from=HIRED)
     older = manager.checkpoint()
     clock.set("01/01/81")
-    database.insert("staff", {"name": "Tom", "hired": Instant.parse(HIRED)},
+    database.insert("staff", {"name": "Tom", "salary": 23000,
+                              "hired": Instant.parse(HIRED)},
                     valid_from=HIRED)
     newer = manager.checkpoint()
     clock.set("01/01/82")
@@ -250,8 +309,21 @@ def valid_stamp(change):
     return rewrite
 
 
+def open_values(change):
+    """The first open row's values ``[name, hired, salary]``, rewritten."""
+    def rewrite(head):
+        row = head["database"]["relations"]["staff"]["store"]["rows"][0]
+        row[0] = change(row[0])
+        return head
+    return rewrite
+
+
 DAMAGE = {
     "literal-out-of-the-calendar": a_literal_out_of_the_calendar,
+    "string-salary": open_values(lambda values: values[:2] + [
+        str(values[2])]),
+    "null-name": open_values(lambda values: [None] + values[1:]),
+    "short-row": open_values(lambda values: values[:2]),
     "bool-chronon": valid_stamp(lambda start: [True, None]),
     "float-chronon": valid_stamp(lambda start: [float(start), None]),
     "unknown-unit": valid_stamp(lambda start: [start, None, "fortnight"]),

@@ -1,6 +1,11 @@
 """Unit tests for periods, Allen's relations and the TQuel predicates."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -225,6 +230,64 @@ class TestChronons:
     def test_from_chronons_refuses_an_empty_period(self, lo, hi):
         with pytest.raises(InvalidPeriodError):
             Period.from_chronons(lo, hi, Granularity.DAY)
+
+
+class TestEndsOnFirstRead:
+    """A period made from chronons builds its ``start`` / ``end`` instants
+    on first read; the constructor's ends are the ones it was given."""
+
+    @pytest.mark.parametrize("unit", tuple(Granularity), ids=str)
+    @pytest.mark.parametrize("lo, hi", [(1990, 1995), (-math.inf, 1995),
+                                        (1990, math.inf),
+                                        (-math.inf, math.inf)])
+    def test_the_constructors_ends(self, unit, lo, hi):
+        built = Period.from_chronons(lo, hi, unit)
+        made = Period(NEG_INF if lo == -math.inf else Instant(lo, unit),
+                      POS_INF if hi == math.inf else Instant(hi, unit))
+        assert (built.start, built.end) == (made.start, made.end)
+        assert built.start is built.start and built.end is built.end
+        assert (built.unit, str(built), repr(built)) == (
+            made.unit, str(made), repr(made))
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy,
+        lambda period: pickle.loads(pickle.dumps(period))],
+        ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("read", [False, True], ids=["fresh", "read"])
+    def test_copies_keep_their_ends(self, copy_of, read):
+        period = Period.from_chronons(5, 9, Granularity.HOUR)
+        if read:
+            period.start, period.end
+        twin = copy_of(period)
+        assert twin == period and hash(twin) == hash(period)
+        assert (twin.start, twin.end) == (Instant(5, Granularity.HOUR),
+                                          Instant(9, Granularity.HOUR))
+
+    def test_the_ends_are_read_only(self):
+        period = Period.from_chronons(5, 9, Granularity.DAY)
+        with pytest.raises(AttributeError):
+            period.start = Instant(6)
+
+    def test_racing_first_reads_agree(self):
+        periods = [Period.from_chronons(lo, lo + 1, Granularity.MONTH)
+                   for lo in range(24000, 24050)]
+        ready = threading.Barrier(8)
+
+        def first_reads(_):
+            ready.wait(timeout=10)
+            return [period.start for period in periods]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                seen = list(pool.map(first_reads, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [Instant(period.lo, Granularity.MONTH)
+                    for period in periods]
+        assert seen == [expected] * 8
+        assert [period.start for period in periods] == expected
 
 
 def at(granularity, start, end):
