@@ -29,6 +29,7 @@ system-assigned commit time.
 from __future__ import annotations
 
 import abc
+import itertools
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple as PyTuple, Union)
 
@@ -47,6 +48,9 @@ from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Operation, Transaction
 
 InstantLike = Union[Instant, str, int]
+
+#: Catalog epochs: no two databases, nor one across DDL, share one.
+_CATALOG_EPOCHS = itertools.count()
 
 
 class Read(NamedTuple):
@@ -84,6 +88,8 @@ class Database(abc.ABC):
         self._index_cache: Optional[Any] = None
         self._columnar_cache: Optional[Any] = None
         self._result_cache: Optional[Any] = None
+        #: A new value per DDL batch: TQuel files its analyses under it.
+        self.catalog_epoch = next(_CATALOG_EPOCHS)
 
     # -- capabilities ----------------------------------------------------------
 
@@ -426,13 +432,18 @@ class Database(abc.ABC):
             for name in {op.relation for op in operations}:
                 self._versions[name] = self._versions.get(name, 0) + 1
                 self._last_change[name] = commit_time
+            redefined = [op.relation for op in operations
+                         if op.action in ("define", "drop")]
+            if redefined:
+                # Bumped after the install: an analysis that read the old
+                # catalog is filed under the old epoch only.
+                self.catalog_epoch = next(_CATALOG_EPOCHS)
             if self._result_cache is not None:
                 # DDL reuses names for unrelated stores, so even the
                 # cache-forever entries of a dropped/redefined relation
                 # must die with it.
-                for op in operations:
-                    if op.action in ("define", "drop"):
-                        self._result_cache.purge(op.relation)
+                for name in redefined:
+                    self._result_cache.purge(name)
         metrics.counter("commit.batches").inc()
         metrics.counter("commit.operations").inc(len(operations))
 

@@ -150,7 +150,7 @@ class IntervalTree(Generic[Payload]):
             center = endpoints[first + (last - first) // 2]
         else:
             center = 0.0  # every interval is (-∞, ∞); all land here
-        node = _Node[Payload](center)
+        node = _Node(center)
         left_items: List[PyTuple[float, float, Payload]] = []
         right_items: List[PyTuple[float, float, Payload]] = []
         for triple in triples:

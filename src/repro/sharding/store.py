@@ -185,6 +185,10 @@ class ShardedDatabase:
     def __contains__(self, name: object) -> bool:
         return name in self._shards[0]
 
+    @property
+    def catalog_epoch(self) -> int:
+        return self._shards[0].catalog_epoch
+
     def shard_of_key(self, name: str, values: Mapping[str, Any]) -> int:
         """The shard owning the row of *name* keyed by *values*.
 

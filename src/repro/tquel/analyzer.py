@@ -24,70 +24,96 @@ identically for every access path, before a plan is even chosen.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.core.base import Database
-from repro.errors import TQuelSemanticError
+from repro.errors import InvalidInstantError, TQuelSemanticError
+from repro.obs import runtime as _obs
 from repro.relational.expression import (
     And, AttrRef, BinaryOp, Comparison, Const, Expression, IsNull, Not, Or,
 )
 from repro.tquel.ast import (
     AggCall, AppendStmt, CreateStmt, DeleteStmt, DestroyStmt, RangeStmt,
-    ReplaceStmt, RetrieveStmt, Statement, TargetItem, TConst, TEndOf, TExtend,
-    TNow, TOverlap, TPAnd, TPCompare, TPNot, TPOr, TStartOf, TVar,
-    TemporalExpr, TemporalPredicate, ValidClause,
+    ReplaceStmt, RetrieveStmt, Statement, TConst, TEndOf, TExtend, TNow,
+    TOverlap, TPAnd, TPCompare, TPNot, TPOr, TStartOf, TVar,
+    TemporalPredicate, ValidClause,
 )
+from repro.tquel.evaluator import Evaluator, RetrieveShape, shape_key
+from repro.time.instant import Instant
 
 #: Range-variable environment: variable -> relation name.
 Ranges = Dict[str, str]
 
 
 def analyze(statement: Statement, database: Database,
-            ranges: Ranges) -> None:
-    """Validate *statement*; raises :class:`TQuelSemanticError` on failure."""
-    analyzer = _Analyzer(database, ranges)
+            ranges: Ranges) -> Optional[RetrieveShape]:
+    """Validate *statement*; raises :class:`TQuelSemanticError` on failure.
+
+    Returns a retrieve's :class:`~repro.tquel.evaluator.RetrieveShape`
+    (else None).  A statement of a parse template is analyzed once per
+    (shape, catalog epoch, range bindings): nothing else decides whether
+    it passes but its date literals, parsed again each time in the order
+    a full analysis reaches them (counters ``tquel.analyze.shape_*``).
+    """
+    metrics = _obs.current().metrics
+    template = getattr(statement, "template", None)
+    if template is not None:
+        analyses, literals = template
+        key = shape_key(database, ranges)
+        filed = analyses.get(key)
+        if filed is not None:
+            metrics.counter("tquel.analyze.shape_hit").inc()
+            for index in filed[0]:
+                _check_instant(literals[index].literal)
+            return filed[1]
+    metrics.counter("tquel.analyze.shape_miss").inc()
+    analyzer = _Analyzer(database, ranges, template[1] if template else ())
     analyzer.check(statement)
+    shape = (Evaluator(database, ranges).shape(statement)
+             if isinstance(statement, RetrieveStmt) else None)
+    if template is not None:
+        if len(analyses) >= 8:  # (epochs and bindings gone by)
+            analyses.clear()
+        analyses[key] = (tuple(analyzer.dates), shape)
+    return shape
+
+
+def _check_instant(literal: str) -> None:
+    """Refuse a date literal that does not parse."""
+    if literal not in ("forever", "beginning"):
+        try:
+            Instant.parse(literal)
+        except InvalidInstantError as exc:
+            raise TQuelSemanticError(str(exc)) from None
 
 
 class _Analyzer:
-    def __init__(self, database: Database, ranges: Ranges) -> None:
+    def __init__(self, database: Database, ranges: Ranges,
+                 literals: Sequence[Any] = ()) -> None:
         self._db = database
         self._ranges = ranges
-
-    # -- dispatch -----------------------------------------------------------
+        self._literals = {id(node): index
+                          for index, node in enumerate(literals)}
+        #: The indices in *literals* of the date literals checked, in order.
+        self.dates: List[int] = []
 
     def check(self, statement: Statement) -> None:
-        if isinstance(statement, RangeStmt):
-            self._check_range(statement)
-        elif isinstance(statement, RetrieveStmt):
-            self._check_retrieve(statement)
-        elif isinstance(statement, AppendStmt):
-            self._check_append(statement)
-        elif isinstance(statement, DeleteStmt):
-            self._check_delete(statement)
-        elif isinstance(statement, ReplaceStmt):
-            self._check_replace(statement)
-        elif isinstance(statement, CreateStmt):
-            self._check_create(statement)
-        elif isinstance(statement, DestroyStmt):
-            self._check_destroy(statement)
-        else:
+        check = _CHECKS.get(type(statement))
+        if check is None:
             raise TQuelSemanticError(f"unknown statement {statement!r}")
+        check(self, statement)
 
     # -- taxonomy enforcement ----------------------------------------------------
 
-    def _need_transaction_time(self, construct: str) -> None:
-        if not self._db.supports_rollback:
+    def _need(self, construct: str, valid: bool) -> None:
+        """Refuse *construct* on a kind without valid time (*valid*) or
+        without transaction time."""
+        if not (self._db.supports_historical_queries if valid
+                else self._db.supports_rollback):
             raise TQuelSemanticError(
-                f"{construct} requires transaction time, but this is a "
-                f"{self._db.kind} database (no rollback support)"
-            )
-
-    def _need_valid_time(self, construct: str) -> None:
-        if not self._db.supports_historical_queries:
-            raise TQuelSemanticError(
-                f"{construct} requires valid time, but this is a "
-                f"{self._db.kind} database (no historical-query support)"
+                f"{construct} requires {'valid' if valid else 'transaction'} "
+                f"time, but this is a {self._db.kind} database (no "
+                f"{'historical-query' if valid else 'rollback'} support)"
             )
 
     # -- statements -----------------------------------------------------------------
@@ -120,21 +146,14 @@ class _Analyzer:
                 self._check_expression(target.expr)
         if statement.where is not None:
             self._check_expression(statement.where)
-        if statement.when is not None:
-            self._need_valid_time("the 'when' clause")
-            self._check_temporal_predicate(statement.when)
-        if statement.valid is not None:
-            self._need_valid_time("the 'valid' clause")
-            self._check_valid_clause(statement.valid, allow_variables=True)
-        if statement.as_of is not None:
-            self._need_transaction_time("the 'as of' clause")
-            self._check_temporal_expr(statement.as_of, allow_variables=False,
-                                      construct="as of")
-        if statement.as_of_through is not None:
-            self._need_transaction_time("the 'as of ... through' clause")
-            self._check_temporal_expr(statement.as_of_through,
-                                      allow_variables=False,
-                                      construct="as of ... through")
+        for clause, construct, valid in (
+                (statement.when, "when", True),
+                (statement.valid, "valid", True),
+                (statement.as_of, "as of", False),
+                (statement.as_of_through, "as of ... through", False)):
+            if clause is not None:
+                self._need(f"the '{construct}' clause", valid)
+                self._check_temporal(clause, valid, construct)
         if has_aggregate and (statement.when is not None
                               or statement.valid is not None):
             raise TQuelSemanticError(
@@ -158,7 +177,9 @@ class _Analyzer:
             if name in assigned:
                 raise TQuelSemanticError(f"attribute {name!r} assigned twice")
             assigned.add(name)
-            self._check_constant_expression(expr, "append values")
+            if isinstance(expr, AggCall) or expr.references():
+                raise TQuelSemanticError(
+                    "append values must be constant expressions")
         missing = set(schema.names) - assigned
         if missing:
             raise TQuelSemanticError(
@@ -203,7 +224,7 @@ class _Analyzer:
                     f"key attribute {key_name!r} is not declared"
                 )
         if statement.event:
-            self._need_valid_time("an event relation")
+            self._need("an event relation", valid=True)
 
     def _check_destroy(self, statement: DestroyStmt) -> None:
         if statement.relation not in self._db:
@@ -228,14 +249,6 @@ class _Analyzer:
             raise TQuelSemanticError(f"unknown relation {relation!r}")
         return self._db.schema(relation)
 
-    def _check_valid_clause(self, valid: ValidClause,
-                            allow_variables: bool) -> None:
-        """Check a retrieve's valid clause (range variables are legal)."""
-        for expr in (valid.at, valid.from_, valid.to):
-            if expr is not None:
-                self._check_temporal_expr(expr, allow_variables=allow_variables,
-                                          construct="valid")
-
     def _check_update_valid(self, relation: str,
                             valid: Optional[ValidClause],
                             for_insert: bool) -> None:
@@ -247,7 +260,7 @@ class _Analyzer:
                     f"valid clause ({'valid at' if is_event else 'valid from'})"
                 )
             return
-        self._need_valid_time("the 'valid' clause")
+        self._need("the 'valid' clause", valid=True)
         if is_event and for_insert and not valid.is_event:
             raise TQuelSemanticError(
                 f"relation {relation!r} is an event relation; use 'valid at'"
@@ -257,10 +270,7 @@ class _Analyzer:
                 f"relation {relation!r} is an interval relation; "
                 f"use 'valid from ... to ...'"
             )
-        for expr in (valid.at, valid.from_, valid.to):
-            if expr is not None:
-                self._check_temporal_expr(expr, allow_variables=False,
-                                          construct="update valid clause")
+        self._check_temporal(valid, False, "update valid clause")
 
     # -- expressions -----------------------------------------------------------------------
 
@@ -300,54 +310,40 @@ class _Analyzer:
             return
         raise TQuelSemanticError(f"unsupported expression node {expr!r}")
 
-    def _check_constant_expression(self, expr: Expression, where: str) -> None:
-        if isinstance(expr, AggCall) or expr.references():
-            raise TQuelSemanticError(
-                f"{where} must be constant expressions"
-            )
-
     # -- temporal --------------------------------------------------------------------------------
 
-    def _check_temporal_predicate(self, predicate: TemporalPredicate) -> None:
-        if isinstance(predicate, TPCompare):
-            self._check_temporal_expr(predicate.left, allow_variables=True,
-                                      construct="when")
-            self._check_temporal_expr(predicate.right, allow_variables=True,
-                                      construct="when")
-        elif isinstance(predicate, (TPAnd, TPOr)):
-            self._check_temporal_predicate(predicate.left)
-            self._check_temporal_predicate(predicate.right)
-        elif isinstance(predicate, TPNot):
-            self._check_temporal_predicate(predicate.operand)
-        else:
-            raise TQuelSemanticError(
-                f"unsupported temporal predicate {predicate!r}"
-            )
-
-    def _check_temporal_expr(self, expr: TemporalExpr, allow_variables: bool,
-                             construct: str) -> None:
-        if isinstance(expr, TVar):
+    def _check_temporal(self, node: Any, allow_variables: bool,
+                        construct: str) -> None:
+        """Check a temporal expression, a ``when`` predicate or a ``valid``
+        clause, operands left to right."""
+        if isinstance(node, TVar):
             if not allow_variables:
                 raise TQuelSemanticError(
                     f"range variables are not allowed in the {construct} "
-                    f"clause (found {expr.variable!r})"
+                    f"clause (found {node.variable!r})"
                 )
-            self._variable_relation(expr.variable)
-        elif isinstance(expr, (TConst, TNow)):
-            if isinstance(expr, TConst) and expr.literal not in (
-                    "forever", "beginning"):
-                from repro.time.instant import Instant
-                from repro.errors import InvalidInstantError
-                try:
-                    Instant.parse(expr.literal)
-                except InvalidInstantError as exc:
-                    raise TQuelSemanticError(str(exc)) from None
-        elif isinstance(expr, (TStartOf, TEndOf)):
-            self._check_temporal_expr(expr.operand, allow_variables, construct)
-        elif isinstance(expr, (TOverlap, TExtend)):
-            self._check_temporal_expr(expr.left, allow_variables, construct)
-            self._check_temporal_expr(expr.right, allow_variables, construct)
-        else:
-            raise TQuelSemanticError(
-                f"unsupported temporal expression {expr!r}"
-            )
+            self._variable_relation(node.variable)
+        elif isinstance(node, TConst):
+            if id(node) in self._literals:
+                self.dates.append(self._literals[id(node)])
+            _check_instant(node.literal)
+        elif isinstance(node, _COMPOUND):
+            for part in vars(node).values():
+                if part is not None and not isinstance(part, str):
+                    self._check_temporal(part, allow_variables, construct)
+        elif not isinstance(node, TNow):
+            what = ("predicate" if isinstance(node, TemporalPredicate)
+                    else "expression")
+            raise TQuelSemanticError(f"unsupported temporal {what} {node!r}")
+
+
+_CHECKS = {RangeStmt: _Analyzer._check_range,
+           RetrieveStmt: _Analyzer._check_retrieve,
+           AppendStmt: _Analyzer._check_append,
+           DeleteStmt: _Analyzer._check_delete,
+           ReplaceStmt: _Analyzer._check_replace,
+           CreateStmt: _Analyzer._check_create,
+           DestroyStmt: _Analyzer._check_destroy}
+#: The temporal nodes made of operands (and an operator's name).
+_COMPOUND = (TStartOf, TEndOf, TOverlap, TExtend, TPCompare, TPAnd, TPOr,
+             TPNot, ValidClause)

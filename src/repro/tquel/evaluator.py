@@ -227,7 +227,12 @@ def _when_op(op: str) -> Callable[[Period, Period], bool]:
 def eval_temporal_predicate(predicate: TemporalPredicate,
                             periods: Mapping[str, Period],
                             now: Instant) -> bool:
-    """Evaluate a ``when`` predicate under the row's valid periods."""
+    """Evaluate a ``when`` predicate under the row's valid periods.
+
+    The tree walk is the specification: a retrieve runs
+    :func:`compile_when` over the folded predicate instead, and
+    ``test_when_differential.py`` holds the two to equal rows and equal
+    errors."""
     if isinstance(predicate, TPCompare):
         left = eval_period(predicate.left, periods, now)
         right = eval_period(predicate.right, periods, now)
@@ -243,6 +248,46 @@ def eval_temporal_predicate(predicate: TemporalPredicate,
     if isinstance(predicate, TPNot):
         return not eval_temporal_predicate(predicate.operand, periods, now)
     raise TQuelSemanticError(f"unknown temporal predicate {predicate!r}")
+
+
+#: The connectives of ``when`` over their compiled operands.
+_CONNECTIVES = {
+    TPAnd: lambda left, right: lambda bound: left(bound) and right(bound),
+    TPOr: lambda left, right: lambda bound: left(bound) or right(bound),
+    TPNot: lambda operand: lambda bound: not operand(bound),
+}
+
+
+def compile_when(node, slots: Mapping[str, int], now: Instant):
+    """A folded ``when`` (:func:`fold_temporal`), or a period under it, as
+    one closure over a binding (a candidate per range variable, at
+    *slots*), built once per statement as ``Expression.compile`` builds
+    the ``where``: :func:`eval_temporal_predicate` / :func:`eval_period`
+    node for node, with their order, short-circuits and errors (a node
+    left unfolded runs the walk, which raises when a row reaches it)."""
+    if isinstance(node, TVar):
+        slot = slots[node.variable]
+        return lambda binding: binding[slot][1]
+    if isinstance(node, _Folded):
+        value = node.value
+        return lambda binding: value
+    kind = type(node)
+    if kind not in _PERIOD_OPS and kind not in _CONNECTIVES \
+            and kind is not TPCompare:
+        walk = (eval_temporal_predicate if isinstance(node, TemporalPredicate)
+                else eval_period)
+        return lambda binding: walk(node, {}, now)
+    parts = [compile_when(part, slots, now) for part in vars(node).values()
+             if not isinstance(part, str)]
+    if kind in _CONNECTIVES:
+        return _CONNECTIVES[kind](*parts)
+    if kind is TPCompare:  # (both sides run before either is tested)
+        compare = _WHEN_OPS.get(node.op) or (lambda *_: _when_op(node.op))
+        return lambda binding: _lifted(
+            compare, [part(binding) for part in parts]) or False
+    operation = _PERIOD_OPS[kind]
+    return lambda binding: _lifted(operation,
+                                   [part(binding) for part in parts])
 
 
 def split_conjuncts(expr: Optional[Expression]) -> List[Expression]:
@@ -306,8 +351,9 @@ def contains_now(node) -> bool:
 
 def fold_temporal(node, now: Instant, evaluate=eval_period):
     """*node* with every maximal variable-free expression under it
-    evaluated (by *evaluate*) once, so the per-row tree walk parses no
-    literal and never reads the clock.
+    evaluated (by *evaluate*) once per statement, so neither the compiled
+    ``when`` (:func:`compile_when`) nor the tree walk parses a literal or
+    reads the clock per row.
 
     An expression the tree walk rejects (a bare ``forever``, an unbounded
     ``start of``) stays unfolded: it raises when a row first reaches it —
@@ -450,18 +496,40 @@ def plan_of(mode: str, path: str) -> AccessPlan:
 # The evaluator
 # ---------------------------------------------------------------------------
 
-class _Prepared(NamedTuple):
-    """A retrieve compiled and sourced, short of forming the product: what
-    :meth:`Evaluator.retrieve` runs and :meth:`Evaluator.explain` reports."""
+class RetrieveShape(NamedTuple):
+    """What a retrieve's shape fixes under one catalog and one set of range
+    bindings: :func:`repro.tquel.analyzer.analyze` files it once per
+    (shape, catalog epoch, bindings), and every statement of the shape
+    reads it back (:meth:`Evaluator.shape`)."""
 
     #: Range variable -> its place in a *binding*: one candidate
     #: ``(data, valid, tt)`` per variable, in this order.
     slots: Dict[str, int]
+    #: The slots whose periods a derived row intersects: the target
+    #: list's variables, else every variable.
+    row_slots: PyTuple[int, ...]
+    schema: Schema
+    #: The result's relation class.
+    result_type: type
+    #: A projection's getter from stored values to the row's, or None
+    #: (:meth:`Evaluator._projection`).
+    projection: Optional[Callable[[Any], Any]]
+
+
+def shape_key(database: Database, ranges: Mapping[str, str]) -> Any:
+    """What a shape's analysis is filed under: the catalog epoch and the
+    range bindings."""
+    return database.catalog_epoch, frozenset(ranges.items())
+
+
+class _Prepared(NamedTuple):
+    """A retrieve compiled and sourced, short of forming the product: what
+    :meth:`Evaluator.retrieve` runs and :meth:`Evaluator.explain` reports."""
+
+    shape: RetrieveShape
     now: Instant
     as_of: Optional[Instant]
     through: Optional[Instant]
-    #: The result's relation class.
-    result_type: type
     #: Pushed single-variable conjuncts per variable, and the rest.
     pushdown: Dict[str, List[Expression]]
     residual: List[Expression]
@@ -474,6 +542,14 @@ class _Prepared(NamedTuple):
     streams: Dict[str, PyTuple[AccessPlan, int, PyTuple[Any, ...], str]]
 
 
+#: A constant's domain by its value's type, first match (a bool is an int).
+_CONST_DOMAINS = ((bool, Domain.BOOLEAN), (int, Domain.INTEGER),
+                  (float, Domain.FLOAT), (str, Domain.STRING),
+                  (Instant, Domain.DATE))
+#: The method that runs each kind of statement.
+_RUNS = {RetrieveStmt: "retrieve", AppendStmt: "_append",
+         DeleteStmt: "_delete", ReplaceStmt: "_replace",
+         CreateStmt: "_create"}
 #: ``explain``'s name for each relation class a retrieve can yield.
 _RESULT_KINDS = {Relation: "static", HistoricalRelation: "historical",
                  TemporalRelation: "temporal"}
@@ -527,19 +603,12 @@ class Evaluator:
         if isinstance(statement, RangeStmt):
             self._ranges[statement.variable] = statement.relation
             return None
-        if isinstance(statement, RetrieveStmt):
-            return self.retrieve(statement)
-        if isinstance(statement, AppendStmt):
-            return self._append(statement)
-        if isinstance(statement, DeleteStmt):
-            return self._delete(statement)
-        if isinstance(statement, ReplaceStmt):
-            return self._replace(statement)
-        if isinstance(statement, CreateStmt):
-            return self._create(statement)
         if isinstance(statement, DestroyStmt):
             return self._db.drop(statement.relation)
-        raise TQuelSemanticError(f"cannot execute {statement!r}")
+        run = _RUNS.get(type(statement))
+        if run is None:
+            raise TQuelSemanticError(f"cannot execute {statement!r}")
+        return getattr(self, run)(statement)
 
     # -- candidate streams ------------------------------------------------------------
 
@@ -632,8 +701,7 @@ class Evaluator:
         variable's candidate stream, through *cache* (the result cache,
         keyed ``(relation, as-of pin, predicate fingerprint)``) if given.
         """
-        slots = {variable: slot for slot, variable
-                 in enumerate(self._used_variables(statement))}
+        shape = self.shape(statement)
         now = self._db.now()
         as_of = through = None
         if statement.as_of is not None:
@@ -646,11 +714,6 @@ class Evaluator:
                     f"backwards"
                 )
         db = self._db
-        result_type = (
-            Relation if (_has_aggregates(statement.targets)
-                         or not db.supports_historical_queries)
-            else TemporalRelation if db.supports_rollback
-            else HistoricalRelation)
         # Selection pushdown: single-variable conjuncts filter their
         # stream before the product is formed.
         pushdown, residual = partition_pushdown(statement.where)
@@ -658,7 +721,7 @@ class Evaluator:
                 if statement.when is not None else None)
         folded_kernel = when_kernel(when)
         streams = {}
-        for variable in slots:
+        for variable in shape.slots:
             relation = self._ranges[variable]
             conjuncts = pushdown.get(variable, [])
             keyed = self._keyed(relation, variable, conjuncts, now, as_of,
@@ -708,8 +771,8 @@ class Evaluator:
                 cache.put(*key, stream, self._immutable_result(
                     relation, as_of, through, stream[2]))
             streams[variable] = stream
-        return _Prepared(slots, now, as_of, through, result_type,
-                         pushdown, residual, when, streams)
+        return _Prepared(shape, now, as_of, through, pushdown, residual,
+                         when, streams)
 
     def _keyed(self, relation: str, variable: str,
                conjuncts: Sequence[Expression], now: Instant,
@@ -760,7 +823,10 @@ class Evaluator:
                 return False
         except Exception:  # incomparable granularities: stay epoch-bound
             return False
-        return all(tt is None or tt.hi != math.inf for _, _, tt in candidates)
+        # A store lists its open rows last: from that end, the first row
+        # usually answers.
+        return not any(tt is not None and tt.hi == math.inf
+                       for _, _, tt in reversed(candidates))
 
     # -- explain -------------------------------------------------------------------------
 
@@ -804,7 +870,7 @@ class Evaluator:
             "through": str(through) if through is not None else None,
             "result_kind": (
                 "static (aggregate)" if _has_aggregates(statement.targets)
-                else _RESULT_KINDS[prepared.result_type]),
+                else _RESULT_KINDS[prepared.shape.result_type]),
         }
 
     # -- retrieve ------------------------------------------------------------------------
@@ -821,33 +887,55 @@ class Evaluator:
         metrics.counter("tquel.candidates_enumerated").inc(
             sum(stream[1] for stream in prepared.streams.values()))
 
-        resolve = self._resolver(prepared.slots)
+        shape = prepared.shape
+        resolve = self._resolver(shape.slots)
         bindings = itertools.product(
             *(stream[2] for stream in prepared.streams.values()))
         if prepared.residual:
             bindings = filter(functools.reduce(And, prepared.residual)
                               .compile(resolve), bindings)
         if prepared.when is not None:
-            when, slots, now = prepared.when, prepared.slots, prepared.now
-            bindings = filter(lambda binding: eval_temporal_predicate(
-                when, _periods(slots, binding), now), bindings)
+            bindings = filter(compile_when(prepared.when, shape.slots,
+                                           prepared.now), bindings)
         # Every binding is tested before any row is assembled: a failing
         # test is reported ahead of a failing target.
         bindings = list(bindings)
 
-        schema = self._result_schema(statement.targets)
         if _has_aggregates(statement.targets):
-            rows = self._aggregate_rows(statement.targets, schema, resolve,
-                                        bindings)
+            rows = self._aggregate_rows(statement.targets, shape.schema,
+                                        resolve, bindings)
         else:
-            rows = self._rows(statement, schema, resolve, prepared, bindings)
-        result = prepared.result_type(schema, rows)
-        if statement.sort_by and prepared.result_type is Relation:
+            rows = self._rows(statement, resolve, prepared, bindings)
+        result = shape.result_type(shape.schema, rows)
+        if statement.sort_by and shape.result_type is Relation:
             result = result.sort(list(statement.sort_by))
         metrics.counter("tquel.rows_emitted").inc(len(result))
         if statement.into is not None:
             self._materialize(statement.into, result)
         return result
+
+    def shape(self, statement: RetrieveStmt) -> RetrieveShape:
+        """*statement*'s shape, as its analysis filed it; else built now."""
+        template = getattr(statement, "template", None)
+        if template is not None:
+            filed = template[0].get(shape_key(self._db, self._ranges))
+            if filed is not None:
+                return filed[1]
+        slots = {variable: slot for slot, variable
+                 in enumerate(self._used_variables(statement))}
+        db = self._db
+        schema = self._result_schema(statement.targets)
+        return RetrieveShape(
+            slots,
+            tuple(sorted({slots[variable] for variable
+                          in self._target_variables(statement.targets)
+                          if variable is not None} or slots.values())),
+            schema,
+            Relation if (_has_aggregates(statement.targets)
+                         or not db.supports_historical_queries)
+            else TemporalRelation if db.supports_rollback
+            else HistoricalRelation,
+            self._projection(statement, schema, slots))
 
     def _used_variables(self, statement: RetrieveStmt) -> List[str]:
         """Every range variable the statement mentions, first mention first
@@ -892,18 +980,8 @@ class Evaluator:
             schema = self._db.schema(self._ranges[expr.variable])
             return schema.attribute(expr.name).domain
         if isinstance(expr, Const):
-            value = expr.value
-            if isinstance(value, bool):
-                return Domain.BOOLEAN
-            if isinstance(value, int):
-                return Domain.INTEGER
-            if isinstance(value, float):
-                return Domain.FLOAT
-            if isinstance(value, str):
-                return Domain.STRING
-            if isinstance(value, Instant):
-                return Domain.DATE
-            return Domain.ANY
+            return next((domain for kind, domain in _CONST_DOMAINS
+                         if isinstance(expr.value, kind)), Domain.ANY)
         if isinstance(expr, (Comparison, And, Or, Not, IsNull)):
             return Domain.BOOLEAN
         if isinstance(expr, BinaryOp):
@@ -920,15 +998,16 @@ class Evaluator:
         return Domain.ANY
 
     def _projection(self, statement: RetrieveStmt, schema: Schema,
-                    prepared: _Prepared) -> Optional[Callable[[Any], Any]]:
+                    slots: Mapping[str, int]
+                    ) -> Optional[Callable[[Any], Any]]:
         """For a **projection** — one range variable, no ``valid`` clause,
         every target a bare attribute of it whose result domain *is* (not
         ``==``: equal domains may admit different values) the stored one,
         against which each value was checked when stored — one C-level
         getter from a stored tuple's ``values`` to the row's; else None."""
-        if len(prepared.slots) != 1 or statement.valid is not None:
+        if len(slots) != 1 or statement.valid is not None:
             return None
-        (variable,) = prepared.slots
+        (variable,) = slots
         stored = self._db.schema(self._ranges[variable])
         positions = []
         for target, attribute in zip(statement.targets, schema):
@@ -942,8 +1021,8 @@ class Evaluator:
             return operator.itemgetter(slice(start, stop))
         return operator.itemgetter(*positions)
 
-    def _rows(self, statement: RetrieveStmt, schema: Schema,
-              resolve: Resolver, prepared: _Prepared, bindings) -> List[Any]:
+    def _rows(self, statement: RetrieveStmt, resolve: Resolver,
+              prepared: _Prepared, bindings) -> List[Any]:
         """The result rows: one straight loop over the bindings, its row
         values, row constructor and period sources chosen per statement.
 
@@ -954,12 +1033,12 @@ class Evaluator:
         target list's range variables (§4.3; of every variable, if the
         targets name none; of one, its candidate's own), and on a temporal
         database the intersection of their transaction times, retained,
-        not clipped (§4.4).
+        not clipped (§4.4).  A row of one candidate and no ``valid``
+        clause takes that candidate's periods, all rows in one C-level
+        pass.
         """
-        slots = sorted({prepared.slots[variable] for variable
-                        in self._target_variables(statement.targets)
-                        if variable is not None}
-                       or prepared.slots.values())
+        shape = prepared.shape
+        schema, slots = shape.schema, shape.row_slots
         if len(slots) == 1:
             candidates = list(map(operator.itemgetter(*slots), bindings))
 
@@ -969,9 +1048,8 @@ class Evaluator:
             def axis(number: int) -> Iterator[Any]:
                 return map(_intersection, bindings, itertools.repeat(slots),
                            itertools.repeat(number))
-        copy = self._projection(statement, schema, prepared)
-        if copy is not None:  # (one variable, so one slot: *candidates*)
-            values, make = copy, Tuple.from_checked
+        if shape.projection is not None:  # (one variable: *candidates*)
+            values, make = shape.projection, Tuple.from_checked
             sources = [candidate[0].values for candidate in candidates]
         else:
             targets = [target.expr.compile(resolve)
@@ -980,8 +1058,9 @@ class Evaluator:
 
             def values(binding) -> List[Any]:
                 return [value(binding) for value in targets]
-        if prepared.result_type is Relation:
-            return [make(schema, values(source)) for source in sources]
+        if shape.result_type is Relation:
+            return list(map(make, itertools.repeat(schema),
+                            map(values, sources)))
 
         valid, now = statement.valid, prepared.now
         if valid is not None:
@@ -999,7 +1078,7 @@ class Evaluator:
                     return Period(start, end) if start < end else None
 
             def clause(binding) -> Optional[Period]:
-                periods = _periods(prepared.slots, binding)
+                periods = _periods(shape.slots, binding)
                 return _lifted(period, [eval_bound(bound, periods, now)
                                         for bound in bounds])
             valids = map(clause, bindings)
@@ -1008,7 +1087,14 @@ class Evaluator:
             valids = itertools.repeat(Period.always())
         else:
             valids = axis(1)
-        historical = prepared.result_type is HistoricalRelation
+        historical = shape.result_type is HistoricalRelation
+        if valid is None and len(slots) == 1:
+            # Each row's periods are its candidate's, never empty.
+            data = map(make, itertools.repeat(schema), map(values, sources))
+            return list(map(tuple.__new__, itertools.repeat(
+                HistoricalRow if historical else BitemporalRow),
+                zip(data, valids) if historical
+                else zip(data, valids, axis(2))))
         tts = itertools.repeat(None) if historical else axis(2)
         rows: List[Any] = []
         for source, validity, tt in zip(sources, valids, tts):

@@ -140,8 +140,9 @@ class Session:
         Runs lex → parse → analyze → plan under a private (not installed)
         :class:`~repro.obs.Instrumentation` so the timings are recorded
         even when process-wide recording is off; of the global registry
-        only ``tquel.parse.template_*`` counts (explain parses through
-        the same shape table).  The returned dict is the evaluator's plan
+        only ``tquel.parse.template_*`` and ``tquel.analyze.shape_*``
+        count (explain parses and analyzes through the same shape table).
+        The returned dict is the evaluator's plan
         (per-variable candidate counts, pushdown effect, the access path
         that ran and why) plus a ``"phases"`` map of phase name →
         seconds.  ``timings=False`` omits the ``"phases"`` key — every

@@ -52,6 +52,8 @@ parse succeeds depends on no literal's value, so a hit cannot hide a
 syntax error — save a literal read as a ``create`` type name, which is
 why such a statement is never a template; nor is a failed parse, nor
 a shape over ``_TEMPLATE_CHARS`` (so an entry's size is bounded too).
+A statement of a template carries ``template``: the dict where
+:func:`~repro.tquel.analyzer.analyze` files the shape, and its literals.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ _AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 _TYPE_NAMES = frozenset({"string", "integer", "int", "float", "boolean",
                          "bool", "date"})
 _COMPARATORS = ("=", "!=", "<=", ">=", "<", ">")
+#: The token types a fixed word of the grammar comes as.
+_MARKS = (TokenType.KEYWORD, TokenType.SYMBOL)
 
 
 class Parser:
@@ -103,16 +107,11 @@ class Parser:
         token = token or self._peek()
         return TQuelSyntaxError(message, token.line, token.column)
 
-    def _expect_keyword(self, word: str) -> Token:
+    def _expect(self, text: str) -> Token:
+        """The next token, which must be the keyword or symbol *text*."""
         token = self._advance()
-        if not token.is_keyword(word):
-            raise self._error(f"expected {word!r}, found {token.value!r}", token)
-        return token
-
-    def _expect_symbol(self, symbol: str) -> Token:
-        token = self._advance()
-        if not token.is_symbol(symbol):
-            raise self._error(f"expected {symbol!r}, found {token.value!r}", token)
+        if token.value != text or token.type not in _MARKS:
+            raise self._error(f"expected {text!r}, found {token.value!r}", token)
         return token
 
     def _expect_ident(self, what: str = "identifier") -> str:
@@ -134,25 +133,21 @@ class Parser:
     def _list(self, item: Callable[[], Any]) -> List[Any]:
         """``item {"," item}``."""
         items = [item()]
-        while self._accept_symbol(","):
+        while self._accept(","):
             items.append(item())
         return items
 
     def _parenthesized(self, item: Callable[[], Any]) -> List[Any]:
         """``"(" item {"," item} ")"``."""
-        self._expect_symbol("(")
+        self._expect("(")
         items = self._list(item)
-        self._expect_symbol(")")
+        self._expect(")")
         return items
 
-    def _accept_keyword(self, word: str) -> bool:
-        if self._peek().is_keyword(word):
-            self._advance()
-            return True
-        return False
-
-    def _accept_symbol(self, symbol: str) -> bool:
-        if self._peek().is_symbol(symbol):
+    def _accept(self, text: str) -> bool:
+        """Consume the keyword or symbol *text* if it comes next."""
+        token = self._peek()
+        if token.value == text and token.type in _MARKS:
             self._advance()
             return True
         return False
@@ -163,7 +158,7 @@ class Parser:
         """Parse the whole stream as a sequence of statements."""
         parsed: List[Statement] = []
         while True:
-            while self._accept_symbol(";"):
+            while self._accept(";"):
                 pass
             if self._peek().type is TokenType.EOF:
                 return parsed
@@ -172,49 +167,39 @@ class Parser:
     def statement(self) -> Statement:
         """Parse a single statement."""
         token = self._peek()
-        if token.is_keyword("range"):
-            return self._range()
-        if token.is_keyword("retrieve"):
-            return self._retrieve()
-        if token.is_keyword("append"):
-            return self._append()
-        if token.is_keyword("delete"):
-            return self._delete()
-        if token.is_keyword("replace"):
-            return self._replace()
-        if token.is_keyword("create"):
-            return self._create()
-        if token.is_keyword("destroy"):
-            return self._destroy()
+        for word in ("range", "retrieve", "append", "delete", "replace",
+                     "create", "destroy"):
+            if token.is_keyword(word):
+                return getattr(self, "_" + word)()
         raise self._error(
             f"expected a statement, found {token.value!r}", token)
 
     # -- statements ----------------------------------------------------------------------
 
     def _range(self) -> RangeStmt:
-        self._expect_keyword("range")
-        self._expect_keyword("of")
+        self._expect("range")
+        self._expect("of")
         variable = self._expect_ident("range variable")
-        self._expect_keyword("is")
+        self._expect("is")
         relation = self._expect_ident("relation name")
         return RangeStmt(variable, relation)
 
     def _retrieve(self) -> RetrieveStmt:
-        self._expect_keyword("retrieve")
+        self._expect("retrieve")
         into = None
-        if self._accept_keyword("into"):
+        if self._accept("into"):
             into = self._expect_ident("result relation name")
-        unique = self._accept_keyword("unique")
+        unique = self._accept("unique")
         targets = self._parenthesized(self._target)
 
         where = when = valid = as_of = as_of_through = None
         sort_by: Tuple[str, ...] = ()
         while True:
-            if self._accept_keyword("where"):
+            if self._accept("where"):
                 if where is not None:
                     raise self._error("duplicate where clause")
                 where = self._expression()
-            elif self._accept_keyword("when"):
+            elif self._accept("when"):
                 if when is not None:
                     raise self._error("duplicate when clause")
                 when = self._temporal_predicate()
@@ -226,10 +211,10 @@ class Parser:
                 if as_of is not None:
                     raise self._error("duplicate as-of clause")
                 as_of = self._as_of_clause()
-                if self._accept_keyword("through"):
+                if self._accept("through"):
                     as_of_through = self._temporal_expr()
-            elif self._accept_keyword("sort"):
-                self._expect_keyword("by")
+            elif self._accept("sort"):
+                self._expect("by")
                 sort_by = tuple(self._list(
                     lambda: self._expect_ident("sort attribute")))
             else:
@@ -249,7 +234,7 @@ class Parser:
             # treating "ident = expr" as a named target, which matches
             # Quel's target-list syntax.
             name = self._advance().value
-            self._expect_symbol("=")
+            self._expect("=")
         expr = self._expression()
         if name is None:
             name = _default_target_name(expr)
@@ -260,47 +245,47 @@ class Parser:
 
     def _assignment(self) -> Tuple[str, Expression]:
         name = self._expect_ident("attribute name")
-        self._expect_symbol("=")
+        self._expect("=")
         return name, self._expression()
 
     def _append(self) -> AppendStmt:
-        self._expect_keyword("append")
-        self._expect_keyword("to")
+        self._expect("append")
+        self._expect("to")
         relation = self._expect_ident("relation name")
         assignments = self._parenthesized(self._assignment)
         valid = self._valid_clause() if self._peek().is_keyword("valid") else None
         return AppendStmt(relation, assignments, valid)
 
     def _delete(self) -> DeleteStmt:
-        self._expect_keyword("delete")
+        self._expect("delete")
         variable = self._expect_ident("range variable")
-        where = self._expression() if self._accept_keyword("where") else None
+        where = self._expression() if self._accept("where") else None
         valid = self._valid_clause() if self._peek().is_keyword("valid") else None
         return DeleteStmt(variable, where, valid)
 
     def _replace(self) -> ReplaceStmt:
-        self._expect_keyword("replace")
+        self._expect("replace")
         variable = self._expect_ident("range variable")
         assignments = self._parenthesized(self._assignment)
-        where = self._expression() if self._accept_keyword("where") else None
+        where = self._expression() if self._accept("where") else None
         valid = self._valid_clause() if self._peek().is_keyword("valid") else None
         return ReplaceStmt(variable, assignments, where, valid)
 
     def _create(self) -> CreateStmt:
-        self._expect_keyword("create")
-        event = self._accept_keyword("event")
-        self._accept_keyword("persistent")  # accepted, implied
+        self._expect("create")
+        event = self._accept("event")
+        self._accept("persistent")  # accepted, implied
         relation = self._expect_ident("relation name")
         attributes = self._parenthesized(self._attribute_def)
         key: Tuple[str, ...] = ()
-        if self._accept_keyword("key"):
+        if self._accept("key"):
             key = tuple(self._parenthesized(
                 lambda: self._expect_ident("key attribute")))
         return CreateStmt(relation, tuple(attributes), key, event)
 
     def _attribute_def(self) -> Tuple[str, str]:
         name = self._expect_ident("attribute name")
-        self._expect_symbol("=")
+        self._expect("=")
         token = self._advance()
         type_name = token.value.lower()
         if type_name not in _TYPE_NAMES:
@@ -310,23 +295,23 @@ class Parser:
         return name, type_name
 
     def _destroy(self) -> DestroyStmt:
-        self._expect_keyword("destroy")
+        self._expect("destroy")
         return DestroyStmt(self._expect_ident("relation name"))
 
     # -- clauses ------------------------------------------------------------------------------
 
     def _valid_clause(self) -> ValidClause:
-        self._expect_keyword("valid")
-        if self._accept_keyword("at"):
+        self._expect("valid")
+        if self._accept("at"):
             return ValidClause(at=self._temporal_expr())
-        self._expect_keyword("from")
+        self._expect("from")
         from_ = self._temporal_expr()
-        to = self._temporal_expr() if self._accept_keyword("to") else None
+        to = self._temporal_expr() if self._accept("to") else None
         return ValidClause(from_=from_, to=to)
 
     def _as_of_clause(self) -> TemporalExpr:
-        self._expect_keyword("as")
-        self._expect_keyword("of")
+        self._expect("as")
+        self._expect("of")
         return self._temporal_expr()
 
     # -- scalar expressions ----------------------------------------------------------------------
@@ -336,18 +321,18 @@ class Parser:
 
     def _or_expr(self) -> Expression:
         left = self._and_expr()
-        while self._accept_keyword("or"):
+        while self._accept("or"):
             left = Or(left, self._and_expr())
         return left
 
     def _and_expr(self) -> Expression:
         left = self._not_expr()
-        while self._accept_keyword("and"):
+        while self._accept("and"):
             left = And(left, self._not_expr())
         return left
 
     def _not_expr(self) -> Expression:
-        if self._accept_keyword("not"):
+        if self._accept("not"):
             return Not(self._not_expr())
         return self._comparison()
 
@@ -357,8 +342,8 @@ class Parser:
         if token.is_keyword("is"):
             # `x is null` / `x is not null`.
             self._advance()
-            negated = self._accept_keyword("not")
-            self._expect_keyword("null")
+            negated = self._accept("not")
+            self._expect("null")
             from repro.relational.expression import IsNull
             test: Expression = IsNull(left)
             return Not(test) if negated else test
@@ -387,7 +372,7 @@ class Parser:
         if token.is_symbol("("):
             self._advance()
             inner = self._expression()
-            self._expect_symbol(")")
+            self._expect(")")
             return inner
         if token.type is TokenType.STRING or token.type is TokenType.NUMBER:
             return self._literal(Const)
@@ -405,18 +390,18 @@ class Parser:
         name = name_token.value
         if name.lower() in _AGGREGATES and self._peek().is_symbol("("):
             return self._aggregate(name.lower())
-        if self._accept_symbol("."):
+        if self._accept("."):
             attribute = self._expect_ident("attribute name")
             return AttrRef(name, attribute)
         return AttrRef(None, name)
 
     def _aggregate(self, func: str) -> Expression:
-        self._expect_symbol("(")
-        unique = self._accept_keyword("unique")
+        self._expect("(")
+        unique = self._accept("unique")
         operand = None
         if not self._peek().is_symbol(")"):
             operand = self._expression()
-        self._expect_symbol(")")
+        self._expect(")")
         if operand is None and func != "count":
             raise self._error(f"{func} needs an operand")
         # AggCall is not an Expression; the analyzer/evaluator treat targets
@@ -427,23 +412,23 @@ class Parser:
 
     def _temporal_predicate(self) -> TemporalPredicate:
         left = self._temporal_and()
-        while self._accept_keyword("or"):
+        while self._accept("or"):
             left = TPOr(left, self._temporal_and())
         return left
 
     def _temporal_and(self) -> TemporalPredicate:
         left = self._temporal_unary()
-        while self._accept_keyword("and"):
+        while self._accept("and"):
             left = TPAnd(left, self._temporal_unary())
         return left
 
     def _temporal_unary(self) -> TemporalPredicate:
-        if self._accept_keyword("not"):
+        if self._accept("not"):
             return TPNot(self._temporal_unary())
         if self._peek().is_symbol("("):
             self._advance()
             inner = self._temporal_predicate()
-            self._expect_symbol(")")
+            self._expect(")")
             return inner
         return self._temporal_comparison()
 
@@ -465,30 +450,20 @@ class Parser:
 
     def _temporal_expr(self) -> TemporalExpr:
         token = self._peek()
-        if token.is_keyword("start"):
-            self._advance()
-            self._expect_keyword("of")
-            return TStartOf(self._temporal_expr())
-        if token.is_keyword("end"):
-            self._advance()
-            self._expect_keyword("of")
-            return TEndOf(self._temporal_expr())
-        if token.is_keyword("overlap"):
-            self._advance()
-            self._expect_symbol("(")
-            left = self._temporal_expr()
-            self._expect_symbol(",")
-            right = self._temporal_expr()
-            self._expect_symbol(")")
-            return TOverlap(left, right)
-        if token.is_keyword("extend"):
-            self._advance()
-            self._expect_symbol("(")
-            left = self._temporal_expr()
-            self._expect_symbol(",")
-            right = self._temporal_expr()
-            self._expect_symbol(")")
-            return TExtend(left, right)
+        for word, node in (("start", TStartOf), ("end", TEndOf)):
+            if token.is_keyword(word):
+                self._advance()
+                self._expect("of")
+                return node(self._temporal_expr())
+        for word, node in (("overlap", TOverlap), ("extend", TExtend)):
+            if token.is_keyword(word):
+                self._advance()
+                self._expect("(")
+                left = self._temporal_expr()
+                self._expect(",")
+                right = self._temporal_expr()
+                self._expect(")")
+                return node(left, right)
         if token.is_keyword("now"):
             self._advance()
             return TNow()
@@ -590,13 +565,15 @@ def parse_tokens(tokens: List[Token]) -> Statement:
         statement, plan, makers = template
         if plan is None:
             return statement
-        return _bind(statement, plan, [
-            make(shape[index](tokens[index].value))
-            for index, make in makers])
+        literals = [make(shape[index](tokens[index].value))
+                    for index, make in makers]
+        bound = _bind(statement, plan, literals)
+        vars(bound)["template"] = (vars(statement)["template"][0], literals)
+        return bound
     metrics.counter("tquel.parse.template_miss").inc()
     parser = Parser(tokens)
     statement = parser.statement()
-    while parser._accept_symbol(";"):
+    while parser._accept(";"):
         pass
     trailing = parser._peek()
     if trailing.type is not TokenType.EOF:
@@ -615,8 +592,12 @@ def parse_tokens(tokens: List[Token]) -> Statement:
     if not slots and len(parser.literals) == sum(
             kind is str or kind is int or kind is float for kind in shape):
         makers = tuple((index, type(node)) for index, node in parser.literals)
+        analyses: Dict[Any, Any] = {}
+        vars(statement)["template"] = (
+            analyses, [node for _, node in parser.literals])
         template = statement if plan is None else _bind(
             statement, plan, [None] * len(makers))
+        vars(template)["template"] = (analyses, [])
         with _TEMPLATES_LOCK:  # another thread may have just added it
             if shape not in _TEMPLATES and len(_TEMPLATES) >= 256:
                 del _TEMPLATES[next(iter(_TEMPLATES))]

@@ -13,7 +13,7 @@ suite checks ``parse(unparse(parse(q))) == parse(q)``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.core.historical import HistoricalRelation
 from repro.core.rollback import RollbackRelation
@@ -70,71 +70,52 @@ def render_static(relation: Relation, title: Optional[str] = None) -> str:
     return relation.pretty(title)
 
 
-def render_rollback(relation: RollbackRelation,
-                    title: Optional[str] = None) -> str:
-    """A rollback relation with transaction (start, end), as in Figure 4."""
+def _render_stamped(relation, title: Optional[str], valid_columns: int,
+                    transaction: bool) -> str:
+    """The explicit attributes, then ‖ and the kept periods: valid time in
+    *valid_columns* columns (none; ``at``; ``from``, ``to``), then
+    transaction time's ``start``, ``end`` if *transaction*."""
     schema = relation.schema
-    headers = list(schema.names) + ["transaction (start)", "(end)"]
+    names = len(schema.names)
+    headers = (list(schema.names)
+               + [[], ["valid (at)"], ["valid (from)", "(to)"]][valid_columns]
+               + (["transaction (start)", "(end)"] if transaction else []))
     rows = []
     for row in relation.rows:
         cells = [_format_cell(schema.attribute(name).domain, row.data[name])
                  for name in schema.names]
-        cells += [row.tt.start.paper_format(), row.tt.end.paper_format()]
+        if valid_columns:
+            cells.append(row.valid.start.paper_format())
+        if valid_columns == 2:
+            cells.append(row.valid.end.paper_format())
+        if transaction:
+            cells += [row.tt.start.paper_format(), row.tt.end.paper_format()]
         rows.append(cells)
-    return _build_table(headers, rows, bar_after=(len(schema.names),),
-                        title=title)
+    bars = (names, names + valid_columns) if valid_columns and transaction \
+        else (names,)
+    return _build_table(headers, rows, bar_after=bars, title=title)
+
+
+def render_rollback(relation: RollbackRelation,
+                    title: Optional[str] = None) -> str:
+    """A rollback relation with transaction (start, end), as in Figure 4."""
+    return _render_stamped(relation, title, 0, transaction=True)
 
 
 def render_historical(relation: HistoricalRelation,
                       title: Optional[str] = None,
                       event: bool = False) -> str:
     """A historical relation with valid (from, to) — Figure 6 — or (at)."""
-    schema = relation.schema
-    if event:
-        headers = list(schema.names) + ["valid (at)"]
-    else:
-        headers = list(schema.names) + ["valid (from)", "(to)"]
-    rows = []
-    for row in relation.rows:
-        cells = [_format_cell(schema.attribute(name).domain, row.data[name])
-                 for name in schema.names]
-        if event:
-            cells.append(row.valid.start.paper_format())
-        else:
-            cells += [row.valid.start.paper_format(),
-                      row.valid.end.paper_format()]
-        rows.append(cells)
-    return _build_table(headers, rows, bar_after=(len(schema.names),),
-                        title=title)
+    return _render_stamped(relation, title, 1 if event else 2,
+                           transaction=False)
 
 
 def render_temporal(relation: TemporalRelation,
                     title: Optional[str] = None,
                     event: bool = False) -> str:
     """A temporal relation with all four timestamps, as in Figures 8 and 9."""
-    schema = relation.schema
-    if event:
-        headers = (list(schema.names)
-                   + ["valid (at)", "transaction (start)", "(end)"])
-    else:
-        headers = (list(schema.names)
-                   + ["valid (from)", "(to)", "transaction (start)", "(end)"])
-    rows = []
-    for row in relation.rows:
-        cells = [_format_cell(schema.attribute(name).domain, row.data[name])
-                 for name in schema.names]
-        if event:
-            cells.append(row.valid.start.paper_format())
-        else:
-            cells += [row.valid.start.paper_format(),
-                      row.valid.end.paper_format()]
-        cells += [row.tt.start.paper_format(), row.tt.end.paper_format()]
-        rows.append(cells)
-    valid_columns = 1 if event else 2
-    return _build_table(
-        headers, rows,
-        bar_after=(len(schema.names), len(schema.names) + valid_columns),
-        title=title)
+    return _render_stamped(relation, title, 1 if event else 2,
+                           transaction=True)
 
 
 def render(result: Union[Relation, HistoricalRelation, TemporalRelation, None],
