@@ -6,6 +6,12 @@ once — the four kinds are their compositions:
 
 - :mod:`~repro.core.taxonomy` — the classification itself (Figures 1 and
   10–13 as executable data);
+- :mod:`~repro.core.transaction_time` — the one current-state store
+  every kind keeps (:class:`~repro.core.transaction_time.StateStore`: an
+  open map by element, a key index, the O(Δ) ``advance``), and
+  transaction time over it
+  (:class:`~repro.core.transaction_time.TransactionTimeStore`, the
+  ``naive_advance`` oracle);
 - :mod:`~repro.core.static` — the static update API
   (:class:`~repro.core.static.StaticStateDatabase`, ``static_delta``) and
   static databases (§4.1);
@@ -14,9 +20,6 @@ once — the four kinds are their compositions:
   ``historical_delta``), the
   :class:`~repro.core.historical.HistoricalRelation` value type and
   historical databases (§4.3, Figures 5–6);
-- :mod:`~repro.core.transaction_time` — transaction time: the
-  :class:`~repro.core.transaction_time.TransactionTimeStore` partition,
-  its O(Δ) ``advance`` and the ``naive_advance`` oracle;
 - :mod:`~repro.core.rollback` — static rollback databases = static +
   transaction time, with both the state-cube and interval-stamped
   representations (§4.2, Figures 3–4);
@@ -40,15 +43,15 @@ from repro.core.taxonomy import (
     render_figure_13,
 )
 from repro.core.base import Database
-from repro.core.static import StaticDatabase, apply_static_operation
-from repro.core.transaction_time import TransactionTimeStore, naive_advance
+from repro.core.static import StaticDatabase, StaticStore
+from repro.core.transaction_time import (StateStore, TransactionTimeStore,
+                                         naive_advance)
 from repro.core.rollback import (
     INTERVAL, STATES, RollbackDatabase, RollbackRelation, StateSequence,
     TransactionTimeRow,
 )
 from repro.core.historical import (
-    HistoricalDatabase, HistoricalRelation, HistoricalRow,
-    apply_historical_operation,
+    HistoricalDatabase, HistoricalRelation, HistoricalRow, HistoricalStore,
 )
 from repro.core.temporal import (BitemporalRow, TemporalDatabase,
                                  TemporalRelation)
@@ -84,6 +87,7 @@ __all__ = [
     "HistoricalDatabase",
     "HistoricalRelation",
     "HistoricalRow",
+    "HistoricalStore",
     "INTERVAL",
     "Models",
     "PriorTerm",
@@ -91,15 +95,15 @@ __all__ = [
     "RollbackRelation",
     "STATES",
     "StateSequence",
+    "StateStore",
     "StaticDatabase",
+    "StaticStore",
     "SurveyedSystem",
     "TemporalDatabase",
     "TemporalRelation",
     "TimeKind",
     "TransactionTimeRow",
     "TransactionTimeStore",
-    "apply_historical_operation",
-    "apply_static_operation",
     "changed_instants",
     "classify",
     "diff_states",

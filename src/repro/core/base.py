@@ -37,7 +37,8 @@ from repro.core.taxonomy import DatabaseKind
 from repro.errors import (DuplicateRelationError, HistoricalNotSupportedError,
                           RollbackNotSupportedError, UnknownRelationError)
 from repro.obs import runtime as _obs
-from repro.relational.constraints import Constraint
+from repro.relational.constraints import (CheckConstraint, Constraint,
+                                          KeyConstraint, NotNullConstraint)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
@@ -206,8 +207,9 @@ class Database(abc.ABC):
         return tuple(self._constraints[name])
 
     def store(self, name: str) -> Any:
-        """The stored value of a relation, in the kind's own representation
-        (for display, benches and the acceleration caches)."""
+        """The stored value of a relation: the kind's
+        :class:`~repro.core.transaction_time.StateStore` (for display,
+        benches and the acceleration caches)."""
         self._require_defined(name)
         return self._store[name]
 
@@ -358,9 +360,18 @@ class Database(abc.ABC):
         return "single_shard_write"
 
     def get(self, name: str, key: Mapping[str, Any]) -> List[Tuple]:
-        """The current rows of *name* agreeing with *key*, read atomically."""
-        rows = self._manager.certify(lambda: self.snapshot(name))
-        return [row for row in rows if self._matches(row, key)]
+        """The current rows of *name* agreeing with *key*, read atomically:
+        where *key* binds the whole schema key, one probe of the key's
+        open rows (those valid now), else a scan of the snapshot."""
+        def rows() -> List[Tuple]:
+            now = self.now()
+            found = self.read(name, now, key=key)
+            facts = (self.snapshot(name) if found is None else dict.fromkeys(
+                data for data, valid, _ in found.candidates
+                if valid is None or valid.contains(now)))
+            return [row for row in facts if self._matches(row, key)]
+
+        return self._manager.certify(rows)
 
     def _submit(self, op: Operation,
                 txn: Optional[Transaction]) -> Optional[Instant]:
@@ -454,23 +465,24 @@ class Database(abc.ABC):
         Returns what a commit makes current — the stores, and the
         ``(schemas, constraints, event relations)`` bookkeeping after the
         batch — and raises exactly when the batch cannot be applied.
-        DDL is dispatched here; DML is handed to the kind-specific
-        :meth:`_apply_dml`.  The batch runs against working copies that
-        stand in as ``self``'s bookkeeping while it does (DDL must be
-        visible to later operations of the same batch, and to the
-        constraint check); the installed values are put back whatever
-        happens.
+        DDL is dispatched here; DML is handed to :meth:`_apply_dml`.
+        The batch runs against working copies that stand in as
+        ``self``'s bookkeeping while it does (DDL must be visible to
+        later operations of the same batch, and to the constraint
+        check); the installed values are put back whatever happens.
 
-        Only the relations this batch replaced are checked: an untouched
-        store is the very same (immutable) value that passed its checks
+        Only the relations this batch replaced are checked (an untouched
+        store is the very same immutable value that passed its checks
         when it was installed, and no declared constraint tightens as
-        ``now`` advances.
+        ``now`` advances), and of those only the rows under the schema-key
+        values the batch touched where that suffices (:meth:`_check_store`).
         """
         installed = (self._schemas, self._constraints, self._event_relations)
         self._schemas, self._constraints, self._event_relations = (
             dict(self._schemas), dict(self._constraints),
             set(self._event_relations))
         staged = dict(self._store)
+        touched: Dict[str, Dict[Any, Any]] = {}
         try:
             for op in operations:
                 if op.action == "define":
@@ -492,11 +504,10 @@ class Database(abc.ABC):
                     self._event_relations.discard(op.relation)
                     staged.pop(op.relation, None)
                 else:
-                    self._apply_dml(staged, op, commit_time)
+                    self._apply_dml(staged, op, commit_time, touched)
             for name, store in staged.items():
-                current = self._store.get(name)
-                if store is not current:
-                    self._check_store(name, current, store)
+                if store is not self._store.get(name):
+                    self._check_store(name, store, touched.get(name))
             return staged, (self._schemas, self._constraints,
                             self._event_relations)
         finally:
@@ -533,29 +544,51 @@ class Database(abc.ABC):
 
     # -- the kind-specific hooks -------------------------------------------------------
 
-    @staticmethod
-    def _staged_store(staged: Dict[str, Any], name: str) -> Any:
-        """The working value of *name* (a batch may have dropped it)."""
-        try:
-            return staged[name]
-        except KeyError:
-            raise UnknownRelationError(f"no relation {name!r}") from None
 
     @abc.abstractmethod
     def _create_store(self, staged: Dict[str, Any], name: str,
                       schema: Schema) -> None:
         """Create an empty store for a newly defined relation."""
 
-    @abc.abstractmethod
-    def _check_store(self, name: str, installed: Any, staged: Any) -> None:
-        """Enforce the relation's constraints on the value a commit is
-        about to install (*installed* is the one it replaces, ``None``
-        for a new relation)."""
+    def _apply_dml(self, staged: Dict[str, Any], op: Operation,
+                   commit_time: Instant,
+                   touched: Dict[str, Dict[Any, Any]]) -> None:
+        """Apply one DML operation to the staged stores: the kind's delta
+        over the open rows its match can touch (O(Δ) for a key-bound
+        match), the state from *commit_time* on; its keys go to *touched*."""
+        store = staged.get(op.relation)
+        if store is None:  # (an earlier operation of the batch dropped it)
+            raise UnknownRelationError(f"no relation {op.relation!r}")
+        candidates = store.candidates(op.arguments.get("match"))
+        removed, added = self._delta(store, op, candidates)
+        _obs.current().metrics.counter("commit.rows_examined").inc(
+            len(candidates))
+        staged[op.relation] = store.advance(
+            removed, added, commit_time, touched.setdefault(op.relation, {}))
 
     @abc.abstractmethod
-    def _apply_dml(self, staged: Dict[str, Any], op: Operation,
-                   commit_time: Instant) -> None:
-        """Apply one DML operation to the staged stores."""
+    def _delta(self, store: Any, op: Operation, candidates: Any
+               ) -> PyTuple[List[Any], List[Any]]:
+        """The elements one insert/delete/replace removes from and adds
+        to *store*'s state, of the open rows *candidates* it can touch."""
+
+    def _check_store(self, name: str, store: Any,
+                     touched: Optional[Dict[Any, Any]]) -> None:
+        """Enforce the relation's constraints on the *store* a commit is
+        about to install: on the rows under the keys the batch touched
+        where every constraint groups within the key (an untouched key's
+        rows passed when installed), else on the whole state."""
+        key = store.schema.key
+        local = (touched is not None and key
+                 and _local_to_key(self._constraints[name], key))
+        state = store.state_in_force(
+            store.in_order(touched if local else None))
+        _obs.current().metrics.counter("commit.rows_examined").inc(len(state))
+        self._check_state(name, state)
+
+    @abc.abstractmethod
+    def _check_state(self, name: str, state: Any) -> None:
+        """Enforce the relation's constraints on *state* (some keys' rows)."""
 
     # -- queries: the capability matrix -----------------------------------------------------------------
 
@@ -579,13 +612,13 @@ class Database(abc.ABC):
         index where *indexed* and it has one, else by the store's own walk
         (the executable specification); under the schema-key value *key*,
         that key's rows, or ``None`` where no probe answers.  Each kind
-        answers from the times it keeps — here none: the snapshot."""
+        answers from the times it keeps — here none: the current state's
+        rows, or under *key* one probe of the store's key index."""
+        store = self.store(name)
         if key is not None:
-            return None
-        return Read(self.access(), False, self._scanned(name))
-
-    def _scanned(self, name: str) -> List[Any]:
-        return [(row, None, None) for row in self.snapshot(name)]
+            return store.probe(key)
+        return Read(self.access(), False,
+                    store.as_candidates(list(store.in_order())))
 
     def rollback(self, name: str, as_of: InstantLike):
         """The relation as of a past transaction time.
@@ -613,3 +646,19 @@ class Database(abc.ABC):
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({len(self._schemas)} relations, "
                 f"{len(self.log)} commits)")
+
+
+def _local_to_key(constraints: Sequence[Any], key: Sequence[str]) -> bool:
+    """Can *constraints* be re-checked on the rows of the touched
+    schema-key values alone: does every rule judge one row, one fact or
+    one group no wider than the key?  Only the exact built-in types
+    qualify (a user-defined subclass may look at anything)."""
+    from repro.core import temporal_constraints as rules
+    local = (NotNullConstraint, CheckConstraint, rules.NoFutureValidity,
+             rules.BoundedValidity, rules.ValidityDuration)
+    return all(set(key) <= set(rule.key)
+               if type(rule) is rules.ContiguousHistory
+               else set(key) <= set(rule.attributes)
+               if type(rule) is KeyConstraint
+               else type(rule) in local
+               for rule in constraints)

@@ -42,7 +42,7 @@ try:  # optional accelerator; the GitHub CI image has no numpy
 except ImportError:  # pragma: no cover - exercised via monkeypatching
     _np = None
 
-from repro.core.historical import HistoricalRelation
+from repro.core.historical import HistoricalRelation, HistoricalStore
 from repro.core.temporal import TemporalRelation
 from repro.core.transaction_time import TransactionTimeStore
 from repro.obs import runtime as _obs
@@ -487,8 +487,9 @@ class ColumnarCache:
         if isinstance(relation, TransactionTimeStore):
             return (relation, ColumnarChunk.from_store,
                     lambda chunk: chunk.extended(relation))
-        if isinstance(relation, HistoricalRelation):
-            return (relation, ColumnarChunk.from_historical, lambda chunk: None)
+        if isinstance(relation, HistoricalStore):
+            return (relation.current(), ColumnarChunk.from_historical,
+                    lambda chunk: None)
         return None  # a static relation, or the duplicating StateSequence cube
 
     def chunk(self, name: str) -> Optional[ColumnarChunk]:

@@ -10,8 +10,9 @@ the past".
 
 The central value type here, :class:`HistoricalRelation`, is shared with
 the temporal database (a temporal relation *is* a sequence of historical
-states, §4.4), as is the operation semantics in
-:func:`apply_historical_operation`.
+states, §4.4), as is the operation semantics in :func:`historical_delta`.
+The database keeps its one state in a :class:`HistoricalStore` (Figure 8
+without transaction time).
 
 Update semantics (all arbitrary modifications, per Figure 12's
 ``Append-Only: No`` for valid time):
@@ -29,18 +30,14 @@ Update semantics (all arbitrary modifications, per Figure 12's
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Container, Dict, Iterable,
-                    Iterator, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple as PyTuple, Union)
+from typing import (Any, Callable, Container, Dict, Iterable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple as PyTuple, Union)
 
 from repro.core.base import Database, InstantLike
-from repro.core.lineage import extend_log, version_delta
 from repro.core.taxonomy import DatabaseKind
+from repro.core.transaction_time import StateStore, itself
 from repro.errors import ConstraintViolation, JournalError
-from repro.obs import runtime as _obs
-from repro.relational.constraints import (CheckConstraint, Constraint,
-                                          KeyConstraint, NotNullConstraint,
-                                          check_all)
+from repro.relational.constraints import Constraint, KeyConstraint, check_all
 from repro.relational.expression import Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -72,46 +69,26 @@ class HistoricalRelation:
     relations, TQuel retrieves) are the same type — the closure property
     the paper requires ("the derived relation is also an historical
     relation").
-
-    The versions :func:`apply_historical_operation` derives from one
-    another also share a lineage (:mod:`repro.core.lineage`): the rows
-    each operation removed and added are logged, so an index or a
-    constraint check can follow a commit without diffing two states.
     """
 
-    __slots__ = ("_schema", "_rows", "_coalesced", "_lineage", "_closed_log",
-                 "_closed_len", "_opened_log", "_opened_len")
+    __slots__ = ("_schema", "_rows", "_coalesced")
 
     def __init__(self, schema: Schema,
                  rows: Iterable[HistoricalRow] = ()) -> None:
         self._schema = schema
         self._rows: PyTuple[HistoricalRow, ...] = tuple(dict.fromkeys(rows))
         self._coalesced: Optional["HistoricalRelation"] = None
-        self._lineage: Optional[object] = None  # related to no other value
 
     @classmethod
-    def _of_distinct(cls, schema: Schema, rows: PyTuple[HistoricalRow, ...],
-                     lineage: Optional[object] = None,
-                     closed_log: Sequence[HistoricalRow] = (),
-                     opened_log: Sequence[HistoricalRow] = (),
+    def _of_distinct(cls, schema: Schema, rows: PyTuple[HistoricalRow, ...]
                      ) -> "HistoricalRelation":
         """Internal constructor: *rows* are already duplicate-free (no
-        re-hashing), optionally as the next version of a lineage."""
+        re-hashing)."""
         value = cls.__new__(cls)
         value._schema = schema
         value._rows = rows
         value._coalesced = None
-        value._lineage = lineage
-        value._closed_log = closed_log
-        value._closed_len = len(closed_log)
-        value._opened_log = opened_log
-        value._opened_len = len(opened_log)
         return value
-
-    def _under_keys(self, keys: Container[PyTuple[Any, ...]]
-                    ) -> Iterator[HistoricalRow]:
-        """The rows whose schema-key value is one of *keys* (a scan)."""
-        return (row for row in self._rows if row.data.key() in keys)
 
     # -- accessors ------------------------------------------------------------
 
@@ -355,43 +332,6 @@ def historical_delta(schema: Schema, op: Operation,
             [row for row in produced if row not in present])
 
 
-def apply_historical_operation(relation: HistoricalRelation,
-                               op: Operation) -> HistoricalRelation:
-    """Apply one insert/delete/replace to a historical relation value.
-
-    Pure function: :func:`historical_delta` applied to the state, which is
-    what makes a temporal relation literally "a sequence of historical
-    states" (§4.4) — :class:`~repro.core.temporal.TemporalDatabase`
-    records the same delta on the transaction-time axis.  The result is
-    the next version of *relation*'s lineage (*relation* itself when
-    nothing changed).
-    """
-    rows = relation.rows
-    removed, added = historical_delta(relation.schema, op, rows, set(rows))
-    _obs.current().metrics.counter("commit.rows_examined").inc(len(rows))
-    if not removed and not added:
-        return relation
-    if removed:
-        # What a split produces takes the place of the first row it
-        # removes, so a fact's history stays together in display order.
-        gone = set(removed)
-        at = next(i for i, row in enumerate(rows) if row in gone)
-        rows = (rows[:at] + tuple(added)
-                + tuple(row for row in rows[at:] if row not in gone))
-    else:
-        rows = rows + tuple(added)
-    if relation._lineage is None:
-        lineage, closed_log, opened_log = object(), list(removed), list(added)
-    else:
-        lineage = relation._lineage
-        closed_log = extend_log(relation._closed_log, relation._closed_len,
-                                removed)
-        opened_log = extend_log(relation._opened_log, relation._opened_len,
-                                added)
-    return HistoricalRelation._of_distinct(relation.schema, rows, lineage,
-                                           closed_log, opened_log)
-
-
 def check_sequenced_key(relation: HistoricalRelation) -> None:
     """Enforce the sequenced key: at no valid instant may two distinct
     facts share the key.  (Coalesce-equal duplicates are merged first, so
@@ -426,64 +366,12 @@ def check_historical_constraints(relation: HistoricalRelation,
     facts = Relation(relation.schema, (row.data for row in relation.rows))
     data_constraints = [c for c in constraints
                         if isinstance(c, Constraint)
-                        and not _is_key_constraint(c)]
+                        and not isinstance(c, KeyConstraint)]
     check_all(facts, data_constraints)
     check_sequenced_key(relation)
     if now is not None:
         from repro.core.temporal_constraints import check_temporal_constraints
         check_temporal_constraints(relation, constraints, now)
-
-
-def _is_key_constraint(constraint: Constraint) -> bool:
-    return isinstance(constraint, KeyConstraint)
-
-
-def _local_to_key(constraints: Sequence[Any], key: Sequence[str]) -> bool:
-    """Can *constraints* be re-checked on the rows of the touched
-    schema-key values alone?
-
-    True when every rule judges one row, one fact, or one group of rows
-    no wider than the schema key.  Only the exact built-in types qualify:
-    a user-defined subclass may look at anything.
-    """
-    from repro.core import temporal_constraints as rules
-    local = (KeyConstraint, NotNullConstraint, CheckConstraint,
-             rules.NoFutureValidity, rules.BoundedValidity,
-             rules.ValidityDuration)
-    return all(set(key) <= set(rule.key)
-               if type(rule) is rules.ContiguousHistory
-               else type(rule) in local
-               for rule in constraints)
-
-
-def check_commit(installed: Any, staged: Any,
-                 constraints: Sequence[Constraint], now: Instant) -> None:
-    """Enforce *constraints* on the state a commit is about to install.
-
-    *installed* is the version that passed its checks (``None`` for a new
-    relation), *staged* the one a batch derived from it — a
-    :class:`HistoricalRelation`, or a :class:`~repro.core.temporal.
-    TemporalRelation` standing for its current state.  When the relation
-    has a key and every constraint groups within it, an untouched key's
-    rows are exactly the rows already checked, so only the rows under the
-    keys in the batch's delta are re-examined.  Otherwise — unrelated
-    versions (a redefine, a non-canonical value), no key, a constraint
-    that may look across keys — the whole state is.
-    """
-    schema = staged.schema
-    delta = None if installed is None else version_delta(installed, staged)
-    if (delta is not None and schema.key
-            and _local_to_key(constraints, schema.key)):
-        touched = {row.data.key() for rows in delta for row in rows}
-        state = HistoricalRelation._of_distinct(
-            schema, tuple(HistoricalRow(row.data, row.valid)
-                          for row in staged._under_keys(touched)))
-    elif isinstance(staged, HistoricalRelation):
-        state = staged
-    else:
-        state = staged.current()
-    _obs.current().metrics.counter("commit.rows_examined").inc(len(state))
-    check_historical_constraints(state, constraints, now)
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +456,67 @@ class ValidTimeDatabase(Database):
             arguments["valid_to"] = _coerce(valid_to)
         return arguments
 
-    def _check_store(self, name: str, installed: Any, staged: Any) -> None:
+    # -- queries --------------------------------------------------------------------------
+
+    def history(self, name: str) -> HistoricalRelation:
+        """The current historical state of the relation (a historical
+        database's only one, a temporal database's newest)."""
+        return self.store(name).current()
+
+    def snapshot(self, name: str) -> Relation:
+        """The facts valid now, as of now."""
+        return self.timeslice(name, self.now())
+
+    def timeslice(self, name: str, valid_at: InstantLike,
+                  as_of: Optional[InstantLike] = None) -> Relation:
+        """The facts valid at an instant, as a static relation, seen as of
+        the past transaction time *as_of* if given (temporal only)."""
+        if as_of is not None:
+            self.require_rollback("as of")
+            return self._indexed(name).timeslice(valid_at, as_of)
+        self._require_defined(name)
+        return self.index_cache.historical(name).timeslice(valid_at)
+
+    # -- applier hooks ----------------------------------------------------------------------
+
+    def _delta(self, store: StateStore, op: Operation, candidates: Any
+               ) -> PyTuple[List[HistoricalRow], List[HistoricalRow]]:
+        return historical_delta(store.schema, op, candidates,
+                                store.open_elements)
+
+    def _check_state(self, name: str, state: HistoricalRelation) -> None:
         # The commit being applied has already ticked the clock, so the
         # manager's last reading is this transaction's commit instant.
         # The schema key is enforced as a sequenced key inside
         # check_historical_constraints (via the relation's schema.key).
-        check_commit(installed, staged, self._constraints[name],
-                     self._manager.clock.last)
+        check_historical_constraints(state, self._constraints[name],
+                                     self._manager.clock.last)
+
+
+class HistoricalStore(StateStore):
+    """The historical state (Figure 6): each :class:`HistoricalRow` is its
+    own element and row; its logs hold what each commit removed and added
+    (what :class:`~repro.core.indexing.HistoricalIndex` patches from)."""
+
+    __slots__ = ()
+
+    _element = staticmethod(itself)
+
+    def state_of(self, rows: Iterable[HistoricalRow]) -> HistoricalRelation:
+        """The historical relation holding the facts of *rows*."""
+        return HistoricalRelation(self._schema, rows)
+
+    def state_in_force(self, rows: Iterable[HistoricalRow]
+                       ) -> HistoricalRelation:
+        """The historical relation of distinct *rows*, no fact hashed."""
+        return HistoricalRelation._of_distinct(self._schema, tuple(rows))
+
+    def as_candidates(self, rows: Iterable[HistoricalRow]) -> List[Any]:
+        return [(row.data, row.valid, None) for row in rows]
+
+    def _logged(self, gone: List[HistoricalRow], opened: List[HistoricalRow],
+                commit_time: Instant) -> PyTuple[object, List[Any], List[Any]]:
+        return self._extend_logs(gone, opened)
 
 
 class HistoricalDatabase(ValidTimeDatabase):
@@ -584,37 +526,11 @@ class HistoricalDatabase(ValidTimeDatabase):
 
     # -- queries --------------------------------------------------------------------------
 
-    def history(self, name: str) -> HistoricalRelation:
-        """The single historical state of the relation."""
-        return self.store(name)
-
-    def snapshot(self, name: str) -> Relation:
-        """The facts valid *now* (the historical DB always views 'as of now')."""
-        return self.timeslice(name, self.now())
-
-    def timeslice(self, name: str, valid_at: InstantLike,
-                  as_of: Optional[InstantLike] = None) -> Relation:
-        """The facts valid at an instant, as a static relation (no
-        *as_of*: a historical database keeps no transaction time)."""
-        self.require_historical("timeslice")
-        if as_of is not None:
-            self.require_rollback("as of")
-        self._require_defined(name)
-        return self.index_cache.historical(name).timeslice(valid_at)
-
+    #: (valid time only: its tree answers ``timeslice``, not a read)
     _scan_access = "scan of recorded facts"
-
-    def _scanned(self, name: str) -> List[Any]:
-        # (valid time only: its tree answers `timeslice`, not a read)
-        return [(row.data, row.valid, None) for row in self.history(name).rows]
 
     # -- applier hooks ----------------------------------------------------------------------
 
-    def _create_store(self, staged: Dict[str, HistoricalRelation], name: str,
+    def _create_store(self, staged: Dict[str, HistoricalStore], name: str,
                       schema: Schema) -> None:
-        staged[name] = HistoricalRelation(schema)
-
-    def _apply_dml(self, staged: Dict[str, HistoricalRelation], op: Operation,
-                   commit_time: Instant) -> None:
-        staged[op.relation] = apply_historical_operation(
-            self._staged_store(staged, op.relation), op)
+        staged[name] = HistoricalStore(schema)

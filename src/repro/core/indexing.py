@@ -10,8 +10,9 @@ module provides:
   instant" in ``O(log n + k)``, with a small *delta overlay* so
   insertions and removals cost O(1)/O(Δ) amortized between
   threshold-triggered rebuilds;
-- :class:`HistoricalIndex` — a timeslice accelerator for one
-  :class:`~repro.core.historical.HistoricalRelation`;
+- :class:`HistoricalIndex` — a timeslice accelerator for one historical
+  state (a :class:`~repro.core.historical.HistoricalStore`, or a
+  temporal relation's open rows);
 - :class:`TransactionTimeIndex` — a rollback accelerator for one
   :class:`~repro.core.transaction_time.TransactionTimeStore` (a
   :class:`~repro.core.rollback.RollbackRelation` or a
@@ -43,7 +44,7 @@ from operator import attrgetter, itemgetter
 from typing import (Any, Dict, Generic, Iterable, List, Mapping, Optional,
                     Tuple as PyTuple, TypeVar, Union)
 
-from repro.core.historical import HistoricalRelation
+from repro.core.historical import HistoricalRelation, HistoricalStore
 from repro.core.lineage import version_delta
 from repro.core.temporal import TemporalRelation
 from repro.core.transaction_time import TransactionTimeStore
@@ -312,21 +313,23 @@ class IntervalTree(Generic[Payload]):
         return self._size
 
 
-_HistoricalState = Union[HistoricalRelation, TemporalRelation]
+_HistoricalState = Union[HistoricalRelation, HistoricalStore,
+                         TemporalRelation]
 
 
 class HistoricalIndex:
     """Timeslice acceleration for one historical state.
 
     The state is a :class:`HistoricalRelation` value, or the open
-    partition of a :class:`TemporalRelation` (its current historical
-    state, indexed in place rather than materialised per version).
+    partition of a :class:`HistoricalStore` or a :class:`TemporalRelation`
+    (its current historical state, indexed in place rather than
+    materialised per version).
     """
 
     def __init__(self, relation: _HistoricalState) -> None:
         self._relation = relation
         rows = (relation.rows if isinstance(relation, HistoricalRelation)
-                else relation.open_rows())
+                else relation.in_order())
         self._tree: IntervalTree = IntervalTree(
             (row.valid, row.data) for row in rows)
 

@@ -7,16 +7,13 @@ same *lineage* token and share two append-only logs: the rows that have
 closed form — these are rows of the relation) and the rows that have
 *entered* it.  A version is a pair of log lengths, so the difference
 between any two versions of a lineage is two list slices
-(:func:`version_delta`).  The commit-time constraint check and the index
-patches consume those slices; nothing diffs two states.
+(:func:`version_delta`), which the index patches consume.
 
-The values that speak this protocol (``_lineage``, ``_closed_log`` /
-``_closed_len``, ``_opened_log`` / ``_opened_len``) are the
-:class:`~repro.core.transaction_time.TransactionTimeStore` (both its
-element types) and the
-:class:`~repro.core.historical.HistoricalRelation` versions a historical
-database stores.  A value built from bare rows has a lineage of its own
-(or ``None``) and is related to nothing.
+Every :class:`~repro.core.transaction_time.StateStore` speaks this
+protocol (``_lineage``, ``_closed_log`` / ``_closed_len``, ``_opened_log``
+/ ``_opened_len``); the transaction-time and historical stores fill the
+logs.  A value built from bare rows has a lineage of its own and is
+related to nothing.
 """
 
 from __future__ import annotations
@@ -64,10 +61,12 @@ def version_delta(old: Any, new: Any
 
     A row may appear in both (it entered, then left, in between).
     ``None`` when the two values are unrelated — different lineages (a
-    drop/redefine, a deserialized overwrite, a derived value) — and the
-    caller falls back to looking at the whole of *new*.
+    drop/redefine, a deserialized overwrite, a derived value, a plain
+    value with no lineage) — and the caller falls back to looking at the
+    whole of *new*.
     """
-    if (old._lineage is None or old._lineage is not new._lineage
+    lineage = getattr(old, "_lineage", None)
+    if (lineage is None or lineage is not getattr(new, "_lineage", None)
             or new._closed_len < old._closed_len
             or new._opened_len < old._opened_len):
         return None

@@ -29,22 +29,20 @@ recent state only, and errors in past states "can sometimes be overridden
 from __future__ import annotations
 
 import bisect
+import copy
 import operator
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple as PyTuple)
 
 from repro.core.base import InstantLike, Read
-from repro.core.static import (StaticStateDatabase, apply_static_operation,
-                               static_delta)
+from repro.core.static import StaticStateDatabase, StaticStore
 from repro.core.taxonomy import DatabaseKind
 from repro.core.transaction_time import TransactionTimeStore, index_access
-from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
 from repro.time.instant import Instant, POS_INF, instant as _coerce
 from repro.time.period import Period
-from repro.txn.transaction import Operation
 
 
 class TransactionTimeRow(NamedTuple):
@@ -98,22 +96,20 @@ class RollbackRelation(TransactionTimeStore):
         return render_rollback(self, title)
 
 
-class StateSequence:
-    """The conceptual cube (Figure 3): one full static relation per transaction."""
+class StateSequence(StaticStore):
+    """The conceptual cube (Figure 3): one full static relation per
+    transaction — the static store, plus a copy of its current state
+    appended by every commit (the duplication the paper calls
+    impractical, kept by definition)."""
 
-    __slots__ = ("_schema", "_times", "_states")
+    __slots__ = ("_times", "_states")
 
     def __init__(self, schema: Schema,
                  states: Iterable[PyTuple[Instant, Relation]] = ()) -> None:
-        self._schema = schema
         pairs = list(states)
+        super().__init__(schema, pairs[-1][1] if pairs else ())
         self._times: List[Instant] = [time for time, _ in pairs]
         self._states: List[Relation] = [state for _, state in pairs]
-
-    @property
-    def schema(self) -> Schema:
-        """The explicit (non-temporal) schema."""
-        return self._schema
 
     @property
     def states(self) -> PyTuple[PyTuple[Instant, Relation], ...]:
@@ -128,20 +124,19 @@ class StateSequence:
             return Relation.empty(self._schema)
         return self._states[position - 1]
 
-    def current(self) -> Relation:
-        """The most recent state."""
-        if not self._states:
-            return Relation.empty(self._schema)
-        return self._states[-1]
-
-    def with_state(self, new_current: Relation,
-                   commit_time: Instant) -> "StateSequence":
-        """The cube with *new_current* as the state from *commit_time* on
-        (one state per transaction: a later operation of the same
-        transaction replaces the state its predecessor recorded)."""
-        states = [pair for pair in self.states if pair[0] < commit_time]
-        states.append((commit_time, new_current))
-        return StateSequence(self._schema, states)
+    def advance(self, removed, added, commit_time: Instant, touched=None
+                ) -> "StateSequence":
+        """The static store's advance, then the cube with its current
+        state as the state from *commit_time* on (one state per
+        transaction: a later operation of the same transaction replaces
+        the state its predecessor recorded)."""
+        successor = super().advance(removed, added, commit_time, touched)
+        if successor is self:
+            successor = copy.copy(self)  # (the states change regardless)
+        kept = bisect.bisect_left(self._times, commit_time)
+        successor._times = self._times[:kept] + [commit_time]
+        successor._states = self._states[:kept] + [successor.current()]
+        return successor
 
     def visible_during(self, period: Period) -> Relation:
         """Every tuple present in some state during the period.
@@ -178,12 +173,16 @@ class StateSequence:
         """Stored cells across all duplicated states.  For benches."""
         return sum(len(state) * len(self._schema) for state in self._states)
 
-    def pretty(self, title: Optional[str] = None) -> str:
-        """Render the current state like Figure 2 (the cube's newest face)."""
-        return self.current().pretty(title)
-
     def __len__(self) -> int:
         return len(self._states)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.states == other.states
+
+    def __hash__(self) -> int:
+        return hash(self.states)
 
     def __repr__(self) -> str:
         return (f"StateSequence({', '.join(self._schema.names)}; "
@@ -221,10 +220,6 @@ class RollbackDatabase(StaticStateDatabase):
         return self._representation
 
     # -- queries ------------------------------------------------------------------------
-
-    def snapshot(self, name: str) -> Relation:
-        """The current static state."""
-        return self.store(name).current()
 
     def _indexed(self, name: str):
         """The store of *name*, behind its transaction-time tree (the
@@ -267,29 +262,3 @@ class RollbackDatabase(StaticStateDatabase):
         staged[name] = (RollbackRelation(schema)
                         if self._representation == INTERVAL
                         else StateSequence(schema))
-
-    def _check_store(self, name: str, installed: Any, staged: Any) -> None:
-        self._check_state(name, staged.current())
-
-    def _apply_dml(self, staged: Dict[str, Any], op: Operation,
-                   commit_time: Instant) -> None:
-        """Record the operation's effect as the state from *commit_time*
-        on (the commit time stamps the whole batch, so a later operation
-        of the same transaction sees this one's result).
-
-        The interval store is handed the tuple delta, computed over the
-        rows the operation's match can touch; the cube re-derives and
-        duplicates the whole state, which is its point.
-        """
-        store = self._staged_store(staged, op.relation)
-        if isinstance(store, StateSequence):
-            staged[op.relation] = store.with_state(
-                apply_static_operation(store.current(), op), commit_time)
-            return
-        candidates = [row.data
-                      for row in store.candidates(op.arguments.get("match"))]
-        removed, added = static_delta(store.schema, op, candidates,
-                                      store.open_elements)
-        _obs.current().metrics.counter("commit.rows_examined").inc(
-            len(candidates))
-        staged[op.relation] = store.advance(removed, added, commit_time)

@@ -4,7 +4,8 @@ A static database "models the real world, as it changes dynamically, by a
 snapshot at a particular point in time".  Updates (insertion, deletion,
 replacement) take effect at commit and *destroy* the previous state: "past
 states of the database, and those of the real world, are discarded and
-forgotten completely".
+forgotten completely" — its :class:`StaticStore` keeps no row a commit
+removed.
 
 Consequently a static database supports neither rollback (no transaction
 time is kept) nor historical queries (no valid time is kept) — asking for
@@ -23,8 +24,8 @@ from typing import (Any, Container, Dict, Iterable, List, Mapping, Optional,
 
 from repro.core.base import Database
 from repro.core.taxonomy import DatabaseKind
+from repro.core.transaction_time import StateStore, itself
 from repro.errors import JournalError
-from repro.obs import runtime as _obs
 from repro.relational.constraints import KeyConstraint, check_all
 from repro.relational.relation import Predicate, Relation
 from repro.relational.schema import Schema
@@ -62,27 +63,20 @@ def static_delta(schema: Schema, op: Operation, candidates: Iterable[Tuple],
             [row for row in produced if row not in present])
 
 
-def apply_static_operation(relation: Relation, op: Operation) -> Relation:
-    """Apply one insert/delete/replace to a static relation value.
+class StaticStore(StateStore):
+    """The current state alone (Figure 2): each data tuple is its own
+    element and its own row."""
 
-    Pure function: :func:`static_delta` applied to the state (*relation*
-    itself when nothing changed).  What a replace produces takes the
-    place of the first tuple it removes, so a replaced tuple keeps its
-    row in the printed table.
-    """
-    rows = relation.tuples
-    removed, added = static_delta(relation.schema, op, rows, relation)
-    _obs.current().metrics.counter("commit.rows_examined").inc(len(rows))
-    if not removed and not added:
-        return relation
-    if removed:
-        gone = set(removed)
-        at = next(i for i, row in enumerate(rows) if row in gone)
-        rows = (rows[:at] + tuple(added)
-                + tuple(row for row in rows[at:] if row not in gone))
-    else:
-        rows = rows + tuple(added)
-    return Relation(relation.schema, rows)
+    __slots__ = ()
+
+    _element = _data = staticmethod(itself)
+
+    def state_of(self, rows: Iterable[Tuple]) -> Relation:
+        """The static relation holding *rows*."""
+        return Relation(self._schema, rows)
+
+    def as_candidates(self, rows: Iterable[Tuple]) -> List[Any]:
+        return [(row, None, None) for row in rows]
 
 
 class StaticStateDatabase(Database):
@@ -134,15 +128,21 @@ class StaticStateDatabase(Database):
         expand(txn)
         return None
 
-    def _check_state(self, name: str, relation: Relation) -> None:
-        """Enforce the declared constraints and the schema key on a state
-        (whole-state: the static kinds have no touched-keys check)."""
-        _obs.current().metrics.counter("commit.rows_examined").inc(
-            len(relation))
+    def snapshot(self, name: str) -> Relation:
+        """The current static state."""
+        return self.store(name).current()
+
+    def _delta(self, store: StateStore, op: Operation, candidates: Any
+               ) -> PyTuple[List[Tuple], List[Tuple]]:
+        return static_delta(store.schema, op, map(store._data, candidates),
+                            store.open_elements)
+
+    def _check_state(self, name: str, state: Relation) -> None:
+        """Enforce the declared constraints and the schema key."""
         declared = list(self._constraints[name])
         if self._schemas[name].key:
             declared.append(KeyConstraint(self._schemas[name].key))
-        check_all(relation, declared)
+        check_all(state, declared)
 
 
 class StaticDatabase(StaticStateDatabase):
@@ -150,22 +150,6 @@ class StaticDatabase(StaticStateDatabase):
 
     kind = DatabaseKind.STATIC
 
-    # Static snapshots have no temporal axis to index; the ``index`` knob
-    # is accepted for API uniformity across the four kinds.
-
-    def snapshot(self, name: str) -> Relation:
-        """The current (and only) state of the relation."""
-        return self.store(name)
-
-    def _create_store(self, staged: Dict[str, Relation], name: str,
+    def _create_store(self, staged: Dict[str, StaticStore], name: str,
                       schema: Schema) -> None:
-        staged[name] = Relation.empty(schema)
-
-    def _check_store(self, name: str, installed: Optional[Relation],
-                     staged: Relation) -> None:
-        self._check_state(name, staged)
-
-    def _apply_dml(self, staged: Dict[str, Relation], op: Operation,
-                   commit_time: Instant) -> None:
-        staged[op.relation] = apply_static_operation(
-            self._staged_store(staged, op.relation), op)
+        staged[name] = StaticStore(schema)

@@ -10,9 +10,9 @@ A :class:`TemporalRelation` is implemented as the paper conceptualizes it:
 **a sequence of historical states**.  Each committed transaction takes the
 current historical state, applies the same valid-time operations a
 historical database understands (:func:`~repro.core.historical.
-apply_historical_operation`), and records the difference — rows that
-disappeared get their transaction time closed at the commit instant, rows
-that appeared open at it.  Hence temporal relations are append-only in
+historical_delta`), and records the difference — rows that disappeared
+get their transaction time closed at the commit instant, rows that
+appeared open at it.  Hence temporal relations are append-only in
 transaction time, and ``rollback(t)`` reconstructs exactly the historical
 state any moment ``t`` saw.
 
@@ -25,13 +25,12 @@ Transaction time itself — the closed-log / open-map partition, the O(Δ)
 :class:`~repro.core.transaction_time.TransactionTimeStore` whose state
 element is a fact with its valid period, exactly as a
 :class:`~repro.core.rollback.RollbackRelation` is one whose element is a
-bare tuple.  The unit that flows through a commit is the **row delta**:
-the valid-time operation reports the rows it removes and adds among the
-rows its match can touch (:func:`~repro.core.historical.
-historical_delta`), the store closes the former and opens the latter, the
-constraint check re-examines only the keys the delta touched, and the
-indexes are patched from the two log slices that record it
-(:mod:`repro.core.lineage`).
+bare tuple.  The commit path is every kind's
+(:meth:`~repro.core.base.Database._apply_dml`): the valid-time operation
+reports the rows it removes and adds among the rows its match can touch,
+the store closes the former and opens the latter, the constraint check
+re-examines only the keys the delta touched, and the indexes are patched
+from the two log slices that record it (:mod:`repro.core.lineage`).
 """
 
 from __future__ import annotations
@@ -42,16 +41,14 @@ from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
 
 from repro.core.base import InstantLike, Read
 from repro.core.historical import (HistoricalRelation, HistoricalRow,
-                                   ValidTimeDatabase, historical_delta)
+                                   ValidTimeDatabase)
 from repro.core.taxonomy import DatabaseKind
 from repro.core.transaction_time import TransactionTimeStore, index_access
-from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
 from repro.time.instant import Instant, instant as _coerce
 from repro.time.period import Period
-from repro.txn.transaction import Operation
 
 
 class BitemporalRow(NamedTuple):
@@ -154,10 +151,6 @@ class TemporalDatabase(ValidTimeDatabase):
         """The full bitemporal relation (Figure 8)."""
         return self.store(name)
 
-    def history(self, name: str) -> HistoricalRelation:
-        """The current historical state (what a historical DB would hold)."""
-        return self.temporal(name).current()
-
     def _indexed(self, name: str):
         """The relation, behind its transaction-time tree (a stab
         instead of a scan of every row ever written)."""
@@ -182,37 +175,8 @@ class TemporalDatabase(ValidTimeDatabase):
             lambda: self.index_cache.bitemporal(name),
             self.access(as_of, through), now, as_of, through, key, indexed)
 
-    def snapshot(self, name: str) -> Relation:
-        """Facts valid now, as of now."""
-        return self.timeslice(name, self.now())
-
-    def timeslice(self, name: str, valid_at: InstantLike,
-                  as_of: Optional[InstantLike] = None) -> Relation:
-        """Facts valid at an instant, optionally seen as of a past moment."""
-        self.require_historical("timeslice")
-        self._require_defined(name)
-        if as_of is None:
-            return self.index_cache.historical(name).timeslice(valid_at)
-        return self._indexed(name).timeslice(valid_at, as_of)
-
     # -- applier hooks ----------------------------------------------------------------------
 
     def _create_store(self, staged: Dict[str, TemporalRelation], name: str,
                       schema: Schema) -> None:
         staged[name] = TemporalRelation(schema)
-
-    def _apply_dml(self, staged: Dict[str, TemporalRelation], op: Operation,
-                   commit_time: Instant) -> None:
-        """Apply a valid-time operation and record its row delta.
-
-        The delta is computed over the rows the operation's match can
-        touch only — O(Δ) for a key-bound match; a key-less or
-        partial-key match scans the open map.
-        """
-        relation = self._staged_store(staged, op.relation)
-        candidates = relation.candidates(op.arguments.get("match"))
-        removed, added = historical_delta(relation.schema, op, candidates,
-                                          relation.open_elements)
-        _obs.current().metrics.counter("commit.rows_examined").inc(
-            len(candidates))
-        staged[op.relation] = relation.advance(removed, added, commit_time)

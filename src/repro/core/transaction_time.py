@@ -1,33 +1,24 @@
-"""Transaction time, written once (§4.2 and §4.4 of the paper).
+"""The current state, and transaction time over it, written once (§4).
 
-Figure 10 classifies databases by two *orthogonal* capabilities: a static
-rollback database is a static database plus transaction time, a temporal
-database a historical database plus transaction time.  What transaction
-time adds is the same in both: every *element* of the current state — a
-data tuple for the former, a ``(data, valid period)`` fact for the latter
-— is stamped with the period ``[start, end)`` during which it belonged to
-the state, ``end = ∞`` while it still does.  Transaction time is
-append-only: "once a transaction has completed, the static relations in
-the static rollback relation may not be altered".
+Figure 10 classifies databases by two *orthogonal* capabilities.  Every
+kind keeps a current state of *elements* — data tuples, or ``(data,
+valid period)`` facts — in one :class:`StateStore`: an open map keyed by
+element, indexed by schema-key value.  A commit is an element delta:
+:meth:`StateStore.advance` costs O(Δ) plus two C-speed dict copies, never
+O(current state), and a replaced row keeps its place in a printed table.
 
-:class:`TransactionTimeStore` is that stamping, as an immutable value
-*partitioned* along the transaction-time axis: rows whose period has
-closed belong to the immutable past and live in an append-only log
-shared structurally between successive versions, while the open rows —
-exactly the current state — live in a map keyed by element, with an
-index by schema-key value beside it.  The unit that flows through a
-commit is the **element delta**: :meth:`TransactionTimeStore.advance`
-closes the rows of the elements an operation removes and opens rows for
-the ones it adds, both appended to the logs the next version shares with
-this one (:mod:`repro.core.lineage`), so a commit costs O(Δ) plus two
-C-speed dict copies — never O(current state) and never O(all rows ever
-written).  :func:`naive_advance` keeps the original whole-relation diff
-as the executable specification the delta path is property-tested
-against.
-
-:class:`~repro.core.rollback.RollbackRelation` and
-:class:`~repro.core.temporal.TemporalRelation` are the two element types;
-they add only their typed views of the rows.
+Transaction time adds stamps and the past: :class:`TransactionTimeStore`
+stamps each element with the period ``[start, end)`` it belonged to the
+state, ``end = ∞`` while it does, and keeps closed rows in an
+append-only log the versions share ("once a transaction has completed,
+the static relations in the static rollback relation may not be
+altered").  :func:`naive_advance` is the whole-relation diff the delta
+path is property-tested against.  The four compositions —
+:class:`~repro.core.static.StaticStore`,
+:class:`~repro.core.historical.HistoricalStore`,
+:class:`~repro.core.rollback.RollbackRelation`,
+:class:`~repro.core.temporal.TemporalRelation` — add only their element
+type and their typed views of the rows.
 """
 
 from __future__ import annotations
@@ -60,40 +51,45 @@ def index_access(index: str, through: Optional[Instant]) -> str:
                     else ": transaction-time range overlap")
 
 
-class TransactionTimeStore:
-    """Rows stamped with transaction time: an immutable value object.
+def itself(row: Any) -> Any:
+    """The element of a row that is its own element (no stamp)."""
+    return row
 
-    Internally partitioned into an append-only *closed* log (rows whose
-    transaction time has ended) and an *open* map keyed by state element
-    (the current state).  Successive versions produced by :meth:`advance`
-    share the closed log structurally, so a commit never copies the past;
-    they also share an *opened* log of every row that ever entered the
-    open map, so the difference between two versions is two list slices
-    (:mod:`repro.core.lineage`).
 
-    A subclass names its row type through three hooks: :attr:`_element`
-    (row → element), :meth:`_stamp` (element, period → row) and
-    :meth:`state_of` / :meth:`range_of` (rows → the value a rollback / an
-    ``as of … through`` returns).
+class StateStore:
+    """The current state of one relation: an immutable value object.
+
+    An *open* map keyed by state element holds the state's rows, and an
+    index by schema-key value lists them key by key, in the state's order
+    (:attr:`_spliced`).  Versions share a *lineage* token and two
+    append-only logs — rows that left the state and rows that entered it
+    (:mod:`repro.core.lineage`) — which a kind whose index is patched from
+    them extends (:meth:`_logged`).  A subclass names its row type:
+    :attr:`_element` (row → element), :attr:`_data` (row → data tuple),
+    :meth:`_opened`, :meth:`state_of` and :attr:`as_candidates`.
     """
 
-    __slots__ = ("_schema", "_closed_log", "_closed_len", "_opened_log",
-                 "_opened_len", "_open", "_by_key", "_open_extra", "_lineage",
-                 "_rows_cache", "_current_cache", "_times_cache")
+    __slots__ = ("_schema", "_open", "_by_key", "_open_extra", "_lineage",
+                 "_closed_log", "_closed_len", "_opened_log", "_opened_len",
+                 "_current_cache", "_rows_cache", "_times_cache")
 
-    #: row -> its state element.  A C-level callable
-    #: (``operator.itemgetter``), not a method: the constructor runs it
-    #: once per open row, and ``as of … through`` constructs a store from
-    #: thousands of rows per read.
+    #: row -> its state element: a C-level callable, not a method (a
+    #: constructor runs it once per row).
     _element: Callable[[Any], Any]
+    _data: Callable[[Any], Any] = operator.attrgetter("data")
 
-    @staticmethod
-    def _stamp(element: Any, tt: Period) -> Any:
-        """The row recording that *element* was in the state during *tt*."""
-        raise NotImplementedError
+    #: Row order: the whole-state path's (a commit's rows where the first
+    #: row it removed was), or the open map's where a dump writes that.
+    _spliced = True
+
+    def _opened(self, added: Collection[Any], commit_time: Instant
+                ) -> List[Any]:
+        """The rows recording that *added* entered the state at
+        *commit_time* (here: the elements themselves)."""
+        return list(added)
 
     def state_of(self, rows: Iterable[Any]) -> Any:
-        """The state *rows* amount to with transaction time projected away."""
+        """The state *rows* amount to (transaction time projected away)."""
         raise NotImplementedError
 
     def state_in_force(self, rows: Iterable[Any]) -> Any:
@@ -103,49 +99,39 @@ class TransactionTimeStore:
         the next) — so a subclass may skip the dedupe."""
         return self.state_of(rows)
 
-    def range_of(self, rows: Iterable[Any]) -> Any:
-        """What ``as of … through`` returns for the *rows* it selects."""
-        raise NotImplementedError
-
     #: rows -> a TQuel read's candidates ``(data, valid, tt)``.
     as_candidates: Callable[[Collection[Any]], Collection[Any]]
 
     def __init__(self, schema: Schema, rows: Iterable[Any] = ()) -> None:
-        element = self._element
-        closed: List[Any] = []
-        open_map: Dict[Any, Any] = {}
-        extra: List[Any] = []
-        for row in rows:
-            if row.tt.hi == math.inf:
-                key = element(row)
-                if key in open_map:
-                    extra.append(row)  # derived values may repeat an element
-                else:
-                    open_map[key] = row
-            else:
-                closed.append(row)
-        self._init_parts(schema, closed, [], open_map, None, extra, object())
+        rows = list(rows)  # (a repeated element is an equal row here)
+        self._init_parts(schema, dict(zip(map(self._element, rows), rows)),
+                         None, [], object(), [], [])
 
-    def _init_parts(self, schema: Schema, closed_log: List[Any],
-                    opened_log: List[Any], open_map: Dict[Any, Any],
+    def _init_parts(self, schema: Schema, open_map: Dict[Any, Any],
                     by_key: Optional[_KeyIndex], extra: List[Any],
-                    lineage: object) -> None:
+                    lineage: object, closed_log: List[Any],
+                    opened_log: List[Any]) -> None:
         self._schema = schema
+        self._open = open_map
+        self._by_key = by_key  # built on first use, see _key_index
+        self._open_extra = extra
         # Versions descending from the same original value share a lineage
         # token and both logs; a version sees a prefix of each.
+        self._lineage = lineage
         self._closed_log = closed_log
         self._closed_len = len(closed_log)
         self._opened_log = opened_log
         self._opened_len = len(opened_log)
-        self._open = open_map
-        self._by_key = by_key  # built on first use, see _key_index
-        self._open_extra = extra
-        self._lineage = lineage
-        self._rows_cache: Optional[PyTuple[Any, ...]] = None
         self._current_cache: Any = None
+        self._rows_cache: Optional[PyTuple[Any, ...]] = None
         self._times_cache: Optional[List[Instant]] = None
 
     # -- the open partition ------------------------------------------------------
+
+    @property
+    def schema(self) -> Schema:
+        """The explicit (non-temporal) schema."""
+        return self._schema
 
     def open_rows(self) -> Iterator[Any]:
         """The rows of the current state (transaction end = ∞)."""
@@ -164,12 +150,11 @@ class TransactionTimeStore:
     def _key_index(self) -> Optional[_KeyIndex]:
         """The open rows by schema-key value; ``None`` without a key.
 
-        Built once per lineage (the first use after a load or a
-        recovery); every later version gets its predecessor's outer dict
-        copied at C speed with only the touched keys' entries rebuilt.
-        Readers reach the build without a lock: two racing threads each
-        derive the same index from this immutable version's open map and
-        one assignment wins — an idempotent value, never a torn one.
+        Built once per lineage (the first use after a load), in open-map
+        order; every later version gets :meth:`_key_index_after`'s.
+        Readers reach the build without a lock: two racing threads derive
+        the same index from this immutable version, and one assignment
+        wins — an idempotent value, never a torn one.
         """
         if self._by_key is None and self._schema.key:
             self._by_key = {key: tuple(rows) for key, rows
@@ -183,84 +168,234 @@ class TransactionTimeStore:
         read would pay for every row it indexes)."""
         positions = [self._schema.position(name) for name in self._schema.key]
         keys = map(operator.itemgetter(*positions),
-                   map(operator.attrgetter("data.values"), rows))
+                   map(operator.attrgetter("values"), map(self._data, rows)))
         groups: Dict[PyTuple[Any, ...], List[Any]] = defaultdict(list)
         for key, row in zip(zip(keys) if len(positions) == 1 else keys, rows):
             groups[key].append(row)
         return groups
 
-    def _key_index_after(self, gone: Iterable[Any], opened: Iterable[Any]
+    def _key_index_after(self, gone: Collection[Any],
+                         opened: Collection[Any],
+                         touched: Optional[Dict[Any, Any]]
                          ) -> Optional[_KeyIndex]:
-        """The successor's key index: a C-speed copy of the outer dict
-        with the entries of the keys that lost (*gone*, rows of this
-        version's open map) or gained rows rebuilt."""
+        """The successor's key index: a C-speed copy with the keys that
+        lost rows (*gone*) or gained them (*opened*) rebuilt, into
+        *touched*; spliced, a key a commit produced or changed goes where
+        the first key that lost a row was (a replace keeps its place)."""
         index = self._key_index()
         if index is None:
             return None
+        lost, gained = defaultdict(list), defaultdict(list)
+        for rows, delta in ((lost, gone), (gained, opened)):
+            for row in delta:  # (a `key()` call beats getters at Δ rows)
+                rows[self._data(row).key()].append(row)
+        if touched is not None:
+            touched.update(itertools.chain(lost.items(), gained.items()))
         index = dict(index)
-        for row in gone:
-            key = row.data.key()
-            rest = tuple(other for other in index[key] if other is not row)
-            if rest:
-                index[key] = rest
-            else:
+        moved = [key for key in gained if key in lost or key not in index]
+        for key, rows in lost.items():
+            index[key] = self._placed(index[key], rows, gained.pop(key, ()))
+        first = next(iter(lost), None)
+        if self._spliced and first is not None and moved not in ([], [first]):
+            keys = list(index)  # (a C-speed rebuild: a key moved)
+            at = keys.index(first)
+            keys[at:at] = moved
+            keys = dict.fromkeys(keys)
+            index = dict(zip(keys, map(index.get, keys, itertools.repeat(()))))
+        for key, rows in gained.items():
+            index[key] = index.get(key, ()) + tuple(rows)
+        for key in lost:
+            if not index[key]:
                 del index[key]
-        for row in opened:
-            key = row.data.key()
-            index[key] = index.get(key, ()) + (row,)
         return index
+
+    def _placed(self, rows: PyTuple[Any, ...], lost: List[Any],
+                gained: List[Any]) -> PyTuple[Any, ...]:
+        """*rows* without *lost*, and *gained* in the place of the first
+        row lost — after them all where the order is the open map's."""
+        ids = set(map(id, lost))
+        kept = tuple(row for row in rows if id(row) not in ids)
+        at = (next(i for i, row in enumerate(rows) if id(row) in ids)
+              if self._spliced else len(rows))
+        return kept[:at] + tuple(gained) + kept[at:]
 
     def open_under_key(self, bound: Mapping[str, Any]
                        ) -> Optional[PyTuple[Any, ...]]:
-        """The open rows whose schema-key value is the one *bound* names,
-        by one probe of the key index — or ``None`` where a probe cannot
-        answer: no schema key, a key attribute *bound* leaves out, a
-        value no stored key can equal, or a derived value whose duplicate
-        open rows the index does not hold."""
+        """The open rows under the schema-key value *bound* names, by one
+        probe — ``None`` where none answers: no key, a key attribute left
+        out, an unhashable value, duplicate open rows the index lacks."""
         index = None if self._open_extra else self._key_index()
-        if index is None:
-            return None
         try:
-            return index.get(
+            return None if index is None else index.get(
                 tuple(bound[name] for name in self._schema.key), ())
         except (KeyError, TypeError):
             return None
 
     def candidates(self, match: Optional[Mapping[str, Any]]
                    ) -> Collection[Any]:
-        """The open rows an operation's equality *match* can touch.
-
-        A match binding every key attribute (a keyed update, or the
-        full-row match TQuel's ``replace`` expands to) is answered by
-        :meth:`open_under_key`; a key-less or partial-key match scans the
-        open map; no match at all (an insert) touches nothing.
-        """
+        """The open rows an operation's equality *match* can touch: one
+        key's for a match binding the whole key, else all of them (in the
+        state's order), none for an insert (no match)."""
         if match is None:
             return ()
         found = self.open_under_key(match)
-        return self._open.values() if found is None else found
+        return list(self.in_order()) if found is None else found
 
-    def _under_keys(self, keys: Iterable[PyTuple[Any, ...]]) -> Iterator[Any]:
-        """The open rows whose schema-key value is one of *keys*."""
-        index = self._key_index()
+    def probe(self, key: Mapping[str, Any]) -> Optional[Read]:
+        """:meth:`Database.read <repro.core.base.Database.read>` under the
+        schema-key value *key*: :meth:`open_under_key`'s rows, or None."""
+        found = self.open_under_key(key)
+        return None if found is None else Read(
+            KEY_ACCESS, True, self.as_candidates(found))
+
+    def in_order(self, keys: Optional[Iterable[PyTuple[Any, ...]]] = None
+                 ) -> Iterator[Any]:
+        """The open rows under the schema-key values *keys*, else all of
+        them in the state's order (:attr:`_spliced`): the open map's where
+        the index does not hold them all (no key, duplicate open rows)."""
+        index = None if self._open_extra else self._key_index()
+        if index is None or keys is None and not self._spliced:
+            return self.open_rows()
         return itertools.chain.from_iterable(
-            index.get(key, ()) for key in keys)
+            index.values() if keys is None else map(index.get, keys,
+                                                    itertools.repeat(())))
 
-    # -- accessors ---------------------------------------------------------------
+    def current(self) -> Any:
+        """The most recent state: exactly the open partition, in
+        :meth:`in_order`'s order.
 
-    @property
-    def schema(self) -> Schema:
-        """The explicit (non-temporal) schema."""
-        return self._schema
+        O(current state), memoized (the value is immutable, so the memo
+        is per version).  A commit never calls this.  Nothing is deduped
+        unless a derived value repeats an open element.
+        """
+        if self._current_cache is None:
+            self._current_cache = (
+                self.state_of(self.open_rows()) if self._open_extra
+                else self.state_in_force(self.in_order()))
+        return self._current_cache
 
     @property
     def rows(self) -> PyTuple[Any, ...]:
-        """Every timestamped row, past and current."""
+        """Every row the store holds."""
         if self._rows_cache is None:
             self._rows_cache = tuple(self._iter_rows())
         return self._rows_cache
 
     def _iter_rows(self) -> Iterator[Any]:
+        return self.in_order()
+
+    def __iter__(self) -> Iterator[Any]:
+        return self._iter_rows()
+
+    def pretty(self, title: Optional[str] = None, **style: Any) -> str:
+        """Render the current state (Figure 2, or Figure 6's table)."""
+        return self.current().pretty(title, **style)
+
+    # -- the one commit path -----------------------------------------------------
+
+    def advance(self, removed: Collection[Any], added: Collection[Any],
+                commit_time: Instant,
+                touched: Optional[Dict[Any, Any]] = None) -> "StateStore":
+        """The version in which the elements *removed* left the state and
+        *added* entered it at *commit_time*: O(Δ) plus C-speed copies of
+        the open map and the key index (the logs are :meth:`_logged`'s).
+        The schema-key values whose rows changed go to *touched*'s keys."""
+        if not removed and not added:
+            return self
+        open_map = dict(self._open)
+        gone = [open_map.pop(element) for element in removed]
+        opened = self._opened(added, commit_time)
+        open_map.update(zip(added, opened))
+        if gone and opened and self._spliced and not self._schema.key:
+            rows = self._placed(tuple(self._open.values()), gone, opened)
+            open_map = dict(zip(map(self._element, rows), rows))
+        successor = type(self).__new__(type(self))
+        successor._init_parts(self._schema, open_map,
+                              self._key_index_after(gone, opened, touched),
+                              [], *self._logged(gone, opened, commit_time))
+        return successor
+
+    def _logged(self, gone: List[Any], opened: List[Any],
+                commit_time: Instant) -> PyTuple[object, List[Any], List[Any]]:
+        """The successor's ``(lineage, closed log, opened log)``: here
+        unchanged (a store no index patches keeps no removed row)."""
+        return self._lineage, self._closed_log, self._opened_log
+
+    def _extend_logs(self, closed: List[Any], opened: List[Any]
+                     ) -> PyTuple[object, List[Any], List[Any]]:
+        """This lineage's logs with *closed* and *opened* appended."""
+        return (self._lineage,
+                extend_log(self._closed_log, self._closed_len, closed),
+                extend_log(self._opened_log, self._opened_len, opened))
+
+    # -- value semantics ----------------------------------------------------------
+
+    def __len__(self) -> int:
+        return self.open_count
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._schema.names == other._schema.names
+                and frozenset(self.rows) == frozenset(other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self._schema.names, frozenset(self.rows)))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({', '.join(self._schema.names)}; "
+                f"{len(self)} rows)")
+
+
+class TransactionTimeStore(StateStore):
+    """Rows stamped with transaction time: an immutable value object.
+
+    The current state's open map, plus the *closed* log of rows whose
+    transaction time has ended, shared by the versions :meth:`advance`
+    derives (a commit never copies the past), and the *opened* log of
+    every row that entered the open map.  A subclass adds :meth:`_stamp`
+    (element, period → row) and :meth:`range_of` to :class:`StateStore`'s
+    hooks.
+    """
+
+    __slots__ = ()
+
+    _spliced = False  # (a dump writes the open map)
+
+    @staticmethod
+    def _stamp(element: Any, tt: Period) -> Any:
+        """The row recording that *element* was in the state during *tt*."""
+        raise NotImplementedError
+
+    def _opened(self, added: Collection[Any], commit_time: Instant
+                ) -> List[Any]:
+        from_now_on = Period(commit_time, POS_INF)
+        return [self._stamp(element, from_now_on) for element in added]
+
+    def range_of(self, rows: Iterable[Any]) -> Any:
+        """What ``as of … through`` returns for the *rows* it selects."""
+        raise NotImplementedError
+
+    def __init__(self, schema: Schema, rows: Iterable[Any] = ()) -> None:
+        element = self._element
+        closed: List[Any] = []
+        open_map: Dict[Any, Any] = {}
+        extra: List[Any] = []
+        for row in rows:
+            if row.tt.hi == math.inf:
+                key = element(row)
+                if key in open_map:
+                    extra.append(row)  # derived values may repeat an element
+                else:
+                    open_map[key] = row
+            else:
+                closed.append(row)
+        self._init_parts(schema, open_map, None, extra, object(), closed, [])
+
+    # -- accessors ---------------------------------------------------------------
+
+    def _iter_rows(self) -> Iterator[Any]:
+        """Every timestamped row, past and current (:attr:`rows`)."""
         return itertools.chain(
             itertools.islice(self._closed_log, self._closed_len),
             self._open.values(), self._open_extra)
@@ -293,9 +428,6 @@ class TransactionTimeStore:
     def __len__(self) -> int:
         return self._closed_len + self.open_count
 
-    def __iter__(self) -> Iterator[Any]:
-        return self._iter_rows()
-
     # -- the transaction-time axis -----------------------------------------------
 
     def visible(self, as_of: InstantLike) -> List[Any]:
@@ -317,11 +449,11 @@ class TransactionTimeStore:
         of the store's own rows.  Under *key*, the key's open rows by one
         probe, or under ``as of`` its rows then, from the index's chain."""
         if key is not None:
-            found = (self.open_under_key(key) if as_of is None else
-                     index().under_key(key, as_of, through))
+            if as_of is None:
+                return self.probe(key)
+            found = index().under_key(key, as_of, through)
             return None if found is None else Read(
-                KEY_ACCESS if as_of is None else KEY_HISTORY_ACCESS, True,
-                self.as_candidates(found))
+                KEY_HISTORY_ACCESS, True, self.as_candidates(found))
         source = index() if indexed else self
         rows = (source.visible(now if as_of is None else as_of)
                 if through is None else
@@ -331,19 +463,6 @@ class TransactionTimeStore:
     def rollback(self, as_of: InstantLike) -> Any:
         """The state as of a transaction time (the paper's rollback)."""
         return self.state_of(self.visible(as_of))
-
-    def current(self) -> Any:
-        """The most recent state: exactly the open partition.
-
-        O(current state), memoized (the value is immutable, so the memo
-        is per version).  A commit never calls this.  Nothing is deduped
-        unless a derived value repeats an open element.
-        """
-        if self._current_cache is None:
-            self._current_cache = (
-                self.state_of(self.open_rows()) if self._open_extra
-                else self.state_in_force(self._open.values()))
-        return self._current_cache
 
     def visible_during(self, period: Period) -> Any:
         """What belonged to *some* state during the period.
@@ -365,63 +484,43 @@ class TransactionTimeStore:
         return list(self._times_cache)
 
     def advance(self, removed: Collection[Any], added: Collection[Any],
-                commit_time: Instant) -> "TransactionTimeStore":
-        """The version in which *removed* left the state and *added*
-        entered it at *commit_time* (both are collections of elements).
-
-        The removed elements' rows are closed at *commit_time* (or
-        withdrawn without trace, if this very transaction opened them),
-        the added ones open at it, and both are appended to the logs the
-        next version shares with this one.  Cost is O(Δ) plus C-speed
-        copies of the open map and the key index.  Semantically identical
-        to :func:`naive_advance` (property-tested), which also handles the
-        one case the partition cannot: a derived value holding duplicate
-        open rows.
+                commit_time: Instant,
+                touched: Optional[Dict[Any, Any]] = None
+                ) -> "TransactionTimeStore":
+        """:meth:`StateStore.advance`, stamped: the removed elements' rows
+        are closed at *commit_time* (or withdrawn without trace, if this
+        very transaction opened them), the added ones open at it, and
+        both are appended to the logs the next version shares with this
+        one.  Semantically identical to :func:`naive_advance`
+        (property-tested), which also handles the one case the partition
+        cannot: a derived value holding duplicate open rows.
         """
-        metrics = _obs.current().metrics
         if self._open_extra:
-            metrics.counter("commit.fallback_naive").inc()
+            _obs.current().metrics.counter("commit.fallback_naive").inc()
             gone = set(removed)
             state = [element for element in self._open if element not in gone]
-            return naive_advance(self, state + list(added), commit_time)
-        if not removed and not added:
-            return self
-        open_map = dict(self._open)
-        gone = [open_map.pop(element) for element in removed]
-        from_now_on = Period(commit_time, POS_INF)
+            successor = naive_advance(self, state + list(added), commit_time)
+            if touched is not None:  # (every key: the whole state)
+                touched.update(successor._key_index() or {})
+            return successor
+        return super().advance(removed, added, commit_time, touched)
+
+    def _logged(self, gone: List[Any], opened: List[Any],
+                commit_time: Instant) -> PyTuple[object, List[Any], List[Any]]:
+        # (every opened row's period; _opened built it once)
+        from_now_on = opened[0].tt if opened else Period(commit_time, POS_INF)
         # A row opened and superseded within one transaction was never
         # part of a committed state: withdrawn, not closed.
         withdrawn = [row for row in gone if row.tt == from_now_on]
         closed = [_closed(row, commit_time)
                   for row in gone if row.tt != from_now_on]
-        opened = [self._stamp(element, from_now_on) for element in added]
-        open_map.update(zip(added, opened))
-        by_key = self._key_index_after(gone, opened)
-        closed_log = extend_log(self._closed_log, self._closed_len, closed)
-        opened_log = extend_log(self._opened_log, self._opened_len, opened)
+        parts = self._extend_logs(closed, opened)
         if withdrawn:
-            withdraw(opened_log, withdrawn, from_now_on)
+            withdraw(parts[2], withdrawn, from_now_on)
+        metrics = _obs.current().metrics
         metrics.counter("commit.rows_closed").inc(len(closed))
         metrics.counter("commit.rows_opened").inc(len(opened))
-        successor = type(self).__new__(type(self))
-        successor._init_parts(self._schema, closed_log, opened_log, open_map,
-                              by_key, [], self._lineage)
-        return successor
-
-    # -- value semantics ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self._schema.names == other._schema.names
-                and frozenset(self.rows) == frozenset(other.rows))
-
-    def __hash__(self) -> int:
-        return hash((self._schema.names, frozenset(self.rows)))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}({', '.join(self._schema.names)}; "
-                f"{len(self)} rows)")
+        return parts
 
 
 def _closed(row: Any, commit_time: Instant) -> Any:

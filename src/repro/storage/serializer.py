@@ -56,11 +56,12 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 from typing import Tuple as PyTuple
 
 from repro.core.historical import (HistoricalDatabase, HistoricalRelation,
-                                   HistoricalRow)
+                                   HistoricalRow, HistoricalStore)
 from repro.core.rollback import (INTERVAL, RollbackDatabase,
                                  RollbackRelation, StateSequence,
                                  TransactionTimeRow)
-from repro.core.static import StaticDatabase
+from repro.core.static import StaticDatabase, StaticStore
+from repro.core.transaction_time import StateStore
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
 from repro.errors import SchemaError, StorageError, TimeError
 from repro.relational.domain import Domain
@@ -414,12 +415,16 @@ def store_to_dict(store: Any, closed: bool = True,
     elif isinstance(store, StateSequence):
         kind, field, rows = "states", "states", store.states
         plain = _encode_states
-    elif isinstance(store, HistoricalRelation):
-        kind, field, rows, plain = "historical", "rows", store.rows, encode_rows
-    elif isinstance(store, Relation):
-        kind, field, rows, plain = "static", "tuples", store, _encode_tuples
     else:
-        raise StorageError(f"cannot dump store {store!r}")
+        if isinstance(store, StateStore):
+            store = store.current()  # a state without transaction time
+        if isinstance(store, HistoricalRelation):
+            kind, field, rows = "historical", "rows", store.rows
+            plain = encode_rows
+        elif isinstance(store, Relation):
+            kind, field, rows, plain = "static", "tuples", store, _encode_tuples
+        else:
+            raise StorageError(f"cannot dump store {store!r}")
     texts = row_texts if plain is encode_rows else _value_texts
     return {"kind": kind, "schema": schema_to_dict(store.schema),
             field: plain(rows) if memo is None else texts(rows, memo)}
@@ -545,7 +550,13 @@ def load_database(data: Dict[str, Any], clock=None):
         schema = schema_from_dict(entry["schema"])
         database._schemas[name] = schema
         database._constraints[name] = []
-        database._store[name] = relation_from_dict(entry["store"], memo)
+        value = relation_from_dict(entry["store"], memo)
+        # A state without transaction time goes back in its kind's store.
+        database._store[name] = (
+            HistoricalStore(schema, value.rows)
+            if isinstance(value, HistoricalRelation) else
+            StaticStore(schema, value) if isinstance(value, Relation)
+            else value)
         if entry.get("event"):
             database._event_relations.add(name)
     if last is not None:

@@ -1,38 +1,47 @@
 """The delta commit path against the naive executable specification.
 
-A commit on either transaction-time kind carries an element delta —
-computed over the rows the operation's match can touch, recorded by the
-one :meth:`TransactionTimeStore.advance` on two lineage-shared logs the
-indexes are patched from (and, on a :class:`TemporalDatabase`, checked on
-the touched keys only); the one :func:`naive_advance` (plus the
-whole-state constraint check) keeps the original whole-relation diff.
-These tests drive seeded random workloads through the databases and replay
-them through the naive function — both element types, data tuples and
-facts with their valid period — asserting the two paths produce identical
-stores, rollbacks, timeslices and commit verdicts — over every shape of
-match, multi-operation batches that touch a key twice, every kind of
-constraint, the created-and-superseded-within-one-transaction edge and the
-abort path (a failed commit must leave the installed value's view of both
-shared logs untouched).
+A commit on every kind carries an element delta — computed over the rows
+the operation's match can touch, recorded by the one
+:meth:`StateStore.advance` (on the transaction-time kinds, on two
+lineage-shared logs the indexes are patched from) and checked on the
+touched keys only; the whole-state oracle (``whole_state_oracle``: the
+whole new state per operation, :func:`naive_advance` on the
+transaction-time kinds, the whole-state constraint check) keeps the
+original whole-relation diff.  These tests drive seeded random workloads
+through the databases and replay them through the oracle — all four
+kinds, data tuples and facts with their valid period — asserting the two
+paths produce identical stores, rollbacks, timeslices and commit verdicts
+— over every shape of match, multi-operation batches that touch a key
+twice, every kind of constraint, the created-and-superseded-within-one-
+transaction edge and the abort path (a failed commit must leave the
+installed value's view of both shared logs untouched).
 """
 
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core import (INTERVAL, STATES, BoundedValidity, ContiguousHistory,
-                        HistoricalDatabase, HistoricalIndex, NoFutureValidity,
-                        RollbackDatabase, RollbackRelation, TemporalDatabase,
-                        TemporalRelation, TransactionTimeIndex,
-                        ValidityDuration, apply_historical_operation,
-                        apply_static_operation, naive_advance)
+                        HistoricalDatabase, HistoricalIndex,
+                        HistoricalRelation, NoFutureValidity,
+                        RollbackDatabase, RollbackRelation, StaticDatabase,
+                        StaticStore, TemporalDatabase, TemporalRelation,
+                        TemporalConstraint, TransactionTimeIndex,
+                        TransactionTimeStore, ValidityDuration, naive_advance)
 from repro.core.historical import check_historical_constraints
 from repro.errors import ConstraintViolation, GranularityError
 from repro.relational import (Attribute, CheckConstraint, Constraint, Domain,
-                              NotNullConstraint, Schema, Tuple, attr)
+                              NotNullConstraint, Relation, Schema, Tuple,
+                              attr)
 from repro.time import Granularity, Instant, Period, SimulatedClock
 from repro.txn.transaction import Operation
+
+from tests.core.whole_state_oracle import (apply_historical_operation,
+                                           apply_static_operation,
+                                           check_state)
 
 BASE = Instant.parse("01/01/80")
 KEYS = ["k%d" % i for i in range(6)]
@@ -83,21 +92,58 @@ def _naive_step(store, op, commit_time):
     return naive_advance(store, apply(store.current(), op), commit_time)
 
 
+def _empty_oracle(database, name="r"):
+    """The oracle's value before the first operation: a transaction-time
+    store for the naive advance, else the whole state value."""
+    schema = database.schema(name)
+    if database.supports_rollback:
+        return (TemporalRelation if database.supports_historical_queries
+                else RollbackRelation)(schema)
+    return (HistoricalRelation(schema) if database.supports_historical_queries
+            else Relation.empty(schema))
+
+
+def _oracle_step(value, op, commit_time):
+    """One operation through the oracle (any kind's value)."""
+    if isinstance(value, TransactionTimeStore):
+        return _naive_step(value, op, commit_time)
+    if isinstance(value, HistoricalRelation):
+        return apply_historical_operation(value, op)
+    return apply_static_operation(value, op)
+
+
 def _replay_naive(database, name="r"):
-    """Rebuild the store from the commit log via the naive advance."""
-    store = (TemporalRelation if database.supports_historical_queries
-             else RollbackRelation)(database.schema(name))
+    """Rebuild the store (a transaction-time kind's) or the state (the
+    others') from the commit log through the oracle."""
+    store = _empty_oracle(database, name)
     for record in database.log:
         for op in record.operations:
             if op.relation != name or op.action in ("define", "drop"):
                 continue
-            store = _naive_step(store, op, record.commit_time)
+            store = _oracle_step(store, op, record.commit_time)
     return store
 
 
-#: The two element types of the one store: (database, valid-time bounds).
+def _rows(state):
+    return state.rows if isinstance(state, HistoricalRelation) else state.tuples
+
+
+def _assert_is_oracle(store, oracle):
+    """*store* holds what the oracle does: the very rows of a
+    transaction-time store; the state of the others."""
+    if isinstance(oracle, TransactionTimeStore):
+        assert store == oracle
+        return
+    assert set(_rows(store.current())) == set(_rows(oracle))
+    assert len(_rows(store.current())) == len(_rows(oracle))
+
+
+#: The element types of the one store, on every kind: (database,
+#: valid-time bounds).
 ELEMENTS = {"tuple": (RollbackDatabase, {}),
-            "fact": (TemporalDatabase, {"valid_from": BASE})}
+            "fact": (TemporalDatabase, {"valid_from": BASE}),
+            "static": (StaticDatabase, {}),
+            "historical": (HistoricalDatabase, {"valid_from": BASE})}
 
 
 def _check_created_and_superseded_within_one_transaction(element):
@@ -115,8 +161,11 @@ def _check_created_and_superseded_within_one_transaction(element):
         database.delete("r", {"k": "ghost"}, txn=txn)
         database.replace("r", {"k": "k0"}, {"v": "green"}, txn=txn)
     incremental = database.store("r")
-    assert incremental == _replay_naive(database)
-    assert not any(row.data["k"] == "ghost" for row in incremental.rows)
+    _assert_is_oracle(incremental, _replay_naive(database))
+    assert not any(getattr(row, "data", row)["k"] == "ghost"
+                   for row in incremental.rows)
+    if not database.supports_rollback:
+        return
     # The phantom also never shows up on the transaction-time axis.
     state = database.rollback("r", BASE + 10)
     assert "ghost" not in {getattr(row, "data", row)["k"] for row in state}
@@ -149,7 +198,7 @@ def _check_aborted_commit_leaves_installed_value_intact(element):
     # A later commit diverges onto a private copy and stays correct.
     clock.set(BASE + 20)
     database.replace("r", {"k": "k0"}, {"v": "green"})
-    assert database.store("r") == _replay_naive(database)
+    _assert_is_oracle(database.store("r"), _replay_naive(database))
 
 
 def _check_duplicate_open_rows_fall_back_to_the_oracle(element):
@@ -388,6 +437,54 @@ class TestRollbackEquivalence:
         assert RollbackRelation(store.schema, store.rows[1:]) != store
 
 
+class TestCurrentStateEquivalence:
+    """The kinds without transaction time commit through the same store."""
+
+    @pytest.mark.parametrize("element", ["static", "historical"])
+    def test_created_and_superseded_within_one_transaction(self, element):
+        _check_created_and_superseded_within_one_transaction(element)
+
+    @pytest.mark.parametrize("element", ["static", "historical"])
+    def test_aborted_commit_leaves_installed_value_intact(self, element):
+        _check_aborted_commit_leaves_installed_value_intact(element)
+
+    def test_a_static_store_keeps_no_removed_tuple(self):
+        # "Past states ... are discarded and forgotten completely": after
+        # any number of keyed replaces, the store reaches exactly its
+        # current tuples — the same count after 100 and after 2,000.
+        clock = SimulatedClock(BASE)
+        database = StaticDatabase(clock=clock)
+        database.define("r", Schema.of(key=["k"], k=Domain.STRING,
+                                       v=Domain.INTEGER))
+        with database.begin() as txn:
+            for key in KEYS:
+                database.insert("r", {"k": key, "v": 0}, txn=txn)
+        reached = {}
+        for step in range(2000):
+            clock.set(BASE + 1 + step)
+            database.replace("r", {"k": KEYS[step % len(KEYS)]},
+                             {"v": step + 1})
+            if step + 1 in (100, 2000):
+                reached[step + 1] = _tuples_reachable(database.store("r"))
+        assert reached == {100: len(KEYS), 2000: len(KEYS)}
+
+
+def _tuples_reachable(root):
+    """How many distinct :class:`Tuple` objects *root* reaches (types and
+    schemas, shared by every value, are not walked)."""
+    seen, tuples, stack = set(), set(), [root]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (type, Schema)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, Tuple):
+            tuples.add(id(item))
+            continue
+        stack.extend(gc.get_referents(item))
+    return len(tuples)
+
+
 # ---------------------------------------------------------------------------
 # Keyed relations: every shape of match, batches, every kind of constraint
 # ---------------------------------------------------------------------------
@@ -423,6 +520,10 @@ class HeadcountCap(Constraint):
             raise ConstraintViolation(f"{self.name}: {len(relation)} facts")
 
 
+#: The kinds a keyed run drives: name -> database.
+KINDS = {"temporal": TemporalDatabase, "rollback": RollbackDatabase,
+         "historical": HistoricalDatabase, "static": StaticDatabase}
+
 #: name -> (constraints, whether the touched-keys check applies).
 CONSTRAINT_SETS = {
     "sequenced key only": ([], True),
@@ -453,13 +554,31 @@ def _valid_bounds(rng):
     return {}
 
 
+def _kind_rules(kind, rules):
+    """The constraints of *rules* on *kind*, or ``None`` where the kind
+    cannot declare them (a valid-time rule without valid time)."""
+    constraints, local = CONSTRAINT_SETS[rules]
+    if (not KINDS[kind].kind.supports_historical_queries
+            and any(isinstance(c, TemporalConstraint) for c in constraints)):
+        return None
+    return constraints, local
+
+
+KEYED_RUNS = [(kind, rules) for kind in KINDS for rules in CONSTRAINT_SETS
+              if _kind_rules(kind, rules) is not None]
+#: Their ids: the rules, then the kind (but the temporal one's).
+KEYED_IDS = [rules if kind == "temporal" else f"{rules}-{kind}"
+             for kind, rules in KEYED_RUNS]
+
+
 def _random_match(rng, open_rows, key):
     """One of: key-bound, full-row, partial-key, non-key, absent, empty."""
     shape = rng.random()
     if shape < 0.35:
         return {"dept": key[0], "name": key[1]}
     if shape < 0.55 and open_rows:
-        return dict(rng.choice(open_rows).data)  # what TQuel's replace sends
+        row = rng.choice(open_rows)
+        return dict(getattr(row, "data", row))  # what TQuel's replace sends
     if shape < 0.7:
         return {"dept": key[0]}
     if shape < 0.8:
@@ -478,9 +597,11 @@ def _random_batch(database, rng, txn, open_rows):
             key = (rng.choice(DEPTS), rng.choice(NAMES))
         kind = rng.random()
         bounds = _valid_bounds(rng)
+        if kind < 0.45 and "valid_from" not in bounds:  # inserts need one
+            bounds = {"valid_from": BASE + rng.randrange(0, 700)}
+        if not database.supports_historical_queries:
+            bounds = {}
         if kind < 0.45:
-            if "valid_from" not in bounds:  # inserts need one
-                bounds = {"valid_from": BASE + rng.randrange(0, 700)}
             database.insert("r", {"dept": key[0], "name": key[1],
                                   "rank": rng.choice(RANKS),
                                   "salary": rng.randrange(50, 100)},
@@ -496,35 +617,51 @@ def _random_batch(database, rng, txn, open_rows):
 
 
 def _assert_partition_consistent(relation):
-    """The by-key index is exactly the open map, grouped, in its order."""
+    """The by-key index is exactly the open map, grouped — in its order
+    where the store has transaction time (a store without it orders
+    each key's rows as the whole-state path does)."""
     grouped = {}
     for row in relation._open.values():
-        grouped.setdefault(row.data.key(), []).append(row)
-    assert relation._key_index() == {key: tuple(rows)
-                                     for key, rows in grouped.items()}
+        grouped.setdefault(relation._data(row).key(), []).append(row)
+    if isinstance(relation, TransactionTimeStore):
+        assert relation._key_index() == {key: tuple(rows)
+                                         for key, rows in grouped.items()}
+    else:
+        assert ({key: sorted(map(repr, rows)) for key, rows
+                 in relation._key_index().items()}
+                == {key: sorted(map(repr, rows))
+                    for key, rows in grouped.items()})
     assert not relation._open_extra
+    if isinstance(relation, StaticStore):
+        # Forgotten completely: nothing is logged.
+        assert relation._closed_log == relation._opened_log == []
+        return
+    if not isinstance(relation, TransactionTimeStore):
+        return  # (a fact may enter a historical state twice)
     # Everything open entered through the opened log, exactly once.
     entered = relation._opened_log[:relation._opened_len]
     assert set(relation._open.values()) <= set(entered)
     assert len(set(entered)) == len(entered)
 
 
-def _drive_keyed(seed, constraints, steps=70, after_commit=None):
+def _drive_keyed(seed, constraints, steps=70, after_commit=None,
+                 kind="temporal"):
     """Random batches against a keyed relation and, in lock step, against
-    the oracle: naive_advance per operation, then the whole-state check.
-    Every verdict and every installed state must agree."""
+    the oracle: the whole new state (and, with transaction time,
+    naive_advance) per operation, then the whole-state check.  Every
+    verdict and every installed state must agree."""
     clock = SimulatedClock(BASE)
-    database = TemporalDatabase(clock=clock)
+    database = KINDS[kind](clock=clock)
     database.define("r", _keyed_schema(), constraints=constraints)
-    oracle = TemporalRelation(_keyed_schema())
+    oracle = _empty_oracle(database)
     rng = random.Random(seed)
     verdicts = []
     for step in range(steps):
         clock.set(BASE + 100 + 3 * step)
-        installed = database.temporal("r")
+        installed = database.store("r")
         txn = database.begin()
         _random_batch(database, rng, txn,
-                      lambda: list(database.temporal("r").open_rows()))
+                      lambda: list(database.store("r").open_rows()))
         operations = txn.operations
         try:
             txn.commit()
@@ -534,10 +671,11 @@ def _drive_keyed(seed, constraints, steps=70, after_commit=None):
         commit_time = database.manager.clock.last
         staged = oracle
         for op in operations:
-            staged = _naive_step(staged, op, commit_time)
+            staged = _oracle_step(staged, op, commit_time)
         try:
-            check_historical_constraints(staged.current(), constraints,
-                                         commit_time)
+            check_state(staged.current()
+                        if isinstance(staged, TransactionTimeStore)
+                        else staged, constraints, commit_time)
             expected = True
         except ConstraintViolation:
             expected = False
@@ -546,9 +684,9 @@ def _drive_keyed(seed, constraints, steps=70, after_commit=None):
         if accepted:
             oracle = staged
         else:
-            assert database.temporal("r") is installed
-        relation = database.temporal("r")
-        assert relation == oracle, step
+            assert database.store("r") is installed
+        relation = database.store("r")
+        _assert_is_oracle(relation, oracle)
         _assert_partition_consistent(relation)
         if after_commit is not None:
             after_commit(step, database)
@@ -557,30 +695,31 @@ def _drive_keyed(seed, constraints, steps=70, after_commit=None):
 
 class TestKeyedEquivalence:
     @pytest.mark.parametrize("seed", [0, 7, 1985])
-    @pytest.mark.parametrize("rules", list(CONSTRAINT_SETS))
-    def test_every_commit_matches_the_oracle(self, rules, seed):
-        constraints, _ = CONSTRAINT_SETS[rules]
-        database, verdicts = _drive_keyed(seed, constraints)
+    @pytest.mark.parametrize("kind,rules", KEYED_RUNS, ids=KEYED_IDS)
+    def test_every_commit_matches_the_oracle(self, kind, rules, seed):
+        constraints, _ = _kind_rules(kind, rules)
+        database, verdicts = _drive_keyed(seed, constraints, kind=kind)
         # The run exercised both outcomes, not just one of them.
         assert any(verdicts) and not all(verdicts)
-        assert database.temporal("r") == _replay_naive(database)
+        _assert_is_oracle(database.store("r"), _replay_naive(database))
 
-    @pytest.mark.parametrize("rules", list(CONSTRAINT_SETS))
-    def test_only_key_local_rules_skip_the_whole_state(self, rules):
+    @pytest.mark.parametrize("kind,rules", KEYED_RUNS, ids=KEYED_IDS)
+    def test_only_key_local_rules_skip_the_whole_state(self, kind, rules):
         # The touched-keys check is an optimisation the database may take
         # only when no rule can see past the key; rows_examined tells
         # which path ran.
-        constraints, local = CONSTRAINT_SETS[rules]
+        constraints, local = _kind_rules(kind, rules)
         clock = SimulatedClock(BASE)
-        database = TemporalDatabase(clock=clock)
+        database = KINDS[kind](clock=clock)
         database.define("r", _keyed_schema(), constraints=constraints)
+        bounds = ({"valid_from": BASE + 30, "valid_to": BASE + 400}
+                  if database.supports_historical_queries else {})
         with database.begin() as txn:
             for dept in DEPTS:
                 for name in NAMES[:2]:
                     database.insert("r", {"dept": dept, "name": name,
                                           "rank": "full", "salary": 60},
-                                    valid_from=BASE + 30,
-                                    valid_to=BASE + 400, txn=txn)
+                                    txn=txn, **bounds)
         clock.set(BASE + 50)
         with obs.recording() as inst:
             database.replace("r", {"dept": "cs", "name": "ann"},
@@ -638,6 +777,64 @@ class TestHistoricalDatabaseDelta:
         assert any(verdicts) and not all(verdicts)
         cache = database.index_cache
         assert cache.misses == 1 and cache.incremental_updates > 5
+
+
+#: One operation: (action, key, value, the key a ``rekey`` gives or the
+#: value a ``recolor`` gives).
+KEYED_OPS = st.tuples(
+    st.sampled_from(["insert", "delete", "replace", "rekey", "recolor"]),
+    st.sampled_from(KEYS[:4]), st.sampled_from(VALUES),
+    st.sampled_from(KEYS + VALUES))
+
+
+@pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "keyless"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=40, deadline=None)
+@given(batches=st.lists(st.lists(KEYED_OPS, min_size=1, max_size=3),
+                        max_size=14))
+def test_current_is_the_oracle_state_in_its_order(kind, keyed, batches):
+    # After random batches the current state is the oracle's, row for row
+    # in its order: without transaction time a replaced row (one whose
+    # key a replace changes too, or one of many a match by value moves)
+    # keeps its place, as on the whole-state path; with it, the naive
+    # advance's order.  With a key, an insert or rekey to a key the state
+    # holds is skipped, so each key holds one row at every step.
+    clock = SimulatedClock(BASE)
+    database = KINDS[kind](clock=clock)
+    database.define("r", Schema.of(key=["k"] if keyed else [],
+                                   k=Domain.STRING, v=Domain.STRING))
+    bounds = {"valid_from": BASE} if database.supports_historical_queries \
+        else {}
+    keys = set()
+    for step, batch in enumerate(batches):
+        clock.set(BASE + 10 + step)
+        with database.begin() as txn:
+            for action, key, value, other in batch:
+                free = not keyed or other not in keys
+                if action == "rekey" and other in KEYS and free:
+                    database.replace("r", {"k": key}, {"k": other}, txn=txn)
+                    if key in keys:
+                        keys.discard(key)
+                        keys.add(other)
+                elif action == "recolor" and other in VALUES:
+                    database.replace("r", {"v": value}, {"v": other},
+                                     txn=txn)
+                elif action == "insert" and (not keyed or key not in keys):
+                    database.insert("r", {"k": key, "v": value},
+                                    txn=txn, **bounds)
+                    keys.add(key)
+                elif action == "delete":
+                    database.delete("r", {"k": key}, txn=txn)
+                    keys.discard(key)
+                elif action == "replace":
+                    database.replace("r", {"k": key}, {"v": value},
+                                     txn=txn)
+    state = _replay_naive(database)
+    if isinstance(state, TransactionTimeStore):
+        state = state.current()
+    current = database.store("r").current()
+    assert current == state
+    assert _rows(current) == _rows(state)
 
 
 # ---------------------------------------------------------------------------
@@ -752,13 +949,20 @@ class TestRowsExamined:
         # The key's one row for the delta, its one successor for the check.
         assert counts == {64: 2, 2048: 2}
 
+    @pytest.mark.parametrize("element", ["static", "historical"])
+    def test_every_kind_examines_two_rows_per_keyed_replace(self, element):
+        counts = {keys: self._examined(self._loaded(keys, element),
+                                       {"name": "n0007"}, {"salary": -1})
+                  for keys in (64, 2048)}
+        assert counts == {64: 2, 2048: 2}
+
     def test_rollback_keyed_replace_hands_the_delta_one_row(self):
         counts = {keys: self._examined(self._loaded(keys, "tuple"),
                                        {"name": "n0007"}, {"salary": -1})
                   for keys in (64, 2048)}
         # The by-key candidates hand the delta the key's one row at any
-        # size; the static kinds' key check still reads the whole state.
-        assert counts == {64: 1 + 64, 2048: 1 + 2048}
+        # size, and the key check reads the key's one successor.
+        assert counts == {64: 2, 2048: 2}
 
     @pytest.mark.parametrize("keys", [64, 2048])
     def test_key_less_match_scans_the_open_rows(self, keys):

@@ -150,6 +150,15 @@ class TestRelationIndexes:
                       "03/01/84"):
             assert index.timeslice(probe) == history.timeslice(probe), probe
 
+    def test_historical_index_of_a_plain_value_rebuilds(self,
+                                                        historical_faculty):
+        # A plain HistoricalRelation has no lineage: nothing to patch from.
+        database, _ = historical_faculty
+        history = database.history("faculty")
+        index = HistoricalIndex(history)
+        assert index.update(history.select(lambda row: True)) is None
+        assert index.update(database.store("faculty")) is None
+
     def test_rollback_index_matches_rollback(self, rollback_faculty):
         database, _ = rollback_faculty
         store = database.store("faculty")

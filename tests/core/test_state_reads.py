@@ -165,6 +165,11 @@ def history(kind, shards, steps, directory):
 # The walks
 # ---------------------------------------------------------------------------
 
+def walkable(store):
+    """A store without transaction time walks as its current state."""
+    return store if hasattr(store, "rollback") else store.current()
+
+
 def rows_of(value):
     return value.rows if isinstance(value, HistoricalRelation) else value.tuples
 
@@ -227,7 +232,7 @@ def test_reads_equal_the_store_walk(kind, shards, steps):
     with tempfile.TemporaryDirectory() as directory:
         durable = history(kind, shards, steps, directory)
         db, parts = durable.db, durable.parts
-        stores = [part.store("r") for part in parts]
+        stores = [walkable(part.store("r")) for part in parts]
         now = db.now()
         same(db.snapshot("r"),
              merged([walk_snapshot(store, now) for store in stores]))
@@ -448,3 +453,67 @@ def test_timeslice_as_of_is_refused_by_type(kind, sharded):
     else:
         with pytest.raises(HistoricalNotSupportedError):
             db.timeslice("r", BASE + 1)
+
+
+# ---------------------------------------------------------------------------
+# Database.get: one probe of the key, equal to the scan it replaced
+# ---------------------------------------------------------------------------
+
+#: name -> schema: one key attribute, a two-attribute key, no key.
+GET_SCHEMAS = {
+    "single": SCHEMA,
+    "composite": Schema.of(key=["k", "v"], k=Domain.STRING,
+                           v=Domain.INTEGER),
+    "keyless": Schema.of(k=Domain.STRING, v=Domain.INTEGER),
+}
+
+
+def scanned(db, name, key):
+    """What ``get`` answered before it probed: the snapshot, filtered."""
+    return [row for row in db.snapshot(name)
+            if all(row[attribute] == value for attribute, value in key.items())]
+
+
+@pytest.mark.parametrize("kind,shards", CONFIGS,
+                         ids=[f"{kind}{'-x3' if shards else ''}"
+                              for kind, shards in CONFIGS])
+def test_get_equals_the_scan(kind, shards):
+    clock = SimulatedClock(BASE)
+    db = (ShardedDatabase(KINDS[kind], shards=shards, clock=clock) if shards
+          else KINDS[kind](clock=clock))
+    valid = db.supports_historical_queries
+    for name, schema in GET_SCHEMAS.items():
+        db.define(name, schema)
+    for day, (action, key, value, since, until) in enumerate([
+            ("insert", "k0", 1, 0, None), ("insert", "k1", 1, 0, 5),
+            ("insert", "k2", 2, 0, None), ("replace", "k0", 2, 10, None),
+            ("insert", "k1", 2, 200, None), ("delete", "k2", None, 0, None),
+            ("insert", "k3", 1, 0, None)]):
+        clock.set(BASE + 50 + day)
+        times = ({"valid_from": BASE + since,
+                  **({"valid_to": BASE + until} if until else {})}
+                 if valid else {})
+        for name in GET_SCHEMAS:
+            if action == "insert" and since == 200 and not valid:
+                continue  # (a postactive fact: valid time only)
+            if action == "insert":
+                db.insert(name, {"k": key, "v": value}, **times)
+            elif action == "replace" and name == "composite":
+                # (a key never changes in place on a sharded store)
+                db.delete(name, {"k": key}, **times)
+                db.insert(name, {"k": key, "v": value},
+                          **({"valid_from": BASE + since} if valid else {}))
+            elif action == "replace":
+                db.replace(name, {"k": key}, {"v": value}, **times)
+            else:
+                db.delete(name, {"k": key})
+    probes = [("single", {"k": key}) for key in ("k0", "k1", "k2", "k3", "zz")]
+    probes += [("composite", {"k": key, "v": value})
+               for key in ("k0", "k1", "k3") for value in (1, 2)]
+    if not shards:  # a sharded get must pin the key
+        probes += [("composite", {"k": "k0"}), ("keyless", {"k": "k0"}),
+                   ("keyless", {"k": "k3", "v": 1}), ("single", {"v": 2})]
+    for name, key in probes:
+        assert (sorted(db.get(name, key), key=repr)
+                == sorted(scanned(db, name, key), key=repr)), (name, key)
+    assert db.get("single", {"k": "k0"})  # the probes found something

@@ -8,13 +8,17 @@ rollbacks, timeslices, temporal rows and the paper's TQuel answers all
 agree.
 """
 
+import functools
 import os
 
 import pytest
 
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
+from repro.core.rollback import STATES
 from repro.errors import JournalError
+from repro.relational import Domain, Schema
+from repro.replication import state_digest
 from repro.storage import DurabilityManager, detect_kind
 from repro.time import SimulatedClock
 from repro.workload import FacultyWorkload, apply_workload
@@ -91,6 +95,77 @@ class TestEquivalence:
         assert observations(recovered) == observations(reference)
         assert [r.commit_time for r in recovered_manager.database.log] == \
             [r.commit_time for r in reference.log][4:]
+
+
+class TestRowOrderSurvivesARestart:
+    """A store's printed row order, and what a later operation makes of
+    it, are the same live, after a checkpoint and after a full replay."""
+
+    FACTORIES = {
+        "static": StaticDatabase,
+        "rollback-interval": RollbackDatabase,
+        "rollback-states": functools.partial(RollbackDatabase,
+                                             representation=STATES),
+        "historical": HistoricalDatabase,
+        "temporal": TemporalDatabase,
+    }
+
+    @staticmethod
+    def _drive(database, steps):
+        clock = database.manager.clock.source
+        valid = ({"valid_from": 1}
+                 if database.supports_historical_queries else {})
+        for action, *arguments in steps:
+            clock.set(clock.current() + 1)
+            if action == "insert":
+                database.insert("r", arguments[0], **valid)
+            else:
+                getattr(database, action)("r", *arguments)
+
+    #: The commits after the checkpoint, and the rows (k, d) they leave
+    #: in a store without transaction time: each replaced row in its
+    #: place, as on the whole-state path.
+    TAILS = {
+        "no-tail": ([], [("e", "z"), ("a", "x"), ("b", "x")]),
+        "tail": ([("replace", {"d": "x"}, {"d": "y"}),  # partial key
+                  ("insert", {"k": "f", "d": "x", "v": 3}),
+                  ("replace", {"k": "b", "d": "y"}, {"v": 4})],
+                 [("e", "z"), ("a", "y"), ("b", "y"), ("f", "x")]),
+    }
+
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    @pytest.mark.parametrize("kind", sorted(FACTORIES))
+    def test_keyed_replace_checkpoint_then_a_partial_key_replace(
+            self, kind, tail, directory):
+        factory = self.FACTORIES[kind]
+        manager = DurabilityManager(directory)
+        live, _ = manager.recover(factory)
+        live.manager.clock.source.set(2)
+        live.define("r", Schema.of(key=["k", "d"], k=Domain.STRING,
+                                   d=Domain.STRING, v=Domain.INTEGER))
+        self._drive(live, [
+            ("insert", {"k": "c", "d": "z", "v": 1}),
+            ("insert", {"k": "a", "d": "x", "v": 1}),
+            ("insert", {"k": "b", "d": "x", "v": 1}),
+            ("replace", {"k": "a", "d": "x"}, {"v": 2}),   # keeps its key
+            ("replace", {"k": "c", "d": "z"}, {"k": "e"}),  # changes it
+        ])
+        manager.checkpoint()
+        steps, rows = self.TAILS[tail]
+        self._drive(live, steps)
+        expected = (live.store("r").current().pretty(), state_digest(live))
+        via_checkpoint, report = DurabilityManager(directory).recover(factory)
+        via_replay, _ = DurabilityManager(directory).recover(
+            factory, use_checkpoint=False)
+        assert not report.full_replay
+        for recovered in (via_checkpoint, via_replay):
+            assert (recovered.store("r").current().pretty(),
+                    state_digest(recovered)) == expected
+        if not live.supports_rollback:
+            state = live.store("r").current()
+            assert [(fact["k"], fact["d"]) for fact in (
+                row.data if live.supports_historical_queries else row
+                for row in state)] == rows
 
 
 class TestPaperQueriesSurviveRecovery:

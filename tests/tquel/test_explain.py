@@ -22,7 +22,8 @@ def session_for(db_class):
 class TestExplain:
     def test_shows_pushdown_effect(self):
         session = session_for(StaticDatabase)
-        text = session.explain('retrieve (f.rank) where f.name = "Merrie"')
+        # (a non-key conjunct: a pinned key is one probe, see below)
+        text = session.explain('retrieve (f.name) where f.rank = "full"')
         assert "f over faculty: 2 candidates -> 1, 1 conjunct(s) pushed" in text
         assert "static result" in text
 

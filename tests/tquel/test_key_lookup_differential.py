@@ -211,7 +211,8 @@ def j_is(value):
 RAISES = Comparison("<", AttrRef("f", "s"), Const(1))
 
 
-@pytest.mark.parametrize("kind", ["temporal", "rollback"])
+@pytest.mark.parametrize("kind", ["temporal", "rollback", "static",
+                                  "historical"])
 def test_the_lookup_is_taken_exactly_when_the_whole_key_is_pinned(kind):
     single, composite = DATABASES[kind, "single"], DATABASES[kind, "composite"]
     taken = [(single, k_is("k0")), (single, And(k_is("zz"), RAISES)),
@@ -262,7 +263,7 @@ def test_the_cube_scans_under_as_of():
     assert info["index"] not in (KEY_ACCESS, KEY_HISTORY_ACCESS)
 
 
-@pytest.mark.parametrize("kind", ["static", "rollback-states", "historical"])
+@pytest.mark.parametrize("kind", ["rollback-states"])
 def test_a_store_without_the_index_scans(kind):
     assert explain(DATABASES[kind, "single"], k_is("k0"))["index"] != KEY_ACCESS
 
