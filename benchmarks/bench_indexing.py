@@ -1,8 +1,8 @@
-"""Indexed vs. scanned temporal access: what the interval tree buys.
+"""Indexed vs. scanned rollback: what the interval tree buys.
 
-The core value types answer ``timeslice``/``rollback`` by scanning.  The
-interval-tree indexes of :mod:`repro.core.indexing` replace the scan with
-an O(log n + k) stab.  This bench sweeps store sizes and reports both
+A transaction-time store answers ``rollback`` by scanning its rows.  The
+transaction-time index of :mod:`repro.core.indexing` replaces the scan
+with an O(log n + k) stab.  This bench sweeps store sizes and reports both
 paths (answers asserted equal first), showing where indexing starts to
 pay: scan cost grows linearly with rows, stab cost with log(rows) plus
 matches.

@@ -28,6 +28,9 @@ once — the four kinds are their compositions:
   Figures 7–8);
 - :mod:`~repro.core.operations` — temporal joins, snapshot equivalence,
   representation equivalence;
+- :mod:`~repro.core.indexing` — the transaction-time index: append-only
+  time, so an insert-only interval tree over the closed rows (valid time
+  is modified arbitrarily and has none: a timeslice is one scan);
 - :mod:`~repro.core.vacuum` — the controlled forget-the-past extension.
 
 User-defined time (§4.5, Figure 9) needs no dedicated class: it is an
@@ -61,7 +64,7 @@ from repro.core.operations import (
 )
 from repro.core.vacuum import vacuum_states, vacuum_store
 from repro.core.indexing import (
-    DatabaseIndexCache, HistoricalIndex, IntervalTree, TransactionTimeIndex,
+    DatabaseIndexCache, IntervalTree, TransactionTimeIndex,
 )
 from repro.core.migrate import migrate
 from repro.core.temporal_constraints import (
@@ -78,7 +81,6 @@ __all__ = [
     "ValidityDuration",
     "Database",
     "DatabaseIndexCache",
-    "HistoricalIndex",
     "IntervalTree",
     "TransactionTimeIndex",
     "DatabaseKind",

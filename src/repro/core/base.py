@@ -161,9 +161,8 @@ class Database(abc.ABC):
     def index_cache(self):
         """The live :class:`~repro.core.indexing.DatabaseIndexCache`.
 
-        Built lazily on first use.  The default query paths
-        (``snapshot``/``timeslice``/``rollback`` and the TQuel evaluator)
-        go through it.
+        Built lazily on first use.  Every read of the past — ``rollback``,
+        ``timeslice … as_of`` and TQuel's ``as of`` — goes through it.
         """
         if self._index_cache is None:
             from repro.core.indexing import DatabaseIndexCache  # avoid cycle

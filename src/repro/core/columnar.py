@@ -241,13 +241,10 @@ class ColumnarChunk:
         """A chunk over a transaction-time store; the valid axis is
         packed when its rows carry one (a temporal relation)."""
         rows = relation.rows
-        closed = 0 if relation._open_extra else relation._closed_len
         valid = (_Axis.pack(rows, _VALID)
                  if isinstance(relation, TemporalRelation) else None)
-        return cls(relation.schema, rows, closed, valid,
-                   _Axis.pack(rows, _TT),
-                   lineage=None if relation._open_extra
-                   else relation._lineage)
+        return cls(relation.schema, rows, relation._closed_len, valid,
+                   _Axis.pack(rows, _TT), lineage=relation._lineage)
 
     @classmethod
     def from_historical(cls, relation: HistoricalRelation) -> "ColumnarChunk":
@@ -268,8 +265,7 @@ class ColumnarChunk:
     def tt_stab_mask(self, when: Instant) -> Any:
         """Rows whose transaction time contains *when*.
 
-        Equivalent to ``row.tt.contains(when)`` / ``row.visible_at(when)``
-        per row.
+        Equivalent to ``row.tt.contains(when)`` per row.
         """
         axis = self.tt
         assert axis is not None
@@ -437,7 +433,6 @@ class ColumnarChunk:
         are unrelated."""
         if (self._lineage is None
                 or relation._lineage is not self._lineage
-                or relation._open_extra
                 or relation._closed_len < self.closed_len):
             return None  # unrelated values (drop/redefine): rebuild
         new_closed = tuple(relation._closed_log[

@@ -42,9 +42,10 @@ from repro.relational.expression import Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
+from repro.time.chronon import require_same_granularity
 from repro.time.element import TemporalElement
 from repro.time.instant import Instant, NEG_INF, POS_INF, instant as _coerce
-from repro.time.period import Period
+from repro.time.period import Period, chronon_number, first_unit
 from repro.txn.transaction import Operation, Transaction
 
 Predicate = Union[Expression, Callable[[Tuple], bool]]
@@ -55,10 +56,6 @@ class HistoricalRow(NamedTuple):
 
     data: Tuple
     valid: Period
-
-    def valid_at(self, when: Instant) -> bool:
-        """Does this fact hold at valid-time instant *when*?"""
-        return self.valid.contains(when)
 
 
 class HistoricalRelation:
@@ -116,10 +113,8 @@ class HistoricalRelation:
     # -- queries -------------------------------------------------------------------
 
     def timeslice(self, valid_at: InstantLike) -> Relation:
-        """The static relation of facts valid at an instant."""
-        when = _coerce(valid_at)
-        return Relation(self._schema,
-                        (row.data for row in self._rows if row.valid_at(when)))
+        """The facts valid at an instant (:func:`facts_valid_at`)."""
+        return facts_valid_at(self._schema, self._rows, valid_at)
 
     def during(self, period: Period) -> "HistoricalRelation":
         """The facts restricted (and clipped) to a valid period."""
@@ -266,6 +261,21 @@ class HistoricalRelation:
     def __repr__(self) -> str:
         return (f"HistoricalRelation({', '.join(self._schema.names)}; "
                 f"{len(self._rows)} rows)")
+
+
+def facts_valid_at(schema: Schema, rows: Sequence[Any],
+                   when: InstantLike) -> Relation:
+    """The facts of the *rows* (``(data, valid, …)``) valid at *when*: one
+    pass on chronon numbers, in the unit of the first period that has one
+    (a row or *when* at another raises ``GranularityError``).  Valid time
+    is modified arbitrarily, so this scan is its timeslice: no index."""
+    unit = first_unit(row[1] for row in rows)
+    point = chronon_number(_coerce(when), unit, "take a timeslice")
+    return Relation(schema, [
+        row[0] for row in rows
+        if ((valid := row[1]).unit is unit or valid.unit is None
+            or require_same_granularity(unit, valid.unit, "take a timeslice"))
+        and valid.lo <= point < valid.hi])
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +483,9 @@ class ValidTimeDatabase(Database):
         the past transaction time *as_of* if given (temporal only)."""
         if as_of is not None:
             self.require_rollback("as of")
-            return self._indexed(name).timeslice(valid_at, as_of)
-        self._require_defined(name)
-        return self.index_cache.historical(name).timeslice(valid_at)
+            return self._indexed(name).rollback(as_of).timeslice(valid_at)
+        store = self.store(name)
+        return facts_valid_at(store.schema, list(store.in_order()), valid_at)
 
     # -- applier hooks ----------------------------------------------------------------------
 
@@ -495,8 +505,7 @@ class ValidTimeDatabase(Database):
 
 class HistoricalStore(StateStore):
     """The historical state (Figure 6): each :class:`HistoricalRow` is its
-    own element and row; its logs hold what each commit removed and added
-    (what :class:`~repro.core.indexing.HistoricalIndex` patches from)."""
+    own element and row; a removed row is forgotten (no index keeps it)."""
 
     __slots__ = ()
 
@@ -514,10 +523,6 @@ class HistoricalStore(StateStore):
     def as_candidates(self, rows: Iterable[HistoricalRow]) -> List[Any]:
         return [(row.data, row.valid, None) for row in rows]
 
-    def _logged(self, gone: List[HistoricalRow], opened: List[HistoricalRow],
-                commit_time: Instant) -> PyTuple[object, List[Any], List[Any]]:
-        return self._extend_logs(gone, opened)
-
 
 class HistoricalDatabase(ValidTimeDatabase):
     """The historical database: valid time, arbitrary modification, no rollback."""
@@ -526,7 +531,7 @@ class HistoricalDatabase(ValidTimeDatabase):
 
     # -- queries --------------------------------------------------------------------------
 
-    #: (valid time only: its tree answers ``timeslice``, not a read)
+    #: (valid time only: a read, like ``timeslice``, scans the state)
     _scan_access = "scan of recorded facts"
 
     # -- applier hooks ----------------------------------------------------------------------

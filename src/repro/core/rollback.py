@@ -226,7 +226,7 @@ class RollbackDatabase(StaticStateDatabase):
         cube is its own index: a bisect)."""
         store = self.store(name)
         return (store if isinstance(store, StateSequence)
-                else self.index_cache.rollback(name))
+                else self.index_cache.transaction_time(name))
 
     def access(self, as_of: Optional[Instant] = None,
                through: Optional[Instant] = None) -> str:
@@ -241,7 +241,7 @@ class RollbackDatabase(StaticStateDatabase):
         if as_of is None and key is None:
             return super().read(name, now)
         return self.store(name).read(
-            lambda: self.index_cache.rollback(name),
+            lambda: self.index_cache.transaction_time(name),
             self.access(as_of, through), now, as_of, through, key, indexed)
 
     def rollback_range(self, name: str, from_: InstantLike,

@@ -29,8 +29,8 @@ bare tuple.  The commit path is every kind's
 (:meth:`~repro.core.base.Database._apply_dml`): the valid-time operation
 reports the rows it removes and adds among the rows its match can touch,
 the store closes the former and opens the latter, the constraint check
-re-examines only the keys the delta touched, and the indexes are patched
-from the two log slices that record it (:mod:`repro.core.lineage`).
+re-examines only the keys the delta touched, and the transaction-time
+index is patched with the rows the commit closed.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class BitemporalRow(NamedTuple):
     data: Tuple
     valid: Period
     tt: Period
-
-    def visible_at(self, as_of: Instant) -> bool:
-        """Was this row part of the historical state as of *as_of*?"""
-        return self.tt.contains(as_of)
 
 
 class TemporalRelation(TransactionTimeStore):
@@ -155,7 +151,7 @@ class TemporalDatabase(ValidTimeDatabase):
         """The relation, behind its transaction-time tree (a stab
         instead of a scan of every row ever written)."""
         self._require_defined(name)
-        return self.index_cache.bitemporal(name)
+        return self.index_cache.transaction_time(name)
 
     def rollback_range(self, name: str, from_: InstantLike,
                        through: InstantLike) -> TemporalRelation:
@@ -172,7 +168,7 @@ class TemporalDatabase(ValidTimeDatabase):
              indexed: bool = True) -> Optional[Read]:
         """Both times: the store's read, the current state a stab at now."""
         return self.store(name).read(
-            lambda: self.index_cache.bitemporal(name),
+            lambda: self.index_cache.transaction_time(name),
             self.access(as_of, through), now, as_of, through, key, indexed)
 
     # -- applier hooks ----------------------------------------------------------------------

@@ -12,9 +12,9 @@ stamps each element with the period ``[start, end)`` it belonged to the
 state, ``end = ∞`` while it does, and keeps closed rows in an
 append-only log the versions share ("once a transaction has completed,
 the static relations in the static rollback relation may not be
-altered").  :func:`naive_advance` is the whole-relation diff the delta
-path is property-tested against.  The four compositions —
-:class:`~repro.core.static.StaticStore`,
+altered"); an element is open at most once.  :func:`naive_advance` is
+the whole-relation diff the delta path is property-tested against.  The
+four compositions — :class:`~repro.core.static.StaticStore`,
 :class:`~repro.core.historical.HistoricalStore`,
 :class:`~repro.core.rollback.RollbackRelation`,
 :class:`~repro.core.temporal.TemporalRelation` — add only their element
@@ -31,7 +31,7 @@ from typing import (Any, Callable, Collection, Dict, Iterable, Iterator,
                     KeysView, List, Mapping, Optional, Tuple as PyTuple)
 
 from repro.core.base import InstantLike, Read
-from repro.core.lineage import extend_log, withdraw
+from repro.errors import ConstraintViolation
 from repro.obs import runtime as _obs
 from repro.relational.schema import Schema
 from repro.time.instant import Instant, POS_INF, instant as _coerce
@@ -61,17 +61,14 @@ class StateStore:
 
     An *open* map keyed by state element holds the state's rows, and an
     index by schema-key value lists them key by key, in the state's order
-    (:attr:`_spliced`).  Versions share a *lineage* token and two
-    append-only logs — rows that left the state and rows that entered it
-    (:mod:`repro.core.lineage`) — which a kind whose index is patched from
-    them extends (:meth:`_logged`).  A subclass names its row type:
-    :attr:`_element` (row → element), :attr:`_data` (row → data tuple),
-    :meth:`_opened`, :meth:`state_of` and :attr:`as_candidates`.
+    (:attr:`_spliced`).  A subclass names its row type: :attr:`_element`
+    (row → element), :attr:`_data` (row → data tuple), :meth:`_opened`,
+    :meth:`state_of` and :attr:`as_candidates`, and what it keeps of the
+    rows a commit removes (:meth:`_record`).
     """
 
-    __slots__ = ("_schema", "_open", "_by_key", "_open_extra", "_lineage",
-                 "_closed_log", "_closed_len", "_opened_log", "_opened_len",
-                 "_current_cache", "_rows_cache", "_times_cache")
+    __slots__ = ("_schema", "_open", "_by_key", "_current_cache",
+                 "_rows_cache")
 
     #: row -> its state element: a C-level callable, not a method (a
     #: constructor runs it once per row).
@@ -105,26 +102,15 @@ class StateStore:
     def __init__(self, schema: Schema, rows: Iterable[Any] = ()) -> None:
         rows = list(rows)  # (a repeated element is an equal row here)
         self._init_parts(schema, dict(zip(map(self._element, rows), rows)),
-                         None, [], object(), [], [])
+                         None)
 
     def _init_parts(self, schema: Schema, open_map: Dict[Any, Any],
-                    by_key: Optional[_KeyIndex], extra: List[Any],
-                    lineage: object, closed_log: List[Any],
-                    opened_log: List[Any]) -> None:
+                    by_key: Optional[_KeyIndex]) -> None:
         self._schema = schema
         self._open = open_map
         self._by_key = by_key  # built on first use, see _key_index
-        self._open_extra = extra
-        # Versions descending from the same original value share a lineage
-        # token and both logs; a version sees a prefix of each.
-        self._lineage = lineage
-        self._closed_log = closed_log
-        self._closed_len = len(closed_log)
-        self._opened_log = opened_log
-        self._opened_len = len(opened_log)
         self._current_cache: Any = None
         self._rows_cache: Optional[PyTuple[Any, ...]] = None
-        self._times_cache: Optional[List[Instant]] = None
 
     # -- the open partition ------------------------------------------------------
 
@@ -135,12 +121,12 @@ class StateStore:
 
     def open_rows(self) -> Iterator[Any]:
         """The rows of the current state (transaction end = ∞)."""
-        return itertools.chain(self._open.values(), self._open_extra)
+        return iter(self._open.values())
 
     @property
     def open_count(self) -> int:
         """How many rows the current state holds."""
-        return len(self._open) + len(self._open_extra)
+        return len(self._open)
 
     @property
     def open_elements(self) -> KeysView:
@@ -223,8 +209,8 @@ class StateStore:
                        ) -> Optional[PyTuple[Any, ...]]:
         """The open rows under the schema-key value *bound* names, by one
         probe — ``None`` where none answers: no key, a key attribute left
-        out, an unhashable value, duplicate open rows the index lacks."""
-        index = None if self._open_extra else self._key_index()
+        out, an unhashable value."""
+        index = self._key_index()
         try:
             return None if index is None else index.get(
                 tuple(bound[name] for name in self._schema.key), ())
@@ -252,8 +238,8 @@ class StateStore:
                  ) -> Iterator[Any]:
         """The open rows under the schema-key values *keys*, else all of
         them in the state's order (:attr:`_spliced`): the open map's where
-        the index does not hold them all (no key, duplicate open rows)."""
-        index = None if self._open_extra else self._key_index()
+        there is no index (no key)."""
+        index = self._key_index()
         if index is None or keys is None and not self._spliced:
             return self.open_rows()
         return itertools.chain.from_iterable(
@@ -265,13 +251,11 @@ class StateStore:
         :meth:`in_order`'s order.
 
         O(current state), memoized (the value is immutable, so the memo
-        is per version).  A commit never calls this.  Nothing is deduped
-        unless a derived value repeats an open element.
+        is per version).  A commit never calls this.  Nothing is deduped:
+        each element is open once.
         """
         if self._current_cache is None:
-            self._current_cache = (
-                self.state_of(self.open_rows()) if self._open_extra
-                else self.state_in_force(self.in_order()))
+            self._current_cache = self.state_in_force(self.in_order())
         return self._current_cache
 
     @property
@@ -298,7 +282,7 @@ class StateStore:
                 touched: Optional[Dict[Any, Any]] = None) -> "StateStore":
         """The version in which the elements *removed* left the state and
         *added* entered it at *commit_time*: O(Δ) plus C-speed copies of
-        the open map and the key index (the logs are :meth:`_logged`'s).
+        the open map and the key index (and :meth:`_record`'s work).
         The schema-key values whose rows changed go to *touched*'s keys."""
         if not removed and not added:
             return self
@@ -311,22 +295,14 @@ class StateStore:
             open_map = dict(zip(map(self._element, rows), rows))
         successor = type(self).__new__(type(self))
         successor._init_parts(self._schema, open_map,
-                              self._key_index_after(gone, opened, touched),
-                              [], *self._logged(gone, opened, commit_time))
+                              self._key_index_after(gone, opened, touched))
+        self._record(successor, gone, opened, commit_time)
         return successor
 
-    def _logged(self, gone: List[Any], opened: List[Any],
-                commit_time: Instant) -> PyTuple[object, List[Any], List[Any]]:
-        """The successor's ``(lineage, closed log, opened log)``: here
-        unchanged (a store no index patches keeps no removed row)."""
-        return self._lineage, self._closed_log, self._opened_log
-
-    def _extend_logs(self, closed: List[Any], opened: List[Any]
-                     ) -> PyTuple[object, List[Any], List[Any]]:
-        """This lineage's logs with *closed* and *opened* appended."""
-        return (self._lineage,
-                extend_log(self._closed_log, self._closed_len, closed),
-                extend_log(self._opened_log, self._opened_len, opened))
+    def _record(self, successor: "StateStore", gone: List[Any],
+                opened: List[Any], commit_time: Instant) -> None:
+        """Keep in *successor* what this kind keeps of the rows *gone*
+        from the state at *commit_time*: here nothing."""
 
     # -- value semantics ----------------------------------------------------------
 
@@ -350,15 +326,16 @@ class StateStore:
 class TransactionTimeStore(StateStore):
     """Rows stamped with transaction time: an immutable value object.
 
-    The current state's open map, plus the *closed* log of rows whose
-    transaction time has ended, shared by the versions :meth:`advance`
-    derives (a commit never copies the past), and the *opened* log of
-    every row that entered the open map.  A subclass adds :meth:`_stamp`
-    (element, period → row) and :meth:`range_of` to :class:`StateStore`'s
-    hooks.
+    The current state's open map — one row per element — plus the
+    *closed* log of rows whose transaction time has ended, shared by the
+    versions :meth:`advance` derives (a commit never copies the past):
+    versions descending from one original value share a *lineage* token
+    and the log, and each sees a prefix of it.  A subclass adds
+    :meth:`_stamp` (element, period → row) and :meth:`range_of` to
+    :class:`StateStore`'s hooks.
     """
 
-    __slots__ = ()
+    __slots__ = ("_lineage", "_closed_log", "_closed_len", "_times_cache")
 
     _spliced = False  # (a dump writes the open map)
 
@@ -380,17 +357,25 @@ class TransactionTimeStore(StateStore):
         element = self._element
         closed: List[Any] = []
         open_map: Dict[Any, Any] = {}
-        extra: List[Any] = []
         for row in rows:
             if row.tt.hi == math.inf:
                 key = element(row)
-                if key in open_map:
-                    extra.append(row)  # derived values may repeat an element
-                else:
+                if key not in open_map:
                     open_map[key] = row
+                elif open_map[key] != row:  # (an equal row is the same row)
+                    raise ConstraintViolation(
+                        f"{self._data(row)} is open twice: an element is in "
+                        "the current state at most once")
             else:
                 closed.append(row)
-        self._init_parts(schema, open_map, None, extra, object(), closed, [])
+        self._init_parts(schema, open_map, None)
+        self._set_past(object(), closed)
+
+    def _set_past(self, lineage: object, closed_log: List[Any]) -> None:
+        self._lineage = lineage
+        self._closed_log = closed_log
+        self._closed_len = len(closed_log)
+        self._times_cache: Optional[List[Instant]] = None
 
     # -- accessors ---------------------------------------------------------------
 
@@ -398,7 +383,7 @@ class TransactionTimeStore(StateStore):
         """Every timestamped row, past and current (:attr:`rows`)."""
         return itertools.chain(
             itertools.islice(self._closed_log, self._closed_len),
-            self._open.values(), self._open_extra)
+            self._open.values())
 
     # -- the closed partition ----------------------------------------------------
 
@@ -483,44 +468,28 @@ class TransactionTimeStore(StateStore):
                 tt.end for tt in ends.values()))
         return list(self._times_cache)
 
-    def advance(self, removed: Collection[Any], added: Collection[Any],
-                commit_time: Instant,
-                touched: Optional[Dict[Any, Any]] = None
-                ) -> "TransactionTimeStore":
-        """:meth:`StateStore.advance`, stamped: the removed elements' rows
-        are closed at *commit_time* (or withdrawn without trace, if this
-        very transaction opened them), the added ones open at it, and
-        both are appended to the logs the next version shares with this
-        one.  Semantically identical to :func:`naive_advance`
-        (property-tested), which also handles the one case the partition
-        cannot: a derived value holding duplicate open rows.
-        """
-        if self._open_extra:
-            _obs.current().metrics.counter("commit.fallback_naive").inc()
-            gone = set(removed)
-            state = [element for element in self._open if element not in gone]
-            successor = naive_advance(self, state + list(added), commit_time)
-            if touched is not None:  # (every key: the whole state)
-                touched.update(successor._key_index() or {})
-            return successor
-        return super().advance(removed, added, commit_time, touched)
-
-    def _logged(self, gone: List[Any], opened: List[Any],
-                commit_time: Instant) -> PyTuple[object, List[Any], List[Any]]:
+    def _record(self, successor: "TransactionTimeStore", gone: List[Any],
+                opened: List[Any], commit_time: Instant) -> None:
+        """The rows *gone* are closed at *commit_time* and appended to the
+        log *successor* shares with this version — but a row opened and
+        superseded within one transaction was never part of a committed
+        state, and leaves no trace.  Semantically identical to
+        :func:`naive_advance` (property-tested)."""
         # (every opened row's period; _opened built it once)
         from_now_on = opened[0].tt if opened else Period(commit_time, POS_INF)
-        # A row opened and superseded within one transaction was never
-        # part of a committed state: withdrawn, not closed.
-        withdrawn = [row for row in gone if row.tt == from_now_on]
         closed = [_closed(row, commit_time)
                   for row in gone if row.tt != from_now_on]
-        parts = self._extend_logs(closed, opened)
-        if withdrawn:
-            withdraw(parts[2], withdrawn, from_now_on)
+        log = self._closed_log
+        if len(log) != self._closed_len:
+            # A sibling version — a batch that failed its constraint check,
+            # a ``rehearse`` — wrote past this one's prefix: diverge onto a
+            # private copy, so the installed version's view survives.
+            log = log[:self._closed_len]
+        log.extend(closed)
+        successor._set_past(self._lineage, log)
         metrics = _obs.current().metrics
         metrics.counter("commit.rows_closed").inc(len(closed))
         metrics.counter("commit.rows_opened").inc(len(opened))
-        return parts
 
 
 def _closed(row: Any, commit_time: Instant) -> Any:
@@ -538,8 +507,7 @@ def naive_advance(store: TransactionTimeStore, new_state: Iterable[Any],
     Records *new_state* (the elements of the state from *commit_time* on)
     by walking every row ever written and rebuilding the store — O(n) per
     commit.  Kept as the reference :meth:`TransactionTimeStore.advance` is
-    property-tested against, and as its fallback for non-canonical values
-    (duplicate open rows in a derived store).
+    property-tested against.
     """
     element = store._element
     state = dict.fromkeys(new_state)

@@ -436,7 +436,11 @@ class ShardedDatabase:
             candidate for part in parts for candidate in part.candidates])
 
     def snapshot(self, name: str):
-        """The current merged state of *name* (all kinds)."""
+        """The current merged state of *name* (all kinds); with valid time,
+        the slice at the store's :meth:`now` (after a restart each shard's
+        own clock resumes at its last commit)."""
+        if self.supports_historical_queries:
+            return self.timeslice(name, self.now())
         self.schema(name)
         return self._merged(name, lambda db: db.snapshot(name))
 

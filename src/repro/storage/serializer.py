@@ -63,7 +63,8 @@ from repro.core.rollback import (INTERVAL, RollbackDatabase,
 from repro.core.static import StaticDatabase, StaticStore
 from repro.core.transaction_time import StateStore
 from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
-from repro.errors import SchemaError, StorageError, TimeError
+from repro.errors import (ConstraintViolation, SchemaError, StorageError,
+                          TimeError)
 from repro.relational.domain import Domain
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
@@ -453,8 +454,11 @@ def relation_from_dict(data: Dict[str, Any],
             for time, rows in data["states"]))
     if kind in _ROW_SHAPES:
         store_type, row_type = _ROW_SHAPES[kind]
-        return store_type(schema, _decode_rows(schema, data["rows"], memo,
-                                               row_type))
+        rows = _decode_rows(schema, data["rows"], memo, row_type)
+        try:
+            return store_type(schema, rows)
+        except ConstraintViolation as exc:  # (an element open twice)
+            raise StorageError(f"{kind} rows: {exc}") from exc
     raise StorageError(f"unknown relation kind {kind!r}")
 
 
@@ -550,7 +554,10 @@ def load_database(data: Dict[str, Any], clock=None):
         schema = schema_from_dict(entry["schema"])
         database._schemas[name] = schema
         database._constraints[name] = []
-        value = relation_from_dict(entry["store"], memo)
+        try:
+            value = relation_from_dict(entry["store"], memo)
+        except StorageError as exc:
+            raise StorageError(f"relation {name!r}: {exc}") from exc
         # A state without transaction time goes back in its kind's store.
         database._store[name] = (
             HistoricalStore(schema, value.rows)

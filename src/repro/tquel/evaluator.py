@@ -71,7 +71,8 @@ from repro.core.historical import HistoricalRelation, HistoricalRow
 from repro.core.temporal import BitemporalRow, TemporalRelation
 from repro.core.transaction_time import (  # noqa: F401 - explain's words
     KEY_ACCESS, KEY_HISTORY_ACCESS)
-from repro.errors import InvalidPeriodError, TQuelSemanticError
+from repro.errors import (ConstraintViolation, InvalidPeriodError,
+                          TQuelSemanticError)
 from repro.obs import runtime as _obs
 from repro.relational.aggregate import REDUCERS
 from repro.relational.domain import Domain
@@ -559,6 +560,19 @@ def _has_aggregates(targets: Sequence[TargetItem]) -> bool:
     return any(isinstance(target.expr, AggCall) for target in targets)
 
 
+def _earliest_open(rows: List[BitemporalRow]) -> List[BitemporalRow]:
+    """*rows* holding each fact open once, as a temporal relation does: of
+    two (projected) rows holding one fact open, the earlier-opened alone —
+    the other's transaction period lies inside it, adding to no state."""
+    first: Dict[Any, BitemporalRow] = {}
+    for row in rows:
+        fact = row[:2]
+        if row.tt.hi == math.inf and row.tt.lo <= first.get(fact, row).tt.lo:
+            first[fact] = row
+    return [row for row in rows
+            if row.tt.hi != math.inf or first[row[:2]] == row]
+
+
 def _intersection(binding, slots: Sequence[int],
                   axis: int) -> Optional[Period]:
     """One time axis (1 = valid, 2 = transaction) intersected over the
@@ -906,7 +920,10 @@ class Evaluator:
                                         resolve, bindings)
         else:
             rows = self._rows(statement, resolve, prepared, bindings)
-        result = shape.result_type(shape.schema, rows)
+        try:
+            result = shape.result_type(shape.schema, rows)
+        except ConstraintViolation:  # (a temporal result opening a fact twice)
+            result = TemporalRelation(shape.schema, _earliest_open(rows))
         if statement.sort_by and shape.result_type is Relation:
             result = result.sort(list(statement.sort_by))
         metrics.counter("tquel.rows_emitted").inc(len(result))

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core import DatabaseKind, HistoricalDatabase, HistoricalRelation
 from repro.core.historical import HistoricalRow
-from repro.errors import ConstraintViolation, RollbackNotSupportedError
+from repro.errors import (ConstraintViolation, GranularityError,
+                          RollbackNotSupportedError)
 from repro.relational import Domain, Relation, Schema, Tuple, attr
 from repro.time import Instant, Period, SimulatedClock
+from repro.time.chronon import Granularity
 
 from tests.conftest import faculty_schema
 
@@ -82,6 +84,25 @@ class TestTimeslice:
         database, clock = historical_faculty
         assert database.snapshot("faculty") == database.timeslice(
             "faculty", clock.current())
+
+    @pytest.mark.parametrize("month_first", [False, True])
+    def test_a_relation_of_mixed_units_refuses_a_timeslice(self, month_first):
+        # Inserts accept a period at any unit; a timeslice compares chronon
+        # numbers, so rows at two units must raise, not answer.
+        database, _ = fresh()
+        day = dict(name="Tom", rank="full",
+                   valid_from=Instant.parse("1980-02-01"))
+        month = dict(name="Mike", rank="associate",
+                     valid_from=Instant.parse("1980-02-01", Granularity.MONTH))
+        for fact in (month, day) if month_first else (day, month):
+            valid_from = fact.pop("valid_from")
+            database.insert("faculty", fact, valid_from=valid_from)
+        for when in ("1981-01-01",
+                     Instant.parse("1981-01-01", Granularity.MONTH)):
+            with pytest.raises(GranularityError):
+                database.timeslice("faculty", when)
+            with pytest.raises(GranularityError):
+                database.history("faculty").timeslice(when)
 
 
 class TestUpdateSemantics:

@@ -2,8 +2,8 @@
 
 A commit on every kind carries an element delta — computed over the rows
 the operation's match can touch, recorded by the one
-:meth:`StateStore.advance` (on the transaction-time kinds, on two
-lineage-shared logs the indexes are patched from) and checked on the
+:meth:`StateStore.advance` (on the transaction-time kinds, on the
+lineage-shared closed log the index is patched from) and checked on the
 touched keys only; the whole-state oracle (``whole_state_oracle``: the
 whole new state per operation, :func:`naive_advance` on the
 transaction-time kinds, the whole-state constraint check) keeps the
@@ -14,10 +14,11 @@ paths produce identical stores, rollbacks, timeslices and commit verdicts
 — over every shape of match, multi-operation batches that touch a key
 twice, every kind of constraint, the created-and-superseded-within-one-
 transaction edge and the abort path (a failed commit must leave the
-installed value's view of both shared logs untouched).
+installed value's view of the shared log untouched).
 """
 
 import gc
+import math
 import random
 
 import pytest
@@ -25,14 +26,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core import (INTERVAL, STATES, BoundedValidity, ContiguousHistory,
-                        HistoricalDatabase, HistoricalIndex,
-                        HistoricalRelation, NoFutureValidity,
-                        RollbackDatabase, RollbackRelation, StaticDatabase,
-                        StaticStore, TemporalDatabase, TemporalRelation,
+                        HistoricalDatabase, HistoricalRelation,
+                        NoFutureValidity, RollbackDatabase, RollbackRelation,
+                        StaticDatabase, TemporalDatabase, TemporalRelation,
                         TemporalConstraint, TransactionTimeIndex,
                         TransactionTimeStore, ValidityDuration, naive_advance)
 from repro.core.historical import check_historical_constraints
-from repro.errors import ConstraintViolation, GranularityError
+from repro.errors import (CheckpointError, ConstraintViolation,
+                          GranularityError, StorageError)
 from repro.relational import (Attribute, CheckConstraint, Constraint, Domain,
                               NotNullConstraint, Relation, Schema, Tuple,
                               attr)
@@ -201,10 +202,14 @@ def _check_aborted_commit_leaves_installed_value_intact(element):
     _assert_is_oracle(database.store("r"), _replay_naive(database))
 
 
-def _check_duplicate_open_rows_fall_back_to_the_oracle(element):
-    # A derived value may hold one element open twice (here: entered at
-    # two transaction times); the partition cannot key that, so advance
-    # hands the commit to naive_advance — same answer, counted.
+def _check_duplicate_open_rows_are_refused(element):
+    # A transaction-time store holds each element open at most once (its
+    # open map): a value holding one open twice — here entered at two
+    # transaction times — is refused where it is built, and a dump holding
+    # one does not load, naming the relation.
+    from repro.storage.checkpoint import load_payload
+    from repro.storage.serializer import (dump_database, load_database,
+                                          relation_from_dict, store_to_dict)
     make, bounds = ELEMENTS[element]
     clock = SimulatedClock(BASE)
     database = make(clock=clock)
@@ -213,21 +218,19 @@ def _check_duplicate_open_rows_fall_back_to_the_oracle(element):
     database.insert("r", {"k": "k1", "v": "red"}, **bounds)
     canonical = database.store("r")
     twin = next(iter(canonical.rows))
-    derived = type(canonical)(canonical.schema, canonical.rows + (
-        twin._replace(tt=Period(twin.tt.start + 1, twin.tt.end)),))
-    assert derived.open_count == 3 and len(derived.open_elements) == 2
-    database._store["r"] = derived
-    clock.set(BASE + 10)
-    with obs.recording() as inst:
-        database.delete("r", {"k": "k0"})
-    counters = inst.metrics.snapshot()["counters"]
-    assert counters["commit.fallback_naive"] == 1
-    after = database.store("r")
-    # Both copies of the element were closed; the other row is untouched.
-    assert after.open_count == 1
-    assert len(after) == 3
-    assert {row.tt.end for row in after.rows
-            if row.data["k"] == "k0"} == {database.manager.clock.last}
+    twin = twin._replace(tt=Period(twin.tt.start + 1, twin.tt.end))
+    with pytest.raises(ConstraintViolation, match="open twice"):
+        type(canonical)(canonical.schema, canonical.rows + (twin,))
+    stored = store_to_dict(type(canonical)(canonical.schema, [twin]))
+    dumped = dump_database(database)
+    dumped["relations"]["r"]["store"]["rows"] += stored["rows"]
+    with pytest.raises(StorageError, match="open twice"):
+        relation_from_dict(dumped["relations"]["r"]["store"])
+    with pytest.raises(StorageError, match="relation 'r'.*open twice"):
+        load_database(dumped)
+    with pytest.raises(CheckpointError, match="relation 'r'.*open twice"):
+        load_payload("checkpoint-1.ckpt", dumped)
+    assert database.store("r") is canonical
 
 
 class TestTemporalEquivalence:
@@ -271,17 +274,16 @@ class TestTemporalEquivalence:
     def test_aborted_commit_leaves_installed_value_intact(self):
         _check_aborted_commit_leaves_installed_value_intact("fact")
 
-    def test_duplicate_open_rows_fall_back_to_the_oracle(self):
-        _check_duplicate_open_rows_fall_back_to_the_oracle("fact")
+    def test_duplicate_open_rows_are_refused(self):
+        _check_duplicate_open_rows_are_refused("fact")
 
     @pytest.mark.parametrize("abort", ["failed commit", "rehearse"])
-    def test_aborted_commit_leaves_both_shared_logs_intact(self, abort):
-        # The opened log is shared by reference like the closed one: a
-        # batch that dies (or a rehearse) has already appended its opened
-        # rows past the installed version's length.  The next commit must
-        # diverge onto a private copy, or an index patched from the log
-        # slices would resurrect the rows of a transaction that never
-        # happened.
+    def test_aborted_commit_leaves_the_shared_log_intact(self, abort):
+        # The closed log is shared by reference: a batch that dies (or a
+        # rehearse) has already appended the rows it closed past the
+        # installed version's length.  The next commit must diverge onto
+        # a private copy, or an index patched from the log would
+        # resurrect the rows of a transaction that never happened.
         clock = SimulatedClock(BASE)
         database = TemporalDatabase(clock=clock)
         database.define("r", Schema.of(key=["k"], k=Domain.STRING,
@@ -290,7 +292,7 @@ class TestTemporalEquivalence:
         database.insert("r", {"k": "k0", "v": "red"}, valid_from=BASE)
         database.timeslice("r", BASE), database.rollback("r", BASE)  # warm
         before = database.temporal("r")
-        logs = (list(before._closed_log), list(before._opened_log))
+        log = list(before._closed_log)
         clock.set(BASE + 10)
         doomed = [
             Operation("replace", "r", {"match": {"k": "k0"},
@@ -306,21 +308,22 @@ class TestTemporalEquivalence:
             else:
                 database._manager.run(doomed)
         assert database.temporal("r") is before
-        assert len(before._opened_log) > before._opened_len  # the hazard
-        assert (before._closed_log[:before._closed_len],
-                before._opened_log[:before._opened_len]) == logs
+        assert len(before._closed_log) > before._closed_len  # the hazard
+        assert before._closed_log[:before._closed_len] == log
         clock.set(BASE + 20)
         database.insert("r", {"k": "k1", "v": "blue"}, valid_from=BASE)
         after = database.temporal("r")
         assert after == _replay_naive(database)
-        assert (after._closed_log[:before._closed_len],
-                after._opened_log[:before._opened_len]) == logs
-        # Both indexes were patched from the slices; neither saw a ghost.
+        assert after._closed_log[:before._closed_len] == log
+        assert after._closed_log is not before._closed_log  # diverged
+        # The index was patched from the log; it saw no ghost.
         cache = database.index_cache
-        assert cache.misses == 2 and cache.incremental_updates == 0
-        assert database.timeslice("r", BASE) == after.timeslice(BASE)
-        assert database.rollback("r", BASE + 20) == after.rollback(BASE + 20)
-        assert cache.misses == 2 and cache.incremental_updates == 2
+        assert cache.misses == 1 and cache.incremental_updates == 0
+        for pin in (BASE + 10, BASE + 20):
+            assert database.rollback("r", pin) == after.rollback(pin)
+            assert (database.timeslice("r", BASE, as_of=pin)
+                    == after.timeslice(BASE, pin))
+        assert cache.misses == 1 and cache.incremental_updates == 1
 
     def test_ddl_rolls_back_on_constraint_failure(self):
         # define + failing DML in one batch: the schema bookkeeping must
@@ -406,8 +409,8 @@ class TestRollbackEquivalence:
     def test_aborted_commit_leaves_installed_value_intact(self):
         _check_aborted_commit_leaves_installed_value_intact("tuple")
 
-    def test_duplicate_open_rows_fall_back_to_the_oracle(self):
-        _check_duplicate_open_rows_fall_back_to_the_oracle("tuple")
+    def test_duplicate_open_rows_are_refused(self):
+        _check_duplicate_open_rows_are_refused("tuple")
 
     @pytest.mark.parametrize("path", ["delta", "naive"])
     def test_closing_at_another_granularity_is_refused(self, path):
@@ -631,17 +634,16 @@ def _assert_partition_consistent(relation):
                  in relation._key_index().items()}
                 == {key: sorted(map(repr, rows))
                     for key, rows in grouped.items()})
-    assert not relation._open_extra
-    if isinstance(relation, StaticStore):
-        # Forgotten completely: nothing is logged.
-        assert relation._closed_log == relation._opened_log == []
-        return
     if not isinstance(relation, TransactionTimeStore):
-        return  # (a fact may enter a historical state twice)
-    # Everything open entered through the opened log, exactly once.
-    entered = relation._opened_log[:relation._opened_len]
-    assert set(relation._open.values()) <= set(entered)
-    assert len(set(entered)) == len(entered)
+        # Forgotten completely: no removed row is kept.
+        assert not hasattr(relation, "_closed_log")
+        return
+    # The closed log holds this version's closed rows, each once; the open
+    # map its open ones.
+    closed = relation.closed_since()
+    assert len(set(closed)) == len(closed)
+    assert all(row.tt.hi != math.inf for row in closed)
+    assert all(row.tt.hi == math.inf for row in relation._open.values())
 
 
 def _drive_keyed(seed, constraints, steps=70, after_commit=None,
@@ -775,8 +777,9 @@ class TestHistoricalDatabaseDelta:
                     assert (database.timeslice("r", BASE + offset)
                             == state.timeslice(BASE + offset))
         assert any(verdicts) and not all(verdicts)
+        # Valid time has no index: a timeslice is one scan of the state.
         cache = database.index_cache
-        assert cache.misses == 1 and cache.incremental_updates > 5
+        assert cache.misses == cache.incremental_updates == 0
 
 
 #: One operation: (action, key, value, the key a ``rekey`` gives or the
@@ -854,7 +857,7 @@ class TestIndexRefreshEveryNth:
                 return
             cache = database.index_cache
             relation = database.temporal("r")
-            patched = cache.bitemporal("r")
+            patched = cache.transaction_time("r")
             rebuilt = TransactionTimeIndex(relation)
             commits = relation.commit_times()
             for as_of in commits + [BASE, BASE + 5000]:
@@ -862,25 +865,20 @@ class TestIndexRefreshEveryNth:
                 assert (sorted(map(repr, patched.visible(as_of)))
                         == sorted(map(repr, rebuilt.visible(as_of))))
                 for offset in PROBES:
-                    assert (patched.timeslice(BASE + offset, as_of)
-                            == rebuilt.timeslice(BASE + offset, as_of))
+                    valid_at = BASE + offset
+                    assert (patched.rollback(as_of).timeslice(valid_at)
+                            == rebuilt.rollback(as_of).timeslice(valid_at))
             for first, last in ((0, 120), (130, 200), (100, 5000)):
                 period = Period(BASE + first, BASE + last)
                 assert (sorted(map(repr, patched.visible_during(period)))
                         == sorted(map(repr, rebuilt.visible_during(period))))
-            current = cache.historical("r")
-            fresh = HistoricalIndex(relation)
-            for offset in PROBES + (1200,):
-                assert (current.timeslice(BASE + offset)
-                        == fresh.timeslice(BASE + offset)
-                        == relation.current().timeslice(BASE + offset))
             refreshes.append(step)
 
         database, _ = _drive_keyed(11, [], steps=86, after_commit=compare)
         cache = database.index_cache
-        # One build per flavor; every later refresh was a patch.
-        assert cache.misses == 2
-        assert cache.incremental_updates + cache.hits == 2 * len(refreshes) - 2
+        # One build; every later refresh was a patch.
+        assert cache.misses == 1
+        assert cache.incremental_updates + cache.hits == len(refreshes) - 1
 
     @pytest.mark.parametrize("every", [1, 3, 17])
     def test_rollback_store_index_follows_the_logs(self, every):
@@ -904,7 +902,7 @@ class TestIndexRefreshEveryNth:
             if step % every:
                 continue
             store = database.store("r")
-            patched, rebuilt = (cache.rollback("r"),
+            patched, rebuilt = (cache.transaction_time("r"),
                                 TransactionTimeIndex(store))
             for as_of in [record.commit_time for record in database.log]:
                 assert patched.rollback(as_of) == rebuilt.rollback(as_of)

@@ -1,12 +1,15 @@
-"""Unit + property tests for the temporal indexes (interval trees)."""
+"""Unit + property tests for the transaction-time index (interval trees)."""
+
+import sys
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (DatabaseIndexCache, HistoricalIndex, IntervalTree,
-                        RollbackDatabase, TemporalDatabase,
-                        TransactionTimeIndex)
+from repro.core import (DatabaseIndexCache, IntervalTree, RollbackDatabase,
+                        TemporalDatabase, TransactionTimeIndex)
 from repro.relational import Domain, Schema, Tuple
 from repro.storage import DurabilityManager
 from repro.time import Instant, NEG_INF, POS_INF, Period, SimulatedClock
@@ -101,15 +104,7 @@ class TestBuildMatchesReference:
         # Duplicates: the same interval and payload, again.
         items += [items[at] for at in repeats if at < len(items)]
         tree = IntervalTree(items)
-        assert shape(tree._root) == shape(reference_build(tree._base))
-
-    def test_lazy_counts_still_respect_multiplicity(self):
-        tree = IntervalTree([(period(0, 10), "a")] * 2)
-        assert tree._base_counts is None  # a build hashes no row
-        assert tree.discard(period(0, 10), "a")
-        assert tree.discard(period(0, 10), "a")
-        assert not tree.discard(period(0, 10), "a")
-        assert tree.stab(Instant.from_chronon(BASE + 5)) == []
+        assert shape(tree._parts[0]) == shape(reference_build(tree._base))
 
 
 class TestOverlapping:
@@ -142,23 +137,6 @@ class TestOverlapping:
 
 
 class TestRelationIndexes:
-    def test_historical_index_matches_timeslice(self, historical_faculty):
-        database, _ = historical_faculty
-        history = database.history("faculty")
-        index = HistoricalIndex(history)
-        for probe in ("08/31/77", "09/01/77", "12/06/82", "06/01/83",
-                      "03/01/84"):
-            assert index.timeslice(probe) == history.timeslice(probe), probe
-
-    def test_historical_index_of_a_plain_value_rebuilds(self,
-                                                        historical_faculty):
-        # A plain HistoricalRelation has no lineage: nothing to patch from.
-        database, _ = historical_faculty
-        history = database.history("faculty")
-        index = HistoricalIndex(history)
-        assert index.update(history.select(lambda row: True)) is None
-        assert index.update(database.store("faculty")) is None
-
     def test_rollback_index_matches_rollback(self, rollback_faculty):
         database, _ = rollback_faculty
         store = database.store("faculty")
@@ -174,7 +152,7 @@ class TestRelationIndexes:
         for as_of in ("12/06/82", "12/10/82", "12/20/82", "06/01/84"):
             assert index.rollback(as_of) == relation.rollback(as_of), as_of
             for valid_at in ("12/06/82", "06/01/83"):
-                assert index.timeslice(valid_at, as_of) == \
+                assert index.rollback(as_of).timeslice(valid_at) == \
                     relation.timeslice(valid_at, as_of), (valid_at, as_of)
 
     def test_at_workload_scale(self):
@@ -192,24 +170,24 @@ class TestDatabaseIndexCache:
     def test_serves_current_answers(self, temporal_faculty):
         database, _ = temporal_faculty
         cache = DatabaseIndexCache(database)
-        assert cache.bitemporal("faculty").rollback("12/10/82") == \
+        assert cache.transaction_time("faculty").rollback("12/10/82") == \
             database.rollback("faculty", "12/10/82")
 
     def test_reuses_until_commit(self, temporal_faculty):
         database, _ = temporal_faculty
         cache = DatabaseIndexCache(database)
-        first = cache.bitemporal("faculty")
-        second = cache.bitemporal("faculty")
+        first = cache.transaction_time("faculty")
+        second = cache.transaction_time("faculty")
         assert first is second
 
     def test_invalidates_on_commit(self, temporal_faculty):
         database, clock = temporal_faculty
         cache = DatabaseIndexCache(database)
-        stale = cache.bitemporal("faculty")
+        stale = cache.transaction_time("faculty")
         clock.set("06/01/85")
         database.insert("faculty", {"name": "New", "rank": "assistant"},
                         valid_from="06/01/85")
-        fresh = cache.bitemporal("faculty")
+        fresh = cache.transaction_time("faculty")
         assert fresh is not stale
         # And the fresh index sees the new fact.
         assert any(row.data["name"] == "New"
@@ -219,16 +197,20 @@ class TestDatabaseIndexCache:
                                               historical_faculty):
         rollback_db, _ = rollback_faculty
         cache = DatabaseIndexCache(rollback_db)
-        assert cache.rollback("faculty").rollback("12/10/82") == \
+        assert cache.transaction_time("faculty").rollback("12/10/82") == \
             rollback_db.rollback("faculty", "12/10/82")
+        # Valid time is modified arbitrarily: it has no index, and a
+        # timeslice is one scan of the current state.
         historical_db, _ = historical_faculty
-        cache2 = DatabaseIndexCache(historical_db)
-        assert cache2.historical("faculty").timeslice("06/01/83") == \
-            historical_db.timeslice("faculty", "06/01/83")
+        history = historical_db.history("faculty")
+        for probe in ("08/31/77", "09/01/77", "12/06/82", "06/01/83"):
+            assert historical_db.timeslice("faculty", probe) == \
+                history.timeslice(probe), probe
+        assert historical_db.index_cache.misses == 0
 
 
 class TestIntervalTreeOverlay:
-    """Edits land in the delta overlay and fold in at the rebuild threshold."""
+    """Inserts land in the overlay and fold in at the rebuild threshold."""
 
     def test_insert_visible_without_rebuild(self):
         tree = IntervalTree([(period(0, 10), "a")])
@@ -237,22 +219,6 @@ class TestIntervalTreeOverlay:
         assert tree.size == 2
         assert sorted(tree.stab(Instant.from_chronon(BASE + 7))) == ["a", "b"]
         assert tree.overlapping(period(12, 20)) == ["b"]
-
-    def test_discard_respects_duplicate_multiplicity(self):
-        tree = IntervalTree([(period(0, 10), "a"), (period(0, 10), "a")])
-        probe = Instant.from_chronon(BASE + 5)
-        assert tree.discard(period(0, 10), "a")
-        assert tree.stab(probe) == ["a"]
-        assert tree.discard(period(0, 10), "a")
-        assert tree.stab(probe) == []
-        assert not tree.discard(period(0, 10), "a")
-
-    def test_discard_from_overlay(self):
-        tree = IntervalTree([])
-        tree.insert(period(0, 10), "a")
-        assert tree.discard(period(0, 10), "a")
-        assert tree.size == 0
-        assert tree.stab(Instant.from_chronon(BASE + 5)) == []
 
     def test_threshold_rebuild_folds_edits(self):
         tree = IntervalTree([(period(i, i + 1), i) for i in range(4)])
@@ -267,27 +233,70 @@ class TestIntervalTreeOverlay:
         assert sorted(tree.stab(probe)) == expected
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.booleans(),
-                              st.integers(0, 20), st.integers(1, 10),
-                              st.integers(0, 3)),
-                    max_size=40))
-    def test_edit_sequence_matches_list_model(self, ops):
-        tree = IntervalTree([])
-        model = []
-        for is_insert, lo, width, payload in ops:
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 10),
+                              st.integers(0, 3)), max_size=12),
+           st.lists(st.tuples(st.integers(0, 20), st.integers(1, 10),
+                              st.integers(0, 3)), max_size=80))
+    def test_edit_sequence_matches_list_model(self, built, inserted):
+        # Inserts only (duplicates included), across several folds.
+        model = [(period(lo, lo + width), payload)
+                 for lo, width, payload in built]
+        tree = IntervalTree(model)
+        for lo, width, payload in inserted:
             item = (period(lo, lo + width), payload)
-            if is_insert or item not in model:
-                tree.insert(*item)
-                model.append(item)
-            else:
-                assert tree.discard(*item)
-                model.remove(item)
-        assert tree.size == len(model)
+            tree.insert(*item)
+            model.append(item)
+            assert tree.size == len(model)
         for point in range(0, 32, 3):
             probe = Instant.from_chronon(BASE + point)
             expected = sorted(payload for prd, payload in model
                               if prd.contains(probe))
             assert sorted(tree.stab(probe)) == expected
+        query = period(5, 12)
+        assert sorted(tree.overlapping(query)) == sorted(
+            payload for prd, payload in model if prd.overlaps(query))
+
+    def test_a_stab_spanning_a_fold_keeps_its_overlay(self):
+        # A stab reads the tree and its overlay while another thread's
+        # insert folds the overlay into a new tree: it must answer from
+        # one pair, not from the old tree and the new (empty) overlay.
+        hook = []
+
+        class End(float):
+            """A period end whose comparisons, once armed, run the hook."""
+
+            def __gt__(self, other):
+                while hook:
+                    hook.pop()()
+                return float.__gt__(self, other)
+
+            def __le__(self, other):
+                while hook:
+                    hook.pop()()
+                return float.__le__(self, other)
+
+        class Hooked:  # what the tree reads of a period
+            lo, hi, unit = BASE + 50, End(BASE + 60), period(0, 1).unit
+
+        tree = IntervalTree([(period(i, i + 100), ("base", i))
+                             for i in range(4)] + [(Hooked, "hooked")])
+        for j in range(IntervalTree.REBUILD_MIN):
+            tree.insert(period(j, j + 100), ("extra", j))
+        assert tree.pending_edits == IntervalTree.REBUILD_MIN  # one more folds
+
+        def fold():
+            thread = threading.Thread(target=tree.insert,
+                                      args=(period(0, 100), "late"))
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+        hook.append(fold)
+        found = tree.stab(Instant.from_chronon(BASE + 55))
+        assert not hook and tree.pending_edits == 0  # it folded mid-stab
+        expected = {("base", i) for i in range(4)} | {"hooked"}
+        expected |= {("extra", j) for j in range(IntervalTree.REBUILD_MIN)}
+        assert expected <= set(found)
 
 
 class TestIncrementalCacheMaintenance:
@@ -297,12 +306,12 @@ class TestIncrementalCacheMaintenance:
         database, clock = temporal_faculty
         database.define("other", Schema.of(name=Domain.STRING))
         cache = database.index_cache
-        warm = cache.bitemporal("faculty")
+        warm = cache.transaction_time("faculty")
         hits = cache.hits
         misses = cache.misses
         clock.set("06/01/85")
         database.insert("other", {"name": "noise"}, valid_from="06/01/85")
-        again = cache.bitemporal("faculty")
+        again = cache.transaction_time("faculty")
         assert again is warm
         assert cache.hits == hits + 1
         assert cache.misses == misses
@@ -320,12 +329,12 @@ class TestIncrementalCacheMaintenance:
     def test_commit_patches_index_incrementally(self, temporal_faculty):
         database, clock = temporal_faculty
         cache = database.index_cache
-        stale = cache.bitemporal("faculty")
+        stale = cache.transaction_time("faculty")
         clock.set("06/01/85")
         database.insert("faculty", {"name": "New", "rank": "assistant"},
                         valid_from="06/01/85")
         patched = cache.incremental_updates
-        fresh = cache.bitemporal("faculty")
+        fresh = cache.transaction_time("faculty")
         assert cache.incremental_updates == patched + 1
         assert fresh is not stale
         relation = database.temporal("faculty")
@@ -358,11 +367,8 @@ class TestTransactionTimeUpkeep:
             database.insert("faculty", {"name": f"n{key:02d}",
                                         "rank": "full"}, **valid)
         database.rollback("faculty", Instant.from_chronon(BASE))  # built
-        discards, periods, upkeep = [], [], []
-        discard, build = IntervalTree.discard, Period.__init__
-        update = TransactionTimeIndex.update
-        monkeypatch.setattr(IntervalTree, "discard", lambda self, *args:
-                            discards.append(1) or discard(self, *args))
+        periods, upkeep = [], []
+        build, update = Period.__init__, TransactionTimeIndex.update
 
         def counted_build(self, *args, **kwargs):
             if upkeep:
@@ -388,7 +394,7 @@ class TestTransactionTimeUpkeep:
                               Instant.from_chronon(BASE + step // 2))
         monkeypatch.undo()
         assert database.index_cache.incremental_updates == patches + 200
-        assert discards == [] and periods == []
+        assert periods == []
 
     @pytest.mark.parametrize("factory", [TemporalDatabase, RollbackDatabase])
     def test_a_keyed_read_after_a_restart_walks_one_key(self, tmp_path,
@@ -424,7 +430,7 @@ class TestTransactionTimeUpkeep:
         # the same closed rows twice.
         database, clock = temporal_faculty
         cache = database.index_cache
-        cache.bitemporal("faculty").visible("12/10/82")  # tree built
+        cache.transaction_time("faculty").visible("12/10/82")  # tree built
         held, update = [], TransactionTimeIndex.update
         monkeypatch.setattr(TransactionTimeIndex, "update",
                             lambda self, relation: held.append(
@@ -432,6 +438,84 @@ class TestTransactionTimeUpkeep:
         clock.set("06/01/85")
         database.replace("faculty", {"name": "Tom"}, {"rank": "full"},
                          valid_from="06/01/85")
-        index = cache.bitemporal("faculty")
+        index = cache.transaction_time("faculty")
         assert held == [True]
-        assert index._tree.size == len(index.relation.closed_since())
+        assert index._closed.tree.size == len(index.relation.closed_since())
+
+    @pytest.mark.parametrize("factory", [TemporalDatabase, RollbackDatabase])
+    def test_a_stale_wrapper_answers_for_its_own_version(self, factory):
+        # Versions share the closed rows' tree and chains: once a later
+        # read patches them, a wrapper taken before a commit must not see
+        # the row that commit closed beside its own open twin.
+        clock = SimulatedClock(Instant.from_chronon(BASE))
+        database = factory(clock=clock)
+        database.define("faculty", faculty_schema())
+        valid = ({"valid_from": Instant.from_chronon(BASE)}
+                 if database.supports_historical_queries else {})
+        for key in range(40):
+            database.insert("faculty", {"name": f"n{key:02d}",
+                                        "rank": "full"}, **valid)
+        pin = database.manager.clock.last
+        stale = database._indexed("faculty")
+        assert len(stale.visible(pin)) == 40  # the tree is built
+        assert stale.under_key({"name": "n07"}, pin)  # and the chains
+        store = stale.relation
+        clock.set(Instant.from_chronon(BASE + 100))
+        database.replace("faculty", {"name": "n07"}, {"rank": "assistant"},
+                         **valid)
+        assert len(database.rollback("faculty", pin)) == 40  # patches
+        assert stale._closed.tree.size == 1  # shared, patched
+        assert Counter(stale.visible(pin)) == Counter(store.visible(pin))
+        assert stale.rollback(pin) == store.rollback(pin)
+        assert len(stale.rollback(pin)) == 40
+        whole = Period(Instant.from_chronon(BASE), POS_INF)
+        assert (Counter(stale.overlapping(whole))
+                == Counter(store.overlapping(whole)))
+        assert (Counter(stale.under_key({"name": "n07"}, pin))
+                == Counter(row for row in store.visible(pin)
+                           if row.data["name"] == "n07"))
+
+    def test_racing_readers_and_patches_answer_for_their_versions(self):
+        # Readers take the cache's wrapper and stab it on several threads
+        # while commits close rows and other reads patch (and fold) the
+        # shared tree: every answer is its own version's state at the pin.
+        clock = SimulatedClock(Instant.from_chronon(BASE))
+        database = TemporalDatabase(clock=clock)
+        database.define("faculty", faculty_schema())
+        valid = {"valid_from": Instant.from_chronon(BASE)}
+        for key in range(40):
+            database.insert("faculty", {"name": f"n{key:02d}",
+                                        "rank": "full"}, **valid)
+        pin = database.manager.clock.last
+        expected = database.rollback("faculty", pin)
+        wrong, stop = [], threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                index = database._indexed("faculty")  # held across patches
+                for _ in range(10):
+                    answer = index.rollback(pin)
+                    if len(answer) != 40 or answer != expected:
+                        wrong.append(len(answer))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        try:
+            for thread in readers:
+                thread.start()
+            for step in range(120):
+                clock.set(Instant.from_chronon(BASE + 100 + step))
+                database.replace("faculty", {"name": f"n{step % 40:02d}"},
+                                 {"rank": ("assistant", "full")[step % 2]},
+                                 **valid)
+                if len(database.rollback("faculty", pin)) != 40:  # patches
+                    wrong.append("writer")
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert wrong == []
+        assert database.index_cache.incremental_updates > 0

@@ -228,6 +228,12 @@ def same(answer, walk):
 # A checkpoint, a journal tail after it, then a restart recovering both.
 @example(steps=[[("insert", "k0", 1, 0, 0)], "checkpoint",
                 [("overlap", "k1", 2, 5)], ("bounce", "k0", 1), "restart"])
+# After a restart each shard's clock resumes at its own last commit: the
+# shard holding k1 reads day 53, the facade's now is day 54, where k1's
+# validity has ended.  A sharded snapshot slices every shard at the latter.
+@example(steps=[[("insert", "k0", 1, 0, 0)], [("insert", "k0", 1, 0, 0)],
+                [("insert", "k1", 1, 24, 30)], [("insert", "k0", 1, 0, 0)],
+                "restart"])
 def test_reads_equal_the_store_walk(kind, shards, steps):
     with tempfile.TemporaryDirectory() as directory:
         durable = history(kind, shards, steps, directory)

@@ -26,7 +26,6 @@ class TestCommitInstrumentation:
         # version — Figure 8's seven recorded rows.
         assert counters["commit.rows_closed"] == 3
         assert counters["commit.rows_opened"] == 7
-        assert "commit.fallback_naive" not in counters
         summary = inst.metrics.snapshot()["histograms"]["commit.apply_seconds"]
         assert summary["count"] == 7
         assert summary["max"] > 0.0
@@ -112,7 +111,7 @@ class TestIndexCacheInstrumentation:
             database.rollback("faculty", "12/10/82")
         gauges = inst.metrics.snapshot()["gauges"]
         # Figure 8: five recorded versions of the faculty relation.
-        assert gauges["index.tree.size.faculty.bitemporal"] == \
+        assert gauges["index.tree.size.faculty"] == \
             len(database.temporal("faculty"))
 
 

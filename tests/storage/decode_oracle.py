@@ -9,7 +9,7 @@ dict decoded into its keys and a string into its characters.
 """
 
 from repro.core.rollback import StateSequence
-from repro.errors import StorageError
+from repro.errors import ConstraintViolation, StorageError
 from repro.relational.relation import Relation
 from repro.relational.tuple import Tuple
 from repro.storage.serializer import (_ROW_SHAPES, decode_stamp,
@@ -45,6 +45,10 @@ def relation_from_dict(data, memo=None):
             for time, rows in data["states"]))
     if kind in _ROW_SHAPES:
         store_type, row_type = _ROW_SHAPES[kind]
-        return store_type(schema, decode_rows(schema, row_type,
-                                              data["rows"], memo))
+        # Every row decodes before the store refuses an element open twice.
+        rows = list(decode_rows(schema, row_type, data["rows"], memo))
+        try:
+            return store_type(schema, rows)
+        except ConstraintViolation as exc:  # (an element open twice)
+            raise StorageError(str(exc)) from exc
     raise StorageError(f"unknown relation kind {kind!r}")

@@ -34,6 +34,18 @@ def tuples(draw):
                           "nick": draw(nicks)})
 
 
+def one_open_each(rows):
+    """*rows* as a temporal relation holds them, each fact open once: a
+    later open row of a fact already open is left out."""
+    opened = set()
+    for row in rows:
+        if row.tt.end == POS_INF:
+            if row[:2] in opened:
+                continue
+            opened.add(row[:2])
+        yield row
+
+
 @st.composite
 def periods(draw):
     start = draw(st.integers(min_value=0, max_value=40))
@@ -74,9 +86,9 @@ class TestCsvRoundTrips:
     @given(st.lists(st.tuples(tuples(), periods(), periods()), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_temporal_csv(self, raw):
-        relation = TemporalRelation(
-            SCHEMA, (BitemporalRow(data, valid, tt)
-                     for data, valid, tt in raw if data["nick"] != ""))
+        relation = TemporalRelation(SCHEMA, one_open_each(
+            BitemporalRow(data, valid, tt)
+            for data, valid, tt in raw if data["nick"] != ""))
         buffer = io.StringIO()
         export_temporal_csv(relation, buffer)
         buffer.seek(0)
@@ -100,7 +112,6 @@ class TestJsonRoundTrips:
     @given(st.lists(st.tuples(tuples(), periods(), periods()), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_temporal_json(self, raw):
-        relation = TemporalRelation(
-            SCHEMA, (BitemporalRow(data, valid, tt)
-                     for data, valid, tt in raw))
+        relation = TemporalRelation(SCHEMA, one_open_each(
+            BitemporalRow(data, valid, tt) for data, valid, tt in raw))
         assert relation_from_dict(store_to_dict(relation)) == relation

@@ -344,7 +344,20 @@ def reference_retrieve(database, statement):
             if tt is None:
                 continue
         rows.add((data.values, validity, tt))
-    return rows
+    return earliest_open(rows)
+
+
+def earliest_open(rows):
+    """``(values, valid, tt)`` rows as a temporal result holds them: each
+    fact open once — of two rows holding one fact open, the earlier-opened
+    alone (the later adds nothing to any state)."""
+    first = {}
+    for values, valid, tt in rows:
+        if tt is not None and tt.end == POS_INF:
+            if (values, valid) not in first or tt.lo < first[values, valid].lo:
+                first[values, valid] = tt
+    return {(values, valid, tt) for values, valid, tt in rows
+            if tt is None or tt.end != POS_INF or first[values, valid] == tt}
 
 
 def canonical(result):

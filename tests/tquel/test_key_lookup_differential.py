@@ -21,6 +21,7 @@ from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
 from repro.core.rollback import STATES
 from repro.core.temporal import BitemporalRow, TemporalRelation
+from repro.errors import ConstraintViolation
 from repro.relational import Domain, Schema
 from repro.relational.expression import And, AttrRef, Comparison, Const
 from repro.relational.schema import Attribute
@@ -279,17 +280,21 @@ def test_a_conjunct_that_raises_ahead_of_an_absent_key_still_raises(kind):
     assert retrieve_both(database, statement) == [("value", set())] * 2
 
 
-def test_a_derived_store_with_duplicate_open_rows_is_scanned():
+def test_a_store_with_duplicate_open_rows_is_refused():
+    # An element is open at most once, so the key index holds every open
+    # row and a probe always answers: a value holding one element open
+    # twice is refused where it is built.
     database = build("temporal", "single")
     data = Tuple(SCHEMAS["single"], {"k": "k0", "j": 0, "n": 1, "s": "a"})
     valid = Period(BASE, POS_INF)
     twice = [BitemporalRow(data, valid, Period(BASE + day, POS_INF))
              for day in (1, 2)]
-    derived = TemporalRelation(SCHEMAS["single"], twice)
-    assert derived._open_extra
-    database._store["r"] = derived
-    assert derived.open_under_key({"k": "k0"}) is None
-    assert explain(database, k_is("k0"))["index"] != KEY_ACCESS
+    with pytest.raises(ConstraintViolation, match="open twice"):
+        TemporalRelation(SCHEMAS["single"], twice)
+    once = TemporalRelation(SCHEMAS["single"], twice[:1])
+    database._store["r"] = once
+    assert once.open_under_key({"k": "k0"}) == tuple(twice[:1])
+    assert explain(database, k_is("k0"))["index"] == KEY_ACCESS
     statement = RetrieveStmt(targets=TARGETS, where=k_is("k0"))
     auto, naive = retrieve_both(database, statement)
-    assert auto == naive and len(auto[1]) == 2
+    assert auto == naive and len(auto[1]) == 1
