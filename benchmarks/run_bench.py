@@ -16,8 +16,9 @@ Two kinds of measurement:
    subprocesses; their pass/fail and wall time land in the report.
 
 A third measurement proves the :mod:`repro.obs` instrumentation is
-cheap: the same ingest loop runs with recording off and on (best of
-several rounds each) and the per-commit overhead must stay under 5%.
+cheap: the same ingest loop runs with recording off and on (ten
+order-alternated pairs) and the median per-pair overhead must stay
+under 5%.
 The collected metrics snapshot is embedded in the report.
 
 An additional measurement sweeps the **query paths** (embedded in
@@ -122,6 +123,7 @@ import json
 import os
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -142,7 +144,8 @@ SUITES = ["bench_temporal_workload.py", "bench_indexing.py",
 BASE = Instant.parse("01/01/80")
 #: Fixed size + rounds of the instrumentation-overhead measurement.
 OVERHEAD_COMMITS = 2000
-OVERHEAD_ROUNDS = 3
+#: Order-alternated plain/recorded ingest pairs behind the overhead gate.
+OVERHEAD_PAIRS = 10
 OVERHEAD_LIMIT = 1.05
 #: The checkpoint sits this many commits before the end of history, so
 #: tail replay has constant cost while full replay grows with n.
@@ -254,25 +257,35 @@ def _ingest(commits, query_every=0, seed=0):
 def _measure_overhead(seed):
     """Ingest with recording off vs. on; returns (summary, metrics).
 
-    Best-of-N on both sides so scheduler noise cancels; the instrumented
-    side's collected metrics snapshot is returned for the report.
+    ``OVERHEAD_PAIRS`` plain/recorded ingest pairs, run back to back with
+    the order alternated pair by pair, so that a slow spell or a drift of
+    the machine lands on both sides of a pair; the ratio is the median of
+    the per-pair ratios.  (The best of three against the best of three
+    let one lucky plain run decide the gate.)  The last recorded run's
+    metrics snapshot is returned for the report.
     """
-    plain = min(_ingest(OVERHEAD_COMMITS, seed=seed)["total_s"]
-                for _ in range(OVERHEAD_ROUNDS))
-    instrumented = None
+    plain, instrumented, ratios = [], [], []
     snapshot = None
-    for _ in range(OVERHEAD_ROUNDS):
-        with obs.recording() as instrumentation:
-            total = _ingest(OVERHEAD_COMMITS, seed=seed)["total_s"]
-        if instrumented is None or total < instrumented:
-            instrumented = total
-            snapshot = instrumentation.metrics.snapshot()
-    ratio = instrumented / plain
+    for pair in range(OVERHEAD_PAIRS):
+        totals = {}
+        for recorded in ((False, True) if pair % 2 == 0 else (True, False)):
+            if recorded:
+                with obs.recording() as instrumentation:
+                    totals[recorded] = _ingest(OVERHEAD_COMMITS,
+                                               seed=seed)["total_s"]
+                snapshot = instrumentation.metrics.snapshot()
+            else:
+                totals[recorded] = _ingest(OVERHEAD_COMMITS,
+                                           seed=seed)["total_s"]
+        plain.append(totals[False])
+        instrumented.append(totals[True])
+        ratios.append(totals[True] / totals[False])
+    ratio = statistics.median(ratios)
     summary = {
         "commits": OVERHEAD_COMMITS,
-        "rounds": OVERHEAD_ROUNDS,
-        "plain_best_s": round(plain, 6),
-        "instrumented_best_s": round(instrumented, 6),
+        "pairs": OVERHEAD_PAIRS,
+        "plain_median_s": round(statistics.median(plain), 6),
+        "instrumented_median_s": round(statistics.median(instrumented), 6),
         "overhead_ratio": round(ratio, 4),
         "overhead_under_5pct": ratio <= OVERHEAD_LIMIT,
     }
@@ -1243,11 +1256,12 @@ def main(argv=None):
         overhead, metrics = _measure_overhead(args.seed)
     report["instrumentation"] = {"overhead": overhead, "metrics": metrics}
     print("instrumentation overhead: %.2f%% per commit "
-          "(plain %.0f us, instrumented %.0f us, n=%d, best of %d)" % (
-              (overhead["overhead_ratio"] - 1.0) * 100,
-              overhead["plain_best_s"] / overhead["commits"] * 1e6,
-              overhead["instrumented_best_s"] / overhead["commits"] * 1e6,
-              overhead["commits"], overhead["rounds"]))
+          "(median of %d order-alternated pairs; plain %.0f us, "
+          "instrumented %.0f us, n=%d)" % (
+              (overhead["overhead_ratio"] - 1.0) * 100, overhead["pairs"],
+              overhead["plain_median_s"] / overhead["commits"] * 1e6,
+              overhead["instrumented_median_s"] / overhead["commits"] * 1e6,
+              overhead["commits"]))
 
     recovery = _run_recovery(sizes, args.seed)
     recovery.update({

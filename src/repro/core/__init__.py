@@ -10,8 +10,7 @@ once — the four kinds are their compositions:
   every kind keeps (:class:`~repro.core.transaction_time.StateStore`: an
   open map by element, a key index, the O(Δ) ``advance``), and
   transaction time over it
-  (:class:`~repro.core.transaction_time.TransactionTimeStore`, the
-  ``naive_advance`` oracle);
+  (:class:`~repro.core.transaction_time.TransactionTimeStore`);
 - :mod:`~repro.core.static` — the static update API
   (:class:`~repro.core.static.StaticStateDatabase`, ``static_delta``) and
   static databases (§4.1);
@@ -47,8 +46,7 @@ from repro.core.taxonomy import (
 )
 from repro.core.base import Database
 from repro.core.static import StaticDatabase, StaticStore
-from repro.core.transaction_time import (StateStore, TransactionTimeStore,
-                                         naive_advance)
+from repro.core.transaction_time import StateStore, TransactionTimeStore
 from repro.core.rollback import (
     INTERVAL, STATES, RollbackDatabase, RollbackRelation, StateSequence,
     TransactionTimeRow,
@@ -111,7 +109,6 @@ __all__ = [
     "diff_states",
     "history_series",
     "migrate",
-    "naive_advance",
     "render_figure_1",
     "render_figure_10",
     "render_figure_11",

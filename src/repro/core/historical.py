@@ -294,8 +294,11 @@ def _period_from_args(arguments: Mapping[str, Any]) -> Period:
         return Period.at(_coerce(arguments["valid_at"]))
     start = arguments.get("valid_from")
     end = arguments.get("valid_to")
-    return Period(NEG_INF if start is None else start,
-                  POS_INF if end is None else end)
+    return _ALL_TIME if start is None and end is None else Period(
+        NEG_INF if start is None else start, POS_INF if end is None else end)
+
+
+_ALL_TIME = Period(NEG_INF, POS_INF)  # (an update naming neither end)
 
 
 def historical_delta(schema: Schema, op: Operation,

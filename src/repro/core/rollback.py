@@ -29,7 +29,6 @@ recent state only, and errors in past states "can sometimes be overridden
 from __future__ import annotations
 
 import bisect
-import copy
 import operator
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple as PyTuple)
@@ -54,10 +53,6 @@ class TransactionTimeRow(NamedTuple):
 
     data: Tuple
     tt: Period
-
-    def visible_at(self, when: Instant) -> bool:
-        """Was this tuple in the database state as of *when*?"""
-        return self.tt.contains(when)
 
 
 class RollbackRelation(TransactionTimeStore):
@@ -124,15 +119,16 @@ class StateSequence(StaticStore):
             return Relation.empty(self._schema)
         return self._states[position - 1]
 
-    def advance(self, removed, added, commit_time: Instant, touched=None
-                ) -> "StateSequence":
+    def advance(self, removed, added, commit_time: Instant, touched=None,
+                mine: bool = False) -> "StateSequence":
         """The static store's advance, then the cube with its current
         state as the state from *commit_time* on (one state per
         transaction: a later operation of the same transaction replaces
         the state its predecessor recorded)."""
-        successor = super().advance(removed, added, commit_time, touched)
-        if successor is self:
-            successor = copy.copy(self)  # (the states change regardless)
+        successor = super().advance(removed, added, commit_time, touched,
+                                    mine)
+        if successor is self and not mine:
+            successor = self._copy()  # (the states change regardless)
         kept = bisect.bisect_left(self._times, commit_time)
         successor._times = self._times[:kept] + [commit_time]
         successor._states = self._states[:kept] + [successor.current()]

@@ -4,17 +4,19 @@ Figure 10 classifies databases by two *orthogonal* capabilities.  Every
 kind keeps a current state of *elements* — data tuples, or ``(data,
 valid period)`` facts — in one :class:`StateStore`: an open map keyed by
 element, indexed by schema-key value.  A commit is an element delta:
-:meth:`StateStore.advance` costs O(Δ) plus two C-speed dict copies, never
-O(current state), and a replaced row keeps its place in a printed table.
+:meth:`StateStore.advance` costs O(Δ) plus, once per transaction, a
+C-speed copy of the open map and of the key index, and a replaced row
+keeps its place in a printed table.
 
 Transaction time adds stamps and the past: :class:`TransactionTimeStore`
 stamps each element with the period ``[start, end)`` it belonged to the
 state, ``end = ∞`` while it does, and keeps closed rows in an
 append-only log the versions share ("once a transaction has completed,
 the static relations in the static rollback relation may not be
-altered"); an element is open at most once.  :func:`naive_advance` is
-the whole-relation diff the delta path is property-tested against.  The
-four compositions — :class:`~repro.core.static.StaticStore`,
+altered"); an element is open at most once.  The whole-relation diff
+the delta path is property-tested against is ``naive_advance`` in
+``tests/core/whole_state_oracle.py``.  The four compositions —
+:class:`~repro.core.static.StaticStore`,
 :class:`~repro.core.historical.HistoricalStore`,
 :class:`~repro.core.rollback.RollbackRelation`,
 :class:`~repro.core.temporal.TemporalRelation` — add only their element
@@ -137,7 +139,8 @@ class StateStore:
         """The open rows by schema-key value; ``None`` without a key.
 
         Built once per lineage (the first use after a load), in open-map
-        order; every later version gets :meth:`_key_index_after`'s.
+        order; every later version changes a copy
+        (:meth:`_key_index_after`).
         Readers reach the build without a lock: two racing threads derive
         the same index from this immutable version, and one assignment
         wins — an idempotent value, never a torn one.
@@ -164,11 +167,11 @@ class StateStore:
                          opened: Collection[Any],
                          touched: Optional[Dict[Any, Any]]
                          ) -> Optional[_KeyIndex]:
-        """The successor's key index: a C-speed copy with the keys that
+        """This working copy's key index, changed in place: the keys that
         lost rows (*gone*) or gained them (*opened*) rebuilt, into
         *touched*; spliced, a key a commit produced or changed goes where
         the first key that lost a row was (a replace keeps its place)."""
-        index = self._key_index()
+        index = self._by_key
         if index is None:
             return None
         lost, gained = defaultdict(list), defaultdict(list)
@@ -176,8 +179,8 @@ class StateStore:
             for row in delta:  # (a `key()` call beats getters at Δ rows)
                 rows[self._data(row).key()].append(row)
         if touched is not None:
-            touched.update(itertools.chain(lost.items(), gained.items()))
-        index = dict(index)
+            touched.update(lost)
+            touched.update(gained)
         moved = [key for key in gained if key in lost or key not in index]
         for key, rows in lost.items():
             index[key] = self._placed(index[key], rows, gained.pop(key, ()))
@@ -199,6 +202,8 @@ class StateStore:
                 gained: List[Any]) -> PyTuple[Any, ...]:
         """*rows* without *lost*, and *gained* in the place of the first
         row lost — after them all where the order is the open map's."""
+        if len(lost) == len(rows):  # (all of them)
+            return tuple(gained)
         ids = set(map(id, lost))
         kept = tuple(row for row in rows if id(row) not in ids)
         at = (next(i for i, row in enumerate(rows) if id(row) in ids)
@@ -278,25 +283,37 @@ class StateStore:
     # -- the one commit path -----------------------------------------------------
 
     def advance(self, removed: Collection[Any], added: Collection[Any],
-                commit_time: Instant,
-                touched: Optional[Dict[Any, Any]] = None) -> "StateStore":
+                commit_time: Instant, touched: Optional[Dict[Any, Any]] = None,
+                mine: bool = False) -> "StateStore":
         """The version in which the elements *removed* left the state and
         *added* entered it at *commit_time*: O(Δ) plus C-speed copies of
-        the open map and the key index (and :meth:`_record`'s work).
-        The schema-key values whose rows changed go to *touched*'s keys."""
+        the open map and the key index — none where *mine* says this is
+        its transaction's working copy already, changed in place (and
+        :meth:`_record`'s work).  Keys whose rows changed go to *touched*."""
         if not removed and not added:
             return self
-        open_map = dict(self._open)
+        successor = self if mine else self._copy()
+        successor._key_index()  # (built before the open map changes)
+        open_map = successor._open
+        order = (tuple(open_map.values()) if removed and added
+                 and self._spliced and not self._schema.key else None)
         gone = [open_map.pop(element) for element in removed]
         opened = self._opened(added, commit_time)
         open_map.update(zip(added, opened))
-        if gone and opened and self._spliced and not self._schema.key:
-            rows = self._placed(tuple(self._open.values()), gone, opened)
-            open_map = dict(zip(map(self._element, rows), rows))
-        successor = type(self).__new__(type(self))
-        successor._init_parts(self._schema, open_map,
-                              self._key_index_after(gone, opened, touched))
+        if order is not None:
+            rows = self._placed(order, gone, opened)
+            successor._open = dict(zip(map(self._element, rows), rows))
+        successor._by_key = successor._key_index_after(gone, opened, touched)
+        successor._current_cache = successor._rows_cache = None
         self._record(successor, gone, opened, commit_time)
+        return successor
+
+    def _copy(self) -> "StateStore":
+        """A working copy of this version's open map and key index."""
+        index = self._key_index()
+        successor = type(self).__new__(type(self))
+        successor._init_parts(self._schema, dict(self._open),
+                              None if index is None else dict(index))
         return successor
 
     def _record(self, successor: "StateStore", gone: List[Any],
@@ -474,7 +491,7 @@ class TransactionTimeStore(StateStore):
         log *successor* shares with this version — but a row opened and
         superseded within one transaction was never part of a committed
         state, and leaves no trace.  Semantically identical to
-        :func:`naive_advance` (property-tested)."""
+        the whole-relation ``naive_advance`` (property-tested)."""
         # (every opened row's period; _opened built it once)
         from_now_on = opened[0].tt if opened else Period(commit_time, POS_INF)
         closed = [_closed(row, commit_time)
@@ -498,31 +515,3 @@ def _closed(row: Any, commit_time: Instant) -> Any:
     end = chronon_number(commit_time, row.tt.unit, "build a period")
     return row._replace(tt=Period.from_chronons(row.tt.lo, end,
                                                 commit_time.granularity))
-
-
-def naive_advance(store: TransactionTimeStore, new_state: Iterable[Any],
-                  commit_time: Instant) -> TransactionTimeStore:
-    """The whole-relation advance: the executable specification.
-
-    Records *new_state* (the elements of the state from *commit_time* on)
-    by walking every row ever written and rebuilding the store — O(n) per
-    commit.  Kept as the reference :meth:`TransactionTimeStore.advance` is
-    property-tested against.
-    """
-    element = store._element
-    state = dict.fromkeys(new_state)
-    carried = set()
-    rows: List[Any] = []
-    from_now_on = Period(commit_time, POS_INF)
-    for row in store.rows:
-        if row.tt.hi != math.inf:
-            rows.append(row)  # already part of the immutable past
-        elif element(row) in state:
-            rows.append(row)  # survives this transaction
-            carried.add(element(row))
-        elif row.tt != from_now_on:
-            rows.append(_closed(row, commit_time))
-        # else: opened and superseded within one transaction
-    rows.extend(store._stamp(new, from_now_on)
-                for new in state if new not in carried)
-    return type(store)(store.schema, rows)

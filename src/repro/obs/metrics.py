@@ -27,7 +27,7 @@ import random
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
@@ -227,6 +227,14 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._create_lock = threading.Lock()
+        self._handles: Dict[str, Any] = {}
+
+    def handles(self, site: str, build: Callable[[Any], Any]) -> Any:
+        """The instruments *build* looks up in this registry, by name once
+        per call *site* (until a reset), not on every call."""
+        found = self._handles.get(site)
+        return found if found is not None else self._handles.setdefault(
+            site, build(self))
 
     def counter(self, name: str) -> Counter:
         """The counter called *name* (created empty on first use)."""
@@ -274,6 +282,7 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._handles.clear()
 
 
 class _NullCounter(Counter):

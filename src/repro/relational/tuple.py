@@ -103,10 +103,16 @@ class Tuple(Mapping[str, Any]):
         return Tuple(projected_schema, {name: self[name] for name in names})
 
     def replace(self, **updates: Any) -> "Tuple":
-        """A copy with some attribute values replaced (schema-checked)."""
-        merged = {name: self[name] for name in self._schema.names}
-        merged.update(updates)
-        return Tuple(self._schema, merged)
+        """A copy with some attribute values replaced (and only they are
+        checked, in schema order)."""
+        schema, values = self._schema, list(self.values)
+        try:
+            places = sorted(map(schema._positions.__getitem__, updates))
+        except KeyError:  # (the constructor names the unknown attributes)
+            return Tuple(schema, {**self, **updates})
+        for at in places:
+            values[at] = schema._attributes[at].check(updates[schema._names[at]])
+        return Tuple.from_checked(schema, tuple(values))
 
     def cast(self, schema: Schema) -> "Tuple":
         """Re-type this tuple against an equal-named schema (e.g. after rename)."""

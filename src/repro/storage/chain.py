@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ChainError
 
@@ -58,9 +58,12 @@ def content_hash(entry: Dict[str, Any]) -> str:
     """
     stripped = {key: value for key, value in entry.items()
                 if key != CHAIN_KEY}
-    canonical = json.dumps(stripped, ensure_ascii=False, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(stripped).encode("utf-8")).hexdigest()
+
+
+#: A record's canonical JSON text (sorted keys, compact separators).
+_canonical = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                              separators=(",", ":")).encode
 
 
 def link_hash(prev_hash: str, content: str) -> str:
@@ -83,6 +86,18 @@ def chain_entry(entry: Dict[str, Any], prev_hash: str) -> Dict[str, Any]:
         "commit": link_hash(prev_hash, content),
     }
     return chained
+
+
+def chained_text(entry: Dict[str, Any], prev_hash: str) -> Tuple[str, str]:
+    """:func:`chain_entry`'s record as canonical JSON, and its commit hash,
+    from one encode of the unchained commit record *entry* (the journal's
+    write path): ``chain`` sorts before its other keys, so its fields are
+    spliced in front of the text :func:`content_hash` hashes."""
+    canonical = _canonical(entry)
+    content = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    commit = link_hash(prev_hash, content)
+    return (f'{{"{CHAIN_KEY}":{{"commit":"{commit}","content":"{content}",'
+            f'"prev":"{prev_hash}"}},{canonical[1:]}', commit)
 
 
 def entry_chain(entry: Dict[str, Any]) -> Optional[Dict[str, str]]:

@@ -39,11 +39,14 @@ class StorageIO:
         crash.  Appends are the journal's durability point: a commit is
         durable exactly when its record's ``append`` has returned.
         """
-        with open(path, "ab") as handle:
-            handle.write(data)
-            handle.flush()
+        handle = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:  # (unbuffered: written to the OS when os.write returns)
+            while data:
+                data = data[os.write(handle, data):]
             if fsync:
-                os.fsync(handle.fileno())
+                os.fsync(handle)
+        finally:
+            os.close(handle)
 
     def write_atomic(self, path: str, data: bytes,
                      fsync: bool = False) -> None:

@@ -15,7 +15,9 @@ makes that operational:
 (:mod:`repro.storage.framing`: length-prefixed, CRC32-checksummed, tag
 ``r2``) carrying its hash-chain fields (:mod:`repro.storage.chain`);
 there is no other journal generation, and a line of any other shape is
-damage.  The
+damage.  Its payload is the chained record's canonical (sorted,
+compact) JSON, encoded once (:func:`~repro.storage.chain.chained_text`);
+older writers' spaced payloads read the same.  The
 append is flushed to the operating system before :meth:`record` returns
 — that is the commit's durability point against *process* crashes; pass
 ``fsync=True`` to also survive OS/power failure at the cost of a device
@@ -47,7 +49,7 @@ from repro.errors import JournalError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.framing import (CHAINED_TAG, FrameDamage, FrameError,
-                                   frame_lines, frame_record)
+                                   frame, frame_lines)
 from repro.storage.io import REAL_IO, StorageIO
 from repro.storage.serializer import (decode_value, encode_value,
                                       schema_from_dict, schema_to_dict)
@@ -243,13 +245,11 @@ class Journal:
         entry = encode_commit(commit)
         with self._append_lock:
             prev = prev_hash if prev_hash is not None else self._resolve_prev()
-            chained = _chain.chain_entry(entry, prev)
-            data = (frame_record(chained, tag=CHAINED_TAG) + "\n").encode(
-                "utf-8")
+            payload, head = _chain.chained_text(entry, prev)
+            data = (frame(payload, tag=CHAINED_TAG) + "\n").encode("utf-8")
             self._io.append(self._path, data, fsync=self._fsync)
             self._sha.update(data)
-            self._head = chained[_chain.CHAIN_KEY]["commit"]
-            head = self._head
+            self._head = head
         _obs.current().metrics.counter("journal.records").inc()
         return head
 

@@ -1127,7 +1127,8 @@ class Evaluator:
     def _aggregate_rows(self, targets: Sequence[TargetItem], schema: Schema,
                         resolve: Resolver, bindings) -> List[Tuple]:
         """Group the bindings by the non-aggregate targets and apply the
-        aggregates to each group."""
+        aggregates to each group, all before any row is domain-checked
+        (the error raised must not hang on the plan's candidate order)."""
         group_targets = [t for t in targets if not isinstance(t.expr, AggCall)]
         keys = [t.expr.compile(resolve) for t in group_targets]
         aggregates = [
@@ -1140,14 +1141,14 @@ class Evaluator:
                               []).append(binding)
         if not group_targets and not groups:
             groups[()] = []
-        rows = []
+        computed = []
         for key, members in groups.items():
             values: Dict[str, Any] = dict(zip(
                 (t.name for t in group_targets), key))
             for name, call, operand in aggregates:
                 values[name] = self._apply_aggregate(call, operand, members)
-            rows.append(Tuple(schema, values))
-        return rows
+            computed.append(values)
+        return [Tuple(schema, values) for values in computed]
 
     @staticmethod
     def _apply_aggregate(call: AggCall, operand, members: List[Any]) -> Any:

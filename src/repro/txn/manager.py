@@ -138,11 +138,13 @@ class TransactionManager:
         crash-equivalent (docs/DURABILITY.md).
         """
         metrics = _obs.current().metrics
+        begun, active, committed = metrics.handles("txn.run", lambda m: (
+            m.counter("txn.begin"), m.gauge("txn.active"),
+            m.counter("txn.commit")))
         with self._run_lock:
             if validate is not None:
                 validate()
-            metrics.counter("txn.begin").inc()
-            active = metrics.gauge("txn.active")
+            begun.inc()
             active.add(1)
             try:
                 commit_time = self._txn_clock.tick()
@@ -155,7 +157,7 @@ class TransactionManager:
                 raise
             finally:
                 active.add(-1)
-        metrics.counter("txn.commit").inc()
+        committed.inc()
         return commit_time
 
     def certify(self, validate: Callable[[], Any]) -> Any:

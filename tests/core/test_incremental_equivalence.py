@@ -30,7 +30,7 @@ from repro.core import (INTERVAL, STATES, BoundedValidity, ContiguousHistory,
                         NoFutureValidity, RollbackDatabase, RollbackRelation,
                         StaticDatabase, TemporalDatabase, TemporalRelation,
                         TemporalConstraint, TransactionTimeIndex,
-                        TransactionTimeStore, ValidityDuration, naive_advance)
+                        TransactionTimeStore, ValidityDuration)
 from repro.core.historical import check_historical_constraints
 from repro.errors import (CheckpointError, ConstraintViolation,
                           GranularityError, StorageError)
@@ -42,7 +42,7 @@ from repro.txn.transaction import Operation
 
 from tests.core.whole_state_oracle import (apply_historical_operation,
                                            apply_static_operation,
-                                           check_state)
+                                           check_state, naive_advance)
 
 BASE = Instant.parse("01/01/80")
 KEYS = ["k%d" % i for i in range(6)]

@@ -12,15 +12,22 @@ answers.
   operation produces takes the place of the first row it removes, so a
   replaced row keeps its place in the printed table;
 - :func:`check_state`: a kind's declared constraints (and its key, plain
-  or sequenced) on the whole state.
+  or sequenced) on the whole state;
+- :func:`naive_advance`: a transaction-time store's whole-relation diff
+  to the state from a commit on.
 """
+
+import math
 
 from repro.core.historical import (HistoricalRelation,
                                    check_historical_constraints,
                                    historical_delta)
 from repro.core.static import static_delta
+from repro.core.transaction_time import _closed
 from repro.relational.constraints import KeyConstraint, check_all
 from repro.relational.relation import Relation
+from repro.time.instant import POS_INF
+from repro.time.period import Period
 
 
 def _splice(rows, removed, added):
@@ -63,3 +70,30 @@ def check_state(state, constraints, now=None):
     if state.schema.key:
         declared.append(KeyConstraint(state.schema.key))
     check_all(state, declared)
+
+
+def naive_advance(store, new_state, commit_time):
+    """The whole-relation advance: the executable specification.
+
+    Records *new_state* (the elements of the state from *commit_time* on)
+    by walking every row ever written and rebuilding the store — O(n) per
+    commit.  Kept as the reference ``TransactionTimeStore.advance`` is
+    property-tested against.
+    """
+    element = store._element
+    state = dict.fromkeys(new_state)
+    carried = set()
+    rows = []
+    from_now_on = Period(commit_time, POS_INF)
+    for row in store.rows:
+        if row.tt.hi != math.inf:
+            rows.append(row)  # already part of the immutable past
+        elif element(row) in state:
+            rows.append(row)  # survives this transaction
+            carried.add(element(row))
+        elif row.tt != from_now_on:
+            rows.append(_closed(row, commit_time))
+        # else: opened and superseded within one transaction
+    rows.extend(store._stamp(new, from_now_on)
+                for new in state if new not in carried)
+    return type(store)(store.schema, rows)

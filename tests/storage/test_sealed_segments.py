@@ -70,8 +70,9 @@ def rewrite_line(path, line_number, rewrite):
 
 def reformatted(entry):
     """The same record — same content hash, same chain fields — framed
-    with other JSON separators: other bytes that walk clean."""
-    return frame(json.dumps(entry, sort_keys=True, separators=(",", ":")),
+    with other JSON separators (the journal writes compact ones): other
+    bytes that walk clean."""
+    return frame(json.dumps(entry, sort_keys=True, separators=(", ", ": ")),
                  tag=CHAINED_TAG)
 
 

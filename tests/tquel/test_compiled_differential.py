@@ -21,7 +21,8 @@ two levels:
 import functools
 import itertools
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
@@ -307,14 +308,15 @@ def reference_retrieve(database, statement):
                               []).append(env)
         if not plain and not groups:
             groups[()] = []
-        rows = set()
+        computed = []  # every group's aggregates before any row is built
         for key, envs in groups.items():
             values = dict(zip((t.name for t in plain), key))
             for target in statement.targets:
                 if isinstance(target.expr, AggCall):
                     values[target.name] = aggregate(target.expr, envs)
-            rows.add((Tuple(schema, values).values, None, None))
-        return rows
+            computed.append(values)
+        return {(Tuple(schema, values).values, None, None)
+                for values in computed}
     kind = database.kind
     rows = set()
     for binding, env, valid_of in matched:
@@ -437,7 +439,34 @@ def test_historical_retrieves_match_the_reference(statement):
     check(HistoricalDatabase, statement)
 
 
+#: An aggregate whose groups fail in two ways: ``"k0" + 2`` raises while
+#: the aggregate is computed, a null-only group's ``min`` is a null the
+#: result domain refuses.  Which comes first in the candidates must not
+#: decide which error the retrieve raises.
+TWO_FAILURES = RetrieveStmt(
+    targets=[TargetItem("x0", AttrRef("f", "k")),
+             TargetItem("agg", AggCall("min", Not(BinaryOp(
+                 "+", AttrRef("f", "k"), AttrRef("f", "n")))))],
+    as_of=TConst(str(BASE + 2)))
+
+
 @SETTINGS
 @given(retrieves(TemporalDatabase))
+@example(TWO_FAILURES)
 def test_temporal_retrieves_match_the_reference(statement):
     check(TemporalDatabase, statement)
+
+
+def test_an_aggregate_raises_one_error_whatever_the_candidate_order():
+    database = DATABASES[TemporalDatabase]
+    evaluator = Evaluator(database, RANGES)
+    targets = TWO_FAILURES.targets
+    schema = evaluator._result_schema(targets)
+    bindings = [(row,) for row in database.store("r").open_rows()]
+    raised = set()
+    for order in (bindings, bindings[::-1]):
+        with pytest.raises(Exception) as error:
+            evaluator._aggregate_rows(targets, schema,
+                                      evaluator._resolver({"f": 0}), order)
+        raised.add(type(error.value))
+    assert len(raised) == 1, raised
