@@ -73,9 +73,9 @@ def migrate(source: Database, target_class: Type[Database],
         if replaying:
             # The replay drives the clock through the source's original
             # commit instants, so it must start before the first of them.
-            first = (source.log.records[0].commit_time
-                     if len(source.log) else source.now())
-            clock = SimulatedClock(first - 1)
+            first = next(iter(source.log), None)
+            clock = SimulatedClock((first.commit_time if first is not None
+                                    else source.now()) - 1)
         else:
             resume_at = (last + 1) if last is not None else source.now()
             clock = SimulatedClock(resume_at)

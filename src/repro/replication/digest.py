@@ -86,10 +86,9 @@ def _memo_key(database) -> Optional[Tuple[int, Any]]:
     database has no log: a checkpoint may clear the log, making "empty"
     ambiguous, and empty-log digests are cheap anyway.
     """
-    records = getattr(getattr(database, "log", None), "records", None)
-    if not records:
-        return None
-    return (len(records), records[-1])
+    log = getattr(database, "log", None)
+    last = log.last() if log is not None else None
+    return None if last is None else (len(log), last)
 
 
 def state_digest(database, cache: bool = True) -> str:

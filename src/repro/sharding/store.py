@@ -52,7 +52,6 @@ from repro.sharding.coordinator import ShardCoordinator
 from repro.sharding.partition import Partitioner
 from repro.time.clock import Clock
 from repro.time.instant import Instant
-from repro.txn.log import CommitRecord
 from repro.txn.transaction import Operation, Transaction
 
 
@@ -78,17 +77,10 @@ class ShardLog:
         return sum(len(db.log) for db in self._shards)
 
     def __iter__(self):
-        tagged: List[PyTuple[Instant, int, CommitRecord]] = []
-        for sid, db in enumerate(self._shards):
-            for record in db.log.records:
-                tagged.append((record.commit_time, sid, record))
-        tagged.sort(key=lambda item: (item[0], item[1]))
-        return iter([record for _, _, record in tagged])
-
-    @property
-    def records(self):
-        """The merged records, oldest commit time first."""
-        return tuple(self)
+        merged = sorted(((record.commit_time, sid, record)
+                         for sid, db in enumerate(self._shards)
+                         for record in db.log), key=lambda item: item[:2])
+        return iter([record for _, _, record in merged])
 
     def __repr__(self) -> str:
         return f"ShardLog({self.vector()})"

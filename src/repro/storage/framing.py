@@ -41,6 +41,7 @@ strings.  Durability (when bytes reach the disk) is the business of
 from __future__ import annotations
 
 import enum
+import io
 import json
 import zlib
 from typing import Any, Dict, Iterator, Tuple, Union
@@ -193,22 +194,21 @@ def frame_lines(data: bytes, tag: str, final: bool = True
     anywhere else is CORRUPT.  Bytes that are not UTF-8 are TORN only as
     an incomplete sequence at the end of the line.
     """
-    chunks = data.split(b"\n")
-    last = len(chunks) - 1
-    while last >= 0 and not chunks[last].strip():
-        last -= 1
+    last = len(data)
+    while last and data[last - 1:last].isspace():
+        last -= 1  # the last record-bearing line holds byte last - 1
     offset = 0
-    for number, chunk in enumerate(chunks):
+    for number, chunk in enumerate(io.BytesIO(data), 1):  # no line list
         if chunk.strip():
             try:
                 record: Union[Dict[str, Any], FrameError] = _parse_bytes(
-                    chunk, tag)
+                    chunk.rstrip(b"\n"), tag)
             except FrameError as exc:
                 record = exc
-                if exc.damage is FrameDamage.TORN and not (final
-                                                           and number == last):
+                if exc.damage is FrameDamage.TORN and not (
+                        final and offset + len(chunk) >= last):
                     record = FrameError(f"torn bytes mid-file — no crash "
                                         f"writes there: {exc}",
                                         FrameDamage.CORRUPT)
-            yield number + 1, offset, record
-        offset += len(chunk) + 1
+            yield number, offset, record
+        offset += len(chunk)

@@ -42,8 +42,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.errors import JournalError
 from repro.obs import runtime as _obs
@@ -110,16 +110,14 @@ def encode_commit(commit: CommitRecord) -> Dict[str, Any]:
 
 
 def apply_entries(database, clock: SimulatedClock,
-                  entries: Sequence[Dict[str, Any]]) -> int:
+                  entries: Sequence[Dict[str, Any]]) -> None:
     """Re-run journal *entries* against *database*, oldest first.
 
     *clock* must be the simulated clock the database's transaction clock
     reads: each entry sets it to the recorded commit time before the
     transaction re-runs, and a mismatch between the recorded and the
     re-assigned commit time raises :class:`JournalError` (replay drift —
-    the journal and the database disagree about history).  Returns the
-    number of entries applied.  Shared by :meth:`Journal.replay` and the
-    checkpoint-tail recovery in :mod:`repro.storage.recovery`.
+    the journal and the database disagree about history).
     """
     for entry in entries:
         commit_time = decode_value(entry["commit_time"])
@@ -133,7 +131,35 @@ def apply_entries(database, clock: SimulatedClock,
                 f"replay drift: journal says {commit_time}, "
                 f"database committed at {actual}"
             )
-    return len(entries)
+
+
+class Replay:
+    """Applies the entries it is handed (:func:`apply_entries`) in runs
+    of 16, a full replay's cheapest, so a reader holds no more of them.
+    The first error stops it; the reader's last :meth:`flush` raises it."""
+
+    def __init__(self, database, clock: SimulatedClock) -> None:
+        self._database, self._clock = database, clock
+        self._run: List[Dict[str, Any]] = []
+        self.count = 0  # entries handed over
+        self.error: Optional[Exception] = None
+
+    def __call__(self, entry: Dict[str, Any]) -> None:
+        self.count += 1
+        self._run.append(entry)
+        if len(self._run) == 16:
+            self.flush(last=False)
+
+    def flush(self, last: bool = True) -> None:
+        """Apply the entries handed over since the last flush."""
+        run, self._run = self._run, []
+        try:
+            if self.error is None:
+                apply_entries(self._database, self._clock, run)
+        except Exception as exc:
+            self.error = exc
+        if last and self.error is not None:
+            raise self.error
 
 
 def record_error(path: str, line_number: int, offset: int, reason: str,
@@ -144,14 +170,6 @@ def record_error(path: str, line_number: int, offset: int, reason: str,
         f"corrupt journal record at line {line_number} (byte offset "
         f"{offset}) in {path}: {reason}"
         + ("" if torn else " — so this is not a torn tail"))
-
-
-class ScannedRecord(NamedTuple):
-    """One parsed journal record with its position in the file."""
-
-    line_number: int
-    offset: int  # byte offset of the record's first byte
-    entry: Dict[str, Any]
 
 
 class TailDamage(NamedTuple):
@@ -226,10 +244,7 @@ class Journal:
         """
         if self._head is not None:
             return self._head
-        if not os.path.exists(self._path) or os.path.getsize(self._path) == 0:
-            return _chain.GENESIS
-        records, _ = self.scan()
-        head = _chain.head_of((r.entry for r in records), head=None)
+        head = _chain.head_of(self._entries(None), head=None)
         return head if head is not None else _chain.GENESIS
 
     def record(self, commit: CommitRecord,
@@ -268,10 +283,10 @@ class Journal:
 
     # -- reading --------------------------------------------------------------------
 
-    def scan(self) -> Tuple[List[ScannedRecord], Optional[TailDamage]]:
+    def scan(self) -> Tuple[List[Dict[str, Any]], Optional[TailDamage]]:
         """Parse the journal, reporting trailing damage instead of raising.
 
-        Returns ``(records, damage)``.  ``damage`` is ``None`` for a
+        Returns ``(entries, damage)``.  ``damage`` is ``None`` for a
         clean file, or describes a **torn final** record (the residue of
         a crashed append).  A damaged record *followed by further
         records*, or a final record whose bytes are all present but
@@ -279,24 +294,29 @@ class Journal:
         the residue of any crash — the append-only contract — and raises
         :class:`JournalError` naming the line and byte offset.
         """
-        if not os.path.exists(self._path):
-            return [], None
-        with open(self._path, "rb") as handle:
-            return self.parse(handle.read())
+        damage: List[TailDamage] = []
+        return list(self._entries(damage.append)), next(iter(damage), None)
 
-    def parse(self, data: bytes
-              ) -> Tuple[List[ScannedRecord], Optional[TailDamage]]:
-        """:meth:`scan` over *data*, the file's bytes already in hand."""
-        records: List[ScannedRecord] = []
+    def _entries(self, torn: Optional[Callable[[TailDamage], Any]]
+                 ) -> Iterator[Dict[str, Any]]:
+        """Each entry as it is parsed: a torn final record goes to *torn*
+        (``None`` drops it), other damage raises (:meth:`scan`)."""
+        data = b""
+        if os.path.exists(self._path):
+            with open(self._path, "rb") as handle:
+                data = handle.read()
         for line_number, offset, entry in frame_lines(data, self._tag):
             if not isinstance(entry, FrameError):
-                records.append(ScannedRecord(line_number, offset, entry))
+                yield entry
             elif entry.damage is FrameDamage.TORN:  # the last line
-                return records, TailDamage(line_number, offset, str(entry))
+                if torn is not None:
+                    torn(TailDamage(line_number, offset, str(entry)))
             else:
                 raise record_error(self._path, line_number, offset,
                                    str(entry))
-        return records, None
+
+    def _torn(self, damage: TailDamage) -> None:
+        raise record_error(self._path, *damage, torn=True)
 
     def read(self, recover: bool = False) -> List[Dict[str, Any]]:
         """Every journal entry, oldest first.
@@ -306,11 +326,7 @@ class Journal:
         damaged *final* record (the torn residue of a crashed append) is
         silently dropped; mid-journal damage still raises.
         """
-        records, damage = self.scan()
-        if damage is not None and not recover:
-            raise record_error(self._path, damage.line_number, damage.offset,
-                               damage.reason, torn=True)
-        return [record.entry for record in records]
+        return list(self._entries(None if recover else self._torn))
 
     def truncate_torn_tail(self) -> int:
         """Physically remove a torn trailing record; returns bytes dropped.
@@ -340,10 +356,12 @@ class Journal:
         database is observationally identical — rollbacks included.
         ``recover=True`` tolerates (drops) a torn trailing record.
         """
-        entries = self.read(recover=recover)
         clock = SimulatedClock(1)
         database = factory(clock=clock)
-        apply_entries(database, clock, entries)
+        replay = Replay(database, clock)
+        for entry in self._entries(None if recover else self._torn):
+            replay(entry)
+        replay.flush()
         return database
 
     def __repr__(self) -> str:

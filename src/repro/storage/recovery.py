@@ -22,11 +22,10 @@ entire durable state:
    skipped — the journal can always fill the gap); with none, start
    from an empty database of the requested kind;
 2. walk the segments with the checkpoint's index as the base — the walk
-   the audit makes (:mod:`repro.storage.walk`) — and raise the typed
-   error of the first finding it refuses;
-3. truncate a torn final record, then replay, in global order, the entries
-   at or after the checkpoint's index, driving the simulated clock so
-   each transaction commits at its original instant;
+   the audit makes (:mod:`repro.storage.walk`) — replaying each entry at
+   or after it as it verifies, at its original commit instant;
+3. raise the typed error of the first finding the walk refuses; else
+   truncate a torn final record, then raise any replay error;
 4. attach: new commits append to the live segment (or start the one a
    crash kept a checkpoint from rotating to), and
    :meth:`DurabilityManager.checkpoint` publishes a fresh checkpoint and
@@ -60,7 +59,7 @@ from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.io import REAL_IO, StorageIO
-from repro.storage.journal import Journal, apply_entries
+from repro.storage.journal import Journal, Replay
 from repro.storage.walk import JournalWalk, fold_segment
 from repro.time.clock import SimulatedClock
 
@@ -211,28 +210,30 @@ class DurabilityManager:
                 raise JournalError(
                     "recovery drives a simulated clock; the factory must "
                     "accept clock=SimulatedClock(...)")
-            walk = JournalWalk(segments, base,
-                               heads={base: ckpt.get("chain_head")},
-                               sealed=ckpt.get("sealed_journal"))
-            if walk.refusal is not None:
-                raise walk.refusal
-            total = max(base, walk.end)
-            # No segment, or a crash cut a checkpoint's rotation short:
-            # the next append starts the segment it would have created,
-            # so no segment below a checkpoint grows.
-            live_start, live_path, live_data = walk.live or (
-                total, self._segment_path(total), b"")
-            truncated = 0
-            if any(finding.kind == "torn" for finding in walk.findings):
-                truncated = Journal(live_path, io=self._io
-                                    ).truncate_torn_tail()
-            with obs.tracer.span("recovery.tail_replay",
-                                 records=len(walk.entries)):
-                apply_entries(database, clock, walk.entries)
+            replay = Replay(database, clock)
+            with obs.tracer.span("recovery.tail_replay") as span:
+                walk = JournalWalk(segments, base,
+                                   heads={base: ckpt.get("chain_head")},
+                                   sealed=ckpt.get("sealed_journal"),
+                                   consume=replay)
+                span.set(records=replay.count)
+                if walk.refusal is not None:
+                    raise walk.refusal
+                total = max(base, walk.end)
+                # No segment, or a crash cut a checkpoint's rotation
+                # short: the next append starts the segment it would have
+                # created, so no segment below a checkpoint grows.
+                live_start, live_path, live_data = walk.live or (
+                    total, self._segment_path(total), b"")
+                truncated = 0
+                if any(finding.kind == "torn" for finding in walk.findings):
+                    truncated = Journal(live_path, io=self._io
+                                        ).truncate_torn_tail()
+                replay.flush()
             head = (walk.verifier.head if walk.end >= base
                     else ckpt.get("chain_head"))
             obs.metrics.counter("recovery.records_replayed").inc(
-                len(walk.entries))
+                replay.count)
             obs.metrics.counter("recovery.chain_links_verified").inc(
                 walk.verifier.verified)
             obs.metrics.counter("recovery.runs").inc()
@@ -250,7 +251,7 @@ class DurabilityManager:
                            if loaded is None or index > base])
             report = RecoveryReport(
                 checkpoint_index=base if loaded is not None else None,
-                records_replayed=len(walk.entries),
+                records_replayed=replay.count,
                 records_total=total,
                 segments_read=len(segments),
                 torn_bytes_truncated=truncated,
@@ -338,22 +339,23 @@ class DurabilityManager:
             sealed_journal=fold.hexdigest() if fold is not None else None)
         if rotates:
             self._fold = fold
-            self._live_start = self._count
-            segment_path = self._segment_path(self._count)
-            self._live = Journal(segment_path, fsync=self._fsync, io=self._io)
-            self._live.resume(self._head, b"")
-            # Create the rotated segment eagerly (zero-length) so the
-            # directory names its live segment even before the first
-            # append.  A crash in this window leaves an empty trailing
-            # segment file, which recovery tolerates: zero records is a
-            # valid (clean) tail, not damage.  Deliberately not routed
-            # through the io seam: creating an empty file is metadata,
-            # not a durability write, and must not consume a
-            # fault-injection crash budget.
-            with open(segment_path, "ab"):
-                pass
+            self._rotate()
             _obs.current().metrics.counter("recovery.segments_rotated").inc()
         return path
+
+    def _rotate(self) -> None:
+        """Append from here on to a new segment at the record count,
+        created now, empty, so the directory names its live segment
+        before the first append (recovery reads an empty trailing
+        segment as a clean tail).  Not routed through the io seam: an
+        empty file is metadata, not a durability write, and must not
+        consume a fault-injection crash budget."""
+        self._live_start = self._count
+        segment_path = self._segment_path(self._count)
+        self._live = Journal(segment_path, fsync=self._fsync, io=self._io)
+        self._live.resume(self._head, b"")
+        with open(segment_path, "ab"):
+            pass
 
     def adopt_snapshot(self, database, count: int,
                        chain_head: Optional[str] = None) -> str:
@@ -387,12 +389,7 @@ class DurabilityManager:
         self._fold = None
         ckpt = self._checkpoints.write(database, count,
                                        chain_head=chain_head)
-        self._live_start = count
-        segment_path = self._segment_path(count)
-        self._live = Journal(segment_path, fsync=self._fsync, io=self._io)
-        self._live.resume(chain_head, b"")
-        with open(segment_path, "ab"):
-            pass
+        self._rotate()
         database.manager.on_commit = self._on_commit
         _obs.current().metrics.counter("recovery.snapshots_adopted").inc()
         return ckpt

@@ -345,10 +345,12 @@ class DirectorySource:
     def entries_from(self, seq: int) -> List[Dict[str, Any]]:
         """Every journal entry at or after *seq*, oldest first (the
         segment walk's; what recovery would refuse raises)."""
-        walk = JournalWalk(self._manager.segments(), seq)
+        entries: List[Dict[str, Any]] = []
+        walk = JournalWalk(self._manager.segments(), seq,
+                           consume=entries.append)
         if walk.refusal is not None:
             raise walk.refusal
-        return walk.entries
+        return entries
 
     def snapshot(self) -> Tuple[int, Dict[str, Any], Optional[str]]:
         """``(record_count, dumped_state, chain_head)`` of the source."""
@@ -418,13 +420,8 @@ class Scrubber:
         segments = manager.segments()
         by_name = {os.path.basename(path): start
                    for start, path in segments}
-        damaged_segments = {f.file for f in report.findings
-                            if f.file in by_name}
-        refetch_from: Optional[int] = None
-        for name in damaged_segments:
-            start = by_name[name]
-            if refetch_from is None or start < refetch_from:
-                refetch_from = start
+        refetch_from = min((by_name[f.file] for f in report.findings
+                            if f.file in by_name), default=None)
         sidelog_findings = {f.file for f in report.findings
                             if f.kind == "sidelog"}
         gap_at_tail = any(f.kind == "gap" and f.file.startswith("checkpoint")
@@ -473,21 +470,17 @@ class Scrubber:
         manager = DurabilityManager(self._directory, fsync=self._fsync,
                                     io=self._io)
         database, recovered = manager.recover(factory)
-        used_snapshot = False
-        refetched = 0
-        if source.floor() <= manager.record_count:
+        used_snapshot = source.floor() > manager.record_count
+        if not used_snapshot:
             entries = source.entries_from(manager.record_count)
-            if entries:
-                clock = database.manager.clock.source
-                # on_commit is attached, so each re-run journals (and
-                # re-chains) its record exactly as a live commit would.
-                apply_entries(database, clock, entries)
-                refetched = len(entries)
+            # on_commit is attached, so each re-run journals (and
+            # re-chains) its record exactly as a live commit would.
+            apply_entries(database, database.manager.clock.source, entries)
+            refetched = len(entries)
         else:
             count, state, head = source.snapshot()
             database = load_database(state)
             manager.adopt_snapshot(database, count, chain_head=head)
-            used_snapshot = True
             refetched = count - recovered.records_total
         digest_match: Optional[bool] = None
         if hasattr(source, "digest"):

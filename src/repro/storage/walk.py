@@ -27,20 +27,21 @@ it
   the checkpoint) or, where the head is unknown, re-anchors on it.  A
   mark is checked at the record it precedes, or where the records stop.
 
-It returns the entries at or after the base, its findings, and the
-typed error of the first finding recovery refuses — every finding but a
-torn final record of the live segment, a gap wholly below the base, and
-a chain break filed under a checkpoint older than the base
-(docs/DURABILITY.md "The recovery algorithm").
+It hands each entry at or after the base to a consumer once its frame
+and chain link verify, keeping none, until the first finding recovery
+refuses — every finding but a torn final record of the live segment, a
+gap wholly below the base, and a chain break filed under a checkpoint
+older than the base (docs/DURABILITY.md "The recovery algorithm").
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import os
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import ChainError, JournalError, ReproError
 from repro.storage.chain import CHAIN_KEY, GENESIS, ChainVerifier
@@ -89,27 +90,27 @@ class JournalWalk:
     """One walk over *segments* (``(start index, path)``, oldest first).
 
     *base* is the index the caller's state starts at: records below it
-    need not be present, the entries at or after it are returned, and
+    need not be present, the entries at or after it go to *consume*, and
     the segments below it are the ones *sealed* — a checkpoint's
     ``sealed_journal`` fold — vouches for.  *heads* maps checkpoint
-    indices to the chain heads they recorded.  Never raises.
+    indices to their recorded heads.  Never raises, nor may *consume*.
     """
 
     def __init__(self, segments: Sequence[Tuple[int, str]], base: int = 0,
                  heads: Optional[Mapping[int, Optional[str]]] = None,
-                 sealed: Optional[str] = None) -> None:
+                 sealed: Optional[str] = None,
+                 consume: Optional[Callable[..., Any]] = None) -> None:
         first = segments[0][0] if segments else base
         self._base = base
         self._heads = heads or {}
         self._reached: Set[int] = set()
         self._segment = (first, "")  # (start, name) being walked
+        self._consume = consume or (lambda entry: None)
         #: Every finding, in walk order.
         self.findings: List[Finding] = []
         #: The typed error of the first finding recovery refuses, or
         #: ``None`` when it refuses none.
         self.refusal: Optional[ReproError] = None
-        #: Entries at or after the base whose frames parsed, oldest first.
-        self.entries: List[Dict[str, Any]] = []
         #: Records whose frames parsed, vouched-for ones included.
         self.records = 0
         #: One past the last record index the segments account for.
@@ -179,21 +180,21 @@ class JournalWalk:
 
     def _vouch(self, start: int, data: bytes) -> None:
         """Account for a segment the checkpoint's fold vouches for: its
-        records count as verified and none is parsed, but the one before
-        each checkpoint mark inside it, whose ``commit`` is the head the
-        checkpoint recorded."""
-        lines = [line for line in data.split(b"\n") if line.strip()]
-        end = start + len(lines)
-        for mark in self._heads:
-            if start < mark < end:
-                self._reach(mark, _commit_hash(lines[mark - start - 1]))
-            elif mark == start:
-                self._reach(mark, self.verifier.head)
-        if lines:
-            self.verifier.head = _commit_hash(lines[-1])
-        self.verifier.verified += len(lines)
-        self.records += len(lines)
-        self._expected = end
+        records count as verified and none is parsed, but the last and
+        the one before each checkpoint mark inside it, whose ``commit``
+        is the head the checkpoint recorded."""
+        index, last = start, b""
+        self._reach(start, self.verifier.head)
+        for line in map(bytes.rstrip, io.BytesIO(data)):  # no list of lines
+            if line:
+                if index > start and index in self._heads:
+                    self._reach(index, _commit_hash(last))
+                index, last = index + 1, line
+        if last:
+            self.verifier.head = _commit_hash(last)
+        self.verifier.verified += index - start
+        self.records += index - start
+        self._expected = index
 
     def _lines(self, start: int, data: bytes, path: str, live: bool) -> None:
         """Walk one segment's records line by line."""
@@ -220,13 +221,13 @@ class JournalWalk:
             else:
                 try:
                     self.verifier.take(entry, where=f"{name}:{line_number}")
+                    if index >= self._base and self.refusal is None:
+                        self._consume(entry)
                 except ChainError as exc:
                     self._damage(name, f"chain-{exc.kind}", line_number,
                                  index, exc)
                     self.verifier.forget()
                 self.records += 1
-                if index >= self._base:
-                    self.entries.append(entry)
             index += 1
         self._expected = index
         if live:

@@ -30,8 +30,8 @@ declared check constraints on ``define``, which are not journaled
 from __future__ import annotations
 
 import enum
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import TransactionStateError
 from repro.obs import runtime as _obs
@@ -59,10 +59,10 @@ class Operation:
     __slots__ = ("action", "relation", "arguments")
 
     def __init__(self, action: str, relation: str,
-                 arguments: Mapping[str, Any]) -> None:
+                 arguments: Dict[str, Any]) -> None:
         self.action = action
         self.relation = relation
-        self.arguments = dict(arguments)
+        self.arguments = arguments  # the caller's own: kept, not copied
 
     def describe(self) -> Dict[str, Any]:
         """A plain-dict description (used by the journal)."""

@@ -11,7 +11,9 @@ commit costs"):
 - a transaction of N inserts on one relation copies that relation's open
   map and key index once, and checks the relation once;
 - the ``commit.rows_*`` counters count what they counted when every
-  operation derived its own version.
+  operation derived its own version;
+- the logged operation keeps the arguments dict the API built for it,
+  uncopied.
 """
 
 import json
@@ -26,6 +28,7 @@ from repro.core.historical import HistoricalRelation
 from repro.core.transaction_time import StateStore
 from repro.relational.relation import Relation
 from repro.storage import DurabilityManager
+from repro.txn.transaction import Operation
 
 from tests.conftest import build_faculty, faculty_schema
 
@@ -78,6 +81,26 @@ def test_a_keyed_replace_checks_its_key_without_a_relation(kind,
                   (type(database), "_check_state"))
     database.replace("faculty", {"name": "Tom"}, {"rank": "full"})
     assert calls.counts == {"__init__": 0, "coalesce": 0, "_check_state": 0}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=IDS)
+def test_a_replace_logs_the_arguments_the_api_built(kind, monkeypatch):
+    built = []
+
+    class Recorded(Operation):
+        __slots__ = ()
+
+        def __init__(self, action, relation, arguments):
+            built.append(arguments)
+            super().__init__(action, relation, arguments)
+
+    database, _ = build_faculty(kind)
+    module = ("historical" if database.kind.supports_historical_queries
+              else "static")
+    monkeypatch.setattr(f"repro.core.{module}.Operation", Recorded)
+    database.replace("faculty", {"name": "Tom"}, {"rank": "full"},
+                     **valid(database, valid_from="01/01/84"))
+    assert database.log.last().operations[-1].arguments is built[-1]
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=IDS)

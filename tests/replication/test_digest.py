@@ -24,6 +24,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
 from repro.core.rollback import STATES
@@ -34,6 +35,7 @@ from repro.storage import DurabilityManager, dump_database, load_database
 from repro.storage import serializer
 from repro.time import NEG_INF, POS_INF, Granularity, Instant, Period
 from repro.time import SimulatedClock
+from repro.txn.log import CommitLog
 
 from tests.replication.digest_oracle import oracle_digest, oracle_payload
 
@@ -307,3 +309,19 @@ class TestDigestCost:
         manager.checkpoint()
         dump_database(database)
         assert texts_of_one_call() == first
+
+    def test_a_cached_digest_copies_no_log(self, monkeypatch):
+        """The memo is keyed by the log's length and its last record,
+        read without copying the log."""
+        database = churned()
+
+        def refuse(log):
+            raise AssertionError("the whole log was copied")
+
+        monkeypatch.setattr(CommitLog, "records", property(refuse))
+        with obs.recording() as instrumentation:
+            first = state_digest(database)
+            assert state_digest(database) == first
+        counters = instrumentation.metrics.snapshot()["counters"]
+        assert counters["digest.cache_hits"] == 1
+        assert first == state_digest(database, cache=False)
