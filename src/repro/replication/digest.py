@@ -23,10 +23,10 @@ The digest is a SHA-256 over the canonical form of
 back the dump with each row already its canonical JSON text, written
 once (each distinct instant of a value formatted once per call; a stamp
 is written from its period's chronons, through no
-:class:`~repro.time.instant.Instant`); this module sorts those texts,
-splices them into the header the other fields make, and hashes the
-bytes ``json.dumps(sorted dump, sort_keys=True, ensure_ascii=False)``
-would have produced.
+:class:`~repro.time.instant.Instant`), each store's texts sorted; the
+checkpoint's writer (``serializer.spliced``) splices them into the
+header the other fields make, and this module hashes the bytes
+``json.dumps(sorted dump, sort_keys=True, ensure_ascii=False)`` would.
 
 Because transaction time is append-only and replay is deterministic,
 two nodes that applied the same commit prefix *must* hash equal — the
@@ -47,34 +47,14 @@ call re-reads and re-encodes every row (the detector of last resort).
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import json
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.obs import runtime as _obs
-from repro.storage.serializer import RowTexts, canonical_dump
+from repro.storage.serializer import SPACED, canonical_dump, spliced
 
 #: Attribute the memo rides on (per database object; never cross-object).
 _CACHE_ATTR = "_repro_digest_memo"
-#: One value's canonical JSON text.
-_text = functools.partial(json.dumps, sort_keys=True, ensure_ascii=False)
-
-
-def _pieces(value: Any) -> Iterator[str]:
-    """*value* as ``json.dumps(value, sort_keys=True, ensure_ascii=False)``
-    writes it, in pieces, a store's :class:`RowTexts` sorted and spliced
-    in (joined once, not copied at every level of nesting)."""
-    if isinstance(value, RowTexts):
-        yield "[" + ", ".join(sorted(value)) + "]"
-    elif isinstance(value, dict):
-        yield "{"
-        for index, (key, item) in enumerate(sorted(value.items())):
-            yield (", " if index else "") + _text(key) + ": "
-            yield from _pieces(item)
-        yield "}"
-    else:
-        yield _text(value)
 
 
 def _memo_key(database) -> Optional[Tuple[int, Any]]:
@@ -104,7 +84,7 @@ def state_digest(database, cache: bool = True) -> str:
                 and memo[0][1] is key[1]):
             _obs.current().metrics.counter("digest.cache_hits").inc()
             return memo[1]
-    payload = "".join(_pieces(canonical_dump(database)))
+    payload = "".join(spliced(canonical_dump(database), SPACED))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     if key is not None:
         try:

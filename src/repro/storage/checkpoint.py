@@ -54,7 +54,6 @@ that names it).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
@@ -66,8 +65,9 @@ from repro.obs import runtime as _obs
 from repro.storage.framing import (CHECKPOINT_TAG, HISTORY_TAG, FrameError,
                                    frame, parse_frame)
 from repro.storage.io import REAL_IO, StorageIO
-from repro.storage.serializer import (dump_database, encode_rows,
-                                      load_database, restore_closed)
+from repro.storage.serializer import (COMPACT, Texts, dump_database,
+                                      encode_rows, load_database,
+                                      restore_closed, spliced)
 
 CHECKPOINT_FORMAT = 4
 HISTORY_FORMAT = 2
@@ -88,9 +88,8 @@ def _framed(body: Dict[str, Any], tag: str) -> bytes:
     """One framed record as file bytes.  Compact JSON: these files are
     mostly nested row lists, where the default separators' spaces are a
     tenth of the bytes (a journal record keeps ``frame_record``'s form)."""
-    payload = json.dumps(body, ensure_ascii=False, sort_keys=True,
-                         separators=(",", ":"))
-    return (frame(payload, tag=tag) + "\n").encode("utf-8")
+    return (frame("".join(spliced(body, COMPACT)), tag=tag)
+            + "\n").encode("utf-8")
 
 
 def _read_framed(path: str, tag: str, what: str
@@ -114,7 +113,8 @@ def _read_framed(path: str, tag: str, what: str
 def checkpoint_bytes(database, commit_index: int,
                      history: List[ManifestEntry],
                      chain_head: Optional[str] = None,
-                     sealed_journal: Optional[str] = None) -> bytes:
+                     sealed_journal: Optional[str] = None,
+                     texts: Optional[Tuple[Texts, Texts]] = None) -> bytes:
     """The framed on-disk form of a checkpoint (exposed for tests).
 
     Holds the open partition of *database*; its closed rows are the
@@ -124,11 +124,12 @@ def checkpoint_bytes(database, commit_index: int,
     links onto it.  ``None`` (an unknown head: pruned prefix segments
     not yet re-anchored) omits the key.  *sealed_journal* is the fold
     of the journal segments below *commit_index*; ``None`` omits it.
+    *texts* (:func:`~repro.storage.serializer.dump_database`) changes no byte.
     """
     body: Dict[str, Any] = {
         "format": CHECKPOINT_FORMAT,
         "commit_index": commit_index,
-        "database": dump_database(database, closed=False),
+        "database": dump_database(database, False, texts or ({}, {})),
         "history": history,
     }
     if chain_head is not None:
@@ -279,6 +280,7 @@ class CheckpointStore:
         self._io = io if io is not None else REAL_IO
         self._manifest: List[ManifestEntry] = []
         self._marks: Dict[str, Tuple[object, int]] = {}
+        self._texts: Texts = {}  # the texts of the rows the last write wrote
 
     @property
     def directory(self) -> str:
@@ -312,7 +314,7 @@ class CheckpointStore:
     def resume(self, database, manifest: List[ManifestEntry]) -> None:
         """Take *database*, just loaded from a checkpoint with *manifest*,
         as sealed: its closed rows are exactly the manifest's files."""
-        self._manifest = manifest
+        self._manifest, self._texts = manifest, {}
         self._marks = {name: store.closed_mark()
                        for name, store in _sealable(database)}
 
@@ -360,7 +362,7 @@ class CheckpointStore:
         with obs.tracer.span("recovery.checkpoint",
                              commit_index=commit_index), \
                 obs.metrics.histogram("recovery.checkpoint_seconds").time():
-            manifest, marks, fresh = self._seal(database)
+            (manifest, marks, fresh), kept = self._seal(database), {}
             if fresh:
                 data = _framed({
                     "format": HISTORY_FORMAT,
@@ -378,11 +380,12 @@ class CheckpointStore:
             self._io.write_atomic(
                 path, checkpoint_bytes(database, commit_index, manifest,
                                        chain_head=chain_head,
-                                       sealed_journal=sealed_journal),
+                                       sealed_journal=sealed_journal,
+                                       texts=(self._texts, kept)),
                 fsync=True)
         # Only now: a crash (or an injected one the caller survives)
         # between the two writes must leave the rows to be sealed again.
-        self._manifest, self._marks = manifest, marks
+        self._manifest, self._marks, self._texts = manifest, marks, kept
         obs.metrics.counter("recovery.checkpoints_written").inc()
         return path
 

@@ -28,9 +28,9 @@ Every timestamped row goes through one codec (:func:`encode_rows`).  A
 store that keeps transaction time is dumped whole, or — for a checkpoint,
 which writes the immutable closed rows once, elsewhere — as its open
 partition only (``dump_database(closed=False)``); :func:`restore_closed`
-puts the closed rows back, giving the whole dump again.  A state digest
-reads the dump as text (:func:`canonical_dump`, :func:`row_texts`), each
-row written straight from the store through the same :func:`encode_value`,
+puts the closed rows back, giving the whole dump again.  A digest and a
+checkpoint read the dump as text (:func:`canonical_dump`, :func:`_kept`,
+:func:`spliced`), each row written once through the same encode_value,
 each stamp straight from its period's chronons.  A load decodes a column
 at a time (:func:`_decode_rows`), one period per distinct stamp, so the
 valid period many rows share is one object, and it builds no date.
@@ -51,6 +51,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 from typing import Tuple as PyTuple
@@ -313,49 +314,81 @@ def period_stamp(period: Period) -> List[Any]:
     return stamp
 
 
-def _json_writer(default: Callable[[Any], Any]) -> Callable[[Any], str]:
-    """``JSONEncoder(sort_keys=True, ensure_ascii=False, default=default)
-    .encode`` with its C encoder built once, not on every call."""
-    if c_make_encoder is None:
-        return json.JSONEncoder(sort_keys=True, ensure_ascii=False,
-                                check_circular=False, default=default).encode
-    write = c_make_encoder(None, default, encode_basestring, None, ": ",
-                           ", ", True, False, True)
-    return lambda value: "".join(write(value, 0))
+#: JSON's ``(item, key)`` separators: a state digest hashes
+#: ``json.dumps``'s own, and checkpoint files are compact.
+SPACED, COMPACT = (", ", ": "), (",", ":")
 
 
 class RowTexts(list):
-    """A store's rows, each as its canonical JSON text."""
+    """A store's rows, each as its JSON text."""
+
+
+#: Items laid out for :func:`_writer`: a timestamped row as encode_rows
+#: writes it, a static store's tuple, a state sequence's ``(time, state)``.
+_SHAPES = {
+    encode_rows: lambda row: [row[0].values, *map(period_stamp, row[1:])],
+    _encode_tuples: operator.attrgetter("values"),
+    _encode_states: lambda pair: [pair[0], [row.values for row in pair[1]]]}
+
+
+def _writer(memo: Dict[Instant, Any], shape: Callable[[Any], Any],
+            separators: PyTuple[str, str] = SPACED) -> Callable[[Any], str]:
+    """One stored item, as *shape* lays it out, as ``json.dumps(...,
+    sort_keys=True, ensure_ascii=False, separators=separators)`` writes it
+    (instants through *memo*), with a C encoder built once, not per call."""
+    default = functools.partial(encode_value, memo=memo)
+    if c_make_encoder is None:
+        text = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                check_circular=False, default=default,
+                                separators=separators).encode
+        return lambda item: text(shape(item))
+    write = c_make_encoder(None, default, encode_basestring, None,
+                           separators[1], separators[0], True, False, True)
+    return lambda item: "".join(write(shape(item), 0))
 
 
 def row_texts(rows: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
-    """Each timestamped row's :func:`encode_rows` form as ``json.dumps(...,
-    sort_keys=True, ensure_ascii=False)`` writes it: a tuple's values in
-    one encoder call (their instants through *memo*), each stamp written
-    from its period's chronons."""
-    text = _json_writer(functools.partial(encode_value, memo=memo))
-    return RowTexts("[" + text(row[0].values)
-                    + "".join(map(_stamp_text, row[1:])) + "]" for row in rows)
+    """Each timestamped row's text as a state digest hashes it."""
+    return RowTexts(map(_writer(memo, _SHAPES[encode_rows]), rows))
 
 
-def _stamp_text(period: Period) -> str:
-    """``", "`` and the JSON text of *period*'s stamp."""
-    lo, hi, unit = period.lo, period.hi, period.unit
-    return (f", [{'null' if lo == _NEG else lo}, {'null' if hi == _POS else hi}"
-            + ("]" if unit is None or unit is Granularity.DAY
-               else f', "{unit.value}"]'))
+#: What a dump keeps of the rows it wrote: ``id(row) -> (row, text)``.
+Texts = Dict[int, PyTuple[Any, str]]
 
 
-def _value_texts(items: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
-    """:func:`row_texts` for a static store's tuples or a state sequence's
-    ``(time, state)`` pairs."""
-    text = _json_writer(functools.partial(encode_value, memo=memo))
+def _kept(rows: Iterable[Any], write: Callable[[Any], str], known: Texts,
+          kept: Texts) -> RowTexts:
+    """*rows* as texts: the one *known* holds for the very row object (an
+    immutable row, held by its entry, so its id is never reused), else
+    what *write* makes of it; *kept* gets every row's."""
+    texts = RowTexts()
+    for row in rows:
+        hit = known.get(id(row))
+        if hit is None or hit[0] is not row:
+            hit = row, write(row)
+        kept[id(row)] = hit
+        texts.append(hit[1])
+    return texts
 
-    def item(value: Any) -> str:
-        if isinstance(value, (tuple, Relation)):
-            return "[" + ", ".join(map(item, value)) + "]"
-        return text(value.values if isinstance(value, Tuple) else value)
-    return RowTexts(map(item, items))
+
+def spliced(value: Any, separators: PyTuple[str, str]) -> Iterable[str]:
+    """*value* as ``json.dumps(value, sort_keys=True, ensure_ascii=False,
+    separators=separators)`` writes it, in pieces, each
+    :class:`RowTexts` spliced in as it stands (joined once, not copied at
+    every level of nesting)."""
+    comma, colon = separators
+    if isinstance(value, RowTexts):
+        yield "[" + comma.join(value) + "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for index, (key, item) in enumerate(sorted(value.items())):
+            yield ((comma if index else "")
+                   + json.dumps(key, ensure_ascii=False) + colon)
+            yield from spliced(item, separators)
+        yield "}"
+    else:
+        yield json.dumps(value, sort_keys=True, ensure_ascii=False,
+                         separators=separators)
 
 
 def _decode_rows(schema: Schema, data: Any, memo: Memo,
@@ -404,11 +437,13 @@ def _decode_rows(schema: Schema, data: Any, memo: Memo,
 
 
 def store_to_dict(store: Any, closed: bool = True,
-                  memo: Optional[Dict[Instant, Any]] = None) -> Dict[str, Any]:
+                  memo: Optional[Dict[Instant, Any]] = None,
+                  texts: Optional[PyTuple[Texts, Texts]] = None
+                  ) -> Dict[str, Any]:
     """Serialize a stored value by what it *is*, whichever database holds
     it (``closed=False``: a store keeping transaction time gives its open
-    partition only); given a *memo*, each row is its canonical JSON text
-    (:func:`row_texts`)."""
+    partition only); each row is its JSON text given a *memo* (as a digest
+    hashes it) or *texts* (compact, and reused: :func:`_kept`)."""
     if isinstance(store, (TemporalRelation, RollbackRelation)):
         kind = "temporal" if isinstance(store, TemporalRelation) else "rollback"
         rows = store.rows if closed else store.open_rows()
@@ -426,9 +461,15 @@ def store_to_dict(store: Any, closed: bool = True,
             kind, field, rows, plain = "static", "tuples", store, _encode_tuples
         else:
             raise StorageError(f"cannot dump store {store!r}")
-    texts = row_texts if plain is encode_rows else _value_texts
-    return {"kind": kind, "schema": schema_to_dict(store.schema),
-            field: plain(rows) if memo is None else texts(rows, memo)}
+    if texts is not None:
+        rows = _kept(rows, _writer({}, _SHAPES[plain], COMPACT), *texts)
+    elif memo is not None:  # a digest's, sorted as it hashes them
+        rows = (row_texts(rows, memo) if plain is encode_rows
+                else RowTexts(map(_writer(memo, _SHAPES[plain]), rows)))
+        rows.sort()
+    else:
+        rows = plain(rows)
+    return {"kind": kind, "schema": schema_to_dict(store.schema), field: rows}
 
 
 #: Dump ``kind`` of the three row-stamped shapes -> (store type, row type).
@@ -474,15 +515,15 @@ _DB_CLASSES = {
 }
 
 
-def _dump(database, closed: bool,
-          memo: Optional[Dict[Instant, Any]] = None) -> Dict[str, Any]:
+def _dump(database, closed: bool, memo: Optional[Dict[Instant, Any]] = None,
+          texts: Optional[PyTuple[Texts, Texts]] = None) -> Dict[str, Any]:
     """A whole database's dump but the clock (see :func:`store_to_dict`)."""
     relations = {}
     is_event = getattr(database, "is_event_relation", None)
     for name in database.relation_names():
         relations[name] = entry = {
             "schema": schema_to_dict(database.schema(name)),
-            "store": store_to_dict(database.store(name), closed, memo)}
+            "store": store_to_dict(database.store(name), closed, memo, texts)}
         if is_event is not None and is_event(name):
             entry["event"] = True
     return {"version": FORMAT_VERSION, "kind": database.kind.value,
@@ -490,24 +531,29 @@ def _dump(database, closed: bool,
             "relations": relations}
 
 
-def dump_database(database, closed: bool = True) -> Dict[str, Any]:
+def dump_database(database, closed: bool = True,
+                  texts: Optional[PyTuple[Texts, Texts]] = None
+                  ) -> Dict[str, Any]:
     """Serialize a whole database (any kind) to plain data.
 
     Check constraints are not serialized; everything else — schemas, event
     flags, full stores including history, and the clock position — is.
     With ``closed=False`` a store that keeps transaction time contributes
     its open rows only: the dump is then O(current state), and is whole
-    again once :func:`restore_closed` is given the rows left out.
+    again once :func:`restore_closed` is given the rows left out.  Given
+    *texts* ``(known, kept)`` — what the last such dump kept, and an empty
+    dict — rows are compact JSON texts, reused from *known* for the very
+    same (immutable) row objects; *kept* gets this dump's (:func:`_kept`).
     """
-    data = _dump(database, closed)
+    data = _dump(database, closed, texts=texts)
     last = database.manager.clock.last
     data["clock_last"] = encode_stamp(last) if last is not None else None
     return data
 
 
 def canonical_dump(database) -> Dict[str, Any]:
-    """:func:`dump_database` as a state digest reads it: no clock, each row
-    its :func:`row_texts` text, from a memo that dies with the call."""
+    """:func:`dump_database` as a state digest reads it: no clock, each
+    store's rows their sorted texts, from a memo that dies with the call."""
     return _dump(database, True, memo={})
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import os
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set, Tuple)
@@ -75,11 +74,6 @@ class Finding:
 
     def describe(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
-
-
-def _read(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
 
 
 def _commit_hash(line: bytes) -> str:
@@ -178,23 +172,33 @@ class JournalWalk:
             self.verifier.forget()
         self._segment = (start, name)
 
-    def _vouch(self, start: int, data: bytes) -> None:
-        """Account for a segment the checkpoint's fold vouches for: its
-        records count as verified and none is parsed, but the last and
-        the one before each checkpoint mark inside it, whose ``commit``
-        is the head the checkpoint recorded."""
-        index, last = start, b""
-        self._reach(start, self.verifier.head)
-        for line in map(bytes.rstrip, io.BytesIO(data)):  # no list of lines
-            if line:
-                if index > start and index in self._heads:
-                    self._reach(index, _commit_hash(last))
-                index, last = index + 1, line
-        if last:
-            self.verifier.head = _commit_hash(last)
-        self.verifier.verified += index - start
-        self.records += index - start
-        self._expected = index
+    def _scan(self, start: int, path: str) -> Callable[[], None]:
+        """Fold a segment below the base, read once, a batch of lines at a
+        time; returns its vouching: its records count as verified, and only
+        its last line and the one before each checkpoint mark are parsed."""
+        digest, index, last, marks = hashlib.sha256(), start, b"", {}
+        heads = sorted(mark for mark in self._heads if mark > start)
+        with open(path, "rb", buffering=1 << 16) as handle:
+            for batch in iter(lambda: handle.readlines(1 << 16), []):
+                digest.update(b"".join(batch))
+                lines = [line for line in batch if not line.isspace()]
+                for mark in heads:  # a checkpoint mark in this batch
+                    if index <= mark < index + len(lines):
+                        marks[mark] = (lines[mark - index - 1]
+                                       if mark > index else last)
+                index, last = index + len(lines), (lines or [last])[-1]
+        fold_segment(self.fold, path, digest.hexdigest())
+
+        def vouch() -> None:
+            self._reach(start, self.verifier.head)
+            for mark, before in marks.items():
+                self._reach(mark, _commit_hash(before.rstrip()))
+            if last:
+                self.verifier.head = _commit_hash(last.rstrip())
+            self.verifier.verified += index - start
+            self.records += index - start
+            self._expected = index
+        return vouch
 
     def _lines(self, start: int, data: bytes, path: str, live: bool) -> None:
         """Walk one segment's records line by line."""
@@ -259,24 +263,21 @@ class JournalWalk:
     def _walk(self, segments: Sequence[Tuple[int, str]],
               sealed: Optional[str]) -> None:
         below = [segment for segment in segments if segment[0] < self._base]
-        blobs: List[bytes] = []
-        if sealed is not None and self.fold is not None:
-            for _, path in below:
-                blobs.append(_read(path))
-                fold_segment(self.fold, path,
-                             hashlib.sha256(blobs[-1]).hexdigest())
-        vouched = bool(blobs) and self.fold.hexdigest() == sealed
+        scans = ([self._scan(start, path) for start, path in below]
+                 if sealed is not None and self.fold is not None else [])
+        vouched = bool(scans) and self.fold.hexdigest() == sealed
         for position, (start, path) in enumerate(segments):
             self._enter(start, os.path.basename(path))
-            data = blobs[position] if position < len(blobs) else _read(path)
             live = position == len(segments) - 1 and start >= self._base
-            if vouched and position < len(blobs):
-                self._vouch(start, data)
+            if vouched and position < len(scans):
+                scans[position]()
             else:
+                with open(path, "rb") as handle:  # a segment not vouched for
+                    data = handle.read()
                 self._lines(start, data, path, live)
-            if position == len(blobs) - 1 and not vouched:
+            if position == len(scans) - 1 and not vouched:
                 self._refuse_fold(below, sealed)
-            if self.fold is not None and position >= len(blobs) and not live:
+            if self.fold is not None and position >= len(scans) and not live:
                 fold_segment(self.fold, path, hashlib.sha256(data).hexdigest())
             self.end = max(self.end, self._expected)
         self._reach(self.end, self.verifier.head)

@@ -19,6 +19,18 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+async def delivered(pipe):
+    """Until *pipe*'s delivery pump has handed its peer every byte it
+    queued: the queue is empty and the pump is waiting for more (a split
+    line's second half is popped before its pause, so an empty queue
+    alone is not enough), or the pump is gone.  It yields to the loop
+    and never sleeps on a timer of its own."""
+    while (pipe._delivery_task is not None
+           and not pipe._delivery_task.done()
+           and (pipe._queue or pipe._queue_event.is_set())):
+        await asyncio.sleep(0)
+
+
 class TestPipeBasics:
     def test_round_trip_both_directions(self):
         async def scenario():
@@ -102,7 +114,9 @@ class TestChaosInjection:
                     client.write(line)
                 except ConnectionResetError:
                     break
-            await asyncio.sleep(0.05)  # let delayed/split halves land
+            # Let delayed / split halves land before the close cancels
+            # the pump.
+            await asyncio.wait_for(delivered(client), 5.0)
             received = bytearray()
             client.close()
             while True:

@@ -1,17 +1,26 @@
 """Unit tests for checkpoint files and the checkpoint store."""
 
+import functools
+import json
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
-                        TemporalDatabase)
+                        TemporalDatabase, vacuum_states, vacuum_store)
+from repro.core.rollback import STATES, StateSequence
+from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import CheckpointError
+from repro.relational import Domain, Schema
 from repro.storage import (CHECKPOINT_TAG, CheckpointStore, DurabilityManager,
-                           StorageIO, checkpoint_bytes, detect_kind, frame,
-                           load_database, read_checkpoint,
-                           read_checkpoint_head, serializer)
-from repro.time import SimulatedClock
+                           StorageIO, checkpoint_bytes, detect_kind,
+                           dump_database, frame, load_database, parse_frame,
+                           read_checkpoint, read_checkpoint_head, serializer)
+from repro.time import Granularity, Instant, SimulatedClock
 
 from tests.conftest import build_faculty, faculty_schema
 from tests.storage.probes import drive_faculty, observations
@@ -263,6 +272,233 @@ class TestCheckpointCost:
         assert [sum(item[2].values()) for item in manifest] == [1]
         restored = load_database(read_checkpoint(path)["database"])
         assert observations(restored) == observations(database)
+
+
+# ---------------------------------------------------------------------------
+# A checkpoint encodes only the rows that changed: every row it writes
+# keeps its text for the next one, and the bytes stay the same.
+# ---------------------------------------------------------------------------
+
+def encoded_rows(monkeypatch):
+    """The stored items a dump writes afresh as text, in order: every row
+    handed to a row writer (:func:`serializer._writer`) from now on."""
+    written = []
+    real = serializer._writer
+
+    def writer(*args):
+        write = real(*args)
+        return lambda item: written.append(item) or write(item)
+    monkeypatch.setattr(serializer, "_writer", writer)
+    return written
+
+
+class TestCheckpointEncodesWhatChanged:
+    @pytest.mark.parametrize("db_class", [RollbackDatabase, TemporalDatabase])
+    def test_only_the_rows_opened_since_are_encoded(
+            self, db_class, tmp_path, monkeypatch):
+        directory = str(tmp_path / "dur")
+        manager = DurabilityManager(directory)
+        database, _ = manager.recover(db_class)
+        clock = database.manager.clock.source
+        clock.set("01/01/81")
+        database.define("faculty", faculty_schema())
+        valid = ({"valid_from": "01/01/80"}
+                 if database.kind.supports_historical_queries else {})
+        for key in range(KEYS):
+            clock.set(clock.current() + 1)
+            database.insert("faculty", {"name": f"n{key:02d}",
+                                        "rank": "full"}, **valid)
+        store = database.store("faculty")
+        written = encoded_rows(monkeypatch)
+        manager.checkpoint()
+        assert len(written) == store.open_count == KEYS
+        del written[:]
+        manager.checkpoint()  # no commit since: nothing to encode
+        assert written == []
+        before = list(store.open_rows())
+        for key in range(DELTA):  # DELTA keyed replaces, each a new row
+            clock.set(clock.current() + 1)
+            database.replace("faculty", {"name": f"n{key:02d}"},
+                             {"rank": "assistant"}, **valid)
+        store = database.store("faculty")
+        opened = [row for row in store.open_rows()
+                  if not any(row is old for old in before)]
+        manager.checkpoint()
+        assert len(opened) == DELTA
+        assert sorted(map(id, written)) == sorted(map(id, opened))
+        # A freshly recovered manager starts from nothing: every open row
+        # once, then none again.
+        monkeypatch.undo()
+        restarted = DurabilityManager(directory)
+        database, _ = restarted.recover(db_class)
+        written = encoded_rows(monkeypatch)
+        restarted.checkpoint()
+        assert len(written) == database.store("faculty").open_count == KEYS
+        del written[:]
+        restarted.checkpoint()
+        assert written == []
+
+
+def oracle_bytes(database, entry):
+    """What a checkpoint of *database* holding *entry*'s index, manifest,
+    head and fold was before row texts were kept: its plain dump, one
+    ``json.dumps`` over the whole body."""
+    body = {key: entry[key] for key in ("format", "commit_index", "history",
+                                        "chain_head", "sealed_journal")
+            if key in entry}
+    body["database"] = dump_database(database, closed=False)
+    return (frame(json.dumps(body, ensure_ascii=False, sort_keys=True,
+                             separators=(",", ":")), tag=CHECKPOINT_TAG)
+            + "\n").encode("utf-8")
+
+
+class ComparingIO(StorageIO):
+    """Real writes; every checkpoint published is first compared with what
+    the same writer makes of the same database with no texts kept."""
+
+    def __init__(self):
+        self.manager = None
+        self.compared = 0
+
+    def write_atomic(self, path, data, fsync=False):
+        if os.path.basename(path).startswith("checkpoint-"):
+            entry = parse_frame(data.decode("utf-8").rstrip("\n"),
+                                tag=CHECKPOINT_TAG)
+            database = self.manager.database
+            assert data == checkpoint_bytes(
+                database, entry["commit_index"], entry["history"],
+                chain_head=entry.get("chain_head"),
+                sealed_journal=entry.get("sealed_journal"))
+            assert data == oracle_bytes(database, entry)
+            self.compared += 1
+        super().write_atomic(path, data, fsync=fsync)
+
+
+def hour_clock(factory):
+    """*factory* on a clock whose chronon is an hour, not a day."""
+    return lambda clock: factory(
+        clock=SimulatedClock(clock.current().chronon, Granularity.HOUR))
+
+
+KEPT_FACTORIES = {
+    "static": StaticDatabase,
+    "rollback-interval": RollbackDatabase,
+    "rollback-states": functools.partial(RollbackDatabase,
+                                         representation=STATES),
+    "historical": HistoricalDatabase,
+    "temporal": TemporalDatabase,
+    "temporal-hours": hour_clock(TemporalDatabase),
+}
+RELATIONS = ("r", "e")  # "e" is an event relation where valid time is kept
+ROW_KEYS = ("a", "b", "c")
+
+histories = st.lists(st.one_of(
+    st.tuples(st.just("dml"), st.sampled_from(RELATIONS),
+              st.sampled_from(ROW_KEYS), st.integers(0, 5)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("restart")),
+    st.tuples(st.sampled_from(["drop", "redefine"]),
+              st.sampled_from(RELATIONS)),
+    st.tuples(st.just("vacuum")),
+), min_size=1, max_size=12)
+
+
+class KeptHistory:
+    """One durable database whose every checkpoint is compared."""
+
+    def __init__(self, factory, directory):
+        self.factory, self.directory = factory, directory
+        self.restart()
+        for name in RELATIONS:
+            self.define(name)
+
+    def restart(self):
+        self.io = ComparingIO()
+        self.manager = DurabilityManager(self.directory, io=self.io)
+        self.io.manager = self.manager
+        self.database, _ = self.manager.recover(self.factory)
+
+    def tick(self):
+        clock = self.database.manager.clock.source
+        clock.set(clock.current() + 1)
+        return clock.current()
+
+    def define(self, name):
+        self.tick()
+        event = name == "e" and self.database.supports_historical_queries
+        self.database.define(name, Schema.of(
+            key=["k"], k=Domain.STRING, v=Domain.INTEGER, day=Domain.DATE),
+            event=event)
+
+    def dml(self, name, key, value):
+        """Insert, replace or (value 0) delete — whichever *key* allows."""
+        database = self.database
+        if name not in database.relation_names():
+            self.define(name)
+        when = self.tick()
+        valid = database.supports_historical_queries
+        stamp = ({"valid_at": when} if valid and database.is_event_relation(
+            name) else {"valid_from": when} if valid else {})
+        day = Instant.parse("06/01/79") + value
+        if not any(row["k"] == key for row in database.snapshot(name)):
+            database.insert(name, {"k": key, "v": value, "day": day}, **stamp)
+        elif value == 0:
+            database.delete(name, {"k": key}, **stamp)
+        else:
+            database.replace(name, {"k": key}, {"v": value, "day": day},
+                             **stamp)
+
+    def drop(self, name):
+        if name in self.database.relation_names():
+            self.tick()
+            self.database.drop(name)
+
+    def redefine(self, name):
+        self.drop(name)
+        self.define(name)
+
+    def vacuum(self):
+        """Adopt a reloaded copy of the state, each store vacuumed to its
+        middle commit, as the directory's new baseline (a checkpoint)."""
+        self.dml("r", "a", 5)  # adoption rotates: one record to leave
+        snapshot = load_database(dump_database(self.database))
+        for name in snapshot.relation_names():
+            store = snapshot.store(name)
+            if isinstance(store, StateSequence):
+                times, forget = [time for time, _ in store.states], \
+                    vacuum_states
+            elif isinstance(store, TransactionTimeStore):
+                times, forget = store.commit_times(), vacuum_store
+            else:
+                continue
+            if times:
+                snapshot._store[name] = forget(store, times[len(times) // 2])
+        self.manager.adopt_snapshot(snapshot, self.manager.record_count,
+                                    self.manager.chain_head)
+        self.database = snapshot
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT_FACTORIES))
+@given(history=histories)
+@settings(max_examples=25, deadline=None)
+def test_every_checkpoint_is_the_bytes_of_an_empty_cache(kind, history):
+    directory = tempfile.mkdtemp(prefix="repro-kept-")
+    try:
+        kept = KeptHistory(KEPT_FACTORIES[kind], directory)
+        for step in history:
+            compared = kept.io.compared
+            if step[0] == "checkpoint":
+                kept.manager.checkpoint()
+                kept.manager.checkpoint()  # unchanged: every text kept
+                assert kept.io.compared == compared + 2
+            elif step[0] == "vacuum":
+                kept.vacuum()
+                assert kept.io.compared == compared + 1
+            else:
+                getattr(kept, step[0])(*step[1:])
+        kept.manager.checkpoint()
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 class TestKindDetection:

@@ -1,7 +1,7 @@
 """One walk: recovery refuses exactly what the audit finds.
 
 Recovery and the audit read a journal through the same segment walk
-(:mod:`repro.storage.walk`), and the walk, ``Journal.parse`` and the 2PC
+(:mod:`repro.storage.walk`), and the walk, ``Journal.scan`` and the 2PC
 side logs classify lines with the same function
 (:func:`repro.storage.framing.frame_lines`).  The agreement law, over
 every single-byte flip of an open segment (xor 0x01 and 0x80), the

@@ -20,7 +20,9 @@ import pytest
 
 from repro.core import StaticDatabase, TemporalDatabase
 from repro.errors import JournalError
-from repro.storage import DurabilityManager, flip_byte
+from repro.storage import (DurabilityManager, audit_directory, flip_byte,
+                           parse_journal_line)
+from repro.storage.chain import CHAIN_KEY
 from repro.storage.walk import JournalWalk, fold_segment
 
 from tests.conftest import faculty_schema
@@ -57,18 +59,24 @@ def journal_bytes(directory):
                for name in os.listdir(directory) if name.endswith(".seg"))
 
 
-def replay_overhead(directory):
-    """Traced bytes a full replay allocated at its peak beyond what the
-    recovered database keeps."""
+def traced_overhead(run):
+    """Traced bytes *run* allocated at its peak beyond what it keeps (what
+    it returns is alive when the two are read)."""
     gc.collect()
     tracemalloc.start()
     try:
-        database, _ = DurabilityManager(directory).recover(
-            StaticDatabase, use_checkpoint=False)
+        kept_alive = run()  # noqa: F841 - measured while it lives
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak - kept
+
+
+def replay_overhead(directory):
+    """Traced bytes a full replay allocated at its peak beyond what the
+    recovered database keeps."""
+    return traced_overhead(lambda: DurabilityManager(directory).recover(
+        StaticDatabase, use_checkpoint=False))
 
 
 def test_a_full_replay_holds_no_parsed_record(tmp_path):
@@ -81,6 +89,27 @@ def test_a_full_replay_holds_no_parsed_record(tmp_path):
     history(large, 4000 - KEYS - 1, kind=StaticDatabase)
     grown = replay_overhead(large) - replay_overhead(small)
     assert grown <= journal_bytes(large) - journal_bytes(small) + 256 * 1024
+
+
+def test_a_restart_and_an_audit_hold_no_sealed_segment(tmp_path):
+    """The segments below a checkpoint are read once, a line at a time,
+    into the fold that vouches for them: from 500 to 4,000 records
+    sealed, neither a restart (checkpoint + a 10-record tail) nor an
+    audit peaks higher, where holding the sealed bytes would add them
+    all (about 1.6 MB here)."""
+    grown = {}
+    for records in (500, 4000):
+        directory = str(tmp_path / str(records))
+        commits = records - KEYS - 1
+        history(directory, commits, checkpoint_at=commits - 10,
+                kind=StaticDatabase)
+        grown[records] = (
+            traced_overhead(lambda: DurabilityManager(directory).recover(
+                StaticDatabase)),
+            traced_overhead(lambda: audit_directory(directory)))
+    assert journal_bytes(directory) > 1024 * 1024
+    for small, large in zip(grown[500], grown[4000]):
+        assert large - small <= 64 * 1024
 
 
 def test_a_walk_given_a_consumer_keeps_no_entry(tmp_path):
@@ -168,3 +197,58 @@ def test_a_vouched_segment_counts_as_the_walk_does(tmp_path, padding):
     assert (vouched.records, vouched.end, vouched.verifier.head) == (
         walked.records, walked.end, walked.verifier.head)
     assert vouched.verifier.verified == walked.verifier.verified == 37
+
+
+@pytest.mark.parametrize("padding", [False, True],
+                         ids=["clean", "blank-lines"])
+def test_a_mark_inside_a_vouched_segment_is_checked_as_walked(tmp_path,
+                                                              padding):
+    """A checkpoint mark inside a sealed segment is checked against the
+    record before it whether the fold vouches for the segment or it is
+    walked: a recorded head that is the walked one passes, another is a
+    chain break filed under that checkpoint, found alike."""
+    directory = str(tmp_path / "dur")
+    manager = history(directory, 20, checkpoint_at=10)
+    sealed = os.path.join(directory, "journal-00000000.seg")
+    lines = open(sealed, "rb").read().split(b"\n")
+    if padding:
+        with open(sealed, "wb") as handle:
+            handle.write(b"\n".join(lines[:5] + [b"", b" \t"] + lines[5:])
+                         + b"\n")
+    fold = hashlib.sha256()
+    fold_segment(fold, sealed,
+                 hashlib.sha256(open(sealed, "rb").read()).hexdigest())
+    commit = [parse_journal_line(line.decode("utf-8"))[CHAIN_KEY]["commit"]
+              for line in lines if line]
+    heads = {5: commit[4], 9: commit[9]}  # 9's is record 9's, not 8's
+    base = KEYS + 1 + 10
+    vouched = JournalWalk(manager.segments(), base, heads=heads,
+                          sealed=fold.hexdigest())
+    walked = JournalWalk(manager.segments(), base, heads=heads)
+    assert vouched.findings == walked.findings
+    assert [(finding.kind, finding.file) for finding in vouched.findings] == [
+        ("chain-break", "checkpoint-00000009.ckpt")]
+    assert vouched.refusal is walked.refusal is None
+
+
+def test_a_mark_at_every_record_is_checked_as_walked(tmp_path):
+    """The same across a sealed segment read in several batches: with a
+    wrong head recorded at every record, the vouched segment files the
+    same chain break under every mark as the walked one, those at the
+    start of a batch included."""
+    directory = str(tmp_path / "dur")
+    commits = 600
+    manager = history(directory, commits, checkpoint_at=commits - 10,
+                      kind=StaticDatabase)
+    base = KEYS + 1 + commits - 10
+    sealed = os.path.join(directory, "journal-00000000.seg")
+    assert os.path.getsize(sealed) > 2 * (1 << 16)  # three batches or more
+    fold = hashlib.sha256()
+    fold_segment(fold, sealed,
+                 hashlib.sha256(open(sealed, "rb").read()).hexdigest())
+    heads = dict.fromkeys(range(1, base), "0" * 64)
+    vouched = JournalWalk(manager.segments(), base, heads=heads,
+                          sealed=fold.hexdigest())
+    walked = JournalWalk(manager.segments(), base, heads=heads)
+    assert vouched.findings == walked.findings
+    assert len(vouched.findings) == base - 1
