@@ -30,6 +30,13 @@ from repro.errors import DeadlineExceeded, Overloaded
 from repro.obs import runtime as _obs
 
 
+class WouldWait(Exception):
+    """A no-wait caller would wait: for a slot, or a ``pause`` s backoff."""
+
+    def __init__(self, pause: float = 0.0) -> None:
+        self.pause = pause
+
+
 class _Slot:
     """An admitted slot; a context manager that releases on exit."""
 
@@ -109,14 +116,16 @@ class AdmissionController:
 
     # -- the gate ---------------------------------------------------------------
 
-    def admit(self, deadline: Optional[float] = None) -> _Slot:
+    def admit(self, deadline: Optional[float] = None,
+              wait: bool = True) -> _Slot:
         """Take a slot, queueing up to the configured depth.
 
         Returns a context manager releasing the slot on exit.  Raises
         :class:`~repro.errors.Overloaded` at once when the queue is full
         (load shedding), :class:`~repro.errors.DeadlineExceeded` when
         the deadline passes while queued — or has already passed on
-        entry, even when a slot is free (never admit late).
+        entry, even when a slot is free (never admit late).  With *wait*
+        off, a controller with no free slot raises :class:`WouldWait`.
         """
         metrics = _obs.current().metrics
         with self._condition:
@@ -124,6 +133,8 @@ class AdmissionController:
                 raise DeadlineExceeded(
                     "deadline already passed at admission")
             if self._active >= self.max_active:
+                if not wait:
+                    raise WouldWait()
                 if self._waiting >= self.max_queue:
                     hint = self.retry_after * (self._waiting + self._active)
                     # The shed path reports everything the error carries

@@ -159,7 +159,7 @@ class SessionLayer:
 
     def run(self, closure: TransactionClosure,
             timeout: Optional[float] = None,
-            deadline: Optional[float] = None) -> Any:
+            deadline: Optional[float] = None, wait: bool = True) -> Any:
         """Run *closure* as one transaction: admit, execute, commit, retry.
 
         The closure receives a fresh :class:`ConcurrentSession` per
@@ -172,6 +172,7 @@ class SessionLayer:
         :class:`~repro.errors.DeadlineExceeded` rather than commit late.
         Raises :class:`~repro.errors.Overloaded` when shed at admission,
         :class:`~repro.errors.ConflictError` when retries are exhausted.
+        ``wait=False`` raises ``WouldWait`` instead of queueing or sleeping.
         """
         if deadline is None and timeout is not None:
             deadline = self._clock() + timeout
@@ -185,7 +186,7 @@ class SessionLayer:
             obs.events.emit("txn.attempt", txn=txn_id, attempt=number)
             with obs.tracer.span("concurrency.attempt", attempt=number):
                 try:
-                    with self.admission.admit(deadline):
+                    with self.admission.admit(deadline, wait):
                         session = self.begin()
                         state["session"] = session
                         try:
@@ -212,7 +213,7 @@ class SessionLayer:
                 obs.events.emit("txn.begin", txn=txn_id)
                 started = self._clock()
                 try:
-                    result = self.retry.call(attempt, deadline)
+                    result = self.retry.call(attempt, deadline, wait)
                 except DeadlineExceeded:
                     obs.metrics.counter("concurrency.deadline_exceeded").inc()
                     obs.events.emit("txn.deadline", txn=txn_id,

@@ -28,6 +28,7 @@ import random
 import time
 from typing import Callable, Optional, TypeVar
 
+from repro.concurrency.admission import WouldWait
 from repro.errors import DeadlineExceeded, Overloaded, ReproError
 from repro.obs import runtime as _obs
 
@@ -59,7 +60,7 @@ class RetryPolicy:
         self.max_delay = max_delay
         self.jitter = jitter
         self._rng = random.Random(seed)
-        self._sleeper = sleeper
+        self.sleeper = sleeper
         self._clock = clock
 
     def delay(self, attempt: int) -> float:
@@ -68,7 +69,7 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter * self._rng.random())
 
     def call(self, attempt_fn: Callable[[], T],
-             deadline: Optional[float] = None) -> T:
+             deadline: Optional[float] = None, wait: bool = True) -> T:
         """Run *attempt_fn* until it succeeds, exhausts attempts, or the
         deadline passes.
 
@@ -77,7 +78,8 @@ class RetryPolicy:
         ``retryable = True`` so an outer layer may queue the work
         elsewhere).  ``deadline`` is an absolute reading of this
         policy's clock; crossing it raises
-        :class:`~repro.errors.DeadlineExceeded`.
+        :class:`~repro.errors.DeadlineExceeded`.  With *wait* off, a
+        backoff it would sleep raises :class:`WouldWait` carrying it.
         """
         metrics = _obs.current().metrics
         attempts = metrics.histogram("concurrency.attempts_per_txn")
@@ -113,7 +115,9 @@ class RetryPolicy:
                             f"the deadline ({max(0.0, remaining) * 1e3:.1f} ms "
                             f"left)") from error
                 metrics.counter("concurrency.retries").inc()
-                self._sleeper(pause)
+                if not wait:
+                    raise WouldWait(pause) from error
+                self.sleeper(pause)
             else:
                 attempts.observe(attempt + 1)
                 return result

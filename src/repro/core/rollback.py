@@ -95,29 +95,29 @@ class StateSequence(StaticStore):
     """The conceptual cube (Figure 3): one full static relation per
     transaction — the static store, plus a copy of its current state
     appended by every commit (the duplication the paper calls
-    impractical, kept by definition)."""
+    impractical, kept by definition); its pairs outlive commits."""
 
-    __slots__ = ("_times", "_states")
+    __slots__ = ("_pairs",)
 
     def __init__(self, schema: Schema,
                  states: Iterable[PyTuple[Instant, Relation]] = ()) -> None:
-        pairs = list(states)
+        pairs = [(time, state) for time, state in states]
         super().__init__(schema, pairs[-1][1] if pairs else ())
-        self._times: List[Instant] = [time for time, _ in pairs]
-        self._states: List[Relation] = [state for _, state in pairs]
+        self._pairs: List[PyTuple[Instant, Relation]] = pairs
 
     @property
     def states(self) -> PyTuple[PyTuple[Instant, Relation], ...]:
         """Every ``(commit time, static relation)`` pair, oldest first."""
-        return tuple(zip(self._times, self._states))
+        return tuple(self._pairs)
 
     def rollback(self, as_of: InstantLike) -> Relation:
         """The newest state with commit time ≤ *as_of* (empty before the first)."""
         when = _coerce(as_of)
-        position = bisect.bisect_right(self._times, when)
+        position = bisect.bisect_right(self._pairs, when,
+                                       key=operator.itemgetter(0))
         if position == 0:
             return Relation.empty(self._schema)
-        return self._states[position - 1]
+        return self._pairs[position - 1][1]
 
     def advance(self, removed, added, commit_time: Instant, touched=None,
                 mine: bool = False) -> "StateSequence":
@@ -129,9 +129,10 @@ class StateSequence(StaticStore):
                                     mine)
         if successor is self and not mine:
             successor = self._copy()  # (the states change regardless)
-        kept = bisect.bisect_left(self._times, commit_time)
-        successor._times = self._times[:kept] + [commit_time]
-        successor._states = self._states[:kept] + [successor.current()]
+        kept = bisect.bisect_left(self._pairs, commit_time,
+                                  key=operator.itemgetter(0))
+        successor._pairs = self._pairs[:kept] + [(commit_time,
+                                                  successor.current())]
         return successor
 
     def visible_during(self, period: Period) -> Relation:
@@ -145,9 +146,9 @@ class StateSequence(StaticStore):
         (property-tested).
         """
         union = Relation.empty(self._schema)
-        for index, (commit, state) in enumerate(zip(self._times, self._states)):
-            next_commit = (self._times[index + 1]
-                           if index + 1 < len(self._times) else POS_INF)
+        for index, (commit, state) in enumerate(self._pairs):
+            next_commit = (self._pairs[index + 1][0]
+                           if index + 1 < len(self._pairs) else POS_INF)
             in_force = Period(commit, next_commit)
             if in_force.overlaps(period):
                 union = union.union(state)
@@ -167,10 +168,10 @@ class StateSequence(StaticStore):
 
     def storage_cells(self) -> int:
         """Stored cells across all duplicated states.  For benches."""
-        return sum(len(state) * len(self._schema) for state in self._states)
+        return sum(len(state) * len(self._schema) for _, state in self._pairs)
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._pairs)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -182,7 +183,7 @@ class StateSequence(StaticStore):
 
     def __repr__(self) -> str:
         return (f"StateSequence({', '.join(self._schema.names)}; "
-                f"{len(self._states)} states)")
+                f"{len(self._pairs)} states)")
 
 
 #: Representation selector for :class:`RollbackDatabase`.

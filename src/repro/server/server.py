@@ -34,10 +34,10 @@ back in bounded chunks.  The robustness contract (docs/SERVING.md):
   read-your-writes token), falling back to the primary when no replica
   is eligible — degraded service, never wrong answers.
 
-Everything the engine does stays synchronous; a request is one hop to a
-thread pool (:meth:`ReproServer._work`: parse, replica routing, the
-session layer) so the event loop only ever shuffles frames, and every
-counter and per-connection binding is touched on the loop thread alone.
+Everything the engine does is synchronous and runs on the loop thread
+(:meth:`ReproServer._work`), which alone touches server state: one serial
+history gains nothing from threads.  A request that would wait — for
+admission or a backoff — runs again on a worker thread instead.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from repro.concurrency.admission import AdmissionController
+from repro.concurrency.admission import AdmissionController, WouldWait
 from repro.concurrency.layer import SessionLayer
 from repro.concurrency.retry import RetryPolicy
 from repro.errors import (DrainingError, Overloaded, ProtocolError,
@@ -71,7 +71,8 @@ class ServerConfig:
     parameterize each tenant's admission controller; ``default_budget``
     (seconds) applies when a request names no ``budget_ms``; ``plan``
     is the TQuel access-path mode; ``retry_seed`` seeds each tenant
-    layer's backoff jitter for reproducible runs.
+    layer's backoff jitter for reproducible runs.  Requests that wait
+    get ``max_active + max_queue`` worker threads.
     """
 
     def __init__(self, chunk_rows: int = 64, max_pipeline: int = 8,
@@ -82,7 +83,6 @@ class ServerConfig:
                  retry_after: float = 0.05,
                  default_budget: Optional[float] = None,
                  plan: str = "auto",
-                 executor_workers: int = 8,
                  retry_seed: Optional[int] = None) -> None:
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be at least 1")
@@ -98,7 +98,6 @@ class ServerConfig:
         self.retry_after = retry_after
         self.default_budget = default_budget
         self.plan = plan
-        self.executor_workers = executor_workers
         self.retry_seed = retry_seed
 
 
@@ -143,7 +142,7 @@ class ReproServer:
         self._clock = clock
         self._layers: Dict[str, SessionLayer] = {}
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
+            max_workers=self.config.max_active + self.config.max_queue,
             thread_name_prefix="repro-serve")
         self._connections: set = set()
         self._draining = False
@@ -155,7 +154,7 @@ class ReproServer:
             "protocol_errors": 0, "errors": 0, "late_suppressed": 0,
             "idle_closes": 0, "slow_client_aborts": 0,
             "replica_reads": 0, "primary_fallbacks": 0,
-            "drain_rejected": 0, "drain_aborted": 0,
+            "drain_rejected": 0, "drain_aborted": 0, "waited": 0,
         }
 
     # -- wiring ---------------------------------------------------------------
@@ -327,16 +326,16 @@ class ReproServer:
                               protocol.error_reply(request_id, overloaded),
                               None)
             return
-        task = asyncio.ensure_future(self._run_request(connection, message))
+        task = asyncio.ensure_future(
+            self._run_request(connection, message, self._clock()))
         connection.tasks.add(task)
         task.add_done_callback(connection.tasks.discard)
 
     # -- request execution ----------------------------------------------------
 
     async def _run_request(self, connection: _Connection,
-                           message: Dict[str, Any]) -> None:
+                           message: Dict[str, Any], received: float) -> None:
         obs = _obs.current()
-        received = self._clock()
         request_id = message["id"]
         tenant = message.get("tenant", "default")
         budget_ms = message.get("budget_ms")
@@ -395,13 +394,16 @@ class ReproServer:
     async def _execute(self, connection: _Connection,
                        message: Dict[str, Any],
                        deadline: Optional[float]) -> None:
-        """Run one query request in one worker hop, then stream it."""
+        """Run one request on the loop, or on a worker if it waits."""
         layer = self.layer(message.get("tenant", "default"))
-        result, ranges, token, routed, replica = await (
-            asyncio.get_running_loop().run_in_executor(
+        try:
+            done = self._work(layer, message, connection.ranges, deadline)
+        except WouldWait as signal:
+            self.stats["waited"] += 1
+            done = await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._work, layer, message,
-                connection.ranges, deadline))
-        connection.ranges = ranges
+                connection.ranges, deadline, signal)
+        result, connection.ranges, token, routed, replica = done
         if routed:
             outcome = ("primary_fallbacks" if replica is None
                        else "replica_reads")
@@ -412,14 +414,17 @@ class ReproServer:
             "primary" if replica is None else f"replica:{replica.node_id}")
 
     def _work(self, layer: SessionLayer, message: Dict[str, Any],
-              ranges: Dict[str, str], deadline: Optional[float]
+              ranges: Dict[str, str], deadline: Optional[float],
+              waited: Optional[WouldWait] = None
               ) -> Tuple[Any, Dict[str, str], int, bool, Optional[Any]]:
-        """Everything a request does off the loop, in one executor call:
-        parse, route a ``replica``/``ryw`` retrieve, run under the
-        tenant's layer.  A worker thread changes no server or connection
-        state — it returns ``(result, range bindings, reply token, was
-        the read routed?, the replica that served it)`` and the loop
-        thread applies them."""
+        """Everything a request does: parse, route a ``replica``/``ryw``
+        retrieve, run under the tenant's layer — without waiting on the
+        loop, or on a worker after the backoff a request *waited* for.
+        It changes no server or connection state — it returns ``(result,
+        range bindings, reply token, was the read routed?, the replica
+        that served it)`` and the loop thread applies them."""
+        if waited is not None and waited.pause:
+            layer.retry.sleeper(waited.pause)
         statement = parse_tokens(tokenize(message["source"]))
         routed = (isinstance(statement, RetrieveStmt) and message.get(
             "consistency", "primary") in ("replica", "ryw"))
@@ -435,7 +440,8 @@ class ReproServer:
             result = interpreter.execute_statement(statement)
             return result, interpreter.ranges, len(self.database.log)
 
-        result, new_ranges, log_len = layer.run(closure, deadline=deadline)
+        result, new_ranges, log_len = layer.run(
+            closure, deadline=deadline, wait=waited is not None)
         return (result, new_ranges,
                 replica.applied_seq if replica is not None else log_len,
                 routed, replica)

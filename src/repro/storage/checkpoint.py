@@ -164,8 +164,9 @@ def read_checkpoint_head(path: str) -> Dict[str, Any]:
     return entry
 
 
-def read_history(path: str) -> Tuple[str, Dict[str, List[Any]]]:
-    """Verify one history file: ``(sha256, {relation: encoded rows})``.
+def read_history(path: str) -> Tuple[str, Dict[str, int], Dict[str, Any]]:
+    """Verify one history file: ``(sha256, {relation: row count},
+    {relation: encoded rows})``; rows that are no list have no count.
 
     Raises :class:`~repro.errors.CheckpointError` when the file is
     missing, fails its frame, or is not the content its name promises.
@@ -183,23 +184,22 @@ def read_history(path: str) -> Tuple[str, Dict[str, List[Any]]]:
         raise CheckpointError(
             f"unsupported history file format {entry.get('format')!r} "
             f"in {path}")
-    return digest, relations
+    return digest, {relation: len(rows) for relation, rows in
+                    relations.items() if isinstance(rows, list)}, relations
 
 
 def manifest_mismatch(entry: ManifestEntry, digest: str,
-                      relations: Mapping[str, List[Any]]) -> Optional[str]:
-    """Why the verified file (*digest*, *relations*) is not the one the
-    manifest *entry* was written against, or ``None`` when it is."""
+                      held: Mapping[str, int]) -> Optional[str]:
+    """Why the verified file (*digest*, its row counts *held*) is not the
+    one the manifest *entry* was written against, or ``None`` when it is."""
     name, expected, counts = entry
     if digest != expected:
         return (f"manifest pins {name} at sha256 {str(expected)[:12]}… but "
                 f"the file hashes to {digest[:12]}…")
     for relation, count in counts.items():
-        held = relations.get(relation)
-        if not isinstance(held, list) or len(held) != count:
+        if relation not in held or held[relation] != count:
             return (f"manifest takes {count} row(s) of {relation!r} from "
-                    f"{name}, which holds "
-                    f"{len(held) if isinstance(held, list) else 'none'}")
+                    f"{name}, which holds {held.get(relation, 'none')}")
     return None
 
 
@@ -228,8 +228,9 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
     directory = os.path.dirname(path)
     closed: Dict[str, List[Any]] = {}
     for item in entry["history"]:
-        digest, relations = read_history(os.path.join(directory, item[0]))
-        problem = manifest_mismatch(item, digest, relations)
+        digest, counts, relations = read_history(
+            os.path.join(directory, item[0]))
+        problem = manifest_mismatch(item, digest, counts)
         if problem is not None:
             raise CheckpointError(f"checkpoint {path}: {problem}")
         for relation in item[2]:

@@ -187,7 +187,7 @@ def audit_directory(directory: str,
             path = store.path_for(index)
             try:
                 heads[index] = read_checkpoint_head(path)
-                load_payload(path, heads[index]["database"])
+                load_payload(path, heads[index].pop("database"))
             except CheckpointError as exc:
                 heads[index] = exc
         valid = {index: head for index, head in heads.items()
@@ -210,10 +210,11 @@ def audit_directory(directory: str,
                             if finding.index is not None), default=walk.end)
         # History files: each verified once, on its own.
         history_names = store.history_files()
-        histories: Dict[str, Any] = {}  # name -> (sha256, rows) | None
+        histories: Dict[str, Any] = {}  # name -> (sha256, counts) | None
         for name in history_names:
             try:
-                histories[name] = read_history(os.path.join(directory, name))
+                histories[name] = read_history(
+                    os.path.join(directory, name))[:2]
             except CheckpointError as exc:
                 histories[name] = None
                 findings.append(Finding(name, "history", None, None,

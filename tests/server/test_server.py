@@ -8,13 +8,18 @@ are all observable to the byte.
 """
 
 import asyncio
+import threading
+import time
 
 import pytest
 
 from repro import obs
 from repro.core import TemporalDatabase
+from repro.errors import ConflictError, DeadlineExceeded
 from repro.server import ReproServer, ServerConfig, open_pipe, protocol
+from repro.server import server as server_module
 from repro.tquel import Session
+from repro.tquel.ast import RetrieveStmt
 
 CREATE = "create counters (k = string, v = string) key (k)"
 RANGE = "range of c is counters"
@@ -437,7 +442,7 @@ class TestRequestCost:
         await seed(pipe, TestRequestCost.SEED)
         return server, pipe, server_end, handler
 
-    def test_one_hop_one_write_and_no_task_but_the_requests(self):
+    def test_no_hop_one_write_and_no_task_but_the_requests(self):
         async def scenario():
             server, pipe, server_end, _ = await self.served()
             submitted, written, tasks = [], [], []
@@ -454,7 +459,8 @@ class TestRequestCost:
             async with asyncio.timeout(2.0):  # (wait_for would add a Task)
                 lines = [await pipe.readline(), await pipe.readline()]
             asyncio.get_running_loop().set_task_factory(None)
-            assert len(submitted) == 1
+            # Nothing in the request waits, so it runs on the loop.
+            assert submitted == []
             assert tasks == ["ReproServer._run_request"]
             # Byte for byte the two frames a reply always was; only their
             # grouping into one write is new.
@@ -497,4 +503,130 @@ class TestRequestCost:
                 == {"k": "a", "v": "1"}
             assert frames[1]["row_count"] == 1 and frames[1]["chunks"] == 1
             server.shutdown()
+        run(scenario())
+
+
+class TestTheLoopNeverWaits:
+    """A request that would have to wait — through a backoff after a
+    conflict, or in an admission queue — runs on a worker thread; every
+    other request runs on the loop, which keeps answering meanwhile."""
+
+    WRITE = 'append to counters (k = "w", v = "1") valid from "12/05/82"'
+
+    @staticmethod
+    def rows_under(database, key):
+        return Session(database, ranges={"c": "counters"}).query(
+            f'retrieve (c.k) where c.k = "{key}"')
+
+    def test_a_backoff_sleeps_on_a_worker_while_the_loop_answers(
+            self, monkeypatch):
+        async def scenario():
+            harness = Harness()
+            pipe = harness.connect()
+            await seed(pipe, [CREATE, RANGE])
+            loop_thread = threading.current_thread()
+            slept, release = [], threading.Event()
+
+            def sleeper(pause):
+                slept.append(threading.current_thread())
+                release.wait(5.0)
+
+            harness.server.layer("default").retry.sleeper = sleeper
+            forced = []
+
+            class LosesOnce(Session):
+                def execute_statement(self, statement):
+                    if not forced:
+                        forced.append(threading.current_thread())
+                        raise ConflictError("forced", relations=["counters"])
+                    return super().execute_statement(statement)
+
+            monkeypatch.setattr(server_module, "Session", LosesOnce)
+            log_before = len(harness.database.log)
+            pipe.write(protocol.query_request(1, self.WRITE))
+            for _ in range(400):
+                if slept:
+                    break
+                await asyncio.sleep(0.005)
+            # The losing attempt ran on the loop; its backoff did not.
+            assert forced == [loop_thread]
+            assert slept and slept[0] is not loop_thread
+            pipe.write(protocol.ping_request(2))
+            assert await read_frame(pipe) == {"type": "pong", "id": 2}
+            release.set()
+            message = await read_frame(pipe)
+            assert (message["type"], message["id"]) == ("done", 1)
+            assert len(slept) == 1
+            assert len(harness.database.log) == log_before + 1
+            assert len(self.rows_under(harness.database, "w")) == 1
+            assert harness.server.stats["waited"] == 1
+            harness.server.shutdown()
+        run(scenario())
+
+    def test_an_admission_queue_waits_on_a_worker(self):
+        async def scenario():
+            harness = Harness(ServerConfig(max_active=1, max_queue=4))
+            pipe = harness.connect()
+            await seed(pipe, [CREATE, RANGE])
+            admission = harness.server.layer("default").admission
+            waits, real_wait = [], admission._condition.wait
+
+            def wait(timeout=None):
+                waits.append(threading.current_thread())
+                return real_wait(timeout)
+
+            admission._condition.wait = wait
+            slot = admission.admit()
+            pipe.write(protocol.query_request(1, self.WRITE))
+            for _ in range(400):
+                if admission.queued == 1:
+                    break
+                await asyncio.sleep(0.005)
+            assert admission.queued == 1, "request 1 never queued"
+            pipe.write(protocol.ping_request(2))
+            assert await read_frame(pipe) == {"type": "pong", "id": 2}
+            slot.release()
+            message = await read_frame(pipe)
+            assert (message["type"], message["id"]) == ("done", 1)
+            assert waits and threading.current_thread() not in waits
+            harness.server.shutdown()
+        run(scenario())
+
+    def test_a_budget_spent_queued_behind_the_loop_never_commits_late(
+            self, monkeypatch):
+        class SlowRetrieve(Session):
+            # A long scan: it holds the loop for 0.3 s.
+            def execute_statement(self, statement):
+                if isinstance(statement, RetrieveStmt):
+                    time.sleep(0.3)
+                return super().execute_statement(statement)
+
+        async def scenario():
+            harness = Harness()
+            pipe = harness.connect()
+            await seed(pipe, [CREATE, RANGE])
+            monkeypatch.setattr(server_module, "Session", SlowRetrieve)
+            # Both frames arrive together: request 2's 100 ms budget runs
+            # from its receipt, while request 1 holds the loop.
+            pipe.write(protocol.query_request(1, "retrieve (c.k)")
+                       + protocol.query_request(2, self.WRITE,
+                                                budget_ms=100))
+            frames = [await read_frame(pipe)]
+            while frames[-1]["type"] not in ("done", "error"):
+                frames.append(await read_frame(pipe))
+            assert (frames[-1]["type"], frames[-1]["id"]) == ("done", 1)
+            for _ in range(400):
+                if not harness.server.in_flight:
+                    break
+                await asyncio.sleep(0.005)
+            pipe.write(protocol.ping_request(3))
+            message = await read_frame(pipe)
+            if message["type"] == "error":  # never a done for request 2
+                assert message["id"] == 2
+                assert isinstance(protocol.decode_error(message["error"]),
+                                  DeadlineExceeded)
+                message = await read_frame(pipe)
+            assert message == {"type": "pong", "id": 3}
+            assert len(self.rows_under(harness.database, "w")) == 0
+            harness.server.shutdown()
         run(scenario())

@@ -338,6 +338,33 @@ class TestCheckpointEncodesWhatChanged:
         restarted.checkpoint()
         assert written == []
 
+    def test_an_unchanged_cube_is_encoded_once(self, tmp_path, monkeypatch):
+        """A cube's stored items are its ``(commit time, state)`` pairs;
+        they stay the same objects between commits, so a second
+        checkpoint at an unchanged index writes none of them afresh."""
+        manager = DurabilityManager(str(tmp_path / "dur"))
+        database, _ = manager.recover(
+            functools.partial(RollbackDatabase, representation=STATES))
+        clock = database.manager.clock.source
+        clock.set("01/01/81")
+        database.define("faculty", faculty_schema())
+        for key in range(40):
+            clock.set(clock.current() + 1)
+            database.insert("faculty", {"name": f"n{key:02d}",
+                                        "rank": "full"})
+        store = database.store("faculty")
+        assert isinstance(store, StateSequence) and len(store) == 40
+        written = encoded_rows(monkeypatch)
+        manager.checkpoint()
+        assert len(written) == 40
+        del written[:]
+        manager.checkpoint()  # the same index: nothing to encode
+        assert written == []
+        clock.set(clock.current() + 1)
+        database.insert("faculty", {"name": "late", "rank": "full"})
+        manager.checkpoint()  # one commit since: its one new state
+        assert written == [database.store("faculty").states[-1]]
+
 
 def oracle_bytes(database, entry):
     """What a checkpoint of *database* holding *entry*'s index, manifest,

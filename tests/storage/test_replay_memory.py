@@ -112,6 +112,39 @@ def test_a_restart_and_an_audit_hold_no_sealed_segment(tmp_path):
         assert large - small <= 64 * 1024
 
 
+def sealed_files(directory, files, per_file=200):
+    """A temporal faculty store checkpointed *files* times, each time after
+    *per_file* keyed replaces: one history file of closed rows each."""
+    manager = history(directory, 0)
+    database, clock = manager.database, manager.database.manager.clock.source
+    for step in range(files * per_file):
+        clock.set(clock.current() + 1)
+        database.replace("faculty", {"name": f"n{step % KEYS:02d}"},
+                         {"rank": ("assistant", "associate")[
+                             step // KEYS % 2]},
+                         valid_from="01/01/80")
+        if (step + 1) % per_file == 0:
+            manager.checkpoint()
+    return manager
+
+
+def test_an_audit_keeps_no_history_files_rows(tmp_path):
+    """The manifest check needs each history file's hash and row counts,
+    not its rows, and a checkpoint's open rows are dropped once they
+    decode: from 2 to 8 history files (and checkpoints) the audit's peak
+    grows only by the longer manifests (~40 KB), where keeping every
+    file's decoded rows adds six files' worth (~0.7 MB here)."""
+    peaks = {}
+    for files in (2, 8):
+        directory = str(tmp_path / str(files))
+        sealed_files(directory, files)
+        assert len([name for name in os.listdir(directory)
+                    if name.endswith(".hist")]) == files
+        assert audit_directory(directory).clean
+        peaks[files] = traced_overhead(lambda: audit_directory(directory))
+    assert peaks[8] - peaks[2] <= 128 * 1024
+
+
 def test_a_walk_given_a_consumer_keeps_no_entry(tmp_path):
     directory = str(tmp_path / "dur")
     manager = history(directory, 40)
