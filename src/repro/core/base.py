@@ -54,6 +54,11 @@ InstantLike = Union[Instant, str, int]
 _CATALOG_EPOCHS = itertools.count()
 
 
+def _rows_examined(metrics):
+    """The counter both commit passes feed (``metrics.handles`` binds it)."""
+    return metrics.counter("commit.rows_examined")
+
+
 class Read(NamedTuple):
     """A TQuel read's answer (:meth:`Database.read`): ``explain``'s words
     for the access path, whether an index (a tree, a key probe) answered,
@@ -563,8 +568,8 @@ class Database(abc.ABC):
             raise UnknownRelationError(f"no relation {op.relation!r}")
         candidates = store.candidates(op.arguments.get("match"))
         removed, added = self._delta(store, op, candidates)
-        _obs.current().metrics.counter("commit.rows_examined").inc(
-            len(candidates))
+        _obs.current().metrics.handles(
+            "commit.rows_examined", _rows_examined).inc(len(candidates))
         staged[op.relation] = store.advance(
             removed, added, commit_time, touched.setdefault(op.relation, {}),
             store is not self._store.get(op.relation))
@@ -585,7 +590,8 @@ class Database(abc.ABC):
         constraints = self._constraints[name]
         local = touched is not None and key and _local_to_key(constraints, key)
         rows = list(store.in_order(touched if local else None))
-        _obs.current().metrics.counter("commit.rows_examined").inc(len(rows))
+        _obs.current().metrics.handles(
+            "commit.rows_examined", _rows_examined).inc(len(rows))
         if local and all(type(rule) is KeyConstraint for rule in constraints):
             facts = set(map(store._data, rows))
             if len(facts) == len(set(map(Tuple.key, facts))):

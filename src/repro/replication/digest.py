@@ -21,12 +21,12 @@ The digest is a SHA-256 over the canonical form of
 
 **One pass.**  :func:`~repro.storage.serializer.canonical_dump` hands
 back the dump with each row already its canonical JSON text, written
-once (each distinct instant of a value formatted once per call; a stamp
-is written from its period's chronons, through no
-:class:`~repro.time.instant.Instant`), each store's texts sorted; the
-checkpoint's writer (``serializer.spliced``) splices them into the
-header the other fields make, and this module hashes the bytes
-``json.dumps(sorted dump, sort_keys=True, ensure_ascii=False)`` would.
+once, a column at a time, by the serializer's row kernel
+(``serializer.write_texts``: each distinct instant of a value formatted
+once per call, a stamp from its period's chronons), each store's texts
+sorted; ``serializer.spliced`` splices them into the header the other
+fields make, and this module hashes the bytes ``json.dumps(sorted dump,
+sort_keys=True, ensure_ascii=False)`` would.
 
 Because transaction time is append-only and replay is deterministic,
 two nodes that applied the same commit prefix *must* hash equal — the

@@ -15,8 +15,8 @@ Two kinds of file, each a single framed record
 ``history-<commit_index padded to 8>-<first 16 hex of its sha256>.hist``
     Tag ``h1``, format 2.  ``{"format", "commit_index", "relations":
     {name: rows}}`` — for each relation that keeps transaction time, the
-    rows (in the one codec of :func:`~repro.storage.serializer.
-    encode_rows`) that closed since the previous history file.  Immutable
+    rows (as :func:`~repro.storage.serializer.dump_database` writes them)
+    that closed since the previous history file.  Immutable
     and named by content: a file is never rewritten with different bytes,
     so every checkpoint that names it keeps standing on what it saw.
 ``checkpoint-<commit_index padded to 8>.ckpt``
@@ -64,10 +64,10 @@ from repro.errors import CheckpointError, ReproError
 from repro.obs import runtime as _obs
 from repro.storage.framing import (CHECKPOINT_TAG, HISTORY_TAG, FrameError,
                                    frame, parse_frame)
-from repro.storage.io import REAL_IO, StorageIO
+from repro.storage.io import REAL_IO, StorageIO, listing
 from repro.storage.serializer import (COMPACT, Texts, dump_database,
-                                      encode_rows, load_database,
-                                      restore_closed, spliced)
+                                      load_database, restore_closed, spliced,
+                                      write_texts)
 
 CHECKPOINT_FORMAT = 4
 HISTORY_FORMAT = 2
@@ -282,6 +282,7 @@ class CheckpointStore:
         self._manifest: List[ManifestEntry] = []
         self._marks: Dict[str, Tuple[object, int]] = {}
         self._texts: Texts = {}  # the texts of the rows the last write wrote
+        self._published: Optional[int] = None  # the last write's index
 
     @property
     def directory(self) -> str:
@@ -297,20 +298,12 @@ class CheckpointStore:
         """Commit indices of every checkpoint file present, ascending.
 
         Purely name-based; files are not validated here."""
-        found = []
-        if os.path.isdir(self._directory):
-            for name in os.listdir(self._directory):
-                match = _NAME.match(name)
-                if match:
-                    found.append(int(match.group(1)))
-        return sorted(found)
+        return sorted(int(match.group(1)) for match in map(
+            _NAME.match, listing(self._directory)) if match)
 
     def history_files(self) -> List[str]:
         """Names of every history file present, oldest first (name-based)."""
-        if not os.path.isdir(self._directory):
-            return []
-        return sorted(name for name in os.listdir(self._directory)
-                      if _HISTORY_NAME.match(name))
+        return sorted(filter(_HISTORY_NAME.match, listing(self._directory)))
 
     def resume(self, database, manifest: List[ManifestEntry]) -> None:
         """Take *database*, just loaded from a checkpoint with *manifest*,
@@ -353,8 +346,10 @@ class CheckpointStore:
 
         The rows that closed since the last one are sealed into a history
         file first (none when nothing closed); the checkpoint itself is
-        the open partition and the manifest.  Must be called between
-        transactions (the system is single-writer; the caller —
+        the open partition and the manifest.  Then every checkpoint older
+        than the one before it is unlinked (:meth:`StorageIO.retire`): a
+        directory keeps the newest and one to fall back on.  Must be
+        called between transactions (the caller —
         :class:`~repro.storage.recovery.DurabilityManager` — guarantees
         no commit is in flight)."""
         os.makedirs(self._directory, exist_ok=True)
@@ -368,7 +363,7 @@ class CheckpointStore:
                 data = _framed({
                     "format": HISTORY_FORMAT,
                     "commit_index": commit_index,
-                    "relations": {name: encode_rows(rows)
+                    "relations": {name: write_texts(rows, "rows", {}, COMPACT)
                                   for name, rows in fresh.items()},
                 }, HISTORY_TAG)
                 digest = hashlib.sha256(data).hexdigest()
@@ -388,6 +383,11 @@ class CheckpointStore:
         # between the two writes must leave the rows to be sealed again.
         self._manifest, self._marks, self._texts = manifest, marks, kept
         obs.metrics.counter("recovery.checkpoints_written").inc()
+        if commit_index != self._published:  # (a republish retires none)
+            older = [index for index in self.indices() if index < commit_index]
+            self._io.retire(self._directory, [f"checkpoint-{index:08d}.ckpt"
+                                              for index in older[:-1]])
+        self._published = commit_index
         return path
 
     def _newest(self, read: Callable[[str], Any]

@@ -1,37 +1,13 @@
 """Deterministic fault injection for the durability subsystem.
 
-The crash-safety contract in ``docs/DURABILITY.md`` names six crash
+The crash-safety contract in ``docs/DURABILITY.md`` names seven crash
 points a process can die at while persisting state.  This module makes
 each of them a reproducible event: a :class:`FaultyIO` wraps the real
 :class:`~repro.storage.io.StorageIO` and, on the *n*-th matching write,
 performs exactly the damaged write a crash at that point would leave
-behind, then raises :class:`SimulatedCrash`:
-
-====================  =====================================================
-crash point           simulated residue
-====================  =====================================================
-``TORN_RECORD``       a prefix of the journal record's bytes reaches the
-                      segment (died mid-``write``); framing detects the
-                      short payload, recovery truncates it
-``LOST_RECORD``       nothing reaches the segment (died after the commit
-                      applied in memory, before the record was flushed);
-                      the commit is not durable and is absent after
-                      recovery
-``TORN_CHECKPOINT``   a prefix of the checkpoint bytes lands at the
-                      *final* path (a non-atomic writer, or the tail of a
-                      failed sector); the checksum fails and recovery
-                      falls back to the previous checkpoint or full replay
-``LOST_CHECKPOINT``   the ``.tmp`` file is complete but the atomic rename
-                      never happened; recovery ignores the ``.tmp`` and
-                      uses the previous checkpoint or full replay
-``TORN_HISTORY``      a prefix of a history file lands at its final path;
-                      the checkpoint that would have named it is never
-                      written, so nothing reads the orphan (the audit
-                      reports it) and the next checkpoint seals the same
-                      rows again
-``LOST_HISTORY``      the history file's ``.tmp`` is complete but was
-                      never renamed; as above, minus the orphan
-====================  =====================================================
+behind, then raises :class:`SimulatedCrash`.  Each member of
+:class:`CrashPoint` says what it leaves on disk, and the crash-point
+matrix of ``docs/DURABILITY.md`` what recovery makes of it.
 
 A checkpoint of a database that keeps transaction time is two atomic
 writes — the history file, then the checkpoint naming it — and each
@@ -56,7 +32,7 @@ records that were durable at the crash point.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.storage.checkpoint import is_history_file
 from repro.storage.io import REAL_IO, StorageIO
@@ -68,7 +44,7 @@ class SimulatedCrash(Exception):
 
 
 class CrashPoint(enum.Enum):
-    """The six write-path crash points of the durability contract."""
+    """The seven write-path crash points of the durability contract."""
 
     #: Die midway through appending a journal record (torn tail).
     TORN_RECORD = "torn-record"
@@ -82,6 +58,8 @@ class CrashPoint(enum.Enum):
     TORN_HISTORY = "torn-history"
     #: Die between writing a history file's ``.tmp`` and the rename.
     LOST_HISTORY = "lost-history"
+    #: Die after a checkpoint's publish, before the ones it supersedes go.
+    UNRETIRED_CHECKPOINT = "unretired-checkpoint"
 
 
 #: The full matrix the fault suite iterates (name → CrashPoint).
@@ -89,6 +67,8 @@ ALL_CRASH_POINTS = tuple(CrashPoint)
 
 #: Crash points that fire on journal appends (vs. atomic publishes).
 _APPEND_POINTS = (CrashPoint.TORN_RECORD, CrashPoint.LOST_RECORD)
+#: Crash points that fire on no atomic publish.
+_NOT_PUBLISHES = _APPEND_POINTS + (CrashPoint.UNRETIRED_CHECKPOINT,)
 #: Crash points that fire on a history file's publish (vs. a checkpoint's).
 _HISTORY_POINTS = (CrashPoint.TORN_HISTORY, CrashPoint.LOST_HISTORY)
 #: Crash points that leave a prefix at the final path (vs. a stray ``.tmp``).
@@ -138,9 +118,15 @@ class FaultyIO(StorageIO):
                 f"crashed at {self._crash.value} appending to {path}")
         self._real.append(path, data, fsync=fsync)
 
+    def retire(self, directory: str, names: List[str]) -> None:
+        if self._crash is CrashPoint.UNRETIRED_CHECKPOINT and self._trigger():
+            raise SimulatedCrash(f"crashed at {self._crash.value} "
+                                 f"in {directory}")
+        self._real.retire(directory, names)
+
     def write_atomic(self, path: str, data: bytes,
                      fsync: bool = False) -> None:
-        mine = (self._crash not in _APPEND_POINTS
+        mine = (self._crash not in _NOT_PUBLISHES
                 and (self._crash in _HISTORY_POINTS) == is_history_file(path))
         if not mine or not self._trigger():
             self._real.write_atomic(path, data, fsync=fsync)

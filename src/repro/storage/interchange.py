@@ -22,7 +22,7 @@ this module for getting data in and out, never for backup/restore.
 from __future__ import annotations
 
 import csv
-from typing import Any, Iterable, List, Optional, TextIO, Union
+from typing import Any, Iterable, List, TextIO, Union
 
 from repro.core.historical import HistoricalRelation, HistoricalRow
 from repro.core.temporal import BitemporalRow, TemporalRelation
@@ -72,65 +72,52 @@ def _check_reserved(schema: Schema) -> None:
 # Export
 # ---------------------------------------------------------------------------
 
-def export_csv(relation: Relation, target: PathOrFile) -> int:
-    """Write a static relation as CSV; returns the number of rows."""
+def _iso(period: Period) -> List[str]:
+    return [period.start.isoformat(), period.end.isoformat()]
+
+
+def _write_csv(schema: Schema, target: PathOrFile, extra: List[str],
+               lines: Iterable[Any]) -> None:
+    """The one CSV writer: a header of *schema*'s names then *extra*, and
+    a line per ``(tuple, timestamp cells)`` of *lines*."""
     handle, owned = _open_for(target, "w")
     try:
         writer = csv.writer(handle)
-        writer.writerow(relation.schema.names)
-        for row in relation:
-            writer.writerow([_format_value(relation.schema, name, row[name])
-                             for name in relation.schema.names])
-        return relation.cardinality
+        writer.writerow(list(schema.names) + extra)
+        for data, stamps in lines:
+            writer.writerow([_format_value(schema, name, data[name])
+                             for name in schema.names] + stamps)
     finally:
         if owned:
             handle.close()
+
+
+def export_csv(relation: Relation, target: PathOrFile) -> int:
+    """Write a static relation as CSV; returns the number of rows."""
+    _write_csv(relation.schema, target, [], ((row, []) for row in relation))
+    return relation.cardinality
 
 
 def export_historical_csv(relation: HistoricalRelation,
                           target: PathOrFile, event: bool = False) -> int:
     """Write a historical relation as CSV with its valid-time columns."""
     _check_reserved(relation.schema)
-    handle, owned = _open_for(target, "w")
-    try:
-        writer = csv.writer(handle)
-        temporal_header = ([_EVENT_COLUMN] if event
-                           else list(_VALID_COLUMNS))
-        writer.writerow(list(relation.schema.names) + temporal_header)
-        for row in relation.rows:
-            cells = [_format_value(relation.schema, name, row.data[name])
-                     for name in relation.schema.names]
-            if event:
-                cells.append(row.valid.start.isoformat())
-            else:
-                cells += [row.valid.start.isoformat(),
-                          row.valid.end.isoformat()]
-            writer.writerow(cells)
-        return len(relation)
-    finally:
-        if owned:
-            handle.close()
+    _write_csv(relation.schema, target,
+               [_EVENT_COLUMN] if event else list(_VALID_COLUMNS),
+               ((row.data, _iso(row.valid)[:1 if event else 2])
+                for row in relation.rows))
+    return len(relation)
 
 
 def export_temporal_csv(relation: TemporalRelation,
                         target: PathOrFile) -> int:
     """Write a bitemporal relation as CSV with all four timestamps."""
     _check_reserved(relation.schema)
-    handle, owned = _open_for(target, "w")
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(list(relation.schema.names)
-                        + list(_VALID_COLUMNS) + list(_TT_COLUMNS))
-        for row in relation.rows:
-            cells = [_format_value(relation.schema, name, row.data[name])
-                     for name in relation.schema.names]
-            cells += [row.valid.start.isoformat(), row.valid.end.isoformat(),
-                      row.tt.start.isoformat(), row.tt.end.isoformat()]
-            writer.writerow(cells)
-        return len(relation)
-    finally:
-        if owned:
-            handle.close()
+    _write_csv(relation.schema, target,
+               list(_VALID_COLUMNS) + list(_TT_COLUMNS),
+               ((row.data, _iso(row.valid) + _iso(row.tt))
+                for row in relation.rows))
+    return len(relation)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +153,20 @@ def _read_rows(schema: Schema, source: PathOrFile,
             handle.close()
 
 
+def _tuple(schema: Schema, cells: List[str]) -> Tuple:
+    """The tuple a line's leading cells hold."""
+    return Tuple(schema, {name: _parse_value(schema, name, cell)
+                          for name, cell in zip(schema.names, cells)})
+
+
+def _period(start: str, end: str) -> Period:
+    return Period(Instant.parse(start), Instant.parse(end))
+
+
 def import_csv(schema: Schema, source: PathOrFile) -> Relation:
     """Read a static relation from CSV, parsing values per the schema."""
-    rows = []
-    for cells in _read_rows(schema, source, []):
-        values = {name: _parse_value(schema, name, cell)
-                  for name, cell in zip(schema.names, cells)}
-        rows.append(Tuple(schema, values))
-    return Relation(schema, rows)
+    return Relation(schema, [_tuple(schema, cells)
+                             for cells in _read_rows(schema, source, [])])
 
 
 def import_historical_csv(schema: Schema, source: PathOrFile,
@@ -183,15 +176,9 @@ def import_historical_csv(schema: Schema, source: PathOrFile,
     extra = [_EVENT_COLUMN] if event else list(_VALID_COLUMNS)
     rows = []
     for cells in _read_rows(schema, source, extra):
-        data_cells = cells[:len(schema.names)]
-        values = {name: _parse_value(schema, name, cell)
-                  for name, cell in zip(schema.names, data_cells)}
-        if event:
-            valid = Period.at(Instant.parse(cells[-1]))
-        else:
-            valid = Period(Instant.parse(cells[-2]),
-                           Instant.parse(cells[-1]))
-        rows.append(HistoricalRow(Tuple(schema, values), valid))
+        valid = (Period.at(Instant.parse(cells[-1])) if event
+                 else _period(*cells[-2:]))
+        rows.append(HistoricalRow(_tuple(schema, cells), valid))
     return HistoricalRelation(schema, rows)
 
 
@@ -200,12 +187,6 @@ def import_temporal_csv(schema: Schema,
     """Read a bitemporal relation from CSV written by the exporter."""
     _check_reserved(schema)
     extra = list(_VALID_COLUMNS) + list(_TT_COLUMNS)
-    rows = []
-    for cells in _read_rows(schema, source, extra):
-        data_cells = cells[:len(schema.names)]
-        values = {name: _parse_value(schema, name, cell)
-                  for name, cell in zip(schema.names, data_cells)}
-        valid = Period(Instant.parse(cells[-4]), Instant.parse(cells[-3]))
-        tt = Period(Instant.parse(cells[-2]), Instant.parse(cells[-1]))
-        rows.append(BitemporalRow(Tuple(schema, values), valid, tt))
-    return TemporalRelation(schema, rows)
+    return TemporalRelation(schema, [BitemporalRow(
+        _tuple(schema, cells), _period(*cells[-4:-2]), _period(*cells[-2:]))
+        for cells in _read_rows(schema, source, extra)])

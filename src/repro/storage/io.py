@@ -1,7 +1,7 @@
 """The storage I/O seam: where bytes become durable.
 
 Every write the durability subsystem performs goes through a
-:class:`StorageIO`, which defines exactly two primitives and their
+:class:`StorageIO`, which defines three primitives and their
 crash-safety contracts:
 
 - :meth:`StorageIO.append` — append bytes to a file and flush them to
@@ -16,6 +16,8 @@ crash-safety contracts:
   destination.  Readers never observe a half-written destination file;
   a crash leaves either the old file, the new file, or a stray ``.tmp``
   that recovery ignores.
+- :meth:`StorageIO.retire` — unlink files a newer one supersedes, after
+  an ``fsync`` of their directory; a crash before it leaves them all.
 
 The seam exists so the fault-injection harness
 (:mod:`repro.storage.faults`) can substitute a :class:`~repro.storage.
@@ -26,6 +28,7 @@ points; production code always uses the process-wide :data:`REAL_IO`.
 from __future__ import annotations
 
 import os
+from typing import List
 
 
 class StorageIO:
@@ -64,8 +67,25 @@ class StorageIO:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
 
+    def retire(self, directory: str, names: List[str]) -> None:
+        """Unlink *names* from *directory* once an ``fsync`` of it has made
+        durable the renames that published what supersedes them."""
+        if names:
+            handle = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(handle)
+            finally:
+                os.close(handle)
+            for name in names:
+                os.unlink(os.path.join(directory, name))
+
     def __repr__(self) -> str:
         return "StorageIO()"
+
+
+def listing(directory: str) -> List[str]:
+    """The names in *directory*; none if there is no such directory."""
+    return os.listdir(directory) if os.path.isdir(directory) else []
 
 
 #: The process-wide real I/O; the default everywhere an ``io=`` is taken.

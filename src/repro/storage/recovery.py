@@ -58,7 +58,7 @@ from repro.errors import JournalError
 from repro.obs import runtime as _obs
 from repro.storage import chain as _chain
 from repro.storage.checkpoint import CheckpointStore
-from repro.storage.io import REAL_IO, StorageIO
+from repro.storage.io import REAL_IO, StorageIO, listing
 from repro.storage.journal import Journal, Replay
 from repro.storage.walk import JournalWalk, fold_segment
 from repro.time.clock import SimulatedClock
@@ -164,14 +164,9 @@ class DurabilityManager:
 
     def segments(self) -> List[Tuple[int, str]]:
         """``(start_index, path)`` of every segment, oldest first."""
-        found = []
-        if os.path.isdir(self._directory):
-            for name in os.listdir(self._directory):
-                match = _SEGMENT.match(name)
-                if match:
-                    found.append((int(match.group(1)),
-                                  os.path.join(self._directory, name)))
-        return sorted(found)
+        return sorted((int(match.group(1)), os.path.join(
+            self._directory, match.group(0))) for match in map(
+                _SEGMENT.match, listing(self._directory)) if match)
 
     def _segment_path(self, start: int) -> str:
         return os.path.join(self._directory, f"journal-{start:08d}.seg")

@@ -78,7 +78,7 @@ from repro.storage.checkpoint import (CheckpointStore, load_payload,
                                       read_history)
 from repro.storage.framing import (JOURNAL_TAG, FrameDamage, FrameError,
                                    frame_lines)
-from repro.storage.io import REAL_IO, StorageIO
+from repro.storage.io import REAL_IO, StorageIO, listing
 from repro.storage.journal import apply_entries
 from repro.storage.recovery import DurabilityManager
 from repro.storage.serializer import dump_database, load_database
@@ -281,8 +281,7 @@ def audit_sharded(directory: str,
     """
     per_shard: List[AuditReport] = []
     shard_ids: List[int] = []
-    for name in sorted(os.listdir(directory) if os.path.isdir(directory)
-                       else []):
+    for name in sorted(listing(directory)):
         path = os.path.join(directory, name)
         if name.startswith("shard-") and os.path.isdir(path):
             shard_ids.append(int(name.split("-", 1)[1]))

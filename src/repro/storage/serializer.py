@@ -24,16 +24,17 @@ and the clock position, so a loaded database answers every query the
 original did.  *Check constraints are not serialized* (they close over
 arbitrary predicates); key constraints survive via the schema key.
 
-Every timestamped row goes through one codec (:func:`encode_rows`).  A
-store that keeps transaction time is dumped whole, or — for a checkpoint,
-which writes the immutable closed rows once, elsewhere — as its open
-partition only (``dump_database(closed=False)``); :func:`restore_closed`
-puts the closed rows back, giving the whole dump again.  A digest and a
-checkpoint read the dump as text (:func:`canonical_dump`, :func:`_kept`,
-:func:`spliced`), each row written once through the same encode_value,
-each stamp straight from its period's chronons.  A load decodes a column
-at a time (:func:`_decode_rows`), one period per distinct stamp, so the
-valid period many rows share is one object, and it builds no date.
+Every stored row is written by one kernel (:func:`write_texts`), a
+batch and a column at a time, into the text ``json.dumps`` writes of
+the dump: a digest sorts and hashes these texts (:func:`canonical_dump`),
+a checkpoint and a history file splice them in (:func:`_kept`,
+:func:`spliced`), and a plain dump reads them back.  A store that keeps
+transaction time is dumped whole, or — for a checkpoint, which writes
+the immutable closed rows once, elsewhere — as its open partition only
+(``dump_database(closed=False)``); :func:`restore_closed` puts the
+closed rows back.  A load decodes a column at a time
+(:func:`_decode_rows`), one period per distinct stamp, and builds no
+date.
 
 **Durability obligations.**  ``dump_database`` is the payload of every
 checkpoint (:mod:`repro.storage.checkpoint`), so its completeness is
@@ -52,7 +53,7 @@ import itertools
 import json
 import math
 import operator
-from json.encoder import c_make_encoder, encode_basestring
+from json.encoder import encode_basestring
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 from typing import Tuple as PyTuple
 
@@ -285,28 +286,10 @@ def schema_from_dict(data: Dict[str, Any]) -> Schema:
 # Relations (all four storage shapes)
 # ---------------------------------------------------------------------------
 
-def _encode_tuples(tuples: Iterable[Tuple]) -> List[List[Any]]:
-    return [[encode_value(value) for value in row.values] for row in tuples]
-
-
-def _encode_states(states: Iterable[Any]) -> List[List[Any]]:
-    return [[encode_value(time), _encode_tuples(state)]
-            for time, state in states]
-
-
-def encode_rows(rows: Iterable[Any]) -> List[List[Any]]:
-    """The one codec of timestamped rows: ``[values, *stamps]`` each — a
-    historical row's valid period, a rollback row's transaction period, a
-    bitemporal row's both.  Each distinct instant of a value is formatted
-    once; a stamp is the period's chronons (:func:`encode_stamp`)."""
-    encode = functools.partial(encode_value, memo={})
-    return [[list(map(encode, row[0].values)), *map(period_stamp, row[1:])]
-            for row in rows]
-
-
 def period_stamp(period: Period) -> List[Any]:
     """*period*'s stamp (:func:`encode_stamp`), read off its chronons: the
-    one stamp writer of checkpoints and of ``s1`` result rows."""
+    one stamp writer of ``s1`` result rows and of a stamp column that
+    holds a unit other than day."""
     lo, hi, unit = period.lo, period.hi, period.unit
     stamp = [None if lo == _NEG else lo, None if hi == _POS else hi]
     if unit is not None and unit is not Granularity.DAY:
@@ -315,60 +298,91 @@ def period_stamp(period: Period) -> List[Any]:
 
 
 #: JSON's ``(item, key)`` separators: a state digest hashes
-#: ``json.dumps``'s own, and checkpoint files are compact.
+#: ``json.dumps``'s own, and checkpoint and history files are compact.
 SPACED, COMPACT = (", ", ": "), (",", ":")
+#: A stamp end that is an infinity, as its text (a chronon stands as is).
+_ENDS = {_NEG: "null", _POS: "null"}
 
 
 class RowTexts(list):
     """A store's rows, each as its JSON text."""
 
 
-#: Items laid out for :func:`_writer`: a timestamped row as encode_rows
-#: writes it, a static store's tuple, a state sequence's ``(time, state)``.
-_SHAPES = {
-    encode_rows: lambda row: [row[0].values, *map(period_stamp, row[1:])],
-    _encode_tuples: operator.attrgetter("values"),
-    _encode_states: lambda pair: [pair[0], [row.values for row in pair[1]]]}
+def _texts(tuples: Any, stamps: Optional[List[Any]],
+           encode: Callable[[Any], str], comma: str) -> RowTexts:
+    """The row-text kernel: each of *tuples* (with *stamps*, a sequence of
+    periods per stamp: ``[values, *stamps]``) as JSON text, a column at a
+    time — ``str`` or ``int`` at C speed, else through *encode*; a stamp
+    as its chronons (``null`` for an infinity), or :func:`period_stamp`
+    for a column with a unit other than day — then one ``%`` a row."""
+    columns: List[Any] = []
+    for column in zip(*map(operator.attrgetter("values"), tuples)):
+        kinds = set(map(type, column))
+        columns.append(map(encode_basestring, column) if kinds == {str}
+                       else column if kinds == {int}  # (``%s`` writes it)
+                       else map(encode, column))
+    template = "[" + comma.join(["%s"] * len(columns)) + "]"
+    for periods in stamps or ():
+        units = list(map(operator.attrgetter("unit"), periods))
+        if units.count(Granularity.DAY) + units.count(None) < len(units):
+            columns.append(map(encode, map(period_stamp, periods)))
+            template += comma + "%s"
+            continue
+        for end in ("lo", "hi"):
+            chronons = list(map(operator.attrgetter(end), periods))
+            columns.append(map(_ENDS.get, chronons, chronons))
+        template += comma + "[%s" + comma + "%s]"
+    if stamps is not None:
+        template = "[" + template + "]"
+    return RowTexts(map(template.__mod__, zip(*columns)) if columns
+                    else [template] * len(tuples))
 
 
-def _writer(memo: Dict[Instant, Any], shape: Callable[[Any], Any],
-            separators: PyTuple[str, str] = SPACED) -> Callable[[Any], str]:
-    """One stored item, as *shape* lays it out, as ``json.dumps(...,
+def write_texts(items: Iterable[Any], field: str, memo: Dict[Instant, Any],
+                separators: PyTuple[str, str]) -> RowTexts:
+    """The one row writer: each of *items* — a store's ``rows``, ``tuples``
+    or ``states`` (a cube's ``(time, state)`` pairs) — as ``json.dumps(...,
     sort_keys=True, ensure_ascii=False, separators=separators)`` writes it
-    (instants through *memo*), with a C encoder built once, not per call."""
-    default = functools.partial(encode_value, memo=memo)
-    if c_make_encoder is None:
-        text = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
-                                check_circular=False, default=default,
-                                separators=separators).encode
-        return lambda item: text(shape(item))
-    write = c_make_encoder(None, default, encode_basestring, None,
-                           separators[1], separators[0], True, False, True)
-    return lambda item: "".join(write(shape(item), 0))
+    in a dump (:func:`_texts`; an instant encoded once per *memo*)."""
+    items, comma = list(items), separators[0]
+    encode = json.JSONEncoder(
+        sort_keys=True, ensure_ascii=False, separators=separators,
+        default=functools.partial(encode_value, memo=memo)).encode
+    if field == "states":  # every pair's tuples in one batch
+        rows = iter(_texts([row for _, state in items for row in state],
+                           None, encode, comma))
+        return RowTexts("[%s%s[%s]]" % (encode(time), comma, comma.join(
+            itertools.islice(rows, len(state)))) for time, state in items)
+    tuples, *stamps = zip(*items) if field == "rows" and items else [items]
+    return _texts(tuples, stamps if field == "rows" else None, encode, comma)
 
 
 def row_texts(rows: Iterable[Any], memo: Dict[Instant, Any]) -> RowTexts:
     """Each timestamped row's text as a state digest hashes it."""
-    return RowTexts(map(_writer(memo, _SHAPES[encode_rows]), rows))
+    return write_texts(rows, "rows", memo, SPACED)
 
 
 #: What a dump keeps of the rows it wrote: ``id(row) -> (row, text)``.
 Texts = Dict[int, PyTuple[Any, str]]
 
 
-def _kept(rows: Iterable[Any], write: Callable[[Any], str], known: Texts,
+def _kept(rows: Iterable[Any], field: str, known: Texts,
           kept: Texts) -> RowTexts:
-    """*rows* as texts: the one *known* holds for the very row object (an
-    immutable row, held by its entry, so its id is never reused), else
-    what *write* makes of it; *kept* gets every row's."""
-    texts = RowTexts()
-    for row in rows:
-        hit = known.get(id(row))
-        if hit is None or hit[0] is not row:
-            hit = row, write(row)
-        kept[id(row)] = hit
-        texts.append(hit[1])
-    return texts
+    """*rows* as compact texts: the one *known* holds for the very row
+    object (an immutable row, held by its entry, so its id is never
+    reused), else written, with the other rows not known, in one
+    :func:`write_texts`; *kept* gets every row's."""
+    rows = list(rows)
+    ids = list(map(id, rows))
+    hits = list(map(known.get, ids))
+    fresh = [row for row, hit in zip(rows, hits)
+             if hit is None or hit[0] is not row]
+    if fresh:
+        written = dict(zip(map(id, fresh), zip(fresh, write_texts(
+            fresh, field, {}, COMPACT))))
+        hits = [written.get(key, hit) for key, hit in zip(ids, hits)]
+    kept.update(zip(ids, hits))
+    return RowTexts(map(operator.itemgetter(1), hits))
 
 
 def spliced(value: Any, separators: PyTuple[str, str]) -> Iterable[str]:
@@ -393,7 +407,7 @@ def spliced(value: Any, separators: PyTuple[str, str]) -> Iterable[str]:
 
 def _decode_rows(schema: Schema, data: Any, memo: Memo,
                  row_type: Any = None) -> List[Any]:
-    """Stored tuples (or, given *row_type*, :func:`encode_rows` output)
+    """Stored tuples (or, given *row_type*, a dump's timestamped rows)
     back a column at a time: a value column is decoded only if it holds a
     tagged value, then checked against its attribute; a stamp column of
     plain ``[int | None, int | None]`` builds one period per distinct
@@ -446,29 +460,27 @@ def store_to_dict(store: Any, closed: bool = True,
     hashes it) or *texts* (compact, and reused: :func:`_kept`)."""
     if isinstance(store, (TemporalRelation, RollbackRelation)):
         kind = "temporal" if isinstance(store, TemporalRelation) else "rollback"
-        rows = store.rows if closed else store.open_rows()
-        field, plain = "rows", encode_rows
+        field, rows = "rows", store.rows if closed else store.open_rows()
     elif isinstance(store, StateSequence):
         kind, field, rows = "states", "states", store.states
-        plain = _encode_states
     else:
         if isinstance(store, StateStore):
             store = store.current()  # a state without transaction time
         if isinstance(store, HistoricalRelation):
             kind, field, rows = "historical", "rows", store.rows
-            plain = encode_rows
         elif isinstance(store, Relation):
-            kind, field, rows, plain = "static", "tuples", store, _encode_tuples
+            kind, field, rows = "static", "tuples", store
         else:
             raise StorageError(f"cannot dump store {store!r}")
     if texts is not None:
-        rows = _kept(rows, _writer({}, _SHAPES[plain], COMPACT), *texts)
+        rows = _kept(rows, field, *texts)
     elif memo is not None:  # a digest's, sorted as it hashes them
-        rows = (row_texts(rows, memo) if plain is encode_rows
-                else RowTexts(map(_writer(memo, _SHAPES[plain]), rows)))
+        rows = (row_texts(rows, memo) if field == "rows"
+                else write_texts(rows, field, memo, SPACED))
         rows.sort()
-    else:
-        rows = plain(rows)
+    else:  # plain data: the texts read back
+        rows = json.loads("[%s]" % ",".join(
+            write_texts(rows, field, {}, COMPACT)))
     return {"kind": kind, "schema": schema_to_dict(store.schema), field: rows}
 
 
@@ -559,7 +571,7 @@ def canonical_dump(database) -> Dict[str, Any]:
 
 def restore_closed(data: Dict[str, Any],
                    closed: Mapping[str, List[List[Any]]]) -> None:
-    """Put *closed* (relation name -> :func:`encode_rows` output, in
+    """Put *closed* (relation name -> a dump's timestamped rows, in
     closing order) back in front of the open rows a
     ``dump_database(closed=False)`` kept, in place."""
     for name, rows in closed.items():

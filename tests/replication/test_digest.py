@@ -310,6 +310,44 @@ class TestDigestCost:
         dump_database(database)
         assert texts_of_one_call() == first
 
+    def test_a_plain_store_makes_no_per_row_encoder_call(self, monkeypatch):
+        """A state of ``str`` / ``int`` values under day stamps is written a
+        column at a time: an uncached digest hands no row to a JSON
+        encoder, a stamp writer or a value encoder, so it makes as many
+        such calls over 640 rows as over 64."""
+        def encoder_calls(replaces):
+            database = TemporalDatabase(clock=SimulatedClock("01/01/80"))
+            tick(database)
+            database.define("r", Schema.of(key=["k"], k=Domain.STRING,
+                                           v=Domain.INTEGER))
+            for key in range(8):
+                tick(database)
+                database.insert("r", {"k": f"k{key}", "v": 0},
+                                valid_from="01/01/79")
+            for step in range(replaces):
+                tick(database)
+                database.replace("r", {"k": f"k{step % 8}"},
+                                 {"v": step + 1}, valid_from="01/01/79")
+            assert len(database.store("r").rows) == 8 + replaces
+            expected, calls = oracle_digest(database), []
+
+            def counted(real):
+                return lambda *args: calls.append(args) or real(*args)
+            with monkeypatch.context() as patch:
+                for name in ("period_stamp", "encode_value"):
+                    patch.setattr(serializer, name,
+                                  counted(getattr(serializer, name)))
+                patch.setattr(json.JSONEncoder, "encode",
+                              counted(json.JSONEncoder.encode))
+                make = json.encoder.c_make_encoder
+                patch.setattr(serializer, "c_make_encoder",
+                              lambda *args: counted(make(*args)),
+                              raising=False)
+                assert state_digest(database, cache=False) == expected
+            return len(calls)
+
+        assert encoder_calls(56) == encoder_calls(632)
+
     def test_a_cached_digest_copies_no_log(self, monkeypatch):
         """The memo is keyed by the log's length and its last record,
         read without copying the log."""

@@ -281,14 +281,15 @@ class TestCheckpointCost:
 
 def encoded_rows(monkeypatch):
     """The stored items a dump writes afresh as text, in order: every row
-    handed to a row writer (:func:`serializer._writer`) from now on."""
+    handed to the row writer (:func:`serializer.write_texts`) from now on."""
     written = []
-    real = serializer._writer
+    real = serializer.write_texts
 
-    def writer(*args):
-        write = real(*args)
-        return lambda item: written.append(item) or write(item)
-    monkeypatch.setattr(serializer, "_writer", writer)
+    def writer(items, *args):
+        items = list(items)
+        written.extend(items)
+        return real(items, *args)
+    monkeypatch.setattr(serializer, "write_texts", writer)
     return written
 
 

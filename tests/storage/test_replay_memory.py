@@ -49,8 +49,8 @@ def history(directory, commits, checkpoint_at=None, kind=TemporalDatabase):
             manager.checkpoint()
         clock.set(clock.current() + 1)
         database.replace("faculty", {"name": f"n{step % KEYS:02d}"},
-                         {"rank": ("assistant", "associate")[step % 2]},
-                         **valid)
+                         {"rank": ("assistant", "associate")[
+                             step // KEYS % 2]}, **valid)
     return manager
 
 
@@ -172,7 +172,7 @@ def corrupt_line(directory, segment, line_number):
 
 
 @pytest.mark.parametrize("use_checkpoint,segment,offset,crcs", [
-    (True, "journal-00000047.seg", 5643, ("f6737fa2", "38400e69")),
+    (True, "journal-00000047.seg", 5643, ("f1dfc5e5", "3fecb42e")),
     (False, "journal-00000000.seg", 5619, ("87a82541", "6ef43730")),
 ], ids=["checkpoint-plus-tail", "full-replay"])
 def test_a_corrupt_middle_record_is_refused_as_before(

@@ -26,9 +26,9 @@ from repro.relational import Attribute, Domain, Schema, Tuple
 from repro.replication import state_digest
 from repro.storage import (CHECKPOINT_TAG, DurabilityManager, audit_directory,
                            frame_record, read_checkpoint_head, serializer)
-from repro.storage.serializer import (decode_stamp, encode_rows,
-                                      encode_stamp, relation_from_dict,
-                                      row_texts, store_to_dict)
+from repro.storage.serializer import (decode_stamp, encode_stamp,
+                                      relation_from_dict, row_texts,
+                                      store_to_dict)
 from repro.time import NEG_INF, POS_INF, Granularity, Instant, Period
 
 from tests.conftest import faculty_schema
@@ -106,7 +106,7 @@ class TestWrittenFromChronons:
         schema = Schema.of(n=Domain.INTEGER)
         rows = [HistoricalRow(Tuple.from_sequence(schema, [n]), period)
                 for n, period in enumerate(stamps)]
-        encoded = encode_rows(rows)
+        encoded = store_to_dict(HistoricalRelation(schema, rows))["rows"]
         assert [row[1] for row in encoded] == [
             encode_stamp(period.start, period.end) for period in stamps]
         assert list(row_texts(rows, {})) == [
