@@ -1,9 +1,10 @@
 """Figure 3 — a static rollback relation as a sequence of states.
 
-Reproduces the paper's three-transaction narrative over the state-cube
-representation — "(1) the addition of three tuples, (2) the addition of a
+Reproduces the paper's three-transaction narrative as the sequence of
+states — "(1) the addition of three tuples, (2) the addition of a
 tuple, and (3) the deletion of one tuple (entered in the first
-transaction) and the addition of another" — and benchmarks the rollback
+transaction) and the addition of another" — read as a view of the
+tuple stamps of Figure 4 (``states()``), and benchmarks the rollback
 (vertical-slice) operation over it.
 
 Run:  pytest benchmarks/bench_fig03_rollback_cube.py --benchmark-only -s
@@ -16,7 +17,7 @@ from repro.time import SimulatedClock
 
 def build_cube():
     clock = SimulatedClock("01/01/80")
-    database = RollbackDatabase(clock=clock, representation="states")
+    database = RollbackDatabase(clock=clock)
     database.define("r", Schema.of(name=Domain.STRING))
     with database.begin() as txn:  # transaction 1: add three tuples
         for name in ("a", "b", "c"):
@@ -32,7 +33,7 @@ def build_cube():
 
 def test_figure_3(benchmark):
     database = build_cube()
-    states = database.store("r").states
+    states = database.store("r").states()
 
     def rollback_all():
         return [database.rollback("r", when) for when, _ in states]

@@ -37,7 +37,7 @@ def test_figure_7(benchmark):
     database = build()
     relation = database.temporal("r")
 
-    states = benchmark(relation.historical_states)
+    states = benchmark(relation.states)
 
     assert len(states) == 4
     # Each transaction appended a new historical state; the current

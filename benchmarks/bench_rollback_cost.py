@@ -1,10 +1,9 @@
-"""Rollback (as-of) query cost vs. history length, both representations.
+"""Rollback (as-of) query cost vs. history length.
 
-The flip side of the storage trade-off: the cube answers ``rollback(t)``
-by bisecting to a prebuilt state (fast, ~O(log T)), while the interval
-table scans its timestamped rows (O(rows)).  This bench measures both as
-history grows, confirming the crossover the representations imply:
-the cube buys rollback speed with quadratic storage.
+A rollback relation stores each tuple once, stamped with its
+transaction time (Figure 4), and answers ``rollback(t)`` from its
+transaction-time index.  This bench measures that latency as history
+grows.
 
 Run:  pytest benchmarks/bench_rollback_cost.py --benchmark-only -s
 """
@@ -19,10 +18,9 @@ SIZES = [10, 20, 40, 80]
 PROBE_REPEATS = 200
 
 
-def build(representation, people):
+def build(people):
     workload = FacultyWorkload(people=people, events_per_person=4, seed=7)
-    database = RollbackDatabase(clock=SimulatedClock("01/01/79"),
-                                representation=representation)
+    database = RollbackDatabase(clock=SimulatedClock("01/01/79"))
     apply_workload(database, workload)
     return database
 
@@ -41,32 +39,16 @@ def test_rollback_cost(benchmark):
               Instant.parse("06/01/82"), Instant.parse("06/01/83")]
     rows = []
     for people in SIZES:
-        interval_db = build("interval", people)
-        states_db = build("states", people)
-        # Both must agree before timing means anything.
-        for probe in probes:
-            assert interval_db.rollback("faculty", probe) == \
-                states_db.rollback("faculty", probe)
-        interval_us = rollback_latency(interval_db, probes) * 1e6
-        states_us = rollback_latency(states_db, probes) * 1e6
-        rows.append((people, len(interval_db.store("faculty")),
-                     interval_us, states_us))
+        database = build(people)
+        rows.append((people, len(database.store("faculty")),
+                     rollback_latency(database, probes) * 1e6))
 
-    # The benchmark fixture times the practical representation at mid size.
-    database = build("interval", SIZES[2])
+    # The benchmark fixture times the mid size.
+    database = build(SIZES[2])
     benchmark(database.rollback, "faculty", probes[1])
 
     print()
     print("rollback(t) latency vs. history size (microseconds/query)")
-    print(f"{'people':>7} {'tt rows':>8} {'interval':>10} {'cube':>10} "
-          f"{'interval/cube':>14}")
-    for people, tt_rows, interval_us, states_us in rows:
-        print(f"{people:>7} {tt_rows:>8} {interval_us:>10.1f} "
-              f"{states_us:>10.1f} {interval_us / states_us:>13.1f}x")
-    print()
-    print("The cube's prebuilt states make rollback cheap; the interval")
-    print("table pays a scan — the inverse of the storage trade-off.")
-
-    # Shape check: the interval representation's scan cost grows with
-    # history; the cube's bisect+return barely does.
-    assert rows[-1][2] > rows[0][2]
+    print(f"{'people':>7} {'tt rows':>8} {'interval':>10}")
+    for people, tt_rows, interval_us in rows:
+        print(f"{people:>7} {tt_rows:>8} {interval_us:>10.1f}")

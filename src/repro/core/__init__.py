@@ -20,13 +20,12 @@ once — the four kinds are their compositions:
   :class:`~repro.core.historical.HistoricalRelation` value type and
   historical databases (§4.3, Figures 5–6);
 - :mod:`~repro.core.rollback` — static rollback databases = static +
-  transaction time, with both the state-cube and interval-stamped
-  representations (§4.2, Figures 3–4);
+  transaction time: interval-stamped tuples (Figure 4), of which the
+  sequence of states (Figure 3) is a view (§4.2);
 - :mod:`~repro.core.temporal` — temporal (bitemporal) databases =
   historical + transaction time: sequences of historical states (§4.4,
   Figures 7–8);
-- :mod:`~repro.core.operations` — temporal joins, snapshot equivalence,
-  representation equivalence;
+- :mod:`~repro.core.operations` — temporal joins, snapshot equivalence;
 - :mod:`~repro.core.indexing` — the transaction-time index: append-only
   time, so an insert-only interval tree over the closed rows (valid time
   is modified arbitrarily and has none: a timeslice is one scan);
@@ -48,8 +47,7 @@ from repro.core.base import Database
 from repro.core.static import StaticDatabase, StaticStore
 from repro.core.transaction_time import StateStore, TransactionTimeStore
 from repro.core.rollback import (
-    INTERVAL, STATES, RollbackDatabase, RollbackRelation, StateSequence,
-    TransactionTimeRow,
+    RollbackDatabase, RollbackRelation, TransactionTimeRow,
 )
 from repro.core.historical import (
     HistoricalDatabase, HistoricalRelation, HistoricalRow, HistoricalStore,
@@ -57,10 +55,10 @@ from repro.core.historical import (
 from repro.core.temporal import (BitemporalRow, TemporalDatabase,
                                  TemporalRelation)
 from repro.core.operations import (
-    changed_instants, diff_states, history_series, rollback_equivalent,
-    snapshot_equivalent, temporal_timeslice_matrix, when_join,
+    changed_instants, diff_states, history_series, snapshot_equivalent,
+    temporal_timeslice_matrix, when_join,
 )
-from repro.core.vacuum import vacuum_states, vacuum_store
+from repro.core.vacuum import vacuum_store
 from repro.core.indexing import (
     DatabaseIndexCache, IntervalTree, TransactionTimeIndex,
 )
@@ -88,13 +86,10 @@ __all__ = [
     "HistoricalRelation",
     "HistoricalRow",
     "HistoricalStore",
-    "INTERVAL",
     "Models",
     "PriorTerm",
     "RollbackDatabase",
     "RollbackRelation",
-    "STATES",
-    "StateSequence",
     "StateStore",
     "StaticDatabase",
     "StaticStore",
@@ -114,10 +109,8 @@ __all__ = [
     "render_figure_11",
     "render_figure_12",
     "render_figure_13",
-    "rollback_equivalent",
     "snapshot_equivalent",
     "temporal_timeslice_matrix",
-    "vacuum_states",
     "vacuum_store",
     "when_join",
 ]

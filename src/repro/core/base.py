@@ -632,6 +632,12 @@ class Database(abc.ABC):
         return Read(self.access(), False,
                     store.as_candidates(list(store.in_order())))
 
+    def _indexed(self, name: str):
+        """The relation, behind its transaction-time tree (a stab
+        instead of a scan of every row ever written)."""
+        self._require_defined(name)
+        return self.index_cache.transaction_time(name)
+
     def rollback(self, name: str, as_of: InstantLike):
         """The relation as of a past transaction time.
 

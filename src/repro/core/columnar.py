@@ -458,9 +458,9 @@ class ColumnarCache:
     storage lineage allows (the closed prefix is reused as packed
     floats).
 
-    ``chunk(name)`` returns ``None`` for kinds/representations without a
-    columnar form (static relations, ``StateSequence`` rollback stores) —
-    a forced ``columnar`` plan then degrades to the naive scan.
+    ``chunk(name)`` returns ``None`` for a static relation, which has no
+    columnar form — a forced ``columnar`` plan then degrades to the naive
+    scan.
 
     Plain counters (:attr:`hits`, :attr:`misses`, :attr:`extensions`) are
     always live; the same events are mirrored into the process
@@ -485,7 +485,7 @@ class ColumnarCache:
         if isinstance(relation, HistoricalStore):
             return (relation.current(), ColumnarChunk.from_historical,
                     lambda chunk: None)
-        return None  # a static relation, or the duplicating StateSequence cube
+        return None  # a static relation
 
     def chunk(self, name: str) -> Optional[ColumnarChunk]:
         """The current chunk for *name*, or ``None`` when unsupported."""

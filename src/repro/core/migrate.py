@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Type
 
 from repro.core.base import Database
-from repro.core.rollback import StateSequence
 from repro.errors import TemporalSupportError
 from repro.time.clock import SimulatedClock
 
@@ -146,13 +145,7 @@ def _replay_rollback_history(source: Database, target: Database) -> None:
                 events.append((record.commit_time, op.action, op.relation,
                                op.arguments))
     for name in source.relation_names():
-        store = source.store(name)
-        if isinstance(store, StateSequence):
-            pairs = list(store.states)
-        else:
-            pairs = [(when, store.rollback(when))
-                     for when in store.commit_times()]
-        for when, state in pairs:
+        for when, state in source.store(name).states():
             events.append((when, "state", name, state))
     events.sort(key=lambda event: (event[0], event[1] != "define"))
 

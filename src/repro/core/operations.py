@@ -1,8 +1,7 @@
 """Cross-kind temporal operations.
 
 Operations that combine or compare the temporal value types — historical
-joins with TQuel ``when`` semantics, snapshot-equivalence checking, and
-the representation-equivalence check between the two rollback stores.
+joins with TQuel ``when`` semantics and snapshot-equivalence checking.
 These are the building blocks the TQuel evaluator and the benchmark
 harness share.
 """
@@ -12,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple as PyTuple
 
 from repro.core.historical import HistoricalRelation, HistoricalRow
-from repro.core.rollback import RollbackRelation, StateSequence
 from repro.core.temporal import TemporalRelation
 from repro.relational.relation import Relation
 from repro.relational.tuple import Tuple
@@ -77,17 +75,6 @@ def snapshot_equivalent(a: HistoricalRelation, b: HistoricalRelation,
     if probes is None:
         return a == b
     return all(a.timeslice(when) == b.timeslice(when) for when in probes)
-
-
-def rollback_equivalent(interval: RollbackRelation, states: StateSequence,
-                        probes: Iterable[Instant]) -> bool:
-    """True if the two rollback representations agree at every probe.
-
-    This is the paper's implicit claim that the interval-stamped table of
-    Figure 4 faithfully implements the state cube of Figure 3.
-    """
-    return all(interval.rollback(when) == states.rollback(when)
-               for when in probes)
 
 
 def temporal_timeslice_matrix(relation: TemporalRelation,

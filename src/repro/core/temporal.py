@@ -36,8 +36,7 @@ index is patched with the rows the commit closed.
 from __future__ import annotations
 
 import operator
-from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple as PyTuple)
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple as PyTuple
 
 from repro.core.base import InstantLike, Read
 from repro.core.historical import (HistoricalRelation, HistoricalRow,
@@ -103,10 +102,6 @@ class TemporalRelation(TransactionTimeStore):
         state = self.current() if as_of is None else self.rollback(as_of)
         return state.timeslice(valid_at)
 
-    def historical_states(self) -> List[PyTuple[Instant, HistoricalRelation]]:
-        """The full sequence of historical states (Figure 7's cube)."""
-        return [(when, self.rollback(when)) for when in self.commit_times()]
-
     def select(self, predicate) -> "TemporalRelation":
         """Rows whose data satisfies the predicate (both times untouched)."""
         from repro.relational.expression import Expression
@@ -146,12 +141,6 @@ class TemporalDatabase(ValidTimeDatabase):
     def temporal(self, name: str) -> TemporalRelation:
         """The full bitemporal relation (Figure 8)."""
         return self.store(name)
-
-    def _indexed(self, name: str):
-        """The relation, behind its transaction-time tree (a stab
-        instead of a scan of every row ever written)."""
-        self._require_defined(name)
-        return self.index_cache.transaction_time(name)
 
     def rollback_range(self, name: str, from_: InstantLike,
                        through: InstantLike) -> TemporalRelation:

@@ -474,6 +474,13 @@ class TransactionTimeStore(StateStore):
         """
         return self.range_of(self.overlapping(period))
 
+    def states(self) -> List[PyTuple[Instant, Any]]:
+        """The sequence of states (Figures 3 and 7): ``(t, rollback(t))``
+        at every commit time, oldest first.  A view of the stamps, so a
+        state per commit that stamped a row — every change; a transaction
+        that left this store as it was stamps nothing."""
+        return [(when, self.rollback(when)) for when in self.commit_times()]
+
     def commit_times(self) -> List[Instant]:
         """Every transaction time at which this store changed, ascending."""
         if self._times_cache is None:
@@ -504,9 +511,12 @@ class TransactionTimeStore(StateStore):
             log = log[:self._closed_len]
         log.extend(closed)
         successor._set_past(self._lineage, log)
-        metrics = _obs.current().metrics
-        metrics.counter("commit.rows_closed").inc(len(closed))
-        metrics.counter("commit.rows_opened").inc(len(opened))
+        rows_closed, rows_opened = _obs.current().metrics.handles(
+            "commit.rows_closed", lambda metrics: (
+                metrics.counter("commit.rows_closed"),
+                metrics.counter("commit.rows_opened")))
+        rows_closed.inc(len(closed))
+        rows_opened.inc(len(opened))
 
 
 def _closed(row: Any, commit_time: Instant) -> Any:

@@ -15,12 +15,15 @@ After ``vacuum(relation, cutoff)``:
 - ``rollback(t)`` for ``t >= cutoff`` is unchanged;
 - ``rollback(t)`` for ``t < cutoff`` sees the null relation — that
   history has been discarded, and the store honestly reports knowing
-  nothing about it (both representations agree on this).
+  nothing about it.
+
+A rollback relation and a temporal relation are both stamped stores
+(Figure 4, Figure 8), so one function, :func:`vacuum_store`, serves
+both.
 """
 
 from __future__ import annotations
 
-from repro.core.rollback import StateSequence
 from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import AppendOnlyViolation
 from repro.time.instant import Instant, POS_INF, instant as _coerce
@@ -54,22 +57,3 @@ def vacuum_store(relation: TransactionTimeStore,
     return type(relation)(relation.schema, (
         row._replace(tt=tt) for row in relation.rows
         if (tt := row.tt.intersect(kept)) is not None))
-
-
-def vacuum_states(sequence: StateSequence, cutoff) -> StateSequence:
-    """Drop whole states before *cutoff* from a state-sequence store.
-
-    The newest state at or before the cutoff is retained (re-stamped at
-    the cutoff) so rollbacks at the cutoff still answer correctly.
-    """
-    when = _coerce(cutoff)
-    states = sequence.states
-    newest = states[-1][0] if states else when
-    _check_cutoff(when, newest)
-    older = [(time, state) for time, state in states if time <= when]
-    newer = [(time, state) for time, state in states if time > when]
-    kept = []
-    if older:
-        kept.append((when, older[-1][1]))
-    kept.extend(newer)
-    return StateSequence(sequence.schema, kept)

@@ -59,8 +59,7 @@ from typing import Tuple as PyTuple
 
 from repro.core.historical import (HistoricalDatabase, HistoricalRelation,
                                    HistoricalRow, HistoricalStore)
-from repro.core.rollback import (INTERVAL, RollbackDatabase,
-                                 RollbackRelation, StateSequence,
+from repro.core.rollback import (RollbackDatabase, RollbackRelation,
                                  TransactionTimeRow)
 from repro.core.static import StaticDatabase, StaticStore
 from repro.core.transaction_time import StateStore
@@ -340,19 +339,14 @@ def _texts(tuples: Any, stamps: Optional[List[Any]],
 
 def write_texts(items: Iterable[Any], field: str, memo: Dict[Instant, Any],
                 separators: PyTuple[str, str]) -> RowTexts:
-    """The one row writer: each of *items* — a store's ``rows``, ``tuples``
-    or ``states`` (a cube's ``(time, state)`` pairs) — as ``json.dumps(...,
-    sort_keys=True, ensure_ascii=False, separators=separators)`` writes it
-    in a dump (:func:`_texts`; an instant encoded once per *memo*)."""
+    """The one row writer: each of *items* — a store's ``rows`` or
+    ``tuples`` — as ``json.dumps(..., sort_keys=True, ensure_ascii=False,
+    separators=separators)`` writes it in a dump (:func:`_texts`; an
+    instant encoded once per *memo*)."""
     items, comma = list(items), separators[0]
     encode = json.JSONEncoder(
         sort_keys=True, ensure_ascii=False, separators=separators,
         default=functools.partial(encode_value, memo=memo)).encode
-    if field == "states":  # every pair's tuples in one batch
-        rows = iter(_texts([row for _, state in items for row in state],
-                           None, encode, comma))
-        return RowTexts("[%s%s[%s]]" % (encode(time), comma, comma.join(
-            itertools.islice(rows, len(state)))) for time, state in items)
     tuples, *stamps = zip(*items) if field == "rows" and items else [items]
     return _texts(tuples, stamps if field == "rows" else None, encode, comma)
 
@@ -461,8 +455,6 @@ def store_to_dict(store: Any, closed: bool = True,
     if isinstance(store, (TemporalRelation, RollbackRelation)):
         kind = "temporal" if isinstance(store, TemporalRelation) else "rollback"
         field, rows = "rows", store.rows if closed else store.open_rows()
-    elif isinstance(store, StateSequence):
-        kind, field, rows = "states", "states", store.states
     else:
         if isinstance(store, StateStore):
             store = store.current()  # a state without transaction time
@@ -500,11 +492,6 @@ def relation_from_dict(data: Dict[str, Any],
     memo = {} if memo is None else memo
     if kind == "static":
         return Relation(schema, _decode_rows(schema, data["tuples"], memo))
-    if kind == "states":
-        return StateSequence(schema, (
-            (decode_value(time, memo),
-             Relation(schema, _decode_rows(schema, rows, memo)))
-            for time, rows in data["states"]))
     if kind in _ROW_SHAPES:
         store_type, row_type = _ROW_SHAPES[kind]
         rows = _decode_rows(schema, data["rows"], memo, row_type)
@@ -539,7 +526,6 @@ def _dump(database, closed: bool, memo: Optional[Dict[Instant, Any]] = None,
         if is_event is not None and is_event(name):
             entry["event"] = True
     return {"version": FORMAT_VERSION, "kind": database.kind.value,
-            "representation": getattr(database, "representation", None),
             "relations": relations}
 
 
@@ -600,11 +586,7 @@ def load_database(data: Dict[str, Any], clock=None):
     if clock is None:
         clock = SimulatedClock(last if last is not None else 1)
 
-    if db_class is RollbackDatabase:
-        database = RollbackDatabase(
-            clock=clock, representation=data.get("representation") or INTERVAL)
-    else:
-        database = db_class(clock=clock)
+    database = db_class(clock=clock)
 
     # Rebuild private state directly; the dump is the source of truth.
     memo: Memo = {}

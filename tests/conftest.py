@@ -74,11 +74,6 @@ def rollback_faculty():
 
 
 @pytest.fixture
-def rollback_faculty_states():
-    return build_faculty(RollbackDatabase, representation="states")
-
-
-@pytest.fixture
 def historical_faculty():
     return build_faculty(HistoricalDatabase)
 

@@ -4,30 +4,31 @@
 per transaction and applies every later operation of the transaction to
 that copy in place.  The reference is what each operation did before:
 derive its own version from a fresh copy (``StateStore.advance`` with
-``mine`` forced off).  On all four kinds (and the cube), over keyed and
-keyless relations, batches that insert a key and then replace or delete
-it, and batches that break the key, the two must leave the same rows in
-the same order — open map, closed log and key index — the same digest,
-or raise the same exception with the same message; and the version
-installed before the batch must not change under either.
+``mine`` forced off).  On all four kinds, over keyed and keyless
+relations, batches that insert a key and then replace or delete it, and
+batches that break the key, the two must leave the same rows in the same
+order — open map, closed log and key index — the same digest, or raise
+the same exception with the same message; and the version installed
+before the batch must not change under either.  A rollback database's
+history is also held to an independent reference: a static database
+snapshotted after every commit (``tests/core/snapshot_model.py``).
 """
 
-import functools
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
-                        StaticDatabase, TemporalDatabase)
-from repro.core.rollback import StateSequence
+from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
+                        TemporalDatabase)
 from repro.core.transaction_time import StateStore, TransactionTimeStore
 from repro.relational import Domain, Schema
 from repro.replication import state_digest
 from repro.time import Instant, SimulatedClock
 
+from tests.core.snapshot_model import SnapshotModel
+
 BASE = Instant.parse("01/01/80")
 KINDS = {"static": StaticDatabase, "rollback": RollbackDatabase,
-         "cube": functools.partial(RollbackDatabase, representation=STATES),
          "historical": HistoricalDatabase, "temporal": TemporalDatabase}
 KEYS = st.sampled_from(["a", "b", "c"])
 VALUES = st.integers(0, 2)
@@ -63,7 +64,7 @@ def submit(database, operation, txn=None):
 
 
 def build(kind, keyed, setup):
-    database = KINDS[kind](clock=SimulatedClock(BASE))
+    database = kind(clock=SimulatedClock(BASE))
     database.define("r", Schema.of(key=["k"] if keyed else None,
                                    k=Domain.STRING, v=Domain.INTEGER))
     for operation in setup:
@@ -75,12 +76,10 @@ def build(kind, keyed, setup):
 
 
 def layout(store):
-    """Everything whose order a store keeps: rows, open map, closed log
-    (the cube: its states), key index."""
+    """Everything whose order a store keeps: rows, open map, closed log,
+    key index."""
     past = (list(store._closed_log[:store._closed_len])
-            if isinstance(store, TransactionTimeStore) else
-            [(when, list(state)) for when, state in store.states]
-            if isinstance(store, StateSequence) else None)
+            if isinstance(store, TransactionTimeStore) else None)
     index = store._key_index()
     return (list(store.rows), list(store._open.items()), past,
             None if index is None else list(index.items()))
@@ -117,7 +116,8 @@ def one_at_a_time():
        st.lists(operations(), min_size=1, max_size=8), operations())
 def test_a_folded_batch_is_its_operations_one_at_a_time(kind, keyed, setup,
                                                        batch, after):
-    folded, reference = build(kind, keyed, setup), build(kind, keyed, setup)
+    folded, reference = (build(KINDS[kind], keyed, setup),
+                         build(KINDS[kind], keyed, setup))
     installed = folded.store("r")
     before = layout(installed)
     for database in (folded, reference):
@@ -132,3 +132,11 @@ def test_a_folded_batch_is_its_operations_one_at_a_time(kind, keyed, setup,
     with one_at_a_time():
         expected = commit(reference, [after])
     assert commit(folded, [after]) == expected
+    if kind == "rollback":  # every state it answers for, to the model's
+        model = build(SnapshotModel, keyed, setup)
+        for at, operations in ((10, batch), (20, [after])):
+            model.manager.clock.source.set(BASE + at)
+            commit(model, operations)
+        for when, state in model.states("r"):
+            assert folded.rollback("r", when) == state
+        model.check_view(folded.store("r").states(), "r")

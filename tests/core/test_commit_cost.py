@@ -13,7 +13,10 @@ commit costs"):
 - the ``commit.rows_*`` counters count what they counted when every
   operation derived its own version;
 - the logged operation keeps the arguments dict the API built for it,
-  uncopied.
+  uncopied;
+- a recorded commit, after its first, looks up no instrument by name:
+  every counter, gauge and histogram it feeds is bound once per
+  registry (``MetricsRegistry.handles``).
 """
 
 import json
@@ -101,6 +104,21 @@ def test_a_replace_logs_the_arguments_the_api_built(kind, monkeypatch):
     database.replace("faculty", {"name": "Tom"}, {"rank": "full"},
                      **valid(database, valid_from="01/01/84"))
     assert database.log.last().operations[-1].arguments is built[-1]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=IDS)
+def test_a_recorded_commit_looks_up_no_metric_by_name(kind, monkeypatch):
+    with obs.recording() as instrumentation:
+        database, _ = build_faculty(kind)
+        registry = type(instrumentation.metrics)
+        calls = Calls(monkeypatch, (registry, "counter"), (registry, "gauge"),
+                      (registry, "histogram"))
+        for rank in ["full", "associate"] * 50:
+            database.replace("faculty", {"name": "Tom"}, {"rank": rank},
+                             **valid(database, valid_from="01/01/84"))
+    assert calls.counts == {"counter": 0, "gauge": 0, "histogram": 0}
+    counters = instrumentation.metrics.snapshot()["counters"]
+    assert counters["commit.batches"] == 107  # define, six DML, 100
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=IDS)

@@ -11,6 +11,7 @@ from repro.relational.aggregate import agg_avg, agg_sum, count
 from repro.time import Instant, Period, SimulatedClock
 
 from tests.conftest import build_faculty
+from tests.core.snapshot_model import SnapshotModel
 
 
 class TestHistorySeries:
@@ -116,14 +117,20 @@ class TestRollbackRange:
         assert database.rollback_range("faculty", "12/10/82", "12/10/82") \
             == database.rollback("faculty", "12/10/82")
 
-    def test_representations_agree(self, rollback_faculty,
-                                   rollback_faculty_states):
+    def test_representations_agree(self, rollback_faculty):
+        # The union of Figure 3's states over the range, the states built
+        # by the snapshot model: the one in force at the range's start
+        # and every one committed after it, up to its end.
         interval_db, _ = rollback_faculty
-        states_db, _ = rollback_faculty_states
+        model, _ = build_faculty(SnapshotModel)
         for bounds in (("12/02/82", "12/20/82"), ("01/01/77", "01/01/85"),
                        ("06/01/83", "06/01/83")):
-            assert interval_db.rollback_range("faculty", *bounds) == \
-                states_db.rollback_range("faculty", *bounds), bounds
+            start, end = map(Instant.parse, bounds)
+            union = set(model.state_at("faculty", start)).union(*(
+                state for when, state in model.states("faculty")
+                if start < when <= end))
+            assert set(interval_db.rollback_range("faculty", *bounds)) == \
+                union, bounds
 
     def test_range_before_history_is_empty(self, rollback_faculty):
         database, _ = rollback_faculty

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.core import (INTERVAL, STATES, BoundedValidity, ContiguousHistory,
+from repro.core import (BoundedValidity, ContiguousHistory,
                         HistoricalDatabase, HistoricalRelation,
                         NoFutureValidity, RollbackDatabase, RollbackRelation,
                         StaticDatabase, TemporalDatabase, TemporalRelation,
@@ -43,6 +43,7 @@ from repro.txn.transaction import Operation
 from tests.core.whole_state_oracle import (apply_historical_operation,
                                            apply_static_operation,
                                            check_state, naive_advance)
+from tests.core.snapshot_model import SnapshotModel
 
 BASE = Instant.parse("01/01/80")
 KEYS = ["k%d" % i for i in range(6)]
@@ -350,9 +351,9 @@ class TestTemporalEquivalence:
         assert len(database.snapshot("doomed")) == 1
 
 
-def _drive_rollback(seed, representation, steps=35):
+def _drive_rollback(seed, kind=RollbackDatabase, steps=35):
     clock = SimulatedClock(BASE)
-    database = RollbackDatabase(clock=clock, representation=representation)
+    database = kind(clock=clock)
     database.define("r", _schema())
     rng = random.Random(seed)
     now = 1000
@@ -374,22 +375,24 @@ def _drive_rollback(seed, representation, steps=35):
 class TestRollbackEquivalence:
     @pytest.mark.parametrize("seed", [0, 9, 77])
     def test_interval_matches_state_cube(self, seed):
-        interval = _drive_rollback(seed, INTERVAL)
-        cube = _drive_rollback(seed, STATES)
+        # The cube is the snapshot model's: a static database's state
+        # after every commit.
+        interval = _drive_rollback(seed)
+        cube = _drive_rollback(seed, SnapshotModel)
         commits = [record.commit_time for record in interval.log]
         assert commits == [record.commit_time for record in cube.log]
         for as_of in commits:
-            assert interval.rollback("r", as_of) == cube.rollback("r", as_of)
+            assert interval.rollback("r", as_of) == cube.state_at("r", as_of)
         assert interval.snapshot("r") == cube.snapshot("r")
 
     @pytest.mark.parametrize("seed", [2, 13])
     def test_interval_matches_naive_replay(self, seed):
-        interval = _drive_rollback(seed, INTERVAL)
-        cube = _drive_rollback(seed, STATES)
-        # Replay the cube's state sequence through the naive advance:
-        # the incremental store must be the very same value.
+        interval = _drive_rollback(seed)
+        model = _drive_rollback(seed, SnapshotModel)
+        # Replay the model's state after every commit through the naive
+        # advance: the incremental store must be the very same value.
         store = RollbackRelation(interval.schema("r"))
-        for commit, state in cube.store("r").states:
+        for commit, state in model.states("r"):
             store = naive_advance(store, state, commit)
         assert interval.store("r") == store
         for record in interval.log:
@@ -400,7 +403,7 @@ class TestRollbackEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1985])
     def test_rows_match_naive_replay(self, seed):
         # The temporal seeds, the other element type, the same advance.
-        database = _drive_rollback(seed, INTERVAL, steps=40)
+        database = _drive_rollback(seed, steps=40)
         assert database.store("r") == _replay_naive(database)
 
     def test_created_and_superseded_within_one_transaction(self):
@@ -431,7 +434,7 @@ class TestRollbackEquivalence:
         # a serializer round trip of a rollback store equals its source.
         from repro.storage.serializer import (relation_from_dict,
                                               store_to_dict)
-        store = _drive_rollback(5, INTERVAL).store("r")
+        store = _drive_rollback(5).store("r")
         assert (RollbackRelation(store.schema, store.rows)
                 == RollbackRelation(store.schema, store.rows))
         loaded = relation_from_dict(store_to_dict(store))
@@ -883,7 +886,7 @@ class TestIndexRefreshEveryNth:
     @pytest.mark.parametrize("every", [1, 3, 17])
     def test_rollback_store_index_follows_the_logs(self, every):
         clock = SimulatedClock(BASE)
-        database = RollbackDatabase(clock=clock, representation=INTERVAL)
+        database = RollbackDatabase(clock=clock)
         database.define("r", _schema())
         rng = random.Random(every)
         cache = database.index_cache

@@ -67,14 +67,6 @@ class TestUpgrades:
             assert target.rollback("faculty", when).timeslice(when) == \
                 source.rollback("faculty", when), when
 
-    def test_states_representation_migrates_too(self,
-                                                rollback_faculty_states):
-        source, _ = rollback_faculty_states
-        target = migrate(source, TemporalDatabase)
-        when = Instant.parse("12/10/82")
-        assert target.rollback("faculty", when).timeslice(when) == \
-            source.rollback("faculty", when)
-
     def test_migrated_database_accepts_new_commits(self, static_faculty):
         source, _ = static_faculty
         target = migrate(source, TemporalDatabase)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import (HistoricalRelation, changed_instants,
-                        rollback_equivalent, snapshot_equivalent,
-                        temporal_timeslice_matrix, when_join)
+                        snapshot_equivalent, temporal_timeslice_matrix,
+                        when_join)
 from repro.core.historical import HistoricalRow
 from repro.relational import Domain, Schema, Tuple
 from repro.time import Instant, Period
@@ -90,16 +90,6 @@ class TestEquivalences:
         b = hrel([("A", "full", "01/01/80", "01/01/83")])
         assert not snapshot_equivalent(a, b)
         assert not snapshot_equivalent(a, b, probes=changed_instants(b))
-
-    def test_rollback_equivalent_on_paper_scenario(self):
-        interval_db, _ = build_faculty(RollbackDatabase)
-        states_db, _ = build_faculty(RollbackDatabase,
-                                     representation="states")
-        probes = [Instant.parse(p) for p in
-                  ("01/01/77", "08/25/77", "12/06/82", "12/10/82",
-                   "12/15/82", "06/01/83", "03/01/84", "01/01/85")]
-        assert rollback_equivalent(interval_db.store("faculty"),
-                                   states_db.store("faculty"), probes)
 
     def test_changed_instants_bracket_boundaries(self):
         relation = hrel([("A", "full", "01/01/80", "01/01/82")])

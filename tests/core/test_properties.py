@@ -2,11 +2,14 @@
 
 These are the load-bearing claims of the reproduction:
 
-1. **Rollback representation equivalence** — the interval-stamped store
-   (Figure 4) and the state-sequence cube (Figure 3) answer every
-   rollback identically, for arbitrary transaction sequences.
-2. **Rollback vs. naive model** — rollback(t) equals what an independent,
-   dead-simple model (snapshots recorded after every commit) says.
+1. **Rollback vs. naive model** — the interval-stamped store (Figure 4)
+   answers every rollback as an independent, dead-simple model of the
+   cube of Figure 3 (snapshots recorded after every commit,
+   ``tests/core/snapshot_model.py``) says, for arbitrary transaction
+   sequences, and its ``states()`` view holds the model's state at every
+   commit that stamped a row, so at every change.
+2. **Figure 10 commutes** — dropping either capability commutes with
+   the updates.
 3. **Temporal = rollback of historical states** — a temporal database's
    rollback(t) equals the historical state an identically-driven
    historical database had at time t.
@@ -25,8 +28,10 @@ from repro.core import (HistoricalDatabase, HistoricalRelation,
                         RollbackDatabase, StaticDatabase, TemporalDatabase)
 from repro.core.historical import HistoricalRow
 from repro.core.operations import changed_instants
-from repro.relational import Domain, Relation, Schema, Tuple
+from repro.relational import Domain, Schema, Tuple
 from repro.time import NEG_INF, Instant, Period, SimulatedClock
+
+from tests.core.snapshot_model import SnapshotModel
 
 SCHEMA = Schema.of(name=Domain.STRING, grade=Domain.INTEGER)
 
@@ -78,40 +83,22 @@ class TestRollbackEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_interval_equals_states_equals_model(self, ops):
         interval_db = RollbackDatabase(clock=SimulatedClock(BASE))
-        states_db = RollbackDatabase(clock=SimulatedClock(BASE),
-                                     representation="states")
-        model_db = StaticDatabase(clock=SimulatedClock(BASE))
-        for db in (interval_db, states_db, model_db):
+        # The naive model: the same ops into a static DB, snapshotting
+        # after every commit.
+        model = SnapshotModel(clock=SimulatedClock(BASE))
+        for db in (interval_db, model):
             db.define("r", SCHEMA)
-        drive_snapshot_ops(interval_db, ops)
-        drive_snapshot_ops(states_db, ops)
-
-        # The naive model: re-apply ops to a static DB, snapshotting after
-        # every commit.
-        model: List[PyTuple[Instant, Relation]] = []
-        clock = model_db.manager.clock.source
-        for gap, kind, payload in ops:
-            clock.advance(gap)
-            try:
-                if kind == "insert":
-                    when = model_db.insert("r", payload)
-                elif kind == "delete":
-                    when = model_db.delete("r", payload)
-                else:
-                    when = model_db.replace("r", payload[0], payload[1])
-                model.append((when, model_db.snapshot("r")))
-            except Exception:
-                continue
+        commits = drive_snapshot_ops(interval_db, ops)
+        assert drive_snapshot_ops(model, ops) == commits
 
         probes = [Instant.from_chronon(BASE + offset)
                   for offset in range(0, 80, 3)]
         for probe in probes:
-            expected = Relation.empty(SCHEMA)
-            for when, snapshot in model:
-                if when <= probe:
-                    expected = snapshot
-            assert interval_db.rollback("r", probe) == expected
-            assert states_db.rollback("r", probe) == expected
+            assert interval_db.rollback("r", probe) == model.state_at(
+                "r", probe)
+        # The states view: the model's state at every commit that stamped
+        # a row, so at every change.
+        model.check_view(interval_db.store("r").states(), "r")
 
     @given(operations())
     @settings(max_examples=40, deadline=None)
@@ -119,18 +106,16 @@ class TestRollbackEquivalence:
         # One op stream into all four kinds, every fact valid over the
         # whole timeline in the two valid-time ones.  Dropping either
         # capability of Figure 10 must commute with the updates: static
-        # after a prefix = rollback(t_prefix) under both representations,
+        # after a prefix = rollback(t_prefix),
         # historical after it = temporal.rollback(t_prefix), and the
         # temporal diagonal — roll back, then timeslice anywhere — is the
         # rollback database's answer.
         static_db = StaticDatabase(clock=SimulatedClock(BASE))
-        rollback_dbs = [RollbackDatabase(clock=SimulatedClock(BASE)),
-                        RollbackDatabase(clock=SimulatedClock(BASE),
-                                         representation="states")]
+        rollback_db = RollbackDatabase(clock=SimulatedClock(BASE))
         historical_db = HistoricalDatabase(clock=SimulatedClock(BASE))
         temporal_db = TemporalDatabase(clock=SimulatedClock(BASE))
         valid_time = (historical_db, temporal_db)
-        everyone = (static_db, *rollback_dbs, *valid_time)
+        everyone = (static_db, rollback_db, *valid_time)
         for db in everyone:
             db.define("r", SCHEMA)
         prefixes = []
@@ -146,14 +131,13 @@ class TestRollbackEquivalence:
                     commits.add(db.delete("r", payload))
                 else:
                     commits.add(db.replace("r", payload[0], payload[1]))
-            (when,) = commits  # the five clocks tick in lock step
+            (when,) = commits  # the four clocks tick in lock step
             prefixes.append((when, static_db.snapshot("r"),
                              historical_db.history("r")))
         anywhere = [Instant.from_chronon(BASE + offset)
                     for offset in (-1000, 17, 100000)]
         for when, static_state, historical_state in prefixes:
-            for db in rollback_dbs:
-                assert db.rollback("r", when) == static_state
+            assert rollback_db.rollback("r", when) == static_state
             believed = temporal_db.rollback("r", when)
             assert believed == historical_state
             for valid_at in anywhere:
@@ -275,7 +259,7 @@ class TestTemporalIsSequenceOfHistoricalStates:
         database.define("r", SCHEMA)
         drive_valid_ops(database, ops)
         relation = database.temporal("r")
-        for when, state in relation.historical_states():
+        for when, state in relation.states():
             assert state == relation.rollback(when)
 
 

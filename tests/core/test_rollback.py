@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import (DatabaseKind, INTERVAL, STATES, RollbackDatabase,
-                        RollbackRelation, StateSequence)
+from repro.core import DatabaseKind, RollbackDatabase, RollbackRelation
 from repro.errors import HistoricalNotSupportedError
 from repro.relational import Relation
 from repro.time import Instant, POS_INF, SimulatedClock
 
 from tests.conftest import build_faculty, faculty_schema
+from tests.core.snapshot_model import SnapshotModel
 
 
 class TestKind:
@@ -24,14 +24,10 @@ class TestKind:
             database.timeslice("faculty", "12/10/82")
 
     def test_bad_representation_rejected(self):
-        with pytest.raises(ValueError):
+        # One representation (Figure 4's stamps): no option selects another.
+        with pytest.raises(TypeError):
             RollbackDatabase(clock=SimulatedClock("01/01/80"),
                              representation="cube")
-
-    def test_representation_property(self, rollback_faculty,
-                                      rollback_faculty_states):
-        assert rollback_faculty[0].representation == INTERVAL
-        assert rollback_faculty_states[0].representation == STATES
 
 
 class TestRollbackQueries:
@@ -90,13 +86,14 @@ class TestBothRepresentationsAgree:
               "12/07/82", "12/10/82", "12/15/82", "12/16/82", "01/10/83",
               "02/24/84", "02/25/84", "01/01/85"]
 
-    def test_every_probe_agrees(self, rollback_faculty,
-                                rollback_faculty_states):
+    def test_every_probe_agrees(self, rollback_faculty):
+        # Figure 4's stamps and Figure 3's cube, the cube built by the
+        # snapshot model (a static database's state after every commit).
         interval_db, _ = rollback_faculty
-        states_db, _ = rollback_faculty_states
+        cube, _ = build_faculty(SnapshotModel)
         for probe in self.PROBES:
             assert (interval_db.rollback("faculty", probe)
-                    == states_db.rollback("faculty", probe)), probe
+                    == cube.state_at("faculty", probe)), probe
 
 
 class TestIntervalStore:
@@ -132,27 +129,46 @@ class TestIntervalStore:
 
 
 class TestStatesStore:
-    def test_one_state_per_transaction(self, rollback_faculty_states):
-        database, _ = rollback_faculty_states
-        store = database.store("faculty")
-        assert isinstance(store, StateSequence)
-        # Six DML transactions drove the scenario.
-        assert len(store) == 6
+    """Figure 3's sequence of states, read from Figure 4's stamps."""
 
-    def test_states_are_cumulative_snapshots(self, rollback_faculty_states):
-        database, _ = rollback_faculty_states
-        states = database.store("faculty").states
+    def test_one_state_per_transaction(self, rollback_faculty):
+        database, _ = rollback_faculty
+        # Six DML transactions drove the scenario.
+        assert len(database.store("faculty").states()) == 6
+
+    def test_states_are_cumulative_snapshots(self, rollback_faculty):
+        database, _ = rollback_faculty
+        states = database.store("faculty").states()
         cardinalities = [len(state) for _, state in states]
         assert cardinalities == [1, 2, 2, 2, 3, 2]
 
     def test_multiple_ops_one_transaction_one_state(self):
         clock = SimulatedClock("01/01/80")
-        database = RollbackDatabase(clock=clock, representation=STATES)
+        database = RollbackDatabase(clock=clock)
         database.define("faculty", faculty_schema())
         with database.begin() as txn:
             database.insert("faculty", {"name": "A", "rank": "full"}, txn=txn)
             database.insert("faculty", {"name": "B", "rank": "full"}, txn=txn)
-        assert len(database.store("faculty")) == 1
+        assert len(database.store("faculty").states()) == 1
+
+    def test_a_transaction_that_changes_nothing_adds_no_state(self):
+        # A duplicate insert and a delete that matches nothing commit, and
+        # a cube stored per transaction would append a state for each;
+        # the stamps record no change, so the view has one state per
+        # change — the model's states less those two.
+        database, clock = build_faculty(RollbackDatabase)
+        model, model_clock = build_faculty(SnapshotModel)
+        for db, at in ((database, clock), (model, model_clock)):
+            at.set("06/01/84")
+            db.insert("faculty", {"name": "Tom", "rank": "associate"})
+            at.set("07/01/84")
+            db.delete("faculty", {"name": "Nobody"})
+        states = database.store("faculty").states()
+        assert len(states) == 6
+        assert len(model.states("faculty")) == 9  # with the define's
+        assert states == model.changes("faculty")
+        assert database.rollback("faculty", "07/01/84") == model.state_at(
+            "faculty", "07/01/84")
 
 
 class TestAppendOnly:
@@ -188,9 +204,11 @@ class TestAppendOnly:
 class TestStorageAccounting:
     def test_states_duplicate_storage_exceeds_interval(self):
         # The paper's claim: the cube representation is "impractical, due
-        # to excessive duplication".
-        interval_db, _ = build_faculty(RollbackDatabase)
-        states_db, _ = build_faculty(RollbackDatabase, representation="states")
-        interval_cells = interval_db.store("faculty").storage_cells()
-        states_cells = states_db.store("faculty").storage_cells()
-        assert states_cells > interval_cells
+        # to excessive duplication".  ``cube_cells`` is what the cube of
+        # the model's states, one per change, would store.
+        store = build_faculty(RollbackDatabase)[0].store("faculty")
+        model, _ = build_faculty(SnapshotModel)
+        arity = len(faculty_schema())
+        assert store.cube_cells() == sum(
+            len(state) * arity for _, state in model.changes("faculty"))
+        assert store.cube_cells() > store.storage_cells()

@@ -7,11 +7,10 @@ checks the schemas, the frozenset waits for its first use), and a
 temporal rollback built from the rows in force as they are
 (``state_in_force``: a database's store holds each element at most once
 at any transaction instant).  The walks that dedupe —
-``TransactionTimeStore.rollback``, ``HistoricalRelation.timeslice``, the
-cube's bisect — are the executable specification.
+``TransactionTimeStore.rollback``, ``HistoricalRelation.timeslice`` —
+are the executable specification.
 
-Generated histories on all four kinds, both rollback representations and
-3-shard stores mix value-equal facts with overlapping validity,
+Generated histories on all four kinds and 3-shard stores mix value-equal facts with overlapping validity,
 retroactive and postactive valid-time changes, an element deleted and
 re-inserted, checkpoints and restarts that recover a checkpoint plus a
 journal tail.  Every read must hold the walk's tuples once each, be
@@ -20,7 +19,6 @@ The constructor itself is held to the loop it replaced: the same tuples
 in the same order, the same ``SchemaError``.
 """
 
-import functools
 import sys
 import tempfile
 import threading
@@ -32,7 +30,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
 from repro.core.historical import HistoricalRelation
-from repro.core.rollback import STATES
 from repro.errors import (ConstraintViolation, HistoricalNotSupportedError,
                           RollbackNotSupportedError, SchemaError)
 from repro.relational import Domain, Relation, Schema, Tuple
@@ -55,13 +52,10 @@ PROBES = [BASE + day for day in (0, 7, 20, 39, 61, 95)]
 KINDS = {
     "static": StaticDatabase,
     "rollback": RollbackDatabase,
-    "rollback-states": functools.partial(RollbackDatabase,
-                                         representation=STATES),
     "historical": HistoricalDatabase,
     "temporal": TemporalDatabase,
 }
-CONFIGS = [(kind, shards) for kind in KINDS for shards in (None, 3)
-           if not (kind == "rollback-states" and shards)]
+CONFIGS = [(kind, shards) for kind in KINDS for shards in (None, 3)]
 
 DAY = st.integers(0, 80)
 OPS = st.one_of(
@@ -181,17 +175,11 @@ def merged(parts):
                                       for row in rows_of(part)])
 
 
-def commit_times(store):
-    """Every instant the store changed, ascending (a recovered database's
-    log holds only the commits replayed after its checkpoint)."""
-    if hasattr(store, "commit_times"):
-        return store.commit_times()
-    return [time for time, _ in store.states]
-
-
 def latest(store):
-    """The last instant the store changed (its current state's pin)."""
-    times = commit_times(store)
+    """The last instant the store changed (its current state's pin; a
+    recovered database's log holds only the commits replayed after its
+    checkpoint)."""
+    times = store.commit_times()
     return times[-1] if times else NEG_INF
 
 
@@ -250,7 +238,7 @@ def test_reads_equal_the_store_walk(kind, shards, steps):
         if not db.supports_rollback:
             return
         pins = sorted({time for store in stores
-                       for time in commit_times(store)})
+                       for time in store.commit_times()})
         for pin in [NEG_INF] + pins + [POS_INF]:
             same(db.rollback("r", pin),
                  merged([store.rollback(pin) for store in stores]))

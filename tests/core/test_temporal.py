@@ -101,7 +101,7 @@ class TestRollback:
         # "A temporal relation may be thought of as a sequence of
         # historical states" (Figure 7).
         database, _ = temporal_faculty
-        states = database.temporal("faculty").historical_states()
+        states = database.temporal("faculty").states()
         assert len(states) == 6  # one per DML transaction
         times = [time for time, _ in states]
         assert times == sorted(times)

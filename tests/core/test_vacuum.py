@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import (RollbackDatabase, TemporalDatabase, vacuum_states,
-                        vacuum_store)
+from repro.core import RollbackDatabase, TemporalDatabase, vacuum_store
 from repro.errors import AppendOnlyViolation
 from repro.time import Instant
 
@@ -46,22 +45,28 @@ class TestVacuumRollback:
 
 
 class TestVacuumStates:
-    def test_equivalent_after_cutoff(self, rollback_faculty_states):
-        database, _ = rollback_faculty_states
-        store = database.store("faculty")
-        vacuumed = vacuum_states(store, CUTOFF)
-        for probe in ("01/01/83", "01/10/83", "06/01/84"):
-            assert vacuumed.rollback(probe) == store.rollback(probe), probe
+    """Vacuuming seen through Figure 3's sequence of states: the states
+    before the cutoff go, the one in force at it is kept from it on."""
 
-    def test_state_count_shrinks(self, rollback_faculty_states):
-        database, _ = rollback_faculty_states
+    def test_equivalent_after_cutoff(self, rollback_faculty):
+        database, _ = rollback_faculty
         store = database.store("faculty")
-        assert len(vacuum_states(store, CUTOFF)) < len(store)
+        vacuumed = vacuum_store(store, CUTOFF)
+        kept = [(when, state) for when, state in store.states()
+                if when > Instant.parse(CUTOFF)]
+        assert vacuumed.states() == [
+            (Instant.parse(CUTOFF), store.rollback(CUTOFF)), *kept]
 
-    def test_old_rollback_sees_null_relation(self, rollback_faculty_states):
-        database, _ = rollback_faculty_states
+    def test_state_count_shrinks(self, rollback_faculty):
+        database, _ = rollback_faculty
         store = database.store("faculty")
-        vacuumed = vacuum_states(store, CUTOFF)
+        assert len(vacuum_store(store, CUTOFF).states()) < len(store.states())
+
+    def test_old_rollback_sees_null_relation(self, rollback_faculty):
+        database, _ = rollback_faculty
+        store = database.store("faculty")
+        vacuumed = vacuum_store(store, CUTOFF)
+        assert vacuumed.states()[0][0] == Instant.parse(CUTOFF)
         assert vacuumed.rollback("12/10/82").is_empty
         assert vacuumed.rollback(CUTOFF) == store.rollback(CUTOFF)
 

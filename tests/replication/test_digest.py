@@ -15,7 +15,6 @@ because no state survives from one call to the next.
 """
 
 import datetime
-import functools
 import hashlib
 import json
 import shutil
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
-from repro.core.rollback import STATES
 from repro.relational import Attribute, Domain, Schema
 from repro.replication import state_digest
 from repro.sharding import ShardedDatabase, sharded_digest
@@ -42,8 +40,6 @@ from tests.replication.digest_oracle import oracle_digest, oracle_payload
 FACTORIES = {
     "static": StaticDatabase,
     "rollback-interval": RollbackDatabase,
-    "rollback-states": functools.partial(RollbackDatabase,
-                                         representation=STATES),
     "historical": HistoricalDatabase,
     "temporal": TemporalDatabase,
 }

@@ -8,7 +8,6 @@ list are refused.  The old decode iterated whatever it was given, so a
 dict decoded into its keys and a string into its characters.
 """
 
-from repro.core.rollback import StateSequence
 from repro.errors import ConstraintViolation, StorageError
 from repro.relational.relation import Relation
 from repro.relational.tuple import Tuple
@@ -37,12 +36,6 @@ def relation_from_dict(data, memo=None):
     if kind == "static":
         return Relation(schema, (tuple_from_list(schema, values, memo)
                                  for values in data["tuples"]))
-    if kind == "states":
-        return StateSequence(schema, (
-            (decode_value(time, memo),
-             Relation(schema, (tuple_from_list(schema, row, memo)
-                               for row in rows)))
-            for time, rows in data["states"]))
     if kind in _ROW_SHAPES:
         store_type, row_type = _ROW_SHAPES[kind]
         # Every row decodes before the store refuses an element open twice.

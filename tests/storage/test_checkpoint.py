@@ -1,6 +1,5 @@
 """Unit tests for checkpoint files and the checkpoint store."""
 
-import functools
 import json
 import os
 import shutil
@@ -11,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
-                        TemporalDatabase, vacuum_states, vacuum_store)
-from repro.core.rollback import STATES, StateSequence
+                        TemporalDatabase, vacuum_store)
 from repro.core.transaction_time import TransactionTimeStore
 from repro.errors import CheckpointError
 from repro.relational import Domain, Schema
@@ -339,33 +337,6 @@ class TestCheckpointEncodesWhatChanged:
         restarted.checkpoint()
         assert written == []
 
-    def test_an_unchanged_cube_is_encoded_once(self, tmp_path, monkeypatch):
-        """A cube's stored items are its ``(commit time, state)`` pairs;
-        they stay the same objects between commits, so a second
-        checkpoint at an unchanged index writes none of them afresh."""
-        manager = DurabilityManager(str(tmp_path / "dur"))
-        database, _ = manager.recover(
-            functools.partial(RollbackDatabase, representation=STATES))
-        clock = database.manager.clock.source
-        clock.set("01/01/81")
-        database.define("faculty", faculty_schema())
-        for key in range(40):
-            clock.set(clock.current() + 1)
-            database.insert("faculty", {"name": f"n{key:02d}",
-                                        "rank": "full"})
-        store = database.store("faculty")
-        assert isinstance(store, StateSequence) and len(store) == 40
-        written = encoded_rows(monkeypatch)
-        manager.checkpoint()
-        assert len(written) == 40
-        del written[:]
-        manager.checkpoint()  # the same index: nothing to encode
-        assert written == []
-        clock.set(clock.current() + 1)
-        database.insert("faculty", {"name": "late", "rank": "full"})
-        manager.checkpoint()  # one commit since: its one new state
-        assert written == [database.store("faculty").states[-1]]
-
 
 def oracle_bytes(database, entry):
     """What a checkpoint of *database* holding *entry*'s index, manifest,
@@ -411,8 +382,6 @@ def hour_clock(factory):
 KEPT_FACTORIES = {
     "static": StaticDatabase,
     "rollback-interval": RollbackDatabase,
-    "rollback-states": functools.partial(RollbackDatabase,
-                                         representation=STATES),
     "historical": HistoricalDatabase,
     "temporal": TemporalDatabase,
     "temporal-hours": hour_clock(TemporalDatabase),
@@ -492,15 +461,12 @@ class KeptHistory:
         snapshot = load_database(dump_database(self.database))
         for name in snapshot.relation_names():
             store = snapshot.store(name)
-            if isinstance(store, StateSequence):
-                times, forget = [time for time, _ in store.states], \
-                    vacuum_states
-            elif isinstance(store, TransactionTimeStore):
-                times, forget = store.commit_times(), vacuum_store
-            else:
+            if not isinstance(store, TransactionTimeStore):
                 continue
+            times = store.commit_times()
             if times:
-                snapshot._store[name] = forget(store, times[len(times) // 2])
+                snapshot._store[name] = vacuum_store(
+                    store, times[len(times) // 2])
         self.manager.adopt_snapshot(snapshot, self.manager.record_count,
                                     self.manager.chain_head)
         self.database = snapshot

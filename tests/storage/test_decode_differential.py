@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rollback import StateSequence
 from repro.errors import CheckpointError, SchemaError, StorageError
 from repro.relational import Attribute, Domain, Relation, Schema, Tuple
 from repro.storage.checkpoint import load_payload
@@ -97,7 +96,7 @@ STAMP_FAULTS = {
 @st.composite
 def stores(draw):
     """A stored relation of any shape, perhaps with one fault."""
-    kind = draw(st.sampled_from(["static", "states", *STAMPS]))
+    kind = draw(st.sampled_from(["static", *STAMPS]))
     pool = draw(st.lists(stamps(), min_size=1, max_size=4))
     pool.append([None, None])
 
@@ -118,12 +117,6 @@ def stores(draw):
     data = {"kind": kind, "schema": schema_to_dict(SCHEMA)}
     if kind == "static":
         data["tuples"] = [values for values, in rows]
-    elif kind == "states":
-        cut = draw(st.integers(0, len(rows)))
-        data["states"] = [[encode_value(Instant(700)), [r[0] for r in
-                                                         rows[:cut]]],
-                          [encode_value(Instant(701)), [r[0] for r in
-                                                         rows[cut:]]]]
     else:
         data["rows"] = rows
     return json.loads(json.dumps(data))
@@ -148,9 +141,6 @@ def outcome(decode, data):
         return type(exc)
     if isinstance(store, Relation):
         return [seen(row) for row in store]
-    if isinstance(store, StateSequence):
-        return [(seen(time), [seen(row) for row in state])
-                for time, state in store.states]
     return [(type(row), [seen(part) for part in row]) for row in store.rows]
 
 

@@ -11,7 +11,6 @@ back (``read_checkpoint``) as the whole ``dump_database`` shape, and its
 manifest must name every closed row of the live store exactly once.
 """
 
-import functools
 import shutil
 import tempfile
 
@@ -19,9 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (RollbackDatabase, TemporalDatabase, vacuum_states,
-                        vacuum_store)
-from repro.core.rollback import STATES, StateSequence
+from repro.core import RollbackDatabase, TemporalDatabase, vacuum_store
 from repro.core.transaction_time import TransactionTimeStore
 from repro.relational import Domain, Schema
 from repro.replication import state_digest
@@ -33,8 +30,6 @@ KEYS = ("a", "b", "c")
 
 FACTORIES = {
     "rollback-interval": RollbackDatabase,
-    "rollback-states": functools.partial(RollbackDatabase,
-                                         representation=STATES),
     "temporal": TemporalDatabase,
 }
 
@@ -105,15 +100,10 @@ class Durable:
         if vacuum:
             for name in RELATIONS:
                 store = snapshot.store(name)
-                if isinstance(store, StateSequence):
-                    times = [time for time, _ in store.states]
-                    forget = vacuum_states
-                else:
-                    times = store.commit_times()
-                    forget = vacuum_store
+                times = store.commit_times()
                 if times:
-                    snapshot._store[name] = forget(store,
-                                                   times[len(times) // 2])
+                    snapshot._store[name] = vacuum_store(
+                        store, times[len(times) // 2])
             self.replayable = False
         path = self.manager.adopt_snapshot(
             snapshot, self.manager.record_count, self.manager.chain_head)

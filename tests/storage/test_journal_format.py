@@ -35,22 +35,22 @@ KINDS = [StaticDatabase, RollbackDatabase, HistoricalDatabase,
 EXPECTED = {
     "StaticDatabase": {
         "head": "c268d4d4f9829077", "contents": "172b4e3b8584e4a5",
-        "dump": "162d50d8f9025d2f", "digest": "7f217ae9c49b92db",
-        "checkpoint": "37636127b0b1fa9f", "history": {}},
+        "dump": "32d7269dfef25777", "digest": "2c333952fd3a1f3c",
+        "checkpoint": "9364e9631e090258", "history": {}},
     "RollbackDatabase": {
         "head": "c268d4d4f9829077", "contents": "172b4e3b8584e4a5",
-        "dump": "8dd41a1419be2159", "digest": "e62aeb9d4cb82a2d",
-        "checkpoint": "73b715f445cb9239",
+        "dump": "cf9547e6fdfa661d", "digest": "bf832b4267be7a3e",
+        "checkpoint": "751cc8521a0565d3",
         "history": {"history-00000008-f7066cfa5bf7b1e3.hist":
                     "f7066cfa5bf7b1e3"}},
     "HistoricalDatabase": {
         "head": "f6a7b04d927b3a1d", "contents": "2628b1b118f77309",
-        "dump": "3ff886347e3595b7", "digest": "017654e69f1de424",
-        "checkpoint": "fbabfc52466b2737", "history": {}},
+        "dump": "de2ab672f4adba2a", "digest": "ab8b38af740836ec",
+        "checkpoint": "a6bb812c14f1907d", "history": {}},
     "TemporalDatabase": {
         "head": "f6a7b04d927b3a1d", "contents": "2628b1b118f77309",
-        "dump": "4b7fa68e5ac34f47", "digest": "fa10cfa707af7b75",
-        "checkpoint": "b703ff91e4cfab12",
+        "dump": "f1c146e6c672018e", "digest": "cb16aa401b989bac",
+        "checkpoint": "ff6ece961b874a7a",
         "history": {"history-00000008-2214441d896aff13.hist":
                     "2214441d896aff13"}},
 }

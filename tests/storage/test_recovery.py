@@ -8,14 +8,12 @@ rollbacks, timeslices, temporal rows and the paper's TQuel answers all
 agree.
 """
 
-import functools
 import os
 
 import pytest
 
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
-from repro.core.rollback import STATES
 from repro.errors import JournalError
 from repro.relational import Domain, Schema
 from repro.replication import state_digest
@@ -104,8 +102,6 @@ class TestRowOrderSurvivesARestart:
     FACTORIES = {
         "static": StaticDatabase,
         "rollback-interval": RollbackDatabase,
-        "rollback-states": functools.partial(RollbackDatabase,
-                                             representation=STATES),
         "historical": HistoricalDatabase,
         "temporal": TemporalDatabase,
     }

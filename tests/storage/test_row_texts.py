@@ -73,13 +73,12 @@ def tuples(draw):
 #: Each stored item laid out as a dump holds it: a timestamped row's
 #: values, then each stamp from its period's *instants*
 #: (:func:`~repro.storage.serializer.encode_stamp`); a static tuple's
-#: values; a cube's ``[time, [values, ...]]``.
+#: values.
 SHAPES = {
     "rows": lambda row: [row[0].values, *(encode_stamp(period.start,
                                                        period.end)
                                           for period in row[1:])],
     "tuples": lambda row: row.values,
-    "states": lambda pair: [pair[0], [row.values for row in pair[1]]],
 }
 
 
@@ -120,16 +119,6 @@ class TestTheKernelIsJsonDumps:
             assert json_texts(relation, "tuples", COMPACT) == [
                 json.dumps(item, sort_keys=True, ensure_ascii=False,
                            separators=COMPACT) for item in dumped]
-
-    @given(tuples(), st.lists(st.tuples(INSTANTS, st.integers(0, 6)),
-                              max_size=4), SEPARATORS)
-    @settings(max_examples=200, deadline=None)
-    def test_cube_states(self, rows, cuts, separators):
-        """A cube's ``(time, state)`` pairs: its states share one schema."""
-        schema = rows[0].schema if rows else Schema.of(n=Domain.INTEGER)
-        states = [(time, Relation(schema, rows[:cut])) for time, cut in cuts]
-        assert write_texts(states, "states", {}, separators) == json_texts(
-            states, "states", separators)
 
     @given(st.lists(periods(), min_size=1, max_size=8), SEPARATORS)
     @settings(max_examples=200, deadline=None)

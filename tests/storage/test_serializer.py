@@ -88,7 +88,6 @@ class TestDatabaseDump:
     @pytest.mark.parametrize("db_class,kwargs", [
         (StaticDatabase, {}),
         (RollbackDatabase, {}),
-        (RollbackDatabase, {"representation": "states"}),
         (HistoricalDatabase, {}),
         (TemporalDatabase, {}),
     ])
@@ -137,11 +136,39 @@ class TestDatabaseDump:
         with pytest.raises(StorageError, match="kind"):
             load_database(data)
 
-    def test_representation_preserved(self):
-        database, _ = build_faculty(RollbackDatabase,
-                                    representation="states")
-        rebuilt = loads_database(dumps_database(database))
-        assert rebuilt.representation == "states"
+    #: What a database storing Figure 3's cube dumped: a ``"states"``
+    #: store (every state's tuples under its commit time) and the
+    #: ``"representation"`` field that named the cube.
+    CUBE_DUMP = {
+        "clock_last": [722817], "kind": "static rollback",
+        "representation": "states", "version": 2,
+        "relations": {"r": {
+            "schema": {"attributes": [{"domain": {
+                "kind": "builtin", "name": "string"}, "name": "name",
+                "nullable": False}], "key": []},
+            "store": {
+                "kind": "states",
+                "schema": {"attributes": [{"domain": {
+                    "kind": "builtin", "name": "string"}, "name": "name",
+                    "nullable": False}], "key": []},
+                "states": [
+                    [{"$instant": "1980-01-02", "granularity": "day"},
+                     [["a"]]],
+                    [{"$instant": "1980-01-03", "granularity": "day"},
+                     [["a"], ["b"]]]]}}}}
+
+    def test_a_stored_cube_is_refused(self):
+        # One rollback representation: a dump of the cube is a typed
+        # refusal naming the relation, never a KeyError or a TypeError.
+        with pytest.raises(StorageError, match="relation 'r'.*'states'"):
+            load_database(json.loads(json.dumps(self.CUBE_DUMP)))
+
+    def test_a_representation_field_is_not_read(self):
+        database, _ = build_faculty(RollbackDatabase)
+        data = dump_database(database)
+        assert "representation" not in data
+        rebuilt = load_database(dict(data, representation="interval"))
+        assert dump_database(rebuilt) == data
 
     def test_dump_is_valid_json(self):
         database, _ = build_faculty(TemporalDatabase)

@@ -285,7 +285,6 @@ FIGURES = {
 +---------------------------------------------------------------+
 """,
 }
-FIGURES["cube rollback"] = FIGURES["static"]  # the current state
 
 
 class TestFigure:
@@ -320,13 +319,11 @@ class TestFigure:
 
     @pytest.mark.parametrize("store", sorted(FIGURES))
     def test_figure_matches_the_kind_ladder(self, store):
-        from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
+        from repro.core import (HistoricalDatabase, RollbackDatabase,
                                 StaticDatabase, TemporalDatabase)
         make, valid, event = {
             "static": (StaticDatabase, False, False),
             "interval rollback": (RollbackDatabase, False, False),
-            "cube rollback": (lambda clock: RollbackDatabase(
-                clock, representation=STATES), False, False),
             "historical": (HistoricalDatabase, True, False),
             "temporal": (TemporalDatabase, True, False),
             "temporal event": (TemporalDatabase, True, True)}[store]

@@ -58,7 +58,7 @@ class TestSection42Rollback:
         # Figure 3: three transactions from the null relation — add three
         # tuples; add one; delete one of the first and add another.
         clock = SimulatedClock("01/01/80")
-        database = RollbackDatabase(clock=clock, representation="states")
+        database = RollbackDatabase(clock=clock)
         schema = Schema.of(name=Domain.STRING)
         database.define("r", schema)
         with database.begin() as txn:
@@ -70,7 +70,7 @@ class TestSection42Rollback:
         with database.begin() as txn:
             database.delete("r", {"name": "a"}, txn=txn)
             database.insert("r", {"name": "e"}, txn=txn)
-        states = database.store("r").states
+        states = database.store("r").states()
         assert [len(state) for _, state in states] == [3, 4, 4]
         assert database.rollback("r", states[0][0]).cardinality == 3
 
@@ -181,7 +181,7 @@ class TestSection44Temporal:
                             txn=txn)
         clock.advance(1)
         database.delete("r", {"name": "b"})  # erroneous from the start
-        states = database.temporal("r").historical_states()
+        states = database.temporal("r").states()
         assert len(states) == 4
         # After the last transaction, 'b' is gone from the current state
         # entirely (the error corrected), but rollback still shows it.

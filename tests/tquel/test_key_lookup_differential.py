@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
                         TemporalDatabase)
-from repro.core.rollback import STATES
 from repro.core.temporal import BitemporalRow, TemporalRelation
 from repro.errors import ConstraintViolation
 from repro.relational import Domain, Schema
@@ -48,8 +47,6 @@ SCHEMAS = {"single": Schema(ATTRIBUTES, key=["k"]),
            "keyless": Schema(ATTRIBUTES)}
 KINDS = {
     "static": StaticDatabase, "rollback": RollbackDatabase,
-    "rollback-states": lambda clock: RollbackDatabase(
-        clock=clock, representation=STATES),
     "historical": HistoricalDatabase, "temporal": TemporalDatabase,
     "sharded rollback": lambda clock: ShardedDatabase(
         RollbackDatabase, shards=3, clock=clock),
@@ -90,8 +87,6 @@ def state(database):
     if isinstance(database, ShardedDatabase):
         return [state(shard) for shard in database.shard_databases]
     store = database.store("r")
-    if hasattr(store, "states"):  # the duplicating cube
-        return [(when, frozenset(rows)) for when, rows in store.states]
     return set(getattr(store, "rows", store))
 
 
@@ -256,17 +251,6 @@ def test_a_tuple_in_two_states_of_a_range_counts_once(kind):
                              as_of_through=TConst(str(NOW)))
     auto, naive = retrieve_both(DATABASES[kind, "single"], statement)
     assert auto == naive
-
-
-def test_the_cube_scans_under_as_of():
-    info = explain(DATABASES["rollback-states", "single"], k_is("k0"),
-                   as_of=TConst(str(BASE + 9)))
-    assert info["index"] not in (KEY_ACCESS, KEY_HISTORY_ACCESS)
-
-
-@pytest.mark.parametrize("kind", ["rollback-states"])
-def test_a_store_without_the_index_scans(kind):
-    assert explain(DATABASES[kind, "single"], k_is("k0"))["index"] != KEY_ACCESS
 
 
 @pytest.mark.parametrize("kind", ["temporal", "rollback"])

@@ -7,13 +7,11 @@ the scan.  A forced mode takes its path where the store has one and
 otherwise degrades to the scan, saying so.
 """
 
-import functools
-
 import pytest
 
 from repro import obs
-from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
-                        StaticDatabase, TemporalDatabase)
+from repro.core import (HistoricalDatabase, RollbackDatabase, StaticDatabase,
+                        TemporalDatabase)
 from repro.errors import TQuelSemanticError
 from repro.relational import Domain, Schema
 from repro.sharding import ShardedDatabase
@@ -29,17 +27,12 @@ SCAN = "auto: no transaction-time tree answers these clauses"
 KINDS = {
     "static": (StaticDatabase, {}),
     "rollback interval": (RollbackDatabase, {}),
-    "rollback states": (RollbackDatabase, {"representation": STATES}),
     "historical": (HistoricalDatabase, {}),
     "temporal": (TemporalDatabase, {}),
     "sharded static": (ShardedDatabase,
                        {"factory": StaticDatabase, "shards": 3}),
     "sharded rollback interval": (ShardedDatabase,
                                   {"factory": RollbackDatabase, "shards": 3}),
-    "sharded rollback states": (ShardedDatabase, {
-        "factory": functools.partial(RollbackDatabase,
-                                     representation=STATES),
-        "shards": 3}),
     "sharded historical": (ShardedDatabase,
                            {"factory": HistoricalDatabase, "shards": 3}),
     "sharded temporal": (ShardedDatabase,
@@ -68,11 +61,6 @@ TABLE = {
         "naive": ("forced",) * 3,
         "index": ("degraded", "forced", "forced"),
         "columnar": ("forced",) * 3},
-    "rollback states": {
-        "auto": ("scan",) * 3,
-        "naive": ("forced",) * 3,
-        "index": ("degraded",) * 3,
-        "columnar": ("degraded",) * 3},
     "historical": {
         "auto": ("scan", None, None),
         "naive": ("forced", None, None),
@@ -94,11 +82,6 @@ TABLE = {
         "auto": ("scan", "tree", "tree"),
         "naive": ("forced",) * 3,
         "index": ("degraded", "forced", "forced"),
-        "columnar": ("degraded",) * 3},
-    "sharded rollback states": {
-        "auto": ("scan",) * 3,
-        "naive": ("forced",) * 3,
-        "index": ("degraded",) * 3,
         "columnar": ("degraded",) * 3},
     "sharded historical": {
         "auto": ("scan", None, None),

@@ -117,16 +117,13 @@ def _one_row_session(db_class, plan: str = "auto") -> Session:
 def _gen_explain_rule() -> str:
     """What ``auto`` takes on each kind under each transaction-time
     clause (a statement no key probe answers), with the reason."""
-    from repro.core import (STATES, HistoricalDatabase, RollbackDatabase,
-                            StaticDatabase)
+    from repro.core import HistoricalDatabase, RollbackDatabase, StaticDatabase
     from repro.sharding import ShardedDatabase
     kinds = [("static", StaticDatabase),
-             ("rollback (interval)", RollbackDatabase),
-             ("rollback (states)",
-              lambda clock: RollbackDatabase(clock, representation=STATES)),
+             ("rollback", RollbackDatabase),
              ("historical", HistoricalDatabase),
              ("temporal", TemporalDatabase),
-             ("rollback (interval), 3 shards", lambda clock: ShardedDatabase(
+             ("rollback, 3 shards", lambda clock: ShardedDatabase(
                  RollbackDatabase, shards=3, clock=clock)),
              ("temporal, 3 shards", lambda clock: ShardedDatabase(
                  TemporalDatabase, shards=3, clock=clock))]
