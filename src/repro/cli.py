@@ -103,8 +103,8 @@ import os
 import sys
 from typing import Optional
 
-from repro.core import (DatabaseKind, HistoricalDatabase, RollbackDatabase,
-                        StaticDatabase, TemporalDatabase)
+from repro.core import (DATABASE_CLASSES, DatabaseKind, HistoricalDatabase,
+                        RollbackDatabase, StaticDatabase, TemporalDatabase)
 from repro.errors import ReproError
 from repro.storage import Journal, dumps_database
 from repro.time import SimulatedClock, SystemClock
@@ -700,8 +700,7 @@ def _durable_class(args):
     detected = detect_kind(args.dir)
     if detected is None:
         return _KINDS[args.kind]
-    kind = DatabaseKind(detected)
-    return next(cls for cls in _KINDS.values() if cls.kind is kind)
+    return DATABASE_CLASSES[DatabaseKind(detected)]
 
 
 def _existing(directory: str) -> str:

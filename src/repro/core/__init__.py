@@ -1,29 +1,26 @@
 """The paper's contribution: three kinds of time, four kinds of database.
 
 This package implements Section 4 of *A Taxonomy of Time in Databases*.
-Figure 10's 2×2 is two orthogonal capabilities, and each is written
-once — the four kinds are their compositions:
+Figure 10's 2×2 is two orthogonal capabilities, and the code says so:
 
 - :mod:`~repro.core.taxonomy` — the classification itself (Figures 1 and
   10–13 as executable data);
+- :mod:`~repro.core.base` — the one :class:`~repro.core.base.Database`:
+  one update API, one delta, one constraint check and Figure 11's
+  queries, each reading the kind's two flags (a fact without valid time
+  is a fact valid over all time);
 - :mod:`~repro.core.transaction_time` — the one current-state store
   every kind keeps (:class:`~repro.core.transaction_time.StateStore`: an
   open map by element, a key index, the O(Δ) ``advance``), and
   transaction time over it
   (:class:`~repro.core.transaction_time.TransactionTimeStore`);
-- :mod:`~repro.core.static` — the static update API
-  (:class:`~repro.core.static.StaticStateDatabase`, ``static_delta``) and
-  static databases (§4.1);
-- :mod:`~repro.core.historical` — the valid-time update API
-  (:class:`~repro.core.historical.ValidTimeDatabase`,
-  ``historical_delta``), the
-  :class:`~repro.core.historical.HistoricalRelation` value type and
-  historical databases (§4.3, Figures 5–6);
-- :mod:`~repro.core.rollback` — static rollback databases = static +
-  transaction time: interval-stamped tuples (Figure 4), of which the
-  sequence of states (Figure 3) is a view (§4.2);
-- :mod:`~repro.core.temporal` — temporal (bitemporal) databases =
-  historical + transaction time: sequences of historical states (§4.4,
+- :mod:`~repro.core.static`, :mod:`~repro.core.rollback`,
+  :mod:`~repro.core.historical`, :mod:`~repro.core.temporal` — each
+  kind's stored form and its class (:data:`DATABASE_CLASSES`), which
+  names the kind and nothing else: the state (Figure 2, §4.1); stamped
+  tuples (Figure 4), of which the sequence of states (Figure 3) is a
+  view (§4.2); the historical state, its value type and the valid-time
+  delta (§4.3, Figures 5–6); sequences of historical states (§4.4,
   Figures 7–8);
 - :mod:`~repro.core.operations` — temporal joins, snapshot equivalence;
 - :mod:`~repro.core.indexing` — the transaction-time index: append-only
@@ -68,10 +65,15 @@ from repro.core.temporal_constraints import (
     ValidityDuration,
 )
 
+#: Each kind's database class (Figure 10's four cells).
+DATABASE_CLASSES = {cls.kind: cls for cls in (
+    StaticDatabase, RollbackDatabase, HistoricalDatabase, TemporalDatabase)}
+
 __all__ = [
     "BitemporalRow",
     "BoundedValidity",
     "ContiguousHistory",
+    "DATABASE_CLASSES",
     "NoFutureValidity",
     "TemporalConstraint",
     "ValidityDuration",

@@ -1,10 +1,10 @@
-"""The abstract database: what all four kinds share.
+"""The database: Figure 10's four kinds are one class and two flags.
 
 A :class:`Database` is a set of named relations (schemas + stores), a
 :class:`~repro.txn.manager.TransactionManager`, and a
-position in the taxonomy (:attr:`Database.kind`).  The four concrete kinds
-in :mod:`repro.core` differ *only* in what history their stores keep and
-which query operations they can therefore support:
+position in the taxonomy (:attr:`Database.kind`).  Each method reads the
+kind's two flags, and the kind picks its relations' stored form; the four
+kinds in :mod:`repro.core` name their kind and nothing else:
 
 ======================  ==========  ==========  ===========  =========
 operation               static      rollback    historical   temporal
@@ -15,11 +15,12 @@ operation               static      rollback    historical   temporal
 ``history``             —           —           yes          yes
 ======================  ==========  ==========  ===========  =========
 
-The dashes are not missing features but *category errors*: the base class
+The dashes are not missing features but *category errors*: the call
 raises :class:`~repro.errors.RollbackNotSupportedError` /
 :class:`~repro.errors.HistoricalNotSupportedError` with the database kind
 named, which is Figure 11 of the paper enforced at runtime (and, for
-TQuel, at analysis time).
+TQuel, at analysis time).  One update API serves every kind: a fact
+without valid time is a fact valid over all time.
 
 DDL (``define``/``drop``) is immediate and journaled as its own
 transaction; DML is buffered in transactions and applied atomically at a
@@ -28,22 +29,25 @@ system-assigned commit time.
 
 from __future__ import annotations
 
-import abc
 import itertools
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple as PyTuple, Union)
 
 from repro.core.taxonomy import DatabaseKind
-from repro.errors import (DuplicateRelationError, HistoricalNotSupportedError,
-                          RollbackNotSupportedError, UnknownRelationError)
+from repro.errors import (ConstraintViolation, DuplicateRelationError,
+                          HistoricalNotSupportedError,
+                          RollbackNotSupportedError, TemporalSupportError,
+                          UnknownRelationError)
 from repro.obs import runtime as _obs
 from repro.relational.constraints import (CheckConstraint, Constraint,
-                                          KeyConstraint, NotNullConstraint)
-from repro.relational.relation import Relation
+                                          KeyConstraint, NotNullConstraint,
+                                          check_all)
+from repro.relational.relation import Predicate, Relation
 from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
 from repro.time.clock import Clock
-from repro.time.instant import Instant
+from repro.time.instant import Instant, instant as _coerce
+from repro.time.period import Period
 from repro.txn.log import CommitLog
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Operation, Transaction
@@ -69,8 +73,9 @@ class Read(NamedTuple):
     candidates: Sequence[Any]
 
 
-class Database(abc.ABC):
-    """Base class of the four database kinds."""
+class Database:
+    """The database of every kind: one update API, one commit path and
+    the queries of Figure 11, each reading the kind's two flags."""
 
     #: The kind of database, per the taxonomy (set by each subclass).
     kind: DatabaseKind
@@ -377,6 +382,102 @@ class Database(abc.ABC):
 
         return self._manager.certify(rows)
 
+    # -- the update API (one for every kind) ----------------------------------------------
+
+    def insert(self, name: str, values: Mapping[str, Any],
+               valid_from: Optional[InstantLike] = None,
+               valid_to: Optional[InstantLike] = None,
+               valid_at: Optional[InstantLike] = None,
+               txn: Optional[Transaction] = None) -> Optional[Instant]:
+        """Record a fact (a no-op if it is already recorded: set semantics).
+
+        With valid time, interval relations take ``valid_from`` (required)
+        and ``valid_to`` (default ∞), event relations ``valid_at``.
+        """
+        checked = self._checked_values(name, values)
+        arguments = self._valid_args(name, valid_from, valid_to, valid_at,
+                                     for_insert=True)
+        arguments["values"] = checked
+        return self._submit(Operation("insert", name, arguments), txn)
+
+    def delete(self, name: str, match: Optional[Mapping[str, Any]] = None,
+               valid_from: Optional[InstantLike] = None,
+               valid_to: Optional[InstantLike] = None,
+               valid_at: Optional[InstantLike] = None,
+               txn: Optional[Transaction] = None) -> Optional[Instant]:
+        """Remove the facts agreeing with *match* (all if ``None``) — with
+        valid time, their validity within the given period.
+
+        With no period, the facts are removed entirely — including from
+        the past.  A historical database keeps no record of the
+        correction; a temporal one keeps the previous belief on the
+        transaction-time axis ("errors ... cannot be forgotten").
+        """
+        arguments = self._valid_args(name, valid_from, valid_to, valid_at,
+                                     for_insert=False)
+        arguments["match"] = self._checked_match(name, match or {})
+        return self._submit(Operation("delete", name, arguments), txn)
+
+    def replace(self, name: str, match: Mapping[str, Any],
+                updates: Mapping[str, Any],
+                valid_from: Optional[InstantLike] = None,
+                valid_to: Optional[InstantLike] = None,
+                valid_at: Optional[InstantLike] = None,
+                txn: Optional[Transaction] = None) -> Optional[Instant]:
+        """Change the attributes of the facts agreeing with *match* — with
+        valid time, within the given period."""
+        arguments = self._valid_args(name, valid_from, valid_to, valid_at,
+                                     for_insert=False)
+        arguments["match"] = self._checked_match(name, match)
+        arguments["updates"] = self._checked_match(name, updates)
+        return self._submit(Operation("replace", name, arguments), txn)
+
+    def delete_where(self, name: str, predicate: Predicate,
+                     txn: Optional[Transaction] = None) -> Optional[Instant]:
+        """Delete by predicate (the kinds without valid time).
+
+        The predicate is resolved against the *current* snapshot into
+        concrete full-tuple matches, so the journaled operations are plain
+        values and replay exactly.  Without *txn* the match and the commit
+        are one atomic unit (:meth:`commit_unit`): no other writer can
+        slip in between them.
+        """
+        if self.supports_historical_queries:
+            raise TemporalSupportError(
+                f"a {self.kind} database deletes facts within a valid "
+                "period: use delete(match, valid_from, valid_to)")
+
+        def expand(batch: Transaction) -> None:
+            for row in self.snapshot(name).select(predicate):
+                self.delete(name, dict(row), txn=batch)
+
+        if txn is None:
+            return self.commit_unit(expand)
+        expand(txn)
+        return None
+
+    def _valid_args(self, name: str, valid_from, valid_to, valid_at,
+                    for_insert: bool) -> Dict[str, Any]:
+        """An operation's valid-time arguments, checked: none on a kind
+        without valid time (there a fact holds over all time)."""
+        arguments = {key: value for key, value in (
+            ("valid_at", valid_at), ("valid_from", valid_from),
+            ("valid_to", valid_to)) if value is not None}
+        if arguments and not self.supports_historical_queries:
+            self.require_historical("a valid period")
+        if "valid_at" in arguments and len(arguments) > 1:
+            raise ConstraintViolation(
+                "give either valid_at or valid_from/valid_to, not both")
+        if for_insert and valid_at is None:
+            if name in self._event_relations:
+                raise ConstraintViolation(
+                    f"{name!r} is an event relation; inserts take valid_at")
+            if valid_from is None and self.supports_historical_queries:
+                raise ConstraintViolation(
+                    f"inserting into a {self.kind} relation requires "
+                    "valid_from (the instant the fact began to hold)")
+        return {key: _coerce(value) for key, value in arguments.items()}
+
     def _submit(self, op: Operation,
                 txn: Optional[Transaction]) -> Optional[Instant]:
         """Buffer *op* in *txn*, or run it as a single-op transaction.
@@ -501,8 +602,8 @@ class Database(abc.ABC):
                         op.arguments["constraints"])
                     if op.arguments.get("event"):
                         self._event_relations.add(op.relation)
-                    self._create_store(staged, op.relation,
-                                       op.arguments["schema"])
+                    staged[op.relation] = STORE_CLASSES[self.kind](
+                        op.arguments["schema"])
                 elif op.action == "drop":
                     self._require_defined(op.relation)
                     del self._schemas[op.relation]
@@ -548,21 +649,15 @@ class Database(abc.ABC):
         """
         return _obs.stats()
 
-    # -- the kind-specific hooks -------------------------------------------------------
-
-
-    @abc.abstractmethod
-    def _create_store(self, staged: Dict[str, Any], name: str,
-                      schema: Schema) -> None:
-        """Create an empty store for a newly defined relation."""
+    # -- the commit path ---------------------------------------------------------------
 
     def _apply_dml(self, staged: Dict[str, Any], op: Operation,
                    commit_time: Instant,
                    touched: Dict[str, Dict[Any, Any]]) -> None:
-        """Apply one DML operation to the staged stores: the kind's delta
-        over the open rows its match can touch (O(Δ) for a key-bound
-        match), the state from *commit_time* on — in place in a store the
-        batch already replaced, its working copy; its keys go to *touched*."""
+        """Apply one DML operation to the staged stores: the delta over
+        the open rows its match can touch (O(Δ) for a key-bound match),
+        the state from *commit_time* on — in place in a store the batch
+        already replaced, its working copy; its keys go to *touched*."""
         store = staged.get(op.relation)
         if store is None:  # (an earlier operation of the batch dropped it)
             raise UnknownRelationError(f"no relation {op.relation!r}")
@@ -574,11 +669,22 @@ class Database(abc.ABC):
             removed, added, commit_time, touched.setdefault(op.relation, {}),
             store is not self._store.get(op.relation))
 
-    @abc.abstractmethod
     def _delta(self, store: Any, op: Operation, candidates: Any
                ) -> PyTuple[List[Any], List[Any]]:
         """The elements one insert/delete/replace removes from and adds
-        to *store*'s state, of the open rows *candidates* it can touch."""
+        to *store*'s state, of the open rows *candidates* it can touch:
+        :func:`~repro.core.historical.historical_delta`.  Without valid
+        time each fact holds over all time, so no piece of it lies
+        outside an operation's period and a replace changes all of it;
+        the elements are the bare facts."""
+        if self.supports_historical_queries:
+            return historical_delta(store.schema, op, candidates,
+                                    store.open_elements)
+        return historical_delta(
+            store.schema, op,
+            [HistoricalRow(data, ALL_TIME)
+             for data in map(store._data, candidates)],
+            store.open_elements, fact=lambda data, valid: data)
 
     def _check_store(self, name: str, store: Any,
                      touched: Optional[Dict[Any, Any]]) -> None:
@@ -598,35 +704,69 @@ class Database(abc.ABC):
                 return  # (only a key holding two facts could fail)
         self._check_state(name, store.state_in_force(rows))
 
-    @abc.abstractmethod
     def _check_state(self, name: str, state: Any) -> None:
-        """Enforce the relation's constraints on *state* (some keys' rows)."""
+        """Enforce the relation's constraints on *state* (some keys'
+        rows): the declared rules, and the schema key — a plain key on a
+        state of facts, a sequenced key on a historical state (with the
+        temporal rules as of this commit: the manager's last reading)."""
+        constraints = self._constraints[name]
+        if self.supports_historical_queries:
+            check_historical_constraints(state, constraints,
+                                         self._manager.clock.last)
+            return
+        key = state.schema.key
+        check_all(state, [*constraints, KeyConstraint(key)] if key
+                  else constraints)
 
     # -- queries: the capability matrix -----------------------------------------------------------------
 
-    @abc.abstractmethod
     def snapshot(self, name: str) -> Relation:
-        """The current static view of a relation (available in every kind)."""
+        """The current static view of a relation (every kind): the state,
+        or with valid time the facts valid now."""
+        if self.supports_historical_queries:
+            return self.timeslice(name, self.now())
+        return self.store(name).current()
 
-    #: ``explain``'s words for the scan :meth:`read` makes of the state.
-    _scan_access = "snapshot scan"
+    def history(self, name: str):
+        """The current historical state of the relation (a historical
+        database's only one, a temporal database's newest)."""
+        self.require_historical("history")
+        return self.store(name).current()
+
+    def temporal(self, name: str):
+        """The full bitemporal relation (Figure 8)."""
+        self.require_historical("temporal")
+        self.require_rollback("temporal")
+        return self.store(name)
 
     def access(self, as_of: Optional[Instant] = None,
                through: Optional[Instant] = None) -> str:
         """``explain``'s words for an unkeyed :meth:`read` of the clauses."""
-        return self._scan_access
+        if self.supports_rollback and (
+                as_of is not None or self.supports_historical_queries):
+            return index_access("bitemporal index"
+                                if self.supports_historical_queries
+                                else "rollback index", through)
+        return ("scan of recorded facts" if self.supports_historical_queries
+                else "snapshot scan")
 
     def read(self, name: str, now: Instant, as_of: Optional[Instant] = None,
              through: Optional[Instant] = None, key: Any = None,
              indexed: bool = True) -> Optional[Read]:
         """A TQuel read of *name*: the rows in force at *now*, as of
-        *as_of* or at some instant of ``[as_of, through]``, by the kind's
-        index where *indexed* and it has one, else by the store's own walk
-        (the executable specification); under the schema-key value *key*,
-        that key's rows, or ``None`` where no probe answers.  Each kind
-        answers from the times it keeps — here none: the current state's
-        rows, or under *key* one probe of the store's key index."""
+        *as_of* or at some instant of ``[as_of, through]``, by the
+        transaction-time index where *indexed*, else by the store's own
+        walk (the executable specification); under the schema-key value
+        *key*, that key's rows, or ``None`` where no probe answers.  The
+        current state without both times is a scan of the state's rows,
+        or under *key* one probe of the store's key index."""
         store = self.store(name)
+        if self.supports_rollback and (as_of is not None or key is None
+                                       and self.supports_historical_queries):
+            return store.read(
+                lambda: self.index_cache.transaction_time(name),
+                self.access(as_of, through), now, as_of, through, key,
+                indexed)
         if key is not None:
             return store.probe(key)
         return Read(self.access(), False,
@@ -645,21 +785,34 @@ class Database(abc.ABC):
         result is a static relation for the former — "a pure static
         relation" (§4.2), queried with the ordinary algebra — and a
         historical relation for the latter.  Both read it from the
-        kind's transaction-time index (``_indexed``).
+        transaction-time index (``_indexed``).
         """
         self.require_rollback("rollback")
         return self._indexed(name).rollback(as_of)
 
+    def rollback_range(self, name: str, from_: InstantLike,
+                       through: InstantLike):
+        """What belonged to some state over the inclusive transaction-time
+        range — TQuel's ``as of t1 through t2``: a static relation, or
+        with valid time a temporal one (both time axes kept)."""
+        self.require_rollback("rollback_range")
+        return self._indexed(name).visible_during(
+            Period.from_inclusive(_coerce(from_), _coerce(through)))
+
     def timeslice(self, name: str, valid_at: InstantLike,
                   as_of: Optional[InstantLike] = None) -> Relation:
-        """The tuples valid at an instant of valid time, as a static
+        """The facts valid at an instant of valid time, as a static
         relation, seen as of the past transaction time *as_of* if given.
 
         Supported by historical and temporal databases only, and with
         *as_of* by temporal ones only.
         """
         self.require_historical("timeslice")
-        raise NotImplementedError  # pragma: no cover - kinds override
+        if as_of is not None:
+            self.require_rollback("as of")
+            return self._indexed(name).rollback(as_of).timeslice(valid_at)
+        store = self.store(name)
+        return facts_valid_at(store.schema, list(store.in_order()), valid_at)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({len(self._schemas)} relations, "
@@ -680,3 +833,20 @@ def _local_to_key(constraints: Sequence[Any], key: Sequence[str]) -> bool:
                if type(rule) is KeyConstraint
                else type(rule) in local
                for rule in constraints)
+
+
+# The stored forms and the valid-time semantics are built on this module's
+# ``Database`` and ``Read``, so they are bound once it has defined them.
+from repro.core.historical import (  # noqa: E402
+    ALL_TIME, HistoricalRow, HistoricalStore, check_historical_constraints,
+    facts_valid_at, historical_delta)
+from repro.core.rollback import RollbackRelation  # noqa: E402
+from repro.core.static import StaticStore  # noqa: E402
+from repro.core.temporal import TemporalRelation  # noqa: E402
+from repro.core.transaction_time import index_access  # noqa: E402
+
+#: Each kind's stored form of a relation (Figures 2, 4, 6 and 8).
+STORE_CLASSES = {DatabaseKind.STATIC: StaticStore,
+                 DatabaseKind.STATIC_ROLLBACK: RollbackRelation,
+                 DatabaseKind.HISTORICAL: HistoricalStore,
+                 DatabaseKind.TEMPORAL: TemporalRelation}

@@ -10,11 +10,13 @@ the past".
 
 The central value type here, :class:`HistoricalRelation`, is shared with
 the temporal database (a temporal relation *is* a sequence of historical
-states, §4.4), as is the operation semantics in :func:`historical_delta`.
-The database keeps its one state in a :class:`HistoricalStore` (Figure 8
-without transaction time).
+states, §4.4).  The database keeps its one state in a
+:class:`HistoricalStore` (Figure 8 without transaction time).
 
-Update semantics (all arbitrary modifications, per Figure 12's
+The update API is every kind's (:class:`~repro.core.base.Database`), and
+its semantics is :func:`historical_delta`, the one delta every kind
+commits through: a kind without valid time holds each fact over all time.
+With valid time (all arbitrary modifications, per Figure 12's
 ``Append-Only: No`` for valid time):
 
 - ``insert(values, valid_from, valid_to)`` — a new fact with its validity;
@@ -31,25 +33,21 @@ Update semantics (all arbitrary modifications, per Figure 12's
 from __future__ import annotations
 
 from typing import (Any, Callable, Container, Dict, Iterable, List, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple as PyTuple, Union)
+                    NamedTuple, Optional, Sequence, Tuple as PyTuple)
 
 from repro.core.base import Database, InstantLike
 from repro.core.taxonomy import DatabaseKind
 from repro.core.transaction_time import StateStore, itself
 from repro.errors import ConstraintViolation, JournalError
 from repro.relational.constraints import Constraint, KeyConstraint, check_all
-from repro.relational.expression import Expression
-from repro.relational.relation import Relation
+from repro.relational.relation import Predicate, Relation, as_callable
 from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
 from repro.time.chronon import require_same_granularity
 from repro.time.element import TemporalElement
-from repro.time.instant import Instant, NEG_INF, POS_INF, instant as _coerce
+from repro.time.instant import NEG_INF, POS_INF, instant as _coerce
 from repro.time.period import Period, chronon_number, first_unit
-from repro.txn.transaction import Operation, Transaction
-
-Predicate = Union[Expression, Callable[[Tuple], bool]]
-
+from repro.txn.transaction import Operation
 
 class HistoricalRow(NamedTuple):
     """One fact plus the valid-time period during which it models reality."""
@@ -127,10 +125,7 @@ class HistoricalRelation:
 
     def select(self, predicate: Predicate) -> "HistoricalRelation":
         """Facts whose data satisfies the predicate (validity untouched)."""
-        if isinstance(predicate, Expression):
-            test = lambda row: bool(predicate.evaluate(row))
-        else:
-            test = predicate
+        test = as_callable(predicate)
         return HistoricalRelation(
             self._schema, (row for row in self._rows if test(row.data)))
 
@@ -294,18 +289,21 @@ def _period_from_args(arguments: Mapping[str, Any]) -> Period:
         return Period.at(_coerce(arguments["valid_at"]))
     start = arguments.get("valid_from")
     end = arguments.get("valid_to")
-    return _ALL_TIME if start is None and end is None else Period(
+    return ALL_TIME if start is None and end is None else Period(
         NEG_INF if start is None else start, POS_INF if end is None else end)
 
 
-_ALL_TIME = Period(NEG_INF, POS_INF)  # (an update naming neither end)
+#: The validity of an update naming neither end, and of every fact a kind
+#: without valid time records.
+ALL_TIME = Period(NEG_INF, POS_INF)
 
 
 def historical_delta(schema: Schema, op: Operation,
-                     candidates: Iterable[Any],
-                     present: Container[HistoricalRow],
-                     ) -> PyTuple[List[HistoricalRow], List[HistoricalRow]]:
-    """The rows one insert/delete/replace removes from and adds to a state.
+                     candidates: Iterable[Any], present: Container[Any],
+                     fact: Callable[[Tuple, Period], Any] = HistoricalRow,
+                     ) -> PyTuple[List[Any], List[Any]]:
+    """The elements one insert/delete/replace removes from and adds to a
+    state, each a ``fact(data, valid)``.
 
     The valid-time operations are per-fact interval splits (Mkaouar et
     al.): a matching row overlapping the operation's period is removed and
@@ -313,34 +311,33 @@ def historical_delta(schema: Schema, op: Operation,
     inside it) are added.  *candidates* are the rows of the state the
     operation's ``match`` can touch — any superset will do, each is
     tested — as objects with ``data`` and ``valid``; *present* answers
-    whether a row is in the state.  A state is a set, so a produced row
-    that is already there is not added, and a row produced again by its
-    own split is not removed.
+    whether an element is in the state.  A state is a set, so a produced
+    element that is already there is not added, and one produced again by
+    its own split is not removed.
     """
     arguments = op.arguments
     if op.action == "insert":
-        row = HistoricalRow(Tuple(schema, arguments["values"]),
-                            _period_from_args(arguments))
+        row = fact(Tuple(schema, arguments["values"]),
+                   _period_from_args(arguments))
         return [], ([] if row in present else [row])
     if op.action not in ("delete", "replace"):
-        raise JournalError(
-            f"historical stores do not understand {op.action!r}")
+        raise JournalError(f"stores do not understand {op.action!r}")
     match = arguments["match"]
     updates = arguments.get("updates")
     period = _period_from_args(arguments)
-    removed: List[HistoricalRow] = []
-    produced: Dict[HistoricalRow, None] = {}
+    removed: List[Any] = []
+    produced: Dict[Any, None] = {}
     for row in candidates:
         if not Database._matches(row.data, match):
             continue
         common = row.valid.intersect(period)
         if common is None:
             continue
-        removed.append(HistoricalRow(row.data, row.valid))
+        removed.append(fact(row.data, row.valid))
         for piece in row.valid.difference(period):
-            produced[HistoricalRow(row.data, piece)] = None
+            produced[fact(row.data, piece)] = None
         if updates is not None:
-            produced[HistoricalRow(row.data.replace(**updates), common)] = None
+            produced[fact(row.data.replace(**updates), common)] = None
     return ([row for row in removed if row not in produced],
             [row for row in produced if row not in present])
 
@@ -387,125 +384,6 @@ def check_historical_constraints(relation: HistoricalRelation,
         check_temporal_constraints(relation, constraints, now)
 
 
-# ---------------------------------------------------------------------------
-# The valid-time update API, and the database kind
-# ---------------------------------------------------------------------------
-
-class ValidTimeDatabase(Database):
-    """The update API of the kinds with valid time (Figure 10, right).
-
-    Facts are recorded, removed and changed *within a valid period*
-    (:func:`historical_delta`); whether the beliefs an update supersedes
-    survive (on the transaction-time axis) is the concrete kind's store.
-    """
-
-    def insert(self, name: str, values: Mapping[str, Any],
-               valid_from: Optional[InstantLike] = None,
-               valid_to: Optional[InstantLike] = None,
-               valid_at: Optional[InstantLike] = None,
-               txn: Optional[Transaction] = None) -> Optional[Instant]:
-        """Record a fact with its valid time.
-
-        Interval relations take ``valid_from`` (required) and ``valid_to``
-        (default ∞); event relations take ``valid_at``.
-        """
-        checked = self._checked_values(name, values)
-        arguments = self._valid_args(name, valid_from, valid_to, valid_at,
-                                     for_insert=True)
-        arguments["values"] = checked
-        return self._submit(Operation("insert", name, arguments), txn)
-
-    def delete(self, name: str, match: Optional[Mapping[str, Any]] = None,
-               valid_from: Optional[InstantLike] = None,
-               valid_to: Optional[InstantLike] = None,
-               valid_at: Optional[InstantLike] = None,
-               txn: Optional[Transaction] = None) -> Optional[Instant]:
-        """Remove matching facts' validity within the given period.
-
-        With no period, the facts are removed entirely — including from
-        the past.  A historical database keeps no record of the
-        correction; a temporal one keeps the previous belief on the
-        transaction-time axis ("errors ... cannot be forgotten").
-        """
-        arguments = self._valid_args(name, valid_from, valid_to, valid_at,
-                                     for_insert=False)
-        arguments["match"] = self._checked_match(name, match or {})
-        return self._submit(Operation("delete", name, arguments), txn)
-
-    def replace(self, name: str, match: Mapping[str, Any],
-                updates: Mapping[str, Any],
-                valid_from: Optional[InstantLike] = None,
-                valid_to: Optional[InstantLike] = None,
-                valid_at: Optional[InstantLike] = None,
-                txn: Optional[Transaction] = None) -> Optional[Instant]:
-        """Change matching facts' attributes within the given period."""
-        arguments = self._valid_args(name, valid_from, valid_to, valid_at,
-                                     for_insert=False)
-        arguments["match"] = self._checked_match(name, match)
-        arguments["updates"] = self._checked_match(name, updates)
-        return self._submit(Operation("replace", name, arguments), txn)
-
-    def _valid_args(self, name: str, valid_from, valid_to, valid_at,
-                    for_insert: bool) -> Dict[str, Any]:
-        if valid_at is not None:
-            if valid_from is not None or valid_to is not None:
-                raise ConstraintViolation(
-                    "give either valid_at or valid_from/valid_to, not both"
-                )
-            return {"valid_at": _coerce(valid_at)}
-        if name in self._event_relations and for_insert:
-            raise ConstraintViolation(
-                f"{name!r} is an event relation; inserts take valid_at"
-            )
-        if for_insert and valid_from is None:
-            raise ConstraintViolation(
-                f"inserting into a {self.kind} relation requires valid_from "
-                "(the instant the fact began to hold)"
-            )
-        arguments: Dict[str, Any] = {}
-        if valid_from is not None:
-            arguments["valid_from"] = _coerce(valid_from)
-        if valid_to is not None:
-            arguments["valid_to"] = _coerce(valid_to)
-        return arguments
-
-    # -- queries --------------------------------------------------------------------------
-
-    def history(self, name: str) -> HistoricalRelation:
-        """The current historical state of the relation (a historical
-        database's only one, a temporal database's newest)."""
-        return self.store(name).current()
-
-    def snapshot(self, name: str) -> Relation:
-        """The facts valid now, as of now."""
-        return self.timeslice(name, self.now())
-
-    def timeslice(self, name: str, valid_at: InstantLike,
-                  as_of: Optional[InstantLike] = None) -> Relation:
-        """The facts valid at an instant, as a static relation, seen as of
-        the past transaction time *as_of* if given (temporal only)."""
-        if as_of is not None:
-            self.require_rollback("as of")
-            return self._indexed(name).rollback(as_of).timeslice(valid_at)
-        store = self.store(name)
-        return facts_valid_at(store.schema, list(store.in_order()), valid_at)
-
-    # -- applier hooks ----------------------------------------------------------------------
-
-    def _delta(self, store: StateStore, op: Operation, candidates: Any
-               ) -> PyTuple[List[HistoricalRow], List[HistoricalRow]]:
-        return historical_delta(store.schema, op, candidates,
-                                store.open_elements)
-
-    def _check_state(self, name: str, state: HistoricalRelation) -> None:
-        # The commit being applied has already ticked the clock, so the
-        # manager's last reading is this transaction's commit instant.
-        # The schema key is enforced as a sequenced key inside
-        # check_historical_constraints (via the relation's schema.key).
-        check_historical_constraints(state, self._constraints[name],
-                                     self._manager.clock.last)
-
-
 class HistoricalStore(StateStore):
     """The historical state (Figure 6): each :class:`HistoricalRow` is its
     own element and row; a removed row is forgotten (no index keeps it)."""
@@ -527,18 +405,7 @@ class HistoricalStore(StateStore):
         return [(row.data, row.valid, None) for row in rows]
 
 
-class HistoricalDatabase(ValidTimeDatabase):
+class HistoricalDatabase(Database):
     """The historical database: valid time, arbitrary modification, no rollback."""
 
     kind = DatabaseKind.HISTORICAL
-
-    # -- queries --------------------------------------------------------------------------
-
-    #: (valid time only: a read, like ``timeslice``, scans the state)
-    _scan_access = "scan of recorded facts"
-
-    # -- applier hooks ----------------------------------------------------------------------
-
-    def _create_store(self, staged: Dict[str, HistoricalStore], name: str,
-                      schema: Schema) -> None:
-        staged[name] = HistoricalStore(schema)

@@ -39,13 +39,6 @@ from repro.errors import TemporalSupportError
 from repro.time.clock import SimulatedClock
 
 
-def _is_lossy(source: Database, target: Database) -> bool:
-    """Does *target*'s kind lack a time axis *source*'s keeps?"""
-    return ((source.supports_rollback and not target.supports_rollback)
-            or (source.supports_historical_queries
-                and not target.supports_historical_queries))
-
-
 def migrate(source: Database, target_class: Type[Database],
             clock=None, allow_loss: bool = False) -> Database:
     """Build a database of *target_class* from *source* (see module doc).
@@ -55,18 +48,21 @@ def migrate(source: Database, target_class: Type[Database],
     continue where the source's stopped.  Lossy migrations (dropping an
     axis the source has) require ``allow_loss=True``.
     """
-    target_probe = target_class(clock=SimulatedClock(1))
-    if _is_lossy(source, target_probe) and not allow_loss:
+    kind = target_class.kind
+    lossy = (source.supports_rollback and not kind.supports_rollback
+             or source.supports_historical_queries
+             and not kind.supports_historical_queries)
+    if lossy and not allow_loss:
         raise TemporalSupportError(
-            f"migrating a {source.kind} database to {target_probe.kind} "
+            f"migrating a {source.kind} database to {kind} "
             f"discards a time axis; pass allow_loss=True to proceed"
         )
 
     # A past kept without valid time is replayed into a target with both.
     replaying = (source.supports_rollback
                  and not source.supports_historical_queries
-                 and target_probe.supports_rollback
-                 and target_probe.supports_historical_queries)
+                 and kind.supports_rollback
+                 and kind.supports_historical_queries)
     last = source.manager.clock.last
     if clock is None:
         if replaying:
@@ -96,21 +92,18 @@ def migrate(source: Database, target_class: Type[Database],
 
 
 def _copy_current(source: Database, target: Database, name: str) -> None:
-    migration_instant = target.now()
+    """With valid time on both sides, the current history, validity
+    preserved; else the snapshot, as facts valid from the migration on
+    where the target keeps valid time (without it, facts hold always)."""
+    since = target.now() if target.supports_historical_queries else None
     with target.begin() as txn:
-        if (source.kind.supports_historical_queries
-                and target.kind.supports_historical_queries):
-            # Carry the full current history, validity preserved.
+        if (source.supports_historical_queries
+                and target.supports_historical_queries):
             for row in source.history(name).rows:
                 _insert_fact(target, name, dict(row.data), row.valid, txn)
-        elif target.kind.supports_historical_queries:
-            # Snapshot only: facts valid from the migration on.
-            for row in source.snapshot(name):
-                target.insert(name, dict(row),
-                              valid_from=migration_instant, txn=txn)
         else:
             for row in source.snapshot(name):
-                target.insert(name, dict(row), txn=txn)
+                target.insert(name, dict(row), valid_from=since, txn=txn)
 
 
 def _insert_fact(target: Database, name: str, values, valid, txn) -> None:

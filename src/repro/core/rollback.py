@@ -17,24 +17,22 @@ table's.
 
 Transaction time is append-only: "once a transaction has completed, the
 static relations in the static rollback relation may not be altered".
-There is *no* API that edits a past state; updates apply to the most
-recent state only, and errors in past states "can sometimes be overridden
-(if they are in the current state) but they cannot be forgotten".
+There is *no* API that edits a past state; updates (every kind's API,
+:class:`~repro.core.base.Database`) apply to the most recent state only,
+and errors in past states "can sometimes be overridden (if they are in
+the current state) but they cannot be forgotten".
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Dict, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from repro.core.base import InstantLike, Read
-from repro.core.static import StaticStateDatabase
+from repro.core.base import Database
 from repro.core.taxonomy import DatabaseKind
-from repro.core.transaction_time import TransactionTimeStore, index_access
+from repro.core.transaction_time import TransactionTimeStore
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.relational.tuple import Tuple
-from repro.time.instant import Instant, instant as _coerce
 from repro.time.period import Period
 
 
@@ -91,47 +89,9 @@ class RollbackRelation(TransactionTimeStore):
         return render_rollback(self, title)
 
 
-class RollbackDatabase(StaticStateDatabase):
-    """The static rollback database: transaction time, append-only.
-
-    The update API is the static database's (updates hit the newest
-    state); every superseded state stays retrievable, each relation
-    stored as a :class:`RollbackRelation`.
-    """
+class RollbackDatabase(Database):
+    """The static rollback database: transaction time, append-only; every
+    superseded state stays retrievable, each relation stored as a
+    :class:`RollbackRelation`."""
 
     kind = DatabaseKind.STATIC_ROLLBACK
-
-    # -- queries ------------------------------------------------------------------------
-
-    def access(self, as_of: Optional[Instant] = None,
-               through: Optional[Instant] = None) -> str:
-        return (self._scan_access if as_of is None
-                else index_access("rollback index", through))
-
-    def read(self, name: str, now: Instant, as_of: Optional[Instant] = None,
-             through: Optional[Instant] = None, key: Any = None,
-             indexed: bool = True) -> Optional[Read]:
-        """Transaction time alone: the store's read, but the current state
-        is the snapshot (scanned) unless a key probe answers."""
-        if as_of is None and key is None:
-            return super().read(name, now)
-        return self.store(name).read(
-            lambda: self.index_cache.transaction_time(name),
-            self.access(as_of, through), now, as_of, through, key, indexed)
-
-    def rollback_range(self, name: str, from_: InstantLike,
-                       through: InstantLike) -> Relation:
-        """Tuples in any state over the inclusive transaction-time range.
-
-        TQuel's ``as of t1 through t2``: the union of every rollback state
-        between the two instants.
-        """
-        self.require_rollback("rollback")
-        period = Period.from_inclusive(_coerce(from_), _coerce(through))
-        return self._indexed(name).visible_during(period)
-
-    # -- applier hooks ----------------------------------------------------------------------
-
-    def _create_store(self, staged: Dict[str, Any], name: str,
-                      schema: Schema) -> None:
-        staged[name] = RollbackRelation(schema)

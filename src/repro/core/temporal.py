@@ -8,11 +8,10 @@ history of retroactive/postactive changes."
 
 A :class:`TemporalRelation` is implemented as the paper conceptualizes it:
 **a sequence of historical states**.  Each committed transaction takes the
-current historical state, applies the same valid-time operations a
-historical database understands (:func:`~repro.core.historical.
-historical_delta`), and records the difference — rows that disappeared
-get their transaction time closed at the commit instant, rows that
-appeared open at it.  Hence temporal relations are append-only in
+current historical state, applies the valid-time operations of the one
+update API (:func:`~repro.core.historical.historical_delta`), and records
+the difference — rows that disappeared get their transaction time closed
+at the commit instant, rows that appeared open at it.  Hence temporal relations are append-only in
 transaction time, and ``rollback(t)`` reconstructs exactly the historical
 state any moment ``t`` saw.
 
@@ -36,17 +35,14 @@ index is patched with the rows the commit closed.
 from __future__ import annotations
 
 import operator
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple as PyTuple
+from typing import Iterable, NamedTuple, Optional, Tuple as PyTuple
 
-from repro.core.base import InstantLike, Read
-from repro.core.historical import (HistoricalRelation, HistoricalRow,
-                                   ValidTimeDatabase)
+from repro.core.base import Database, InstantLike
+from repro.core.historical import HistoricalRelation, HistoricalRow
 from repro.core.taxonomy import DatabaseKind
-from repro.core.transaction_time import TransactionTimeStore, index_access
-from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.core.transaction_time import TransactionTimeStore
+from repro.relational.relation import Predicate, Relation, as_callable
 from repro.relational.tuple import Tuple
-from repro.time.instant import Instant, instant as _coerce
 from repro.time.period import Period
 
 
@@ -102,13 +98,9 @@ class TemporalRelation(TransactionTimeStore):
         state = self.current() if as_of is None else self.rollback(as_of)
         return state.timeslice(valid_at)
 
-    def select(self, predicate) -> "TemporalRelation":
+    def select(self, predicate: Predicate) -> "TemporalRelation":
         """Rows whose data satisfies the predicate (both times untouched)."""
-        from repro.relational.expression import Expression
-        if isinstance(predicate, Expression):
-            test = lambda row: bool(predicate.evaluate(row))
-        else:
-            test = predicate
+        test = as_callable(predicate)
         return TemporalRelation(
             self._schema, (row for row in self._iter_rows() if test(row.data)))
 
@@ -126,42 +118,9 @@ class TemporalRelation(TransactionTimeStore):
 # The database kind
 # ---------------------------------------------------------------------------
 
-class TemporalDatabase(ValidTimeDatabase):
-    """The temporal database: transaction time *and* valid time.
-
-    The update API is the historical database's (facts with valid-time
-    arguments); the difference is that every change is also recorded on
-    the transaction-time axis, so nothing is ever physically forgotten.
-    """
+class TemporalDatabase(Database):
+    """The temporal database: transaction time *and* valid time — every
+    change is also recorded on the transaction-time axis, so nothing is
+    ever physically forgotten."""
 
     kind = DatabaseKind.TEMPORAL
-
-    # -- queries --------------------------------------------------------------------------
-
-    def temporal(self, name: str) -> TemporalRelation:
-        """The full bitemporal relation (Figure 8)."""
-        return self.store(name)
-
-    def rollback_range(self, name: str, from_: InstantLike,
-                       through: InstantLike) -> TemporalRelation:
-        """Rows of every historical state over the inclusive tt range."""
-        return self.store(name).range_of(self._indexed(name).overlapping(
-            Period.from_inclusive(_coerce(from_), _coerce(through))))
-
-    def access(self, as_of: Optional[Instant] = None,
-               through: Optional[Instant] = None) -> str:
-        return index_access("bitemporal index", through)
-
-    def read(self, name: str, now: Instant, as_of: Optional[Instant] = None,
-             through: Optional[Instant] = None, key: Any = None,
-             indexed: bool = True) -> Optional[Read]:
-        """Both times: the store's read, the current state a stab at now."""
-        return self.store(name).read(
-            lambda: self.index_cache.transaction_time(name),
-            self.access(as_of, through), now, as_of, through, key, indexed)
-
-    # -- applier hooks ----------------------------------------------------------------------
-
-    def _create_store(self, staged: Dict[str, TemporalRelation], name: str,
-                      schema: Schema) -> None:
-        staged[name] = TemporalRelation(schema)

@@ -64,9 +64,9 @@ class StateStore:
     An *open* map keyed by state element holds the state's rows, and an
     index by schema-key value lists them key by key, in the state's order
     (:attr:`_spliced`).  A subclass names its row type: :attr:`_element`
-    (row → element), :attr:`_data` (row → data tuple), :meth:`_opened`,
-    :meth:`state_of` and :attr:`as_candidates`, and what it keeps of the
-    rows a commit removes (:meth:`_record`).
+    (row → element), :attr:`_data` (row → data tuple), :meth:`state_of`
+    and :attr:`as_candidates`, and what it keeps of the rows a commit
+    removes and adds (:meth:`_record`).
     """
 
     __slots__ = ("_schema", "_open", "_by_key", "_current_cache",
@@ -80,12 +80,6 @@ class StateStore:
     #: Row order: the whole-state path's (a commit's rows where the first
     #: row it removed was), or the open map's where a dump writes that.
     _spliced = True
-
-    def _opened(self, added: Collection[Any], commit_time: Instant
-                ) -> List[Any]:
-        """The rows recording that *added* entered the state at
-        *commit_time* (here: the elements themselves)."""
-        return list(added)
 
     def state_of(self, rows: Iterable[Any]) -> Any:
         """The state *rows* amount to (transaction time projected away)."""
@@ -298,14 +292,13 @@ class StateStore:
         order = (tuple(open_map.values()) if removed and added
                  and self._spliced and not self._schema.key else None)
         gone = [open_map.pop(element) for element in removed]
-        opened = self._opened(added, commit_time)
+        opened = self._record(successor, gone, added, commit_time)
         open_map.update(zip(added, opened))
         if order is not None:
             rows = self._placed(order, gone, opened)
             successor._open = dict(zip(map(self._element, rows), rows))
         successor._by_key = successor._key_index_after(gone, opened, touched)
         successor._current_cache = successor._rows_cache = None
-        self._record(successor, gone, opened, commit_time)
         return successor
 
     def _copy(self) -> "StateStore":
@@ -317,9 +310,12 @@ class StateStore:
         return successor
 
     def _record(self, successor: "StateStore", gone: List[Any],
-                opened: List[Any], commit_time: Instant) -> None:
+                added: Collection[Any], commit_time: Instant) -> List[Any]:
         """Keep in *successor* what this kind keeps of the rows *gone*
-        from the state at *commit_time*: here nothing."""
+        from the state at *commit_time* (here nothing), and return the
+        rows recording that the elements *added* entered it (here the
+        elements themselves)."""
+        return list(added)
 
     # -- value semantics ----------------------------------------------------------
 
@@ -352,7 +348,8 @@ class TransactionTimeStore(StateStore):
     :class:`StateStore`'s hooks.
     """
 
-    __slots__ = ("_lineage", "_closed_log", "_closed_len", "_times_cache")
+    __slots__ = ("_lineage", "_closed_log", "_closed_len", "_times_cache",
+                 "_closing")
 
     _spliced = False  # (a dump writes the open map)
 
@@ -360,11 +357,6 @@ class TransactionTimeStore(StateStore):
     def _stamp(element: Any, tt: Period) -> Any:
         """The row recording that *element* was in the state during *tt*."""
         raise NotImplementedError
-
-    def _opened(self, added: Collection[Any], commit_time: Instant
-                ) -> List[Any]:
-        from_now_on = Period(commit_time, POS_INF)
-        return [self._stamp(element, from_now_on) for element in added]
 
     def range_of(self, rows: Iterable[Any]) -> Any:
         """What ``as of … through`` returns for the *rows* it selects."""
@@ -393,6 +385,9 @@ class TransactionTimeStore(StateStore):
         self._closed_log = closed_log
         self._closed_len = len(closed_log)
         self._times_cache: Optional[List[Instant]] = None
+        #: ``(commit time, {element: (log position, open row)})``: the rows
+        #: this version's commit closed, reopenable within its transaction.
+        self._closing: Optional[PyTuple[Instant, Dict[Any, Any]]] = None
 
     # -- accessors ---------------------------------------------------------------
 
@@ -493,30 +488,50 @@ class TransactionTimeStore(StateStore):
         return list(self._times_cache)
 
     def _record(self, successor: "TransactionTimeStore", gone: List[Any],
-                opened: List[Any], commit_time: Instant) -> None:
+                added: Collection[Any], commit_time: Instant) -> List[Any]:
         """The rows *gone* are closed at *commit_time* and appended to the
         log *successor* shares with this version — but a row opened and
         superseded within one transaction was never part of a committed
-        state, and leaves no trace.  Semantically identical to
-        the whole-relation ``naive_advance`` (property-tested)."""
-        # (every opened row's period; _opened built it once)
-        from_now_on = opened[0].tt if opened else Period(commit_time, POS_INF)
-        closed = [_closed(row, commit_time)
-                  for row in gone if row.tt != from_now_on]
+        state, and leaves no trace.  Each element *added* gets a row open
+        from *commit_time* on — but one this transaction closed gets its
+        row back, and the closed copy leaves the log (nothing changed, so
+        nothing is stamped).  Semantically identical to the whole-relation
+        ``naive_advance`` (property-tested)."""
+        from_now_on = Period(commit_time, POS_INF)
         log = self._closed_log
         if len(log) != self._closed_len:
             # A sibling version — a batch that failed its constraint check,
             # a ``rehearse`` — wrote past this one's prefix: diverge onto a
             # private copy, so the installed version's view survives.
             log = log[:self._closed_len]
-        log.extend(closed)
-        successor._set_past(self._lineage, log)
+        closing = self._closing  # (None, or another transaction's: none)
+        closing = ({} if closing is None or closing[0] != commit_time
+                   else closing[1] if successor is self else dict(closing[1]))
+        element, appended = self._element, len(log)
+        for row in gone:
+            if row.tt != from_now_on:
+                closing[element(row)] = (len(log), row)
+                log.append(_closed(row, commit_time))
         rows_closed, rows_opened = _obs.current().metrics.handles(
             "commit.rows_closed", lambda metrics: (
                 metrics.counter("commit.rows_closed"),
                 metrics.counter("commit.rows_opened")))
-        rows_closed.inc(len(closed))
+        rows_closed.inc(len(log) - appended)
+        opened = []
+        for new in added:
+            if new not in closing:
+                opened.append(self._stamp(new, from_now_on))
+                continue
+            at, row = closing.pop(new)
+            last = log.pop()  # (swapped into the reopened row's place)
+            if at < len(log):
+                log[at] = last
+                closing[element(last)] = (at, closing[element(last)][1])
+            opened.append(row)
         rows_opened.inc(len(opened))
+        successor._set_past(self._lineage, log)
+        successor._closing = (commit_time, closing)
+        return opened
 
 
 def _closed(row: Any, commit_time: Instant) -> Any:

@@ -27,7 +27,8 @@ from repro.relational.tuple import Tuple
 Predicate = Union[Expression, Callable[[Tuple], bool]]
 
 
-def _as_callable(predicate: Predicate) -> Callable[[Tuple], bool]:
+def as_callable(predicate: Predicate) -> Callable[[Tuple], bool]:
+    """*predicate* as a test of one tuple."""
     if isinstance(predicate, Expression):
         return lambda row: bool(predicate.evaluate(row))
     return predicate
@@ -134,7 +135,7 @@ class Relation:
 
     def select(self, predicate: Predicate) -> "Relation":
         """σ — the tuples satisfying *predicate* (expression or callable)."""
-        test = _as_callable(predicate)
+        test = as_callable(predicate)
         return Relation(self._schema, (row for row in self._tuples if test(row)))
 
     def project(self, names: Sequence[str]) -> "Relation":

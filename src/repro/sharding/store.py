@@ -39,7 +39,7 @@ Semantics kept, and one deliberately weakened:
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Callable, List, Mapping, Optional, Sequence,
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple as PyTuple, Type)
 
 from repro.core.base import Database, InstantLike, Read
@@ -138,13 +138,8 @@ class ShardedDatabase:
         """The taxonomy kind (shared by every shard)."""
         return self._shards[0].kind
 
-    @property
-    def supports_rollback(self) -> bool:
-        return self._shards[0].supports_rollback
-
-    @property
-    def supports_historical_queries(self) -> bool:
-        return self._shards[0].supports_historical_queries
+    supports_rollback = Database.supports_rollback
+    supports_historical_queries = Database.supports_historical_queries
 
     @property
     def manager(self) -> ShardCoordinator:
@@ -224,67 +219,32 @@ class ShardedDatabase:
         self._shards[0].schema(name)  # raises UnknownRelationError
         return self.coordinator.run([Operation("drop", name, {})])
 
-    # -- DML (validated by shard 0, routed by the coordinator) -------------------
+    # -- DML: the one update API, checked by shard 0, routed at commit ------------
 
-    def _dispatch(self, method: str, name: str, *args: Any,
-                  txn: Optional[Transaction], **kwargs: Any,
-                  ) -> Optional[Instant]:
-        """Buffer a kind DML method's operations in *txn*, or commit them.
+    insert, delete, replace = Database.insert, Database.delete, Database.replace
 
-        The kind method of shard 0 validates the arguments (schema
-        checks, valid-time rules, event relations) exactly as unsharded
-        and buffers the operations; the coordinator routes them at
-        commit.
-        """
-        dml = getattr(self._shards[0], method)
+    def _checked_values(self, name: str, values: Mapping[str, Any]):
+        return self._shards[0]._checked_values(name, values)
+
+    def _checked_match(self, name: str, match: Mapping[str, Any]):
+        return self._shards[0]._checked_match(name, match)
+
+    def _valid_args(self, *args: Any, **kwargs: Any) -> Dict[str, Any]:
+        return self._shards[0]._valid_args(*args, **kwargs)
+
+    def _submit(self, op: Operation,
+                txn: Optional[Transaction]) -> Optional[Instant]:
+        """Buffer *op* in *txn*, or commit it alone; the coordinator routes
+        it to its owning shard (a key rewrite: ``ShardRoutingError``)."""
         if txn is not None:
-            dml(name, *args, txn=txn, **kwargs)
+            txn.add(op)
             return None
-        with self.begin() as batch:
-            dml(name, *args, txn=batch, **kwargs)
-        return batch.commit_time
+        return self.coordinator.run([op])
 
-    def insert(self, name: str, values: Mapping[str, Any],
-               txn: Optional[Transaction] = None,
-               **valid_bounds: Any) -> Optional[Instant]:
-        """Insert one row on its owning shard (kind keywords pass through)."""
-        return self._dispatch("insert", name, values, txn=txn, **valid_bounds)
-
-    def delete(self, name: str, match: Optional[Mapping[str, Any]] = None,
-               txn: Optional[Transaction] = None,
-               **valid_bounds: Any) -> Optional[Instant]:
-        """Delete matching rows (one shard when *match* pins the key)."""
-        return self._dispatch("delete", name, match, txn=txn, **valid_bounds)
-
-    def replace(self, name: str, match: Mapping[str, Any],
-                updates: Mapping[str, Any],
-                txn: Optional[Transaction] = None,
-                **valid_bounds: Any) -> Optional[Instant]:
-        """Replace matching rows' attributes; key rewrites are rejected
-        (:class:`~repro.errors.ShardRoutingError` — rows never migrate)."""
-        return self._dispatch("replace", name, match, updates, txn=txn,
-                              **valid_bounds)
-
-    def delete_where(self, name: str, predicate,
-                     txn: Optional[Transaction] = None) -> Optional[Instant]:
-        """Delete by predicate, resolved against the *merged* snapshot.
-
-        Only kinds exposing ``delete_where`` (static, rollback) support
-        this; resolution produces full-tuple matches, each routed to its
-        owning shard.
-        """
-        if not hasattr(self._shards[0], "delete_where"):
-            raise AttributeError(
-                f"{type(self._shards[0]).__name__} has no delete_where")
-
-        def expand(batch) -> None:
-            for row in self.snapshot(name).select(predicate):
-                self.delete(name, dict(row), txn=batch)
-
-        if txn is None:
-            return self.commit_unit(expand)
-        expand(txn)
-        return None
+    #: Delete by predicate, resolved against the *merged* snapshot into
+    #: full-tuple matches, each routed to its owning shard (the kinds
+    #: without valid time; the others refuse it as one store does).
+    delete_where = Database.delete_where
 
     #: Match-and-apply as one atomic unit, over the coordinator's
     #: manager-shaped seam (every shard's lock is held across the match).
@@ -443,34 +403,26 @@ class ShardedDatabase:
         so *as_of* is each shard's state at its own *as_of*: it orders
         commits within a shard only (docs/SHARDING.md "Consistent cuts").
         """
-        self._shards[0].require_rollback("rollback")
         return self._merged(name, lambda db: db.rollback(name, as_of))
 
     def timeslice(self, name: str, valid_at: InstantLike,
                   as_of: Optional[InstantLike] = None):
         """The merged valid-time slice (historical and temporal kinds),
         as of *as_of* if given (temporal kind)."""
-        self._shards[0].require_historical("timeslice")
-        if as_of is not None:
-            self._shards[0].require_rollback("as of")
         return self._merged(name,
                             lambda db: db.timeslice(name, valid_at, as_of))
 
     def history(self, name: str):
         """The merged current historical state (valid-time kinds)."""
-        self._shards[0].require_historical("history")
         return self._merged(name, lambda db: db.history(name))
 
     def temporal(self, name: str):
         """The merged bitemporal relation (temporal kind)."""
-        self._shards[0].require_historical("temporal")
-        self._shards[0].require_rollback("temporal")
         return self._merged(name, lambda db: db.temporal(name))
 
     def rollback_range(self, name: str, from_: InstantLike,
                        through: InstantLike):
         """The merged rows of every state over the inclusive tt range."""
-        self._shards[0].require_rollback("rollback_range")
         return self._merged(
             name, lambda db: db.rollback_range(name, from_, through))
 

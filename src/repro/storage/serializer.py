@@ -57,13 +57,12 @@ from json.encoder import encode_basestring
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 from typing import Tuple as PyTuple
 
-from repro.core.historical import (HistoricalDatabase, HistoricalRelation,
-                                   HistoricalRow, HistoricalStore)
-from repro.core.rollback import (RollbackDatabase, RollbackRelation,
-                                 TransactionTimeRow)
-from repro.core.static import StaticDatabase, StaticStore
+from repro.core import DATABASE_CLASSES, DatabaseKind
+from repro.core.base import STORE_CLASSES
+from repro.core.historical import HistoricalRelation, HistoricalRow
+from repro.core.rollback import RollbackRelation, TransactionTimeRow
 from repro.core.transaction_time import StateStore
-from repro.core.temporal import BitemporalRow, TemporalDatabase, TemporalRelation
+from repro.core.temporal import BitemporalRow, TemporalRelation
 from repro.errors import (ConstraintViolation, SchemaError, StorageError,
                           TimeError)
 from repro.relational.domain import Domain
@@ -506,24 +505,15 @@ def relation_from_dict(data: Dict[str, Any],
 # Whole databases
 # ---------------------------------------------------------------------------
 
-_DB_CLASSES = {
-    "static": StaticDatabase,
-    "static rollback": RollbackDatabase,
-    "historical": HistoricalDatabase,
-    "temporal": TemporalDatabase,
-}
-
-
 def _dump(database, closed: bool, memo: Optional[Dict[Instant, Any]] = None,
           texts: Optional[PyTuple[Texts, Texts]] = None) -> Dict[str, Any]:
     """A whole database's dump but the clock (see :func:`store_to_dict`)."""
     relations = {}
-    is_event = getattr(database, "is_event_relation", None)
     for name in database.relation_names():
         relations[name] = entry = {
             "schema": schema_to_dict(database.schema(name)),
             "store": store_to_dict(database.store(name), closed, memo, texts)}
-        if is_event is not None and is_event(name):
+        if database.is_event_relation(name):
             entry["event"] = True
     return {"version": FORMAT_VERSION, "kind": database.kind.value,
             "relations": relations}
@@ -577,8 +567,8 @@ def load_database(data: Dict[str, Any], clock=None):
         )
     kind = data.get("kind")
     try:
-        db_class = _DB_CLASSES[kind]
-    except KeyError:
+        db_class = DATABASE_CLASSES[DatabaseKind(kind)]
+    except ValueError:
         raise StorageError(f"unknown database kind {kind!r}") from None
 
     last = (_decode_clock(data["clock_last"])
@@ -600,10 +590,8 @@ def load_database(data: Dict[str, Any], clock=None):
             raise StorageError(f"relation {name!r}: {exc}") from exc
         # A state without transaction time goes back in its kind's store.
         database._store[name] = (
-            HistoricalStore(schema, value.rows)
-            if isinstance(value, HistoricalRelation) else
-            StaticStore(schema, value) if isinstance(value, Relation)
-            else value)
+            value if isinstance(value, StateStore)
+            else STORE_CLASSES[database.kind](schema, value))
         if entry.get("event"):
             database._event_relations.add(name)
     if last is not None:

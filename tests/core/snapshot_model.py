@@ -6,12 +6,11 @@ static kind alone, never by the transaction-time stores under test.
 Tests hold a rollback database's ``rollback`` and ``states()`` to it.
 
 The model keeps one state per *commit*, a commit that left a relation
-as it was (a duplicate insert, a delete that matched nothing) included.
-Figure 4's stamps cannot record such a commit, so a stamped store's
-``states()`` holds a state at every commit that stamped a row: each of
-:meth:`SnapshotModel.changes`, and a transaction that deleted a tuple
-and inserted it again (it closes the row and opens another) —
-:meth:`SnapshotModel.check_view`.
+as it was (a duplicate insert, a delete that matched nothing, a delete
+and a reinsert of one tuple) included.  Figure 4's stamps cannot record
+such a commit, so a stamped store's ``states()`` holds a state at
+exactly the commits that changed the relation:
+:meth:`SnapshotModel.changes` — :meth:`SnapshotModel.check_view`.
 """
 
 from typing import Dict, List, Tuple as PyTuple
@@ -53,12 +52,13 @@ class SnapshotModel(StaticDatabase):
 
     def check_view(self, states: List[State], name: str) -> None:
         """*states*, a stamped store's ``states()`` for *name*, holds the
-        model's state at each of its times, and a time for every change."""
+        model's state at each of its times, and its times are exactly
+        those of the changes."""
         times = [when for when, _ in states]
         assert times == sorted(set(times))
         for when, state in states:
             assert state == self.state_at(name, when), when
-        assert {when for when, _ in self.changes(name)} <= set(times)
+        assert [when for when, _ in self.changes(name)] == times
 
     def state_at(self, name: str, as_of) -> Relation:
         """The newest state of *name* at or before *as_of* (Figure 3's

@@ -98,9 +98,7 @@ def test_a_replace_logs_the_arguments_the_api_built(kind, monkeypatch):
             super().__init__(action, relation, arguments)
 
     database, _ = build_faculty(kind)
-    module = ("historical" if database.kind.supports_historical_queries
-              else "static")
-    monkeypatch.setattr(f"repro.core.{module}.Operation", Recorded)
+    monkeypatch.setattr("repro.core.base.Operation", Recorded)
     database.replace("faculty", {"name": "Tom"}, {"rank": "full"},
                      **valid(database, valid_from="01/01/84"))
     assert database.log.last().operations[-1].arguments is built[-1]

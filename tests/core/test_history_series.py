@@ -148,5 +148,5 @@ class TestRollbackRange:
     def test_static_database_rejects_range(self, static_faculty):
         from repro.errors import RollbackNotSupportedError
         database, _ = static_faculty
-        with pytest.raises(AttributeError):
-            database.rollback_range  # static databases don't even have it
+        with pytest.raises(RollbackNotSupportedError, match="static"):
+            database.rollback_range("faculty", "01/01/80", "12/31/82")

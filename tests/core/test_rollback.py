@@ -1,5 +1,7 @@
 """Unit tests for static rollback databases (§4.2, Figures 3-4)."""
 
+import contextlib
+
 import pytest
 
 from repro.core import DatabaseKind, RollbackDatabase, RollbackRelation
@@ -212,3 +214,23 @@ class TestStorageAccounting:
         assert store.cube_cells() == sum(
             len(state) * arity for _, state in model.changes("faculty"))
         assert store.cube_cells() > store.storage_cells()
+
+
+@pytest.mark.parametrize("fold", [True, False], ids=["folded", "one-at-a-time"])
+@pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "keyless"])
+@pytest.mark.parametrize("kind", ["rollback", "temporal"])
+def test_a_tuple_deleted_and_inserted_again_keeps_its_row(kind, keyed, fold):
+    # The transaction leaves the state as it was, so it stamps nothing:
+    # the row the delete closed is open again, the very same row — on the
+    # working copy a transaction folds into and on a copy per operation.
+    from tests.core.test_batch_fold_differential import (BASE, KINDS, build,
+                                                         commit, one_at_a_time)
+    database = build(KINDS[kind], keyed, [("insert", "a", 0, 0, None)])
+    (row,) = database.store("r").rows
+    database.manager.clock.source.set(BASE + 10)
+    with contextlib.nullcontext() if fold else one_at_a_time():
+        commit(database, [("delete", "a", 0, None, None),
+                          ("insert", "a", 0, 0, None)])
+    store = database.store("r")
+    assert store.rows == (row,) and store.rows[0] is row
+    assert [when for when, _ in store.states()] == [row.tt.start]

@@ -145,3 +145,64 @@ class TestRenderers:
         text = render_figure_13()
         for system in FIGURE_13:
             assert system.system in text
+
+
+class TestFigure11AtRuntime:
+    """Figure 11 as a table: every call bound to a capability answers on
+    the kinds that have it and raises the typed category error, naming
+    the kind, on the others — on one class reading the kind's two flags."""
+
+    TIME = {"valid": lambda kind: kind.supports_historical_queries,
+            "tt": lambda kind: kind.supports_rollback,
+            "both": lambda kind: (kind.supports_historical_queries
+                                  and kind.supports_rollback),
+            "no valid": lambda kind: not kind.supports_historical_queries}
+
+    CALLS = {
+        "valid_from=": ("valid", lambda db: db.insert(
+            "faculty", {"name": "Ann", "rank": "full"},
+            valid_from="01/01/84")),
+        "valid_at=": ("valid", lambda db: db.delete(
+            "faculty", {"name": "Tom"}, valid_at="01/01/84")),
+        "history": ("valid", lambda db: db.history("faculty")),
+        "timeslice": ("valid", lambda db: db.timeslice("faculty",
+                                                        "01/01/83")),
+        "temporal": ("both", lambda db: db.temporal("faculty")),
+        "rollback": ("tt", lambda db: db.rollback("faculty", "01/01/83")),
+        "rollback_range": ("tt", lambda db: db.rollback_range(
+            "faculty", "01/01/83", "01/01/84")),
+        "delete_where": ("no valid", lambda db: db.delete_where(
+            "faculty", lambda row: row["name"] == "Tom")),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("kind", list(DatabaseKind),
+                             ids=[kind.value for kind in DatabaseKind])
+    def test_a_call_answers_or_raises_the_category_error(self, kind, call):
+        from repro.core import DATABASE_CLASSES
+        from repro.errors import (HistoricalNotSupportedError,
+                                  RollbackNotSupportedError,
+                                  TemporalSupportError)
+        from tests.conftest import build_faculty
+
+        database, _ = build_faculty(DATABASE_CLASSES[kind])
+        needs, make_call = self.CALLS[call]
+        if self.TIME[needs](kind):
+            make_call(database)  # answers
+            return
+        expected = (TemporalSupportError if needs == "no valid"
+                    else RollbackNotSupportedError if needs == "tt"
+                    or kind.supports_historical_queries
+                    else HistoricalNotSupportedError)
+        with pytest.raises(expected, match=f"a {kind} database"):
+            make_call(database)
+
+    @pytest.mark.parametrize("kind", list(DatabaseKind),
+                             ids=[kind.value for kind in DatabaseKind])
+    def test_a_kind_class_names_its_kind_and_nothing_else(self, kind):
+        from repro.core import DATABASE_CLASSES, Database
+
+        cls = DATABASE_CLASSES[kind]
+        assert cls.__bases__ == (Database,) and cls.kind is kind
+        assert set(vars(cls)) <= {"__module__", "__qualname__", "__doc__",
+                                  "kind"}

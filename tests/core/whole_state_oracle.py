@@ -10,7 +10,9 @@ answers.
 - :func:`apply_static_operation` / :func:`apply_historical_operation`:
   one insert/delete/replace applied to the whole state value; what an
   operation produces takes the place of the first row it removes, so a
-  replaced row keeps its place in the printed table;
+  replaced row keeps its place in the printed table.  The static one is
+  whole-relation set semantics written here, sharing no code with the
+  one delta every kind commits through;
 - :func:`check_state`: a kind's declared constraints (and its key, plain
   or sequenced) on the whole state;
 - :func:`naive_advance`: a transaction-time store's whole-relation diff
@@ -22,10 +24,10 @@ import math
 from repro.core.historical import (HistoricalRelation,
                                    check_historical_constraints,
                                    historical_delta)
-from repro.core.static import static_delta
 from repro.core.transaction_time import _closed
 from repro.relational.constraints import KeyConstraint, check_all
 from repro.relational.relation import Relation
+from repro.relational.tuple import Tuple
 from repro.time.instant import POS_INF
 from repro.time.period import Period
 
@@ -42,9 +44,23 @@ def _splice(rows, removed, added):
 
 
 def apply_static_operation(relation, op):
-    """One insert/delete/replace applied to a static relation value."""
+    """One insert/delete/replace applied to a static relation value: the
+    set of tuples after it, each produced tuple where the first tuple it
+    replaced was."""
     rows = relation.tuples
-    removed, added = static_delta(relation.schema, op, rows, relation)
+    arguments = op.arguments
+    if op.action == "insert":
+        row = Tuple(relation.schema, arguments["values"])
+        removed, added = [], [row]
+    else:
+        match = arguments["match"].items()
+        removed = [row for row in rows
+                   if all(row[name] == value for name, value in match)]
+        added = [row.replace(**arguments["updates"]) for row in removed
+                 ] if op.action == "replace" else []
+    kept, present = set(added), set(rows)
+    removed = [row for row in removed if row not in kept]
+    added = [row for row in dict.fromkeys(added) if row not in present]
     if not removed and not added:
         return relation
     return Relation(relation.schema, _splice(rows, removed, added))
@@ -85,15 +101,22 @@ def naive_advance(store, new_state, commit_time):
     carried = set()
     rows = []
     from_now_on = Period(commit_time, POS_INF)
+    reopened = {}
     for row in store.rows:
         if row.tt.hi != math.inf:
-            rows.append(row)  # already part of the immutable past
+            if row.tt.end == commit_time and element(row) in state:
+                # closed by this very transaction, and back: its row again
+                reopened[element(row)] = row._replace(
+                    tt=Period(row.tt.start, POS_INF))
+            else:
+                rows.append(row)  # already part of the immutable past
         elif element(row) in state:
             rows.append(row)  # survives this transaction
             carried.add(element(row))
         elif row.tt != from_now_on:
             rows.append(_closed(row, commit_time))
         # else: opened and superseded within one transaction
-    rows.extend(store._stamp(new, from_now_on)
+    rows.extend(reopened[new] if new in reopened
+                else store._stamp(new, from_now_on)
                 for new in state if new not in carried)
     return type(store)(store.schema, rows)
